@@ -334,9 +334,13 @@ _WORST_IS_MIN = {"decay": False, "margins": True, "comparison": False,
 
 
 def _run_one(task: tuple) -> tuple:
-    """Picklable work unit: rebuild the idx-th child stream and run it."""
-    suite, seed, total, idx = task
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(total)[idx])
+    """Picklable work unit: rebuild the idx-th child stream and run it.
+
+    ``SeedSequence(seed, spawn_key=(idx,))`` is the idx-th child that
+    ``SeedSequence(seed).spawn(n)`` would return, built in O(1).
+    """
+    suite, seed, idx = task
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(idx,)))
     return _INSTANCE_FNS[suite](idx, rng)
 
 
@@ -344,7 +348,7 @@ def _execute(suite: str, seed: int, count: int, jobs: int) -> HarnessReport:
     """Run `count` instances, serially or on a process pool, and fold the
     per-instance results in index order (identical either way)."""
     jobs = max(1, int(jobs))
-    tasks = [(suite, seed, count, i) for i in range(count)]
+    tasks = [(suite, seed, i) for i in range(count)]
     if jobs > 1 and count > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, count)) as pool:
             outs = list(pool.map(_run_one, tasks))

@@ -52,17 +52,33 @@ def _poly_derivative(coeffs):
     return tuple(j * coeffs[j] for j in range(1, len(coeffs)))
 
 
-def _trim_for_roots(coeffs) -> list:
-    """Drop leading coefficients that are zero — or so small relative to
-    the rest that the companion-matrix ratios would overflow (a subnormal
-    lead puts its root at ~1e300, outside any finite window anyway)."""
+_LOG_EPS = math.log(np.finfo(float).eps)
+
+
+def _trim_for_roots(coeffs, span: float | None = None) -> list:
+    """Drop leading coefficients that np.roots must not see: zeros; leads so
+    small relative to the rest that the companion-matrix ratios would
+    overflow (a subnormal lead puts its root at ~1e300, outside any finite
+    window anyway); and, when a window |u| ≤ span is given, leads whose term
+    stays below float precision of the largest other term there, which only
+    add huge spurious roots and can cost np.roots the real ones inside the
+    window.  Term sizes are compared as logarithms, so a wide window cannot
+    overflow them."""
     out = list(coeffs)
+    log_span = None if span is None else math.log(span)
     while len(out) > 1:
         lead = abs(out[-1])
-        if lead == 0.0 or max(abs(c) for c in out[:-1]) > lead * 1e306:
+        rest = max(abs(c) for c in out[:-1])
+        if lead == 0.0 or rest > lead * 1e306:
             out.pop()
-        else:
+            continue
+        if log_span is None or rest == 0.0:
             break
+        largest = max(math.log(abs(c)) + k * log_span
+                      for k, c in enumerate(out[:-1]) if c != 0.0)
+        if math.log(lead) + (len(out) - 1) * log_span >= largest + _LOG_EPS:
+            break
+        out.pop()
     return out
 
 
@@ -73,7 +89,7 @@ def _poly_extrema_values(coeffs, u_lo: float, u_hi: float) -> list[float]:
     deriv = _poly_derivative(coeffs)
     if len(deriv) >= 2:  # degree ≥ 2 ⇒ nontrivial critical points
         # numpy wants highest degree first and nonzero leading coefficient
-        trimmed = _trim_for_roots(deriv)
+        trimmed = _trim_for_roots(deriv, max(abs(u_lo), abs(u_hi)))
         if len(trimmed) >= 2:
             roots = np.roots(trimmed[::-1])
             scale = max(1.0, abs(u_lo), abs(u_hi))

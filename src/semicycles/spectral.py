@@ -66,6 +66,7 @@ def lambert_w(branch: int, z: complex) -> complex:
     """Branch-n solution of w·e^w = z, Halley-polished to |w·e^w − z| < 1e−13.
 
     Initial guesses: the defining series near the origin for branch 0, the
+    branch-point series −1 + p − p²/3 (p = √(2(ez + 1))) near z = −1/e, the
     log-asymptote log z + 2πin − log(log z + 2πin) otherwise.
     """
     z = complex(z)
@@ -78,9 +79,17 @@ def lambert_w(branch: int, z: complex) -> complex:
             w0 = z * (1.0 - z + 1.5 * z * z)
         elif abs(z - math.e) < 1e-12:
             return 1.0 + 0.0j
+        elif abs(math.e * z + 1.0) < 0.5:
+            p = cmath.sqrt(2.0 * (math.e * z + 1.0))
+            w0 = -1.0 + p - p * p / 3.0
         else:
             ell = cmath.log(z)
-            w0 = ell - cmath.log(ell) if abs(ell) > 1.0 else 0.5671 + 0.5 * ell
+            # the log-asymptote is a branch-0 start only where Re log z > 0;
+            # for |z| < 1 it converges to another branch
+            if abs(ell) > 1.0 and ell.real > 0.0:
+                w0 = ell - cmath.log(ell)
+            else:
+                w0 = 0.5671 + 0.5 * ell
     else:
         ell = cmath.log(z) + _TWO_PI_I * branch
         w0 = ell - cmath.log(ell)

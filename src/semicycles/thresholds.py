@@ -172,15 +172,12 @@ def _cumulative_moments(w: np.ndarray, g: np.ndarray):
     return i0, i1
 
 
-def _moment_partials(v, w: np.ndarray, g: np.ndarray,
+def _moment_partials(v: np.ndarray, w: np.ndarray, g: np.ndarray,
                      i0: np.ndarray, i1: np.ndarray):
-    """I0(v), I1(v) at off-node points, exact for the linear carrier.
-
-    Accepts a scalar or an array of probe points.
-    """
+    """I0(v), I1(v) at an array of off-node points, exact for the linear
+    carrier."""
     h = w[1] - w[0]
-    scalar = np.isscalar(v)
-    vv = np.atleast_1d(np.asarray(v, dtype=float))
+    vv = np.asarray(v, dtype=float)
     j = np.clip(np.floor((vv - w[0]) / h).astype(int), 0, w.size - 2)
     t0 = w[j]
     dv = vv - t0
@@ -189,9 +186,28 @@ def _moment_partials(v, w: np.ndarray, g: np.ndarray,
     vm = t0 + 0.5 * dv
     gm = 0.5 * (g[j] + gv)
     p1 = (dv / 6.0) * (t0 * g[j] + 4.0 * vm * gm + vv * gv)
-    if scalar:
-        return float(i0[j][0] + p0[0]), float(i1[j][0] + p1[0])
     return i0[j] + p0, i1[j] + p1
+
+
+def _moment_at(v: float, w: np.ndarray, g: np.ndarray,
+               i0: np.ndarray, i1: np.ndarray):
+    """Scalar ``_moment_partials`` in Python floats, for the root search.
+
+    Same operations in the same order, so every result is bit-identical to
+    the vector path; ``item`` reads single nodes without converting arrays.
+    """
+    w0 = w.item(0)
+    h = w.item(1) - w0
+    j = min(max(math.floor((v - w0) / h), 0), w.size - 2)
+    t0 = w.item(j)
+    gj = g.item(j)
+    dv = v - t0
+    gv = gj + (g.item(j + 1) - gj) * (dv / h)
+    p0 = 0.5 * dv * (gj + gv)
+    vm = t0 + 0.5 * dv
+    gm = 0.5 * (gj + gv)
+    p1 = (dv / 6.0) * (t0 * gj + 4.0 * vm * gm + v * gv)
+    return i0.item(j) + p0, i1.item(j) + p1
 
 
 def _beta_step(w: np.ndarray, beta: np.ndarray, forcing: np.ndarray,
@@ -207,16 +223,17 @@ def _beta_step(w: np.ndarray, beta: np.ndarray, forcing: np.ndarray,
     """
     g = np.maximum(beta, forcing)
     i0, i1 = _cumulative_moments(w, g)
-    i1_total = i1[-1]
+    i1_total = i1.item(-1)
+    w0 = w.item(0)
 
     def h_of(v: float) -> float:
         # ∫_v^0 (−u)·g(u) du, via the first moment
-        return _moment_partials(v, w, g, i0, i1)[1] - i1_total
+        return _moment_at(v, w, g, i0, i1)[1] - i1_total
 
-    if h_of(w[0]) < 1.0:
-        v_root = w[0]  # saturated: the whole domain cannot absorb a unit
+    if h_of(w0) < 1.0:
+        v_root = w0  # saturated: the whole domain cannot absorb a unit
     else:
-        lo, hi = w[0], 0.0
+        lo, hi = w0, 0.0
         while hi - lo > 1e-12:
             mid = 0.5 * (lo + hi)
             if h_of(mid) >= 1.0:
@@ -225,7 +242,7 @@ def _beta_step(w: np.ndarray, beta: np.ndarray, forcing: np.ndarray,
                 hi = mid
         v_root = 0.5 * (lo + hi)
 
-    i0_v, i1_v = _moment_partials(v_root, w, g, i0, i1)
+    i0_v, i1_v = _moment_at(v_root, w, g, i0, i1)
     beta_next = np.ones_like(beta)
     mask = w > v_root
     beta_next[mask] = 1.0 - (w[mask] * (i0[mask] - i0_v) - (i1[mask] - i1_v))

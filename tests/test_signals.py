@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semicycles import (
@@ -112,6 +112,10 @@ def test_eval_matches_direct_polynomial(coeffs, width, frac, t0):
        w1=st.floats(min_value=0.01, max_value=2.0),
        w2=st.floats(min_value=0.01, max_value=2.0),
        shrink=st.floats(min_value=0.0, max_value=0.49))
+# a 6.6e-236 lead used to reach np.roots, which then lost the critical
+# point u = √(2/3): the subinterval reported 1.08 against 1.0 for the interval
+@example(coeffs=[0.0, 2.0, 0.0, -1.0, 6.6e-236], lo=0.0, w1=1.0, w2=1.0,
+         shrink=0.375)
 def test_esssup_monotone_under_inclusion(coeffs, lo, w1, w2, shrink):
     """esssup over a subinterval never exceeds esssup over the interval."""
     sig = PiecewiseSignal((lo, lo + w1), (tuple(coeffs),), 0.3, -0.7)
@@ -127,6 +131,15 @@ def test_esssup_survives_subnormal_leading_coefficient():
     sig = PiecewiseSignal((0.0, 1.0), ((0.0, 1.0, 2.225073858507e-311),),
                           0.3, -0.7)
     assert esssup_abs(sig, (-1.0, 2.0)) == pytest.approx(1.0, rel=1e-9)
+
+
+def test_esssup_finds_critical_point_behind_negligible_lead():
+    # 2u − u³ peaks at u = √(2/3); the quartic term is far below float
+    # precision on [0, 1] and must not hide that critical point
+    sig = PiecewiseSignal((0.0, 1.0), ((0.0, 2.0, 0.0, -1.0, 6.6e-236),),
+                          0.3, -0.7)
+    peak = 2.0 * math.sqrt(2.0 / 3.0) - (2.0 / 3.0) ** 1.5
+    assert esssup_abs(sig, (-1.0, 2.0)) == pytest.approx(peak, rel=1e-12)
 
 
 def test_json_round_trip():

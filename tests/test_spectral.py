@@ -4,7 +4,7 @@ import cmath
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from semicycles import DomainError, NotApplicableError
 from semicycles.spectral import CharRoot, char_roots, eigen_semicycle, lambert_w
@@ -48,12 +48,28 @@ def test_lambert_defining_identity(branch, mag, arg):
     mag=st.floats(min_value=0.1, max_value=20.0),
     arg=st.floats(min_value=-3.0, max_value=3.0),
 )
+@example(branch=0, mag=0.3125, arg=0.0)
 def test_lambert_matches_scipy(branch, mag, arg):
     scipy_special = pytest.importorskip("scipy.special")
     z = cmath.rect(mag, arg)
     ours = lambert_w(branch, z)
     ref = complex(scipy_special.lambertw(z, k=branch))
     assert abs(ours - ref) < 1e-10 * max(1.0, abs(ref))
+
+
+def test_lambert_branch0_inside_unit_circle():
+    # Re log z < 0 here: the log-asymptote start used to converge to another
+    # branch (±ic/2 for c ∈ [0.6, 1.375], and the real z = 0.3125); near
+    # the branch point −1/e the branch-point series is the start.  Reference
+    # values from scipy.special.lambertw.
+    cases = (
+        (0.7j, 0.2521656879315281 + 0.48200413682751514j),
+        (-0.7j, 0.2521656879315281 - 0.48200413682751514j),
+        (0.3125, 0.244674738525522 + 0j),
+        (-0.33 + 1e-9j, -0.6032666497551331 + 4.607832327948812e-09j),
+    )
+    for z, ref in cases:
+        assert abs(lambert_w(0, z) - ref) < 1e-12
 
 
 def test_c4_frozen_spectrum():

@@ -23,7 +23,13 @@ from semicycles import (
     semicycle_threshold,
     theta,
 )
-from semicycles.thresholds import _beta_step, _forcing_grid
+from semicycles.thresholds import (
+    _beta_step,
+    _cumulative_moments,
+    _forcing_grid,
+    _moment_at,
+    _moment_partials,
+)
 
 SQRT2 = math.sqrt(2.0)
 HALF_PI = math.pi / 2.0
@@ -190,6 +196,107 @@ def test_beta_profiles_pointwise_nonincreasing_in_n():
         # slack = the ϖ-bisection width (β(0) carries exactly that noise)
         assert np.all(beta <= prev + 1e-11)
         prev = beta
+
+
+def _oracle_step(w, beta, forcing):
+    """The sweep with every bisection probe on the vector moment path."""
+    g = np.maximum(beta, forcing)
+    i0, i1 = _cumulative_moments(w, g)
+
+    def moments(v):
+        m0, m1 = _moment_partials(np.array([v]), w, g, i0, i1)
+        return m0[0], m1[0]
+
+    def h_of(v):
+        return moments(v)[1] - i1[-1]
+
+    if h_of(w[0]) < 1.0:
+        v_root = w[0]
+    else:
+        lo, hi = w[0], 0.0
+        while hi - lo > 1e-12:
+            mid = 0.5 * (lo + hi)
+            if h_of(mid) >= 1.0:
+                lo = mid
+            else:
+                hi = mid
+        v_root = 0.5 * (lo + hi)
+    i0_v, i1_v = moments(v_root)
+    beta_next = np.ones_like(beta)
+    mask = w > v_root
+    beta_next[mask] = 1.0 - (w[mask] * (i0[mask] - i0_v) - (i1[mask] - i1_v))
+    return -v_root, beta_next, (g, i0, i1, v_root, i0_v, i1_v)
+
+
+def _oracle_iterate(rho, delta, grid_size=4096, tol=1e-10):
+    w = np.linspace(-HALF_PI, 0.0, grid_size)
+    forcing = _forcing_grid(rho, delta, w)
+    beta = np.ones_like(w)
+    omegas = []
+    while True:
+        omega, beta, sweep = _oracle_step(w, beta, forcing)
+        omegas.append(omega)
+        if len(omegas) >= 2 and abs(omegas[-1] - omegas[-2]) < tol:
+            g, i0, i1, v_root, i0_v, i1_v = sweep
+            ts = np.linspace(-omega, 0.0, grid_size)
+            i0_t, i1_t = _moment_partials(ts, w, g, i0, i1)
+            profile = 1.0 - (ts * (i0_t - i0_v) - (i1_t - i1_v))
+            profile[ts <= v_root] = 1.0
+            return omega, omegas, profile
+
+
+def test_scalar_moments_bit_identical_to_vector_path():
+    """_moment_at returns the vector path's floats exactly, at random probe
+    points, at the nodes, at both ends and past them (clamped cells)."""
+    rng = np.random.default_rng(4096)
+    w = np.linspace(-HALF_PI, 0.0, 4096)
+    for rho, d in ((1.0, 0.0), (1.0, 1.0), (2.5, 0.4), (0.3, 2.7)):
+        forcing = _forcing_grid(rho, d, w)
+        beta = np.ones_like(w)
+        for _ in range(3):
+            _, beta = _beta_step(w, beta, forcing)
+        g = np.maximum(beta, forcing)
+        i0, i1 = _cumulative_moments(w, g)
+        vs = np.concatenate((rng.uniform(-HALF_PI, 0.0, 2000), w[::97],
+                             [w[0], w[-1], w[0] - 1e-3, 1e-3]))
+        m0, m1 = _moment_partials(vs, w, g, i0, i1)
+        for v, a0, a1 in zip(vs.tolist(), m0.tolist(), m1.tolist()):
+            assert _moment_at(v, w, g, i0, i1) == (a0, a1), (rho, d, v)
+
+
+def test_root_search_bit_identical_to_vector_probes():
+    """The plain-float root search reproduces the vector-path bisection
+    exactly: same ϖ sequence, same Ψ, same limit profile bytes."""
+    rng = np.random.default_rng(20230623)
+    cells = [(1.0, 0.0), (0.5, 0.0), (1.0, 1e-13), (2.0, 3.0), (3.0, 1.2)]
+    cells += [(float(r), float(d)) for r, d in
+              zip(rng.uniform(0.2, 2.5, 3), rng.uniform(0.0, 3.0, 3))]
+    for rho, d in cells:
+        res = beta_iterate(rho, d)
+        omega, omegas, profile = _oracle_iterate(rho, d)
+        assert res.omega_sequence == tuple(omegas), (rho, d)
+        assert res.psi == omega, (rho, d)
+        assert np.array_equal(res.limit_profile.values, profile), (rho, d)
+
+
+def test_single_sweeps_bit_identical_to_vector_probes():
+    """Single sweeps agree exactly with the vector-path oracle, including a
+    saturated one: a domain holding less than a unit moment gives ϖ = π/2."""
+    w = np.linspace(-HALF_PI, 0.0, 4096)
+    beta = np.full_like(w, 0.5)  # ∫(−u)·½ du over [−π/2, 0] = π²/16 < 1
+    forcing = np.zeros_like(w)
+    omega, beta_next = _beta_step(w, beta, forcing)
+    ref_omega, ref_next, _ = _oracle_step(w, beta, forcing)
+    assert omega == ref_omega == HALF_PI
+    assert np.array_equal(beta_next, ref_next)
+    for rho, d in ((1.0, 1.0), (2.5, 0.4)):
+        forcing = _forcing_grid(rho, d, w)
+        prev = np.ones_like(w)
+        for _ in range(6):
+            omega, nxt = _beta_step(w, prev, forcing)
+            ref_omega, ref_next, _ = _oracle_step(w, prev, forcing)
+            assert omega == ref_omega and np.array_equal(nxt, ref_next)
+            prev = nxt
 
 
 def test_limit_profile_shape():
