@@ -32,7 +32,6 @@ from .integrator import (
     extremum_events,
     fundamental_system,
     integrate,
-    wronskian,
     zero_crossings,
 )
 from .signals import PiecewiseSignal, signal_range
@@ -516,4 +515,5 @@ def wronskian_min(problem: DelayProblem, horizon: float,
     z, y = fundamental_system(problem.p, problem.tau, problem.start,
                               horizon, step)
     ts = np.linspace(problem.start, horizon, samples)
-    return min(wronskian(z, y, float(t)) for t in ts)
+    w = z.sample(ts) * y.sample_slope(ts) - z.sample_slope(ts) * y.sample(ts)
+    return float(w.min())

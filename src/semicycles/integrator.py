@@ -3,10 +3,26 @@
 Fixed-step classical RK4 on the first-order system (x, x′), with step
 endpoints aligned to every breakpoint of the coefficient and delay signals
 and to the first-generation discontinuity points {t : t−τ(t) = breakpoint
-or = start}. The delayed value is read from the initial history (t−τ ≤ s),
-from earlier dense output (cubic Hermite per accepted step), or — when the
-delay is smaller than the step — from a provisional interpolant that is
-sub-iterated twice.
+or = start}. The whole step grid is known before the first step: the forced
+nodes, each gap subdivided uniformly.
+
+The delayed value of a stage at σ is read at u = σ − τ(σ): from the initial
+history (u ≤ s), from dense output of accepted steps (cubic Hermite per
+step), or, when the delay is shorter than the step, from a provisional
+interpolant of the step itself that is sub-iterated twice.
+
+Steps run in blocks (the classical method of steps, Bellen & Zennaro 2003).
+For each chunk of steps, numpy evaluates p and τ at the three stage times
+of every step and sorts each stage by where its delayed value comes from.
+A block is a maximal run of steps whose stages all read the history or
+output accepted before the block's first node. Inside a block no v-stage
+depends on the block's own x, so one vectorized Hermite gather gives the
+v increments, running sums give v, and then x follows the same way. Every
+other step (a zero delay, an overlap with the step, a stage that must
+raise, or a run of steps too short to pay for numpy) is taken alone, each
+stage resolved when it is reached. Both paths perform the same
+floating-point operations in the same order, so the trajectory does not
+depend on how the steps were grouped.
 
 Two conventions matter and are deliberate:
 
@@ -113,7 +129,6 @@ class Trajectory:
     ts: np.ndarray
     xs: np.ndarray
     vs: np.ndarray
-    events: tuple = ()
     problem: DelayProblem | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -244,7 +259,7 @@ def _lag_crossings(tau: PiecewiseSignal, c: float, lo: float, hi: float
             q[1] += 1.0
         if all(abs(ci) <= 1e-13 * scale for ci in q):
             continue  # the whole segment maps onto c
-        trimmed = _trim_for_roots(q)
+        trimmed = _trim_for_roots(q, length)
         if len(trimmed) == 1:
             continue
         if len(trimmed) == 2:
@@ -282,6 +297,138 @@ def _forced_nodes(problem: DelayProblem, horizon: float) -> np.ndarray:
 # the integrator
 # ----------------------------------------------------------------------
 
+# steps whose stages are planned together: bounds the planning arrays to
+# about 0.3 MB whatever the horizon
+_CHUNK = 512
+# shortest run of steps advanced as a numpy block: a block has a fixed cost
+# of about three scalar steps, so runs of one or two steps go one by one
+_MIN_BLOCK = 3
+
+
+def _step_grid(nodes: np.ndarray, step: float) -> tuple:
+    """Every step node, and the index of the first step of each gap between
+    forced nodes (plus a last entry: the step count).
+
+    A gap [a, b] is cut into n equal steps of h = (b − a)/n; its interior
+    nodes are a + k·h and its last node is b itself.
+    """
+    parts = [nodes[:1]]
+    first = np.zeros(nodes.size, dtype=np.intp)
+    for g in range(nodes.size - 1):
+        a, b = nodes[g], nodes[g + 1]
+        span = b - a
+        n_sub = max(1, math.ceil(span / step - 1e-9))
+        parts.append(a + np.arange(1, n_sub) * (span / n_sub))
+        parts.append(nodes[g + 1:g + 2])
+        first[g + 1] = first[g] + n_sub
+    return np.concatenate(parts), first
+
+
+def _eval_pinned(sig: PiecewiseSignal, idx: np.ndarray, t: np.ndarray
+                 ) -> np.ndarray:
+    """``sig.eval_in_segment(idx[k], t[k])`` for every k: Horner in the same
+    operation order, so each value is the float the scalar call returns."""
+    out = np.empty(t.shape)
+    n_seg = len(sig.segments)
+    out[idx < 0] = sig.left_extension
+    out[idx >= n_seg] = sig.right_extension
+    inside = idx[(idx >= 0) & (idx < n_seg)]
+    for k in np.flatnonzero(np.bincount(inside.ravel())).tolist():
+        sel = idx == k
+        u = t[sel] - sig.breakpoints[k]
+        acc = np.zeros(u.shape)
+        for c in reversed(sig.segments[k]):
+            acc = acc * u + c
+        out[sel] = acc
+    return out
+
+
+class _ChunkPlan:
+    """Stage data of steps c0 … c1−1, computed with numpy before they run.
+
+    Row r of each (3, m) array is one stage time of the m steps: t₀, the
+    midpoint (read by both middle RK4 stages) and t₁. A stage can join a
+    block when its delayed argument u = σ − τ(σ) reads the history (u < s,
+    or u = s left of the start jump) or accepted output (s < u ≤ t₀, or
+    u = s right of the jump); ``reach`` is the last node that Hermite read
+    touches. ODE stages, overlap stages (u > t₀) and stages that must raise
+    leave their step to the scalar path.
+    """
+
+    def __init__(self, problem: DelayProblem, ts: np.ndarray, c0: int,
+                 c1: int, seg_p: np.ndarray, seg_tau: np.ndarray,
+                 hist_floor: float, hist_at_start: float):
+        s = problem.start
+        self.c0 = c0
+        t0 = ts[c0:c1]
+        self.hh = hh = ts[c0 + 1:c1 + 1] - t0
+        tm = t0 + 0.5 * hh
+        sigma = np.stack((t0, tm, ts[c0 + 1:c1 + 1]))
+        self.neg_p = -_eval_pinned(
+            problem.p, np.broadcast_to(seg_p, sigma.shape), sigma)
+        tau = _eval_pinned(problem.tau, np.broadcast_to(seg_tau, sigma.shape),
+                           sigma)
+        tv = np.where(tau < 0.0, 0.0, tau)
+        scale = np.abs(sigma)
+        ode = tv <= 1e-13 * np.where(scale > 1.0, scale, 1.0)
+        u = sigma - tv
+        right_of_start = tm - tau[1] > s
+        past = ~ode & (u <= t0)
+        at_s = past & (u == s)
+        start_left = at_s & ~right_of_start
+        jj = np.minimum(np.searchsorted(ts, u, side="right") - 1,
+                        np.arange(c0 - 1, c1 - 1))
+        self.dense = dense = past & ((u > s) | (at_s & right_of_start)) \
+            & (jj >= 0)
+        hist = past & (u < s) & (u >= hist_floor)
+        self.hv = hv = np.where(start_left, hist_at_start, 0.0)
+        if hist.any():
+            uh = u[hist]
+            hbps = np.asarray(problem.history.breakpoints)
+            hv[hist] = _eval_pinned(
+                problem.history, np.searchsorted(hbps, uh, side="right") - 1,
+                uh)
+        self.ok = (dense | hist | start_left).all(axis=0)
+        self.reach = np.where(dense, jj + 1, 0).max(axis=0)
+        # cubic Hermite weights of the dense reads, as in dense_past; u lies
+        # in its bracket [ts[jj], ts[jj + 1]], so the weight needs no clamp
+        self.jj = jj = np.where(dense, jj, 0)
+        self.jj1 = jj + 1
+        self.h = h = ts[self.jj1] - ts[jj]
+        sig = np.where(dense, (u - ts[jj]) / h, 0.0)
+        s2, s3 = sig * sig, sig * sig * sig
+        self.w = np.stack((2 * s3 - 3 * s2 + 1, s3 - 2 * s2 + sig,
+                           -2 * s3 + 3 * s2, s3 - s2))
+        self.hh2 = 0.5 * hh
+        self.hh6 = hh / 6.0
+
+    def advance(self, b: int, e: int, xs: np.ndarray, vs: np.ndarray):
+        """Take steps b … e−1 of the chunk as one block.
+
+        Every stage reads the history or nodes up to the block's first node,
+        so no v-stage depends on the block's own x: the v increments come
+        first, then the x increments from the v at each step's start, each
+        column summed in step order by ``np.add.accumulate``.
+        """
+        j0, j1 = self.c0 + b, self.c0 + e
+        jj, jj1, h = self.jj[:, b:e], self.jj1[:, b:e], self.h[:, b:e]
+        w0, w1, w2, w3 = self.w[:, :, b:e]
+        past = (xs[jj] * w0 + vs[jj] * h * w1
+                + xs[jj1] * w2 + vs[jj1] * h * w3)
+        k1v, k2v, k4v = self.neg_p[:, b:e] * np.where(
+            self.dense[:, b:e], past, self.hv[:, b:e])
+        hh, hh2, hh6 = self.hh[b:e], self.hh2[b:e], self.hh6[b:e]
+        # both middle stages read the midpoint's delayed value: k3v = k2v
+        vs[j0 + 1:j1 + 1] = hh6 * (k1v + 2 * k2v + 2 * k2v + k4v)
+        np.add.accumulate(vs[j0:j1 + 1], out=vs[j0:j1 + 1])
+        v0 = vs[j0:j1]
+        k2x = v0 + hh2 * k1v
+        k3x = v0 + hh2 * k2v
+        k4x = v0 + hh * k2v
+        xs[j0 + 1:j1 + 1] = hh6 * (v0 + 2 * k2x + 2 * k3x + k4x)
+        np.add.accumulate(xs[j0:j1 + 1], out=xs[j0:j1 + 1])
+
+
 def integrate(problem: DelayProblem, horizon: float, step: float = 0.01
               ) -> Trajectory:
     """Advance the problem to ``horizon`` with fixed step ≤ ``step``.
@@ -304,36 +451,38 @@ def integrate(problem: DelayProblem, horizon: float, step: float = 0.01
     history = problem.history
     hist_at_start = history.eval_left(s)
 
-    ts: list[float] = [s]
-    xs: list[float] = [problem.initial_value]
-    vs: list[float] = [problem.initial_slope]
+    nodes = _forced_nodes(problem, horizon)
+    ts, first = _step_grid(nodes, step)
+    xs = np.zeros(ts.size)
+    vs = np.zeros(ts.size)
+    xs[0] = problem.initial_value
+    vs[0] = problem.initial_slope
+    # p and τ are pinned to the segment owning each gap's interior
+    mids = nodes[:-1] + 0.5 * (nodes[1:] - nodes[:-1])
+    seg_p = np.array([problem.p.segment_index(t) for t in mids])
+    seg_tau = np.array([problem.tau.segment_index(t) for t in mids])
 
-    def dense_past(u: float) -> float:
-        """Cubic Hermite over accepted steps (u ∈ [s, current node])."""
-        j = bisect.bisect_right(ts, u) - 1
-        if j >= len(ts) - 1:
-            j = len(ts) - 2
-        h = ts[j + 1] - ts[j]
-        sig = (u - ts[j]) / h
+    def dense_past(u: float, n: int) -> float:
+        """Cubic Hermite over the n accepted nodes (u ∈ [s, ts[n−1]])."""
+        j = min(bisect.bisect_right(ts, u, 0, n) - 1, n - 2)
+        # a single accepted node (j = −1) makes the bracket [ts[0], ts[0]]:
+        # its weight is NaN, as for any zero-width bracket
+        j0, j1 = j % n, (j + 1) % n
+        t_j0 = ts.item(j0)
+        h = ts.item(j1) - t_j0
+        sig = (u - t_j0) / h if h != 0.0 else math.nan
         if sig < 0.0:
             sig = 0.0
         elif sig > 1.0:
             sig = 1.0
         s2, s3 = sig * sig, sig * sig * sig
-        return (xs[j] * (2 * s3 - 3 * s2 + 1)
-                + vs[j] * h * (s3 - 2 * s2 + sig)
-                + xs[j + 1] * (-2 * s3 + 3 * s2)
-                + vs[j + 1] * h * (s3 - s2))
+        return (xs.item(j0) * (2 * s3 - 3 * s2 + 1)
+                + vs.item(j0) * h * (s3 - 2 * s2 + sig)
+                + xs.item(j1) * (-2 * s3 + 3 * s2)
+                + vs.item(j1) * h * (s3 - s2))
 
-    nodes = _forced_nodes(problem, horizon)
-    for a, b in zip(nodes[:-1], nodes[1:]):
-        span = b - a
-        n_sub = max(1, math.ceil(span / step - 1e-9))
-        h = span / n_sub
-        # pin p and τ to the segment owning this interval's interior
-        mid_global = a + 0.5 * span
-        i_p = problem.p.segment_index(mid_global)
-        i_tau = problem.tau.segment_index(mid_global)
+    def scalar_step(j: int, i_p: int, i_tau: int):
+        """Step j alone, each stage resolved when it is reached."""
 
         def p_at(sigma: float) -> float:
             return problem.p.eval_in_segment(i_p, sigma)
@@ -341,126 +490,157 @@ def integrate(problem: DelayProblem, horizon: float, step: float = 0.01
         def tau_at(sigma: float) -> float:
             return problem.tau.eval_in_segment(i_tau, sigma)
 
-        for i_sub in range(n_sub):
-            t0 = ts[-1]
-            t1 = b if i_sub == n_sub - 1 else a + (i_sub + 1) * h
-            hh = t1 - t0
-            x0, v0 = xs[-1], vs[-1]
-            # does the delayed argument sit right of the start jump here?
-            mid_u = (t0 + 0.5 * hh) - tau_at(t0 + 0.5 * hh)
-            right_of_start = mid_u > s
+        t0, t1 = ts.item(j), ts.item(j + 1)
+        hh = t1 - t0
+        x0, v0 = xs.item(j), vs.item(j)
+        # does the delayed argument sit right of the start jump here?
+        mid_u = (t0 + 0.5 * hh) - tau_at(t0 + 0.5 * hh)
+        right_of_start = mid_u > s
 
-            prov: tuple | None = None
-            overlap = False
+        prov: tuple | None = None
+        overlap = False
 
-            def delayed(sigma: float, x_stage: float) -> float:
-                nonlocal overlap
-                tv = tau_at(sigma)
-                if tv < 0.0:
-                    if tv < -1e-12:
-                        raise DomainError(
-                            f"delay {tv} negative at t = {sigma}")
-                    tv = 0.0
-                if tv <= 1e-13 * max(1.0, abs(sigma)):
-                    return x_stage  # ODE regime: the stage's own value
-                u = sigma - tv
-                if u > t0:
-                    overlap = True  # delay shorter than the step
-                    if prov is None:
-                        return x0 + v0 * (u - t0)
-                    px0, pv0, px1, pv1 = prov
-                    sg = (u - t0) / hh
-                    s2, s3 = sg * sg, sg ** 3
-                    return (px0 * (2 * s3 - 3 * s2 + 1)
-                            + pv0 * hh * (s3 - 2 * s2 + sg)
-                            + px1 * (-2 * s3 + 3 * s2)
-                            + pv1 * hh * (s3 - s2))
-                if u > s:
-                    return dense_past(u)
-                if u == s:
-                    return dense_past(u) if right_of_start else hist_at_start
-                if u < hist_floor:
-                    raise HistoryDomainError(
-                        f"delayed argument {u} reaches below "
-                        f"start − τ_m = {s - tau_m}")
-                return history(u)
+        def delayed(sigma: float, x_stage: float) -> float:
+            nonlocal overlap
+            tv = tau_at(sigma)
+            if tv < 0.0:
+                if tv < -1e-12:
+                    raise DomainError(
+                        f"delay {tv} negative at t = {sigma}")
+                tv = 0.0
+            if tv <= 1e-13 * max(1.0, abs(sigma)):
+                return x_stage  # ODE regime: the stage's own value
+            u = sigma - tv
+            if u > t0:
+                overlap = True  # delay shorter than the step
+                if prov is None:
+                    return x0 + v0 * (u - t0)
+                px0, pv0, px1, pv1 = prov
+                sg = (u - t0) / hh
+                s2, s3 = sg * sg, sg ** 3
+                return (px0 * (2 * s3 - 3 * s2 + 1)
+                        + pv0 * hh * (s3 - 2 * s2 + sg)
+                        + px1 * (-2 * s3 + 3 * s2)
+                        + pv1 * hh * (s3 - s2))
+            if u > s:
+                return dense_past(u, j + 1)
+            if u == s:
+                return (dense_past(u, j + 1) if right_of_start
+                        else hist_at_start)
+            if u < hist_floor:
+                raise HistoryDomainError(
+                    f"delayed argument {u} reaches below "
+                    f"start − τ_m = {s - tau_m}")
+            return history(u)
 
-            def rk4_once() -> tuple:
-                k1x = v0
-                k1v = -p_at(t0) * delayed(t0, x0)
-                tm = t0 + 0.5 * hh
-                k2x = v0 + 0.5 * hh * k1v
-                k2v = -p_at(tm) * delayed(tm, x0 + 0.5 * hh * k1x)
-                k3x = v0 + 0.5 * hh * k2v
-                k3v = -p_at(tm) * delayed(tm, x0 + 0.5 * hh * k2x)
-                k4x = v0 + hh * k3v
-                k4v = -p_at(t1) * delayed(t1, x0 + hh * k3x)
-                x1 = x0 + (hh / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-                v1 = v0 + (hh / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-                return x1, v1
+        def rk4_once() -> tuple:
+            k1x = v0
+            k1v = -p_at(t0) * delayed(t0, x0)
+            tm = t0 + 0.5 * hh
+            k2x = v0 + 0.5 * hh * k1v
+            k2v = -p_at(tm) * delayed(tm, x0 + 0.5 * hh * k1x)
+            k3x = v0 + 0.5 * hh * k2v
+            k3v = -p_at(tm) * delayed(tm, x0 + 0.5 * hh * k2x)
+            k4x = v0 + hh * k3v
+            k4v = -p_at(t1) * delayed(t1, x0 + hh * k3x)
+            x1 = x0 + (hh / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
+            v1 = v0 + (hh / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+            return x1, v1
 
-            x1, v1 = rk4_once()
-            if overlap:
-                # two sub-iterations against the provisional interpolant
-                for _ in range(2):
-                    prov = (x0, v0, x1, v1)
-                    x1, v1 = rk4_once()
+        x1, v1 = rk4_once()
+        if overlap:
+            # two sub-iterations against the provisional interpolant
+            for _ in range(2):
+                prov = (x0, v0, x1, v1)
+                x1, v1 = rk4_once()
+        xs[j + 1] = x1
+        vs[j + 1] = v1
 
-            ts.append(t1)
-            xs.append(x1)
-            vs.append(v1)
+    n_steps = ts.size - 1
+    for c0 in range(0, n_steps, _CHUNK):
+        c1 = min(c0 + _CHUNK, n_steps)
+        gap = np.searchsorted(first, np.arange(c0, c1), side="right") - 1
+        plan = _ChunkPlan(problem, ts, c0, c1, seg_p[gap], seg_tau[gap],
+                          hist_floor, hist_at_start)
+        ok, reach = plan.ok.tolist(), plan.reach.tolist()
+        i_p, i_tau = seg_p[gap].tolist(), seg_tau[gap].tolist()
+        b, m = 0, c1 - c0
+        while b < m:
+            e = b + 1
+            if ok[b]:
+                while e < m and ok[e] and reach[e] <= c0 + b:
+                    e += 1
+            if e - b >= _MIN_BLOCK:
+                plan.advance(b, e, xs, vs)
+            else:
+                for k in range(b, e):
+                    scalar_step(c0 + k, i_p[k], i_tau[k])
+            b = e
 
-    ts_arr = np.asarray(ts)
-    xs_arr = np.asarray(xs)
-    vs_arr = np.asarray(vs)
-    traj = Trajectory(ts_arr, xs_arr, vs_arr, events=(), problem=problem)
-    events = tuple(_scan_events(traj))
-    return Trajectory(ts_arr, xs_arr, vs_arr, events=events, problem=problem)
+    return Trajectory(ts, xs, vs, problem=problem)
 
 
 # ----------------------------------------------------------------------
 # event scanning (shared with the analysis layer)
 # ----------------------------------------------------------------------
 
-def _refine_sign_change(f, lo: float, hi: float, tol: float) -> float:
+def _refine_sign_changes(f, lo: np.ndarray, hi: np.ndarray, tol: float
+                         ) -> np.ndarray:
+    """Bisect every bracket [lo_k, hi_k] of a sign change of the vectorized
+    function f at once.
+
+    Each bracket keeps its own midpoint sequence: it ends at lo_k if
+    f(lo_k) = 0, at the first midpoint where f vanishes, or else at the
+    centre of its first interval no wider than tol.
+    """
+    lo, hi = lo.copy(), hi.copy()
     f_lo = f(lo)
-    if f_lo == 0.0:
-        return lo
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
+    out = lo.copy()
+    live = f_lo != 0.0
+    lo_pos = f_lo > 0.0
+    while True:
+        idx = np.flatnonzero(live & (hi - lo > tol))
+        if idx.size == 0:
+            break
+        mid = 0.5 * (lo[idx] + hi[idx])
         fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (f_lo > 0.0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        hit = fm == 0.0
+        out[idx[hit]] = mid[hit]
+        live[idx[hit]] = False
+        same = (fm > 0.0) == lo_pos[idx]
+        lo[idx[~hit & same]] = mid[~hit & same]
+        hi[idx[~hit & ~same]] = mid[~hit & ~same]
+    out[live] = 0.5 * (lo[live] + hi[live])
+    return out
 
 
 def _scan_sign_changes(ts: np.ndarray, ys: np.ndarray, f, tol: float
                        ) -> list[tuple]:
     """(t, exact_node) for each sign change of the sampled function ys,
-    refined by bisection on the dense evaluation f. Node values that are
-    exactly zero are taken as-is; a run of exact zeros yields one event."""
+    refined by bisection on the vectorized dense evaluation f. Node values
+    that are exactly zero are taken as-is; a run of exact zeros yields one
+    event."""
+    nonzero = ys != 0.0
+    pos = ys > 0.0
+    # brackets: adjacent nonzero nodes of opposite sign
+    left = np.flatnonzero(nonzero[:-1] & nonzero[1:] & (pos[:-1] != pos[1:]))
+    t_star = (_refine_sign_changes(f, ts[left], ts[left + 1], tol).tolist()
+              if left.size else [])
+    zeros = np.flatnonzero(~nonzero)
+    if zeros.size == 0:
+        return [(t, False) for t in t_star]
+    # events in node order (a bracket at its right node); a zero node within
+    # tol of the event before it adds nothing
     out: list[tuple] = []
-    prev_idx = None  # last node with a definite sign
-    prev_sign = 0
-    zero_since_prev = False
-    for j in range(ts.size):
-        y = ys[j]
-        if y == 0.0:
-            if not (out and abs(out[-1][0] - ts[j]) <= tol):
-                out.append((float(ts[j]), True))
-            zero_since_prev = True
+    n_br = left.size
+    keys = np.concatenate((left + 1, zeros))
+    for k in np.argsort(keys, kind="stable").tolist():
+        if k < n_br:
+            out.append((t_star[k], False))
             continue
-        sign = 1 if y > 0.0 else -1
-        if prev_idx is not None and sign != prev_sign and not zero_since_prev:
-            t_star = _refine_sign_change(f, float(ts[prev_idx]),
-                                         float(ts[j]), tol)
-            out.append((t_star, False))
-        prev_idx, prev_sign = j, sign
-        zero_since_prev = False
+        t = float(ts[zeros[k - n_br]])
+        if not (out and abs(out[-1][0] - t) <= tol):
+            out.append((t, True))
     return out
 
 
@@ -473,15 +653,18 @@ def zero_crossings(traj: Trajectory, tol: float = 1e-10) -> list[tuple]:
     amp = float(np.abs(traj.xs).max(initial=0.0))
     if amp == 0.0:
         return [(traj.start, True)]  # identically zero trajectory
-    hits = _scan_sign_changes(traj.ts, traj.xs, traj.value, tol)
+    hits = _scan_sign_changes(traj.ts, traj.xs, traj.sample, tol)
     slope_floor = 1e-9 * max(1.0, float(np.abs(traj.vs).max(initial=0.0)))
     zeros = []
     for t, exact in hits:
         degen = exact and abs(traj.slope(t)) < slope_floor
         zeros.append((t, degen))
     # tangential touches: extrema sitting on zero at resolution scale
-    for t, _ in _scan_sign_changes(traj.ts, traj.vs, traj.slope, tol):
-        if abs(traj.value(t)) < 1e-11 * amp:
+    extrema = [t for t, _ in _scan_sign_changes(traj.ts, traj.vs,
+                                                traj.sample_slope, tol)]
+    heights = np.abs(traj.sample(np.asarray(extrema))).tolist()
+    for t, height in zip(extrema, heights):
+        if height < 1e-11 * amp:
             if not any(abs(t - z) <= 10 * tol for z, _ in zeros):
                 zeros.append((t, True))
     zeros.sort()
@@ -491,7 +674,7 @@ def zero_crossings(traj: Trajectory, tol: float = 1e-10) -> list[tuple]:
 def extremum_events(traj: Trajectory, tol: float = 1e-10) -> list[float]:
     """Interior stationary points located by slope sign change."""
     return [t for t, _ in _scan_sign_changes(traj.ts, traj.vs,
-                                             traj.slope, tol)]
+                                             traj.sample_slope, tol)]
 
 
 def _scan_events(traj: Trajectory, tol: float = 1e-10) -> list[Event]:

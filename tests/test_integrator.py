@@ -1,5 +1,6 @@
 """Integrator checks against closed-form solutions and scheme invariants."""
 
+import bisect
 import math
 
 import numpy as np
@@ -20,6 +21,14 @@ from semicycles import (
     wronskian,
     zero_crossings,
 )
+from semicycles.errors import HistoryDomainError
+from semicycles.harness import mode_mixture_problem
+from semicycles.integrator import (
+    _forced_nodes,
+    _lag_crossings,
+    _scan_sign_changes,
+)
+from semicycles.spectral import char_roots
 
 SQRT2 = math.sqrt(2.0)
 
@@ -182,3 +191,304 @@ def test_problem_dict_round_trip():
     assert again == prob
     with pytest.raises(DomainError):
         problem_from_dict({"p": {}})
+
+
+# ----------------------------------------------------------------------
+# the block integrator against a step-by-step reference
+# ----------------------------------------------------------------------
+
+def _scalar_reference(problem, horizon, step):
+    """One step at a time through closures, every stage resolved when it is
+    reached and the output held in lists: the scheme the block integrator
+    must reproduce bit for bit."""
+    s = problem.start
+    tau_m = problem.tau_sup(horizon)
+    time_scale = max(1.0, abs(s), abs(horizon))
+    hist_floor = s - tau_m - 1e-9 * max(1.0, tau_m, time_scale)
+    history = problem.history
+    hist_at_start = history.eval_left(s)
+    ts, xs, vs = [s], [problem.initial_value], [problem.initial_slope]
+
+    def dense_past(u):
+        j = bisect.bisect_right(ts, u) - 1
+        if j >= len(ts) - 1:
+            j = len(ts) - 2
+        h = ts[j + 1] - ts[j]
+        sig = (u - ts[j]) / h
+        if sig < 0.0:
+            sig = 0.0
+        elif sig > 1.0:
+            sig = 1.0
+        s2, s3 = sig * sig, sig * sig * sig
+        return (xs[j] * (2 * s3 - 3 * s2 + 1)
+                + vs[j] * h * (s3 - 2 * s2 + sig)
+                + xs[j + 1] * (-2 * s3 + 3 * s2)
+                + vs[j + 1] * h * (s3 - s2))
+
+    nodes = _forced_nodes(problem, horizon)
+    for a, b in zip(nodes[:-1], nodes[1:]):
+        span = b - a
+        n_sub = max(1, math.ceil(span / step - 1e-9))
+        h = span / n_sub
+        mid_global = a + 0.5 * span
+        i_p = problem.p.segment_index(mid_global)
+        i_tau = problem.tau.segment_index(mid_global)
+
+        def p_at(sigma):
+            return problem.p.eval_in_segment(i_p, sigma)
+
+        def tau_at(sigma):
+            return problem.tau.eval_in_segment(i_tau, sigma)
+
+        for i_sub in range(n_sub):
+            t0 = ts[-1]
+            t1 = b if i_sub == n_sub - 1 else a + (i_sub + 1) * h
+            hh = t1 - t0
+            x0, v0 = xs[-1], vs[-1]
+            mid_u = (t0 + 0.5 * hh) - tau_at(t0 + 0.5 * hh)
+            right_of_start = mid_u > s
+            prov = None
+            overlap = False
+
+            def delayed(sigma, x_stage):
+                nonlocal overlap
+                tv = tau_at(sigma)
+                if tv < 0.0:
+                    if tv < -1e-12:
+                        raise DomainError(
+                            f"delay {tv} negative at t = {sigma}")
+                    tv = 0.0
+                if tv <= 1e-13 * max(1.0, abs(sigma)):
+                    return x_stage
+                u = sigma - tv
+                if u > t0:
+                    overlap = True
+                    if prov is None:
+                        return x0 + v0 * (u - t0)
+                    px0, pv0, px1, pv1 = prov
+                    sg = (u - t0) / hh
+                    s2, s3 = sg * sg, sg ** 3
+                    return (px0 * (2 * s3 - 3 * s2 + 1)
+                            + pv0 * hh * (s3 - 2 * s2 + sg)
+                            + px1 * (-2 * s3 + 3 * s2)
+                            + pv1 * hh * (s3 - s2))
+                if u > s:
+                    return dense_past(u)
+                if u == s:
+                    return dense_past(u) if right_of_start else hist_at_start
+                if u < hist_floor:
+                    raise HistoryDomainError(
+                        f"delayed argument {u} reaches below "
+                        f"start − τ_m = {s - tau_m}")
+                return history(u)
+
+            def rk4_once():
+                k1x = v0
+                k1v = -p_at(t0) * delayed(t0, x0)
+                tm = t0 + 0.5 * hh
+                k2x = v0 + 0.5 * hh * k1v
+                k2v = -p_at(tm) * delayed(tm, x0 + 0.5 * hh * k1x)
+                k3x = v0 + 0.5 * hh * k2v
+                k3v = -p_at(tm) * delayed(tm, x0 + 0.5 * hh * k2x)
+                k4x = v0 + hh * k3v
+                k4v = -p_at(t1) * delayed(t1, x0 + hh * k3x)
+                x1 = x0 + (hh / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
+                v1 = v0 + (hh / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+                return x1, v1
+
+            x1, v1 = rk4_once()
+            if overlap:
+                for _ in range(2):
+                    prov = (x0, v0, x1, v1)
+                    x1, v1 = rk4_once()
+            ts.append(t1)
+            xs.append(x1)
+            vs.append(v1)
+    return np.asarray(ts), np.asarray(xs), np.asarray(vs)
+
+
+def _assert_bit_identical(problem, horizon, step):
+    traj = integrate(problem, horizon, step)
+    ref_ts, ref_xs, ref_vs = _scalar_reference(problem, horizon, step)
+    for got, ref in ((traj.ts, ref_ts), (traj.xs, ref_xs),
+                     (traj.vs, ref_vs)):
+        assert got.shape == ref.shape
+        assert (got == ref).all()
+
+
+def _piecewise_problem(tau_segments, start=0.0, x0=0.4, v0=-0.3):
+    p = PiecewiseSignal((0.0, 1.3, 2.9, 4.6),
+                        ((1.0, -0.2), (-0.5,), (0.7, 0.1, -0.05)), 1.0, 0.3)
+    tau = PiecewiseSignal((0.0, 1.1, 2.5, 3.7), tau_segments, 0.8, 0.6)
+    hist = PiecewiseSignal((-3.0, -1.7, -0.4, 0.0),
+                           ((0.2, 0.1), (-0.3, 0.5, -0.2), (0.1, -0.4)),
+                           0.25, -0.1)
+    return DelayProblem(p, tau, start, hist, x0, v0)
+
+
+@pytest.mark.parametrize("tau, step", [
+    (0.0, 0.01),     # ODE: every stage reads its own value
+    (0.6, 0.01),     # τ ≥ step: blocks of steps
+    (0.01, 0.01),    # τ = step: one-step blocks
+    (0.004, 0.01),   # τ < step: overlap sub-iteration
+])
+def test_block_integrator_matches_reference_constant_delay(tau, step):
+    _assert_bit_identical(_const_problem(0.8, tau, 1.0, 1.0, 0.0), 5.0, step)
+
+
+@pytest.mark.parametrize("tau_segments", [
+    # large delays, a zero-delay stretch, an overlap stretch
+    ((0.9, -0.3), (0.0,), (0.004, 0.001)),
+    # quadratic delay crossing the step size, affine growth
+    ((0.005, 0.02, 0.1), (1.2, -0.3), (0.3, 0.2)),
+])
+def test_block_integrator_matches_reference_piecewise(tau_segments):
+    _assert_bit_identical(_piecewise_problem(tau_segments), 6.0, 0.01)
+    _assert_bit_identical(_piecewise_problem(tau_segments), 6.0, 0.037)
+
+
+def test_block_integrator_matches_reference_jump_history():
+    p = PiecewiseSignal((0.0, 2.0, 5.0), ((-0.5, 0.1), (0.3,)), -0.5, 0.3)
+    tau = PiecewiseSignal((0.0, 3.0), ((0.2, 0.3),), 0.2, 1.1)
+    z, y = fundamental_system(p, tau, 0.0, 6.0, step=0.02)
+    zero = PiecewiseSignal.constant(0.0)
+    for traj, (x0, v0) in ((z, (1.0, 0.0)), (y, (0.0, 1.0))):
+        ref = _scalar_reference(DelayProblem(p, tau, 0.0, zero, x0, v0),
+                                6.0, 0.02)
+        for got, want in zip((traj.ts, traj.xs, traj.vs), ref):
+            assert (got == want).all()
+
+
+def test_block_integrator_matches_reference_delayed_argument_on_start():
+    # τ ≡ 1 puts u = s exactly at the node t = 1, from both sides; τ(t) = t
+    # pins u = s on a whole segment, left of the jump
+    hist = PiecewiseSignal((-2.0, 0.0), ((0.3, -0.2),), 0.3, -0.1)
+    prob = DelayProblem(PiecewiseSignal.constant(0.9),
+                        PiecewiseSignal.constant(1.0), 0.0, hist, 1.0, 0.2)
+    _assert_bit_identical(prob, 4.0, 0.01)
+    pinned = PiecewiseSignal((0.0, 1.5), ((0.0, 1.0),), 0.0, 1.5)
+    prob = DelayProblem(PiecewiseSignal.constant(0.9), pinned, 0.0, hist,
+                        1.0, 0.2)
+    _assert_bit_identical(prob, 4.0, 0.01)
+
+
+def test_block_integrator_matches_reference_mode_mixture_history():
+    c = 1.0
+    roots = [r for r in char_roots(c, 1, (0, 1)) if r.value.imag > 0.0]
+    prob = mode_mixture_problem(c, 1, ((roots[0], 1.0, 0.3),
+                                       (roots[1], 0.5, 1.1)))
+    assert len(prob.history.segments) > 1
+    _assert_bit_identical(prob, 8.0, 0.01)
+
+
+class _UncheckedDelay(DelayProblem):
+    """A problem whose delay bound skips the sign check and understates τ,
+    so the integrator's own guards are what stop it."""
+
+    def tau_sup(self, horizon):
+        return 0.3
+
+
+def _outcome(fn):
+    try:
+        fn()
+    except Exception as exc:  # noqa: BLE001 - the exception is the result
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("tau", [
+    PiecewiseSignal((0.0, 1.0, 2.0), ((0.2,), (0.2, -1.0)), 0.2, 0.0),
+    PiecewiseSignal.constant(1.2),
+])
+def test_block_integrator_raises_like_reference(tau):
+    hist = PiecewiseSignal.constant(0.5)
+    prob = _UncheckedDelay(PiecewiseSignal.constant(1.0), tau, 0.0, hist,
+                           1.0, 0.0)
+    got = _outcome(lambda: integrate(prob, 3.0, 0.01))
+    want = _outcome(lambda: _scalar_reference(prob, 3.0, 0.01))
+    assert want is not None
+    assert got == want
+
+
+def test_negative_and_history_errors_named():
+    hist = PiecewiseSignal.constant(0.5)
+    neg = PiecewiseSignal((0.0, 1.0, 2.0), ((0.2,), (0.2, -1.0)), 0.2, 0.0)
+    with pytest.raises(DomainError, match="negative at t ="):
+        integrate(_UncheckedDelay(PiecewiseSignal.constant(1.0), neg, 0.0,
+                                  hist, 1.0, 0.0), 3.0, 0.01)
+    with pytest.raises(HistoryDomainError, match="reaches below"):
+        integrate(_UncheckedDelay(PiecewiseSignal.constant(1.0),
+                                  PiecewiseSignal.constant(1.2), 0.0, hist,
+                                  1.0, 0.0), 3.0, 0.01)
+
+
+def test_lag_crossing_survives_negligible_leading_coefficient():
+    # a cubic term far below float precision on the segment must not cost
+    # np.roots the real crossing t − τ(t) = 0 at t = 0.5
+    tau = PiecewiseSignal((0.0, 2.0), ((0.5, 0.5, -1.0, 6.6e-236),), 0.5, 0.5)
+    assert _lag_crossings(tau, 0.0, -1.0, 5.0) == [0.5]
+
+
+def _scalar_scan(ts, ys, f, tol):
+    """Node-by-node sign-change scan with one scalar bisection per bracket."""
+    out, prev_idx, prev_sign, zero_since_prev = [], None, 0, False
+    for j in range(ts.size):
+        if ys[j] == 0.0:
+            if not (out and abs(out[-1][0] - ts[j]) <= tol):
+                out.append((float(ts[j]), True))
+            zero_since_prev = True
+            continue
+        sign = 1 if ys[j] > 0.0 else -1
+        if prev_idx is not None and sign != prev_sign and not zero_since_prev:
+            lo, hi = float(ts[prev_idx]), float(ts[j])
+            f_lo = f(lo)
+            if f_lo == 0.0:
+                t_star = lo
+            else:
+                while hi - lo > tol:
+                    mid = 0.5 * (lo + hi)
+                    fm = f(mid)
+                    if fm == 0.0:
+                        break
+                    if (fm > 0.0) == (f_lo > 0.0):
+                        lo = mid
+                    else:
+                        hi = mid
+                else:
+                    mid = 0.5 * (lo + hi)
+                t_star = mid
+            out.append((t_star, False))
+        prev_idx, prev_sign = j, sign
+        zero_since_prev = False
+    return out
+
+
+def _zero_run_problem():
+    # x ≡ 0 exactly while p = 0 on [0, 1) (a run of exact-zero nodes), then
+    # oscillation driven by the history
+    p = PiecewiseSignal((0.0, 1.0), ((0.0,),), 0.0, 4.0)
+    hist = PiecewiseSignal((-2.0, 0.0), ((1.0, 0.5),), 1.0, 0.0)
+    prob = DelayProblem(p, PiecewiseSignal.constant(1.05), 0.0, hist, 0.0,
+                        0.0)
+    return integrate(prob, 12.0, step=0.01), 3
+
+
+def _midpoint_zero_problem():
+    # x = t − 0.375 on a 0.25 grid: the first bisection midpoint of the
+    # bracket [0.25, 0.5] is an exact zero of the dense output
+    traj = integrate(_const_problem(0.0, 0.0, 0.0, -0.375, 1.0), 1.0,
+                     step=0.25)
+    assert traj.value(0.375) == 0.0
+    return traj, 1
+
+
+@pytest.mark.parametrize("make", [_zero_run_problem, _midpoint_zero_problem])
+@pytest.mark.parametrize("tol", [1e-10, 1e-3])
+def test_vectorized_sign_scan_matches_scalar_bisection(make, tol):
+    traj, brackets = make()
+    got = _scan_sign_changes(traj.ts, traj.xs, traj.sample, tol)
+    assert got == _scalar_scan(traj.ts, traj.xs, traj.value, tol)
+    assert sum(1 for _, exact in got if not exact) >= brackets
+    got = _scan_sign_changes(traj.ts, traj.vs, traj.sample_slope, tol)
+    assert got == _scalar_scan(traj.ts, traj.vs, traj.slope, tol)
