@@ -13,16 +13,22 @@ interpolant of the step itself that is sub-iterated twice.
 
 Steps run in blocks (the classical method of steps, Bellen & Zennaro 2003).
 For each chunk of steps, numpy evaluates p and τ at the three stage times
-of every step and sorts each stage by where its delayed value comes from.
-A block is a maximal run of steps whose stages all read the history or
-output accepted before the block's first node. Inside a block no v-stage
-depends on the block's own x, so one vectorized Hermite gather gives the
-v increments, running sums give v, and then x follows the same way. Every
+of every step and sorts each stage by where its delayed value comes from:
+its own value (no delay), the step's provisional interpolant (overlap),
+accepted output, the history, or an error to raise. That chunk plan is the
+only place the step loop gets p, τ and the delayed argument from. A block
+is a maximal run of steps whose stages all read the history or output
+accepted before the block's first node. Inside a block no v-stage depends
+on the block's own x, so one vectorized Hermite gather gives the v
+increments, running sums give v, and then x follows the same way. Every
 other step (a zero delay, an overlap with the step, a stage that must
-raise, or a run of steps too short to pay for numpy) is taken alone, each
-stage resolved when it is reached. Both paths perform the same
-floating-point operations in the same order, so the trajectory does not
-depend on how the steps were grouped.
+raise, or a run of steps too short to pay for numpy) is taken alone by a
+scalar kernel that reads the plan's values as Python floats. Both paths
+perform the same floating-point operations in the same order, so the
+trajectory does not depend on how the steps were grouped.
+
+The step grid is bounded: an integration that would take more than
+``_MAX_STEPS`` steps raises DomainError before any array is allocated.
 
 Two conventions matter and are deliberate:
 
@@ -39,7 +45,6 @@ Two conventions matter and are deliberate:
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -81,6 +86,12 @@ class DelayProblem:
     history: PiecewiseSignal
     initial_value: float
     initial_slope: float
+
+    def __post_init__(self):
+        for name in ("start", "initial_value", "initial_slope"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
 
     def tau_sup(self, horizon: float) -> float:
         """Essential supremum of the delay over [start, horizon]."""
@@ -224,52 +235,67 @@ def rescale(problem: DelayProblem, k: float) -> DelayProblem:
 # forced nodes (breakpoints + first-generation delayed crossings)
 # ----------------------------------------------------------------------
 
-def _lag_crossings(tau: PiecewiseSignal, c: float, lo: float, hi: float
+def _segment_crossings(seg: tuple, b: float, length: float, c: float,
+                       scale: float) -> list:
+    """Solutions t ∈ [b, b + length] (up to 1e-12·scale) of t − τ(t) = c on
+    one τ segment with local coefficients seg."""
+    # q(u) = u + b − c − τ_seg(u) in local coordinates
+    q = list(-np.asarray(seg, dtype=float))
+    q[0] += b - c
+    if len(q) < 2:
+        q.append(1.0)
+    else:
+        q[1] += 1.0
+    if all(abs(ci) <= 1e-13 * scale for ci in q):
+        return []  # the whole segment maps onto c
+    trimmed = _trim_for_roots(q, length)
+    if len(trimmed) == 1:
+        return []
+    if len(trimmed) == 2:
+        roots = [-trimmed[0] / trimmed[1]]
+    else:
+        roots = [r.real for r in np.roots(trimmed[::-1])
+                 if abs(r.imag) < 1e-9 * scale]
+    return [b + u for u in roots
+            if -1e-12 * scale <= u <= length + 1e-12 * scale]
+
+
+def _lag_crossings(tau: PiecewiseSignal, targets, lo: float, hi: float
                    ) -> list[float]:
-    """Solutions of t − τ(t) = c in (lo, hi), handled per τ-segment.
+    """Solutions of t − τ(t) = c in (lo, hi) for every target c, one
+    τ segment at a time.
 
-    A segment on which t − τ(t) ≡ c identically (a constant delayed
-    argument, e.g. an affine delay of unit slope) contributes no interior
-    crossing and is skipped.
+    A segment on which t − τ(t) is constant (a constant delayed argument,
+    e.g. an affine delay of unit slope) has no interior crossing for any
+    target and is skipped. On any other segment only the targets that
+    t − τ(t) can reach there are solved: a root u of c = b − τ₀ + Σ q_j·u^j
+    with |u| ≤ R forces |b − τ₀ − c| ≤ Σ |q_j|·R^j; the test doubles that
+    bound and widens R and the bound by far more than the root finder's
+    acceptance window and error, so it never drops a crossing.
     """
-    out: list[float] = []
+    c = np.asarray(targets, dtype=float)
     bps = tau.breakpoints
-    scale = max(1.0, abs(c), abs(lo), abs(hi))
-
-    def consider(t: float):
-        if lo < t < hi:
-            out.append(t)
-
+    scale = np.maximum(max(1.0, abs(lo), abs(hi)), np.abs(c))
     # constant tails
     t_left = c + tau.left_extension
-    if t_left < bps[0]:
-        consider(t_left)
     t_right = c + tau.right_extension
-    if t_right >= bps[-1]:
-        consider(t_right)
-
+    tails = np.concatenate((t_left[t_left < bps[0]],
+                            t_right[t_right >= bps[-1]]))
+    out = tails[(lo < tails) & (tails < hi)].tolist()
     for i, seg in enumerate(tau.segments):
-        length = bps[i + 1] - bps[i]
-        # q(u) = u + b_i − c − τ_seg(u) in local coordinates
-        q = list(-np.asarray(seg, dtype=float))
-        q[0] += bps[i] - c
-        if len(q) < 2:
-            q.append(1.0)
-        else:
-            q[1] += 1.0
-        if all(abs(ci) <= 1e-13 * scale for ci in q):
-            continue  # the whole segment maps onto c
-        trimmed = _trim_for_roots(q, length)
-        if len(trimmed) == 1:
+        # coefficients of u, u², … in t − τ(t) on the segment
+        slope = [-a for a in seg[1:]] or [0.0]
+        slope[0] += 1.0
+        if not any(slope):
             continue
-        if len(trimmed) == 2:
-            roots = [-trimmed[0] / trimmed[1]]
-        else:
-            roots = [r.real for r in np.roots(trimmed[::-1])
-                     if abs(r.imag) < 1e-9 * scale]
-        for u in roots:
-            if -1e-12 * scale <= u <= length + 1e-12 * scale:
-                consider(bps[i] + u)
+        length = bps[i + 1] - bps[i]
+        reach = length + 1e-8 * scale
+        spread = sum(abs(a) * reach ** (k + 1) for k, a in enumerate(slope))
+        near = np.abs((bps[i] - c) - seg[0]) <= 2.0 * spread + 1e-6 * scale
+        for ci, si in zip(c[near].tolist(), scale[near].tolist()):
+            out.extend(t for t in _segment_crossings(seg, bps[i], length,
+                                                     ci, si)
+                       if lo < t < hi)
     return out
 
 
@@ -280,8 +306,7 @@ def _forced_nodes(problem: DelayProblem, horizon: float) -> np.ndarray:
         nodes.update(b for b in sig.breakpoints if s < b < horizon)
     targets = set(problem.p.breakpoints) | set(problem.tau.breakpoints) \
         | set(problem.history.breakpoints) | {s}
-    for c in targets:
-        nodes.update(_lag_crossings(problem.tau, c, s, horizon))
+    nodes.update(_lag_crossings(problem.tau, list(targets), s, horizon))
     arr = np.array(sorted(nodes))
     # merge nodes that coincide up to rounding
     tol = 1e-12 * max(1.0, abs(s), abs(horizon))
@@ -303,9 +328,20 @@ _CHUNK = 512
 # shortest run of steps advanced as a numpy block: a block has a fixed cost
 # of about three scalar steps, so runs of one or two steps go one by one
 _MIN_BLOCK = 3
+# most steps one integration may take: about 100× the longest run the
+# package's tests and scripts make (94,248 steps, reproduce_examples.py
+# --periods 30 --step 0.002), and 240 MB of nodes, x and v
+_MAX_STEPS = 10_000_000
+
+# where a stage's delayed value x(u), u = σ − τ(σ), comes from
+_ODE = 0      # no delay: the stage's own x
+_OVERLAP = 1  # u inside the step: the step's provisional interpolant
+_DENSE = 2    # u at or before the step: Hermite read of accepted output
+_VALUE = 3    # a value known before the step: the history, or x(s⁻)
+_RAISE = 4    # a negative delay, or u below the history
 
 
-def _step_grid(nodes: np.ndarray, step: float) -> tuple:
+def _step_grid(nodes: np.ndarray, counts: np.ndarray) -> tuple:
     """Every step node, and the index of the first step of each gap between
     forced nodes (plus a last entry: the step count).
 
@@ -313,92 +349,108 @@ def _step_grid(nodes: np.ndarray, step: float) -> tuple:
     nodes are a + k·h and its last node is b itself.
     """
     parts = [nodes[:1]]
-    first = np.zeros(nodes.size, dtype=np.intp)
-    for g in range(nodes.size - 1):
+    for g, n_sub in enumerate(counts.tolist()):
         a, b = nodes[g], nodes[g + 1]
-        span = b - a
-        n_sub = max(1, math.ceil(span / step - 1e-9))
-        parts.append(a + np.arange(1, n_sub) * (span / n_sub))
+        parts.append(a + np.arange(1, n_sub) * ((b - a) / n_sub))
         parts.append(nodes[g + 1:g + 2])
-        first[g + 1] = first[g] + n_sub
-    return np.concatenate(parts), first
+    return np.concatenate(parts), np.concatenate(([0], np.cumsum(counts)))
 
 
-def _eval_pinned(sig: PiecewiseSignal, idx: np.ndarray, t: np.ndarray
-                 ) -> np.ndarray:
-    """``sig.eval_in_segment(idx[k], t[k])`` for every k: Horner in the same
-    operation order, so each value is the float the scalar call returns."""
-    out = np.empty(t.shape)
-    n_seg = len(sig.segments)
-    out[idx < 0] = sig.left_extension
-    out[idx >= n_seg] = sig.right_extension
-    inside = idx[(idx >= 0) & (idx < n_seg)]
-    for k in np.flatnonzero(np.bincount(inside.ravel())).tolist():
-        sel = idx == k
-        u = t[sel] - sig.breakpoints[k]
-        acc = np.zeros(u.shape)
-        for c in reversed(sig.segments[k]):
-            acc = acc * u + c
-        out[sel] = acc
-    return out
+class _Pieces:
+    """A signal's segments as arrays, to evaluate many points at once."""
+
+    def __init__(self, sig: PiecewiseSignal):
+        self.sig = sig
+        self.bps = np.asarray(sig.breakpoints)
+        # coefficients padded with zeros to a common degree: each padded
+        # Horner step leaves the accumulator at +0.0, its starting value
+        deg = max(map(len, sig.segments), default=1)
+        self.coeffs = np.array([seg + (0.0,) * (deg - len(seg))
+                                for seg in sig.segments]).reshape(-1, deg)
+
+    def index(self, t: np.ndarray) -> np.ndarray:
+        """``sig.segment_index`` of every t."""
+        return np.searchsorted(self.bps, t, side="right") - 1
+
+    def at(self, idx: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """``sig.eval_in_segment(idx, t)`` elementwise, idx broadcast against
+        t: Horner in the same operation order, so each value is the float
+        the scalar call returns."""
+        n_seg = self.coeffs.shape[0]
+        seg = np.clip(idx, 0, max(n_seg - 1, 0))
+        acc = np.zeros(t.shape)
+        if n_seg:
+            u = t - self.bps[seg]
+            for d in range(self.coeffs.shape[1] - 1, -1, -1):
+                acc = acc * u + self.coeffs[seg, d]
+        return np.where(idx < 0, self.sig.left_extension,
+                        np.where(idx >= n_seg, self.sig.right_extension, acc))
 
 
 class _ChunkPlan:
     """Stage data of steps c0 … c1−1, computed with numpy before they run.
 
-    Row r of each (3, m) array is one stage time of the m steps: t₀, the
-    midpoint (read by both middle RK4 stages) and t₁. A stage can join a
-    block when its delayed argument u = σ − τ(σ) reads the history (u < s,
-    or u = s left of the start jump) or accepted output (s < u ≤ t₀, or
-    u = s right of the jump); ``reach`` is the last node that Hermite read
-    touches. ODE stages, overlap stages (u > t₀) and stages that must raise
-    leave their step to the scalar path.
+    Row r of each (3, m) array is one stage time σ of the m steps: t₀, the
+    midpoint (read by both middle RK4 stages) and t₁. ``kind`` says where
+    the stage's delayed value x(u), u = σ − τ(σ), comes from, sorted by the
+    scalar scheme's tests in their order; ``neg_p`` is −p(σ), ``hv`` the
+    value of a _VALUE stage, ``du`` = u − t₀, and ``jj``/``h``/``w`` the
+    Hermite bracket and weights of a _DENSE stage, whose last node read is
+    ``reach``. A step whose stages all read values or accepted output can
+    join a block (``ok``); every other step runs through ``_take_steps``.
     """
 
-    def __init__(self, problem: DelayProblem, ts: np.ndarray, c0: int,
+    def __init__(self, pieces: tuple, s: float, ts: np.ndarray, c0: int,
                  c1: int, seg_p: np.ndarray, seg_tau: np.ndarray,
-                 hist_floor: float, hist_at_start: float):
-        s = problem.start
+                 tau_m: float, hist_floor: float, hist_at_start: float):
+        p, tau_sig, history = pieces
         self.c0 = c0
-        t0 = ts[c0:c1]
-        self.hh = hh = ts[c0 + 1:c1 + 1] - t0
+        self.hist_bound = s - tau_m
+        t0, t1 = ts[c0:c1], ts[c0 + 1:c1 + 1]
+        self.hh = hh = t1 - t0
         tm = t0 + 0.5 * hh
-        sigma = np.stack((t0, tm, ts[c0 + 1:c1 + 1]))
-        self.neg_p = -_eval_pinned(
-            problem.p, np.broadcast_to(seg_p, sigma.shape), sigma)
-        tau = _eval_pinned(problem.tau, np.broadcast_to(seg_tau, sigma.shape),
-                           sigma)
+        self.sigma = sigma = np.array((t0, tm, t1))
+        self.neg_p = -p.at(seg_p, sigma)
+        self.tau = tau = tau_sig.at(seg_tau, sigma)
         tv = np.where(tau < 0.0, 0.0, tau)
         scale = np.abs(sigma)
-        ode = tv <= 1e-13 * np.where(scale > 1.0, scale, 1.0)
-        u = sigma - tv
+        self.u = u = sigma - tv
+        self.du = u - t0
         right_of_start = tm - tau[1] > s
-        past = ~ode & (u <= t0)
-        at_s = past & (u == s)
-        start_left = at_s & ~right_of_start
-        jj = np.minimum(np.searchsorted(ts, u, side="right") - 1,
-                        np.arange(c0 - 1, c1 - 1))
-        self.dense = dense = past & ((u > s) | (at_s & right_of_start)) \
-            & (jj >= 0)
-        hist = past & (u < s) & (u >= hist_floor)
-        self.hv = hv = np.where(start_left, hist_at_start, 0.0)
+        at_s = u == s
+        # u = s right of the start jump, read by the first step (no step
+        # accepted yet), is a zero-width bracket: NaN, as in the scalar scheme
+        first = np.arange(c0, c1) == 0
+        self.kind = kind = np.where(
+            tau < -1e-12, _RAISE, np.where(
+                tv <= 1e-13 * np.where(scale > 1.0, scale, 1.0), _ODE,
+                np.where(u > t0, _OVERLAP, np.where(
+                    (u > s) | (at_s & right_of_start & ~first), _DENSE,
+                    np.where(u < hist_floor, _RAISE, _VALUE)))))
+        value = kind == _VALUE
+        self.hv = hv = np.where(
+            at_s, np.where(right_of_start, math.nan, hist_at_start), 0.0)
+        hist = value & ~at_s
         if hist.any():
             uh = u[hist]
-            hbps = np.asarray(problem.history.breakpoints)
-            hv[hist] = _eval_pinned(
-                problem.history, np.searchsorted(hbps, uh, side="right") - 1,
-                uh)
-        self.ok = (dense | hist | start_left).all(axis=0)
-        self.reach = np.where(dense, jj + 1, 0).max(axis=0)
-        # cubic Hermite weights of the dense reads, as in dense_past; u lies
-        # in its bracket [ts[jj], ts[jj + 1]], so the weight needs no clamp
-        self.jj = jj = np.where(dense, jj, 0)
-        self.jj1 = jj + 1
-        self.h = h = ts[self.jj1] - ts[jj]
-        sig = np.where(dense, (u - ts[jj]) / h, 0.0)
-        s2, s3 = sig * sig, sig * sig * sig
-        self.w = np.stack((2 * s3 - 3 * s2 + 1, s3 - 2 * s2 + sig,
-                           -2 * s3 + 3 * s2, s3 - s2))
+            hv[hist] = history.at(history.index(uh), uh)
+        self.dense = dense = kind == _DENSE
+        self.ok = (dense | value).all(axis=0)
+        self.reach = np.zeros(c1 - c0, dtype=np.intp)
+        self.w = None
+        if dense.any():
+            # cubic Hermite weights of the dense reads; u lies in its bracket
+            # [ts[jj], ts[jj + 1]], so the weight needs no clamp
+            jj = np.minimum(np.searchsorted(ts, u, side="right") - 1,
+                            np.arange(c0 - 1, c1 - 1))
+            self.jj = jj = np.where(dense, jj, 0)
+            self.jj1 = jj + 1
+            self.reach = np.where(dense, self.jj1, 0).max(axis=0)
+            self.h = h = ts[self.jj1] - ts[jj]
+            sig = np.where(dense, (u - ts[jj]) / h, 0.0)
+            s2, s3 = sig * sig, sig * sig * sig
+            self.w = np.stack((2 * s3 - 3 * s2 + 1, s3 - 2 * s2 + sig,
+                               -2 * s3 + 3 * s2, s3 - s2))
         self.hh2 = 0.5 * hh
         self.hh6 = hh / 6.0
 
@@ -411,12 +463,14 @@ class _ChunkPlan:
         column summed in step order by ``np.add.accumulate``.
         """
         j0, j1 = self.c0 + b, self.c0 + e
-        jj, jj1, h = self.jj[:, b:e], self.jj1[:, b:e], self.h[:, b:e]
-        w0, w1, w2, w3 = self.w[:, :, b:e]
-        past = (xs[jj] * w0 + vs[jj] * h * w1
-                + xs[jj1] * w2 + vs[jj1] * h * w3)
-        k1v, k2v, k4v = self.neg_p[:, b:e] * np.where(
-            self.dense[:, b:e], past, self.hv[:, b:e])
+        delayed = self.hv[:, b:e]
+        if self.w is not None:
+            jj, jj1, h = self.jj[:, b:e], self.jj1[:, b:e], self.h[:, b:e]
+            w0, w1, w2, w3 = self.w[:, :, b:e]
+            past = (xs[jj] * w0 + vs[jj] * h * w1
+                    + xs[jj1] * w2 + vs[jj1] * h * w3)
+            delayed = np.where(self.dense[:, b:e], past, delayed)
+        k1v, k2v, k4v = self.neg_p[:, b:e] * delayed
         hh, hh2, hh6 = self.hh[b:e], self.hh2[b:e], self.hh6[b:e]
         # both middle stages read the midpoint's delayed value: k3v = k2v
         vs[j0 + 1:j1 + 1] = hh6 * (k1v + 2 * k2v + 2 * k2v + k4v)
@@ -428,6 +482,103 @@ class _ChunkPlan:
         xs[j0 + 1:j1 + 1] = hh6 * (v0 + 2 * k2x + 2 * k3x + k4x)
         np.add.accumulate(xs[j0:j1 + 1], out=xs[j0:j1 + 1])
 
+    def dense_read(self, r: int, k: int, xs: np.ndarray, vs: np.ndarray
+                   ) -> float:
+        """x(u) of the _DENSE stage in row r of step k, from accepted output."""
+        j0, j1, h = self.jj.item(r, k), self.jj1.item(r, k), self.h.item(r, k)
+        w0, w1, w2, w3 = self.w[:, r, k].tolist()
+        return (xs.item(j0) * w0 + vs.item(j0) * h * w1
+                + xs.item(j1) * w2 + vs.item(j1) * h * w3)
+
+    def error(self, k: int) -> Exception:
+        """What the first _RAISE stage of step k raises."""
+        r = self.kind[:, k].tolist().index(_RAISE)
+        tv = self.tau.item(r, k)
+        if tv < -1e-12:
+            return DomainError(
+                f"delay {tv} negative at t = {self.sigma.item(r, k)}")
+        return HistoryDomainError(
+            f"delayed argument {self.u.item(r, k)} reaches below "
+            f"start − τ_m = {self.hist_bound}")
+
+
+def _rk4(x0: float, v0: float, hh: float, hh2: float, hh6: float,
+         n0: float, nm: float, n1: float, d0, dm, d1) -> tuple:
+    """One classical RK4 step of x″ = −p·x(u) from (x0, v0): n is −p and d
+    the delayed value at t₀, the midpoint and t₁, None for a stage that
+    reads its own x (no delay)."""
+    k1v = n0 * (x0 if d0 is None else d0)
+    k2x = v0 + hh2 * k1v
+    k2v = nm * (x0 + hh2 * v0 if dm is None else dm)
+    k3x = v0 + hh2 * k2v
+    k3v = nm * (x0 + hh2 * k2x if dm is None else dm)
+    k4x = v0 + hh * k3v
+    k4v = n1 * (x0 + hh * k3x if d1 is None else d1)
+    return (x0 + hh6 * (v0 + 2 * k2x + 2 * k3x + k4x),
+            v0 + hh6 * (k1v + 2 * k2v + 2 * k3v + k4v))
+
+
+def _interpolant_weights(sg: float) -> tuple:
+    """Cubic Hermite weights of x₀, h·v₀, x₁, h·v₁ at fraction sg of a step."""
+    s2, s3 = sg * sg, sg ** 3
+    return 2 * s3 - 3 * s2 + 1, s3 - 2 * s2 + sg, -2 * s3 + 3 * s2, s3 - s2
+
+
+def _delayed_step(plan: _ChunkPlan, k: int, kinds: tuple, x0: float,
+                  v0: float, hh: float, hh2: float, hh6: float, n0: float,
+                  nm: float, n1: float, xs: np.ndarray, vs: np.ndarray
+                  ) -> tuple:
+    """(x₁, v₁) of step k of the chunk, some of whose stages read a delayed
+    value; ``kinds`` holds the stage kinds of its three rows.
+
+    A step with an overlap stage is taken once with the overlap read
+    extrapolated linearly from t₀, then twice more against the provisional
+    interpolant of its previous pass; a step with a _RAISE stage raises.
+    """
+    d = [None, None, None]
+    over = []
+    for r, kind in enumerate(kinds):
+        if kind == _VALUE:
+            d[r] = plan.hv.item(r, k)
+        elif kind == _DENSE:
+            d[r] = plan.dense_read(r, k, xs, vs)
+        elif kind == _OVERLAP:
+            du = plan.du.item(r, k)
+            d[r] = x0 + v0 * du
+            over.append((r, du))
+        elif kind == _RAISE:
+            raise plan.error(k)
+    x1, v1 = _rk4(x0, v0, hh, hh2, hh6, n0, nm, n1, *d)
+    if over:
+        weights = [(r, _interpolant_weights(du / hh)) for r, du in over]
+        for _ in range(2):
+            for r, (a0, a1, a2, a3) in weights:
+                d[r] = x0 * a0 + v0 * hh * a1 + x1 * a2 + v1 * hh * a3
+            x1, v1 = _rk4(x0, v0, hh, hh2, hh6, n0, nm, n1, *d)
+    return x1, v1
+
+
+def _take_steps(plan: _ChunkPlan, b: int, e: int, xs: np.ndarray,
+                vs: np.ndarray) -> None:
+    """Take steps b … e−1 of the chunk one at a time, each stage's delayed
+    value read from the plan, with the floating-point operations of the
+    scalar RK4 scheme in its order."""
+    j = plan.c0 + b
+    x0, v0 = xs.item(j), vs.item(j)
+    n0s, nms, n1s = plan.neg_p[:, b:e].tolist()
+    for k, hh, hh2, hh6, n0, nm, n1, kinds in zip(
+            range(b, e), plan.hh[b:e].tolist(), plan.hh2[b:e].tolist(),
+            plan.hh6[b:e].tolist(), n0s, nms, n1s,
+            zip(*plan.kind[:, b:e].tolist())):
+        if any(kinds):  # not every stage is _ODE
+            x0, v0 = _delayed_step(plan, k, kinds, x0, v0, hh, hh2, hh6, n0,
+                                   nm, n1, xs, vs)
+        else:
+            x0, v0 = _rk4(x0, v0, hh, hh2, hh6, n0, nm, n1, None, None, None)
+        j += 1
+        xs[j] = x0
+        vs[j] = v0
+
 
 def integrate(problem: DelayProblem, horizon: float, step: float = 0.01
               ) -> Trajectory:
@@ -437,7 +588,8 @@ def integrate(problem: DelayProblem, horizon: float, step: float = 0.01
     crossings) is hit exactly; each gap is subdivided uniformly. Dense
     output is cubic Hermite per step. Raises HistoryDomainError if a delayed
     argument falls below start − τ_m (an ill-posed delay signal), and
-    DomainError for nonpositive steps or an empty horizon.
+    DomainError for nonpositive steps, an empty horizon, or more than
+    ``_MAX_STEPS`` steps.
     """
     if not step > 0.0:
         raise DomainError(f"step must be positive, got {step}")
@@ -447,123 +599,32 @@ def integrate(problem: DelayProblem, horizon: float, step: float = 0.01
     tau_m = problem.tau_sup(horizon)
     time_scale = max(1.0, abs(s), abs(horizon))
     hist_floor = s - tau_m - 1e-9 * max(1.0, tau_m, time_scale)
-
-    history = problem.history
-    hist_at_start = history.eval_left(s)
+    hist_at_start = problem.history.eval_left(s)
 
     nodes = _forced_nodes(problem, horizon)
-    ts, first = _step_grid(nodes, step)
+    counts = np.maximum(np.ceil(np.diff(nodes) / step - 1e-9), 1.0)
+    total = counts.sum()
+    if not total <= _MAX_STEPS:
+        raise DomainError(
+            f"integration to {horizon} with step {step} needs {total:.0f} "
+            f"steps, more than the limit of {_MAX_STEPS}")
+    ts, first = _step_grid(nodes, counts.astype(np.intp))
     xs = np.zeros(ts.size)
     vs = np.zeros(ts.size)
     xs[0] = problem.initial_value
     vs[0] = problem.initial_slope
     # p and τ are pinned to the segment owning each gap's interior
     mids = nodes[:-1] + 0.5 * (nodes[1:] - nodes[:-1])
-    seg_p = np.array([problem.p.segment_index(t) for t in mids])
-    seg_tau = np.array([problem.tau.segment_index(t) for t in mids])
-
-    def dense_past(u: float, n: int) -> float:
-        """Cubic Hermite over the n accepted nodes (u ∈ [s, ts[n−1]])."""
-        j = min(bisect.bisect_right(ts, u, 0, n) - 1, n - 2)
-        # a single accepted node (j = −1) makes the bracket [ts[0], ts[0]]:
-        # its weight is NaN, as for any zero-width bracket
-        j0, j1 = j % n, (j + 1) % n
-        t_j0 = ts.item(j0)
-        h = ts.item(j1) - t_j0
-        sig = (u - t_j0) / h if h != 0.0 else math.nan
-        if sig < 0.0:
-            sig = 0.0
-        elif sig > 1.0:
-            sig = 1.0
-        s2, s3 = sig * sig, sig * sig * sig
-        return (xs.item(j0) * (2 * s3 - 3 * s2 + 1)
-                + vs.item(j0) * h * (s3 - 2 * s2 + sig)
-                + xs.item(j1) * (-2 * s3 + 3 * s2)
-                + vs.item(j1) * h * (s3 - s2))
-
-    def scalar_step(j: int, i_p: int, i_tau: int):
-        """Step j alone, each stage resolved when it is reached."""
-
-        def p_at(sigma: float) -> float:
-            return problem.p.eval_in_segment(i_p, sigma)
-
-        def tau_at(sigma: float) -> float:
-            return problem.tau.eval_in_segment(i_tau, sigma)
-
-        t0, t1 = ts.item(j), ts.item(j + 1)
-        hh = t1 - t0
-        x0, v0 = xs.item(j), vs.item(j)
-        # does the delayed argument sit right of the start jump here?
-        mid_u = (t0 + 0.5 * hh) - tau_at(t0 + 0.5 * hh)
-        right_of_start = mid_u > s
-
-        prov: tuple | None = None
-        overlap = False
-
-        def delayed(sigma: float, x_stage: float) -> float:
-            nonlocal overlap
-            tv = tau_at(sigma)
-            if tv < 0.0:
-                if tv < -1e-12:
-                    raise DomainError(
-                        f"delay {tv} negative at t = {sigma}")
-                tv = 0.0
-            if tv <= 1e-13 * max(1.0, abs(sigma)):
-                return x_stage  # ODE regime: the stage's own value
-            u = sigma - tv
-            if u > t0:
-                overlap = True  # delay shorter than the step
-                if prov is None:
-                    return x0 + v0 * (u - t0)
-                px0, pv0, px1, pv1 = prov
-                sg = (u - t0) / hh
-                s2, s3 = sg * sg, sg ** 3
-                return (px0 * (2 * s3 - 3 * s2 + 1)
-                        + pv0 * hh * (s3 - 2 * s2 + sg)
-                        + px1 * (-2 * s3 + 3 * s2)
-                        + pv1 * hh * (s3 - s2))
-            if u > s:
-                return dense_past(u, j + 1)
-            if u == s:
-                return (dense_past(u, j + 1) if right_of_start
-                        else hist_at_start)
-            if u < hist_floor:
-                raise HistoryDomainError(
-                    f"delayed argument {u} reaches below "
-                    f"start − τ_m = {s - tau_m}")
-            return history(u)
-
-        def rk4_once() -> tuple:
-            k1x = v0
-            k1v = -p_at(t0) * delayed(t0, x0)
-            tm = t0 + 0.5 * hh
-            k2x = v0 + 0.5 * hh * k1v
-            k2v = -p_at(tm) * delayed(tm, x0 + 0.5 * hh * k1x)
-            k3x = v0 + 0.5 * hh * k2v
-            k3v = -p_at(tm) * delayed(tm, x0 + 0.5 * hh * k2x)
-            k4x = v0 + hh * k3v
-            k4v = -p_at(t1) * delayed(t1, x0 + hh * k3x)
-            x1 = x0 + (hh / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-            v1 = v0 + (hh / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-            return x1, v1
-
-        x1, v1 = rk4_once()
-        if overlap:
-            # two sub-iterations against the provisional interpolant
-            for _ in range(2):
-                prov = (x0, v0, x1, v1)
-                x1, v1 = rk4_once()
-        xs[j + 1] = x1
-        vs[j + 1] = v1
+    pieces = tuple(map(_Pieces, (problem.p, problem.tau, problem.history)))
+    seg_p, seg_tau = pieces[0].index(mids), pieces[1].index(mids)
 
     n_steps = ts.size - 1
     for c0 in range(0, n_steps, _CHUNK):
         c1 = min(c0 + _CHUNK, n_steps)
         gap = np.searchsorted(first, np.arange(c0, c1), side="right") - 1
-        plan = _ChunkPlan(problem, ts, c0, c1, seg_p[gap], seg_tau[gap],
-                          hist_floor, hist_at_start)
+        plan = _ChunkPlan(pieces, s, ts, c0, c1, seg_p[gap], seg_tau[gap],
+                          tau_m, hist_floor, hist_at_start)
         ok, reach = plan.ok.tolist(), plan.reach.tolist()
-        i_p, i_tau = seg_p[gap].tolist(), seg_tau[gap].tolist()
         b, m = 0, c1 - c0
         while b < m:
             e = b + 1
@@ -573,8 +634,10 @@ def integrate(problem: DelayProblem, horizon: float, step: float = 0.01
             if e - b >= _MIN_BLOCK:
                 plan.advance(b, e, xs, vs)
             else:
-                for k in range(b, e):
-                    scalar_step(c0 + k, i_p[k], i_tau[k])
+                # with the following steps that cannot start a block
+                while e < m and not ok[e]:
+                    e += 1
+                _take_steps(plan, b, e, xs, vs)
             b = e
 
     return Trajectory(ts, xs, vs, problem=problem)

@@ -22,6 +22,7 @@ Conventions
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -120,8 +121,16 @@ class PiecewiseSignal:
     def __post_init__(self):
         bps = tuple(float(b) for b in self.breakpoints)
         segs = tuple(tuple(float(c) for c in seg) for seg in self.segments)
+        left, right = float(self.left_extension), float(self.right_extension)
         if len(bps) < 1:
             raise DomainError("signal needs at least one breakpoint")
+        if not all(map(math.isfinite, bps)):
+            raise DomainError(f"breakpoints must be finite, got {bps}")
+        if not all(math.isfinite(c) for seg in segs for c in seg):
+            raise DomainError("segment coefficients must be finite")
+        if not (math.isfinite(left) and math.isfinite(right)):
+            raise DomainError(
+                f"extensions must be finite, got {left} and {right}")
         if any(b1 <= b0 for b0, b1 in zip(bps, bps[1:])):
             raise DomainError("breakpoints must be strictly increasing")
         if len(segs) != len(bps) - 1:
@@ -132,9 +141,8 @@ class PiecewiseSignal:
             raise DomainError("empty coefficient list in segment")
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "segments", segs)
-        object.__setattr__(self, "left_extension", float(self.left_extension))
-        object.__setattr__(self, "right_extension",
-                           float(self.right_extension))
+        object.__setattr__(self, "left_extension", left)
+        object.__setattr__(self, "right_extension", right)
 
     # -- constructors ---------------------------------------------------
 
@@ -155,8 +163,8 @@ class PiecewiseSignal:
             return -1
         if t >= bps[-1]:
             return len(self.segments)
-        # rightmost breakpoint ≤ t
-        return int(np.searchsorted(bps, t, side="right")) - 1
+        # rightmost breakpoint ≤ t (a NaN t sorts above every breakpoint)
+        return bisect.bisect_right(bps, t) - 1
 
     def eval_in_segment(self, index: int, t: float) -> float:
         """Evaluate using a specific segment's polynomial (or an extension),
@@ -180,10 +188,9 @@ class PiecewiseSignal:
         bps = self.breakpoints
         if t <= bps[0]:
             return self.left_extension
-        if t > bps[-1]:
+        if not t <= bps[-1]:  # above the last breakpoint, or NaN
             return self.right_extension
-        idx = int(np.searchsorted(bps, t, side="left")) - 1
-        return self.eval_in_segment(idx, t)
+        return self.eval_in_segment(bisect.bisect_left(bps, t) - 1, t)
 
     # -- global shape queries --------------------------------------------
 

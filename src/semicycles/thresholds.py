@@ -92,7 +92,7 @@ def eval_r(delta: float, t: float) -> float:
     return float(_r_array(float(delta), np.asarray([t]))[0])
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=8192)
 def theta(delta: float) -> float:
     """First positive zero ϑ_Δ of the descent profile, in [√2, π/2].
 

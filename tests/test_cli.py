@@ -195,6 +195,20 @@ def test_domain_error_names_originating_operation(problem_file, capsys):
     assert "classify" in capsys.readouterr().err
 
 
+def test_non_finite_breakpoint_names_operation(tmp_path, capsys):
+    data = problem_to_dict(build_example_problem(
+        ExampleSpec("example3", 0.05, 10)))
+    data["p"]["breakpoints"] = [0.0, math.nan]
+    data["p"]["segments"] = [[1.0]]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(data))
+    assert "NaN" in path.read_text()
+    assert main(["classify", "--problem", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "signals.signal_from_dict" in err and "finite" in err
+    assert "Traceback" not in err
+
+
 def test_bad_range_is_a_parse_error():
     with pytest.raises(SystemExit) as exc:
         main(["thresholds", "--delta", "3:0:0.1"])

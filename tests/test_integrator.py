@@ -2,6 +2,7 @@
 
 import bisect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,12 +23,14 @@ from semicycles import (
     zero_crossings,
 )
 from semicycles.errors import HistoryDomainError
+from semicycles import integrator
 from semicycles.harness import mode_mixture_problem
 from semicycles.integrator import (
     _forced_nodes,
     _lag_crossings,
     _scan_sign_changes,
 )
+from semicycles.signals import _trim_for_roots
 from semicycles.spectral import char_roots
 
 SQRT2 = math.sqrt(2.0)
@@ -411,6 +414,43 @@ def test_block_integrator_raises_like_reference(tau):
     assert got == want
 
 
+def test_block_integrator_matches_reference_piecewise_ode_across_chunks():
+    # τ ≡ 0 under a piecewise p: 3000 scalar ODE steps over six chunks
+    p = PiecewiseSignal((0.0, 1.3, 2.9, 4.6),
+                        ((1.0, -0.2), (-0.5,), (0.7, 0.1, -0.05)), 1.0, 0.3)
+    prob = DelayProblem(p, PiecewiseSignal.constant(0.0), 0.0,
+                        PiecewiseSignal.constant(0.25), 0.4, -0.3)
+    _assert_bit_identical(prob, 6.0, 0.002)
+
+
+def test_block_integrator_matches_reference_overlap_into_delay():
+    # τ grows from 0.002 past the step 0.01: steps with three, two, one and
+    # then no stage inside the step, the last ones in blocks
+    tau = PiecewiseSignal((0.0, 5.0), ((0.002, 0.004),), 0.002, 0.022)
+    hist = PiecewiseSignal((-1.0, 0.0), ((0.3, -0.2),), 0.3, -0.1)
+    prob = DelayProblem(PiecewiseSignal.constant(0.9), tau, 0.0, hist,
+                        1.0, 0.2)
+    _assert_bit_identical(prob, 6.0, 0.01)
+
+
+@pytest.mark.parametrize("tau, error", [
+    # τ ≡ 0.004 < step, then falling through 0: the step that raises reads
+    # its midpoint inside itself and its end at a negative delay
+    (PiecewiseSignal((0.0, 2.0, 3.0), ((0.004,), (0.006, -0.5)), 0.004, 0.0),
+     DomainError),
+    # τ ≡ 0.004 < step, then growing until u falls below the history
+    (PiecewiseSignal((0.0, 2.0, 3.0), ((0.004,), (0.004, 0.0, 40.0)), 0.004,
+                     0.0),
+     HistoryDomainError),
+])
+def test_block_integrator_raises_like_reference_after_overlap(tau, error):
+    prob = _UncheckedDelay(PiecewiseSignal.constant(1.0), tau, 0.0,
+                           PiecewiseSignal.constant(0.5), 1.0, 0.0)
+    got = _outcome(lambda: integrate(prob, 3.0, 0.01))
+    assert got is not None and got[0] is error
+    assert got == _outcome(lambda: _scalar_reference(prob, 3.0, 0.01))
+
+
 def test_negative_and_history_errors_named():
     hist = PiecewiseSignal.constant(0.5)
     neg = PiecewiseSignal((0.0, 1.0, 2.0), ((0.2,), (0.2, -1.0)), 0.2, 0.0)
@@ -428,6 +468,168 @@ def test_lag_crossing_survives_negligible_leading_coefficient():
     # np.roots the real crossing t − τ(t) = 0 at t = 0.5
     tau = PiecewiseSignal((0.0, 2.0), ((0.5, 0.5, -1.0, 6.6e-236),), 0.5, 0.5)
     assert _lag_crossings(tau, 0.0, -1.0, 5.0) == [0.5]
+
+
+def _lag_crossings_per_target(tau, c, lo, hi):
+    """t − τ(t) = c in (lo, hi): every τ segment solved for one target."""
+    out = []
+    bps = tau.breakpoints
+    scale = max(1.0, abs(c), abs(lo), abs(hi))
+
+    def consider(t):
+        if lo < t < hi:
+            out.append(t)
+
+    t_left = c + tau.left_extension
+    if t_left < bps[0]:
+        consider(t_left)
+    t_right = c + tau.right_extension
+    if t_right >= bps[-1]:
+        consider(t_right)
+    for i, seg in enumerate(tau.segments):
+        length = bps[i + 1] - bps[i]
+        q = list(-np.asarray(seg, dtype=float))
+        q[0] += bps[i] - c
+        if len(q) < 2:
+            q.append(1.0)
+        else:
+            q[1] += 1.0
+        if all(abs(ci) <= 1e-13 * scale for ci in q):
+            continue
+        trimmed = _trim_for_roots(q, length)
+        if len(trimmed) == 1:
+            continue
+        if len(trimmed) == 2:
+            roots = [-trimmed[0] / trimmed[1]]
+        else:
+            roots = [r.real for r in np.roots(trimmed[::-1])
+                     if abs(r.imag) < 1e-9 * scale]
+        for u in roots:
+            if -1e-12 * scale <= u <= length + 1e-12 * scale:
+                consider(bps[i] + u)
+    return out
+
+
+def _forced_nodes_per_target(problem, horizon):
+    s = problem.start
+    nodes = {s, horizon}
+    for sig in (problem.p, problem.tau):
+        nodes.update(b for b in sig.breakpoints if s < b < horizon)
+    targets = set(problem.p.breakpoints) | set(problem.tau.breakpoints) \
+        | set(problem.history.breakpoints) | {s}
+    for c in targets:
+        nodes.update(_lag_crossings_per_target(problem.tau, c, s, horizon))
+    arr = np.array(sorted(nodes))
+    tol = 1e-12 * max(1.0, abs(s), abs(horizon))
+    keep = [arr[0]]
+    for t in arr[1:]:
+        if t - keep[-1] > tol:
+            keep.append(t)
+    keep[-1] = horizon
+    return np.asarray(keep)
+
+
+def _random_crossing_problem(rng):
+    """A delay whose pieces are random polynomials of degree 0–3, affine of
+    unit slope (t − τ(t) constant), affine with t − τ(t) ≡ a target, or the
+    negligible-lead cubic; breakpoints often on a 0.25 grid, so targets and
+    crossings land on breakpoints."""
+    grid = rng.random() < 0.5
+
+    def points(lo, hi, n):
+        pts = rng.uniform(lo, hi, n)
+        return np.unique(np.round(pts * 4) / 4 if grid else pts)
+
+    p_bps = points(-1.0, 8.0, int(rng.integers(1, 5)))
+    h_bps = points(-3.0, 0.0, int(rng.integers(1, 4)))
+    t_bps = points(-1.0, 8.0, int(rng.integers(2, 7)))
+    targets = np.concatenate((p_bps, h_bps, t_bps, [0.0]))
+    segs = []
+    for b in t_bps[:-1]:
+        kind = int(rng.integers(0, 5))
+        if kind == 0:
+            seg = tuple(rng.uniform(-1.0, 2.0, int(rng.integers(1, 5))))
+        elif kind == 1:
+            seg = (float(rng.uniform(0.0, 2.0)), 1.0)
+        elif kind == 2:
+            seg = (float(b - rng.choice(targets)), 1.0)
+        elif kind == 3:
+            seg = (0.5, 0.5, -1.0, 6.6e-236)
+        else:
+            seg = (float(rng.uniform(0.0, 1.0)),
+                   float(1.0 + rng.choice([-1.0, 1.0]) * 1e-15))
+        segs.append(tuple(float(c) for c in seg))
+    tau = PiecewiseSignal(tuple(map(float, t_bps)), tuple(segs),
+                          float(rng.uniform(0.0, 2.0)),
+                          float(rng.uniform(0.0, 2.0)))
+    p = PiecewiseSignal(tuple(map(float, p_bps)), ((1.0,),) * (p_bps.size - 1),
+                        1.0, 1.0)
+    hist = PiecewiseSignal(tuple(map(float, h_bps)),
+                           ((0.0,),) * (h_bps.size - 1), 0.0, 0.0)
+    return DelayProblem(p, tau, 0.0, hist, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_forced_nodes_match_per_target_solves(seed):
+    rng = np.random.default_rng([seed, 11])
+    for _ in range(100):
+        prob = _random_crossing_problem(rng)
+        horizon = float(rng.choice([5.0, 7.75, 12.0]))
+        got = _forced_nodes(prob, horizon)
+        want = _forced_nodes_per_target(prob, horizon)
+        assert got.shape == want.shape and (got == want).all()
+        targets = sorted(set(prob.p.breakpoints) | set(prob.tau.breakpoints)
+                         | set(prob.history.breakpoints) | {0.0})
+        per_target = [t for c in targets
+                      for t in _lag_crossings_per_target(prob.tau, c, 0.0,
+                                                         horizon)]
+        assert sorted(_lag_crossings(prob.tau, targets, 0.0, horizon)) \
+            == sorted(per_target)
+
+
+def test_forced_nodes_skip_unit_slope_segments(monkeypatch):
+    # every piece of example3's delay is affine with unit slope: no
+    # (target, segment) pair needs a root solve, not even the target s = 0
+    # onto which the middle piece maps
+    calls = []
+    monkeypatch.setattr(integrator, "_segment_crossings",
+                        lambda *args: calls.append(args) or [])
+    tau = PiecewiseSignal((0.0, 1.0, 2.0, 3.0),
+                          ((0.5, 1.0), (1.0, 1.0), (0.25, 1.0)), 0.5, 0.5)
+    prob = DelayProblem(PiecewiseSignal((0.0, 1.5), ((1.0,),), -1.0, 1.0),
+                        tau, 0.0, PiecewiseSignal.constant(0.0), 1.0, 0.0)
+    assert (_forced_nodes(prob, 3.0)
+            == _forced_nodes_per_target(prob, 3.0)).all()
+    assert calls == []
+
+
+def test_step_count_bounded_before_allocation():
+    prob = _const_problem(1.0, 0.0, 0.0, 1.0, 0.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="more than the limit"):
+            integrate(prob, 30.0, step=1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_step_count_limit_is_inclusive(monkeypatch):
+    monkeypatch.setattr(integrator, "_MAX_STEPS", 100)
+    prob = _const_problem(1.0, 0.0, 0.0, 1.0, 0.0)
+    assert integrate(prob, 1.0, step=0.01).ts.size == 101
+    with pytest.raises(DomainError, match="needs 102 steps"):
+        integrate(prob, 1.0, step=0.0099)
+
+
+@pytest.mark.parametrize("field", ["start", "initial_value", "initial_slope"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_problem_rejected(field, bad):
+    data = problem_to_dict(_const_problem(1.0, 0.5, 0.0, 1.0, 0.0))
+    data[field] = bad
+    with pytest.raises(DomainError, match=f"{field} must be finite"):
+        problem_from_dict(data)
 
 
 def _scalar_scan(ts, ys, f, tol):

@@ -88,6 +88,68 @@ def test_invalid_construction():
         PiecewiseSignal((0.0, 1.0), (), 0.0, 0.0)
 
 
+@pytest.mark.parametrize("bps, segs, left, right", [
+    ((0.0, math.nan), ((1.0,),), 0.0, 0.0),
+    ((-math.inf, 0.0), ((1.0,),), 0.0, 0.0),
+    ((0.0, 1.0), ((1.0, math.inf),), 0.0, 0.0),
+    ((0.0, 1.0), ((math.nan,),), 0.0, 0.0),
+    ((0.0, 1.0), ((1.0,),), math.nan, 0.0),
+    ((0.0, 1.0), ((1.0,),), 0.0, -math.inf),
+])
+def test_non_finite_signal_rejected(bps, segs, left, right):
+    with pytest.raises(DomainError, match="finite"):
+        PiecewiseSignal(bps, segs, left, right)
+
+
+def _searchsorted_segment(sig, t):
+    """Segment lookup through np.searchsorted, the reference for bisect."""
+    bps = sig.breakpoints
+    if t < bps[0]:
+        return -1
+    if t >= bps[-1]:
+        return len(sig.segments)
+    return int(np.searchsorted(bps, t, side="right")) - 1
+
+
+def _searchsorted_eval_left(sig, t):
+    bps = sig.breakpoints
+    if t <= bps[0]:
+        return sig.left_extension
+    if t > bps[-1]:
+        return sig.right_extension
+    idx = int(np.searchsorted(bps, t, side="left")) - 1
+    return sig.eval_in_segment(idx, t)
+
+
+@st.composite
+def _signal_and_time(draw):
+    bps = sorted(set(draw(st.lists(
+        st.floats(min_value=-50, max_value=50, allow_nan=False), min_size=1,
+        max_size=6))))
+    segs = tuple(tuple(draw(st.lists(
+        st.floats(min_value=-3, max_value=3, allow_nan=False), min_size=1,
+        max_size=3))) for _ in bps[1:])
+    sig = PiecewiseSignal(tuple(bps), segs, draw(st.floats(-3, 3)),
+                          draw(st.floats(-3, 3)))
+    b = draw(st.sampled_from(bps))
+    t = draw(st.one_of(
+        st.just(b),
+        st.just(float(np.nextafter(b, -math.inf))),
+        st.just(float(np.nextafter(b, math.inf))),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+        st.floats(min_value=-60, max_value=60)))
+    return sig, t
+
+
+@settings(max_examples=300, deadline=None)
+@given(_signal_and_time())
+def test_bisect_lookup_matches_searchsorted(case):
+    sig, t = case
+    assert sig.segment_index(t) == _searchsorted_segment(sig, t)
+    got, want = sig.eval_left(t), _searchsorted_eval_left(sig, t)
+    assert got == want or (math.isnan(got) and math.isnan(want))
+
+
 coeff_lists = st.lists(
     st.floats(min_value=-10, max_value=10, allow_nan=False), min_size=1,
     max_size=5)
