@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 
-from semicycles.analysis import classify, find_zeros, semicycles
+from semicycles.analysis import classify
 from semicycles.integrator import integrate
 from semicycles.repro import (
     ExampleSpec,
@@ -45,12 +45,12 @@ def report(which: str, eps: float, periods: int, step: float) -> None:
     traj = integrate(problem, example_horizon(spec), step=step)
     err = max(abs(float(x) - closed_form(spec, float(t)))
               for t, x in zip(traj.ts, traj.xs))
-    arcs = semicycles(traj, find_zeros(traj))
+    outcome = classify(problem, traj)
+    arcs = outcome.semicycles
     length, growth = _predicted(which, eps)
     len_err = max(abs(sc.length - length) for sc in arcs)
     peaks = [sc.peak for sc in arcs]
     ratios = [b / a for a, b in zip(peaks, peaks[1:])]
-    verdict = classify(problem, traj).verdict
     line = (f"{which:9s} eps={eps:<5g} arcs={len(arcs):3d} "
             f"max_err={err:.2e} len_err={len_err:.2e} ")
     if growth is not None and ratios:
@@ -58,7 +58,7 @@ def report(which: str, eps: float, periods: int, step: float) -> None:
     elif ratios:
         # growth attaches to every other arc here; report the whole window
         line += f"total_growth={peaks[-1] / peaks[0]:.6f} "
-    print(line + f"verdict={verdict}")
+    print(line + f"verdict={outcome.verdict}")
 
 
 def main() -> None:

@@ -81,10 +81,12 @@ class Semicycle:
 
 @dataclass(frozen=True)
 class Classification:
-    """Verdict plus the (criterion, value, threshold) records behind it."""
+    """Verdict plus the (criterion, value, threshold) records behind it and
+    the semicycles it was read from (empty when the window has no zeros)."""
 
     verdict: str
     evidence: tuple
+    semicycles: tuple
 
     VERDICTS = (
         "tends_to_zero_certified",
@@ -107,18 +109,12 @@ def find_zeros(traj: Trajectory, tol: float = 1e-10) -> list[tuple]:
     return zero_crossings(traj, tol)
 
 
-def _zero_times(zeros) -> list[float]:
-    out = []
-    for z in zeros:
-        out.append(float(z[0]) if isinstance(z, tuple) else float(z))
-    return out
-
-
 def semicycles(traj: Trajectory, zeros, tol: float = 1e-10
                ) -> list[Semicycle]:
-    """Semicycles between adjacent zeros, peaks at the first interior
-    stationary point (x′ sign change)."""
-    times = _zero_times(zeros)
+    """Semicycles between the adjacent (time, degenerate) zeros that
+    ``find_zeros`` returns, peaks at the first interior stationary point
+    (x′ sign change)."""
+    times = [float(t) for t, _ in zeros]
     if sorted(times) != times:
         raise DomainError("zeros must be sorted")
     stationary = extremum_events(traj, tol)
@@ -319,9 +315,9 @@ def classify(problem: DelayProblem, traj: Trajectory, *,
             ("window_length_normalized", window_norm, needed),
             ("kamenskii_dichotomy", tail / max(head, 1e-300), 1.0),
         )
-        return Classification("nonoscillatory_observed", evidence)
+        return Classification("nonoscillatory_observed", evidence, ())
 
-    arcs = semicycles(traj, zeros, tol=tol)
+    arcs = tuple(semicycles(traj, zeros, tol=tol))
     if len(arcs) < 3:
         raise InsufficientWindowError(
             f"only {len(arcs)} semicycles in the window; need ≥ 3")
@@ -330,22 +326,24 @@ def classify(problem: DelayProblem, traj: Trajectory, *,
     evidence = [("max_semicycle_length", length_norm, theta_big)]
 
     if theta_big - length_norm > 1e-9:
-        return Classification("tends_to_zero_certified", tuple(evidence))
+        return Classification("tends_to_zero_certified", tuple(evidence),
+                              arcs)
     if length_norm <= theta_big + 1e-9 and tau_norm > 1e-12:
-        return Classification("bounded_certified", tuple(evidence))
+        return Classification("bounded_certified", tuple(evidence), arcs)
     if p_hi <= 1e-12:
         gamma = _gamma()
         evidence.append(("negative_coefficient_delay", tau_norm, gamma))
         if gamma - tau_norm > 1e-9:
-            return Classification("tends_to_zero_certified", tuple(evidence))
+            return Classification("tends_to_zero_certified",
+                                  tuple(evidence), arcs)
 
     peaks = [sc.peak for sc in arcs]
     diffs = np.diff(peaks)
     ratio = peaks[-1] / max(peaks[0], 1e-300)
     evidence.append(("envelope_growth_ratio", ratio, growth_factor))
     if diffs.min(initial=0.0) >= -1e-9 * max(peaks) and ratio >= growth_factor:
-        return Classification("unbounded_observed", tuple(evidence))
-    return Classification("inconclusive", tuple(evidence))
+        return Classification("unbounded_observed", tuple(evidence), arcs)
+    return Classification("inconclusive", tuple(evidence), arcs)
 
 
 # ----------------------------------------------------------------------
@@ -429,10 +427,6 @@ def criterion_wronskian_2e(problem: DelayProblem) -> tuple:
 # comparison of minorant/majorant pairs
 # ----------------------------------------------------------------------
 
-def _grid(lo: float, hi: float, n: int) -> np.ndarray:
-    return np.linspace(lo, hi, n)
-
-
 def verify_comparison(minorant: DelayProblem, majorant: DelayProblem,
                       horizon: float, step: float = 0.01) -> tuple:
     """(ok, worst_violation) for the ratio comparison z/z(0) ≥ y/y(0).
@@ -447,7 +441,7 @@ def verify_comparison(minorant: DelayProblem, majorant: DelayProblem,
     if abs(majorant.start - s) > 1e-12:
         raise NotApplicableError("problems must share their start time")
 
-    ts = _grid(s, horizon, 1001)
+    ts = np.linspace(s, horizon, 1001)
     for t in ts:
         pz = minorant.p(float(t))
         py = majorant.p(float(t))
@@ -467,7 +461,7 @@ def verify_comparison(minorant: DelayProblem, majorant: DelayProblem,
             f"majorant must start nonincreasing, y′(0) = "
             f"{majorant.initial_slope}")
     if big_tau > 1e-12:
-        hist_ts = _grid(s - big_tau, s, 400)
+        hist_ts = np.linspace(s - big_tau, s, 400)
         hist_vals = np.array([majorant.history(float(t)) for t in hist_ts])
         if hist_vals.min() <= 0.0:
             raise NotApplicableError("majorant history must be positive")
@@ -480,7 +474,7 @@ def verify_comparison(minorant: DelayProblem, majorant: DelayProblem,
     if z0 == 0.0:
         raise NotApplicableError("minorant must have z(0) ≠ 0")
     if small_tau > 1e-12:
-        for t in _grid(s - small_tau, s, 400):
+        for t in np.linspace(s - small_tau, s, 400):
             zb = abs(minorant.history(float(t))) / abs(z0)
             yb = majorant.history(float(t)) / y0
             if zb > yb + 1e-9:
@@ -498,7 +492,7 @@ def verify_comparison(minorant: DelayProblem, majorant: DelayProblem,
     t_end = y_zeros[0][0] if y_zeros else horizon
     if t_end <= s:
         return True, 0.0
-    qs = _grid(s, t_end - 1e-9 * (t_end - s), 2000)
+    qs = np.linspace(s, t_end - 1e-9 * (t_end - s), 2000)
     ratio_z = z_traj.sample(qs) / z0
     ratio_y = y_traj.sample(qs) / y0
     worst = float(np.maximum(ratio_y - ratio_z, 0.0).max())

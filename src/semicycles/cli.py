@@ -6,7 +6,8 @@ decimal, one header row; floats printed with shortest round-trip repr):
 * thresholds — ``--delta LO:HI:STEP`` alone gives ``delta,theta,psi,
   threshold`` at ρ = 1 (threshold = theta + psi); adding ``--rho`` gives
   the long-form grid ``delta,rho,theta,psi``.  Grids are cached on disk
-  keyed by their parameters (see SEMICYCLE_CACHE_DIR below).
+  keyed by their parameters (see SEMICYCLE_CACHE_DIR below); an entry
+  that cannot be read or does not match its request is recomputed.
 * simulate — integrates a JSON problem file; ``t,x,dx`` at the solver
   nodes, optional ``--svg`` polyline plot.
 * classify — integrates and classifies; JSON with verdict, evidence
@@ -44,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import classify, find_zeros, semicycles
+from .analysis import classify
 from .errors import DomainError, SemicycleError
 from .harness import SUITE_NAMES, run_suite
 from .integrator import integrate, problem_from_dict
@@ -216,12 +217,29 @@ def _psi_cell(task: tuple) -> float:
     return float(psi(rho, delta, grid_size=grid_size))
 
 
+def _cached_table(path: Path, deltas: tuple, rhos: tuple,
+                  grid_size: int) -> dict | None:
+    """The table stored at ``path`` if it can be read and holds this
+    request's grid with one ϑ per Δ and one Ψ per (Δ, ρ); None otherwise."""
+    try:
+        table = json.loads(path.read_text())
+        if (table["deltas"] == list(deltas) and table["rhos"] == list(rhos)
+                and table["grid"] == grid_size
+                and len(table["theta"]) == len(deltas)
+                and len(table["psi"]) == len(deltas)
+                and all(len(row) == len(rhos) for row in table["psi"])):
+            return table
+    except (OSError, ValueError, KeyError, TypeError):
+        pass
+    return None
+
+
 def _threshold_table(delta_values, rho_values, grid_size: int = 4096,
                      jobs: int = 1) -> dict:
     """ϑ(Δ) and Ψ(ρ, Δ) over a grid, cached on disk keyed by (deltas,
     rhos, grid).  A hit replays the stored values exactly: JSON
     round-trips doubles losslessly, so emission bytes match a fresh
-    run."""
+    run.  An unreadable or mismatched entry is a miss and is rewritten."""
     deltas = tuple(float(d) for d in delta_values)
     rhos = tuple(float(r) for r in rho_values)
     if not deltas or not rhos:
@@ -230,8 +248,9 @@ def _threshold_table(delta_values, rho_values, grid_size: int = 4096,
     key_src = json.dumps({"deltas": deltas, "rhos": rhos, "grid": grid_size})
     key = hashlib.sha256(key_src.encode()).hexdigest()[:16]
     cache_file = _cache_dir() / f"table-{key}.json"
-    if cache_file.exists():
-        return json.loads(cache_file.read_text())
+    table = _cached_table(cache_file, deltas, rhos, grid_size)
+    if table is not None:
+        return table
     tasks = [(r, d, grid_size) for d in deltas for r in rhos]
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
@@ -296,15 +315,11 @@ def _cmd_classify(cfg: RunConfig) -> int:
     traj = integrate(problem, cfg.horizon, step=cfg.step)
     outcome = classify(problem, traj, growth_factor=cfg.growth_factor,
                        tol=cfg.tol)
-    try:
-        arcs = semicycles(traj, find_zeros(traj, tol=cfg.tol), tol=cfg.tol)
-    except SemicycleError:
-        arcs = []
     doc = {
         "verdict": outcome.verdict,
         "evidence": [list(item) for item in outcome.evidence],
         "semicycles": [{"a": sc.a, "b": sc.b, "w": sc.w, "peak": sc.peak,
-                        "sign": sc.sign} for sc in arcs],
+                        "sign": sc.sign} for sc in outcome.semicycles],
     }
     _emit(cfg.output_path, json.dumps(doc, indent=2) + "\n")
     return 0

@@ -12,7 +12,8 @@ spawned children of one ``numpy.random.SeedSequence``):
 * wronskian — nonpositive small coefficients under the 2/e bound; the
   fundamental-system Wronskian must stay positive on [0, 50].
 
-Suites return a HarnessReport with per-instance rows for CSV export.
+``run_suite`` runs one suite by name and returns a HarnessReport with
+per-instance rows for CSV export.
 """
 
 from __future__ import annotations
@@ -42,10 +43,6 @@ __all__ = [
     "HarnessReport",
     "eigenmode_problem",
     "mode_mixture_problem",
-    "run_decay_suite",
-    "run_margin_suite",
-    "run_comparison_suite",
-    "run_wronskian_suite",
     "run_suite",
     "SUITE_NAMES",
 ]
@@ -368,33 +365,6 @@ def _execute(suite: str, seed: int, count: int, jobs: int) -> HarnessReport:
         worst = math.nan
     return HarnessReport(suite, seed, count, checked, failures, worst,
                          _COLUMNS[suite], tuple(rows))
-
-
-def run_decay_suite(seed: int = 0, count: int = 50,
-                    jobs: int = 1) -> HarnessReport:
-    """Eigenmode starts with Re λ ∈ [−0.6, −0.05] and short semicycles;
-    the fitted envelope ratio per stride must be < 1."""
-    return _execute("decay", seed, count, jobs)
-
-
-def run_margin_suite(seed: int = 0, count: int = 200,
-                     jobs: int = 1) -> HarnessReport:
-    """Random normalized problems; every applicable descent/ascent check
-    must clear its bound with margin ≥ −1e−3."""
-    return _execute("margins", seed, count, jobs)
-
-
-def run_comparison_suite(seed: int = 0, count: int = 200,
-                         jobs: int = 1) -> HarnessReport:
-    """Hypothesis-satisfying pairs; the conclusion must hold to 1e−6."""
-    return _execute("comparison", seed, count, jobs)
-
-
-def run_wronskian_suite(seed: int = 0, count: int = 100,
-                        jobs: int = 1) -> HarnessReport:
-    """Nonpositive coefficients with τ_m·√(esssup|p|) ≤ 0.4; the
-    fundamental-system Wronskian must stay positive out to t = 50."""
-    return _execute("wronskian", seed, count, jobs)
 
 
 def run_suite(suite: str, seed: int = 0, count: int | None = None,

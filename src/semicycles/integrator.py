@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, HistoryDomainError
+from .errors import DomainError, HistoryDomainError, SemicycleError
 from .signals import (
     PiecewiseSignal,
     _trim_for_roots,
@@ -122,8 +122,12 @@ def problem_from_dict(data: dict) -> DelayProblem:
             initial_value=float(data["initial_value"]),
             initial_slope=float(data["initial_slope"]),
         )
+    except SemicycleError:
+        raise
     except KeyError as exc:
         raise DomainError(f"problem object missing key {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"malformed problem object: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -337,7 +341,7 @@ _MAX_STEPS = 10_000_000
 _ODE = 0      # no delay: the stage's own x
 _OVERLAP = 1  # u inside the step: the step's provisional interpolant
 _DENSE = 2    # u at or before the step: Hermite read of accepted output
-_VALUE = 3    # a value known before the step: the history, or x(s⁻)
+_VALUE = 3    # a value known before the step: history, x(s⁻) or x(s⁺)
 _RAISE = 4    # a negative delay, or u below the history
 
 
@@ -402,7 +406,8 @@ class _ChunkPlan:
 
     def __init__(self, pieces: tuple, s: float, ts: np.ndarray, c0: int,
                  c1: int, seg_p: np.ndarray, seg_tau: np.ndarray,
-                 tau_m: float, hist_floor: float, hist_at_start: float):
+                 tau_m: float, hist_floor: float, hist_at_start: float,
+                 x_start: float):
         p, tau_sig, history = pieces
         self.c0 = c0
         self.hist_bound = s - tau_m
@@ -418,8 +423,9 @@ class _ChunkPlan:
         self.du = u - t0
         right_of_start = tm - tau[1] > s
         at_s = u == s
-        # u = s right of the start jump, read by the first step (no step
-        # accepted yet), is a zero-width bracket: NaN, as in the scalar scheme
+        # u = s reads x(s⁻) left of the start jump and x(s⁺) right of it;
+        # the first step has no accepted step to bracket s, so it reads the
+        # initial value x(s⁺) directly instead of through dense output
         first = np.arange(c0, c1) == 0
         self.kind = kind = np.where(
             tau < -1e-12, _RAISE, np.where(
@@ -429,7 +435,7 @@ class _ChunkPlan:
                     np.where(u < hist_floor, _RAISE, _VALUE)))))
         value = kind == _VALUE
         self.hv = hv = np.where(
-            at_s, np.where(right_of_start, math.nan, hist_at_start), 0.0)
+            at_s, np.where(right_of_start, x_start, hist_at_start), 0.0)
         hist = value & ~at_s
         if hist.any():
             uh = u[hist]
@@ -623,7 +629,8 @@ def integrate(problem: DelayProblem, horizon: float, step: float = 0.01
         c1 = min(c0 + _CHUNK, n_steps)
         gap = np.searchsorted(first, np.arange(c0, c1), side="right") - 1
         plan = _ChunkPlan(pieces, s, ts, c0, c1, seg_p[gap], seg_tau[gap],
-                          tau_m, hist_floor, hist_at_start)
+                          tau_m, hist_floor, hist_at_start,
+                          problem.initial_value)
         ok, reach = plan.ok.tolist(), plan.reach.tolist()
         b, m = 0, c1 - c0
         while b < m:

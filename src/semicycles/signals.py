@@ -1,4 +1,4 @@
-"""Piecewise-polynomial time signals and uniform-grid functions.
+"""Piecewise-polynomial time signals.
 
 A PiecewiseSignal carries the coefficient p(t), the delay τ(t), or an initial
 history segment as polynomial pieces between explicit breakpoints, with
@@ -15,9 +15,13 @@ Conventions
 * Evaluation is right-continuous at breakpoints. Below the first breakpoint
   the signal equals ``left_extension``; at and above the last breakpoint it
   equals ``right_extension``.
-* The essential supremum of a piecewise polynomial ignores the single points
-  where the right-continuity choice differs from a one-sided limit, so it is
-  computed from segment maxima, never from breakpoint evaluations.
+* ``sig(t)`` evaluates; ``signal_range`` gives the essential range over an
+  interval, which ignores the single points where the right-continuity
+  choice differs from a one-sided limit, so it is computed from segment
+  extrema, never from breakpoint evaluations. The essential supremum of
+  |signal| is the larger magnitude of the two ends of that range.
+* ``signal_from_dict`` reads the JSON problem-file schema and raises
+  DomainError for anything that does not describe a signal.
 """
 
 from __future__ import annotations
@@ -28,13 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, SemicycleError
 
 __all__ = [
     "PiecewiseSignal",
-    "GridFunction",
-    "eval_signal",
-    "esssup_abs",
     "signal_range",
     "signal_from_dict",
     "signal_to_dict",
@@ -203,11 +204,6 @@ class PiecewiseSignal:
         return len(vals) == 1
 
 
-def eval_signal(sig: PiecewiseSignal, t: float) -> float:
-    """Value of the signal at time t (right-continuous at breakpoints)."""
-    return sig(t)
-
-
 def signal_range(sig: PiecewiseSignal, lo: float, hi: float) -> tuple:
     """(inf, sup) of the signal over [lo, hi], extensions included where the
     interval sticks out past the breakpoints; single points at breakpoints
@@ -234,17 +230,6 @@ def signal_range(sig: PiecewiseSignal, lo: float, hi: float) -> tuple:
     return (min(cands), max(cands))
 
 
-def esssup_abs(sig: PiecewiseSignal, interval) -> float:
-    """Essential supremum of |signal| over a closed interval.
-
-    Exact for piecewise polynomials: per-segment endpoint and critical-point
-    values plus the tail extensions. Empty intervals are a domain error.
-    """
-    lo, hi = float(interval[0]), float(interval[1])
-    r_lo, r_hi = signal_range(sig, lo, hi)
-    return max(abs(r_lo), abs(r_hi))
-
-
 # ----------------------------------------------------------------------
 # JSON encoding (the problem-file schema)
 # ----------------------------------------------------------------------
@@ -266,41 +251,10 @@ def signal_from_dict(data: dict) -> PiecewiseSignal:
             float(data["left"]),
             float(data["right"]),
         )
+    except SemicycleError:
+        raise
     except KeyError as exc:
         raise DomainError(f"signal object missing key {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"malformed signal object: {exc}") from exc
 
-
-# ----------------------------------------------------------------------
-# uniform-grid carrier
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GridFunction:
-    """Samples on a uniform grid over [lo, hi]; linear interpolation between
-    samples, constant extension outside."""
-
-    lo: float
-    hi: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 1 or vals.size < 2:
-            raise DomainError("grid function needs ≥ 2 samples")
-        if not self.hi > self.lo:
-            raise DomainError("grid domain must have positive length")
-        vals = vals.copy()
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "lo", float(self.lo))
-        object.__setattr__(self, "hi", float(self.hi))
-
-    @property
-    def spacing(self) -> float:
-        return (self.hi - self.lo) / (self.values.size - 1)
-
-    def grid(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.values.size)
-
-    def __call__(self, t):
-        return np.interp(t, self.grid(), self.values)

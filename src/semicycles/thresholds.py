@@ -14,6 +14,10 @@ x″(t) + p(t)·x(t−τ(t)) = 0 with esssup|p| ≤ 1 can traverse a semicycle:
 * ``gamma_constant`` — the unique fixed point Ψ(1, γ) = γ.
 * ``semicycle_threshold`` — Ψ(1, τ_m) + ϑ_{τ_m}, the ceiling on semicycle
   length compatible with non-growing oscillations.
+
+ϑ, the ϖ of each ascent sweep and γ are roots of monotone functions on a
+known bracket, all found by the one bisection ``_bisect``; the oracle keeps
+its own loops so that it shares no code with the path it checks.
 """
 
 from __future__ import annotations
@@ -25,13 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, IterationLimitError, ShootingError
-from .signals import GridFunction
 
 __all__ = [
     "ThresholdResult",
     "eval_r",
     "theta",
-    "forcing_term",
     "beta_iterate",
     "psi",
     "psi_oracle_bvp",
@@ -85,6 +87,18 @@ def _r_array(delta: float, ts: np.ndarray) -> np.ndarray:
     return out
 
 
+def _bisect(above, lo: float, hi: float, width: float) -> float:
+    """Midpoint of the first bracket [lo, hi] no wider than ``width``; each
+    halving keeps the upper half (lo = mid) where ``above(mid)`` holds."""
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if above(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def eval_r(delta: float, t: float) -> float:
     """Descent profile r_Δ at a single time (1 for t ≤ 0; cos(t) when Δ=0)."""
     if delta < 0.0:
@@ -113,29 +127,7 @@ def theta(delta: float) -> float:
         raise DomainError(
             f"descent profile bracket failed for delta={delta}: "
             f"r({lo})={f_lo}, r({hi})={f_hi}")
-    while hi - lo > 1e-13:
-        mid = 0.5 * (lo + hi)
-        if eval_r(delta, mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def forcing_term(rho: float, delta: float, w: float) -> float:
-    """History forcing ρ·r_Δ(ϑ_Δ − w − Δ) on [−Δ, 0], zero elsewhere.
-
-    This is the upper envelope the pre-zero history contributes to the ascent
-    profile equation; it vanishes at w = −Δ (the profile's zero) and plateaus
-    at ρ once the shifted argument leaves the profile's support.
-    """
-    if rho <= 0.0:
-        raise DomainError(f"history bound must be positive, got {rho}")
-    if delta < 0.0:
-        raise DomainError(f"delay must be nonnegative, got {delta}")
-    if w < -delta or w > 0.0 or delta == 0.0:
-        return 0.0
-    return rho * eval_r(delta, theta(delta) - w - delta)
+    return _bisect(lambda t: eval_r(delta, t) > 0.0, lo, hi, 1e-13)
 
 
 # ----------------------------------------------------------------------
@@ -149,13 +141,14 @@ class ThresholdResult:
     psi : limit ascent time Ψ(ρ, Δ)
     iterations : number of profile sweeps taken
     omega_sequence : the nondecreasing ϖ_n values, one per sweep
-    limit_profile : the limiting ascent profile on [−Ψ, 0] (1 at −Ψ, 0 at 0)
+    limit_profile : the limiting ascent profile, read-only, sampled on
+        ``np.linspace(−Ψ, 0, grid_size)`` (1 at −Ψ, 0 at 0)
     """
 
     psi: float
     iterations: int
     omega_sequence: tuple
-    limit_profile: GridFunction
+    limit_profile: np.ndarray
 
 
 def _cumulative_moments(w: np.ndarray, g: np.ndarray):
@@ -226,21 +219,14 @@ def _beta_step(w: np.ndarray, beta: np.ndarray, forcing: np.ndarray,
     i1_total = i1.item(-1)
     w0 = w.item(0)
 
-    def h_of(v: float) -> float:
-        # ∫_v^0 (−u)·g(u) du, via the first moment
-        return _moment_at(v, w, g, i0, i1)[1] - i1_total
+    def above(v: float) -> bool:
+        # ∫_v^0 (−u)·g(u) du ≥ 1, via the first moment
+        return _moment_at(v, w, g, i0, i1)[1] - i1_total >= 1.0
 
-    if h_of(w0) < 1.0:
+    if _moment_at(w0, w, g, i0, i1)[1] - i1_total < 1.0:
         v_root = w0  # saturated: the whole domain cannot absorb a unit
     else:
-        lo, hi = w0, 0.0
-        while hi - lo > 1e-12:
-            mid = 0.5 * (lo + hi)
-            if h_of(mid) >= 1.0:
-                lo = mid
-            else:
-                hi = mid
-        v_root = 0.5 * (lo + hi)
+        v_root = _bisect(above, w0, 0.0, 1e-12)
 
     i0_v, i1_v = _moment_at(v_root, w, g, i0, i1)
     beta_next = np.ones_like(beta)
@@ -252,6 +238,12 @@ def _beta_step(w: np.ndarray, beta: np.ndarray, forcing: np.ndarray,
 
 
 def _forcing_grid(rho: float, delta: float, w: np.ndarray) -> np.ndarray:
+    """History forcing ρ·r_Δ(ϑ_Δ − w − Δ) on [−Δ, 0], zero left of −Δ.
+
+    This is the upper envelope the pre-zero history contributes to the ascent
+    profile equation; it vanishes at w = −Δ (the profile's zero) and plateaus
+    at ρ once the shifted argument leaves the profile's support.
+    """
     if delta == 0.0:
         return np.zeros_like(w)
     th = theta(delta)
@@ -297,11 +289,12 @@ def beta_iterate(rho: float, delta: float, grid_size: int = 4096,
             i0_t, i1_t = _moment_partials(ts, w, g, i0, i1)
             profile = 1.0 - (ts * (i0_t - i0_v) - (i1_t - i1_v))
             profile[ts <= v_root] = 1.0
+            profile.flags.writeable = False
             return ThresholdResult(
                 psi=psi_val,
                 iterations=len(omegas),
                 omega_sequence=tuple(omegas),
-                limit_profile=GridFunction(-psi_val, 0.0, profile),
+                limit_profile=profile,
             )
     raise IterationLimitError(
         f"ascent iteration did not converge within {max_iter} sweeps "
@@ -442,13 +435,7 @@ def gamma_constant(tol: float = 1e-6) -> float:
     lo, hi = _SQRT2, _HALF_PI
     if not (psi(1.0, lo) - lo > 0.0 >= psi(1.0, hi) - hi):
         raise ShootingError("fixed-point bracket failed on [√2, π/2]")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if psi(1.0, mid) - mid > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda g: psi(1.0, g) - g > 0.0, lo, hi, tol)
 
 
 def semicycle_threshold(tau_m: float) -> float:

@@ -254,6 +254,20 @@ def test_classify_zero_free_window():
         classify(prob, short_traj)
 
 
+def test_classify_returns_the_semicycles_it_read():
+    spec = ExampleSpec(which="example3", epsilon=0.0, periods=6)
+    prob = build_example_problem(spec)
+    traj = integrate(prob, example_horizon(spec), step=0.01)
+    cls = classify(prob, traj, tol=1e-9)
+    assert cls.semicycles == tuple(semicycles(traj, find_zeros(traj, 1e-9),
+                                              tol=1e-9))
+    assert cls.evidence[0][1] == max(sc.length for sc in cls.semicycles)
+    flat = DelayProblem(p=const(-0.04), tau=const(1.0), start=0.0,
+                        history=const(1.0), initial_value=1.0,
+                        initial_slope=0.1)
+    assert classify(flat, integrate(flat, 40.0, step=0.01)).semicycles == ()
+
+
 def test_classify_needs_three_semicycles(sine_traj):
     prob = _sine_problem()
     short = integrate(prob, 1.5 * math.pi, step=0.005)

@@ -97,6 +97,37 @@ def test_cache_hit_replays_fresh_bytes(tmp_path):
     assert refresh.read_bytes() == fresh.read_bytes()
 
 
+def _edit_entry(key, fn):
+    def damage(text):
+        table = json.loads(text)
+        table[key] = fn(table[key])
+        return json.dumps(table)
+    return damage
+
+
+@pytest.mark.parametrize("damage", [
+    lambda text: text[:len(text) // 2],       # truncated mid-write
+    lambda text: json.dumps(json.loads(text)["theta"]),
+    _edit_entry("rhos", lambda rhos: rhos[:1]),
+    _edit_entry("grid", lambda grid: grid * 2),
+    _edit_entry("theta", lambda theta: theta[:-1]),
+    _edit_entry("psi", lambda psi: psi[:-1]),
+    _edit_entry("psi", lambda psi: [row[:-1] for row in psi]),
+], ids=["truncated", "list", "other_rhos", "other_grid", "short_theta",
+        "short_psi", "short_psi_rows"])
+def test_damaged_cache_entry_is_recomputed(tmp_path, damage):
+    args = ["thresholds", "--delta", "0:2:1", "--rho", "0.5:1.5:0.5",
+            "--grid", "512"]
+    fresh, again = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(args + ["--out", str(fresh)]) == 0
+    (entry,) = (tmp_path / "cache").glob("table-*.json")
+    stored = entry.read_text()
+    entry.write_text(damage(stored))
+    assert main(args + ["--out", str(again)]) == 0
+    assert again.read_bytes() == fresh.read_bytes()
+    assert entry.read_text() == stored
+
+
 def test_repro_error_column_small(tmp_path):
     out = tmp_path / "repro.csv"
     assert main(["repro", "example3", "--epsilon", "0", "--periods", "3",
@@ -207,6 +238,24 @@ def test_non_finite_breakpoint_names_operation(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "signals.signal_from_dict" in err and "finite" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit, op", [
+    (lambda d: d.update(start="abc"), "problem_from_dict"),
+    (lambda d: d.update(start=[1]), "problem_from_dict"),
+    (lambda d: d["p"].update(segments=5), "signal_from_dict"),
+    (lambda d: [d], "problem_from_dict"),
+], ids=["start_text", "start_list", "segments_number", "top_level_list"])
+def test_malformed_problem_exits_1_naming_operation(tmp_path, capsys, edit,
+                                                   op):
+    data = problem_to_dict(build_example_problem(
+        ExampleSpec("example3", 0.05, 10)))
+    doc = edit(data) or data
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["classify", "--problem", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert op in err and "Traceback" not in err
 
 
 def test_bad_range_is_a_parse_error():

@@ -6,23 +6,23 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from semicycles import (
     DelayProblem,
     DomainError,
     PiecewiseSignal,
-    esssup_abs,
     eval_r,
     fundamental_system,
     integrate,
     problem_from_dict,
     problem_to_dict,
     rescale,
+    signal_range,
     wronskian,
     zero_crossings,
 )
-from semicycles.errors import HistoryDomainError
+from semicycles.errors import HistoryDomainError, SemicycleError
 from semicycles import integrator
 from semicycles.harness import mode_mixture_problem
 from semicycles.integrator import (
@@ -148,10 +148,11 @@ def test_rescale_normalizes_coefficient():
     p = PiecewiseSignal((0.0, 3.0), ((4.0, -0.5),), 4.0, 2.5)
     prob = DelayProblem(p, PiecewiseSignal.constant(1.0), 0.0,
                         PiecewiseSignal.constant(1.0), 1.0, 0.0)
-    bound = esssup_abs(prob.p, (0.0, 3.0))
+    bound = max(map(abs, signal_range(prob.p, 0.0, 3.0)))
     k = 1.0 / math.sqrt(bound)
     scaled = rescale(prob, k)
-    assert abs(esssup_abs(scaled.p, (0.0, 3.0 / k)) - 1.0) < 1e-12
+    assert abs(max(map(abs, signal_range(scaled.p, 0.0, 3.0 / k))) - 1.0) \
+        < 1e-12
     # τ_m·√(esssup|p|) is scale-invariant
     assert abs(scaled.tau_sup(3.0 / k) * 1.0 - prob.tau_sup(3.0) * math.sqrt(bound)) < 1e-12
 
@@ -630,6 +631,89 @@ def test_non_finite_problem_rejected(field, bad):
     data[field] = bad
     with pytest.raises(DomainError, match=f"{field} must be finite"):
         problem_from_dict(data)
+
+
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+              st.text(max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(max_size=4), inner,
+                                            max_size=4)),
+    max_leaves=10)
+_SIGNAL_KEYS = ("breakpoints", "segments", "left", "right")
+
+
+@st.composite
+def _problem_documents(draw):
+    """A valid problem document with one entry replaced by arbitrary JSON
+    or dropped, or arbitrary JSON in its place."""
+    tau = PiecewiseSignal((0.0, 1.0), ((0.5, 0.25),), 0.5, 0.75)
+    data = problem_to_dict(DelayProblem(
+        PiecewiseSignal.constant(-1.0), tau, 0.0,
+        PiecewiseSignal.constant(0.3), 0.3, 1.0))
+    how = draw(st.sampled_from(("whole", "replace", "drop", "keep")))
+    if how == "whole":
+        return draw(_JSON)
+    owner = data
+    key = draw(st.sampled_from(sorted(data)))
+    if key in ("p", "tau", "history") and draw(st.booleans()):
+        owner, key = data[key], draw(st.sampled_from(_SIGNAL_KEYS))
+    if how == "replace":
+        owner[key] = draw(_JSON)
+    elif how == "drop":
+        del owner[key]
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_problem_documents())
+@example(data=[1.0])
+@example(data={"start": "abc"})
+@example(data={"p": {"breakpoints": [0.0], "segments": 5, "left": 1.0,
+                     "right": 1.0}})
+@example(data={"p": 1, "tau": 1, "start": 2 ** 1100, "history": 1,
+               "initial_value": 1, "initial_slope": 0})
+def test_arbitrary_json_gives_problem_or_semicycle_error(data):
+    try:
+        prob = problem_from_dict(data)
+    except SemicycleError:
+        return
+    assert isinstance(prob, DelayProblem)
+
+
+def test_first_step_reads_right_limit_at_start():
+    # t − τ(t) = 0.5t − t² leaves the start s = 0 and comes back to it at
+    # t = 0.5: the first step [0, 0.5] ends on a stage that reads x at s from
+    # the right, x(s⁺) = x(0), before any step has been accepted
+    tau = PiecewiseSignal((0.0, 1.0), ((0.0, 0.5, 1.0),), 0.0, 1.5)
+    prob = DelayProblem(PiecewiseSignal.constant(1.0), tau, 0.0,
+                        PiecewiseSignal.constant(0.3), 1.0, 0.0)
+    traj = integrate(prob, 3.0, step=0.6)
+    assert np.isfinite(traj.xs).all() and np.isfinite(traj.vs).all()
+    assert traj.ts[1] == 0.5
+
+    # the step by hand: x″ = −x(u); u = t at t = 0 (no delay), u − t₀ =
+    # 1/16 at the midpoint (an overlap: a linear first pass, then two passes
+    # on the step's own Hermite interpolant) and u = 0⁺ at t = 0.5
+    x0, v0, h = 1.0, 0.0, 0.5
+
+    def rk4(mid):
+        k1v = -1.0 * x0
+        k2x = v0 + 0.5 * h * k1v
+        k2v = -1.0 * mid
+        k3x = v0 + 0.5 * h * k2v
+        k4x = v0 + h * k2v
+        k4v = -1.0 * x0  # x(s⁺)
+        return (x0 + h / 6.0 * (v0 + 2 * k2x + 2 * k3x + k4x),
+                v0 + h / 6.0 * (k1v + 2 * k2v + 2 * k2v + k4v))
+
+    x1, v1 = rk4(x0 + v0 * 0.0625)
+    sg = 0.0625 / h
+    s2, s3 = sg * sg, sg ** 3
+    for _ in range(2):
+        x1, v1 = rk4(x0 * (2 * s3 - 3 * s2 + 1) + v0 * h * (s3 - 2 * s2 + sg)
+                     + x1 * (-2 * s3 + 3 * s2) + v1 * h * (s3 - s2))
+    assert traj.xs[1] == x1 and traj.vs[1] == v1
 
 
 def _scalar_scan(ts, ys, f, tol):

@@ -1,4 +1,4 @@
-"""Piecewise-signal evaluation, essential suprema, and grid functions."""
+"""Piecewise-signal evaluation, essential ranges, and the JSON schema."""
 
 import math
 
@@ -9,10 +9,7 @@ from hypothesis import strategies as st
 
 from semicycles import (
     DomainError,
-    GridFunction,
     PiecewiseSignal,
-    esssup_abs,
-    eval_signal,
     signal_from_dict,
     signal_range,
     signal_to_dict,
@@ -21,18 +18,24 @@ from semicycles import (
 SQRT2 = math.sqrt(2.0)
 
 
+def _sup_abs(sig, lo, hi):
+    """Essential supremum of |sig| over [lo, hi], from its essential range."""
+    r_lo, r_hi = signal_range(sig, lo, hi)
+    return max(abs(r_lo), abs(r_hi))
+
+
 def test_constant_signal_everywhere():
     sig = PiecewiseSignal.constant(1.0)
     for t in (-1e6, -1.0, 0.0, 0.5, 3.0, 1e6):
-        assert eval_signal(sig, t) == 1.0
+        assert sig(t) == 1.0
 
 
 def test_right_continuity_at_switch():
     # −1 on [0, ε), +1 on [ε, A); value at the switch is the right segment's
     eps, A = 0.1, 3.2
     sig = PiecewiseSignal((0.0, eps, A), ((-1.0,), (1.0,)), -1.0, 1.0)
-    assert eval_signal(sig, eps) == 1.0
-    assert eval_signal(sig, eps - 1e-12) == -1.0
+    assert sig(eps) == 1.0
+    assert sig(eps - 1e-12) == -1.0
     assert sig.eval_left(eps) == -1.0
 
 
@@ -40,45 +43,45 @@ def test_affine_delay_segment_value():
     # delay growing affinely from √2: τ(t) = t + √2 on [0, B)
     B = 2 * SQRT2
     sig = PiecewiseSignal((0.0, B), ((SQRT2, 1.0),), SQRT2, SQRT2)
-    assert eval_signal(sig, 0.0) == pytest.approx(SQRT2, abs=1e-15)
-    assert eval_signal(sig, 1.0) == pytest.approx(1.0 + SQRT2, abs=1e-15)
+    assert sig(0.0) == pytest.approx(SQRT2, abs=1e-15)
+    assert sig(1.0) == pytest.approx(1.0 + SQRT2, abs=1e-15)
 
 
 def test_esssup_constant():
     sig = PiecewiseSignal.constant(1.0)
-    assert esssup_abs(sig, (0.0, 10.0)) == 1.0
+    assert _sup_abs(sig, 0.0, 10.0) == 1.0
 
 
 def test_esssup_alternating_signs():
     eps, A = 0.1, 3.2
     sig = PiecewiseSignal((0.0, eps, A), ((-1.0,), (1.0,)), -1.0, 1.0)
-    assert esssup_abs(sig, (0.0, A)) == 1.0
+    assert _sup_abs(sig, 0.0, A) == 1.0
 
 
 def test_esssup_linear_endpoint():
     sig = PiecewiseSignal((0.0, 3.0), ((0.0, 2.0),), 0.0, 6.0)
-    assert esssup_abs(sig, (0.0, 3.0)) == pytest.approx(6.0, abs=1e-12)
+    assert _sup_abs(sig, 0.0, 3.0) == pytest.approx(6.0, abs=1e-12)
 
 
 def test_esssup_interior_critical_point():
     # u² − 2u on [0, 2]: endpoints 0, interior minimum −1 at u = 1
     sig = PiecewiseSignal((0.0, 2.0), ((0.0, -2.0, 1.0),), 0.0, 0.0)
-    assert esssup_abs(sig, (0.0, 2.0)) == pytest.approx(1.0, abs=1e-12)
+    assert _sup_abs(sig, 0.0, 2.0) == pytest.approx(1.0, abs=1e-12)
     assert signal_range(sig, 0.0, 2.0) == pytest.approx((-1.0, 0.0), abs=1e-12)
 
 
 def test_esssup_empty_interval_is_domain_error():
     sig = PiecewiseSignal.constant(1.0)
     with pytest.raises(DomainError):
-        esssup_abs(sig, (1.0, 0.0))
+        _sup_abs(sig, 1.0, 0.0)
 
 
 def test_esssup_ignores_breakpoint_value():
     # right-continuity puts value 5 at the single point t = 1, but the
     # essential supremum over [0, 1] ignores measure-zero sets
     sig = PiecewiseSignal((0.0, 1.0), ((0.5,),), 0.5, 5.0)
-    assert esssup_abs(sig, (0.0, 1.0)) == 0.5
-    assert esssup_abs(sig, (0.0, 1.1)) == 5.0
+    assert _sup_abs(sig, 0.0, 1.0) == 0.5
+    assert _sup_abs(sig, 0.0, 1.1) == 5.0
 
 
 def test_invalid_construction():
@@ -165,7 +168,7 @@ def test_eval_matches_direct_polynomial(coeffs, width, frac, t0):
     t = t0 + frac * width
     u = t - t0
     direct = float(np.polyval(list(reversed(coeffs)), u))
-    assert eval_signal(sig, t) == pytest.approx(direct, rel=1e-12, abs=1e-12)
+    assert sig(t) == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
@@ -184,7 +187,7 @@ def test_esssup_monotone_under_inclusion(coeffs, lo, w1, w2, shrink):
     big = (lo - w2, lo + w1 + w2)
     width = big[1] - big[0]
     small = (big[0] + shrink * width, big[1] - shrink * width)
-    assert esssup_abs(sig, small) <= esssup_abs(sig, big) + 1e-12
+    assert _sup_abs(sig, *small) <= _sup_abs(sig, *big) + 1e-12
 
 
 def test_esssup_survives_subnormal_leading_coefficient():
@@ -192,7 +195,7 @@ def test_esssup_survives_subnormal_leading_coefficient():
     # to overflow the companion matrix inside the critical-point scan
     sig = PiecewiseSignal((0.0, 1.0), ((0.0, 1.0, 2.225073858507e-311),),
                           0.3, -0.7)
-    assert esssup_abs(sig, (-1.0, 2.0)) == pytest.approx(1.0, rel=1e-9)
+    assert _sup_abs(sig, -1.0, 2.0) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_esssup_finds_critical_point_behind_negligible_lead():
@@ -201,7 +204,7 @@ def test_esssup_finds_critical_point_behind_negligible_lead():
     sig = PiecewiseSignal((0.0, 1.0), ((0.0, 2.0, 0.0, -1.0, 6.6e-236),),
                           0.3, -0.7)
     peak = 2.0 * math.sqrt(2.0 / 3.0) - (2.0 / 3.0) ** 1.5
-    assert esssup_abs(sig, (-1.0, 2.0)) == pytest.approx(peak, rel=1e-12)
+    assert _sup_abs(sig, -1.0, 2.0) == pytest.approx(peak, rel=1e-12)
 
 
 def test_json_round_trip():
@@ -212,12 +215,3 @@ def test_json_round_trip():
     with pytest.raises(DomainError):
         signal_from_dict({"breakpoints": [0.0]})
 
-
-def test_grid_function_interp_and_extension():
-    gf = GridFunction(0.0, 1.0, np.linspace(5.0, 7.0, 11))
-    assert gf(0.05) == pytest.approx(5.1, abs=1e-12)  # linear between samples
-    assert gf(-3.0) == 5.0
-    assert gf(42.0) == 7.0
-    assert gf.spacing == pytest.approx(0.1)
-    with pytest.raises(DomainError):
-        GridFunction(0.0, 1.0, np.array([1.0]))

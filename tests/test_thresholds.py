@@ -16,7 +16,6 @@ from semicycles import (
     DomainError,
     beta_iterate,
     eval_r,
-    forcing_term,
     gamma_constant,
     psi,
     psi_oracle_bvp,
@@ -128,28 +127,56 @@ def test_theta_monotone_grid():
     assert np.all(vals >= SQRT2 - 1e-12) and np.all(vals <= HALF_PI + 1e-12)
 
 
+def _loop_theta(delta):
+    """ϑ_Δ by the bisection loop written out in place, as before the shared
+    root finder: the oracle of ``theta``."""
+    if delta < 1e-12:
+        return HALF_PI
+    lo, hi = 1.0, HALF_PI
+    while hi - lo > 1e-13:
+        mid = 0.5 * (lo + hi)
+        if eval_r(delta, mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_theta_bit_identical_to_inline_bisection():
+    deltas = [0.0, 1e-13] + [round(0.05 * k, 12) for k in range(1, 61)]
+    deltas.append(2 * SQRT2)
+    for d in deltas:
+        assert theta(d) == _loop_theta(d), d
+
+
 # ----------------------------------------------------------------------
 # forcing term
 # ----------------------------------------------------------------------
 
+def _forcing_at(rho, delta, w):
+    """The forcing at one point, through the grid evaluator."""
+    (value,) = _forcing_grid(rho, delta, np.array([w]))
+    return value
+
+
 def test_forcing_zero_delay_empty_support():
     for w in (-1.5, -0.3, -1e-9):
-        assert forcing_term(1.0, 0.0, w) == 0.0
+        assert _forcing_at(1.0, 0.0, w) == 0.0
 
 
 def test_forcing_plateau_at_origin():
     # Δ = ϑ_Δ = √2 makes the shifted argument 0, where the profile is 1
-    assert forcing_term(1.0, SQRT2, 0.0) == pytest.approx(1.0, abs=1e-12)
+    assert _forcing_at(1.0, SQRT2, 0.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_forcing_vanishes_at_left_edge():
-    assert forcing_term(2.0, 1.0, -1.0) == pytest.approx(0.0, abs=1e-12)
+    assert _forcing_at(2.0, 1.0, -1.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_forcing_outside_support():
-    assert forcing_term(1.0, 1.0, -1.2) == 0.0
+    assert _forcing_at(1.0, 1.0, -1.2) == 0.0
     with pytest.raises(DomainError):
-        forcing_term(-1.0, 1.0, -0.5)
+        beta_iterate(-1.0, 1.0)
 
 
 # ----------------------------------------------------------------------
@@ -165,7 +192,8 @@ def test_iteration_zero_delay_course():
                                                   abs=1e-6)
     assert res.psi == pytest.approx(HALF_PI, abs=2e-3)
     prof = res.limit_profile
-    dev = np.abs(prof.values - np.cos(prof.grid() + HALF_PI)).max()
+    grid = np.linspace(-res.psi, 0.0, prof.size)
+    dev = np.abs(prof - np.cos(grid + HALF_PI)).max()
     assert dev < 2e-3
 
 
@@ -173,7 +201,8 @@ def test_iteration_saturated_delay_closed_form():
     res = beta_iterate(1.0, 3.0)
     assert res.psi == pytest.approx(SQRT2, abs=2e-3)
     prof = res.limit_profile
-    dev = np.abs(prof.values - (1 - (prof.grid() + SQRT2) ** 2 / 2)).max()
+    grid = np.linspace(-res.psi, 0.0, prof.size)
+    dev = np.abs(prof - (1 - (grid + SQRT2) ** 2 / 2)).max()
     assert dev < 2e-3
     assert res.iterations <= 5  # forcing plateau fixes the profile at once
 
@@ -276,7 +305,7 @@ def test_root_search_bit_identical_to_vector_probes():
         omega, omegas, profile = _oracle_iterate(rho, d)
         assert res.omega_sequence == tuple(omegas), (rho, d)
         assert res.psi == omega, (rho, d)
-        assert np.array_equal(res.limit_profile.values, profile), (rho, d)
+        assert np.array_equal(res.limit_profile, profile), (rho, d)
 
 
 def test_single_sweeps_bit_identical_to_vector_probes():
@@ -301,7 +330,8 @@ def test_single_sweeps_bit_identical_to_vector_probes():
 
 def test_limit_profile_shape():
     res = beta_iterate(1.3, 0.8)
-    vals = res.limit_profile.values
+    vals = res.limit_profile
+    assert vals.shape == (4096,) and not vals.flags.writeable
     assert vals[0] == pytest.approx(1.0, abs=1e-9)
     assert vals[-1] == pytest.approx(0.0, abs=1e-7)
     assert np.all(np.diff(vals) <= 1e-9)  # strictly decreasing up to interp
@@ -311,9 +341,9 @@ def test_limit_profile_residual():
     """The converged profile satisfies y″ + max{y, forcing} ≈ 0."""
     for rho, d in ((1.0, 0.0), (1.0, 1.0), (2.0, 1.5), (0.5, 0.7)):
         res = beta_iterate(rho, d)
-        prof = res.limit_profile
-        y, h = prof.values, prof.spacing
-        F = _forcing_grid(rho, d, prof.grid())
+        y = res.limit_profile
+        h = res.psi / (y.size - 1)
+        F = _forcing_grid(rho, d, np.linspace(-res.psi, 0.0, y.size))
         resid = (y[:-2] - 2 * y[1:-1] + y[2:]) / h**2 \
             + np.maximum(y[1:-1], F[1:-1])
         assert np.abs(resid).max() < 1e-3
@@ -401,6 +431,17 @@ def test_gamma_constant():
     assert g == pytest.approx(GAMMA_ORACLE, abs=2e-5)
     assert abs(psi(1.0, g) - g) < 1e-5
     assert psi(1.0, g - 0.1) > g - 0.1  # below the fixed point Ψ exceeds Δ
+
+
+def test_gamma_bit_identical_to_inline_bisection():
+    lo, hi = SQRT2, HALF_PI
+    while hi - lo > 1e-6:
+        mid = 0.5 * (lo + hi)
+        if psi(1.0, mid) - mid > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    assert gamma_constant() == 0.5 * (lo + hi)
 
 
 def test_semicycle_threshold_values():
