@@ -134,7 +134,7 @@ def semicycles(traj: Trajectory, zeros, tol: float = 1e-10
                 raise ResolutionError(
                     f"no trajectory nodes inside semicycle ({a}, {b})")
             w = float(traj.ts[mask][np.abs(traj.xs[mask]).argmax()])
-        value = traj.value(w)
+        value = traj.sample(w)
         out.append(Semicycle(a=a, b=b, w=w, peak=abs(value),
                              sign=1 if value >= 0.0 else -1))
     return out

@@ -6,8 +6,10 @@ decimal, one header row; floats printed with shortest round-trip repr):
 * thresholds — ``--delta LO:HI:STEP`` alone gives ``delta,theta,psi,
   threshold`` at ρ = 1 (threshold = theta + psi); adding ``--rho`` gives
   the long-form grid ``delta,rho,theta,psi``.  Grids are cached on disk
-  keyed by their parameters (see SEMICYCLE_CACHE_DIR below); an entry
-  that cannot be read or does not match its request is recomputed.
+  keyed by the package version, the algorithm tag and their parameters
+  (see SEMICYCLE_CACHE_DIR below); an entry that cannot be read or does
+  not match its request is recomputed, and a cache that cannot be used
+  costs one stderr line, not the table.
 * simulate — integrates a JSON problem file; ``t,x,dx`` at the solver
   nodes, optional ``--svg`` polyline plot.
 * classify — integrates and classifies; JSON with verdict, evidence
@@ -45,6 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .analysis import classify
 from .errors import DomainError, SemicycleError
 from .harness import SUITE_NAMES, run_suite
@@ -205,11 +208,16 @@ def _originating_op(exc: BaseException) -> str | None:
 # threshold tables with a disk cache
 # ----------------------------------------------------------------------
 
+# names the algorithms behind a stored ϑ and Ψ: change it whenever they can
+# return other values for the same request, so that older entries are misses
+_TABLE_ALGORITHM = "theta-series+psi-beta-iterate/1"
+
+
 def _cache_dir() -> Path:
     override = os.environ.get("SEMICYCLE_CACHE_DIR")
-    base = Path(override) if override else Path.home() / ".cache" / "semicycles"
-    base.mkdir(parents=True, exist_ok=True)
-    return base
+    if override:
+        return Path(override)
+    return Path.home() / ".cache" / "semicycles"
 
 
 def _psi_cell(task: tuple) -> float:
@@ -219,11 +227,15 @@ def _psi_cell(task: tuple) -> float:
 
 def _cached_table(path: Path, deltas: tuple, rhos: tuple,
                   grid_size: int) -> dict | None:
-    """The table stored at ``path`` if it can be read and holds this
-    request's grid with one ϑ per Δ and one Ψ per (Δ, ρ); None otherwise."""
+    """The table stored at ``path`` if it can be read, was made by this
+    version and algorithm, and holds this request's grid with one ϑ per Δ
+    and one Ψ per (Δ, ρ); None otherwise."""
     try:
         table = json.loads(path.read_text())
-        if (table["deltas"] == list(deltas) and table["rhos"] == list(rhos)
+        if (table["version"] == __version__
+                and table["algorithm"] == _TABLE_ALGORITHM
+                and table["deltas"] == list(deltas)
+                and table["rhos"] == list(rhos)
                 and table["grid"] == grid_size
                 and len(table["theta"]) == len(deltas)
                 and len(table["psi"]) == len(deltas)
@@ -236,18 +248,22 @@ def _cached_table(path: Path, deltas: tuple, rhos: tuple,
 
 def _threshold_table(delta_values, rho_values, grid_size: int = 4096,
                      jobs: int = 1) -> dict:
-    """ϑ(Δ) and Ψ(ρ, Δ) over a grid, cached on disk keyed by (deltas,
-    rhos, grid).  A hit replays the stored values exactly: JSON
-    round-trips doubles losslessly, so emission bytes match a fresh
-    run.  An unreadable or mismatched entry is a miss and is rewritten."""
+    """ϑ(Δ) and Ψ(ρ, Δ) over a grid, cached on disk keyed by (version,
+    algorithm, deltas, rhos, grid).  A hit replays the stored values
+    exactly: JSON round-trips doubles losslessly, so emission bytes match
+    a fresh run.  An unreadable or mismatched entry is a miss and is
+    rewritten; a cache that cannot be written costs one stderr line."""
     deltas = tuple(float(d) for d in delta_values)
     rhos = tuple(float(r) for r in rho_values)
     if not deltas or not rhos:
         raise DomainError("threshold table needs nonempty delta and rho "
                           "ranges")
-    key_src = json.dumps({"deltas": deltas, "rhos": rhos, "grid": grid_size})
+    key_src = json.dumps({"version": __version__,
+                          "algorithm": _TABLE_ALGORITHM, "deltas": deltas,
+                          "rhos": rhos, "grid": grid_size})
     key = hashlib.sha256(key_src.encode()).hexdigest()[:16]
-    cache_file = _cache_dir() / f"table-{key}.json"
+    cache_dir = _cache_dir()
+    cache_file = cache_dir / f"table-{key}.json"
     table = _cached_table(cache_file, deltas, rhos, grid_size)
     if table is not None:
         return table
@@ -258,6 +274,8 @@ def _threshold_table(delta_values, rho_values, grid_size: int = 4096,
     else:
         flat = [_psi_cell(t) for t in tasks]
     table = {
+        "version": __version__,
+        "algorithm": _TABLE_ALGORITHM,
         "deltas": list(deltas),
         "rhos": list(rhos),
         "grid": grid_size,
@@ -265,7 +283,12 @@ def _threshold_table(delta_values, rho_values, grid_size: int = 4096,
         "psi": [flat[i * len(rhos):(i + 1) * len(rhos)]
                 for i in range(len(deltas))],
     }
-    _emit(str(cache_file), json.dumps(table))
+    try:
+        cache_dir.mkdir(parents=True, exist_ok=True)
+        _emit(str(cache_file), json.dumps(table))
+    except OSError as exc:
+        print(f"semicycles: threshold cache {cache_dir} not used: {exc}",
+              file=sys.stderr)
     return table
 
 

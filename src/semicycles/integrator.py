@@ -7,9 +7,12 @@ or = start}. The whole step grid is known before the first step: the forced
 nodes, each gap subdivided uniformly.
 
 The delayed value of a stage at σ is read at u = σ − τ(σ): from the initial
-history (u ≤ s), from dense output of accepted steps (cubic Hermite per
-step), or, when the delay is shorter than the step, from a provisional
-interpolant of the step itself that is sub-iterated twice.
+history (u ≤ s), from dense output of accepted steps, or, when the delay is
+shorter than the step, from a provisional interpolant of the step itself
+that is sub-iterated twice. Both cubic Hermite reads, and
+``Trajectory.sample``, go through one kernel built from products only, so
+its bits do not depend on the host's numpy; zero and extremum scans bisect
+each sign change on the one step that brackets it.
 
 Steps run in blocks (the classical method of steps, Bellen & Zennaro 2003).
 For each chunk of steps, numpy evaluates p and τ at the three stage times
@@ -160,45 +163,54 @@ class Trajectory:
     def end(self) -> float:
         return float(self.ts[-1])
 
-    def _check_domain(self, t):
+    def _check_domain(self, q: np.ndarray):
         tol = 1e-9 * max(1.0, abs(self.start), abs(self.end))
-        if np.any(t < self.start - tol) or np.any(t > self.end + tol):
+        # negated so that a NaN time fails too
+        if not (np.all(q >= self.start - tol) and np.all(q <= self.end + tol)):
             raise DomainError(
                 f"time outside trajectory domain [{self.start}, {self.end}]")
 
-    def sample(self, t) -> np.ndarray:
-        """Vectorized dense-output values."""
+    def sample(self, t):
+        """Dense-output values x(t); a float for a scalar t."""
         return self._eval(t, derivative=False)
 
-    def sample_slope(self, t) -> np.ndarray:
+    def sample_slope(self, t):
         return self._eval(t, derivative=True)
 
     def _eval(self, t, derivative: bool):
-        self._check_domain(t)
         q = np.atleast_1d(np.asarray(t, dtype=float))
+        self._check_domain(q)
         j = np.clip(np.searchsorted(self.ts, q, side="right") - 1,
                     0, self.ts.size - 2)
+        out = self._on_steps(j, q, derivative)
+        return out if np.ndim(t) else float(out[0])
+
+    def _on_steps(self, j: np.ndarray, q: np.ndarray, derivative: bool):
+        """Dense output at the times q, each on its step [ts[j], ts[j+1]]."""
         h = self.ts[j + 1] - self.ts[j]
         s = np.clip((q - self.ts[j]) / h, 0.0, 1.0)
         x0, x1 = self.xs[j], self.xs[j + 1]
         v0, v1 = self.vs[j], self.vs[j + 1]
         if derivative:
-            out = (x0 * (6 * s * s - 6 * s) / h
-                   + v0 * (3 * s * s - 4 * s + 1)
-                   + x1 * (6 * s - 6 * s * s) / h
-                   + v1 * (3 * s * s - 2 * s))
-        else:
-            out = (x0 * (2 * s ** 3 - 3 * s ** 2 + 1)
-                   + v0 * h * (s ** 3 - 2 * s ** 2 + s)
-                   + x1 * (-2 * s ** 3 + 3 * s ** 2)
-                   + v1 * h * (s ** 3 - s ** 2))
-        return out if np.ndim(t) else float(out[0])
+            return (x0 * (6 * s * s - 6 * s) / h
+                    + v0 * (3 * s * s - 4 * s + 1)
+                    + x1 * (6 * s - 6 * s * s) / h
+                    + v1 * (3 * s * s - 2 * s))
+        return _hermite(x0, v0, x1, v1, h, _hermite_weights(s))
 
-    def value(self, t: float) -> float:
-        return self._eval(float(t), derivative=False)
 
-    def slope(self, t: float) -> float:
-        return self._eval(float(t), derivative=True)
+def _hermite_weights(s):
+    """Cubic Hermite weights of x₀, h·v₀, x₁, h·v₁ at the fraction s (a float
+    or an array) of a step; products only, as numpy's power is host-bound."""
+    s2 = s * s
+    s3 = s2 * s
+    return 2 * s3 - 3 * s2 + 1, s3 - 2 * s2 + s, -2 * s3 + 3 * s2, s3 - s2
+
+
+def _hermite(x0, v0, x1, v1, h, w):
+    """The cubic Hermite value on a step of width h with weights w."""
+    w0, w1, w2, w3 = w
+    return x0 * w0 + v0 * h * w1 + x1 * w2 + v1 * h * w3
 
 
 # ----------------------------------------------------------------------
@@ -453,10 +465,8 @@ class _ChunkPlan:
             self.jj1 = jj + 1
             self.reach = np.where(dense, self.jj1, 0).max(axis=0)
             self.h = h = ts[self.jj1] - ts[jj]
-            sig = np.where(dense, (u - ts[jj]) / h, 0.0)
-            s2, s3 = sig * sig, sig * sig * sig
-            self.w = np.stack((2 * s3 - 3 * s2 + 1, s3 - 2 * s2 + sig,
-                               -2 * s3 + 3 * s2, s3 - s2))
+            self.w = np.stack(_hermite_weights(
+                np.where(dense, (u - ts[jj]) / h, 0.0)))
         self.hh2 = 0.5 * hh
         self.hh6 = hh / 6.0
 
@@ -471,10 +481,9 @@ class _ChunkPlan:
         j0, j1 = self.c0 + b, self.c0 + e
         delayed = self.hv[:, b:e]
         if self.w is not None:
-            jj, jj1, h = self.jj[:, b:e], self.jj1[:, b:e], self.h[:, b:e]
-            w0, w1, w2, w3 = self.w[:, :, b:e]
-            past = (xs[jj] * w0 + vs[jj] * h * w1
-                    + xs[jj1] * w2 + vs[jj1] * h * w3)
+            jj, jj1 = self.jj[:, b:e], self.jj1[:, b:e]
+            past = _hermite(xs[jj], vs[jj], xs[jj1], vs[jj1],
+                            self.h[:, b:e], self.w[:, :, b:e])
             delayed = np.where(self.dense[:, b:e], past, delayed)
         k1v, k2v, k4v = self.neg_p[:, b:e] * delayed
         hh, hh2, hh6 = self.hh[b:e], self.hh2[b:e], self.hh6[b:e]
@@ -491,10 +500,9 @@ class _ChunkPlan:
     def dense_read(self, r: int, k: int, xs: np.ndarray, vs: np.ndarray
                    ) -> float:
         """x(u) of the _DENSE stage in row r of step k, from accepted output."""
-        j0, j1, h = self.jj.item(r, k), self.jj1.item(r, k), self.h.item(r, k)
-        w0, w1, w2, w3 = self.w[:, r, k].tolist()
-        return (xs.item(j0) * w0 + vs.item(j0) * h * w1
-                + xs.item(j1) * w2 + vs.item(j1) * h * w3)
+        j0, j1 = self.jj.item(r, k), self.jj1.item(r, k)
+        return _hermite(xs.item(j0), vs.item(j0), xs.item(j1), vs.item(j1),
+                        self.h.item(r, k), self.w[:, r, k].tolist())
 
     def error(self, k: int) -> Exception:
         """What the first _RAISE stage of step k raises."""
@@ -524,12 +532,6 @@ def _rk4(x0: float, v0: float, hh: float, hh2: float, hh6: float,
             v0 + hh6 * (k1v + 2 * k2v + 2 * k3v + k4v))
 
 
-def _interpolant_weights(sg: float) -> tuple:
-    """Cubic Hermite weights of x₀, h·v₀, x₁, h·v₁ at fraction sg of a step."""
-    s2, s3 = sg * sg, sg ** 3
-    return 2 * s3 - 3 * s2 + 1, s3 - 2 * s2 + sg, -2 * s3 + 3 * s2, s3 - s2
-
-
 def _delayed_step(plan: _ChunkPlan, k: int, kinds: tuple, x0: float,
                   v0: float, hh: float, hh2: float, hh6: float, n0: float,
                   nm: float, n1: float, xs: np.ndarray, vs: np.ndarray
@@ -556,10 +558,10 @@ def _delayed_step(plan: _ChunkPlan, k: int, kinds: tuple, x0: float,
             raise plan.error(k)
     x1, v1 = _rk4(x0, v0, hh, hh2, hh6, n0, nm, n1, *d)
     if over:
-        weights = [(r, _interpolant_weights(du / hh)) for r, du in over]
+        weights = [(r, _hermite_weights(du / hh)) for r, du in over]
         for _ in range(2):
-            for r, (a0, a1, a2, a3) in weights:
-                d[r] = x0 * a0 + v0 * hh * a1 + x1 * a2 + v1 * hh * a3
+            for r, w in weights:
+                d[r] = _hermite(x0, v0, x1, v1, hh, w)
             x1, v1 = _rk4(x0, v0, hh, hh2, hh6, n0, nm, n1, *d)
     return x1, v1
 
@@ -654,17 +656,17 @@ def integrate(problem: DelayProblem, horizon: float, step: float = 0.01
 # event scanning (shared with the analysis layer)
 # ----------------------------------------------------------------------
 
-def _refine_sign_changes(f, lo: np.ndarray, hi: np.ndarray, tol: float
-                         ) -> np.ndarray:
-    """Bisect every bracket [lo_k, hi_k] of a sign change of the vectorized
-    function f at once.
+def _refine_sign_changes(traj: Trajectory, derivative: bool,
+                         left: np.ndarray, tol: float) -> np.ndarray:
+    """Bisect at once the sign change of x (x′ if ``derivative``) on each
+    step [ts[j], ts[j + 1]], j in ``left``, reading that step's output only.
 
-    Each bracket keeps its own midpoint sequence: it ends at lo_k if
-    f(lo_k) = 0, at the first midpoint where f vanishes, or else at the
-    centre of its first interval no wider than tol.
+    Each bracket keeps its own midpoint sequence: it ends at its left node
+    if the function vanishes there, at the first midpoint where it vanishes,
+    or else at the centre of its first interval no wider than tol.
     """
-    lo, hi = lo.copy(), hi.copy()
-    f_lo = f(lo)
+    lo, hi = traj.ts[left], traj.ts[left + 1]
+    f_lo = traj._on_steps(left, lo, derivative)
     out = lo.copy()
     live = f_lo != 0.0
     lo_pos = f_lo > 0.0
@@ -673,7 +675,7 @@ def _refine_sign_changes(f, lo: np.ndarray, hi: np.ndarray, tol: float
         if idx.size == 0:
             break
         mid = 0.5 * (lo[idx] + hi[idx])
-        fm = f(mid)
+        fm = traj._on_steps(left[idx], mid, derivative)
         hit = fm == 0.0
         out[idx[hit]] = mid[hit]
         live[idx[hit]] = False
@@ -684,17 +686,18 @@ def _refine_sign_changes(f, lo: np.ndarray, hi: np.ndarray, tol: float
     return out
 
 
-def _scan_sign_changes(ts: np.ndarray, ys: np.ndarray, f, tol: float
+def _scan_sign_changes(traj: Trajectory, derivative: bool, tol: float
                        ) -> list[tuple]:
-    """(t, exact_node) for each sign change of the sampled function ys,
-    refined by bisection on the vectorized dense evaluation f. Node values
-    that are exactly zero are taken as-is; a run of exact zeros yields one
+    """(t, exact_node) for each sign change of x at the nodes (of x′ if
+    ``derivative``), refined by bisection on dense output. Node values that
+    are exactly zero are taken as-is; a run of exact zeros yields one
     event."""
+    ys = traj.vs if derivative else traj.xs
     nonzero = ys != 0.0
     pos = ys > 0.0
     # brackets: adjacent nonzero nodes of opposite sign
     left = np.flatnonzero(nonzero[:-1] & nonzero[1:] & (pos[:-1] != pos[1:]))
-    t_star = (_refine_sign_changes(f, ts[left], ts[left + 1], tol).tolist()
+    t_star = (_refine_sign_changes(traj, derivative, left, tol).tolist()
               if left.size else [])
     zeros = np.flatnonzero(~nonzero)
     if zeros.size == 0:
@@ -708,7 +711,7 @@ def _scan_sign_changes(ts: np.ndarray, ys: np.ndarray, f, tol: float
         if k < n_br:
             out.append((t_star[k], False))
             continue
-        t = float(ts[zeros[k - n_br]])
+        t = float(traj.ts[zeros[k - n_br]])
         if not (out and abs(out[-1][0] - t) <= tol):
             out.append((t, True))
     return out
@@ -723,28 +726,24 @@ def zero_crossings(traj: Trajectory, tol: float = 1e-10) -> list[tuple]:
     amp = float(np.abs(traj.xs).max(initial=0.0))
     if amp == 0.0:
         return [(traj.start, True)]  # identically zero trajectory
-    hits = _scan_sign_changes(traj.ts, traj.xs, traj.sample, tol)
+    hits = _scan_sign_changes(traj, False, tol)
     slope_floor = 1e-9 * max(1.0, float(np.abs(traj.vs).max(initial=0.0)))
-    zeros = []
-    for t, exact in hits:
-        degen = exact and abs(traj.slope(t)) < slope_floor
-        zeros.append((t, degen))
+    zeros = [(t, exact and abs(traj.sample_slope(t)) < slope_floor)
+             for t, exact in hits]
     # tangential touches: extrema sitting on zero at resolution scale
-    extrema = [t for t, _ in _scan_sign_changes(traj.ts, traj.vs,
-                                                traj.sample_slope, tol)]
+    extrema = extremum_events(traj, tol)
     heights = np.abs(traj.sample(np.asarray(extrema))).tolist()
     for t, height in zip(extrema, heights):
-        if height < 1e-11 * amp:
-            if not any(abs(t - z) <= 10 * tol for z, _ in zeros):
-                zeros.append((t, True))
+        if height < 1e-11 * amp and not any(abs(t - z) <= 10 * tol
+                                            for z, _ in zeros):
+            zeros.append((t, True))
     zeros.sort()
     return zeros
 
 
 def extremum_events(traj: Trajectory, tol: float = 1e-10) -> list[float]:
     """Interior stationary points located by slope sign change."""
-    return [t for t, _ in _scan_sign_changes(traj.ts, traj.vs,
-                                             traj.sample_slope, tol)]
+    return [t for t, _ in _scan_sign_changes(traj, True, tol)]
 
 
 def _scan_events(traj: Trajectory, tol: float = 1e-10) -> list[Event]:
@@ -773,4 +772,4 @@ def fundamental_system(p: PiecewiseSignal, tau: PiecewiseSignal, s: float,
 
 def wronskian(z: Trajectory, y: Trajectory, t: float) -> float:
     """z(t)·y′(t) − z′(t)·y(t) from dense output (domain-checked)."""
-    return z.value(t) * y.slope(t) - z.slope(t) * y.value(t)
+    return z.sample(t) * y.sample_slope(t) - z.sample_slope(t) * y.sample(t)

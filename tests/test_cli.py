@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from semicycles import cli
 from semicycles.analysis import Classification
 from semicycles.cli import DEFAULT_SEED, RunConfig, main
 from semicycles.errors import DomainError
@@ -113,8 +114,10 @@ def _edit_entry(key, fn):
     _edit_entry("theta", lambda theta: theta[:-1]),
     _edit_entry("psi", lambda psi: psi[:-1]),
     _edit_entry("psi", lambda psi: [row[:-1] for row in psi]),
+    _edit_entry("algorithm", lambda tag: tag + "-stale"),
+    _edit_entry("version", lambda version: "0.0.0"),
 ], ids=["truncated", "list", "other_rhos", "other_grid", "short_theta",
-        "short_psi", "short_psi_rows"])
+        "short_psi", "short_psi_rows", "stale_algorithm", "stale_version"])
 def test_damaged_cache_entry_is_recomputed(tmp_path, damage):
     args = ["thresholds", "--delta", "0:2:1", "--rho", "0.5:1.5:0.5",
             "--grid", "512"]
@@ -126,6 +129,38 @@ def test_damaged_cache_entry_is_recomputed(tmp_path, damage):
     assert main(args + ["--out", str(again)]) == 0
     assert again.read_bytes() == fresh.read_bytes()
     assert entry.read_text() == stored
+
+
+@pytest.mark.parametrize("name, field", [("_TABLE_ALGORITHM", "algorithm"),
+                                         ("__version__", "version")])
+def test_cache_key_names_version_and_algorithm(tmp_path, monkeypatch, name,
+                                               field):
+    args = ["thresholds", "--delta", "0", "--rho", "1", "--grid", "512",
+            "--out", str(tmp_path / "a.csv")]
+    assert main(args) == 0
+    old = getattr(cli, name)
+    monkeypatch.setattr(cli, name, old + "-next")
+    assert main(args) == 0
+    stored = sorted(json.loads(f.read_text())[field]
+                    for f in (tmp_path / "cache").glob("table-*.json"))
+    assert stored == [old, old + "-next"]
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below_file"])
+def test_unusable_cache_still_prints_the_table(tmp_path, monkeypatch, capsys,
+                                               below):
+    args = ["thresholds", "--delta", "0:0.2:0.1", "--grid", "512"]
+    assert main(args) == 0
+    fresh = capsys.readouterr().out
+    blocker = tmp_path / "not_a_dir"
+    blocker.write_text("")
+    cache = blocker / below if below else blocker
+    monkeypatch.setenv("SEMICYCLE_CACHE_DIR", str(cache))
+    assert main(args) == 0
+    out, err = capsys.readouterr()
+    assert out == fresh
+    assert err.count("\n") == 1 and str(cache) in err
+    assert blocker.read_text() == ""
 
 
 def test_repro_error_column_small(tmp_path):

@@ -43,7 +43,7 @@ def test_eigenmode_trajectory_stays_on_mode():
     traj = integrate(prob, 10.0, step=0.005)
     for t in np.linspace(0.0, 10.0, 200):
         want = (np.exp(lam * float(t))).real
-        assert abs(traj.value(float(t)) - want) < 1e-8
+        assert abs(traj.sample(float(t)) - want) < 1e-8
 
 
 def test_mixture_rejects_mismatched_sign():

@@ -24,11 +24,16 @@ from semicycles import (
 )
 from semicycles.errors import HistoryDomainError, SemicycleError
 from semicycles import integrator
-from semicycles.harness import mode_mixture_problem
+from semicycles.harness import eigenmode_problem, mode_mixture_problem
 from semicycles.integrator import (
     _forced_nodes,
     _lag_crossings,
     _scan_sign_changes,
+)
+from semicycles.repro import (
+    ExampleSpec,
+    build_example_problem,
+    example_horizon,
 )
 from semicycles.signals import _trim_for_roots
 from semicycles.spectral import char_roots
@@ -88,7 +93,7 @@ def test_piecewise_coefficient_alignment():
     traj = integrate(prob, 4.0, step=2e-3)
     t = 3.5
     ref = math.cos(2.0) * math.cosh(t - 2.0) - math.sin(2.0) * math.sinh(t - 2.0)
-    assert abs(traj.value(t) - ref) < 1e-9
+    assert abs(traj.sample(t) - ref) < 1e-9
 
 
 def test_constant_delayed_argument_segment():
@@ -100,16 +105,16 @@ def test_constant_delayed_argument_segment():
     prob = DelayProblem(PiecewiseSignal.constant(-1.0), tau, 0.0,
                         hist, 0.0, SQRT2)
     traj = integrate(prob, SQRT2, step=0.05)
-    assert abs(traj.value(SQRT2) - 1.0) < 1e-12
-    assert abs(traj.slope(SQRT2)) < 1e-12
+    assert abs(traj.sample(SQRT2) - 1.0) < 1e-12
+    assert abs(traj.sample_slope(SQRT2)) < 1e-12
 
 
 def test_small_delay_overlap_subiteration():
     # delay shorter than the step: the provisional-interpolant sweeps keep
     # the result consistent with a fully resolved integration
     prob = _const_problem(1.0, 0.004, 1.0, 1.0, 0.0)
-    ref = integrate(prob, 4.0, step=2e-4).value(4.0)
-    got = integrate(prob, 4.0, step=1e-2).value(4.0)
+    ref = integrate(prob, 4.0, step=2e-4).sample(4.0)
+    got = integrate(prob, 4.0, step=1e-2).sample(4.0)
     assert abs(got - ref) < 1e-8
 
 
@@ -125,12 +130,12 @@ def test_fundamental_system_jump_conventions():
     z, y = fundamental_system(PiecewiseSignal.constant(0.5),
                               PiecewiseSignal.constant(1.0),
                               0.0, 3.0, step=1e-2)
-    assert z.value(0.0) == 1.0 and z.slope(0.0) == 0.0
-    assert y.value(0.0) == 0.0 and y.slope(0.0) == 1.0
+    assert z.sample(0.0) == 1.0 and z.sample_slope(0.0) == 0.0
+    assert y.sample(0.0) == 0.0 and y.sample_slope(0.0) == 1.0
     assert abs(wronskian(z, y, 0.0) - 1.0) == 0.0
     # zero history: on [0, 1) the delayed term vanishes, so z ≡ 1, y ≡ t
-    assert abs(z.value(0.7) - 1.0) < 1e-12
-    assert abs(y.value(0.7) - 0.7) < 1e-12
+    assert abs(z.sample(0.7) - 1.0) < 1e-12
+    assert abs(y.sample(0.7) - 0.7) < 1e-12
 
 
 @settings(max_examples=20, deadline=None)
@@ -140,8 +145,8 @@ def test_rescale_equivalence(k):
     ref = integrate(base, 5.0, step=1e-2)
     scaled = integrate(rescale(base, k), 5.0 / k, step=1e-2 / k)
     for t in (1.3, 2.9, 4.6):
-        assert abs(scaled.value(t / k) - ref.value(t)) < 1e-9
-        assert abs(scaled.slope(t / k) - k * ref.slope(t)) < 1e-9
+        assert abs(scaled.sample(t / k) - ref.sample(t)) < 1e-9
+        assert abs(scaled.sample_slope(t / k) - k * ref.sample_slope(t)) < 1e-9
 
 
 def test_rescale_normalizes_coefficient():
@@ -182,9 +187,19 @@ def test_validation_errors():
 def test_trajectory_domain_checked():
     traj = integrate(_const_problem(1.0, 0.0, 0.0, 1.0, 0.0), 2.0, step=1e-2)
     with pytest.raises(DomainError):
-        traj.value(2.5)
+        traj.sample(2.5)
     with pytest.raises(DomainError):
         traj.sample(np.array([-0.5, 1.0]))
+
+
+def test_trajectory_rejects_nan_time():
+    z, y = fundamental_system(PiecewiseSignal.constant(1.0),
+                              PiecewiseSignal.constant(0.5), 0.0, 2.0)
+    for read in (z.sample, z.sample_slope, lambda t: wronskian(z, y, t)):
+        with pytest.raises(DomainError):
+            read(math.nan)
+    with pytest.raises(DomainError):
+        z.sample(np.array([1.0, math.nan]))
 
 
 def test_problem_dict_round_trip():
@@ -271,7 +286,8 @@ def _scalar_reference(problem, horizon, step):
                         return x0 + v0 * (u - t0)
                     px0, pv0, px1, pv1 = prov
                     sg = (u - t0) / hh
-                    s2, s3 = sg * sg, sg ** 3
+                    s2 = sg * sg
+                    s3 = s2 * sg
                     return (px0 * (2 * s3 - 3 * s2 + 1)
                             + pv0 * hh * (s3 - 2 * s2 + sg)
                             + px1 * (-2 * s3 + 3 * s2)
@@ -709,7 +725,8 @@ def test_first_step_reads_right_limit_at_start():
 
     x1, v1 = rk4(x0 + v0 * 0.0625)
     sg = 0.0625 / h
-    s2, s3 = sg * sg, sg ** 3
+    s2 = sg * sg
+    s3 = s2 * sg
     for _ in range(2):
         x1, v1 = rk4(x0 * (2 * s3 - 3 * s2 + 1) + v0 * h * (s3 - 2 * s2 + sg)
                      + x1 * (-2 * s3 + 3 * s2) + v1 * h * (s3 - s2))
@@ -765,16 +782,67 @@ def _midpoint_zero_problem():
     # bracket [0.25, 0.5] is an exact zero of the dense output
     traj = integrate(_const_problem(0.0, 0.0, 0.0, -0.375, 1.0), 1.0,
                      step=0.25)
-    assert traj.value(0.375) == 0.0
+    assert traj.sample(0.375) == 0.0
     return traj, 1
 
 
-@pytest.mark.parametrize("make", [_zero_run_problem, _midpoint_zero_problem])
+def _trajectories_seed0_draws():
+    """ε, c and the phase that the benchmark's ``trajectories`` workload
+    draws at seed 0."""
+    rng = np.random.default_rng([0, 2])
+    return tuple(float(rng.uniform(lo, hi))
+                 for lo, hi in ((0.1, 0.2), (0.002, 0.008),
+                                (0.0, 2.0 * math.pi)))
+
+
+def _example3_problem():
+    # 50 periods of example3 at step 0.005, as in the benchmark
+    eps, _, _ = _trajectories_seed0_draws()
+    spec = ExampleSpec("example3", eps, 50)
+    return integrate(build_example_problem(spec), example_horizon(spec),
+                     step=0.005), 49
+
+
+def _eigenmode_overlap_problem():
+    # τ ≡ c < step: every step takes the overlap sub-iteration
+    _, c, phase = _trajectories_seed0_draws()
+    root = next(r for r in char_roots(c, 1, (0,)) if r.value.imag > 0.0)
+    return integrate(eigenmode_problem(c, root, phase), 60.0,
+                     step=0.01), 19
+
+
+@pytest.mark.parametrize("make", [_zero_run_problem, _midpoint_zero_problem,
+                                  _example3_problem,
+                                  _eigenmode_overlap_problem])
 @pytest.mark.parametrize("tol", [1e-10, 1e-3])
 def test_vectorized_sign_scan_matches_scalar_bisection(make, tol):
     traj, brackets = make()
-    got = _scan_sign_changes(traj.ts, traj.xs, traj.sample, tol)
-    assert got == _scalar_scan(traj.ts, traj.xs, traj.value, tol)
+    got = _scan_sign_changes(traj, False, tol)
+    assert got == _scalar_scan(traj.ts, traj.xs, traj.sample, tol)
     assert sum(1 for _, exact in got if not exact) >= brackets
-    got = _scan_sign_changes(traj.ts, traj.vs, traj.sample_slope, tol)
-    assert got == _scalar_scan(traj.ts, traj.vs, traj.slope, tol)
+    got = _scan_sign_changes(traj, True, tol)
+    assert got == _scalar_scan(traj.ts, traj.vs, traj.sample_slope, tol)
+
+
+def _product_hermite(traj, q):
+    """x(q) from the nodes in plain Python floats: the step of q by
+    bisection, the cube of its fraction by products."""
+    ts, xs, vs = traj.ts.tolist(), traj.xs.tolist(), traj.vs.tolist()
+    j = min(max(bisect.bisect_right(ts, q) - 1, 0), len(ts) - 2)
+    h = ts[j + 1] - ts[j]
+    sg = min(max((q - ts[j]) / h, 0.0), 1.0)
+    s2 = sg * sg
+    s3 = s2 * sg
+    return (xs[j] * (2 * s3 - 3 * s2 + 1) + vs[j] * h * (s3 - 2 * s2 + sg)
+            + xs[j + 1] * (-2 * s3 + 3 * s2) + vs[j + 1] * h * (s3 - s2))
+
+
+@pytest.mark.parametrize("tau", [0.7, 0.004])
+def test_dense_output_is_product_form_hermite(tau):
+    # numpy's vectorized power can round s³ differently from s·s·s on some
+    # hosts; the dense output must be the product form everywhere
+    traj = integrate(_const_problem(1.0, tau, 1.0, 1.0, 0.0), 20.0,
+                     step=0.01)
+    q = np.random.default_rng(5).uniform(0.0, 20.0, 5000)
+    got = traj.sample(q).tolist()
+    assert got == [_product_hermite(traj, t) for t in q.tolist()]
