@@ -32,6 +32,7 @@ from .integrator import (
     extremum_events,
     fundamental_system,
     integrate,
+    wronskian,
     zero_crossings,
 )
 from .signals import PiecewiseSignal, signal_range
@@ -177,12 +178,9 @@ def _window_abs_max(traj: Trajectory, problem: DelayProblem,
     """max |x| over [lo, hi], reading pre-start times from the history."""
     ts = np.linspace(lo, hi, n)
     split = np.searchsorted(ts, traj.start)
-    best = 0.0
-    for t in ts[:split]:
-        best = max(best, abs(problem.history(float(t))))
+    best = float(np.abs(problem.history(ts[:split])).max(initial=0.0))
     if split < n:
-        seg = ts[split:]
-        best = max(best, float(np.abs(traj.sample(seg)).max()))
+        best = max(best, float(np.abs(traj.sample(ts[split:])).max()))
     return best
 
 
@@ -403,7 +401,7 @@ def criterion_gustafson(problem: DelayProblem, horizon: float,
         raise NotApplicableError(
             f"criterion needs a nonpositive coefficient; max p = {p_hi}")
     ts = np.linspace(problem.start, horizon, grid_points)
-    lags = np.array([t - problem.tau(float(t)) for t in ts])
+    lags = ts - problem.tau(ts)
     scale = max(1.0, abs(problem.start), abs(horizon))
     if np.diff(lags).min(initial=0.0) < -1e-9 * scale:
         raise NotApplicableError("delayed argument t − τ(t) is not "
@@ -442,14 +440,15 @@ def verify_comparison(minorant: DelayProblem, majorant: DelayProblem,
         raise NotApplicableError("problems must share their start time")
 
     ts = np.linspace(s, horizon, 1001)
-    for t in ts:
-        pz = minorant.p(float(t))
-        py = majorant.p(float(t))
-        if py < abs(pz) - 1e-9:
-            raise NotApplicableError(
-                f"majorant coefficient {py} < |{pz}| at t = {t}")
-        if majorant.tau(float(t)) < minorant.tau(float(t)) - 1e-9:
-            raise NotApplicableError(f"majorant delay below minorant at {t}")
+    pz, py = minorant.p(ts), majorant.p(ts)
+    low_p = py < np.abs(pz) - 1e-9
+    low_tau = majorant.tau(ts) < minorant.tau(ts) - 1e-9
+    i = int(np.argmax(low_p | low_tau))  # the first failing t, if any
+    if low_p[i]:
+        raise NotApplicableError(f"majorant coefficient {py.item(i)} < "
+                                 f"|{pz.item(i)}| at t = {ts[i]}")
+    if low_tau[i]:
+        raise NotApplicableError(f"majorant delay below minorant at {ts[i]}")
 
     big_tau = _global_sup_tau(majorant)
     small_tau = _global_sup_tau(minorant)
@@ -462,7 +461,7 @@ def verify_comparison(minorant: DelayProblem, majorant: DelayProblem,
             f"{majorant.initial_slope}")
     if big_tau > 1e-12:
         hist_ts = np.linspace(s - big_tau, s, 400)
-        hist_vals = np.array([majorant.history(float(t)) for t in hist_ts])
+        hist_vals = majorant.history(hist_ts)
         if hist_vals.min() <= 0.0:
             raise NotApplicableError("majorant history must be positive")
         if np.diff(hist_vals).max(initial=0.0) > 1e-9 * hist_vals.max():
@@ -474,12 +473,13 @@ def verify_comparison(minorant: DelayProblem, majorant: DelayProblem,
     if z0 == 0.0:
         raise NotApplicableError("minorant must have z(0) ≠ 0")
     if small_tau > 1e-12:
-        for t in np.linspace(s - small_tau, s, 400):
-            zb = abs(minorant.history(float(t))) / abs(z0)
-            yb = majorant.history(float(t)) / y0
-            if zb > yb + 1e-9:
-                raise NotApplicableError(
-                    f"minorant data exceeds the majorant bound at t = {t}")
+        data_ts = np.linspace(s - small_tau, s, 400)
+        zb = np.abs(minorant.history(data_ts)) / abs(z0)
+        yb = majorant.history(data_ts) / y0
+        above = zb > yb + 1e-9
+        if above.any():
+            raise NotApplicableError(f"minorant data exceeds the majorant "
+                                     f"bound at t = {data_ts[above.argmax()]}")
     else:
         if (minorant.initial_slope / z0
                 < majorant.initial_slope / y0 - 1e-12):
@@ -509,5 +509,4 @@ def wronskian_min(problem: DelayProblem, horizon: float,
     z, y = fundamental_system(problem.p, problem.tau, problem.start,
                               horizon, step)
     ts = np.linspace(problem.start, horizon, samples)
-    w = z.sample(ts) * y.sample_slope(ts) - z.sample_slope(ts) * y.sample(ts)
-    return float(w.min())
+    return float(wronskian(z, y, ts).min())

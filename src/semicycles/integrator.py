@@ -15,8 +15,9 @@ its bits do not depend on the host's numpy; zero and extremum scans bisect
 each sign change on the one step that brackets it.
 
 Steps run in blocks (the classical method of steps, Bellen & Zennaro 2003).
-For each chunk of steps, numpy evaluates p and τ at the three stage times
-of every step and sorts each stage by where its delayed value comes from:
+For each chunk of steps, the signals' own array evaluation gives p and τ at
+the three stage times of every step, and the history where a stage reads
+it; numpy then sorts each stage by where its delayed value comes from:
 its own value (no delay), the step's provisional interpolant (overlap),
 accepted output, the history, or an error to raise. That chunk plan is the
 only place the step loop gets p, τ and the delayed argument from. A block
@@ -372,37 +373,6 @@ def _step_grid(nodes: np.ndarray, counts: np.ndarray) -> tuple:
     return np.concatenate(parts), np.concatenate(([0], np.cumsum(counts)))
 
 
-class _Pieces:
-    """A signal's segments as arrays, to evaluate many points at once."""
-
-    def __init__(self, sig: PiecewiseSignal):
-        self.sig = sig
-        self.bps = np.asarray(sig.breakpoints)
-        # coefficients padded with zeros to a common degree: each padded
-        # Horner step leaves the accumulator at +0.0, its starting value
-        deg = max(map(len, sig.segments), default=1)
-        self.coeffs = np.array([seg + (0.0,) * (deg - len(seg))
-                                for seg in sig.segments]).reshape(-1, deg)
-
-    def index(self, t: np.ndarray) -> np.ndarray:
-        """``sig.segment_index`` of every t."""
-        return np.searchsorted(self.bps, t, side="right") - 1
-
-    def at(self, idx: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """``sig.eval_in_segment(idx, t)`` elementwise, idx broadcast against
-        t: Horner in the same operation order, so each value is the float
-        the scalar call returns."""
-        n_seg = self.coeffs.shape[0]
-        seg = np.clip(idx, 0, max(n_seg - 1, 0))
-        acc = np.zeros(t.shape)
-        if n_seg:
-            u = t - self.bps[seg]
-            for d in range(self.coeffs.shape[1] - 1, -1, -1):
-                acc = acc * u + self.coeffs[seg, d]
-        return np.where(idx < 0, self.sig.left_extension,
-                        np.where(idx >= n_seg, self.sig.right_extension, acc))
-
-
 class _ChunkPlan:
     """Stage data of steps c0 … c1−1, computed with numpy before they run.
 
@@ -416,19 +386,18 @@ class _ChunkPlan:
     join a block (``ok``); every other step runs through ``_take_steps``.
     """
 
-    def __init__(self, pieces: tuple, s: float, ts: np.ndarray, c0: int,
+    def __init__(self, problem: DelayProblem, ts: np.ndarray, c0: int,
                  c1: int, seg_p: np.ndarray, seg_tau: np.ndarray,
-                 tau_m: float, hist_floor: float, hist_at_start: float,
-                 x_start: float):
-        p, tau_sig, history = pieces
+                 tau_m: float, hist_floor: float, hist_at_start: float):
+        s = problem.start
         self.c0 = c0
         self.hist_bound = s - tau_m
         t0, t1 = ts[c0:c1], ts[c0 + 1:c1 + 1]
         self.hh = hh = t1 - t0
         tm = t0 + 0.5 * hh
         self.sigma = sigma = np.array((t0, tm, t1))
-        self.neg_p = -p.at(seg_p, sigma)
-        self.tau = tau = tau_sig.at(seg_tau, sigma)
+        self.neg_p = -problem.p.eval_in_segment(seg_p, sigma)
+        self.tau = tau = problem.tau.eval_in_segment(seg_tau, sigma)
         tv = np.where(tau < 0.0, 0.0, tau)
         scale = np.abs(sigma)
         self.u = u = sigma - tv
@@ -447,11 +416,11 @@ class _ChunkPlan:
                     np.where(u < hist_floor, _RAISE, _VALUE)))))
         value = kind == _VALUE
         self.hv = hv = np.where(
-            at_s, np.where(right_of_start, x_start, hist_at_start), 0.0)
+            at_s, np.where(right_of_start, problem.initial_value,
+                           hist_at_start), 0.0)
         hist = value & ~at_s
         if hist.any():
-            uh = u[hist]
-            hv[hist] = history.at(history.index(uh), uh)
+            hv[hist] = problem.history(u[hist])
         self.dense = dense = kind == _DENSE
         self.ok = (dense | value).all(axis=0)
         self.reach = np.zeros(c1 - c0, dtype=np.intp)
@@ -623,16 +592,15 @@ def integrate(problem: DelayProblem, horizon: float, step: float = 0.01
     vs[0] = problem.initial_slope
     # p and τ are pinned to the segment owning each gap's interior
     mids = nodes[:-1] + 0.5 * (nodes[1:] - nodes[:-1])
-    pieces = tuple(map(_Pieces, (problem.p, problem.tau, problem.history)))
-    seg_p, seg_tau = pieces[0].index(mids), pieces[1].index(mids)
+    seg_p = problem.p.segment_index(mids)
+    seg_tau = problem.tau.segment_index(mids)
 
     n_steps = ts.size - 1
     for c0 in range(0, n_steps, _CHUNK):
         c1 = min(c0 + _CHUNK, n_steps)
         gap = np.searchsorted(first, np.arange(c0, c1), side="right") - 1
-        plan = _ChunkPlan(pieces, s, ts, c0, c1, seg_p[gap], seg_tau[gap],
-                          tau_m, hist_floor, hist_at_start,
-                          problem.initial_value)
+        plan = _ChunkPlan(problem, ts, c0, c1, seg_p[gap], seg_tau[gap],
+                          tau_m, hist_floor, hist_at_start)
         ok, reach = plan.ok.tolist(), plan.reach.tolist()
         b, m = 0, c1 - c0
         while b < m:
@@ -717,25 +685,34 @@ def _scan_sign_changes(traj: Trajectory, derivative: bool, tol: float
     return out
 
 
+def _abs_max_so_far(traj: Trajectory, ys: np.ndarray, t: list) -> list:
+    """max |y| over the nodes from the start to two steps past each t."""
+    j = np.minimum(np.searchsorted(traj.ts, t, side="right") + 2, ys.size - 1)
+    return np.maximum.accumulate(np.abs(ys))[j].tolist()
+
+
 def zero_crossings(traj: Trajectory, tol: float = 1e-10) -> list[tuple]:
     """Zeros of x as (time, degenerate) pairs, in increasing time.
 
     Sign-change zeros are refined to ``tol``; tangential touches (a local
     extremum whose value is zero at resolution scale) are flagged degenerate.
+    Both floors scale with |x| (|x′| for a zero node's slope) from the start
+    to two steps past the event, the values its rounding error grew from, so
+    the early peaks of a growing solution stay peaks.
     """
-    amp = float(np.abs(traj.xs).max(initial=0.0))
-    if amp == 0.0:
+    if not traj.xs.any():
         return [(traj.start, True)]  # identically zero trajectory
     hits = _scan_sign_changes(traj, False, tol)
-    slope_floor = 1e-9 * max(1.0, float(np.abs(traj.vs).max(initial=0.0)))
-    zeros = [(t, exact and abs(traj.sample_slope(t)) < slope_floor)
-             for t, exact in hits]
+    slope_floors = _abs_max_so_far(traj, traj.vs, [t for t, _ in hits])
+    zeros = [(t, exact and abs(traj.sample_slope(t)) < 1e-9 * floor)
+             for (t, exact), floor in zip(hits, slope_floors)]
     # tangential touches: extrema sitting on zero at resolution scale
     extrema = extremum_events(traj, tol)
     heights = np.abs(traj.sample(np.asarray(extrema))).tolist()
-    for t, height in zip(extrema, heights):
-        if height < 1e-11 * amp and not any(abs(t - z) <= 10 * tol
-                                            for z, _ in zeros):
+    for t, height, floor in zip(extrema, heights,
+                                _abs_max_so_far(traj, traj.xs, extrema)):
+        if height < 1e-11 * floor and not any(abs(t - z) <= 10 * tol
+                                              for z, _ in zeros):
             zeros.append((t, True))
     zeros.sort()
     return zeros
@@ -770,6 +747,6 @@ def fundamental_system(p: PiecewiseSignal, tau: PiecewiseSignal, s: float,
     return z, y
 
 
-def wronskian(z: Trajectory, y: Trajectory, t: float) -> float:
-    """z(t)·y′(t) − z′(t)·y(t) from dense output (domain-checked)."""
+def wronskian(z: Trajectory, y: Trajectory, t):
+    """z(t)·y′(t) − z′(t)·y(t) at a float or an array t, from dense output."""
     return z.sample(t) * y.sample_slope(t) - z.sample_slope(t) * y.sample(t)

@@ -15,7 +15,8 @@ Conventions
 * Evaluation is right-continuous at breakpoints. Below the first breakpoint
   the signal equals ``left_extension``; at and above the last breakpoint it
   equals ``right_extension``.
-* ``sig(t)`` evaluates; ``signal_range`` gives the essential range over an
+* ``sig(t)`` evaluates at a float t, or at every point of an array t with
+  the same floats; ``signal_range`` gives the essential range over an
   interval, which ignores the single points where the right-continuity
   choice differs from a one-sided limit, so it is computed from segment
   extrema, never from breakpoint evaluations. The essential supremum of
@@ -29,6 +30,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -153,13 +155,15 @@ class PiecewiseSignal:
 
     # -- evaluation -----------------------------------------------------
 
-    def segment_index(self, t: float) -> int:
+    def segment_index(self, t):
         """Index of the segment whose half-open interval contains t.
 
         Returns −1 below the first breakpoint and ``len(segments)`` at or
-        above the last (the extension zones).
+        above the last (the extension zones); an array for an array t.
         """
         bps = self.breakpoints
+        if isinstance(t, np.ndarray):
+            return np.searchsorted(self._table[0], t, side="right") - 1
         if t < bps[0]:
             return -1
         if t >= bps[-1]:
@@ -167,22 +171,45 @@ class PiecewiseSignal:
         # rightmost breakpoint ≤ t (a NaN t sorts above every breakpoint)
         return bisect.bisect_right(bps, t) - 1
 
-    def eval_in_segment(self, index: int, t: float) -> float:
+    def eval_in_segment(self, index, t):
         """Evaluate using a specific segment's polynomial (or an extension),
         regardless of which interval t falls in.
 
         The integrator uses this to take one-sided limits: a step that ends
         exactly on a breakpoint must read its right endpoint from the segment
-        the step lives in, not from the next one.
+        the step lives in, not from the next one. For an array t, index is an
+        array broadcast against it (or an int), and each value is the float
+        the scalar call returns.
         """
+        if isinstance(t, np.ndarray):
+            # Horner in _poly_eval's operation order on the padded table;
+            # like float arithmetic, it overflows to inf and NaN silently
+            bps, coeffs = self._table
+            acc = np.zeros(t.shape)
+            if self.segments:
+                seg = np.clip(index, 0, len(coeffs) - 1)
+                u = t - bps[seg]
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for d in range(coeffs.shape[1] - 1, -1, -1):
+                        acc = acc * u + coeffs[seg, d]
+            return np.where(index < 0, self.left_extension, np.where(
+                index >= len(self.segments), self.right_extension, acc))
         if index < 0:
             return self.left_extension
         if index >= len(self.segments):
             return self.right_extension
         return _poly_eval(self.segments[index], t - self.breakpoints[index])
 
-    def __call__(self, t: float) -> float:
+    def __call__(self, t):
         return self.eval_in_segment(self.segment_index(t), t)
+
+    @cached_property
+    def _table(self) -> tuple:
+        """Breakpoints and zero-padded coefficients as arrays (a padded Horner
+        step leaves the accumulator at +0.0, its starting value)."""
+        deg = max(map(len, self.segments), default=0)
+        coeffs = [seg + (0.0,) * (deg - len(seg)) for seg in self.segments]
+        return np.asarray(self.breakpoints), np.array(coeffs)
 
     def eval_left(self, t: float) -> float:
         """Left-limit evaluation (used for history values at the start time)."""

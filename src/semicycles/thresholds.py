@@ -203,14 +203,13 @@ def _moment_at(v: float, w: np.ndarray, g: np.ndarray,
     return i0.item(j) + p0, i1.item(j) + p1
 
 
-def _beta_step(w: np.ndarray, beta: np.ndarray, forcing: np.ndarray,
-               return_sweep: bool = False):
+def _beta_step(w: np.ndarray, beta: np.ndarray, forcing: np.ndarray):
     """One sweep: integrand g = max{β, forcing}; find ϖ with
     ∫_{−ϖ}^0 (−u)·g(u) du = 1; rebuild β(t) = 1 − ∫_{−ϖ}^t (t−u)·g(u) du.
 
-    Returns (ϖ, next β), plus the sweep internals (g, moments, root) when
-    asked — the converged iteration re-evaluates the same integral formula
-    off-grid to sample its limit profile smoothly. Both the root equation and
+    Returns (ϖ, next β, the sweep internals (g, moments, root)): the
+    converged iteration re-evaluates the same integral formula off-grid to
+    sample its limit profile smoothly. Both the root equation and
     the rebuild use the two cumulative moments of g, so a sweep is O(grid)
     plus an O(1)-per-probe bisection.
     """
@@ -232,9 +231,7 @@ def _beta_step(w: np.ndarray, beta: np.ndarray, forcing: np.ndarray,
     beta_next = np.ones_like(beta)
     mask = w > v_root
     beta_next[mask] = 1.0 - (w[mask] * (i0[mask] - i0_v) - (i1[mask] - i1_v))
-    if return_sweep:
-        return -v_root, beta_next, (g, i0, i1, v_root, i0_v, i1_v)
-    return -v_root, beta_next
+    return -v_root, beta_next, (g, i0, i1, v_root, i0_v, i1_v)
 
 
 def _forcing_grid(rho: float, delta: float, w: np.ndarray) -> np.ndarray:
@@ -278,7 +275,7 @@ def beta_iterate(rho: float, delta: float, grid_size: int = 4096,
     beta = np.ones_like(w)
     omegas: list[float] = []
     for _ in range(int(max_iter)):
-        omega, beta, sweep = _beta_step(w, beta, forcing, return_sweep=True)
+        omega, beta, sweep = _beta_step(w, beta, forcing)
         omegas.append(omega)
         if len(omegas) >= 2 and abs(omegas[-1] - omegas[-2]) < tol:
             psi_val = omegas[-1]

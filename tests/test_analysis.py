@@ -7,10 +7,11 @@ construction, and constant-coefficient criterion values computed by hand
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semicycles import (
@@ -40,6 +41,7 @@ from semicycles import (
 from semicycles.errors import (
     InsufficientWindowError,
     NotApplicableError,
+    ResolutionError,
 )
 from semicycles.repro import ExampleSpec
 
@@ -275,6 +277,57 @@ def test_classify_needs_three_semicycles(sine_traj):
         classify(prob, short)
 
 
+def test_growing_solution_starts_at_a_peak_not_a_zero():
+    # p ≡ −1: x grows like e^t, so a rounding floor scaled by the whole
+    # window would dwarf x(0) = 1, the stationary start
+    prob = DelayProblem(p=const(-1.0), tau=const(0.1), start=0.0,
+                        history=const(1.0), initial_value=1.0,
+                        initial_slope=0.0)
+    traj = integrate(prob, 30.0, step=0.01)
+    assert find_zeros(traj) == []
+    assert classify(prob, traj).verdict == "nonoscillatory_observed"
+
+
+def test_sine_swamped_by_growing_mode_is_not_certified():
+    # at 20 periods the unstable real mode reaches ~1e13: the sine's early
+    # peaks stay peaks instead of tangential zeros that cut the semicycles
+    spec = ExampleSpec(which="sin_pi", epsilon=0.0, periods=20)
+    prob = build_example_problem(spec)
+    traj = integrate(prob, example_horizon(spec), step=0.005)
+    assert not any(degenerate for _, degenerate in find_zeros(traj))
+    assert classify(prob, traj).verdict == "inconclusive"
+
+
+def _zeros_and_verdict(prob, horizon):
+    traj = integrate(prob, horizon, step=0.05)
+    try:
+        verdict = classify(prob, traj).verdict
+    except (InsufficientWindowError, ResolutionError) as exc:
+        verdict = (type(exc).__name__, str(exc))
+    return find_zeros(traj), verdict
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.floats(min_value=-1.0, max_value=1.0),
+       tau=st.floats(min_value=0.0, max_value=2.0),
+       hist=st.tuples(st.floats(-2.0, 2.0), st.floats(-1.0, 1.0)),
+       x0=st.sampled_from([0.0, 1.0, -0.5]),
+       v0=st.floats(min_value=-2.0, max_value=2.0),
+       power=st.integers(min_value=-30, max_value=30))
+@example(p=-1.0, tau=0.1, hist=(1.0, 0.0), x0=1.0, v0=0.0, power=7)
+def test_zeros_and_verdict_invariant_under_power_of_two_scaling(
+        p, tau, hist, x0, v0, power):
+    # x ↦ 2^k·x maps solutions to solutions and is exact in floating point
+    def problem(c):
+        a, b = hist[0] * c, hist[1] * c
+        return DelayProblem(
+            p=const(p), tau=const(tau), start=0.0,
+            history=PiecewiseSignal((-2.0, 0.0), ((a, b),), a, a + 2.0 * b),
+            initial_value=x0 * c, initial_slope=v0 * c)
+    assert _zeros_and_verdict(problem(2.0 ** power), 25.0) \
+        == _zeros_and_verdict(problem(1.0), 25.0)
+
+
 def test_classify_verdicts_enumerated():
     assert "inconclusive" in Classification.VERDICTS
     assert "bounded_certified" in Classification.VERDICTS
@@ -400,26 +453,50 @@ def test_comparison_smaller_delay_stays_above():
     assert theta(1.0) > theta(2.0)
 
 
+def _exactly(message: str) -> str:
+    return f"^{re.escape(message)}$"
+
+
 def test_comparison_rejects_broken_hypotheses():
     minor = _unit_profile_problem(2.0)
     major_small_p = DelayProblem(p=const(0.5), tau=const(2.0), start=0.0,
                                  history=const(1.0), initial_value=1.0,
                                  initial_slope=0.0)
-    with pytest.raises(NotApplicableError):
+    with pytest.raises(NotApplicableError, match=_exactly(
+            "majorant coefficient 0.5 < |1.0| at t = 0.0")):
         verify_comparison(minor, major_small_p, 2.0)
     major_shifted = DelayProblem(p=const(1.0), tau=const(2.0), start=1.0,
                                  history=const(1.0), initial_value=1.0,
                                  initial_slope=0.0)
-    with pytest.raises(NotApplicableError):
+    with pytest.raises(NotApplicableError, match=_exactly(
+            "problems must share their start time")):
         verify_comparison(minor, major_shifted, 3.0)
     rising = PiecewiseSignal((-2.0, 0.0), ((0.5, 0.25),), 0.5, 1.0)
     major_rising_data = DelayProblem(p=const(1.0), tau=const(2.0), start=0.0,
                                      history=rising, initial_value=1.0,
                                      initial_slope=0.0)
-    with pytest.raises(NotApplicableError):
+    with pytest.raises(NotApplicableError, match=_exactly(
+            "majorant history must be nonincreasing")):
         verify_comparison(minor, major_rising_data, 2.0)
     big_z = DelayProblem(p=const(1.0), tau=const(2.0), start=0.0,
                          history=const(3.0), initial_value=1.0,
                          initial_slope=0.0)
-    with pytest.raises(NotApplicableError):
+    with pytest.raises(NotApplicableError, match=_exactly(
+            "minorant data exceeds the majorant bound at t = -2.0")):
         verify_comparison(big_z, _unit_profile_problem(2.0), 2.0)
+    # the first failing grid time is named: the delay drops below the
+    # minorant's at t = 0.5, before the coefficient does at t = 1
+    p_drops_at_1 = PiecewiseSignal((0.0, 1.0), ((1.0,),), 1.0, 0.5)
+    delay_first = DelayProblem(
+        p=p_drops_at_1, tau=PiecewiseSignal((0.0, 0.5), ((2.0,),), 2.0, 1.5),
+        start=0.0, history=const(1.0), initial_value=1.0, initial_slope=0.0)
+    with pytest.raises(NotApplicableError, match=_exactly(
+            "majorant delay below minorant at 0.5")):
+        verify_comparison(minor, delay_first, 2.0)
+    # both fail from t = 1 on: the coefficient check comes first
+    both_at_1 = DelayProblem(
+        p=p_drops_at_1, tau=PiecewiseSignal((0.0, 1.0), ((2.0,),), 2.0, 1.5),
+        start=0.0, history=const(1.0), initial_value=1.0, initial_slope=0.0)
+    with pytest.raises(NotApplicableError, match=_exactly(
+            "majorant coefficient 0.5 < |1.0| at t = 1.0")):
+        verify_comparison(minor, both_at_1, 2.0)

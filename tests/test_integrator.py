@@ -173,6 +173,17 @@ def test_degenerate_touch_flagged():
     assert abs(t - 1.0) < 1e-6
 
 
+def test_degenerate_touch_flagged_at_fine_step():
+    # the touch's height is rounding left over from x(0) = 1, while |x| at
+    # the nodes beside it shrinks like the step squared: the floor must
+    # scale with what x has been, not only with its neighbourhood
+    prob = _const_problem(-1.0, 10.0, 2.0, 1.0, -2.0)
+    traj = integrate(prob, 2.0, step=1e-3)
+    [(t, degenerate)] = zero_crossings(traj)
+    assert degenerate
+    assert abs(t - 1.0) < 1e-6
+
+
 def test_validation_errors():
     prob = _const_problem(1.0, 0.0, 0.0, 1.0, 0.0)
     with pytest.raises(DomainError):

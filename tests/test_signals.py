@@ -125,23 +125,32 @@ def _searchsorted_eval_left(sig, t):
 
 
 @st.composite
-def _signal_and_time(draw):
+def _signal(draw):
     bps = sorted(set(draw(st.lists(
         st.floats(min_value=-50, max_value=50, allow_nan=False), min_size=1,
         max_size=6))))
     segs = tuple(tuple(draw(st.lists(
         st.floats(min_value=-3, max_value=3, allow_nan=False), min_size=1,
         max_size=3))) for _ in bps[1:])
-    sig = PiecewiseSignal(tuple(bps), segs, draw(st.floats(-3, 3)),
-                          draw(st.floats(-3, 3)))
-    b = draw(st.sampled_from(bps))
-    t = draw(st.one_of(
-        st.just(b),
-        st.just(float(np.nextafter(b, -math.inf))),
-        st.just(float(np.nextafter(b, math.inf))),
+    return PiecewiseSignal(tuple(bps), segs, draw(st.floats(-3, 3)),
+                           draw(st.floats(-3, 3)))
+
+
+def _times_near(sig):
+    """Breakpoints, their neighbours, NaN, ±inf and times on both tails."""
+    b = st.sampled_from(sig.breakpoints)
+    return st.one_of(
+        b,
+        b.map(lambda x: float(np.nextafter(x, -math.inf))),
+        b.map(lambda x: float(np.nextafter(x, math.inf))),
         st.sampled_from([math.nan, math.inf, -math.inf]),
-        st.floats(min_value=-60, max_value=60)))
-    return sig, t
+        st.floats(min_value=-60, max_value=60))
+
+
+@st.composite
+def _signal_and_time(draw):
+    sig = draw(_signal())
+    return sig, draw(_times_near(sig))
 
 
 @settings(max_examples=300, deadline=None)
@@ -151,6 +160,33 @@ def test_bisect_lookup_matches_searchsorted(case):
     assert sig.segment_index(t) == _searchsorted_segment(sig, t)
     got, want = sig.eval_left(t), _searchsorted_eval_left(sig, t)
     assert got == want or (math.isnan(got) and math.isnan(want))
+
+
+def _same_float(a, b):
+    """Equal with equal sign (so 0.0 is not -0.0), or both NaN."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_array_evaluation_equals_scalar_calls(data):
+    # segments of degree 0–2 side by side: the array path pads the shorter
+    sig = data.draw(_signal())
+    points = data.draw(st.lists(_times_near(sig), min_size=1, max_size=12))
+    ts = np.array(points)
+    idx = sig.segment_index(ts)
+    assert idx.tolist() == [sig.segment_index(t) for t in points]
+    assert all(map(_same_float, sig(ts).tolist(), map(sig, points)))
+    # every segment and both extensions at every point (one-sided limits)
+    for k in range(-1, len(sig.segments) + 1):
+        assert all(_same_float(v, sig.eval_in_segment(k, t)) for v, t in
+                   zip(sig.eval_in_segment(k, ts).tolist(), points))
+    # an index row broadcast against stacked stage times, as in a chunk plan
+    stacked = sig.eval_in_segment(idx, np.stack((ts, ts)))
+    assert all(_same_float(v, sig.eval_in_segment(k, t)) for row in
+               stacked.tolist() for v, k, t in zip(row, idx.tolist(), points))
 
 
 coeff_lists = st.lists(

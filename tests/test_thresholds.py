@@ -221,7 +221,7 @@ def test_beta_profiles_pointwise_nonincreasing_in_n():
     beta = np.ones_like(w)
     prev = beta
     for _ in range(8):
-        _, beta = _beta_step(w, prev, forcing)
+        _, beta, _ = _beta_step(w, prev, forcing)
         # slack = the ϖ-bisection width (β(0) carries exactly that noise)
         assert np.all(beta <= prev + 1e-11)
         prev = beta
@@ -283,7 +283,7 @@ def test_scalar_moments_bit_identical_to_vector_path():
         forcing = _forcing_grid(rho, d, w)
         beta = np.ones_like(w)
         for _ in range(3):
-            _, beta = _beta_step(w, beta, forcing)
+            _, beta, _ = _beta_step(w, beta, forcing)
         g = np.maximum(beta, forcing)
         i0, i1 = _cumulative_moments(w, g)
         vs = np.concatenate((rng.uniform(-HALF_PI, 0.0, 2000), w[::97],
@@ -314,7 +314,7 @@ def test_single_sweeps_bit_identical_to_vector_probes():
     w = np.linspace(-HALF_PI, 0.0, 4096)
     beta = np.full_like(w, 0.5)  # ∫(−u)·½ du over [−π/2, 0] = π²/16 < 1
     forcing = np.zeros_like(w)
-    omega, beta_next = _beta_step(w, beta, forcing)
+    omega, beta_next, _ = _beta_step(w, beta, forcing)
     ref_omega, ref_next, _ = _oracle_step(w, beta, forcing)
     assert omega == ref_omega == HALF_PI
     assert np.array_equal(beta_next, ref_next)
@@ -322,7 +322,7 @@ def test_single_sweeps_bit_identical_to_vector_probes():
         forcing = _forcing_grid(rho, d, w)
         prev = np.ones_like(w)
         for _ in range(6):
-            omega, nxt = _beta_step(w, prev, forcing)
+            omega, nxt, _ = _beta_step(w, prev, forcing)
             ref_omega, ref_next, _ = _oracle_step(w, prev, forcing)
             assert omega == ref_omega and np.array_equal(nxt, ref_next)
             prev = nxt
