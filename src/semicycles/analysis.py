@@ -145,13 +145,6 @@ def semicycles(traj: Trajectory, zeros, tol: float = 1e-10
 # windows spanning trajectory and pre-start history
 # ----------------------------------------------------------------------
 
-def _global_sup_tau(problem: DelayProblem) -> float:
-    lo, hi = signal_range(problem.tau, problem.start, math.inf)
-    if lo < -1e-12:
-        raise DomainError(f"delay signal reaches {lo} < 0")
-    return max(0.0, hi)
-
-
 def _global_p_range(problem: DelayProblem) -> tuple:
     return signal_range(problem.p, problem.start, math.inf)
 
@@ -169,7 +162,7 @@ def _data_floor(problem: DelayProblem) -> float:
     deeper than the start − τ_m slice the integrator consults."""
     if problem.history.is_constant():
         return -math.inf
-    return min(problem.start - _global_sup_tau(problem),
+    return min(problem.start - problem.tau_sup(math.inf),
                problem.history.breakpoints[0])
 
 
@@ -225,7 +218,7 @@ def check_ascent(traj: Trajectory, sc: Semicycle, delta: float,
     if problem is None:
         raise NotApplicableError("trajectory carries no problem reference")
     _require_normalized(problem)
-    tau_sup = _global_sup_tau(problem)
+    tau_sup = problem.tau_sup(math.inf)
     if delta + 1e-9 < tau_sup:
         raise NotApplicableError(
             f"delta = {delta} does not bound the delay sup {tau_sup}")
@@ -294,7 +287,7 @@ def classify(problem: DelayProblem, traj: Trajectory, *,
     p_lo, p_hi = _global_p_range(problem)
     p_bound = max(abs(p_lo), abs(p_hi))
     sqrt_p = math.sqrt(p_bound)
-    tau_m = _global_sup_tau(problem)
+    tau_m = problem.tau_sup(math.inf)
     tau_norm = tau_m * sqrt_p
     theta_big = float(semicycle_threshold(tau_norm))
     window_norm = (traj.end - traj.start) * sqrt_p
@@ -354,7 +347,7 @@ def criterion_myshkis(problem: DelayProblem) -> tuple:
     if p_lo < -1e-12:
         raise NotApplicableError(
             f"criterion needs a nonnegative coefficient; min p = {p_lo}")
-    value = _global_sup_tau(problem) * math.sqrt(max(p_hi, 0.0))
+    value = problem.tau_sup(math.inf) * math.sqrt(max(p_hi, 0.0))
     return (value <= _TWO_SQRT2 + 1e-12,
             value < _TWO_SQRT2 - 1e-12,
             value)
@@ -417,7 +410,7 @@ def criterion_gustafson(problem: DelayProblem, horizon: float,
 def criterion_wronskian_2e(problem: DelayProblem) -> tuple:
     """(holds, value) for the no-zeros bound τ_m·√(esssup|p|) ≤ 2/e."""
     p_lo, p_hi = _global_p_range(problem)
-    value = _global_sup_tau(problem) * math.sqrt(max(abs(p_lo), abs(p_hi)))
+    value = problem.tau_sup(math.inf) * math.sqrt(max(abs(p_lo), abs(p_hi)))
     return value <= _TWO_OVER_E + 1e-12, value
 
 
@@ -450,8 +443,8 @@ def verify_comparison(minorant: DelayProblem, majorant: DelayProblem,
     if low_tau[i]:
         raise NotApplicableError(f"majorant delay below minorant at {ts[i]}")
 
-    big_tau = _global_sup_tau(majorant)
-    small_tau = _global_sup_tau(minorant)
+    big_tau = majorant.tau_sup(math.inf)
+    small_tau = minorant.tau_sup(math.inf)
     y0 = majorant.initial_value
     if not y0 > 0.0:
         raise NotApplicableError(f"majorant must start positive, y(0) = {y0}")

@@ -21,9 +21,14 @@ decimal, one header row; floats printed with shortest round-trip repr):
 * harness — one randomized suite; the suite's row schema plus a summary
   line on stderr.  Exits 1 if any instance check failed.
 
+Numeric flags must be finite and positive (non-negative for ``--epsilon``
+and ``--seed``); a bad value is a parse error.  ``main(argv)`` parses and
+runs one invocation; argparse holds every default and every check.
+
 Exit status: 0 on success, 1 on domain/numeric errors (stderr names the
 originating operation), 2 on parse errors (malformed JSON reports line
-and column; bad flags are rejected by argparse).  Outputs are written
+and column; bad flags and values are rejected by argparse, naming the
+flag).  Outputs are written
 atomically (temp file then rename) and are byte-identical across runs
 for a fixed seed and configuration.  ``--jobs N`` fans sweep cells and
 harness instances out to a process pool; assembly stays ordered.
@@ -42,7 +47,6 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -62,59 +66,11 @@ from .repro import (
 from .spectral import char_roots
 from .thresholds import psi, theta
 
-__all__ = ["DEFAULT_SEED", "RunConfig", "emit_threshold_table", "main",
-           "run"]
+__all__ = ["DEFAULT_SEED", "emit_threshold_table", "main", "run"]
 
 # Fixed default seed so unseeded invocations are reproducible; any other
 # value must be passed explicitly via --seed.
 DEFAULT_SEED = 1729
-
-_SUBCOMMANDS = ("thresholds", "simulate", "classify", "spectrum", "repro",
-                "harness")
-
-
-@dataclass
-class RunConfig:
-    """One parsed invocation; only the fields the subcommand reads matter."""
-
-    subcommand: str
-    input_path: str | None = None
-    output_path: str | None = None
-    svg_path: str | None = None
-    delta_range: tuple | None = None
-    rho_range: tuple | None = None
-    grid: int = 4096
-    horizon: float = 30.0
-    step: float = 0.01
-    tol: float = 1e-10
-    seed: int = DEFAULT_SEED
-    delay: float = 1.0
-    sign: int = 1
-    branches: tuple = (0, 1, 2)
-    example: str = "example2"
-    epsilon: float = 0.0
-    periods: int = 3
-    growth_factor: float = 1.5
-    suite: str = "margins"
-    instances: int | None = None
-    jobs: int = 1
-
-    def __post_init__(self):
-        if self.subcommand not in _SUBCOMMANDS:
-            raise DomainError(f"unknown subcommand {self.subcommand!r}")
-        for name in ("grid", "horizon", "step", "tol", "delay",
-                     "growth_factor", "jobs"):
-            if not getattr(self, name) > 0:
-                raise DomainError(f"{name} must be positive, "
-                                  f"got {getattr(self, name)}")
-        if self.epsilon < 0:
-            raise DomainError(f"epsilon must be ≥ 0, got {self.epsilon}")
-        if self.periods < 1:
-            raise DomainError(f"periods must be ≥ 1, got {self.periods}")
-        if self.instances is not None and self.instances < 1:
-            raise DomainError(f"instances must be ≥ 1, got {self.instances}")
-        if self.sign not in (1, -1):
-            raise DomainError(f"sign must be +1 or -1, got {self.sign}")
 
 
 # ----------------------------------------------------------------------
@@ -122,18 +78,16 @@ class RunConfig:
 # ----------------------------------------------------------------------
 
 def _parse_range(text: str) -> tuple:
-    """``LO:HI:STEP`` (or a bare value) → (lo, hi, step)."""
-    parts = text.split(":")
+    """``LO:HI:STEP`` (or a bare value) → (lo, hi, step), all finite."""
+    parts = [float(p) for p in text.split(":")]
     if len(parts) == 1:
-        v = float(parts[0])
-        return (v, v, 1.0)
-    if len(parts) == 3:
-        lo, hi, step = (float(p) for p in parts)
-        if step <= 0 or hi < lo:
-            raise DomainError(f"bad range {text!r}: need LO:HI:STEP with "
-                              f"STEP > 0 and HI ≥ LO")
-        return (lo, hi, step)
-    raise DomainError(f"bad range {text!r}: expected LO:HI:STEP")
+        parts += [parts[0], 1.0]
+    if len(parts) != 3 or not all(map(math.isfinite, parts)) \
+            or not (parts[2] > 0 and parts[1] >= parts[0]):
+        raise argparse.ArgumentTypeError(
+            f"bad range {text!r}: need finite LO:HI:STEP with STEP > 0 "
+            f"and HI ≥ LO")
+    return tuple(parts)
 
 
 def _range_values(rng: tuple) -> tuple:
@@ -152,6 +106,23 @@ def _parse_branches(text: str) -> tuple:
             raise DomainError(f"bad branch range {text!r}")
         return tuple(range(lo, hi + 1))
     return (int(text),)
+
+
+def _positive(kind, zero_ok: bool = False):
+    """argparse ``type=`` for a numeric flag: a finite ``kind`` above zero
+    (at or above zero with ``zero_ok``).  Anything else is a parse error
+    whose message names the flag."""
+    bound = "non-negative" if zero_ok else "positive"
+
+    def convert(text: str):
+        value = kind(text)
+        if not (value > 0 or zero_ok and value == 0) or math.isinf(value):
+            raise argparse.ArgumentTypeError(
+                f"must be finite and {bound}, got {text!r}")
+        return value
+
+    convert.__name__ = kind.__name__    # "invalid float value: 'x'"
+    return convert
 
 
 def _fmt(value) -> str:
@@ -308,76 +279,77 @@ def emit_threshold_table(delta_values, rho_values, out_path: str | None = None,
 # subcommand bodies
 # ----------------------------------------------------------------------
 
-def _cmd_thresholds(cfg: RunConfig) -> int:
-    deltas = _range_values(cfg.delta_range)
-    if cfg.rho_range is not None:
-        emit_threshold_table(deltas, _range_values(cfg.rho_range),
-                             cfg.output_path, cfg.grid, cfg.jobs)
+def _cmd_thresholds(args: argparse.Namespace) -> int:
+    deltas = _range_values(args.delta)
+    if args.rho is not None:
+        emit_threshold_table(deltas, _range_values(args.rho), args.out,
+                             args.grid, args.jobs)
         return 0
-    table = _threshold_table(deltas, (1.0,), cfg.grid, cfg.jobs)
+    table = _threshold_table(deltas, (1.0,), args.grid, args.jobs)
     rows = [(d, table["theta"][i], table["psi"][i][0],
              table["theta"][i] + table["psi"][i][0])
             for i, d in enumerate(table["deltas"])]
-    _emit(cfg.output_path, _csv(("delta", "theta", "psi", "threshold"), rows))
+    _emit(args.out, _csv(("delta", "theta", "psi", "threshold"), rows))
     return 0
 
 
-def _cmd_simulate(cfg: RunConfig) -> int:
-    problem = _load_problem(cfg.input_path)
-    traj = integrate(problem, cfg.horizon, step=cfg.step)
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    problem = _load_problem(args.problem)
+    traj = integrate(problem, args.horizon, step=args.step)
     rows = zip((float(t) for t in traj.ts), (float(x) for x in traj.xs),
                (float(v) for v in traj.vs))
-    _emit(cfg.output_path, _csv(("t", "x", "dx"), rows))
-    if cfg.svg_path is not None:
-        _emit(cfg.svg_path, _svg_polyline(traj))
+    _emit(args.out, _csv(("t", "x", "dx"), rows))
+    if args.svg is not None:
+        _emit(args.svg, _svg_polyline(traj))
     return 0
 
 
-def _cmd_classify(cfg: RunConfig) -> int:
-    problem = _load_problem(cfg.input_path)
-    traj = integrate(problem, cfg.horizon, step=cfg.step)
-    outcome = classify(problem, traj, growth_factor=cfg.growth_factor,
-                       tol=cfg.tol)
+def _cmd_classify(args: argparse.Namespace) -> int:
+    problem = _load_problem(args.problem)
+    traj = integrate(problem, args.horizon, step=args.step)
+    outcome = classify(problem, traj, growth_factor=args.growth_factor,
+                       tol=args.tol)
     doc = {
         "verdict": outcome.verdict,
         "evidence": [list(item) for item in outcome.evidence],
         "semicycles": [{"a": sc.a, "b": sc.b, "w": sc.w, "peak": sc.peak,
                         "sign": sc.sign} for sc in outcome.semicycles],
     }
-    _emit(cfg.output_path, json.dumps(doc, indent=2) + "\n")
+    _emit(args.out, json.dumps(doc, indent=2) + "\n")
     return 0
 
 
-def _cmd_spectrum(cfg: RunConfig) -> int:
-    roots = char_roots(cfg.delay, cfg.sign, cfg.branches)
+def _cmd_spectrum(args: argparse.Namespace) -> int:
+    roots = char_roots(args.delay, 1 if args.sign == "+" else -1,
+                       args.branches)
     rows = []
     for root in roots:
         oscillates = abs(root.value.imag) > 1e-12 * (1.0 + abs(root.value))
         rows.append((root.branch, root.value.real, root.value.imag,
                      root.residual,
                      root.semicycle if oscillates else ""))
-    _emit(cfg.output_path,
+    _emit(args.out,
           _csv(("branch", "re", "im", "residual", "semicycle"), rows))
     return 0
 
 
-def _cmd_repro(cfg: RunConfig) -> int:
-    spec = ExampleSpec(cfg.example, cfg.epsilon, cfg.periods)
+def _cmd_repro(args: argparse.Namespace) -> int:
+    spec = ExampleSpec("sin_pi" if args.example == "sin" else args.example,
+                       args.epsilon, args.periods)
     problem = build_example_problem(spec)
-    traj = integrate(problem, example_horizon(spec), step=cfg.step)
+    traj = integrate(problem, example_horizon(spec), step=args.step)
     rows = []
     for t, x in zip(traj.ts, traj.xs):
         ref = closed_form(spec, float(t))
         rows.append((float(t), ref, float(x), abs(float(x) - ref)))
-    _emit(cfg.output_path, _csv(("t", "closed_form", "integrated", "error"),
-                                rows))
+    _emit(args.out, _csv(("t", "closed_form", "integrated", "error"), rows))
     return 0
 
 
-def _cmd_harness(cfg: RunConfig) -> int:
-    report = run_suite(cfg.suite, seed=cfg.seed, count=cfg.instances,
-                       jobs=cfg.jobs)
-    _emit(cfg.output_path, _csv(report.columns, report.rows))
+def _cmd_harness(args: argparse.Namespace) -> int:
+    report = run_suite(args.suite, seed=args.seed, count=args.instances,
+                       jobs=args.jobs)
+    _emit(args.out, _csv(report.columns, report.rows))
     print(f"suite={report.suite} seed={report.seed} "
           f"instances={report.instances} checked={report.checked} "
           f"failures={report.failures} worst={report.worst!r}",
@@ -422,36 +394,28 @@ def _svg_polyline(traj, width: int = 800, height: int = 320,
 # dispatch
 # ----------------------------------------------------------------------
 
-_HANDLERS = {
-    "thresholds": _cmd_thresholds,
-    "simulate": _cmd_simulate,
-    "classify": _cmd_classify,
-    "spectrum": _cmd_spectrum,
-    "repro": _cmd_repro,
-    "harness": _cmd_harness,
-}
-
-
-def run(config: RunConfig) -> int:
-    """Dispatch one configuration; returns the process exit status."""
+def run(args: argparse.Namespace) -> int:
+    """Run one parsed invocation; returns the process exit status."""
     try:
-        return _HANDLERS[config.subcommand](config)
+        return args.handler(args)
     except json.JSONDecodeError as exc:
-        print(f"semicycles {config.subcommand}: JSON parse error at line "
+        print(f"semicycles {args.subcommand}: JSON parse error at line "
               f"{exc.lineno}, column {exc.colno}: {exc.msg}",
               file=sys.stderr)
         return 2
     except SemicycleError as exc:
-        op = _originating_op(exc) or config.subcommand
-        print(f"semicycles {config.subcommand}: {op}: {exc}",
-              file=sys.stderr)
+        op = _originating_op(exc) or args.subcommand
+        print(f"semicycles {args.subcommand}: {op}: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
-        print(f"semicycles {config.subcommand}: {exc}", file=sys.stderr)
+        print(f"semicycles {args.subcommand}: {exc}", file=sys.stderr)
         return 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's only configuration: every default and every check on a
+    flag's value is written here once."""
+    positive_int, positive_float = _positive(int), _positive(float)
     parser = argparse.ArgumentParser(
         prog="semicycles",
         description="Oscillation thresholds, integration, classification, "
@@ -460,80 +424,62 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     t = sub.add_parser("thresholds", help="threshold table over a grid")
+    t.set_defaults(handler=_cmd_thresholds)
     t.add_argument("--delta", type=_parse_range, required=True,
                    metavar="LO:HI:STEP")
     t.add_argument("--rho", type=_parse_range, metavar="LO:HI:STEP")
-    t.add_argument("--grid", type=int, default=4096)
-    t.add_argument("--jobs", type=int, default=1)
-    t.add_argument("--out", dest="out")
+    t.add_argument("--grid", type=positive_int, default=4096)
+    t.add_argument("--jobs", type=positive_int, default=1)
+    t.add_argument("--out")
 
     s = sub.add_parser("simulate", help="integrate a JSON problem file")
+    s.set_defaults(handler=_cmd_simulate)
     s.add_argument("--problem", required=True, metavar="PATH")
-    s.add_argument("--horizon", type=float, default=30.0)
-    s.add_argument("--step", type=float, default=0.01)
+    s.add_argument("--horizon", type=positive_float, default=30.0)
+    s.add_argument("--step", type=positive_float, default=0.01)
     s.add_argument("--svg", metavar="PATH")
-    s.add_argument("--out", dest="out")
+    s.add_argument("--out")
 
     c = sub.add_parser("classify", help="verdict for a JSON problem file")
+    c.set_defaults(handler=_cmd_classify)
     c.add_argument("--problem", required=True, metavar="PATH")
-    c.add_argument("--horizon", type=float, default=30.0)
-    c.add_argument("--step", type=float, default=0.01)
-    c.add_argument("--growth-factor", type=float, default=1.5)
-    c.add_argument("--tol", type=float, default=1e-10)
-    c.add_argument("--out", dest="out")
+    c.add_argument("--horizon", type=positive_float, default=30.0)
+    c.add_argument("--step", type=positive_float, default=0.01)
+    c.add_argument("--growth-factor", type=positive_float, default=1.5)
+    c.add_argument("--tol", type=positive_float, default=1e-10)
+    c.add_argument("--out")
 
     p = sub.add_parser("spectrum", help="characteristic roots, one delay")
-    p.add_argument("--delay", type=float, required=True)
+    p.set_defaults(handler=_cmd_spectrum)
+    p.add_argument("--delay", type=positive_float, required=True)
     p.add_argument("--sign", choices=("+", "-"), default="+")
     p.add_argument("--branches", type=_parse_branches, default=(0, 1, 2),
                    metavar="N|A..B")
-    p.add_argument("--out", dest="out")
+    p.add_argument("--out")
 
     r = sub.add_parser("repro", help="closed-form benchmark vs. integrator")
+    r.set_defaults(handler=_cmd_repro)
     r.add_argument("example", choices=EXAMPLE_NAMES + ("sin",))
-    r.add_argument("--epsilon", type=float, default=0.0)
-    r.add_argument("--periods", type=int, default=3)
-    r.add_argument("--step", type=float, default=0.005)
-    r.add_argument("--out", dest="out")
+    r.add_argument("--epsilon", type=_positive(float, zero_ok=True),
+                   default=0.0)
+    r.add_argument("--periods", type=positive_int, default=3)
+    r.add_argument("--step", type=positive_float, default=0.005)
+    r.add_argument("--out")
 
     h = sub.add_parser("harness", help="one randomized verification suite")
+    h.set_defaults(handler=_cmd_harness)
     h.add_argument("suite", choices=SUITE_NAMES)
-    h.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    h.add_argument("--instances", type=int)
-    h.add_argument("--jobs", type=int, default=1)
-    h.add_argument("--out", dest="out")
+    h.add_argument("--seed", type=_positive(int, zero_ok=True),
+                   default=DEFAULT_SEED)
+    h.add_argument("--instances", type=positive_int)
+    h.add_argument("--jobs", type=positive_int, default=1)
+    h.add_argument("--out")
 
     return parser
 
 
 def main(argv=None) -> int:
-    ns = _build_parser().parse_args(argv)
-    kwargs = {"subcommand": ns.subcommand, "output_path": ns.out}
-    if ns.subcommand == "thresholds":
-        kwargs.update(delta_range=ns.delta, rho_range=ns.rho, grid=ns.grid,
-                      jobs=ns.jobs)
-    elif ns.subcommand == "simulate":
-        kwargs.update(input_path=ns.problem, horizon=ns.horizon,
-                      step=ns.step, svg_path=ns.svg)
-    elif ns.subcommand == "classify":
-        kwargs.update(input_path=ns.problem, horizon=ns.horizon,
-                      step=ns.step, growth_factor=ns.growth_factor,
-                      tol=ns.tol)
-    elif ns.subcommand == "spectrum":
-        kwargs.update(delay=ns.delay, sign=1 if ns.sign == "+" else -1,
-                      branches=ns.branches)
-    elif ns.subcommand == "repro":
-        kwargs.update(example="sin_pi" if ns.example == "sin" else ns.example,
-                      epsilon=ns.epsilon, periods=ns.periods, step=ns.step)
-    elif ns.subcommand == "harness":
-        kwargs.update(suite=ns.suite, seed=ns.seed, instances=ns.instances,
-                      jobs=ns.jobs)
-    try:
-        config = RunConfig(**kwargs)
-    except SemicycleError as exc:
-        print(f"semicycles: {exc}", file=sys.stderr)
-        return 2
-    return run(config)
+    return run(_build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -47,9 +47,6 @@ __all__ = [
     "SUITE_NAMES",
 ]
 
-SUITE_NAMES = ("decay", "margins", "comparison", "wronskian")
-
-
 @dataclass(frozen=True)
 class HarnessReport:
     """Outcome of one randomized suite run."""
@@ -200,7 +197,7 @@ def _margin_instance(idx: int, rng) -> tuple:
         arcs = semicycles(traj, find_zeros(traj))
     except (DomainError, ResolutionError):
         return [], 0, 0, []
-    tau_m = signal_range(problem.tau, 0.0, math.inf)[1]
+    tau_m = problem.tau_sup(math.inf)
     rows, checked, failures, margins = [], 0, 0, []
     for sc in arcs:
         for kind, check in (("descent",
@@ -314,20 +311,20 @@ def _wronskian_instance(idx: int, rng) -> tuple:
 # dispatch: serial or worker-pool execution, ordered assembly
 # ----------------------------------------------------------------------
 
-_INSTANCE_FNS = {"decay": _decay_instance, "margins": _margin_instance,
-                 "comparison": _comparison_instance,
-                 "wronskian": _wronskian_instance}
-_DEFAULT_COUNTS = {"decay": 50, "margins": 200, "comparison": 200,
-                   "wronskian": 100}
-_COLUMNS = {
-    "decay": ("index", "delay", "branch", "re", "im", "stride", "rho"),
-    "margins": ("index", "kind", "left_zero", "right_zero", "margin"),
-    "comparison": ("index", "violation"),
-    "wronskian": ("index", "p_sup", "tau_bound", "min_wronskian"),
+# suite -> (instance function, default count, row columns, whether the
+# worst metric is the minimum: margins and wronskian fail from below,
+# decay and comparison from above)
+_SUITES = {
+    "decay": (_decay_instance, 50,
+              ("index", "delay", "branch", "re", "im", "stride", "rho"),
+              False),
+    "margins": (_margin_instance, 200,
+                ("index", "kind", "left_zero", "right_zero", "margin"), True),
+    "comparison": (_comparison_instance, 200, ("index", "violation"), False),
+    "wronskian": (_wronskian_instance, 100,
+                  ("index", "p_sup", "tau_bound", "min_wronskian"), True),
 }
-# margins and wronskian fail from below; decay and comparison from above
-_WORST_IS_MIN = {"decay": False, "margins": True, "comparison": False,
-                 "wronskian": True}
+SUITE_NAMES = tuple(_SUITES)
 
 
 def _run_one(task: tuple) -> tuple:
@@ -338,7 +335,7 @@ def _run_one(task: tuple) -> tuple:
     """
     suite, seed, idx = task
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(idx,)))
-    return _INSTANCE_FNS[suite](idx, rng)
+    return _SUITES[suite][0](idx, rng)
 
 
 def _execute(suite: str, seed: int, count: int, jobs: int) -> HarnessReport:
@@ -359,19 +356,25 @@ def _execute(suite: str, seed: int, count: int, jobs: int) -> HarnessReport:
         checked += ch
         failures += fails
         metrics.extend(ms)
+    _, _, columns, worst_is_min = _SUITES[suite]
     if metrics:
-        worst = min(metrics) if _WORST_IS_MIN[suite] else max(metrics)
+        worst = min(metrics) if worst_is_min else max(metrics)
     else:
         worst = math.nan
     return HarnessReport(suite, seed, count, checked, failures, worst,
-                         _COLUMNS[suite], tuple(rows))
+                         columns, tuple(rows))
 
 
 def run_suite(suite: str, seed: int = 0, count: int | None = None,
               jobs: int = 1) -> HarnessReport:
-    """Dispatch by suite name with each suite's default instance count."""
-    if suite not in _DEFAULT_COUNTS:
+    """Dispatch by suite name with each suite's default instance count;
+    at least one instance and a non-negative seed."""
+    if suite not in _SUITES:
         raise DomainError(f"unknown suite {suite!r}; pick from "
                           f"{', '.join(SUITE_NAMES)}")
-    n = _DEFAULT_COUNTS[suite] if count is None else count
+    n = _SUITES[suite][1] if count is None else count
+    if n < 1:
+        raise DomainError(f"suite {suite} needs count ≥ 1, got {n}")
+    if seed < 0:
+        raise DomainError(f"suite seed must be ≥ 0, got {seed}")
     return _execute(suite, seed, n, jobs)

@@ -49,6 +49,7 @@ Two conventions matter and are deliberate:
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -101,7 +102,8 @@ class DelayProblem:
         """Essential supremum of the delay over [start, horizon]."""
         lo, hi = signal_range(self.tau, self.start, horizon)
         if lo < -1e-12:
-            raise DomainError(f"delay signal reaches {lo} < 0 on the horizon")
+            raise DomainError(f"delay signal reaches {lo} < 0 on "
+                              f"[{self.start}, {horizon}]")
         return max(0.0, hi)
 
 
@@ -709,12 +711,20 @@ def zero_crossings(traj: Trajectory, tol: float = 1e-10) -> list[tuple]:
     # tangential touches: extrema sitting on zero at resolution scale
     extrema = extremum_events(traj, tol)
     heights = np.abs(traj.sample(np.asarray(extrema))).tolist()
-    for t, height, floor in zip(extrema, heights,
-                                _abs_max_so_far(traj, traj.xs, extrema)):
-        if height < 1e-11 * floor and not any(abs(t - z) <= 10 * tol
-                                              for z, _ in zeros):
-            zeros.append((t, True))
-    zeros.sort()
+    for i, (t, height, floor) in enumerate(zip(
+            extrema, heights, _abs_max_so_far(traj, traj.xs, extrema))):
+        if height >= 1e-11 * floor or any(abs(t - z) <= 10 * tol
+                                          for z, _ in zeros):
+            continue
+        k = bisect.bisect(zeros, t, key=lambda z: z[0])
+        # the only extremum between two sign changes: the arc they bound is
+        # rounding noise around the touch, which is the one zero there
+        if (0 < k < len(zeros) and not (zeros[k - 1][1] or zeros[k][1])
+                and (i == 0 or extrema[i - 1] < zeros[k - 1][0])
+                and (i + 1 == len(extrema) or extrema[i + 1] > zeros[k][0])):
+            k -= 1
+            del zeros[k:k + 2]
+        zeros.insert(k, (t, True))
     return zeros
 
 

@@ -3,13 +3,16 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from semicycles import cli
 from semicycles.analysis import Classification
-from semicycles.cli import DEFAULT_SEED, RunConfig, main
-from semicycles.errors import DomainError
+from semicycles.cli import DEFAULT_SEED, main
 from semicycles.integrator import problem_to_dict
 from semicycles.repro import ExampleSpec, build_example_problem
 
@@ -308,14 +311,47 @@ def test_harness_reruns_and_jobs_are_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes() == c.read_bytes()
 
 
-def test_runconfig_validates_numerics():
-    with pytest.raises(DomainError):
-        RunConfig(subcommand="simulate", step=-0.01)
-    with pytest.raises(DomainError):
-        RunConfig(subcommand="nonsense")
-    with pytest.raises(DomainError):
-        RunConfig(subcommand="repro", periods=0)
-    assert RunConfig(subcommand="harness").seed == DEFAULT_SEED
+@pytest.mark.parametrize("argv, flag", [
+    (["repro", "example2", "--step", "-0.01"], "--step"),
+    (["repro", "example2", "--periods", "0"], "--periods"),
+    (["thresholds", "--delta", "0", "--grid", "0"], "--grid"),
+    (["harness", "decay", "--instances", "0"], "--instances"),
+    (["harness", "decay", "--jobs", "0"], "--jobs"),
+    (["repro", "example2", "--epsilon", "-1"], "--epsilon"),
+    (["harness", "margins", "--seed", "-1"], "--seed"),
+    (["classify", "--problem", "p.json", "--tol", "nan"], "--tol"),
+    (["spectrum", "--delay", "inf"], "--delay"),
+    (["thresholds", "--delta", "nan"], "--delta"),
+    (["thresholds", "--delta", "0:inf:1"], "--delta"),
+    (["nonsense"], "subcommand"),
+], ids=["negative_step", "zero_periods", "zero_grid", "zero_instances",
+        "zero_jobs", "negative_epsilon", "negative_seed", "nan_tol",
+        "inf_delay", "nan_delta", "inf_range", "unknown_subcommand"])
+def test_rejected_value_is_a_parse_error_naming_the_flag(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}" in err and "Traceback" not in err
+
+
+def test_parser_holds_the_defaults():
+    args = cli._build_parser().parse_args(["harness", "margins"])
+    assert args.seed == DEFAULT_SEED and args.instances is None
+    assert args.handler is cli._cmd_harness
+
+
+def test_module_entry_point_matches_main(capsys):
+    argv = ["spectrum", "--delay", "1"]
+    assert main(argv) == 0
+    in_process = capsys.readouterr().out.encode()
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-m", "semicycles", *argv],
+                          env=env, capture_output=True)
+    assert done.returncode == 0
+    assert done.stdout == in_process
 
 
 def test_repro_accepts_sin_alias(tmp_path):

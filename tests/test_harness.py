@@ -82,3 +82,13 @@ def test_unknown_suite_rejected():
         run_suite("nonexistent", seed=0)
     assert set(SUITE_NAMES) == {"decay", "margins", "comparison",
                                 "wronskian"}
+
+
+@pytest.mark.parametrize("kwargs", [{"count": 0}, {"count": -3},
+                                    {"seed": -1, "count": 2}],
+                         ids=["zero_count", "negative_count",
+                              "negative_seed"])
+def test_suite_without_instances_or_with_negative_seed_rejected(kwargs):
+    # an empty run would pass vacuously; numpy refuses a negative seed
+    with pytest.raises(DomainError):
+        run_suite("comparison", **{"seed": 0, **kwargs})

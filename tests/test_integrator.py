@@ -22,6 +22,7 @@ from semicycles import (
     wronskian,
     zero_crossings,
 )
+from semicycles.analysis import find_zeros, semicycles
 from semicycles.errors import HistoryDomainError, SemicycleError
 from semicycles import integrator
 from semicycles.harness import eigenmode_problem, mode_mixture_problem
@@ -182,6 +183,18 @@ def test_degenerate_touch_flagged_at_fine_step():
     [(t, degenerate)] = zero_crossings(traj)
     assert degenerate
     assert abs(t - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("step", [2e-4, 1e-4])
+def test_touch_with_rounding_dip_is_one_zero(step):
+    # rounding dips x below zero on either side of the touch: the two sign
+    # changes bound an arc with no node inside, which is not a semicycle
+    prob = _const_problem(-1.0, 10.0, 2.0, 1.0, -2.0)
+    traj = integrate(prob, 2.0, step=step)
+    [(t, degenerate)] = zero_crossings(traj)
+    assert degenerate
+    assert abs(t - 1.0) < 1e-6
+    assert semicycles(traj, find_zeros(traj)) == []
 
 
 def test_validation_errors():
