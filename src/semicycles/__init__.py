@@ -1,136 +1,38 @@
 """Numerical toolkit for oscillation thresholds and semicycle analysis of
-second-order delay differential equations x″(t) + p(t)·x(t−τ(t)) = 0."""
+second-order delay differential equations x″(t) + p(t)·x(t−τ(t)) = 0.
 
-from .errors import (
-    DomainError,
-    HistoryDomainError,
-    InsufficientWindowError,
-    IterationLimitError,
-    NotApplicableError,
-    ResolutionError,
-    SemicycleError,
-    ShootingError,
+The package exports every name in the ``__all__`` of its eight library
+modules, and ``__version__``; the CLI lives in ``semicycles.cli``."""
+
+from . import (
+    analysis,
+    errors,
+    harness,
+    integrator,
+    repro,
+    signals,
+    spectral,
+    thresholds,
 )
-from .signals import (
-    PiecewiseSignal,
-    signal_from_dict,
-    signal_range,
-    signal_to_dict,
-)
-from .thresholds import (
-    ThresholdResult,
-    beta_iterate,
-    eval_r,
-    gamma_constant,
-    psi,
-    psi_oracle_bvp,
-    semicycle_threshold,
-    theta,
-)
-from .integrator import (
-    DelayProblem,
-    Event,
-    Trajectory,
-    extremum_events,
-    fundamental_system,
-    integrate,
-    problem_from_dict,
-    problem_to_dict,
-    rescale,
-    wronskian,
-    zero_crossings,
-)
-from .analysis import (
-    Classification,
-    Semicycle,
-    check_ascent,
-    check_descent,
-    classify,
-    criterion_gustafson,
-    criterion_myshkis,
-    criterion_wronskian_2e,
-    envelope_decay_ratio,
-    find_zeros,
-    semicycles,
-    verify_comparison,
-    wronskian_min,
-)
-from .spectral import CharRoot, char_roots, eigen_semicycle, lambert_w
-from .repro import (
-    EXAMPLE_NAMES,
-    ExampleSpec,
-    build_example_problem,
-    closed_form,
-    example_horizon,
-)
-from .harness import (
-    SUITE_NAMES,
-    HarnessReport,
-    eigenmode_problem,
-    mode_mixture_problem,
-    run_suite,
-)
+from .errors import *  # noqa: F401,F403
+from .signals import *  # noqa: F401,F403
+from .thresholds import *  # noqa: F401,F403
+from .integrator import *  # noqa: F401,F403
+from .analysis import *  # noqa: F401,F403
+from .spectral import *  # noqa: F401,F403
+from .repro import *  # noqa: F401,F403
+from .harness import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DomainError",
-    "HistoryDomainError",
-    "InsufficientWindowError",
-    "IterationLimitError",
-    "NotApplicableError",
-    "ResolutionError",
-    "SemicycleError",
-    "ShootingError",
-    "PiecewiseSignal",
-    "signal_from_dict",
-    "signal_range",
-    "signal_to_dict",
-    "ThresholdResult",
-    "beta_iterate",
-    "eval_r",
-    "gamma_constant",
-    "psi",
-    "psi_oracle_bvp",
-    "semicycle_threshold",
-    "theta",
-    "DelayProblem",
-    "Event",
-    "Trajectory",
-    "extremum_events",
-    "fundamental_system",
-    "integrate",
-    "problem_from_dict",
-    "problem_to_dict",
-    "rescale",
-    "wronskian",
-    "zero_crossings",
-    "Classification",
-    "Semicycle",
-    "check_ascent",
-    "check_descent",
-    "classify",
-    "criterion_gustafson",
-    "criterion_myshkis",
-    "criterion_wronskian_2e",
-    "envelope_decay_ratio",
-    "find_zeros",
-    "semicycles",
-    "verify_comparison",
-    "wronskian_min",
-    "CharRoot",
-    "char_roots",
-    "eigen_semicycle",
-    "lambert_w",
-    "EXAMPLE_NAMES",
-    "ExampleSpec",
-    "build_example_problem",
-    "closed_form",
-    "example_horizon",
-    "SUITE_NAMES",
-    "HarnessReport",
-    "eigenmode_problem",
-    "mode_mixture_problem",
-    "run_suite",
+    *errors.__all__,
+    *signals.__all__,
+    *thresholds.__all__,
+    *integrator.__all__,
+    *analysis.__all__,
+    *spectral.__all__,
+    *repro.__all__,
+    *harness.__all__,
     "__version__",
 ]

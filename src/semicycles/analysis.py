@@ -51,18 +51,11 @@ __all__ = [
     "criterion_gustafson",
     "criterion_wronskian_2e",
     "verify_comparison",
+    "wronskian_min",
 ]
 
 _TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 _TWO_OVER_E = 2.0 / math.e
-_gamma_memo: float | None = None
-
-
-def _gamma() -> float:
-    global _gamma_memo
-    if _gamma_memo is None:
-        _gamma_memo = gamma_constant()
-    return _gamma_memo
 
 
 @dataclass(frozen=True)
@@ -185,8 +178,6 @@ def check_descent(traj: Trajectory, sc: Semicycle, tau_m: float
     [w − τ_m − ϑ, w] window; anything else raises NotApplicableError.
     """
     problem = traj.problem
-    if problem is None:
-        raise NotApplicableError("trajectory carries no problem reference")
     _require_normalized(problem)
     if not tau_m >= 0.0:
         raise DomainError(f"tau_m must be ≥ 0, got {tau_m}")
@@ -206,17 +197,13 @@ def check_descent(traj: Trajectory, sc: Semicycle, tau_m: float
     return margin >= -1e-3, margin
 
 
-def check_ascent(traj: Trajectory, sc: Semicycle, delta: float,
-                 rho_hat: float | None = None) -> tuple:
+def check_ascent(traj: Trajectory, sc: Semicycle, delta: float) -> tuple:
     """(satisfied, margin) for the ascent bound w − a ≥ Ψ(ρ̂, Δ).
 
     ρ̂ is the pre-window max of |x| over [a − Δ − ϑ_Δ, a] relative to the
-    semicycle peak; it is computed here when not supplied and cross-checked
-    when it is. Δ must bound the delay.
+    semicycle peak. Δ must bound the delay.
     """
     problem = traj.problem
-    if problem is None:
-        raise NotApplicableError("trajectory carries no problem reference")
     _require_normalized(problem)
     tau_sup = problem.tau_sup(math.inf)
     if delta + 1e-9 < tau_sup:
@@ -229,13 +216,7 @@ def check_ascent(traj: Trajectory, sc: Semicycle, delta: float,
         raise NotApplicableError(
             f"pre-window [{lo}, {sc.a}] reaches below the history floor "
             f"{floor}")
-    computed = _window_abs_max(traj, problem, lo, sc.a) / sc.peak
-    if rho_hat is None:
-        rho_hat = computed
-    elif abs(rho_hat - computed) > 1e-3 * max(1.0, computed):
-        raise NotApplicableError(
-            f"supplied rho_hat = {rho_hat} disagrees with the window "
-            f"value {computed}")
+    rho_hat = _window_abs_max(traj, problem, lo, sc.a) / sc.peak
     margin = (sc.w - sc.a) - psi(max(rho_hat, 1e-9), delta)
     return margin >= -1e-3, margin
 
@@ -322,7 +303,7 @@ def classify(problem: DelayProblem, traj: Trajectory, *,
     if length_norm <= theta_big + 1e-9 and tau_norm > 1e-12:
         return Classification("bounded_certified", tuple(evidence), arcs)
     if p_hi <= 1e-12:
-        gamma = _gamma()
+        gamma = gamma_constant()
         evidence.append(("negative_coefficient_delay", tau_norm, gamma))
         if gamma - tau_norm > 1e-9:
             return Classification("tends_to_zero_certified",
@@ -381,19 +362,18 @@ def _weighted_abs_integral(p: PiecewiseSignal, a: float, lo: float,
     return total
 
 
-def criterion_gustafson(problem: DelayProblem, horizon: float,
-                        grid_points: int = 801) -> tuple:
+def criterion_gustafson(problem: DelayProblem, horizon: float) -> tuple:
     """(holds, sup_value) for sup_t ∫_{t−τ}^{t}(s−t+τ(t))|p(s)|ds > 1.
 
     Needs p ≤ 0 and a nondecreasing delayed argument t − τ(t); the sup is
-    taken over a finite grid on [start, horizon] — a surrogate for the
-    limsup, reported as such, never a certificate.
+    taken over 801 evenly spaced points of [start, horizon] — a surrogate
+    for the limsup, reported as such, never a certificate.
     """
     p_lo, p_hi = _global_p_range(problem)
     if p_hi > 1e-12:
         raise NotApplicableError(
             f"criterion needs a nonpositive coefficient; max p = {p_hi}")
-    ts = np.linspace(problem.start, horizon, grid_points)
+    ts = np.linspace(problem.start, horizon, 801)
     lags = ts - problem.tau(ts)
     scale = max(1.0, abs(problem.start), abs(horizon))
     if np.diff(lags).min(initial=0.0) < -1e-9 * scale:
@@ -419,14 +399,15 @@ def criterion_wronskian_2e(problem: DelayProblem) -> tuple:
 # ----------------------------------------------------------------------
 
 def verify_comparison(minorant: DelayProblem, majorant: DelayProblem,
-                      horizon: float, step: float = 0.01) -> tuple:
+                      horizon: float) -> tuple:
     """(ok, worst_violation) for the ratio comparison z/z(0) ≥ y/y(0).
 
     The majorant y must have P ≥ |p| and T ≥ τ, positive nonincreasing
     initial data, and the minorant data must satisfy |z(t)/z(0)| ≤ y(t)/y(0)
     on [s−τ_m, s] (slope condition instead when τ_m = 0). Violated
-    hypotheses raise NotApplicableError. The comparison runs up to y's
-    first zero; worst_violation is 0 when the conclusion never fails.
+    hypotheses raise NotApplicableError. Both are integrated at step 0.01
+    and compared up to y's first zero; worst_violation is 0 when the
+    conclusion never fails.
     """
     s = minorant.start
     if abs(majorant.start - s) > 1e-12:
@@ -479,8 +460,8 @@ def verify_comparison(minorant: DelayProblem, majorant: DelayProblem,
             raise NotApplicableError(
                 "zero-delay comparison needs z′(0)/z(0) ≥ y′(0)/y(0)")
 
-    z_traj = integrate(minorant, horizon, step)
-    y_traj = integrate(majorant, horizon, step)
+    z_traj = integrate(minorant, horizon, 0.01)
+    y_traj = integrate(majorant, horizon, 0.01)
     y_zeros = find_zeros(y_traj)
     t_end = y_zeros[0][0] if y_zeros else horizon
     if t_end <= s:
@@ -496,10 +477,10 @@ def verify_comparison(minorant: DelayProblem, majorant: DelayProblem,
 # Wronskian positivity helper (2/e regime)
 # ----------------------------------------------------------------------
 
-def wronskian_min(problem: DelayProblem, horizon: float,
-                  step: float = 0.02, samples: int = 400) -> float:
-    """min W(t) of the fundamental system over [start, horizon]."""
+def wronskian_min(problem: DelayProblem, horizon: float) -> float:
+    """min W(t) of the fundamental system (integrated at step 0.02) over
+    400 evenly spaced points of [start, horizon]."""
     z, y = fundamental_system(problem.p, problem.tau, problem.start,
-                              horizon, step)
-    ts = np.linspace(problem.start, horizon, samples)
+                              horizon, 0.02)
+    ts = np.linspace(problem.start, horizon, 400)
     return float(wronskian(z, y, ts).min())

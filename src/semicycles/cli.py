@@ -99,13 +99,18 @@ def _range_values(rng: tuple) -> tuple:
 
 
 def _parse_branches(text: str) -> tuple:
-    if ".." in text:
-        a, b = text.split("..", 1)
-        lo, hi = int(a), int(b)
+    """``N`` or ``A..B`` (integers, A ≤ B) → the branch indices."""
+    a, dots, b = text.partition("..")
+    try:
+        lo = int(a)
+        hi = int(b) if dots else lo
         if hi < lo:
-            raise DomainError(f"bad branch range {text!r}")
-        return tuple(range(lo, hi + 1))
-    return (int(text),)
+            raise ValueError
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"bad branches {text!r}: need an integer N or a range A..B of "
+            f"integers with A ≤ B") from None
+    return tuple(range(lo, hi + 1))
 
 
 def _positive(kind, zero_ok: bool = False):
@@ -217,8 +222,8 @@ def _cached_table(path: Path, deltas: tuple, rhos: tuple,
     return None
 
 
-def _threshold_table(delta_values, rho_values, grid_size: int = 4096,
-                     jobs: int = 1) -> dict:
+def _threshold_table(delta_values, rho_values, grid_size: int,
+                     jobs: int) -> dict:
     """ϑ(Δ) and Ψ(ρ, Δ) over a grid, cached on disk keyed by (version,
     algorithm, deltas, rhos, grid).  A hit replays the stored values
     exactly: JSON round-trips doubles losslessly, so emission bytes match

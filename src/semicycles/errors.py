@@ -6,6 +6,17 @@ CLI's exit-code mapping) can distinguish domain failures from bugs.
 
 from __future__ import annotations
 
+__all__ = [
+    "SemicycleError",
+    "DomainError",
+    "IterationLimitError",
+    "ShootingError",
+    "HistoryDomainError",
+    "ResolutionError",
+    "InsufficientWindowError",
+    "NotApplicableError",
+]
+
 
 class SemicycleError(Exception):
     """Base class for all deliberate failures raised by this package."""

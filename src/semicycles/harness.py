@@ -47,6 +47,9 @@ __all__ = [
     "SUITE_NAMES",
 ]
 
+_MODE_DEGREE = 20  # Taylor degree of each history segment
+
+
 @dataclass(frozen=True)
 class HarnessReport:
     """Outcome of one randomized suite run."""
@@ -69,14 +72,13 @@ class HarnessReport:
 # eigenmode initial data
 # ----------------------------------------------------------------------
 
-def mode_mixture_problem(c: float, sign: int, terms,
-                         degree: int = 20) -> DelayProblem:
+def mode_mixture_problem(c: float, sign: int, terms) -> DelayProblem:
     """Constant-delay problem started on Σ_k A_k·Re(e^{iφ_k} e^{λ_k t}).
 
     ``terms`` is a sequence of (root, amplitude, phase) triples whose roots
     must all belong to the characteristic function for this (c, sign). The
-    history on [−c, 0] is a piecewise Taylor expansion, segment width
-    min(0.3, 2.5/max|λ|) so degree-20 tails sit below 1e−10.
+    history on [−c, 0] is a piecewise degree-20 Taylor expansion, segment
+    width min(0.3, 2.5/max|λ|) so the tails sit below 1e−10.
     """
     if not c > 0.0:
         raise DomainError(f"delay must be positive, got {c}")
@@ -91,11 +93,11 @@ def mode_mixture_problem(c: float, sign: int, terms,
     bps = np.linspace(-c, 0.0, n_seg + 1)
     segments = []
     for t0 in bps[:-1]:
-        coeffs = np.zeros(degree + 1)
+        coeffs = np.zeros(_MODE_DEGREE + 1)
         for root, amp, phase in terms:
             lam = root.value
             term = amp * np.exp(1j * phase) * np.exp(lam * t0)
-            for k in range(degree + 1):
+            for k in range(_MODE_DEGREE + 1):
                 coeffs[k] += term.real
                 term = term * lam / (k + 1)
         segments.append(tuple(float(v) for v in coeffs))
@@ -116,11 +118,10 @@ def mode_mixture_problem(c: float, sign: int, terms,
     )
 
 
-def eigenmode_problem(c: float, root: CharRoot, phase: float = 0.0,
-                      degree: int = 20) -> DelayProblem:
+def eigenmode_problem(c: float, root: CharRoot, phase: float = 0.0
+                      ) -> DelayProblem:
     """Single-mode start Re(e^{iφ} e^{λt}); see mode_mixture_problem."""
-    return mode_mixture_problem(c, root.sign, ((root, 1.0, phase),),
-                                degree=degree)
+    return mode_mixture_problem(c, root.sign, ((root, 1.0, phase),))
 
 
 def _decay_instance(idx: int, rng) -> tuple:
@@ -128,7 +129,7 @@ def _decay_instance(idx: int, rng) -> tuple:
     for _ in range(40):
         c = float(rng.uniform(2.8, 5.2))
         cap = semicycle_threshold(c) - 0.051
-        pool = [r for r in char_roots(c, 1, 3)
+        pool = [r for r in char_roots(c, 1, range(4))
                 if -0.6 <= r.value.real <= -0.05
                 and abs(r.value.imag) > 1e-9
                 and r.semicycle <= cap]
@@ -303,7 +304,7 @@ def _wronskian_instance(idx: int, rng) -> tuple:
     problem = DelayProblem(p=p, tau=tau, start=0.0,
                            history=PiecewiseSignal.constant(0.0),
                            initial_value=0.0, initial_slope=0.0)
-    min_w = wronskian_min(problem, 50.0, step=0.02)
+    min_w = wronskian_min(problem, 50.0)
     return [(idx, p_sup, tau_m, min_w)], 1, 0 if min_w > 0.0 else 1, [min_w]
 
 

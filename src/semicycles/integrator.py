@@ -74,6 +74,8 @@ __all__ = [
     "wronskian",
     "problem_from_dict",
     "problem_to_dict",
+    "zero_crossings",
+    "extremum_events",
 ]
 
 
@@ -145,12 +147,13 @@ class Event:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Dense numerical solution: nodes plus per-step cubic Hermite output."""
+    """Dense numerical solution: nodes plus per-step cubic Hermite output,
+    and the problem it solves."""
 
     ts: np.ndarray
     xs: np.ndarray
     vs: np.ndarray
-    problem: DelayProblem | None = field(default=None, repr=False)
+    problem: DelayProblem = field(repr=False)
 
     def __post_init__(self):
         for name in ("ts", "xs", "vs"):

@@ -40,7 +40,6 @@ __all__ = [
 ]
 
 SQRT2 = math.sqrt(2.0)
-EXAMPLE_NAMES = ("example2", "example3", "sin_pi")
 
 
 @dataclass(frozen=True)
@@ -105,23 +104,6 @@ def example3_closed_form(epsilon: float, t: float) -> float:
         return lead * (1.0 + 0.5 * epsilon ** 2 - 0.5 * w ** 2 + epsilon * w)
     w = u - SQRT2 - 2.0 * epsilon
     return lead * (1.0 + epsilon ** 2) * (1.0 - 0.5 * w ** 2)
-
-
-def closed_form(spec: ExampleSpec, t: float) -> float:
-    if spec.which == "example2":
-        return example2_closed_form(spec.epsilon, t)
-    if spec.which == "example3":
-        return example3_closed_form(spec.epsilon, t)
-    return math.sin(t)
-
-
-def example_horizon(spec: ExampleSpec) -> float:
-    """End of the last requested period block."""
-    if spec.which == "example2":
-        return spec.periods * _period2(spec.epsilon)
-    if spec.which == "example3":
-        return spec.periods * _period3(spec.epsilon)
-    return spec.periods * 2.0 * math.pi
 
 
 def _example2_problem(epsilon: float, periods: int) -> DelayProblem:
@@ -189,7 +171,7 @@ def _sin_history(degree: int = 25) -> PiecewiseSignal:
     return PiecewiseSignal((-math.pi, 0.0), (tuple(coeffs),), 0.0, 0.0)
 
 
-def _sin_pi_problem() -> DelayProblem:
+def _sin_pi_problem(epsilon: float, periods: int) -> DelayProblem:
     return DelayProblem(
         p=PiecewiseSignal.constant(-1.0),
         tau=PiecewiseSignal.constant(math.pi),
@@ -200,10 +182,26 @@ def _sin_pi_problem() -> DelayProblem:
     )
 
 
+# name -> (closed form (ε, t), period (ε), problem builder (ε, periods));
+# sin_pi has no ε and one problem for any number of periods
+_EXAMPLES = {
+    "example2": (example2_closed_form, _period2, _example2_problem),
+    "example3": (example3_closed_form, _period3, _example3_problem),
+    "sin_pi": (lambda epsilon, t: math.sin(t), lambda epsilon: 2.0 * math.pi,
+               _sin_pi_problem),
+}
+EXAMPLE_NAMES = tuple(_EXAMPLES)
+
+
+def closed_form(spec: ExampleSpec, t: float) -> float:
+    return _EXAMPLES[spec.which][0](spec.epsilon, t)
+
+
+def example_horizon(spec: ExampleSpec) -> float:
+    """End of the last requested period block."""
+    return spec.periods * _EXAMPLES[spec.which][1](spec.epsilon)
+
+
 def build_example_problem(spec: ExampleSpec) -> DelayProblem:
     """Signals and initial data exactly as the closed forms presume."""
-    if spec.which == "example2":
-        return _example2_problem(spec.epsilon, spec.periods)
-    if spec.which == "example3":
-        return _example3_problem(spec.epsilon, spec.periods)
-    return _sin_pi_problem()
+    return _EXAMPLES[spec.which][2](spec.epsilon, spec.periods)

@@ -59,24 +59,24 @@ def _poly_derivative(coeffs):
 _LOG_EPS = math.log(np.finfo(float).eps)
 
 
-def _trim_for_roots(coeffs, span: float | None = None) -> list:
+def _trim_for_roots(coeffs, span: float) -> list:
     """Drop leading coefficients that np.roots must not see: zeros; leads so
     small relative to the rest that the companion-matrix ratios would
     overflow (a subnormal lead puts its root at ~1e300, outside any finite
-    window anyway); and, when a window |u| ≤ span is given, leads whose term
-    stays below float precision of the largest other term there, which only
-    add huge spurious roots and can cost np.roots the real ones inside the
-    window.  Term sizes are compared as logarithms, so a wide window cannot
-    overflow them."""
+    window anyway); and leads whose term stays below float precision of the
+    largest other term on the window |u| ≤ span, which only add huge
+    spurious roots and can cost np.roots the real ones inside the window.
+    Term sizes are compared as logarithms, so a wide window cannot overflow
+    them."""
     out = list(coeffs)
-    log_span = None if span is None else math.log(span)
+    log_span = math.log(span)
     while len(out) > 1:
         lead = abs(out[-1])
         rest = max(abs(c) for c in out[:-1])
         if lead == 0.0 or rest > lead * 1e306:
             out.pop()
             continue
-        if log_span is None or rest == 0.0:
+        if rest == 0.0:
             break
         largest = max(math.log(abs(c)) + k * log_span
                       for k, c in enumerate(out[:-1]) if c != 0.0)
@@ -251,9 +251,6 @@ def signal_range(sig: PiecewiseSignal, lo: float, hi: float) -> tuple:
         if s_lo < s_hi:
             cands.extend(_poly_extrema_values(seg, s_lo - bps[i],
                                               s_hi - bps[i]))
-    if not cands:  # interval is a sliver between the same pair of breakpoints
-        v = sig(0.5 * (lo + hi))
-        cands.append(v)
     return (min(cands), max(cands))
 
 

@@ -111,30 +111,37 @@ def _newton_polish(lam: complex, c: float, sign: int) -> complex:
 
 
 def char_roots(c: float, sign: int, branches) -> list[CharRoot]:
-    """Characteristic roots over the requested Lambert-W branches.
+    """Characteristic roots over an iterable of Lambert-W branch indices.
 
     Roots come in conjugate pairs; one representative with Im λ ≥ 0 is
-    emitted per pair (the conjugate's residual is asserted too). Output is
-    sorted by |Im λ| then branch, deterministically.
+    emitted per pair. Both terms of λ² ± e^{−cλ} have size |λ|² at a root,
+    so a root is accepted when its residual and its conjugate's are at most
+    1e−10·max(1, |λ|²); anything else, NaN or an overflow included, raises
+    IterationLimitError naming the branch and c. Output is sorted by |Im λ|
+    then branch, deterministically.
     """
     if not c > 0.0:
         raise DomainError(f"delay must be positive, got {c}")
     if sign not in (1, -1):
         raise DomainError(f"sign must be +1 or −1, got {sign}")
-    if isinstance(branches, int):
-        branches = range(branches + 1)
     found: list[CharRoot] = []
     for n in branches:
         for inner in (1.0, -1.0):
             z = inner * (0.5j * c) if sign == 1 else inner * (0.5 * c)
-            u = lambert_w(n, z)
-            lam = 2.0 * u / c
-            lam = _newton_polish(lam, c, sign)
-            if lam.imag < 0.0:
-                lam = lam.conjugate()
-            res = abs(_char_residual(lam, c, sign))
-            res_conj = abs(_char_residual(lam.conjugate(), c, sign))
-            if max(res, res_conj) > 1e-10:
+            try:
+                lam = _newton_polish(2.0 * lambert_w(n, z) / c, c, sign)
+                if lam.imag < 0.0:
+                    lam = lam.conjugate()
+                res = abs(_char_residual(lam, c, sign))
+                res_conj = abs(_char_residual(lam.conjugate(), c, sign))
+                size = abs(lam)
+            except OverflowError as exc:
+                raise IterationLimitError(
+                    f"root polish overflowed ({exc}) at branch {n}, "
+                    f"c = {c}") from exc
+            bound = 1e-10 * max(1.0, size * size)
+            # negated so that a NaN residual fails too
+            if not (res <= bound and res_conj <= bound):
                 raise IterationLimitError(
                     f"root polish left residual {max(res, res_conj)} "
                     f"at branch {n}, c = {c}")

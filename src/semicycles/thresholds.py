@@ -49,6 +49,12 @@ _HALF_PI = math.pi / 2.0
 _SERIES_FLOOR = 1e-22
 _SERIES_MAX_TERMS = 84  # (2k)! overflows float64 past k ≈ 85 anyway
 
+# the fixed schemes behind Ψ, its oracle and γ
+_SWEEP_TOL = 1e-10    # sweeps stop once consecutive ϖ differ by less
+_MAX_SWEEPS = 500     # IterationLimitError past this many sweeps
+_ORACLE_MESH = 4096   # RK4 steps of the shooting oracle over [0, 2]
+_GAMMA_TOL = 1e-6     # width of γ's final bisection bracket
+
 
 def _r_array(delta: float, ts: np.ndarray) -> np.ndarray:
     """Vectorized descent profile r_Δ(t) for t ≥ 0 (1 returned for t ≤ 0).
@@ -249,15 +255,15 @@ def _forcing_grid(rho: float, delta: float, w: np.ndarray) -> np.ndarray:
     return vals
 
 
-def beta_iterate(rho: float, delta: float, grid_size: int = 4096,
-                 tol: float = 1e-10, max_iter: int = 500) -> ThresholdResult:
+def beta_iterate(rho: float, delta: float, grid_size: int = 4096
+                 ) -> ThresholdResult:
     """Monotone ascent-profile iteration for Ψ(ρ, Δ) on a [−π/2, 0] grid.
 
     Starting from β₀ ≡ 1, each sweep finds the unique ϖ_n where the unit-mass
     condition holds and rebuilds the profile; ϖ_n increases monotonically to
-    Ψ ≤ π/2. Stops when consecutive ϖ differ by less than ``tol``.
+    Ψ ≤ π/2. Stops when consecutive ϖ differ by less than 1e−10.
 
-    Raises IterationLimitError (carrying the last two ϖ) past ``max_iter``.
+    Raises IterationLimitError (carrying the last two ϖ) past 500 sweeps.
     """
     if rho <= 0.0:
         raise DomainError(f"history bound must be positive, got {rho}")
@@ -265,19 +271,15 @@ def beta_iterate(rho: float, delta: float, grid_size: int = 4096,
         raise DomainError(f"delay must be nonnegative, got {delta}")
     if grid_size < 64:
         raise DomainError(f"grid_size must be ≥ 64, got {grid_size}")
-    if tol <= 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
-    if max_iter < 2:
-        raise DomainError(f"max_iter must be ≥ 2, got {max_iter}")
 
     w = np.linspace(-_HALF_PI, 0.0, int(grid_size))
     forcing = _forcing_grid(float(rho), float(delta), w)
     beta = np.ones_like(w)
     omegas: list[float] = []
-    for _ in range(int(max_iter)):
+    for _ in range(_MAX_SWEEPS):
         omega, beta, sweep = _beta_step(w, beta, forcing)
         omegas.append(omega)
-        if len(omegas) >= 2 and abs(omegas[-1] - omegas[-2]) < tol:
+        if len(omegas) >= 2 and abs(omegas[-1] - omegas[-2]) < _SWEEP_TOL:
             psi_val = omegas[-1]
             # sample the converged profile from its integral representation
             # (C² between carrier nodes), not by re-interpolating node values
@@ -294,27 +296,24 @@ def beta_iterate(rho: float, delta: float, grid_size: int = 4096,
                 limit_profile=profile,
             )
     raise IterationLimitError(
-        f"ascent iteration did not converge within {max_iter} sweeps "
+        f"ascent iteration did not converge within {_MAX_SWEEPS} sweeps "
         f"(last ϖ: {omegas[-2]:.12f} → {omegas[-1]:.12f})",
         omega_prev=omegas[-2], omega_last=omegas[-1])
 
 
 @functools.lru_cache(maxsize=8192)
-def _psi_cached(rho: float, delta: float, grid_size: int, tol: float,
-                max_iter: int) -> float:
-    return beta_iterate(rho, delta, grid_size, tol, max_iter).psi
+def _psi_cached(rho: float, delta: float, grid_size: int) -> float:
+    return beta_iterate(rho, delta, grid_size).psi
 
 
-def psi(rho: float, delta: float, grid_size: int = 4096, tol: float = 1e-10,
-        max_iter: int = 500) -> float:
+def psi(rho: float, delta: float, grid_size: int = 4096) -> float:
     """Minimal ascent time Ψ(ρ, Δ) — wrapper over beta_iterate.
 
     Always ≤ π/2 (+ grid tolerance); ≥ √2 whenever ρ ≤ 1. For ρ > 1 the
     plateau forcing exceeds the profile's own ceiling and Ψ drops below √2
     (down to √(2/ρ) for large Δ), so no lower clamp is applied.
     """
-    return _psi_cached(float(rho), float(delta), int(grid_size), float(tol),
-                       int(max_iter))
+    return _psi_cached(float(rho), float(delta), int(grid_size))
 
 
 # ----------------------------------------------------------------------
@@ -324,23 +323,21 @@ def psi(rho: float, delta: float, grid_size: int = 4096, tol: float = 1e-10,
 _SHOOT_SPAN = 2.0  # the unit-peak profile peaks no later than π/2 < 2
 
 
-def psi_oracle_bvp(rho: float, delta: float, mesh: int = 4096) -> float:
+def psi_oracle_bvp(rho: float, delta: float) -> float:
     """Ψ(ρ, Δ) by shooting on y″ + max{y, forcing} = 0.
 
     Written against the backward-time profile u ∈ [0, Ψ] (u = distance back
     from the zero): integrate y(0) = 0, y′(0) = m with a fixed-step 4th-order
-    scheme, locate the first stationary point, and bisect on m until the peak
-    value is 1; Ψ is the stationary location. Completely independent of the
-    profile iteration (different formulation, discretization and unknown).
+    scheme (4096 steps over [0, 2]), locate the first stationary point, and
+    bisect on m until the peak value is 1; Ψ is the stationary location.
+    Completely independent of the profile iteration (different formulation,
+    discretization and unknown).
     """
     if rho <= 0.0:
         raise DomainError(f"history bound must be positive, got {rho}")
     if delta < 0.0:
         raise DomainError(f"delay must be nonnegative, got {delta}")
-    if mesh < 256:
-        raise DomainError(f"mesh must be ≥ 256, got {mesh}")
-
-    n = int(mesh)
+    n = _ORACLE_MESH
     h = _SHOOT_SPAN / n
     us = np.linspace(0.0, _SHOOT_SPAN, n + 1)
     if delta > 0.0:
@@ -420,19 +417,18 @@ def psi_oracle_bvp(rho: float, delta: float, mesh: int = 4096) -> float:
 # derived constants
 # ----------------------------------------------------------------------
 
-def gamma_constant(tol: float = 1e-6) -> float:
-    """The unique fixed point Ψ(1, γ) = γ, bisected on [√2, π/2].
+def gamma_constant() -> float:
+    """The unique fixed point Ψ(1, γ) = γ, bisected on [√2, π/2] to a
+    1e−6 bracket; its 20 Ψ solves are held by ``psi``'s cache.
 
     g ↦ Ψ(1, g) is nonincreasing, so g ↦ Ψ(1, g) − g is strictly decreasing
     and the bracket endpoints have opposite signs (Ψ(1,√2) > √2 because √2
     is below the fixed point; Ψ(1,π/2) ≤ π/2 with equality only at Δ = 0).
     """
-    if tol <= 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
     lo, hi = _SQRT2, _HALF_PI
     if not (psi(1.0, lo) - lo > 0.0 >= psi(1.0, hi) - hi):
         raise ShootingError("fixed-point bracket failed on [√2, π/2]")
-    return _bisect(lambda g: psi(1.0, g) - g > 0.0, lo, hi, tol)
+    return _bisect(lambda g: psi(1.0, g) - g > 0.0, lo, hi, _GAMMA_TOL)
 
 
 def semicycle_threshold(tau_m: float) -> float:

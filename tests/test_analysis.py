@@ -209,7 +209,7 @@ def test_classify_periodic_example_is_bounded_certified():
 
 
 def test_classify_decaying_eigenmode_is_certified():
-    root = [r for r in char_roots(4.0, 1, 1) if r.value.real < -0.05][0]
+    root = [r for r in char_roots(4.0, 1, (0, 1)) if r.value.real < -0.05][0]
     prob = eigenmode_problem(4.0, root)
     traj = integrate(prob, 4.0 + 10.0 * root.semicycle, step=0.01)
     cls = classify(prob, traj)
@@ -353,7 +353,7 @@ def test_classify_invariant_under_time_scaling(k):
 # ----------------------------------------------------------------------
 
 def test_envelope_ratio_matches_eigenvalue_decay():
-    root = [r for r in char_roots(4.0, 1, 1) if r.value.real < -0.05][0]
+    root = [r for r in char_roots(4.0, 1, (0, 1)) if r.value.real < -0.05][0]
     prob = eigenmode_problem(4.0, root)
     stride = 2.0 * root.semicycle
     traj = integrate(prob, 4.0 + 4.6 * stride, step=0.01)

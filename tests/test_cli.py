@@ -198,6 +198,38 @@ def test_spectrum_real_root_leaves_semicycle_blank(tmp_path):
     assert all(float(r["re"]) > 0 for r in real)
 
 
+@pytest.mark.parametrize("argv, status, message", [
+    (["--delay", "0.05", "--sign", "-"], 0, ""),
+    (["--delay", "0.01"], 0, ""),
+    (["--delay", "0.1", "--branches", "0..5"], 0, ""),
+    (["--delay", "1e-160"], 1,
+     "spectral.char_roots: root polish overflowed"),
+    (["--delay", "5e-324", "--branches", "0"], 1,
+     "spectral.char_roots: root polish left residual nan at branch 0"),
+    (["--delay", "4", "--branches", "3..1"], 2, "bad branches '3..1'"),
+    (["--delay", "4", "--branches", "1..x"], 2, "bad branches '1..x'"),
+], ids=["large_roots_minus", "large_roots_plus", "six_branches",
+        "overflow", "nan", "reversed_branches", "non_integer_branches"])
+def test_spectrum_residual_is_relative_and_failures_are_named(
+        tmp_path, capsys, argv, status, message):
+    out = tmp_path / "spec.csv"
+    try:
+        code = main(["spectrum", *argv, "--out", str(out)])
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == status
+    assert message in err and "Traceback" not in err
+    if status:
+        assert not out.exists()
+        return
+    rows = _read_csv(str(out))
+    assert rows
+    for r in rows:
+        size2 = float(r["re"]) ** 2 + float(r["im"]) ** 2
+        assert float(r["residual"]) <= 1e-10 * max(1.0, size2)
+
+
 def test_simulate_csv_and_svg(tmp_path, problem_file):
     out, svg = tmp_path / "sim.csv", tmp_path / "sim.svg"
     assert main(["simulate", "--problem", problem_file, "--horizon", "12",

@@ -21,7 +21,7 @@ from semicycles.harness import (
 
 
 def _decaying_root(c: float):
-    return [r for r in char_roots(c, 1, 1) if r.value.real < -0.05][0]
+    return [r for r in char_roots(c, 1, (0, 1)) if r.value.real < -0.05][0]
 
 
 def test_eigenmode_history_matches_mode():
@@ -48,7 +48,7 @@ def test_eigenmode_trajectory_stays_on_mode():
 
 def test_mixture_rejects_mismatched_sign():
     plus = _decaying_root(4.0)
-    minus = char_roots(math.pi, -1, 0)[0]
+    minus = char_roots(math.pi, -1, (0,))[0]
     with pytest.raises(DomainError):
         mode_mixture_problem(4.0, 1, ((plus, 1.0, 0.0), (minus, 0.5, 0.0)))
     with pytest.raises(DomainError):

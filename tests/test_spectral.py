@@ -111,12 +111,6 @@ def test_real_root_not_applicable():
         CharRoot(0, 0.7 + 0j, -1, 0.0).semicycle
 
 
-def test_branches_accepts_int():
-    a = char_roots(4.0, 1, 2)
-    b = char_roots(4.0, 1, range(0, 3))
-    assert [r.value for r in a] == [r.value for r in b]
-
-
 def test_validation():
     with pytest.raises(DomainError):
         char_roots(0.0, 1, range(0, 2))

@@ -22,6 +22,7 @@ from semicycles import (
     semicycle_threshold,
     theta,
 )
+from semicycles import thresholds
 from semicycles.thresholds import (
     _beta_step,
     _cumulative_moments,
@@ -349,10 +350,11 @@ def test_limit_profile_residual():
         assert np.abs(resid).max() < 1e-3
 
 
-def test_iteration_limit_error_carries_last_omegas():
+def test_iteration_limit_error_carries_last_omegas(monkeypatch):
     from semicycles import IterationLimitError
+    monkeypatch.setattr(thresholds, "_MAX_SWEEPS", 3)
     with pytest.raises(IterationLimitError) as info:
-        beta_iterate(1.0, 0.0, max_iter=3)
+        beta_iterate(1.0, 0.0)
     assert info.value.omega_last >= info.value.omega_prev
     assert info.value.omega_last < HALF_PI
 
@@ -364,8 +366,6 @@ def test_argument_validation():
         beta_iterate(1.0, -0.5)
     with pytest.raises(DomainError):
         beta_iterate(1.0, 1.0, grid_size=32)
-    with pytest.raises(DomainError):
-        psi_oracle_bvp(1.0, 1.0, mesh=100)
 
 
 # ----------------------------------------------------------------------
@@ -426,7 +426,7 @@ def test_psi_bounds_property(rho, delta):
 # ----------------------------------------------------------------------
 
 def test_gamma_constant():
-    g = gamma_constant(1e-6)
+    g = gamma_constant()
     assert SQRT2 <= g <= HALF_PI
     assert g == pytest.approx(GAMMA_ORACLE, abs=2e-5)
     assert abs(psi(1.0, g) - g) < 1e-5
