@@ -29,11 +29,11 @@ from .errors import (
 from .integrator import (
     DelayProblem,
     Trajectory,
+    _zero_scan,
     extremum_events,
     fundamental_system,
     integrate,
     wronskian,
-    zero_crossings,
 )
 from .signals import PiecewiseSignal, signal_range
 from .thresholds import gamma_constant, psi, semicycle_threshold, theta
@@ -98,9 +98,7 @@ def find_zeros(traj: Trajectory, tol: float = 1e-10) -> list[tuple]:
     (x = 0 with x′ = 0, no sign change) carry degenerate=True and still
     split semicycles.
     """
-    if not tol > 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
-    return zero_crossings(traj, tol)
+    return _zeros_and_extrema(traj, tol)[0]
 
 
 def semicycles(traj: Trajectory, zeros, tol: float = 1e-10
@@ -111,7 +109,21 @@ def semicycles(traj: Trajectory, zeros, tol: float = 1e-10
     times = [float(t) for t, _ in zeros]
     if sorted(times) != times:
         raise DomainError("zeros must be sorted")
-    stationary = extremum_events(traj, tol)
+    return _arcs(traj, times, extremum_events(traj, tol), tol)
+
+
+def _zeros_and_extrema(traj: Trajectory, tol: float) -> tuple[list, list]:
+    """``find_zeros`` and the stationary points its touch search read, for
+    ``classify``, whose semicycles need both from one scan."""
+    if not tol > 0.0:
+        raise DomainError(f"tol must be positive, got {tol}")
+    return _zero_scan(traj, tol)
+
+
+def _arcs(traj: Trajectory, times: list, stationary: list, tol: float
+          ) -> list[Semicycle]:
+    """``semicycles`` between sorted zero times, given the stationary
+    points to take the peaks from."""
     out: list[Semicycle] = []
     for a, b in zip(times[:-1], times[1:]):
         if b - a < 10.0 * tol:
@@ -273,7 +285,7 @@ def classify(problem: DelayProblem, traj: Trajectory, *,
     theta_big = float(semicycle_threshold(tau_norm))
     window_norm = (traj.end - traj.start) * sqrt_p
 
-    zeros = find_zeros(traj, tol)
+    zeros, stationary = _zeros_and_extrema(traj, tol)
     if not zeros:
         needed = tau_norm + 2.0 * theta_big
         if window_norm < needed:
@@ -289,7 +301,7 @@ def classify(problem: DelayProblem, traj: Trajectory, *,
         )
         return Classification("nonoscillatory_observed", evidence, ())
 
-    arcs = tuple(semicycles(traj, zeros, tol=tol))
+    arcs = tuple(_arcs(traj, [t for t, _ in zeros], stationary, tol))
     if len(arcs) < 3:
         raise InsufficientWindowError(
             f"only {len(arcs)} semicycles in the window; need ≥ 3")

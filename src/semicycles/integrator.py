@@ -705,8 +705,15 @@ def zero_crossings(traj: Trajectory, tol: float = 1e-10) -> list[tuple]:
     to two steps past the event, the values its rounding error grew from, so
     the early peaks of a growing solution stay peaks.
     """
+    return _zero_scan(traj, tol)[0]
+
+
+def _zero_scan(traj: Trajectory, tol: float) -> tuple[list, list]:
+    """``zero_crossings`` and the ``extremum_events`` its touch search read
+    (none for an identically zero trajectory, which has one zero), so that
+    a caller that needs both scans the slope once."""
     if not traj.xs.any():
-        return [(traj.start, True)]  # identically zero trajectory
+        return [(traj.start, True)], []  # identically zero trajectory
     hits = _scan_sign_changes(traj, False, tol)
     slope_floors = _abs_max_so_far(traj, traj.vs, [t for t, _ in hits])
     zeros = [(t, exact and abs(traj.sample_slope(t)) < 1e-9 * floor)
@@ -728,7 +735,7 @@ def zero_crossings(traj: Trajectory, tol: float = 1e-10) -> list[tuple]:
             k -= 1
             del zeros[k:k + 2]
         zeros.insert(k, (t, True))
-    return zeros
+    return zeros, extrema
 
 
 def extremum_events(traj: Trajectory, tol: float = 1e-10) -> list[float]:

@@ -11,7 +11,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from semicycles import (
@@ -270,6 +270,26 @@ def test_classify_returns_the_semicycles_it_read():
     assert classify(flat, integrate(flat, 40.0, step=0.01)).semicycles == ()
 
 
+def test_classify_scans_extrema_once(monkeypatch):
+    """The zeros' touch search and the semicycles' peaks read one scan of
+    x′'s sign changes, with the arcs ``semicycles`` gives from its own."""
+    from semicycles import integrator
+    spec = ExampleSpec(which="example3", epsilon=0.1, periods=6)
+    prob = build_example_problem(spec)
+    traj = integrate(prob, example_horizon(spec), step=0.01)
+    scans = []
+    scan = integrator._scan_sign_changes
+
+    def counted(traj, derivative, tol):
+        scans.append(derivative)
+        return scan(traj, derivative, tol)
+
+    monkeypatch.setattr(integrator, "_scan_sign_changes", counted)
+    cls = classify(prob, traj)
+    assert scans == [False, True]
+    assert cls.semicycles == tuple(semicycles(traj, find_zeros(traj)))
+
+
 def test_classify_needs_three_semicycles(sine_traj):
     prob = _sine_problem()
     short = integrate(prob, 1.5 * math.pi, step=0.005)
@@ -318,6 +338,12 @@ def _zeros_and_verdict(prob, horizon):
 def test_zeros_and_verdict_invariant_under_power_of_two_scaling(
         p, tau, hist, x0, v0, power):
     # x ↦ 2^k·x maps solutions to solutions and is exact in floating point
+    # while nothing underflows: a subnormal value scales exactly but has
+    # fewer bits, so its products round differently (v0 = 2.2250738585e-313
+    # at k = 1 moves the zeros by ~1e-10); 1e-200 leaves room for 2^-30 and
+    # every decay over the horizon
+    assume(all(v == 0.0 or abs(v) >= 1e-200 for v in (*hist, v0)))
+
     def problem(c):
         a, b = hist[0] * c, hist[1] * c
         return DelayProblem(

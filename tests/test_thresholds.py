@@ -6,6 +6,7 @@ before this module's implementation existed.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,8 +25,10 @@ from semicycles import (
 )
 from semicycles import thresholds
 from semicycles.thresholds import (
+    _SweepGrid,
     _beta_step,
     _cumulative_moments,
+    _descent_shape,
     _forcing_grid,
     _moment_at,
     _moment_partials,
@@ -218,11 +221,12 @@ def test_omega_sequence_monotone_and_capped():
 
 def test_beta_profiles_pointwise_nonincreasing_in_n():
     w = np.linspace(-HALF_PI, 0.0, 1024)
+    grid = _SweepGrid(w.size)
     forcing = _forcing_grid(1.0, 1.0, w)
     beta = np.ones_like(w)
     prev = beta
     for _ in range(8):
-        _, beta, _ = _beta_step(w, prev, forcing)
+        _, beta, _ = _beta_step(grid, prev, forcing)
         # slack = the ϖ-bisection width (β(0) carries exactly that noise)
         assert np.all(beta <= prev + 1e-11)
         prev = beta
@@ -280,11 +284,12 @@ def test_scalar_moments_bit_identical_to_vector_path():
     points, at the nodes, at both ends and past them (clamped cells)."""
     rng = np.random.default_rng(4096)
     w = np.linspace(-HALF_PI, 0.0, 4096)
+    grid = _SweepGrid(w.size)
     for rho, d in ((1.0, 0.0), (1.0, 1.0), (2.5, 0.4), (0.3, 2.7)):
         forcing = _forcing_grid(rho, d, w)
         beta = np.ones_like(w)
         for _ in range(3):
-            _, beta, _ = _beta_step(w, beta, forcing)
+            _, beta, _ = _beta_step(grid, beta, forcing)
         g = np.maximum(beta, forcing)
         i0, i1 = _cumulative_moments(w, g)
         vs = np.concatenate((rng.uniform(-HALF_PI, 0.0, 2000), w[::97],
@@ -294,19 +299,37 @@ def test_scalar_moments_bit_identical_to_vector_path():
             assert _moment_at(v, w, g, i0, i1) == (a0, a1), (rho, d, v)
 
 
-def test_root_search_bit_identical_to_vector_probes():
-    """The plain-float root search reproduces the vector-path bisection
-    exactly: same ϖ sequence, same Ψ, same limit profile bytes."""
+def _sweep_corpus():
+    """(ρ, Δ, grid) cells for the bit-identity tests: the edge cases — Δ = 0,
+    Δ below ϑ's 1e−12 cut-off, saturated Δ ≥ 2√2, ρ > 1 — and seeded random
+    cells, at grid sizes 64, 1000 and 4096."""
+    cells = [(1.0, 0.0, 4096), (0.5, 0.0, 64), (2.0, 0.0, 1000),
+             (1.0, 1e-13, 4096), (2.0, 1e-13, 1000), (1.0, 2 * SQRT2, 4096),
+             (2.5, 3.0, 1000), (0.7, 4.0, 64), (3.0, 1.2, 4096)]
     rng = np.random.default_rng(20230623)
-    cells = [(1.0, 0.0), (0.5, 0.0), (1.0, 1e-13), (2.0, 3.0), (3.0, 1.2)]
-    cells += [(float(r), float(d)) for r, d in
-              zip(rng.uniform(0.2, 2.5, 3), rng.uniform(0.0, 3.0, 3))]
-    for rho, d in cells:
-        res = beta_iterate(rho, d)
-        omega, omegas, profile = _oracle_iterate(rho, d)
-        assert res.omega_sequence == tuple(omegas), (rho, d)
-        assert res.psi == omega, (rho, d)
-        assert np.array_equal(res.limit_profile, profile), (rho, d)
+    for n in (64, 1000, 4096):
+        cells += [(float(r), float(d), n) for r, d in
+                  zip(rng.uniform(0.2, 3.0, 11), rng.uniform(0.0, 3.2, 11))]
+    return cells
+
+
+SWEEP_CORPUS = _sweep_corpus()
+
+
+def test_root_search_bit_identical_to_vector_probes():
+    """The buffered sweep with its plain-float root search reproduces the
+    vector-path oracle exactly: same ϖ sequence, same Ψ, same limit profile
+    bytes (built when first read)."""
+    assert len(SWEEP_CORPUS) >= 40
+    for rho, d, n in SWEEP_CORPUS:
+        res = beta_iterate(rho, d, n)
+        assert "limit_profile" not in vars(res)
+        omega, omegas, profile = _oracle_iterate(rho, d, n)
+        assert res.omega_sequence == tuple(omegas), (rho, d, n)
+        assert res.iterations == len(omegas), (rho, d, n)
+        assert res.psi == omega, (rho, d, n)
+        assert np.array_equal(res.limit_profile, profile), (rho, d, n)
+        assert res.limit_profile is res.limit_profile
 
 
 def test_single_sweeps_bit_identical_to_vector_probes():
@@ -315,18 +338,39 @@ def test_single_sweeps_bit_identical_to_vector_probes():
     w = np.linspace(-HALF_PI, 0.0, 4096)
     beta = np.full_like(w, 0.5)  # ∫(−u)·½ du over [−π/2, 0] = π²/16 < 1
     forcing = np.zeros_like(w)
-    omega, beta_next, _ = _beta_step(w, beta, forcing)
+    omega, beta_next, _ = _beta_step(_SweepGrid(w.size), beta, forcing)
     ref_omega, ref_next, _ = _oracle_step(w, beta, forcing)
     assert omega == ref_omega == HALF_PI
     assert np.array_equal(beta_next, ref_next)
-    for rho, d in ((1.0, 1.0), (2.5, 0.4)):
+    for rho, d, n in SWEEP_CORPUS:
+        w = np.linspace(-HALF_PI, 0.0, n)
+        grid = _SweepGrid(n)  # one grid, its buffers reused by every sweep
+        assert np.array_equal(grid.w, w)
         forcing = _forcing_grid(rho, d, w)
         prev = np.ones_like(w)
-        for _ in range(6):
-            omega, nxt, _ = _beta_step(w, prev, forcing)
-            ref_omega, ref_next, _ = _oracle_step(w, prev, forcing)
-            assert omega == ref_omega and np.array_equal(nxt, ref_next)
+        for _ in range(4):
+            omega, nxt, (g, i0, i1, *_) = _beta_step(grid, prev, forcing)
+            ref_omega, ref_next, (rg, ri0, ri1, *_) = _oracle_step(
+                w, prev, forcing)
+            assert omega == ref_omega, (rho, d, n)
+            assert np.array_equal(nxt, ref_next), (rho, d, n)
+            assert np.array_equal(g, rg) and np.array_equal(i0, ri0) \
+                and np.array_equal(i1, ri1), (rho, d, n)
             prev = nxt
+
+
+def test_descent_shape_scaled_by_rho_is_the_forcing():
+    """Two ρ at one Δ share one cached shape, and ρ times it is
+    ``_forcing_grid`` bit for bit."""
+    for d, n in ((0.0, 64), (1e-13, 4096), (0.9, 1000), (1.7, 4096),
+                 (3.0, 64)):
+        w = np.linspace(-HALF_PI, 0.0, n)
+        shape = _descent_shape(d, n)
+        assert not shape.flags.writeable
+        for rho in (0.6, 2.35):
+            assert np.array_equal(rho * _descent_shape(d, n),
+                                  _forcing_grid(rho, d, w)), (rho, d, n)
+        assert _descent_shape(d, n) is shape
 
 
 def test_limit_profile_shape():
@@ -366,6 +410,35 @@ def test_argument_validation():
         beta_iterate(1.0, -0.5)
     with pytest.raises(DomainError):
         beta_iterate(1.0, 1.0, grid_size=32)
+
+
+_HISTORY = "history bound must be finite and positive"
+_DELAY = "delay must be finite and nonnegative"
+
+
+@pytest.mark.parametrize("name, args, message", [
+    ("beta_iterate", (math.nan, 1.0), _HISTORY),
+    ("psi", (math.nan, 1.0), _HISTORY),
+    ("psi", (math.inf, 1.0), _HISTORY),
+    ("psi", (-math.inf, 1.0), _HISTORY),
+    ("psi_oracle_bvp", (math.inf, 1.0), _HISTORY),
+    ("beta_iterate", (1.0, math.inf), _DELAY),
+    ("psi", (1.0, math.nan), _DELAY),
+    ("psi_oracle_bvp", (1.0, math.nan), _DELAY),
+    ("theta", (math.nan,), _DELAY),
+    ("semicycle_threshold", (math.nan,), _DELAY),
+    ("semicycle_threshold", (math.inf,), _DELAY),
+    ("eval_r", (math.nan, 1.0), _DELAY),
+])
+def test_non_finite_arguments_rejected(name, args, message):
+    """A NaN or infinite ρ or Δ is refused before any work: no warning, no
+    Ψ cache entry (Ψ(∞, Δ) used to come out as π/2)."""
+    before = thresholds._psi_cached.cache_info()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=message):
+            getattr(thresholds, name)(*args)
+    assert thresholds._psi_cached.cache_info() == before
 
 
 # ----------------------------------------------------------------------
