@@ -7,9 +7,10 @@ drift in machine speed falls on both sides alike.  Each run is a fresh
 ``perfbench/run.py --trace 0`` of BENCHMARK.json's ``run_seconds`` and
 reports the medians of its own repetitions; the pairs' values give per
 side the median and quartiles of every end-to-end metric, and ``wins``
-counts the pairs where this checkout was better.  One ``--trace 1`` run
-per side of ``thresholds`` reports the Ψ-solve layer: solves, ms per solve
-and sweeps per solve.  The export is removed afterwards.
+counts the pairs where this checkout was better.  Then one
+``perfbench/run.py --trace 1`` run per side of each benchmarked workload,
+at its seed, reports every per-layer metric of BENCHMARK.json, so that the
+output names the layers that moved.  The export is removed afterwards.
 
 Run from the repository root:
 
@@ -18,9 +19,9 @@ Run from the repository root:
         --workload thresholds --workload thresholds@5
 
 A workload is ``NAME[@SEED]`` (seed 0 by default; another seed checks a
-gain on inputs it was not tuned on), run in 10 pairs; the traced run is
-at seed 0.  Per-run numbers and each run's ``correct``/``failed`` are
-kept in the output, beside the host, Python and numpy versions.
+gain on inputs it was not tuned on), run in 10 pairs and traced once per
+side.  Per-run numbers and each run's ``correct``/``failed`` are kept in
+the output, beside the host, Python and numpy versions.
 """
 
 from __future__ import annotations
@@ -43,10 +44,6 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 PAIRS = 10
-TRACED = "thresholds"
-LAYERS = ("thresholds.beta_iterate.ms_per_solve.p50",
-          "thresholds.beta_iterate.calls",
-          "thresholds.beta_iterate.sweeps_per_solve")
 _SPEC = re.compile(r"^(?P<name>[a-z_]+)(?:@(?P<seed>\d+))?$")
 
 
@@ -138,7 +135,9 @@ def main(argv=None) -> int:
         "protocol": {"seconds": seconds, "order": "alternating, "
                      "parent first in even pairs",
                      "runner": "perfbench/run.py --trace 0 per run; "
-                     "values are per-run medians"},
+                     "values are per-run medians",
+                     "layers": "one perfbench/run.py --trace 1 run per "
+                     "side and workload"},
         "workloads": {},
         "layers": {},
     }
@@ -165,12 +164,12 @@ def main(argv=None) -> int:
                 "failed": {side: [r["failed"] for r in runs[side]]
                            for side in runs},
             }
-        layers = report["layers"][f"{TRACED}@0"] = {}
-        for side in ("parent", "change"):
-            traced = _perfbench(trees[side], TRACED, 0, seconds, 1)
-            layers[side] = {"correct": traced["correct"],
-                            "failed": traced["failed"],
-                            **{k: traced["metrics"][k] for k in LAYERS}}
+            layers = report["layers"][f"{name}@{seed}"] = {}
+            for side in ("parent", "change"):
+                traced = _perfbench(trees[side], name, seed, seconds, 1)
+                layers[side] = {"correct": traced["correct"],
+                                "failed": traced["failed"],
+                                **traced["metrics"]}
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     args.out.write_text(json.dumps(report, indent=1) + "\n")

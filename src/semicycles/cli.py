@@ -31,7 +31,8 @@ and column; bad flags and values are rejected by argparse, naming the
 flag).  Outputs are written
 atomically (temp file then rename) and are byte-identical across runs
 for a fixed seed and configuration.  ``--jobs N`` fans sweep cells and
-harness instances out to a process pool; assembly stays ordered.
+harness instances out to a process pool of at most N workers, N no more
+than ``harness._MAX_JOBS`` (64); assembly stays ordered.
 
 The env var SEMICYCLE_CACHE_DIR overrides the threshold-table cache
 location (default ``~/.cache/semicycles``).
@@ -54,7 +55,7 @@ import numpy as np
 from . import __version__
 from .analysis import classify
 from .errors import DomainError, SemicycleError
-from .harness import SUITE_NAMES, run_suite
+from .harness import _MAX_JOBS, SUITE_NAMES, run_suite
 from .integrator import integrate, problem_from_dict
 from .repro import (
     EXAMPLE_NAMES,
@@ -113,10 +114,10 @@ def _parse_branches(text: str) -> tuple:
     return tuple(range(lo, hi + 1))
 
 
-def _positive(kind, zero_ok: bool = False):
+def _positive(kind, zero_ok: bool = False, limit=None):
     """argparse ``type=`` for a numeric flag: a finite ``kind`` above zero
-    (at or above zero with ``zero_ok``).  Anything else is a parse error
-    whose message names the flag."""
+    (at or above zero with ``zero_ok``), and at most ``limit`` if one is
+    given.  Anything else is a parse error whose message names the flag."""
     bound = "non-negative" if zero_ok else "positive"
 
     def convert(text: str):
@@ -124,6 +125,9 @@ def _positive(kind, zero_ok: bool = False):
         if not (value > 0 or zero_ok and value == 0) or math.isinf(value):
             raise argparse.ArgumentTypeError(
                 f"must be finite and {bound}, got {text!r}")
+        if limit is not None and value > limit:
+            raise argparse.ArgumentTypeError(
+                f"must be at most {limit}, got {text!r}")
         return value
 
     convert.__name__ = kind.__name__    # "invalid float value: 'x'"
@@ -421,6 +425,7 @@ def _build_parser() -> argparse.ArgumentParser:
     """The CLI's only configuration: every default and every check on a
     flag's value is written here once."""
     positive_int, positive_float = _positive(int), _positive(float)
+    job_count = _positive(int, limit=_MAX_JOBS)
     parser = argparse.ArgumentParser(
         prog="semicycles",
         description="Oscillation thresholds, integration, classification, "
@@ -434,7 +439,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    metavar="LO:HI:STEP")
     t.add_argument("--rho", type=_parse_range, metavar="LO:HI:STEP")
     t.add_argument("--grid", type=positive_int, default=4096)
-    t.add_argument("--jobs", type=positive_int, default=1)
+    t.add_argument("--jobs", type=job_count, default=1)
     t.add_argument("--out")
 
     s = sub.add_parser("simulate", help="integrate a JSON problem file")
@@ -477,7 +482,7 @@ def _build_parser() -> argparse.ArgumentParser:
     h.add_argument("--seed", type=_positive(int, zero_ok=True),
                    default=DEFAULT_SEED)
     h.add_argument("--instances", type=positive_int)
-    h.add_argument("--jobs", type=positive_int, default=1)
+    h.add_argument("--jobs", type=job_count, default=1)
     h.add_argument("--out")
 
     return parser

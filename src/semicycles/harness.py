@@ -26,11 +26,11 @@ import numpy as np
 
 from .errors import DomainError, NotApplicableError, ResolutionError
 from .analysis import (
+    _arcs,
+    _zeros_and_extrema,
     envelope_decay_ratio,
-    find_zeros,
     check_ascent,
     check_descent,
-    semicycles,
     verify_comparison,
     wronskian_min,
 )
@@ -48,6 +48,11 @@ __all__ = [
 ]
 
 _MODE_DEGREE = 20  # Taylor degree of each history segment
+_SCAN_TOL = 1e-10  # zero and peak resolution of the margins suite
+# most worker processes one suite run may start: 16× the largest count the
+# package's tests, scripts and README use (4); each worker is a whole
+# interpreter, so the bound is on processes, not on instances
+_MAX_JOBS = 64
 
 
 @dataclass(frozen=True)
@@ -195,7 +200,9 @@ def _margin_instance(idx: int, rng) -> tuple:
     problem = _random_margin_problem(rng)
     traj = integrate(problem, 16.0, step=0.01)
     try:
-        arcs = semicycles(traj, find_zeros(traj))
+        # the zeros and peaks from one slope scan, as classify reads them
+        zeros, stationary = _zeros_and_extrema(traj, _SCAN_TOL)
+        arcs = _arcs(traj, [t for t, _ in zeros], stationary, _SCAN_TOL)
     except (DomainError, ResolutionError):
         return [], 0, 0, []
     tau_m = problem.tau_sup(math.inf)
@@ -369,7 +376,8 @@ def _execute(suite: str, seed: int, count: int, jobs: int) -> HarnessReport:
 def run_suite(suite: str, seed: int = 0, count: int | None = None,
               jobs: int = 1) -> HarnessReport:
     """Dispatch by suite name with each suite's default instance count;
-    at least one instance and a non-negative seed."""
+    at least one instance, a non-negative seed and at most ``_MAX_JOBS``
+    worker processes."""
     if suite not in _SUITES:
         raise DomainError(f"unknown suite {suite!r}; pick from "
                           f"{', '.join(SUITE_NAMES)}")
@@ -378,4 +386,7 @@ def run_suite(suite: str, seed: int = 0, count: int | None = None,
         raise DomainError(f"suite {suite} needs count ≥ 1, got {n}")
     if seed < 0:
         raise DomainError(f"suite seed must be ≥ 0, got {seed}")
+    if jobs > _MAX_JOBS:
+        raise DomainError(f"suite {suite} asks for {jobs} workers, more than "
+                          f"the limit of {_MAX_JOBS}")
     return _execute(suite, seed, n, jobs)

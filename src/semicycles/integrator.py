@@ -31,6 +31,20 @@ scalar kernel that reads the plan's values as Python floats. Both paths
 perform the same floating-point operations in the same order, so the
 trajectory does not depend on how the steps were grouped.
 
+The integrator carries a column axis: x and x′ are (n, k) arrays, k
+solutions of problems that differ only in x(s⁺) and x′(s⁺). They share
+the step grid and the whole chunk plan except the values a stage reads at
+u = s right of the start jump. A block broadcasts its step data over the
+columns, and the scalar kernel takes its steps once per column, so every
+column equals a run of its own bit for bit. ``integrate`` is the one-column
+case; ``fundamental_system`` integrates its pair in one two-column pass.
+
+A zero or extremum scan bisects each sign change of x or x′ on its own
+step. Below ``_PLAIN_BRACKETS`` (40) brackets it bisects them one by one in
+Python floats, with the dense-output kernel's operations in their order;
+above, all at once with numpy, which pays only when many brackets share
+each of its rounds. Both give the same floats.
+
 The step grid is bounded: an integration that would take more than
 ``_MAX_STEPS`` steps raises DomainError before any array is allocated.
 
@@ -198,10 +212,7 @@ class Trajectory:
         x0, x1 = self.xs[j], self.xs[j + 1]
         v0, v1 = self.vs[j], self.vs[j + 1]
         if derivative:
-            return (x0 * (6 * s * s - 6 * s) / h
-                    + v0 * (3 * s * s - 4 * s + 1)
-                    + x1 * (6 * s - 6 * s * s) / h
-                    + v1 * (3 * s * s - 2 * s))
+            return _hermite_slope(x0, v0, x1, v1, h, s)
         return _hermite(x0, v0, x1, v1, h, _hermite_weights(s))
 
 
@@ -217,6 +228,12 @@ def _hermite(x0, v0, x1, v1, h, w):
     """The cubic Hermite value on a step of width h with weights w."""
     w0, w1, w2, w3 = w
     return x0 * w0 + v0 * h * w1 + x1 * w2 + v1 * h * w3
+
+
+def _hermite_slope(x0, v0, x1, v1, h, s):
+    """The cubic Hermite slope on a step of width h at the fraction s."""
+    return (x0 * (6 * s * s - 6 * s) / h + v0 * (3 * s * s - 4 * s + 1)
+            + x1 * (6 * s - 6 * s * s) / h + v1 * (3 * s * s - 2 * s))
 
 
 # ----------------------------------------------------------------------
@@ -389,11 +406,17 @@ class _ChunkPlan:
     Hermite bracket and weights of a _DENSE stage, whose last node read is
     ``reach``. A step whose stages all read values or accepted output can
     join a block (``ok``); every other step runs through ``_take_steps``.
+
+    One plan serves k solution columns that differ only in x(s⁺) and
+    x′(s⁺) (``x_plus`` holds the k values of x(s⁺)). Only ``hv`` depends on
+    the column, so it alone is (3, m, k): a stage reading u = s right of
+    the start jump reads its own column's x(s⁺).
     """
 
     def __init__(self, problem: DelayProblem, ts: np.ndarray, c0: int,
                  c1: int, seg_p: np.ndarray, seg_tau: np.ndarray,
-                 tau_m: float, hist_floor: float, hist_at_start: float):
+                 tau_m: float, hist_floor: float, hist_at_start: float,
+                 x_plus: np.ndarray):
         s = problem.start
         self.c0 = c0
         self.hist_bound = s - tau_m
@@ -421,11 +444,11 @@ class _ChunkPlan:
                     np.where(u < hist_floor, _RAISE, _VALUE)))))
         value = kind == _VALUE
         self.hv = hv = np.where(
-            at_s, np.where(right_of_start, problem.initial_value,
-                           hist_at_start), 0.0)
+            at_s[:, :, None], np.where(right_of_start[:, None], x_plus,
+                                       hist_at_start), 0.0)
         hist = value & ~at_s
         if hist.any():
-            hv[hist] = problem.history(u[hist])
+            hv[hist] = problem.history(u[hist])[:, None]
         self.dense = dense = kind == _DENSE
         self.ok = (dense | value).all(axis=0)
         self.reach = np.zeros(c1 - c0, dtype=np.intp)
@@ -450,17 +473,20 @@ class _ChunkPlan:
         Every stage reads the history or nodes up to the block's first node,
         so no v-stage depends on the block's own x: the v increments come
         first, then the x increments from the v at each step's start, each
-        column summed in step order by ``np.add.accumulate``.
+        solution column summed in step order by ``np.add.accumulate``. The
+        step data broadcast over the column axis of the (n, k) ``xs`` and
+        ``vs``, so each column gets the operations of a run of its own.
         """
         j0, j1 = self.c0 + b, self.c0 + e
         delayed = self.hv[:, b:e]
         if self.w is not None:
             jj, jj1 = self.jj[:, b:e], self.jj1[:, b:e]
             past = _hermite(xs[jj], vs[jj], xs[jj1], vs[jj1],
-                            self.h[:, b:e], self.w[:, :, b:e])
-            delayed = np.where(self.dense[:, b:e], past, delayed)
-        k1v, k2v, k4v = self.neg_p[:, b:e] * delayed
-        hh, hh2, hh6 = self.hh[b:e], self.hh2[b:e], self.hh6[b:e]
+                            self.h[:, b:e, None], self.w[:, :, b:e, None])
+            delayed = np.where(self.dense[:, b:e, None], past, delayed)
+        k1v, k2v, k4v = self.neg_p[:, b:e, None] * delayed
+        hh, hh2, hh6 = (self.hh[b:e, None], self.hh2[b:e, None],
+                        self.hh6[b:e, None])
         # both middle stages read the midpoint's delayed value: k3v = k2v
         vs[j0 + 1:j1 + 1] = hh6 * (k1v + 2 * k2v + 2 * k2v + k4v)
         np.add.accumulate(vs[j0:j1 + 1], out=vs[j0:j1 + 1])
@@ -506,12 +532,13 @@ def _rk4(x0: float, v0: float, hh: float, hh2: float, hh6: float,
             v0 + hh6 * (k1v + 2 * k2v + 2 * k3v + k4v))
 
 
-def _delayed_step(plan: _ChunkPlan, k: int, kinds: tuple, x0: float,
-                  v0: float, hh: float, hh2: float, hh6: float, n0: float,
-                  nm: float, n1: float, xs: np.ndarray, vs: np.ndarray
-                  ) -> tuple:
-    """(x₁, v₁) of step k of the chunk, some of whose stages read a delayed
-    value; ``kinds`` holds the stage kinds of its three rows.
+def _delayed_step(plan: _ChunkPlan, k: int, col: int, kinds: tuple,
+                  x0: float, v0: float, hh: float, hh2: float, hh6: float,
+                  n0: float, nm: float, n1: float, xs: np.ndarray,
+                  vs: np.ndarray) -> tuple:
+    """(x₁, v₁) of step k of the chunk in solution column ``col`` (whose
+    output ``xs``/``vs`` are), some of whose stages read a delayed value;
+    ``kinds`` holds the stage kinds of its three rows.
 
     A step with an overlap stage is taken once with the overlap read
     extrapolated linearly from t₀, then twice more against the provisional
@@ -521,7 +548,7 @@ def _delayed_step(plan: _ChunkPlan, k: int, kinds: tuple, x0: float,
     over = []
     for r, kind in enumerate(kinds):
         if kind == _VALUE:
-            d[r] = plan.hv.item(r, k)
+            d[r] = plan.hv.item(r, k, col)
         elif kind == _DENSE:
             d[r] = plan.dense_read(r, k, xs, vs)
         elif kind == _OVERLAP:
@@ -544,22 +571,26 @@ def _take_steps(plan: _ChunkPlan, b: int, e: int, xs: np.ndarray,
                 vs: np.ndarray) -> None:
     """Take steps b … e−1 of the chunk one at a time, each stage's delayed
     value read from the plan, with the floating-point operations of the
-    scalar RK4 scheme in its order."""
-    j = plan.c0 + b
-    x0, v0 = xs.item(j), vs.item(j)
+    scalar RK4 scheme in its order; one solution column after the other."""
     n0s, nms, n1s = plan.neg_p[:, b:e].tolist()
-    for k, hh, hh2, hh6, n0, nm, n1, kinds in zip(
-            range(b, e), plan.hh[b:e].tolist(), plan.hh2[b:e].tolist(),
-            plan.hh6[b:e].tolist(), n0s, nms, n1s,
-            zip(*plan.kind[:, b:e].tolist())):
-        if any(kinds):  # not every stage is _ODE
-            x0, v0 = _delayed_step(plan, k, kinds, x0, v0, hh, hh2, hh6, n0,
-                                   nm, n1, xs, vs)
-        else:
-            x0, v0 = _rk4(x0, v0, hh, hh2, hh6, n0, nm, n1, None, None, None)
-        j += 1
-        xs[j] = x0
-        vs[j] = v0
+    steps = list(zip(
+        range(b, e), plan.hh[b:e].tolist(), plan.hh2[b:e].tolist(),
+        plan.hh6[b:e].tolist(), n0s, nms, n1s,
+        zip(*plan.kind[:, b:e].tolist())))
+    for col in range(xs.shape[1]):
+        xc, vc = xs[:, col], vs[:, col]
+        j = plan.c0 + b
+        x0, v0 = xc.item(j), vc.item(j)
+        for k, hh, hh2, hh6, n0, nm, n1, kinds in steps:
+            if any(kinds):  # not every stage is _ODE
+                x0, v0 = _delayed_step(plan, k, col, kinds, x0, v0, hh, hh2,
+                                       hh6, n0, nm, n1, xc, vc)
+            else:
+                x0, v0 = _rk4(x0, v0, hh, hh2, hh6, n0, nm, n1, None, None,
+                              None)
+            j += 1
+            xc[j] = x0
+            vc[j] = v0
 
 
 def integrate(problem: DelayProblem, horizon: float, step: float = 0.01
@@ -573,6 +604,18 @@ def integrate(problem: DelayProblem, horizon: float, step: float = 0.01
     DomainError for nonpositive steps, an empty horizon, or more than
     ``_MAX_STEPS`` steps.
     """
+    ts, xs, vs = _integrate_columns((problem,), horizon, step)
+    return Trajectory(ts, xs[:, 0], vs[:, 0], problem=problem)
+
+
+def _integrate_columns(problems: tuple, horizon: float, step: float
+                       ) -> tuple:
+    """``integrate`` for problems that differ only in x(s⁺) and x′(s⁺), in
+    one pass: the nodes and x, x′ of shape (n, k), column c solving
+    ``problems[c]``. p, τ, the history and so the step grid and the whole
+    chunk plan are those of ``problems[0]``; every column equals a run of
+    its own bit for bit."""
+    problem = problems[0]
     if not step > 0.0:
         raise DomainError(f"step must be positive, got {step}")
     s = problem.start
@@ -591,10 +634,11 @@ def integrate(problem: DelayProblem, horizon: float, step: float = 0.01
             f"integration to {horizon} with step {step} needs {total:.0f} "
             f"steps, more than the limit of {_MAX_STEPS}")
     ts, first = _step_grid(nodes, counts.astype(np.intp))
-    xs = np.zeros(ts.size)
-    vs = np.zeros(ts.size)
-    xs[0] = problem.initial_value
-    vs[0] = problem.initial_slope
+    xs = np.zeros((ts.size, len(problems)))
+    vs = np.zeros((ts.size, len(problems)))
+    x_plus = np.array([prob.initial_value for prob in problems])
+    xs[0] = x_plus
+    vs[0] = [prob.initial_slope for prob in problems]
     # p and τ are pinned to the segment owning each gap's interior
     mids = nodes[:-1] + 0.5 * (nodes[1:] - nodes[:-1])
     seg_p = problem.p.segment_index(mids)
@@ -605,7 +649,7 @@ def integrate(problem: DelayProblem, horizon: float, step: float = 0.01
         c1 = min(c0 + _CHUNK, n_steps)
         gap = np.searchsorted(first, np.arange(c0, c1), side="right") - 1
         plan = _ChunkPlan(problem, ts, c0, c1, seg_p[gap], seg_tau[gap],
-                          tau_m, hist_floor, hist_at_start)
+                          tau_m, hist_floor, hist_at_start, x_plus)
         ok, reach = plan.ok.tolist(), plan.reach.tolist()
         b, m = 0, c1 - c0
         while b < m:
@@ -621,23 +665,81 @@ def integrate(problem: DelayProblem, horizon: float, step: float = 0.01
                     e += 1
                 _take_steps(plan, b, e, xs, vs)
             b = e
-
-    return Trajectory(ts, xs, vs, problem=problem)
+    return ts, xs, vs
 
 
 # ----------------------------------------------------------------------
 # event scanning (shared with the analysis layer)
 # ----------------------------------------------------------------------
 
+# sign-change brackets below which the zero and extremum scans bisect each
+# bracket in Python floats: a bracket costs about 35 µs that way, while the
+# numpy bisection costs about 1.5 ms a scan for anything up to 120 brackets
+# (about 27 rounds of some 35 small array calls), so it wins above about 40
+_PLAIN_BRACKETS = 40
+
+
 def _refine_sign_changes(traj: Trajectory, derivative: bool,
-                         left: np.ndarray, tol: float) -> np.ndarray:
-    """Bisect at once the sign change of x (x′ if ``derivative``) on each
-    step [ts[j], ts[j + 1]], j in ``left``, reading that step's output only.
+                         left: np.ndarray, tol: float) -> list[float]:
+    """Bisect the sign change of x (x′ if ``derivative``) on each step
+    [ts[j], ts[j + 1]], j in ``left``, reading that step's output only.
 
     Each bracket keeps its own midpoint sequence: it ends at its left node
     if the function vanishes there, at the first midpoint where it vanishes,
-    or else at the centre of its first interval no wider than tol.
+    or else at the centre of its first interval no wider than tol. Fewer
+    than ``_PLAIN_BRACKETS`` brackets are bisected one by one in Python
+    floats, more all at once with numpy; both give the same floats.
     """
+    if left.size < _PLAIN_BRACKETS:
+        return _refine_plain(traj, derivative, left, tol)
+    return _refine_arrays(traj, derivative, left, tol)
+
+
+def _refine_plain(traj: Trajectory, derivative: bool, left: np.ndarray,
+                  tol: float) -> list[float]:
+    """``_refine_sign_changes`` one bracket at a time, in Python floats with
+    the operations of ``Trajectory._on_steps`` in its order."""
+    ts, xs, vs = traj.ts, traj.xs, traj.vs
+    out = []
+    for j in left.tolist():
+        lo, hi = ts.item(j), ts.item(j + 1)
+        step = (lo, hi - lo, xs.item(j), vs.item(j), xs.item(j + 1),
+                vs.item(j + 1), derivative)
+        f_lo = _dense_on_step(lo, *step)
+        if f_lo == 0.0:
+            out.append(lo)
+            continue
+        lo_pos = f_lo > 0.0
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            fm = _dense_on_step(mid, *step)
+            if fm == 0.0:
+                break
+            if (fm > 0.0) == lo_pos:
+                lo = mid
+            else:
+                hi = mid
+        else:
+            mid = 0.5 * (lo + hi)
+        out.append(mid)
+    return out
+
+
+def _dense_on_step(q: float, t0: float, h: float, x0: float, v0: float,
+                   x1: float, v1: float, derivative: bool) -> float:
+    """``Trajectory._on_steps`` at one time q of one step, in floats. A
+    bisection midpoint never leaves its step, and rounding is monotone, so
+    s is in [0, 1] without the clamp ``_on_steps`` applies."""
+    s = (q - t0) / h
+    if derivative:
+        return _hermite_slope(x0, v0, x1, v1, h, s)
+    return _hermite(x0, v0, x1, v1, h, _hermite_weights(s))
+
+
+def _refine_arrays(traj: Trajectory, derivative: bool, left: np.ndarray,
+                   tol: float) -> list[float]:
+    """``_refine_sign_changes`` for all brackets at once: one numpy
+    evaluation per round for the brackets still open."""
     lo, hi = traj.ts[left], traj.ts[left + 1]
     f_lo = traj._on_steps(left, lo, derivative)
     out = lo.copy()
@@ -656,7 +758,7 @@ def _refine_sign_changes(traj: Trajectory, derivative: bool,
         lo[idx[~hit & same]] = mid[~hit & same]
         hi[idx[~hit & ~same]] = mid[~hit & ~same]
     out[live] = 0.5 * (lo[live] + hi[live])
-    return out
+    return out.tolist()
 
 
 def _scan_sign_changes(traj: Trajectory, derivative: bool, tol: float
@@ -670,8 +772,7 @@ def _scan_sign_changes(traj: Trajectory, derivative: bool, tol: float
     pos = ys > 0.0
     # brackets: adjacent nonzero nodes of opposite sign
     left = np.flatnonzero(nonzero[:-1] & nonzero[1:] & (pos[:-1] != pos[1:]))
-    t_star = (_refine_sign_changes(traj, derivative, left, tol).tolist()
-              if left.size else [])
+    t_star = _refine_sign_changes(traj, derivative, left, tol)
     zeros = np.flatnonzero(~nonzero)
     if zeros.size == 0:
         return [(t, False) for t in t_star]
@@ -758,12 +859,14 @@ def fundamental_system(p: PiecewiseSignal, tau: PiecewiseSignal, s: float,
                        horizon: float, step: float = 0.01
                        ) -> tuple[Trajectory, Trajectory]:
     """The pair (z, y): identically-zero history with unit jumps at s —
-    z(s) = 1, z′(s) = 0 and y(s) = 0, y′(s) = 1."""
+    z(s) = 1, z′(s) = 0 and y(s) = 0, y′(s) = 1 — integrated in one
+    two-column pass, each equal to its own ``integrate`` run."""
     zero_hist = PiecewiseSignal.constant(0.0)
-    z = integrate(DelayProblem(p, tau, s, zero_hist, 1.0, 0.0),
-                  horizon, step)
-    y = integrate(DelayProblem(p, tau, s, zero_hist, 0.0, 1.0),
-                  horizon, step)
+    problems = (DelayProblem(p, tau, s, zero_hist, 1.0, 0.0),
+                DelayProblem(p, tau, s, zero_hist, 0.0, 1.0))
+    ts, xs, vs = _integrate_columns(problems, horizon, step)
+    z, y = (Trajectory(ts, xs[:, c], vs[:, c], problem=prob)
+            for c, prob in enumerate(problems))
     return z, y
 
 

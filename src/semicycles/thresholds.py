@@ -62,6 +62,9 @@ _SWEEP_TOL = 1e-10    # sweeps stop once consecutive ϖ differ by less
 _MAX_SWEEPS = 500     # IterationLimitError past this many sweeps
 _ORACLE_MESH = 4096   # RK4 steps of the shooting oracle over [0, 2]
 _GAMMA_TOL = 1e-6     # width of γ's final bisection bracket
+# largest Ψ sweep grid: 100× the largest grid_size the package's tests,
+# scripts and README use (4096); a solve there peaks at about 50 MB
+_MAX_GRID = 409_600
 
 
 def _r_array(delta: float, ts: np.ndarray) -> np.ndarray:
@@ -117,6 +120,14 @@ def _check_rho(rho: float) -> None:
     if not (math.isfinite(rho) and rho > 0.0):
         raise DomainError(
             f"history bound must be finite and positive, got {rho}")
+
+
+def _check_grid(grid_size: int) -> None:
+    if grid_size < 64:
+        raise DomainError(f"grid_size must be ≥ 64, got {grid_size}")
+    if grid_size > _MAX_GRID:
+        raise DomainError(f"grid_size {grid_size} is above the limit of "
+                          f"{_MAX_GRID}")
 
 
 def _check_delay(delta: float) -> None:
@@ -406,8 +417,7 @@ def beta_iterate(rho: float, delta: float, grid_size: int = 4096
     rho, delta = float(rho), float(delta)
     _check_rho(rho)
     _check_delay(delta)
-    if grid_size < 64:
-        raise DomainError(f"grid_size must be ≥ 64, got {grid_size}")
+    _check_grid(grid_size)
 
     n = int(grid_size)
     grid = _SweepGrid(n)
@@ -442,6 +452,7 @@ def psi(rho: float, delta: float, grid_size: int = 4096) -> float:
     rho, delta = float(rho), float(delta)
     _check_rho(rho)
     _check_delay(delta)
+    _check_grid(grid_size)
     return _psi_cached(rho, delta, int(grid_size))
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from semicycles import cli
+from semicycles import cli, harness, thresholds
 from semicycles.analysis import Classification
 from semicycles.cli import DEFAULT_SEED, main
 from semicycles.integrator import problem_to_dict
@@ -365,6 +365,36 @@ def test_rejected_value_is_a_parse_error_naming_the_flag(capsys, argv, flag):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {flag}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["thresholds", "--delta", "0"],
+    ["harness", "decay"],
+], ids=["thresholds", "harness"])
+def test_worker_count_above_limit_is_a_parse_error(capsys, argv):
+    limit = harness._MAX_JOBS
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--jobs", str(limit + 1)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --jobs: must be at most {limit}" in err
+    assert "Traceback" not in err
+    # the default, every count in use and the limit itself parse
+    parser = cli._build_parser()
+    assert parser.parse_args(argv).jobs == 1
+    for jobs in (1, 2, 4, limit):
+        assert parser.parse_args(argv + ["--jobs", str(jobs)]).jobs == jobs
+
+
+def test_grid_above_limit_exits_with_one_line(capsys):
+    limit = thresholds._MAX_GRID
+    assert main(["thresholds", "--delta", "1", "--grid",
+                 str(limit + 1)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"semicycles thresholds: thresholds.psi: grid_size {limit + 1} is "
+        f"above the limit of {limit}"]
 
 
 def test_parser_holds_the_defaults():

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from semicycles import char_roots, integrate
+from semicycles import char_roots, harness, integrate
 from semicycles.errors import DomainError
 from semicycles.harness import (
     SUITE_NAMES,
@@ -92,3 +92,26 @@ def test_suite_without_instances_or_with_negative_seed_rejected(kwargs):
     # an empty run would pass vacuously; numpy refuses a negative seed
     with pytest.raises(DomainError):
         run_suite("comparison", **{"seed": 0, **kwargs})
+
+
+def test_margins_instances_scan_the_slope_once(monkeypatch):
+    """Each margins trajectory takes one scan of x and one of x′: the
+    zeros' touch search and the semicycles' peaks share the x′ scan."""
+    from semicycles import integrator
+    scans = []
+    scan = integrator._scan_sign_changes
+
+    def counted(traj, derivative, tol):
+        scans.append(derivative)
+        return scan(traj, derivative, tol)
+
+    monkeypatch.setattr(integrator, "_scan_sign_changes", counted)
+    report = run_suite("margins", seed=0, count=4)
+    assert report.checked > 0
+    assert scans == [False, True] * 4
+
+
+def test_worker_count_above_limit_rejected():
+    # refused before any pool starts
+    with pytest.raises(DomainError, match=f"limit of {harness._MAX_JOBS}"):
+        run_suite("comparison", seed=0, count=2, jobs=harness._MAX_JOBS + 1)

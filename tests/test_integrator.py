@@ -870,3 +870,167 @@ def test_dense_output_is_product_form_hermite(tau):
     q = np.random.default_rng(5).uniform(0.0, 20.0, 5000)
     got = traj.sample(q).tolist()
     assert got == [_product_hermite(traj, t) for t in q.tolist()]
+
+
+# ----------------------------------------------------------------------
+# the two-column fundamental system against two single-column runs
+# ----------------------------------------------------------------------
+
+def _random_pieces(rng, lo, hi, t0, t1):
+    """Piecewise-linear signal with 1–3 pieces and values in [lo, hi]."""
+    pieces = int(rng.integers(1, 4))
+    bps = np.linspace(t0, t1, pieces + 1)
+    vals = rng.uniform(lo, hi, pieces + 1)
+    segs = tuple((float(vals[i]),
+                  float((vals[i + 1] - vals[i]) / (bps[i + 1] - bps[i])))
+                 for i in range(pieces))
+    return PiecewiseSignal(tuple(map(float, bps)), segs, float(vals[0]),
+                           float(vals[-1]))
+
+
+_REGIMES = ("ode", "delayed", "overlap", "mixed", "back_to_start",
+            "first_step_at_start")
+
+
+def _fundamental_case(seed):
+    """(p, τ, s, horizon, step) of one seeded Wronskian-type problem; the
+    delay regime cycles through ``_REGIMES`` with the seed."""
+    rng = np.random.default_rng([seed, 11])
+    regime = _REGIMES[seed % len(_REGIMES)]
+    s = float(rng.choice([0.0, 0.7, -1.3]))
+    horizon = s + float(rng.uniform(3.0, 7.0))
+    step = float(rng.choice([0.01, 0.02, 0.05]))
+    p = _random_pieces(rng, -1.2, 1.2, s, horizon)
+    if regime == "ode":
+        tau = PiecewiseSignal.constant(0.0)
+    elif regime == "delayed":
+        tau = PiecewiseSignal.constant(float(rng.uniform(step, 2.0)))
+    elif regime == "overlap":
+        tau = PiecewiseSignal.constant(float(rng.uniform(0.1, 0.9)) * step)
+    elif regime == "mixed":
+        tau = _random_pieces(rng, 0.0, 1.5 * step + 0.5, s, horizon)
+    elif regime == "back_to_start":
+        # u = t − τ(t) rises to s + 0.7, then falls back through s at
+        # t = s + 1 + 0.7/(k − 1), inside the second piece
+        k = float(rng.uniform(1.5, 2.5))
+        tau = PiecewiseSignal((s, s + 1.0, s + 3.0),
+                              ((0.3,), (0.3, k)), 0.3, 0.3 + 2.0 * k)
+    else:
+        # u = 0.5t − t² is back at s = 0 at the end of the first step, which
+        # reads each column's own x(s⁺) (test_first_step_reads_right_limit_
+        # at_start)
+        s, horizon, step = 0.0, horizon - s, 0.6
+        p = _random_pieces(rng, -1.2, 1.2, s, horizon)
+        tau = PiecewiseSignal((0.0, 1.0), ((0.0, 0.5, 1.0),), 0.0, 1.5)
+    return p, tau, s, horizon, step
+
+
+def _single_runs(p, tau, s, horizon, step):
+    zero = PiecewiseSignal.constant(0.0)
+    return (integrate(DelayProblem(p, tau, s, zero, 1.0, 0.0), horizon, step),
+            integrate(DelayProblem(p, tau, s, zero, 0.0, 1.0), horizon, step))
+
+
+@pytest.mark.parametrize("seed", range(36))
+def test_fundamental_system_columns_match_single_runs(seed):
+    case = _fundamental_case(seed)
+    pair = fundamental_system(*case)
+    for got, want, x0, v0 in zip(pair, _single_runs(*case), (1.0, 0.0),
+                                 (0.0, 1.0)):
+        for a, b in ((got.ts, want.ts), (got.xs, want.xs),
+                     (got.vs, want.vs)):
+            assert np.array_equal(a, b)
+        assert got.problem == want.problem
+        assert (got.problem.initial_value, got.problem.initial_slope) == \
+            (x0, v0)
+
+
+def test_fundamental_system_corpus_covers_every_regime():
+    """The seeded corpus above holds each delay regime, steps whose delay
+    is below the step, and delayed arguments landing back on the start."""
+    regimes = set()
+    for seed in range(36):
+        p, tau, s, horizon, step = _fundamental_case(seed)
+        ts = np.linspace(s, horizon, 2001)
+        tv = tau(ts)
+        if not tv.any():
+            regimes.add("ode")
+        if ((tv > 0.0) & (tv < step)).any():
+            regimes.add("overlap")
+        if (tv >= step).any():
+            regimes.add("delayed")
+        u = ts - tv
+        if ((u[:-1] > s) & (u[1:] < s)).any():
+            regimes.add("back_to_start")
+    assert regimes == {"ode", "overlap", "delayed", "back_to_start"}
+
+
+@pytest.mark.parametrize("tau", [
+    PiecewiseSignal((0.0, 1.0, 2.0), ((0.2,), (0.2, -1.0)), 0.2, 0.0),
+    PiecewiseSignal.constant(1.2),
+    PiecewiseSignal((0.0, 2.0, 3.0), ((0.004,), (0.004, 0.0, 40.0)), 0.004,
+                    0.0),
+], ids=["negative_delay", "below_history", "below_history_after_overlap"])
+def test_fundamental_system_raises_like_single_runs(monkeypatch, tau):
+    # an understated delay bound lets a _RAISE stage reach the chunk plan
+    monkeypatch.setattr(DelayProblem, "tau_sup", lambda self, horizon: 0.3)
+    p = PiecewiseSignal.constant(1.0)
+    got = _outcome(lambda: fundamental_system(p, tau, 0.0, 3.0, 0.01))
+    assert got is not None and got[0] in (DomainError, HistoryDomainError)
+    zero = PiecewiseSignal.constant(0.0)
+    for x0, v0 in ((1.0, 0.0), (0.0, 1.0)):
+        assert got == _outcome(lambda: integrate(
+            DelayProblem(p, tau, 0.0, zero, x0, v0), 3.0, 0.01))
+
+
+# ----------------------------------------------------------------------
+# bracket refinement: plain floats against numpy
+# ----------------------------------------------------------------------
+
+def _refinement_corpus():
+    """(trajectory, left) pairs: every bracket of x and of x′, seeded
+    subsets of them, and node indices where x or x′ is exactly zero."""
+    rng = np.random.default_rng(23)
+    trajs = [_zero_run_problem()[0], _midpoint_zero_problem()[0],
+             _example3_problem()[0]]
+    spec = ExampleSpec("example2", 0.15, 30)
+    trajs.append(integrate(build_example_problem(spec),
+                           example_horizon(spec), step=0.01))
+    for seed in range(4):
+        p, tau, s, horizon, step = _fundamental_case(seed)
+        trajs.extend(fundamental_system(p, tau, s, horizon, step))
+    out = []
+    for traj in trajs:
+        for ys in (traj.xs, traj.vs):
+            nonzero = ys != 0.0
+            pos = ys > 0.0
+            left = np.flatnonzero(nonzero[:-1] & nonzero[1:]
+                                  & (pos[:-1] != pos[1:]))
+            out.append((traj, left))
+            if left.size > 4:
+                size = int(rng.integers(1, left.size))
+                out.append((traj, np.sort(rng.choice(left, size, False))))
+            zeros = np.flatnonzero(~nonzero[:-1])
+            if zeros.size:
+                out.append((traj, np.concatenate((zeros[:3], left[:3]))))
+    return out
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-3])
+def test_plain_refinement_matches_numpy_refinement(tol):
+    corpus = _refinement_corpus()
+    sizes = [left.size for _, left in corpus]
+    assert min(sizes) < integrator._PLAIN_BRACKETS < max(sizes)
+    ends = set()
+    for traj, left in corpus:
+        for derivative in (False, True):
+            plain = integrator._refine_plain(traj, derivative, left, tol)
+            arrays = integrator._refine_arrays(traj, derivative, left, tol)
+            assert plain == arrays
+            for t, j in zip(plain, left.tolist()):
+                if t == traj.ts[j]:
+                    ends.add("left_node_zero")
+                elif (traj.sample_slope(t) if derivative
+                      else traj.sample(t)) == 0.0:
+                    ends.add("midpoint_zero")
+    assert ends == {"left_node_zero", "midpoint_zero"}

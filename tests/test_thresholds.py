@@ -6,6 +6,7 @@ before this module's implementation existed.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -524,3 +525,19 @@ def test_semicycle_threshold_values():
     assert semicycle_threshold(1.0) == pytest.approx(expected, abs=1e-12)
     with pytest.raises(DomainError):
         semicycle_threshold(-1.0)
+
+
+@pytest.mark.parametrize("name", ["beta_iterate", "psi"])
+def test_grid_above_limit_rejected_before_allocating(name):
+    before = thresholds._psi_cached.cache_info()
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError,
+                           match=f"above the limit of {thresholds._MAX_GRID}"):
+            getattr(thresholds, name)(1.0, 1.0,
+                                      grid_size=thresholds._MAX_GRID + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert thresholds._psi_cached.cache_info() == before
