@@ -27,6 +27,7 @@ from .errors import (
     ResolutionError,
 )
 from .integrator import (
+    _SCAN_TOL,
     DelayProblem,
     Trajectory,
     _zero_scan,
@@ -91,17 +92,17 @@ class Classification:
     )
 
 
-def find_zeros(traj: Trajectory, tol: float = 1e-10) -> list[tuple]:
+def find_zeros(traj: Trajectory, tol: float = _SCAN_TOL) -> list[tuple]:
     """All zeros of x as (time, degenerate) pairs refined to tol.
 
     Sign-change zeros are bisected on dense output; tangential touches
     (x = 0 with x′ = 0, no sign change) carry degenerate=True and still
     split semicycles.
     """
-    return _zeros_and_extrema(traj, tol)[0]
+    return _zero_scan(traj, tol)[0]
 
 
-def semicycles(traj: Trajectory, zeros, tol: float = 1e-10
+def semicycles(traj: Trajectory, zeros, tol: float = _SCAN_TOL
                ) -> list[Semicycle]:
     """Semicycles between the adjacent (time, degenerate) zeros that
     ``find_zeros`` returns, peaks at the first interior stationary point
@@ -110,14 +111,6 @@ def semicycles(traj: Trajectory, zeros, tol: float = 1e-10
     if sorted(times) != times:
         raise DomainError("zeros must be sorted")
     return _arcs(traj, times, extremum_events(traj, tol), tol)
-
-
-def _zeros_and_extrema(traj: Trajectory, tol: float) -> tuple[list, list]:
-    """``find_zeros`` and the stationary points its touch search read, for
-    ``classify``, whose semicycles need both from one scan."""
-    if not tol > 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
-    return _zero_scan(traj, tol)
 
 
 def _arcs(traj: Trajectory, times: list, stationary: list, tol: float
@@ -265,7 +258,7 @@ def envelope_decay_ratio(traj: Trajectory, stride: float,
 
 
 def classify(problem: DelayProblem, traj: Trajectory, *,
-             growth_factor: float = 1.5, tol: float = 1e-10
+             growth_factor: float = 1.5, tol: float = _SCAN_TOL
              ) -> Classification:
     """Finite-window verdict per the semicycle-length threshold Θ.
 
@@ -275,8 +268,12 @@ def classify(problem: DelayProblem, traj: Trajectory, *,
     normalized delay below γ certifies decay for oscillatory trajectories.
     Otherwise the window is described: no zeros → nonoscillatory_observed,
     a monotone peak envelope growing by ≥ growth_factor → unbounded_observed,
-    else inconclusive.
+    else inconclusive. ``problem`` must be the one ``traj`` solves.
     """
+    if problem != traj.problem:
+        raise DomainError("classify needs the problem the trajectory "
+                          "solves; got another one")
+    zeros, stationary = _zero_scan(traj, tol)
     p_lo, p_hi = _global_p_range(problem)
     p_bound = max(abs(p_lo), abs(p_hi))
     sqrt_p = math.sqrt(p_bound)
@@ -285,7 +282,6 @@ def classify(problem: DelayProblem, traj: Trajectory, *,
     theta_big = float(semicycle_threshold(tau_norm))
     window_norm = (traj.end - traj.start) * sqrt_p
 
-    zeros, stationary = _zeros_and_extrema(traj, tol)
     if not zeros:
         needed = tau_norm + 2.0 * theta_big
         if window_norm < needed:

@@ -30,9 +30,16 @@ originating operation), 2 on parse errors (malformed JSON reports line
 and column; bad flags and values are rejected by argparse, naming the
 flag).  Outputs are written
 atomically (temp file then rename) and are byte-identical across runs
-for a fixed seed and configuration.  ``--jobs N`` fans sweep cells and
-harness instances out to a process pool of at most N workers, N no more
-than ``harness._MAX_JOBS`` (64); assembly stays ordered.
+for a fixed seed and configuration.  ``--jobs N`` fans table cells and
+harness instances out through ``harness._fan_out``, the package's one
+process pool, to at most N workers; assembly stays ordered.  A table's
+first cell runs in-process, so a ``--grid`` Ψ refuses fails before any
+worker starts, with the line a serial run prints.
+
+Sizes are refused before anything is allocated: a table of more than
+``_MAX_CELLS`` cells (|Δ| × |ρ|) exits 1; ``--branches`` wider than
+``_MAX_BRANCHES``, ``--instances`` above ``harness._MAX_INSTANCES`` and
+``--jobs`` above ``harness._MAX_JOBS`` are parse errors naming the flag.
 
 The env var SEMICYCLE_CACHE_DIR overrides the threshold-table cache
 location (default ``~/.cache/semicycles``).
@@ -47,7 +54,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -55,8 +61,9 @@ import numpy as np
 from . import __version__
 from .analysis import classify
 from .errors import DomainError, SemicycleError
-from .harness import _MAX_JOBS, SUITE_NAMES, run_suite
-from .integrator import integrate, problem_from_dict
+from .harness import (_MAX_INSTANCES, _MAX_JOBS, SUITE_NAMES, _check_jobs,
+                      _fan_out, run_suite)
+from .integrator import _SCAN_TOL, integrate, problem_from_dict
 from .repro import (
     EXAMPLE_NAMES,
     ExampleSpec,
@@ -72,6 +79,11 @@ __all__ = ["DEFAULT_SEED", "emit_threshold_table", "main", "run"]
 # Fixed default seed so unseeded invocations are reproducible; any other
 # value must be passed explicitly via --seed.
 DEFAULT_SEED = 1729
+# most cells one threshold table may have: about 100× the largest in use,
+# the benchmark's 31 × 7 = 217 (the tests and README stay under 32)
+_MAX_CELLS = 20_000
+# most branches one --branches range may name: 100× the largest in use (6)
+_MAX_BRANCHES = 600
 
 
 # ----------------------------------------------------------------------
@@ -91,9 +103,17 @@ def _parse_range(text: str) -> tuple:
     return tuple(parts)
 
 
-def _range_values(rng: tuple) -> tuple:
+def _range_values(rng: tuple, others: int = 1) -> tuple:
+    """The points of a ``LO:HI:STEP`` range; refused before any is built if
+    they make more than ``_MAX_CELLS`` cells with ``others`` points on the
+    table's other axis."""
     lo, hi, step = rng
-    n = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    span = (hi - lo) / step + 1e-9
+    # a float test first: HI − LO may overflow to inf, which floor refuses
+    if span >= _MAX_CELLS or (math.floor(span) + 1) * others > _MAX_CELLS:
+        raise DomainError(f"threshold table of about {(span + 1) * others:.4g}"
+                          f" cells is above the limit of {_MAX_CELLS}")
+    n = math.floor(span) + 1
     # rounding keeps grid coordinates clean (0.1-steps print as 2.9,
     # not 2.9000000000000004) without disturbing determinism
     return tuple(round(lo + k * step, 12) for k in range(n))
@@ -111,6 +131,10 @@ def _parse_branches(text: str) -> tuple:
         raise argparse.ArgumentTypeError(
             f"bad branches {text!r}: need an integer N or a range A..B of "
             f"integers with A ≤ B") from None
+    if hi - lo >= _MAX_BRANCHES:
+        raise argparse.ArgumentTypeError(
+            f"bad branches {text!r}: {hi - lo + 1} branches, more than the "
+            f"limit of {_MAX_BRANCHES}")
     return tuple(range(lo, hi + 1))
 
 
@@ -233,6 +257,7 @@ def _threshold_table(delta_values, rho_values, grid_size: int,
     exactly: JSON round-trips doubles losslessly, so emission bytes match
     a fresh run.  An unreadable or mismatched entry is a miss and is
     rewritten; a cache that cannot be written costs one stderr line."""
+    _check_jobs(jobs)
     deltas = tuple(float(d) for d in delta_values)
     rhos = tuple(float(r) for r in rho_values)
     if not deltas or not rhos:
@@ -248,11 +273,10 @@ def _threshold_table(delta_values, rho_values, grid_size: int,
     if table is not None:
         return table
     tasks = [(r, d, grid_size) for d in deltas for r in rhos]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            flat = list(pool.map(_psi_cell, tasks))
-    else:
-        flat = [_psi_cell(t) for t in tasks]
+    # a worker's error loses the traceback that names its operation, so the
+    # first cell runs here: an argument psi refuses in every cell, such as
+    # the grid, fails before any worker starts and names psi
+    flat = [_psi_cell(tasks[0])] + _fan_out(_psi_cell, tasks[1:], jobs)
     table = {
         "version": __version__,
         "algorithm": _TABLE_ALGORITHM,
@@ -291,8 +315,8 @@ def emit_threshold_table(delta_values, rho_values, out_path: str | None = None,
 def _cmd_thresholds(args: argparse.Namespace) -> int:
     deltas = _range_values(args.delta)
     if args.rho is not None:
-        emit_threshold_table(deltas, _range_values(args.rho), args.out,
-                             args.grid, args.jobs)
+        emit_threshold_table(deltas, _range_values(args.rho, len(deltas)),
+                             args.out, args.grid, args.jobs)
         return 0
     table = _threshold_table(deltas, (1.0,), args.grid, args.jobs)
     rows = [(d, table["theta"][i], table["psi"][i][0],
@@ -456,7 +480,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--horizon", type=positive_float, default=30.0)
     c.add_argument("--step", type=positive_float, default=0.01)
     c.add_argument("--growth-factor", type=positive_float, default=1.5)
-    c.add_argument("--tol", type=positive_float, default=1e-10)
+    c.add_argument("--tol", type=positive_float, default=_SCAN_TOL)
     c.add_argument("--out")
 
     p = sub.add_parser("spectrum", help="characteristic roots, one delay")
@@ -481,7 +505,7 @@ def _build_parser() -> argparse.ArgumentParser:
     h.add_argument("suite", choices=SUITE_NAMES)
     h.add_argument("--seed", type=_positive(int, zero_ok=True),
                    default=DEFAULT_SEED)
-    h.add_argument("--instances", type=positive_int)
+    h.add_argument("--instances", type=_positive(int, limit=_MAX_INSTANCES))
     h.add_argument("--jobs", type=job_count, default=1)
     h.add_argument("--out")
 

@@ -14,6 +14,9 @@ spawned children of one ``numpy.random.SeedSequence``):
 
 ``run_suite`` runs one suite by name and returns a HarnessReport with
 per-instance rows for CSV export.
+
+``_fan_out`` is the package's one process fan-out, for the suites and
+the CLI's threshold table.
 """
 
 from __future__ import annotations
@@ -27,14 +30,13 @@ import numpy as np
 from .errors import DomainError, NotApplicableError, ResolutionError
 from .analysis import (
     _arcs,
-    _zeros_and_extrema,
     envelope_decay_ratio,
     check_ascent,
     check_descent,
     verify_comparison,
     wronskian_min,
 )
-from .integrator import DelayProblem, integrate
+from .integrator import _SCAN_TOL, DelayProblem, _zero_scan, integrate
 from .signals import PiecewiseSignal, signal_range
 from .spectral import CharRoot, char_roots
 from .thresholds import semicycle_threshold
@@ -48,11 +50,13 @@ __all__ = [
 ]
 
 _MODE_DEGREE = 20  # Taylor degree of each history segment
-_SCAN_TOL = 1e-10  # zero and peak resolution of the margins suite
-# most worker processes one suite run may start: 16× the largest count the
+# most worker processes one fan-out may start: 16× the largest count the
 # package's tests, scripts and README use (4); each worker is a whole
 # interpreter, so the bound is on processes, not on instances
 _MAX_JOBS = 64
+# most instances one suite run may take: 100× the largest count in use
+# (200, the margins and comparison defaults)
+_MAX_INSTANCES = 20_000
 
 
 @dataclass(frozen=True)
@@ -130,7 +134,7 @@ def eigenmode_problem(c: float, root: CharRoot, phase: float = 0.0
 
 
 def _decay_instance(idx: int, rng) -> tuple:
-    """One instance → (rows, checked, failures, metrics); see _execute."""
+    """One instance → (rows, checked, failures, metrics); see run_suite."""
     for _ in range(40):
         c = float(rng.uniform(2.8, 5.2))
         cap = semicycle_threshold(c) - 0.051
@@ -201,7 +205,7 @@ def _margin_instance(idx: int, rng) -> tuple:
     traj = integrate(problem, 16.0, step=0.01)
     try:
         # the zeros and peaks from one slope scan, as classify reads them
-        zeros, stationary = _zeros_and_extrema(traj, _SCAN_TOL)
+        zeros, stationary = _zero_scan(traj, _SCAN_TOL)
         arcs = _arcs(traj, [t for t, _ in zeros], stationary, _SCAN_TOL)
     except (DomainError, ResolutionError):
         return [], 0, 0, []
@@ -319,6 +323,23 @@ def _wronskian_instance(idx: int, rng) -> tuple:
 # dispatch: serial or worker-pool execution, ordered assembly
 # ----------------------------------------------------------------------
 
+def _check_jobs(jobs) -> None:
+    if not (type(jobs) is int and 1 <= jobs <= _MAX_JOBS):  # not a bool
+        raise DomainError(f"asks for {jobs!r} workers; need an int from 1 "
+                          f"to the limit of {_MAX_JOBS}")
+
+
+def _fan_out(fn, tasks: list, jobs: int) -> list:
+    """[fn(t) for t in tasks], in order: in-process with one worker or one
+    task, else on min(jobs, len(tasks)) worker processes. A ``jobs`` that
+    is not an int from 1 to ``_MAX_JOBS`` raises before any pool exists."""
+    _check_jobs(jobs)
+    if jobs == 1 or len(tasks) <= 1:
+        return [fn(t) for t in tasks]
+    with ProcessPoolExecutor(min(jobs, len(tasks))) as pool:
+        return list(pool.map(fn, tasks))
+
+
 # suite -> (instance function, default count, row columns, whether the
 # worst metric is the minimum: margins and wronskian fail from below,
 # decay and comparison from above)
@@ -346,16 +367,22 @@ def _run_one(task: tuple) -> tuple:
     return _SUITES[suite][0](idx, rng)
 
 
-def _execute(suite: str, seed: int, count: int, jobs: int) -> HarnessReport:
-    """Run `count` instances, serially or on a process pool, and fold the
-    per-instance results in index order (identical either way)."""
-    jobs = max(1, int(jobs))
-    tasks = [(suite, seed, i) for i in range(count)]
-    if jobs > 1 and count > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, count)) as pool:
-            outs = list(pool.map(_run_one, tasks))
-    else:
-        outs = [_run_one(t) for t in tasks]
+def run_suite(suite: str, seed: int = 0, count: int | None = None,
+              jobs: int = 1) -> HarnessReport:
+    """``count`` instances of one suite (its default if None, at most
+    ``_MAX_INSTANCES``) from an int ``seed`` ≥ 0 on ``jobs`` workers,
+    folded in index order, so identical for every ``jobs``."""
+    if suite not in _SUITES:
+        raise DomainError(f"unknown suite {suite!r}; pick from "
+                          f"{', '.join(SUITE_NAMES)}")
+    _, default, columns, worst_is_min = _SUITES[suite]
+    n = default if count is None else count
+    if not (type(n) is int and 1 <= n <= _MAX_INSTANCES):
+        raise DomainError(f"suite {suite} needs an int count from 1 to the "
+                          f"limit of {_MAX_INSTANCES}, got {n!r}")
+    if not (type(seed) is int and seed >= 0):
+        raise DomainError(f"suite seed must be an int ≥ 0, got {seed!r}")
+    outs = _fan_out(_run_one, [(suite, seed, i) for i in range(n)], jobs)
     rows: list = []
     checked = failures = 0
     metrics: list = []
@@ -364,29 +391,9 @@ def _execute(suite: str, seed: int, count: int, jobs: int) -> HarnessReport:
         checked += ch
         failures += fails
         metrics.extend(ms)
-    _, _, columns, worst_is_min = _SUITES[suite]
     if metrics:
         worst = min(metrics) if worst_is_min else max(metrics)
     else:
         worst = math.nan
-    return HarnessReport(suite, seed, count, checked, failures, worst,
+    return HarnessReport(suite, seed, n, checked, failures, worst,
                          columns, tuple(rows))
-
-
-def run_suite(suite: str, seed: int = 0, count: int | None = None,
-              jobs: int = 1) -> HarnessReport:
-    """Dispatch by suite name with each suite's default instance count;
-    at least one instance, a non-negative seed and at most ``_MAX_JOBS``
-    worker processes."""
-    if suite not in _SUITES:
-        raise DomainError(f"unknown suite {suite!r}; pick from "
-                          f"{', '.join(SUITE_NAMES)}")
-    n = _SUITES[suite][1] if count is None else count
-    if n < 1:
-        raise DomainError(f"suite {suite} needs count ≥ 1, got {n}")
-    if seed < 0:
-        raise DomainError(f"suite seed must be ≥ 0, got {seed}")
-    if jobs > _MAX_JOBS:
-        raise DomainError(f"suite {suite} asks for {jobs} workers, more than "
-                          f"the limit of {_MAX_JOBS}")
-    return _execute(suite, seed, n, jobs)

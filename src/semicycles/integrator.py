@@ -43,7 +43,8 @@ A zero or extremum scan bisects each sign change of x or x′ on its own
 step. Below ``_PLAIN_BRACKETS`` (40) brackets it bisects them one by one in
 Python floats, with the dense-output kernel's operations in their order;
 above, all at once with numpy, which pays only when many brackets share
-each of its rounds. Both give the same floats.
+each of its rounds. Both give the same floats. A scan refuses a tol that
+is not finite and positive (DomainError) before any work.
 
 The step grid is bounded: an integration that would take more than
 ``_MAX_STEPS`` steps raises DomainError before any array is allocated.
@@ -677,28 +678,14 @@ def _integrate_columns(problems: tuple, horizon: float, step: float
 # numpy bisection costs about 1.5 ms a scan for anything up to 120 brackets
 # (about 27 rounds of some 35 small array calls), so it wins above about 40
 _PLAIN_BRACKETS = 40
-
-
-def _refine_sign_changes(traj: Trajectory, derivative: bool,
-                         left: np.ndarray, tol: float) -> list[float]:
-    """Bisect the sign change of x (x′ if ``derivative``) on each step
-    [ts[j], ts[j + 1]], j in ``left``, reading that step's output only.
-
-    Each bracket keeps its own midpoint sequence: it ends at its left node
-    if the function vanishes there, at the first midpoint where it vanishes,
-    or else at the centre of its first interval no wider than tol. Fewer
-    than ``_PLAIN_BRACKETS`` brackets are bisected one by one in Python
-    floats, more all at once with numpy; both give the same floats.
-    """
-    if left.size < _PLAIN_BRACKETS:
-        return _refine_plain(traj, derivative, left, tol)
-    return _refine_arrays(traj, derivative, left, tol)
+# default resolution of every zero and extremum scan, the CLI's --tol too
+_SCAN_TOL = 1e-10
 
 
 def _refine_plain(traj: Trajectory, derivative: bool, left: np.ndarray,
                   tol: float) -> list[float]:
-    """``_refine_sign_changes`` one bracket at a time, in Python floats with
-    the operations of ``Trajectory._on_steps`` in its order."""
+    """Bisect each bracket one at a time, in Python floats with the
+    operations of ``Trajectory._on_steps`` in its order."""
     ts, xs, vs = traj.ts, traj.xs, traj.vs
     out = []
     for j in left.tolist():
@@ -713,7 +700,7 @@ def _refine_plain(traj: Trajectory, derivative: bool, left: np.ndarray,
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
             fm = _dense_on_step(mid, *step)
-            if fm == 0.0:
+            if fm == 0.0 or not lo < mid < hi:  # or lo, hi adjacent floats
                 break
             if (fm > 0.0) == lo_pos:
                 lo = mid
@@ -738,8 +725,8 @@ def _dense_on_step(q: float, t0: float, h: float, x0: float, v0: float,
 
 def _refine_arrays(traj: Trajectory, derivative: bool, left: np.ndarray,
                    tol: float) -> list[float]:
-    """``_refine_sign_changes`` for all brackets at once: one numpy
-    evaluation per round for the brackets still open."""
+    """``_refine_plain`` for all brackets at once: one numpy evaluation
+    per round for the brackets still open."""
     lo, hi = traj.ts[left], traj.ts[left + 1]
     f_lo = traj._on_steps(left, lo, derivative)
     out = lo.copy()
@@ -749,9 +736,10 @@ def _refine_arrays(traj: Trajectory, derivative: bool, left: np.ndarray,
         idx = np.flatnonzero(live & (hi - lo > tol))
         if idx.size == 0:
             break
-        mid = 0.5 * (lo[idx] + hi[idx])
+        lo_i, hi_i = lo[idx], hi[idx]
+        mid = 0.5 * (lo_i + hi_i)
         fm = traj._on_steps(left[idx], mid, derivative)
-        hit = fm == 0.0
+        hit = (fm == 0.0) | (mid <= lo_i) | (mid >= hi_i)
         out[idx[hit]] = mid[hit]
         live[idx[hit]] = False
         same = (fm > 0.0) == lo_pos[idx]
@@ -761,18 +749,31 @@ def _refine_arrays(traj: Trajectory, derivative: bool, left: np.ndarray,
     return out.tolist()
 
 
+def _check_tol(tol: float) -> None:
+    # NaN or inf would leave every bracket unrefined, zero or less asks for
+    # a width no bisection reaches
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be finite and positive, got {tol}")
+
+
 def _scan_sign_changes(traj: Trajectory, derivative: bool, tol: float
                        ) -> list[tuple]:
     """(t, exact_node) for each sign change of x at the nodes (of x′ if
     ``derivative``), refined by bisection on dense output. Node values that
     are exactly zero are taken as-is; a run of exact zeros yields one
-    event."""
+    event. Each bracket is bisected on its own step: it ends at its left
+    node if the function vanishes there, at the first midpoint where it
+    vanishes or that cannot move (the ends are adjacent floats, wider
+    than tol), or else at the centre of its first interval no wider than
+    tol."""
+    _check_tol(tol)
     ys = traj.vs if derivative else traj.xs
     nonzero = ys != 0.0
     pos = ys > 0.0
     # brackets: adjacent nonzero nodes of opposite sign
     left = np.flatnonzero(nonzero[:-1] & nonzero[1:] & (pos[:-1] != pos[1:]))
-    t_star = _refine_sign_changes(traj, derivative, left, tol)
+    refine = _refine_plain if left.size < _PLAIN_BRACKETS else _refine_arrays
+    t_star = refine(traj, derivative, left, tol)
     zeros = np.flatnonzero(~nonzero)
     if zeros.size == 0:
         return [(t, False) for t in t_star]
@@ -797,7 +798,7 @@ def _abs_max_so_far(traj: Trajectory, ys: np.ndarray, t: list) -> list:
     return np.maximum.accumulate(np.abs(ys))[j].tolist()
 
 
-def zero_crossings(traj: Trajectory, tol: float = 1e-10) -> list[tuple]:
+def zero_crossings(traj: Trajectory, tol: float = _SCAN_TOL) -> list[tuple]:
     """Zeros of x as (time, degenerate) pairs, in increasing time.
 
     Sign-change zeros are refined to ``tol``; tangential touches (a local
@@ -813,6 +814,7 @@ def _zero_scan(traj: Trajectory, tol: float) -> tuple[list, list]:
     """``zero_crossings`` and the ``extremum_events`` its touch search read
     (none for an identically zero trajectory, which has one zero), so that
     a caller that needs both scans the slope once."""
+    _check_tol(tol)
     if not traj.xs.any():
         return [(traj.start, True)], []  # identically zero trajectory
     hits = _scan_sign_changes(traj, False, tol)
@@ -839,12 +841,12 @@ def _zero_scan(traj: Trajectory, tol: float) -> tuple[list, list]:
     return zeros, extrema
 
 
-def extremum_events(traj: Trajectory, tol: float = 1e-10) -> list[float]:
+def extremum_events(traj: Trajectory, tol: float = _SCAN_TOL) -> list[float]:
     """Interior stationary points located by slope sign change."""
     return [t for t, _ in _scan_sign_changes(traj, True, tol)]
 
 
-def _scan_events(traj: Trajectory, tol: float = 1e-10) -> list[Event]:
+def _scan_events(traj: Trajectory, tol: float = _SCAN_TOL) -> list[Event]:
     evs = [Event("zero", t, degenerate=d) for t, d in zero_crossings(traj, tol)]
     evs.extend(Event("extremum", t) for t in extremum_events(traj, tol))
     evs.sort(key=lambda e: e.t)

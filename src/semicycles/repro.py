@@ -40,6 +40,10 @@ __all__ = [
 ]
 
 SQRT2 = math.sqrt(2.0)
+# most periods one example may span: 100× the largest count in use (50);
+# the perturbed examples build signal pieces per period before the
+# integrator's own step limit is reached
+_MAX_PERIODS = 5_000
 
 
 @dataclass(frozen=True)
@@ -59,6 +63,9 @@ class ExampleSpec:
             raise DomainError(f"epsilon must be ≥ 0, got {self.epsilon}")
         if self.periods < 1:
             raise DomainError(f"periods must be ≥ 1, got {self.periods}")
+        if self.periods > _MAX_PERIODS:
+            raise DomainError(f"periods {self.periods} is above the limit of "
+                              f"{_MAX_PERIODS}")
 
 
 def _period2(epsilon: float) -> float:

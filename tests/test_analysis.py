@@ -19,6 +19,7 @@ from semicycles import (
     DelayProblem,
     PiecewiseSignal,
     Semicycle,
+    Trajectory,
     build_example_problem,
     char_roots,
     check_ascent,
@@ -39,10 +40,12 @@ from semicycles import (
     verify_comparison,
 )
 from semicycles.errors import (
+    DomainError,
     InsufficientWindowError,
     NotApplicableError,
     ResolutionError,
 )
+from semicycles import analysis, integrator
 from semicycles.repro import ExampleSpec
 
 SQRT2 = math.sqrt(2.0)
@@ -223,10 +226,13 @@ def test_classify_long_arcs_with_small_negative_coefficient():
     # decision-table check for the small-delay nonpositive-coefficient
     # certificate: semicycles longer than the threshold would otherwise
     # land in inconclusive (flat envelope), but τ̃ < γ certifies decay
+    # the sine's nodes relabelled as this problem's trajectory: classify
+    # refuses a trajectory of another problem, so the pairing is explicit
     problem = DelayProblem(p=const(-1.0), tau=const(1.2), start=0.0,
                            history=const(0.0), initial_value=0.0,
                            initial_slope=1.0)
-    traj = integrate(_sine_problem(), 4.5 * math.pi, step=0.005)
+    sine = integrate(_sine_problem(), 4.5 * math.pi, step=0.005)
+    traj = Trajectory(sine.ts, sine.xs, sine.vs, problem=problem)
     cls = classify(problem, traj)
     assert cls.verdict == "tends_to_zero_certified"
     names = [name for name, _, _ in cls.evidence]
@@ -526,3 +532,52 @@ def test_comparison_rejects_broken_hypotheses():
     with pytest.raises(NotApplicableError, match=_exactly(
             "majorant coefficient 0.5 < |1.0| at t = 1.0")):
         verify_comparison(minor, both_at_1, 2.0)
+
+
+# each public scan, given the trajectory, its zeros and the tol
+_SCANS = {
+    "zero_crossings": lambda traj, _, tol: integrator.zero_crossings(traj, tol),
+    "extremum_events": lambda traj, _, tol: integrator.extremum_events(traj,
+                                                                       tol),
+    "find_zeros": lambda traj, _, tol: find_zeros(traj, tol),
+    "semicycles": lambda traj, zeros, tol: semicycles(traj, zeros, tol),
+    "classify": lambda traj, _, tol: classify(traj.problem, traj, tol=tol),
+}
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("zero", [False, True], ids=["sine", "zero"])
+@pytest.mark.parametrize("scan", sorted(_SCANS))
+def test_every_public_scan_refuses_a_bad_tol(monkeypatch, scan, zero, tol):
+    problem = DelayProblem(p=const(1.0), tau=const(0.5), start=0.0,
+                           history=const(0.0), initial_value=0.0,
+                           initial_slope=0.0 if zero else 1.0)
+    traj = integrate(problem, 12.0, step=0.01)
+    assert traj.xs.any() != zero
+    zeros = find_zeros(traj)
+
+    def no_work(*args):
+        raise AssertionError("the scan did work before refusing its tol")
+
+    # the refinement and classify's threshold are the work a refusal skips
+    for owner, name in ((integrator, "_refine_plain"),
+                        (integrator, "_refine_arrays"),
+                        (analysis, "semicycle_threshold")):
+        monkeypatch.setattr(owner, name, no_work)
+    with pytest.raises(DomainError, match="tol must be finite and positive"):
+        _SCANS[scan](traj, zeros, tol)
+
+
+def test_classify_refuses_another_problems_trajectory():
+    # x = sin t solves p ≡ 1; against p ≡ 0.25 its arcs of length π would
+    # read as 1.5708 normalized, under Θ, and certify decay
+    sine = _sine_problem()
+    traj = integrate(sine, 6.5 * math.pi, step=0.01)
+    quarter = DelayProblem(p=const(0.25), tau=sine.tau, start=sine.start,
+                           history=sine.history, initial_value=0.0,
+                           initial_slope=1.0)
+    with pytest.raises(DomainError, match="problem the trajectory solves"):
+        classify(quarter, traj)
+    assert classify(sine, traj).verdict == "inconclusive"
+    # an equal problem built separately is the same problem
+    assert classify(_sine_problem(), traj).verdict == "inconclusive"

@@ -6,13 +6,18 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from semicycles import cli, harness, thresholds
 from semicycles.analysis import Classification
 from semicycles.cli import DEFAULT_SEED, main
+from semicycles.errors import DomainError
+from semicycles.harness import SUITE_NAMES
 from semicycles.integrator import problem_to_dict
 from semicycles.repro import ExampleSpec, build_example_problem
 
@@ -421,3 +426,180 @@ def test_repro_accepts_sin_alias(tmp_path):
     assert main(["repro", "sin", "--periods", "1", "--out", str(out)]) == 0
     rows = _read_csv(str(out))
     assert max(float(r["error"]) for r in rows) < 1e-6
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_grid_above_limit_refused_before_any_worker(no_pool, capsys, jobs):
+    limit = thresholds._MAX_GRID
+    assert main(["thresholds", "--delta", "1", "--rho", "1:2:1", "--grid",
+                 str(limit + 1), "--jobs", jobs]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"semicycles thresholds: thresholds.psi: grid_size {limit + 1} is "
+        f"above the limit of {limit}"]
+
+
+def test_cache_hit_solves_nothing(tmp_path, monkeypatch):
+    args = ["thresholds", "--delta", "0:1:0.5", "--rho", "0.5:1:0.5",
+            "--grid", "512"]
+    cold, hit = tmp_path / "cold.csv", tmp_path / "hit.csv"
+    assert main(args + ["--out", str(cold)]) == 0
+
+    def solve(*_):
+        raise AssertionError("a cache hit solved a cell")
+
+    monkeypatch.setattr(cli, "psi", solve)
+    monkeypatch.setattr(cli, "_fan_out", solve)
+    assert main(args + ["--out", str(hit)]) == 0
+    assert cold.read_bytes() == hit.read_bytes()
+
+
+@pytest.mark.parametrize("jobs", [0, harness._MAX_JOBS + 1, 2.0, True])
+def test_threshold_table_refuses_worker_count_before_any_pool(no_pool, jobs):
+    # cold, and again once the table is cached
+    for _ in range(2):
+        with pytest.raises(DomainError, match="workers; need an int"):
+            cli.emit_threshold_table((0.0, 1.0), (1.0,), grid_size=64,
+                                     jobs=jobs)
+        cli.emit_threshold_table((0.0, 1.0), (1.0,), grid_size=64)
+
+
+def test_range_values_refuses_cells_above_limit_before_building():
+    limit = cli._MAX_CELLS
+    assert len(cli._range_values((0.0, limit - 1.0, 1.0))) == limit
+    assert len(cli._range_values((0.0, 99.0, 1.0), limit // 100)) == 100
+    for rng, others in (((0.0, float(limit), 1.0), 1),
+                        ((0.0, 100.0, 1.0), limit // 100),
+                        ((0.0, 1e6, 1e-4), 1),
+                        ((-1e308, 1e308, 1e-300), 1)):
+        tracemalloc.start()
+        with pytest.raises(DomainError, match=f"above the limit of {limit}"):
+            cli._range_values(rng, others)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 10_000
+
+
+@pytest.mark.parametrize("argv", [
+    ["thresholds", "--delta", "0:1000000:0.0001"],
+    ["thresholds", "--delta", "0:199:1", "--rho", "0:100:1"],
+    ["thresholds", "--delta=-1e308:1e308:1e-300"],
+], ids=["delta_cells", "delta_times_rho", "overflowing_range"])
+def test_table_above_cell_limit_exits_with_one_line(no_pool, capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(
+        "semicycles thresholds: thresholds: threshold table of about ")
+    assert lines[0].endswith(f"cells is above the limit of {cli._MAX_CELLS}")
+
+
+def test_branch_range_above_limit_is_a_parse_error(capsys):
+    limit = cli._MAX_BRANCHES
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--delay", "1", "--branches", f"5..{5 + limit}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert (f"argument --branches: bad branches '5..{5 + limit}': "
+            f"{limit + 1} branches, more than the limit of {limit}") in err
+    assert "Traceback" not in err
+    parsed = cli._build_parser().parse_args(
+        ["spectrum", "--delay", "1", "--branches", f"5..{4 + limit}"])
+    assert len(parsed.branches) == limit
+
+
+def test_instance_count_above_limit_is_a_parse_error(capsys):
+    limit = harness._MAX_INSTANCES
+    with pytest.raises(SystemExit) as exc:
+        main(["harness", "decay", "--instances", str(limit + 1)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --instances: must be at most {limit}" in err
+    assert "Traceback" not in err
+    parsed = cli._build_parser().parse_args(
+        ["harness", "decay", "--instances", str(limit)])
+    assert parsed.instances == limit
+
+
+# argv pieces per subcommand for the property below: small in-range
+# sizes, malformed and non-finite values, and sizes above a limit only
+# where they are refused before any work
+_RANGES = ("0", "0.5", "0:1:0.5", "1:1.5:0.25", "0.5:2:0.5", "3:0:1",
+           "0:1:0", "1:2", "x", "nan", "0:inf:1", "0:1000000:0.0001")
+_JOBS = ("1", "2", str(harness._MAX_JOBS + 1))
+_FLAGS = {
+    "thresholds": (("--delta", _RANGES), ("--rho", _RANGES + (None,)),
+                   ("--grid", ("64", "128", "63", "0", "-5", "x",
+                               str(thresholds._MAX_GRID + 1), None)),
+                   ("--jobs", _JOBS + (None,))),
+    "simulate": (("--horizon", ("2", "5", "0", "nan", "1e12", None)),
+                 ("--step", ("0.01", "0.05", "-1", "1e-9", None)),
+                 ("--svg", ("svg", None))),
+    "classify": (("--horizon", ("5", "20", "inf", None)),
+                 ("--step", ("0.01", "0.05", None)),
+                 ("--growth-factor", ("1.5", "0", "2", None)),
+                 ("--tol", ("1e-10", "1e-3", "1e-300", "0", "nan", None))),
+    "spectrum": (("--delay", ("1", "4", "0.01", "0", "nan", "1e-300",
+                              "1e300")),
+                 ("--sign", ("+", "-", "*", None)),
+                 ("--branches", ("0..2", "3", "-2..1", "5..1", "x",
+                                 f"0..{cli._MAX_BRANCHES}", None))),
+    "repro": (("--epsilon", ("0", "0.05", "-1", "nan", None)),
+              ("--periods", ("1", "2", "0", "1000000000", None)),
+              ("--step", ("0.005", "0.05", "0", None))),
+    "harness": (("--seed", ("0", "7", "-1", str(2 ** 70), None)),
+                ("--instances", ("1", "2", "0",
+                                 str(harness._MAX_INSTANCES + 1))),
+                ("--jobs", _JOBS + (None,))),
+}
+_POSITIONAL = {"repro": ("example2", "example3", "sin", "bogus"),
+               "harness": SUITE_NAMES + ("bogus",)}
+_PROBLEMS = ("good", "malformed", "schema", "missing")
+
+
+def _problem_path(tmp: Path, kind: str) -> str:
+    path = tmp / f"{kind}.json"
+    if kind == "good":
+        prob = build_example_problem(ExampleSpec("example3", 0.05, 2))
+        path.write_text(json.dumps(problem_to_dict(prob)))
+    elif kind == "malformed":
+        path.write_text("{not json")
+    elif kind == "schema":
+        path.write_text(json.dumps({"p": 1}))
+    return str(path)
+
+
+@pytest.mark.parametrize("sub", sorted(_FLAGS))
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_argv_exits_cleanly(capsys, sub, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        argv = [sub]
+        if sub in _POSITIONAL:
+            argv.append(data.draw(st.sampled_from(_POSITIONAL[sub])))
+        if sub in ("simulate", "classify"):
+            argv += ["--problem", _problem_path(
+                tmp, data.draw(st.sampled_from(_PROBLEMS)))]
+        for flag, values in _FLAGS[sub]:
+            value = data.draw(st.sampled_from(values), label=flag)
+            if value is not None:
+                argv += [f"{flag}={tmp / value}" if flag == "--svg"
+                         else f"{flag}={value}"]
+        out = tmp / "out.txt"
+        argv += ["--out", str(out)]
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            status = exc.code
+        err = capsys.readouterr().err
+        assert status in (0, 1, 2), argv
+        assert "Traceback" not in err, argv
+        if status == 0:
+            assert out.exists(), argv
+        elif not (sub == "harness" and "failing instance checks" in err):
+            left = [p.name for p in tmp.iterdir() if p.name.startswith("out")]
+            assert left == [], argv

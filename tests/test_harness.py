@@ -115,3 +115,52 @@ def test_worker_count_above_limit_rejected():
     # refused before any pool starts
     with pytest.raises(DomainError, match=f"limit of {harness._MAX_JOBS}"):
         run_suite("comparison", seed=0, count=2, jobs=harness._MAX_JOBS + 1)
+
+
+@pytest.mark.parametrize("bad", [
+    {"jobs": 0}, {"jobs": harness._MAX_JOBS + 1}, {"jobs": math.nan},
+    {"jobs": True}, {"jobs": 2.0},
+    {"count": 0}, {"count": harness._MAX_INSTANCES + 1}, {"count": 2.5},
+    {"count": True},
+    {"seed": -1}, {"seed": math.nan}, {"seed": True}, {"seed": 1.0},
+], ids=["jobs_0", "jobs_above_limit", "jobs_nan", "jobs_bool", "jobs_float",
+        "count_0", "count_above_limit", "count_float", "count_bool",
+        "seed_negative", "seed_nan", "seed_bool", "seed_float"])
+def test_bad_suite_arguments_refused_before_any_pool(no_pool, bad):
+    # every other argument would start a two-worker pool
+    with pytest.raises(DomainError):
+        run_suite("comparison", **({"seed": 0, "count": 2, "jobs": 2} | bad))
+
+
+def test_instance_count_limit_is_named():
+    limit = harness._MAX_INSTANCES
+    with pytest.raises(DomainError, match=f"limit of {limit}, got {limit + 1}"):
+        run_suite("decay", seed=0, count=limit + 1)
+
+
+def test_fan_out_runs_in_process_for_one_worker_or_one_task(no_pool):
+    assert harness._fan_out(abs, [-1, 2, -3], 1) == [1, 2, 3]
+    assert harness._fan_out(abs, [-4], harness._MAX_JOBS) == [4]
+    assert harness._fan_out(abs, [], 2) == []
+
+
+def test_fan_out_pool_has_at_most_one_worker_per_task(monkeypatch):
+    built = []
+
+    class Recording:
+        def __init__(self, workers):
+            built.append(workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", Recording)
+    assert harness._fan_out(abs, [-1, -2, -3], 8) == [1, 2, 3]
+    assert harness._fan_out(abs, [-1, -2, -3], 2) == [1, 2, 3]
+    assert built == [3, 2]

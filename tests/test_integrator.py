@@ -1034,3 +1034,34 @@ def test_plain_refinement_matches_numpy_refinement(tol):
                       else traj.sample(t)) == 0.0:
                     ends.add("midpoint_zero")
     assert ends == {"left_node_zero", "midpoint_zero"}
+
+
+@pytest.mark.parametrize("tol", [1e-300, 5e-324])
+def test_refinement_below_float_spacing_ends_equal_on_both_paths(tol):
+    # no float lies strictly between two adjacent ones, so a bisection
+    # asked for a width below their spacing stops there, on either path
+    for traj, left in _refinement_corpus():
+        for derivative in (False, True):
+            plain = integrator._refine_plain(traj, derivative, left, tol)
+            assert plain == integrator._refine_arrays(traj, derivative,
+                                                      left, tol)
+            coarse = integrator._refine_plain(traj, derivative, left, 1e-10)
+            assert np.allclose(plain, coarse, rtol=0.0, atol=1e-10)
+
+
+def test_scans_end_where_the_default_tol_is_below_float_spacing():
+    # floats near 1e7 are 1.9e-9 apart, wider than the default 1e-10
+    shift = 1e7
+    runs = []
+    const = PiecewiseSignal.constant
+    for start in (0.0, shift):
+        problem = DelayProblem(const(1.0), const(0.5), start, const(1.0),
+                               1.0, 0.0)
+        traj = integrate(problem, start + 20.0, step=0.01)
+        runs.append((find_zeros(traj), integrator.extremum_events(traj)))
+    (zeros, peaks), (zeros_far, peaks_far) = runs
+    assert len(zeros) == len(zeros_far) > 3
+    assert len(peaks) == len(peaks_far) > 3
+    assert np.allclose([t for t, _ in zeros_far], [t + shift for t, _ in zeros],
+                       rtol=0.0, atol=1e-6)
+    assert np.allclose(peaks_far, np.add(peaks, shift), rtol=0.0, atol=1e-6)

@@ -1,11 +1,12 @@
 """Closed-form benchmarks: junction smoothness and integrator agreement."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from semicycles import DomainError, integrate
+from semicycles import DomainError, integrate, repro
 from semicycles.repro import (
     ExampleSpec,
     build_example_problem,
@@ -138,3 +139,14 @@ def test_spec_validation():
         ExampleSpec("example2", periods=0)
     with pytest.raises(DomainError):
         example2_closed_form(0.1, -0.5)
+
+
+def test_periods_above_limit_refused_before_building():
+    limit = repro._MAX_PERIODS
+    assert build_example_problem(ExampleSpec("example3", 0.05, limit))
+    tracemalloc.start()
+    with pytest.raises(DomainError, match=f"above the limit of {limit}"):
+        ExampleSpec("example3", 0.05, 10 ** 9)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 10_000
