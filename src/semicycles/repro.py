@@ -59,8 +59,13 @@ class ExampleSpec:
             raise DomainError(
                 f"unknown example {self.which!r}; expected one of "
                 f"{EXAMPLE_NAMES}")
-        if not self.epsilon >= 0.0:
-            raise DomainError(f"epsilon must be ≥ 0, got {self.epsilon}")
+        if not (isinstance(self.epsilon, (int, float))
+                and math.isfinite(self.epsilon) and self.epsilon >= 0.0):
+            raise DomainError(
+                f"epsilon must be finite and ≥ 0, got {self.epsilon!r}")
+        if type(self.periods) is not int:
+            raise DomainError(
+                f"periods must be an int, got {self.periods!r}")
         if self.periods < 1:
             raise DomainError(f"periods must be ≥ 1, got {self.periods}")
         if self.periods > _MAX_PERIODS:

@@ -141,6 +141,16 @@ def test_spec_validation():
         example2_closed_form(0.1, -0.5)
 
 
+@pytest.mark.parametrize("epsilon, periods", [
+    (0.05, math.nan), (0.05, 2.5), (0.05, 3.0), (0.05, True), (0.05, "3"),
+    (math.nan, 3), (math.inf, 3), ("0.1", 3), (None, 3),
+])
+def test_spec_refuses_non_int_periods_and_non_finite_epsilon(epsilon,
+                                                             periods):
+    with pytest.raises(DomainError):
+        ExampleSpec("example3", epsilon, periods)
+
+
 def test_periods_above_limit_refused_before_building():
     limit = repro._MAX_PERIODS
     assert build_example_problem(ExampleSpec("example3", 0.05, limit))

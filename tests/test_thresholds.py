@@ -133,8 +133,8 @@ def test_theta_monotone_grid():
 
 
 def _loop_theta(delta):
-    """ϑ_Δ by the bisection loop written out in place, as before the shared
-    root finder: the oracle of ``theta``."""
+    """ϑ_Δ by the bisection loop written out in place, as ``theta`` found
+    it before ``_root``: its oracle, within the 1e−13 bracket width."""
     if delta < 1e-12:
         return HALF_PI
     lo, hi = 1.0, HALF_PI
@@ -147,11 +147,54 @@ def _loop_theta(delta):
     return 0.5 * (lo + hi)
 
 
-def test_theta_bit_identical_to_inline_bisection():
-    deltas = [0.0, 1e-13] + [round(0.05 * k, 12) for k in range(1, 61)]
-    deltas.append(2 * SQRT2)
-    for d in deltas:
-        assert theta(d) == _loop_theta(d), d
+_THETA_DELTAS = ([0.0, 1e-13] + [round(0.05 * k, 12) for k in range(1, 61)]
+                 + [2 * SQRT2]
+                 + [float(d) for d in np.geomspace(1.1e-12, 200.0, 120)])
+
+
+def test_theta_within_bracket_width_of_inline_bisection(monkeypatch):
+    """``_root`` gives ϑ within the 1e−13 bracket width of the bisection,
+    at most 40 series evaluations at any Δ (both ends included) and 15 on
+    average, against 45 for the bisection."""
+    calls = []
+    r_array = thresholds._r_array
+    monkeypatch.setattr(thresholds, "_r_array",
+                        lambda d, ts: calls.append(d) or r_array(d, ts))
+    counts = []
+    for d in _THETA_DELTAS:
+        calls.clear()
+        got = theta.__wrapped__(d)
+        counts.append(len(calls))
+        assert abs(got - _loop_theta(d)) <= 1e-13, d
+    assert max(counts) <= 40
+    assert sum(counts) / len(counts) <= 15
+
+
+def test_theta_noise_positive_end_counts_as_not_above(monkeypatch):
+    """The bracket check accepts r(π/2) less than 1e−14 above 0; that end is
+    then a "not above" end, and the root stays in [1, π/2]."""
+    r_array = thresholds._r_array
+
+    def noisy(d, ts):
+        vals = r_array(d, ts)
+        vals[ts == HALF_PI] = 5e-15
+        return vals
+
+    ends = []
+    root = thresholds._root
+
+    def spy(f, lo, hi, f_lo, f_hi, width):
+        ends.append(f_hi)
+        return root(f, lo, hi, f_lo, f_hi, width)
+
+    monkeypatch.setattr(thresholds, "_r_array", noisy)
+    monkeypatch.setattr(thresholds, "_root", spy)
+    d = 1.1e-12
+    assert thresholds.eval_r(d, HALF_PI) == 5e-15
+    got = theta.__wrapped__(d)
+    assert ends == [0.0]
+    assert 1.0 <= got <= HALF_PI
+    assert abs(got - _loop_theta(d)) <= 1e-13
 
 
 # ----------------------------------------------------------------------
@@ -507,7 +550,12 @@ def test_gamma_constant():
     assert psi(1.0, g - 0.1) > g - 0.1  # below the fixed point Ψ exceeds Δ
 
 
-def test_gamma_bit_identical_to_inline_bisection():
+def test_gamma_within_tolerance_of_inline_bisection():
+    """``_root`` gives γ within _GAMMA_TOL of the bisection it replaced,
+    in at most 8 Ψ solves (both ends included) against 20."""
+    thresholds._psi_cached.cache_clear()
+    g = gamma_constant()
+    assert thresholds._psi_cached.cache_info().misses <= 8
     lo, hi = SQRT2, HALF_PI
     while hi - lo > 1e-6:
         mid = 0.5 * (lo + hi)
@@ -515,7 +563,7 @@ def test_gamma_bit_identical_to_inline_bisection():
             lo = mid
         else:
             hi = mid
-    assert gamma_constant() == 0.5 * (lo + hi)
+    assert abs(g - 0.5 * (lo + hi)) <= 1e-6
 
 
 def test_semicycle_threshold_values():
