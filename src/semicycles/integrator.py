@@ -10,9 +10,10 @@ The delayed value of a stage at σ is read at u = σ − τ(σ): from the initia
 history (u ≤ s), from dense output of accepted steps, or, when the delay is
 shorter than the step, from a provisional interpolant of the step itself
 that is sub-iterated twice. Both cubic Hermite reads, and
-``Trajectory.sample``, go through one kernel built from products only, so
-its bits do not depend on the host's numpy; zero and extremum scans bisect
-each sign change on the one step that brackets it.
+``Trajectory.sample``, use one form built from products only
+(``_hermite_weights`` and ``_hermite``, whose sum the scalar step loop
+writes inline), so its bits do not depend on the host's numpy; zero and
+extremum scans bisect each sign change on the one step that brackets it.
 
 Steps run in blocks (the classical method of steps, Bellen & Zennaro 2003).
 For each chunk of steps, the signals' own array evaluation gives p and τ at
@@ -26,10 +27,10 @@ accepted before the block's first node. Inside a block no v-stage depends
 on the block's own x, so one vectorized Hermite gather gives the v
 increments, running sums give v, and then x follows the same way. Every
 other step (a zero delay, an overlap with the step, a stage that must
-raise, or a run of steps too short to pay for numpy) is taken alone by a
-scalar kernel that reads the plan's values as Python floats. Both paths
-perform the same floating-point operations in the same order, so the
-trajectory does not depend on how the steps were grouped.
+raise, or a run of steps too short to pay for numpy) is taken alone by one
+scalar loop that writes RK4 and each stage's read out in Python floats.
+Both paths perform the same floating-point operations in the same order,
+so the trajectory does not depend on how the steps were grouped.
 
 The integrator carries a column axis: x and x′ are (n, k) arrays, k
 solutions of problems that differ only in x(s⁺) and x′(s⁺). They share
@@ -365,8 +366,10 @@ def _forced_nodes(problem: DelayProblem, horizon: float) -> np.ndarray:
 # steps whose stages are planned together: bounds the planning arrays to
 # about 0.3 MB whatever the horizon
 _CHUNK = 512
-# shortest run of steps advanced as a numpy block: a block has a fixed cost
-# of about three scalar steps, so runs of one or two steps go one by one
+# shortest run of steps advanced as a numpy block: a block costs 35-65 µs,
+# a scalar step reading accepted output 7 µs per column, so one column
+# breaks even near 6 steps and two (fundamental_system, most short runs)
+# near 3-4; the suites time the same at any value from 3 to 6
 _MIN_BLOCK = 3
 # most steps one integration may take: about 100× the longest run the
 # package's tests and scripts make (94,248 steps, reproduce_examples.py
@@ -379,6 +382,7 @@ _OVERLAP = 1  # u inside the step: the step's provisional interpolant
 _DENSE = 2    # u at or before the step: Hermite read of accepted output
 _VALUE = 3    # a value known before the step: history, x(s⁻) or x(s⁺)
 _RAISE = 4    # a negative delay, or u below the history
+_ALL_ODE = (_ODE, _ODE, _ODE)
 
 
 def _step_grid(nodes: np.ndarray, counts: np.ndarray) -> tuple:
@@ -411,7 +415,8 @@ class _ChunkPlan:
     One plan serves k solution columns that differ only in x(s⁺) and
     x′(s⁺) (``x_plus`` holds the k values of x(s⁺)). Only ``hv`` depends on
     the column, so it alone is (3, m, k): a stage reading u = s right of
-    the start jump reads its own column's x(s⁺).
+    the start jump reads its own column's x(s⁺). When every stage of the
+    chunk reads past s, no stage reads a known value and ``hv`` is None.
     """
 
     def __init__(self, problem: DelayProblem, ts: np.ndarray, c0: int,
@@ -431,27 +436,30 @@ class _ChunkPlan:
         scale = np.abs(sigma)
         self.u = u = sigma - tv
         self.du = u - t0
-        right_of_start = tm - tau[1] > s
-        at_s = u == s
-        # u = s reads x(s⁻) left of the start jump and x(s⁺) right of it;
-        # the first step has no accepted step to bracket s, so it reads the
-        # initial value x(s⁺) directly instead of through dense output
-        first = np.arange(c0, c1) == 0
         self.kind = kind = np.where(
             tau < -1e-12, _RAISE, np.where(
                 tv <= 1e-13 * np.where(scale > 1.0, scale, 1.0), _ODE,
-                np.where(u > t0, _OVERLAP, np.where(
-                    (u > s) | (at_s & right_of_start & ~first), _DENSE,
-                    np.where(u < hist_floor, _RAISE, _VALUE)))))
-        value = kind == _VALUE
-        self.hv = hv = np.where(
-            at_s[:, :, None], np.where(right_of_start[:, None], x_plus,
-                                       hist_at_start), 0.0)
-        hist = value & ~at_s
-        if hist.any():
-            hv[hist] = problem.history(u[hist])[:, None]
+                np.where(u > t0, _OVERLAP, _DENSE)))
+        self.hv = None
+        if not (u > s).all():
+            # u = s reads x(s⁻) left of the start jump and x(s⁺) right of
+            # it; the first step has no accepted step to bracket s, so it
+            # reads the initial value x(s⁺) directly instead of through
+            # dense output
+            right_of_start = tm - tau[1] > s
+            at_s = u == s
+            first = np.arange(c0, c1) == 0
+            known = (kind == _DENSE) & ~(u > s) \
+                & ~(at_s & right_of_start & ~first)
+            kind[known] = np.where(u[known] < hist_floor, _RAISE, _VALUE)
+            self.hv = hv = np.where(
+                at_s[:, :, None], np.where(right_of_start[:, None], x_plus,
+                                           hist_at_start), 0.0)
+            hist = (kind == _VALUE) & ~at_s
+            if hist.any():
+                hv[hist] = problem.history(u[hist])[:, None]
         self.dense = dense = kind == _DENSE
-        self.ok = (dense | value).all(axis=0)
+        self.ok = (dense | (kind == _VALUE)).all(axis=0)
         self.reach = np.zeros(c1 - c0, dtype=np.intp)
         self.w = None
         if dense.any():
@@ -479,12 +487,15 @@ class _ChunkPlan:
         ``vs``, so each column gets the operations of a run of its own.
         """
         j0, j1 = self.c0 + b, self.c0 + e
-        delayed = self.hv[:, b:e]
-        if self.w is not None:
+        if self.w is None:
+            delayed = self.hv[:, b:e]
+        else:
             jj, jj1 = self.jj[:, b:e], self.jj1[:, b:e]
-            past = _hermite(xs[jj], vs[jj], xs[jj1], vs[jj1],
-                            self.h[:, b:e, None], self.w[:, :, b:e, None])
-            delayed = np.where(self.dense[:, b:e, None], past, delayed)
+            delayed = _hermite(xs[jj], vs[jj], xs[jj1], vs[jj1],
+                               self.h[:, b:e, None], self.w[:, :, b:e, None])
+            if self.hv is not None:
+                delayed = np.where(self.dense[:, b:e, None], delayed,
+                                   self.hv[:, b:e])
         k1v, k2v, k4v = self.neg_p[:, b:e, None] * delayed
         hh, hh2, hh6 = (self.hh[b:e, None], self.hh2[b:e, None],
                         self.hh6[b:e, None])
@@ -498,13 +509,6 @@ class _ChunkPlan:
         xs[j0 + 1:j1 + 1] = hh6 * (v0 + 2 * k2x + 2 * k3x + k4x)
         np.add.accumulate(xs[j0:j1 + 1], out=xs[j0:j1 + 1])
 
-    def dense_read(self, r: int, k: int, xs: np.ndarray, vs: np.ndarray
-                   ) -> float:
-        """x(u) of the _DENSE stage in row r of step k, from accepted output."""
-        j0, j1 = self.jj.item(r, k), self.jj1.item(r, k)
-        return _hermite(xs.item(j0), vs.item(j0), xs.item(j1), vs.item(j1),
-                        self.h.item(r, k), self.w[:, r, k].tolist())
-
     def error(self, k: int) -> Exception:
         """What the first _RAISE stage of step k raises."""
         r = self.kind[:, k].tolist().index(_RAISE)
@@ -517,81 +521,78 @@ class _ChunkPlan:
             f"start − τ_m = {self.hist_bound}")
 
 
-def _rk4(x0: float, v0: float, hh: float, hh2: float, hh6: float,
-         n0: float, nm: float, n1: float, d0, dm, d1) -> tuple:
-    """One classical RK4 step of x″ = −p·x(u) from (x0, v0): n is −p and d
-    the delayed value at t₀, the midpoint and t₁, None for a stage that
-    reads its own x (no delay)."""
-    k1v = n0 * (x0 if d0 is None else d0)
-    k2x = v0 + hh2 * k1v
-    k2v = nm * (x0 + hh2 * v0 if dm is None else dm)
-    k3x = v0 + hh2 * k2v
-    k3v = nm * (x0 + hh2 * k2x if dm is None else dm)
-    k4x = v0 + hh * k3v
-    k4v = n1 * (x0 + hh * k3x if d1 is None else d1)
-    return (x0 + hh6 * (v0 + 2 * k2x + 2 * k3x + k4x),
-            v0 + hh6 * (k1v + 2 * k2v + 2 * k3v + k4v))
-
-
-def _delayed_step(plan: _ChunkPlan, k: int, col: int, kinds: tuple,
-                  x0: float, v0: float, hh: float, hh2: float, hh6: float,
-                  n0: float, nm: float, n1: float, xs: np.ndarray,
-                  vs: np.ndarray) -> tuple:
-    """(x₁, v₁) of step k of the chunk in solution column ``col`` (whose
-    output ``xs``/``vs`` are), some of whose stages read a delayed value;
-    ``kinds`` holds the stage kinds of its three rows.
-
-    A step with an overlap stage is taken once with the overlap read
-    extrapolated linearly from t₀, then twice more against the provisional
-    interpolant of its previous pass; a step with a _RAISE stage raises.
-    """
-    d = [None, None, None]
-    over = []
-    for r, kind in enumerate(kinds):
-        if kind == _VALUE:
-            d[r] = plan.hv.item(r, k, col)
-        elif kind == _DENSE:
-            d[r] = plan.dense_read(r, k, xs, vs)
-        elif kind == _OVERLAP:
-            du = plan.du.item(r, k)
-            d[r] = x0 + v0 * du
-            over.append((r, du))
-        elif kind == _RAISE:
-            raise plan.error(k)
-    x1, v1 = _rk4(x0, v0, hh, hh2, hh6, n0, nm, n1, *d)
-    if over:
-        weights = [(r, _hermite_weights(du / hh)) for r, du in over]
-        for _ in range(2):
-            for r, w in weights:
-                d[r] = _hermite(x0, v0, x1, v1, hh, w)
-            x1, v1 = _rk4(x0, v0, hh, hh2, hh6, n0, nm, n1, *d)
-    return x1, v1
-
-
 def _take_steps(plan: _ChunkPlan, b: int, e: int, xs: np.ndarray,
                 vs: np.ndarray) -> None:
-    """Take steps b … e−1 of the chunk one at a time, each stage's delayed
-    value read from the plan, with the floating-point operations of the
-    scalar RK4 scheme in its order; one solution column after the other."""
-    n0s, nms, n1s = plan.neg_p[:, b:e].tolist()
-    steps = list(zip(
-        range(b, e), plan.hh[b:e].tolist(), plan.hh2[b:e].tolist(),
-        plan.hh6[b:e].tolist(), n0s, nms, n1s,
-        zip(*plan.kind[:, b:e].tolist())))
+    """Take steps b … e−1 of the chunk one at a time, one solution column
+    after the other, by classical RK4 with each stage's delayed value read
+    from the plan: the stage's own x (_ODE), a known value, a Hermite read
+    of accepted output, or an overlap read. A step with no delayed stage
+    has its own copy of the RK4 body, the cheapest path. A step with an
+    overlap stage is taken once with that read extrapolated linearly from
+    t₀, then twice more against the provisional interpolant of its previous
+    pass; a step with a _RAISE stage raises."""
+    hv, du, w = plan.hv, plan.du, plan.w
+    if w is not None:
+        jj, jj1, h = plan.jj, plan.jj1, plan.h
+    steps = zip(range(b, e), plan.hh[b:e].tolist(), plan.hh2[b:e].tolist(),
+                plan.hh6[b:e].tolist(), *plan.neg_p[:, b:e].tolist(),
+                zip(*plan.kind[:, b:e].tolist()))
+    if xs.shape[1] > 1:
+        steps = list(steps)
     for col in range(xs.shape[1]):
         xc, vc = xs[:, col], vs[:, col]
         j = plan.c0 + b
         x0, v0 = xc.item(j), vc.item(j)
         for k, hh, hh2, hh6, n0, nm, n1, kinds in steps:
-            if any(kinds):  # not every stage is _ODE
-                x0, v0 = _delayed_step(plan, k, col, kinds, x0, v0, hh, hh2,
-                                       hh6, n0, nm, n1, xc, vc)
-            else:
-                x0, v0 = _rk4(x0, v0, hh, hh2, hh6, n0, nm, n1, None, None,
-                              None)
             j += 1
-            xc[j] = x0
-            vc[j] = v0
+            if kinds == _ALL_ODE:  # each stage reads its own x
+                k1v = n0 * x0
+                k2x = v0 + hh2 * k1v
+                k2v = nm * (x0 + hh2 * v0)
+                k3x = v0 + hh2 * k2v
+                k3v = nm * (x0 + hh2 * k2x)
+                k4x = v0 + hh * k3v
+                k4v = n1 * (x0 + hh * k3x)
+                xc[j] = x0 = x0 + hh6 * (v0 + 2 * k2x + 2 * k3x + k4x)
+                vc[j] = v0 = v0 + hh6 * (k1v + 2 * k2v + 2 * k3v + k4v)
+                continue
+            d = [None, None, None]
+            over = []
+            for r, kind in enumerate(kinds):
+                if kind == _DENSE:
+                    a, c, hr = jj.item(r, k), jj1.item(r, k), h.item(r, k)
+                    d[r] = (xc.item(a) * w.item(0, r, k)
+                            + vc.item(a) * hr * w.item(1, r, k)
+                            + xc.item(c) * w.item(2, r, k)
+                            + vc.item(c) * hr * w.item(3, r, k))
+                elif kind == _OVERLAP:
+                    q = du.item(r, k)
+                    d[r] = x0 + v0 * q
+                    over.append((r, _hermite_weights(q / hh)))
+                elif kind == _VALUE:
+                    d[r] = hv.item(r, k, col)
+                elif kind == _RAISE:
+                    raise plan.error(k)
+            d0, dm, d1 = d
+            passes = 3 if over else 1
+            while True:
+                k1v = n0 * (x0 if d0 is None else d0)
+                k2x = v0 + hh2 * k1v
+                k2v = nm * (x0 + hh2 * v0 if dm is None else dm)
+                k3x = v0 + hh2 * k2v
+                k3v = nm * (x0 + hh2 * k2x if dm is None else dm)
+                k4x = v0 + hh * k3v
+                k4v = n1 * (x0 + hh * k3x if d1 is None else d1)
+                x1 = x0 + hh6 * (v0 + 2 * k2x + 2 * k3x + k4x)
+                v1 = v0 + hh6 * (k1v + 2 * k2v + 2 * k3v + k4v)
+                passes -= 1
+                if not passes:
+                    break
+                for r, (w0, w1, w2, w3) in over:
+                    d[r] = x0 * w0 + v0 * hh * w1 + x1 * w2 + v1 * hh * w3
+                d0, dm, d1 = d
+            xc[j] = x0 = x1
+            vc[j] = v0 = v1
 
 
 def integrate(problem: DelayProblem, horizon: float, step: float = 0.01
@@ -653,17 +654,17 @@ def _integrate_columns(problems: tuple, horizon: float, step: float
                           tau_m, hist_floor, hist_at_start, x_plus)
         ok, reach = plan.ok.tolist(), plan.reach.tolist()
         b, m = 0, c1 - c0
+        ok_at = np.flatnonzero(plan.ok).tolist() + [m]
         while b < m:
             e = b + 1
             if ok[b]:
                 while e < m and ok[e] and reach[e] <= c0 + b:
                     e += 1
-            if e - b >= _MIN_BLOCK:
+            if ok[b] and e - b >= _MIN_BLOCK:
                 plan.advance(b, e, xs, vs)
             else:
                 # with the following steps that cannot start a block
-                while e < m and not ok[e]:
-                    e += 1
+                e = ok_at[bisect.bisect_left(ok_at, e)]
                 _take_steps(plan, b, e, xs, vs)
             b = e
     return ts, xs, vs

@@ -45,7 +45,8 @@ __all__ = [
 
 
 def _poly_eval(coeffs, u: float) -> float:
-    """Horner evaluation of (c0, c1, ...) at local coordinate u."""
+    """Horner evaluation of (c0, c1, ...) at local coordinate u, a float or
+    an array (elementwise, with the same floats)."""
     acc = 0.0
     for c in reversed(coeffs):
         acc = acc * u + c
@@ -163,7 +164,7 @@ class PiecewiseSignal:
         """
         bps = self.breakpoints
         if isinstance(t, np.ndarray):
-            return np.searchsorted(self._table[0], t, side="right") - 1
+            return np.searchsorted(self._breakpoints, t, side="right") - 1
         if t < bps[0]:
             return -1
         if t >= bps[-1]:
@@ -179,37 +180,58 @@ class PiecewiseSignal:
         exactly on a breakpoint must read its right endpoint from the segment
         the step lives in, not from the next one. For an array t, index is an
         array broadcast against it (or an int), and each value is the float
-        the scalar call returns.
+        the scalar call returns (see ``_eval_runs``).
         """
         if isinstance(t, np.ndarray):
-            # Horner in _poly_eval's operation order on the padded table;
-            # like float arithmetic, it overflows to inf and NaN silently
-            bps, coeffs = self._table
-            acc = np.zeros(t.shape)
-            if self.segments:
-                seg = np.clip(index, 0, len(coeffs) - 1)
-                u = t - bps[seg]
-                with np.errstate(over="ignore", invalid="ignore"):
-                    for d in range(coeffs.shape[1] - 1, -1, -1):
-                        acc = acc * u + coeffs[seg, d]
-            return np.where(index < 0, self.left_extension, np.where(
-                index >= len(self.segments), self.right_extension, acc))
+            return self._eval_runs(np.asarray(index), t)
         if index < 0:
             return self.left_extension
         if index >= len(self.segments):
             return self.right_extension
         return _poly_eval(self.segments[index], t - self.breakpoints[index])
 
+    def _eval_runs(self, index: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """``eval_in_segment`` at an array t, one ``_poly_eval`` per run of
+        equal indices with that segment's coefficients as floats.
+
+        An index of t's last-axis length runs along that axis, so a chunk
+        plan's (m,) segment row serves its (3, m) stage times in one pass per
+        run; any other index is broadcast and runs over the flattened
+        points. Many short runs (a delayed argument pinned on a breakpoint,
+        rounding to either side) go as one masked pass per segment instead,
+        which costs about as much as four runs.
+        """
+        if index.shape != t.shape[-1:] or not index.ndim:
+            index, t = np.broadcast_arrays(index, t)
+            index = index.ravel()
+        if not index.size:
+            return np.zeros(t.shape)
+        tt = t.reshape(-1, index.size)
+        starts = [0, *(np.flatnonzero(index[1:] != index[:-1]) + 1).tolist()]
+        segs = index[starts].tolist()
+        if len(starts) > 4 * len(set(segs)):
+            runs = [(i, index == i) for i in set(segs)]
+        else:
+            runs = zip(segs, map(slice, starts, starts[1:] + [index.size]))
+        out = np.empty(tt.shape)
+        # like float arithmetic, Horner overflows to inf and NaN silently
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, run in runs:
+                if i < 0:
+                    out[:, run] = self.left_extension
+                elif i >= len(self.segments):
+                    out[:, run] = self.right_extension
+                else:
+                    out[:, run] = _poly_eval(self.segments[i],
+                                             tt[:, run] - self.breakpoints[i])
+        return out.reshape(t.shape)
+
     def __call__(self, t):
         return self.eval_in_segment(self.segment_index(t), t)
 
     @cached_property
-    def _table(self) -> tuple:
-        """Breakpoints and zero-padded coefficients as arrays (a padded Horner
-        step leaves the accumulator at +0.0, its starting value)."""
-        deg = max(map(len, self.segments), default=0)
-        coeffs = [seg + (0.0,) * (deg - len(seg)) for seg in self.segments]
-        return np.asarray(self.breakpoints), np.array(coeffs)
+    def _breakpoints(self) -> np.ndarray:
+        return np.asarray(self.breakpoints)
 
     def eval_left(self, t: float) -> float:
         """Left-limit evaluation (used for history values at the start time)."""

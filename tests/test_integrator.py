@@ -984,6 +984,118 @@ def test_fundamental_system_raises_like_single_runs(monkeypatch, tau):
 
 
 # ----------------------------------------------------------------------
+# the trajectory does not depend on how the steps are grouped
+# ----------------------------------------------------------------------
+
+def _grouping_corpus():
+    """Runs of ``integrate`` and ``fundamental_system`` whose stages read
+    every source: their own x, the step's interpolant (overlap), accepted
+    output, the history across a start jump, x(s⁻) and x(s⁺) at u = s, and
+    stages that raise; the last entries are seeded."""
+    hist = PiecewiseSignal((-2.0, 0.0), ((0.3, -0.2),), 0.3, -0.1)
+    const = PiecewiseSignal.constant
+    neg = PiecewiseSignal((0.0, 1.0, 2.0), ((0.2,), (0.2, -1.0)), 0.2, 0.0)
+    deep = PiecewiseSignal((0.0, 2.0, 3.0), ((0.004,), (0.004, 0.0, 40.0)),
+                           0.004, 0.0)
+    into = PiecewiseSignal((0.0, 5.0), ((0.002, 0.004),), 0.002, 0.022)
+    back = PiecewiseSignal((0.0, 1.0), ((0.0, 0.5, 1.0),), 0.0, 1.5)
+    pinned = PiecewiseSignal((0.0, 1.5), ((0.0, 1.0),), 0.0, 1.5)
+    runs = [
+        lambda: integrate(_const_problem(0.8, 0.0, 1.0, 1.0, 0.0), 3.0, 0.01),
+        lambda: integrate(_const_problem(0.8, 0.004, 0.3, 1.0, 0.0), 3.0,
+                          0.01),
+        lambda: integrate(DelayProblem(const(0.9), const(1.0), 0.0, hist,
+                                       1.0, 0.2), 4.0, 0.01),
+        lambda: integrate(DelayProblem(const(0.9), pinned, 0.0, hist, 1.0,
+                                       0.2), 4.0, 0.01),
+        lambda: integrate(DelayProblem(const(0.9), into, 0.0, hist, 1.0,
+                                       0.2), 6.0, 0.01),
+        lambda: integrate(DelayProblem(const(1.0), back, 0.0, hist, 1.0,
+                                       0.0), 3.0, 0.6),
+        lambda: integrate(_piecewise_problem(
+            ((0.9, -0.3), (0.0,), (0.004, 0.001))), 6.0, 0.037),
+        lambda: integrate(_piecewise_problem(
+            ((0.005, 0.02, 0.1), (1.2, -0.3), (0.3, 0.2))), 6.0, 0.01),
+    ]
+    for tau in (neg, const(1.2), deep):
+        runs.append(lambda tau=tau: integrate(_UncheckedDelay(
+            const(1.0), tau, 0.0, const(0.5), 1.0, 0.0), 3.0, 0.01))
+        runs.append(lambda tau=tau: _unchecked_fundamental(
+            const(1.0), tau, 0.0, 3.0, 0.01))
+    for seed in range(len(_REGIMES)):
+        p, tau, s, horizon, step = case = _fundamental_case(seed)
+        rng = np.random.default_rng([seed, 17])
+        history = _random_pieces(rng, -1.0, 1.0, s - 2.0, s)
+        x0, v0 = rng.uniform(-1.0, 1.0, 2).tolist()
+        runs.append(lambda case=case: fundamental_system(*case))
+        runs.append(lambda prob=DelayProblem(p, tau, s, history, x0, v0),
+                    horizon=horizon, step=step: integrate(prob, horizon,
+                                                          step))
+    return runs
+
+
+def _unchecked_fundamental(*args):
+    # an understated delay bound lets a _RAISE stage reach the chunk plan
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DelayProblem, "tau_sup", lambda self, horizon: 0.3)
+        return fundamental_system(*args)
+
+
+def _grouping_outcome(run):
+    """Every trajectory's nodes, x and x′, or the exception raised."""
+    try:
+        out = run()
+    except SemicycleError as exc:
+        return type(exc), str(exc)
+    return [(t.ts, t.xs, t.vs) for t in
+            (out if isinstance(out, tuple) else (out,))]
+
+
+def test_grouping_corpus_reads_every_stage_source(monkeypatch):
+    seen = set()
+
+    class Recording(integrator._ChunkPlan):
+        def __init__(self, problem, ts, *args):
+            super().__init__(problem, ts, *args)
+            at_s = self.u == problem.start
+            seen.update((k, bool(a)) for k, a in
+                        zip(self.kind.ravel().tolist(), at_s.ravel()))
+
+    monkeypatch.setattr(integrator, "_ChunkPlan", Recording)
+    for run in _grouping_corpus():
+        _grouping_outcome(run)
+    kinds = {k for k, _ in seen}
+    assert kinds == {integrator._ODE, integrator._OVERLAP, integrator._DENSE,
+                     integrator._VALUE, integrator._RAISE}
+    # u = s read as a known value (x(s⁻) or, on the first step, x(s⁺)) and
+    # through dense output (x(s⁺) right of the jump)
+    assert {(integrator._VALUE, True), (integrator._DENSE, True),
+            (integrator._VALUE, False)} <= seen
+
+
+@pytest.mark.parametrize("chunk", [7, 64, 512])
+@pytest.mark.parametrize("min_block", [1, 3, 10 ** 9])
+def test_trajectory_independent_of_step_grouping(monkeypatch, min_block,
+                                                  chunk):
+    corpus = _grouping_corpus()
+    want = [_grouping_outcome(run) for run in corpus]
+    monkeypatch.setattr(integrator, "_MIN_BLOCK", min_block)
+    monkeypatch.setattr(integrator, "_CHUNK", chunk)
+    raised = 0
+    for run, ref in zip(corpus, want):
+        got = _grouping_outcome(run)
+        if isinstance(ref, tuple):
+            raised += 1
+            assert got == ref
+            continue
+        assert len(got) == len(ref)
+        for arrays, ref_arrays in zip(got, ref):
+            for a, b in zip(arrays, ref_arrays):
+                assert np.array_equal(a, b)
+    assert raised == 6
+
+
+# ----------------------------------------------------------------------
 # bracket refinement: plain floats against numpy
 # ----------------------------------------------------------------------
 

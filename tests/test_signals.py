@@ -189,6 +189,58 @@ def test_array_evaluation_equals_scalar_calls(data):
                stacked.tolist() for v, k, t in zip(row, idx.tolist(), points))
 
 
+def _pointwise(sig, index, t):
+    """``eval_in_segment`` one scalar call per point, broadcast like the
+    array call."""
+    idx, tt = np.broadcast_arrays(index, t)
+    return [sig.eval_in_segment(k, x)
+            for k, x in zip(idx.ravel().tolist(), tt.ravel().tolist())]
+
+
+_RUN_SIGNALS = {
+    "segments": PiecewiseSignal((0.0, 1.0, 2.5, 4.0),
+                                ((0.3, -1.2, 0.7), (2.0,), (-0.4, 0.9)),
+                                1.5, -2.5),
+    "no_segments": PiecewiseSignal((0.5,), (), 0.25, -0.75),
+}
+
+
+@pytest.mark.parametrize("runs", ["one", "few", "many"])
+@pytest.mark.parametrize("name", sorted(_RUN_SIGNALS))
+def test_run_wise_evaluation_equals_scalar_calls(name, runs):
+    sig = _RUN_SIGNALS[name]
+    n = len(sig.segments)
+    rng = np.random.default_rng([n, len(runs)])
+    m = 120
+    # every index from the left extension (−1) to the right one (n)
+    if runs == "one":
+        index = np.full(m, n // 2)
+    elif runs == "few":
+        index = np.repeat(np.arange(-1, n + 1), -(-m // (n + 2)))[:m]
+    else:
+        index = rng.integers(-1, n + 1, m)
+    cuts = np.count_nonzero(np.diff(index))
+    assert (cuts == 0) if runs == "one" else (
+        cuts > 4 * (n + 2) if runs == "many" else 0 < cuts <= n + 1)
+    t = rng.uniform(-1.0, 5.0, (3, m))
+    t[0, :3] = (math.nan, math.inf, -math.inf)
+    # an (m,) index against (3, m) stage times, as in a chunk plan; the
+    # same index per point; one row; and one int index for every point
+    for idx, times in ((index, t), (np.broadcast_to(index, t.shape), t),
+                       (index, t[1]), (np.intp(n), t), (-1, t[2])):
+        got = sig.eval_in_segment(idx, times)
+        assert got.shape == np.broadcast_shapes(np.shape(idx), times.shape)
+        assert all(map(_same_float, got.ravel().tolist(),
+                       _pointwise(sig, idx, times)))
+
+
+def test_run_wise_evaluation_of_empty_arrays():
+    sig = _RUN_SIGNALS["segments"]
+    for idx, times in ((np.zeros(0, dtype=np.intp), np.zeros((3, 0))),
+                       (0, np.zeros(0))):
+        assert sig.eval_in_segment(idx, times).shape == times.shape
+
+
 coeff_lists = st.lists(
     st.floats(min_value=-10, max_value=10, allow_nan=False), min_size=1,
     max_size=5)
