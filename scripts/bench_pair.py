@@ -21,7 +21,10 @@ Run from the repository root:
 A workload is ``NAME[@SEED]`` (seed 0 by default; another seed checks a
 gain on inputs it was not tuned on), run in 10 pairs and traced once per
 side.  Per-run numbers and each run's ``correct``/``failed`` are kept in
-the output, beside the host, Python and numpy versions.
+the output, beside the host, Python and numpy versions.  A run that is not
+correct (``perfbench/run.py`` exits non-zero, or reports ``correct: false``
+or failed operations) stops the script with a message naming the side,
+workload, seed, pair and exit status, and no output file is written.
 """
 
 from __future__ import annotations
@@ -61,8 +64,10 @@ def _export(rev: str, dest: Path) -> None:
 
 
 def _perfbench(tree: Path, workload: str, seed: int, seconds: float,
-               trace: int) -> dict:
-    """The result line of one ``perfbench/run.py`` run in ``tree``."""
+               trace: int, where: str) -> dict:
+    """The result line of one ``perfbench/run.py`` run in ``tree``; a run
+    that is not correct, or failed an operation, stops the script, naming
+    ``where`` (the side and the pair)."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds),
@@ -75,6 +80,11 @@ def _perfbench(tree: Path, workload: str, seed: int, seconds: float,
         raise SystemExit(f"bench_pair: no result from {tree} ({workload}, "
                          f"seed {seed}, exit {proc.returncode}):\n"
                          f"{proc.stderr[-2000:]}")
+    if proc.returncode or not result["correct"] or result["failed"]:
+        raise SystemExit(f"bench_pair: incorrect run, {where} ({workload}, "
+                         f"seed {seed}): correct {result['correct']}, "
+                         f"failed {result['failed']}, exit "
+                         f"{proc.returncode}; no BENCH file written")
     return {"correct": result["correct"], "failed": result["failed"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
 
@@ -152,8 +162,9 @@ def main(argv=None) -> int:
                 order = ("parent", "change") if k % 2 == 0 else \
                     ("change", "parent")
                 for side in order:
-                    runs[side].append(_perfbench(trees[side], name, seed,
-                                                 seconds, 0))
+                    runs[side].append(_perfbench(
+                        trees[side], name, seed, seconds, 0,
+                        f"{side} side, pair {k + 1}"))
                 print(f"{name}@{seed} pair {k + 1}/{PAIRS}: " + ", ".join(
                     f"{side} wall_s {runs[side][-1]['metrics']['wall_s']:.4f}"
                     for side in ("parent", "change")), file=sys.stderr)
@@ -166,7 +177,8 @@ def main(argv=None) -> int:
             }
             layers = report["layers"][f"{name}@{seed}"] = {}
             for side in ("parent", "change"):
-                traced = _perfbench(trees[side], name, seed, seconds, 1)
+                traced = _perfbench(trees[side], name, seed, seconds, 1,
+                                    f"{side} side, traced run")
                 layers[side] = {"correct": traced["correct"],
                                 "failed": traced["failed"],
                                 **traced["metrics"]}

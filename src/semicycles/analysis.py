@@ -57,6 +57,9 @@ __all__ = [
 
 _TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 _TWO_OVER_E = 2.0 / math.e
+# most windows one envelope fit may take: about 100× the largest count in
+# use (4.6, the decay suite's); each window masks every node once
+_MAX_WINDOWS = 500
 
 
 @dataclass(frozen=True)
@@ -234,15 +237,31 @@ def envelope_decay_ratio(traj: Trajectory, stride: float,
                          t0: float | None = None) -> tuple:
     """Per-window geometric envelope ratio fitted over [t0 + n·stride].
 
-    Returns (rho, peaks). Needs at least 3 full windows.
+    Returns (rho, peaks). Needs at least 3 full windows. Raises DomainError
+    for a non-finite t0, for more than ``_MAX_WINDOWS`` windows, and for a
+    stride too small to move a window end at the scale of t0 and the end.
     """
     if not stride > 0.0:
         raise DomainError(f"stride must be positive, got {stride}")
     if t0 is None:
         t0 = traj.start
+    if not math.isfinite(t0):
+        raise DomainError(f"t0 must be finite, got {t0}")
+    end = traj.end + 1e-12
+    count = (end - t0) / stride
+    if count > _MAX_WINDOWS:
+        raise DomainError(
+            f"envelope fit from {t0} to {traj.end} with stride {stride} "
+            f"needs {count:.3g} windows, more than the limit of "
+            f"{_MAX_WINDOWS}")
+    scale = max(abs(t0), abs(end))
+    # below this, lo + stride can round back to lo and the windows stall
+    if stride < 2.0 * math.ulp(scale):
+        raise DomainError(f"stride {stride} is below the float spacing of "
+                          f"the window ends, near {scale}")
     peaks = []
     lo = t0
-    while lo + stride <= traj.end + 1e-12:
+    while lo + stride <= end:
         mask = (traj.ts >= lo) & (traj.ts <= lo + stride)
         if mask.any():
             peaks.append(float(np.abs(traj.xs[mask]).max()))
@@ -268,8 +287,12 @@ def classify(problem: DelayProblem, traj: Trajectory, *,
     normalized delay below γ certifies decay for oscillatory trajectories.
     Otherwise the window is described: no zeros → nonoscillatory_observed,
     a monotone peak envelope growing by ≥ growth_factor → unbounded_observed,
-    else inconclusive. ``problem`` must be the one ``traj`` solves.
+    else inconclusive. ``problem`` must be the one ``traj`` solves, and
+    ``growth_factor`` finite and positive (DomainError otherwise).
     """
+    if not 0.0 < growth_factor < math.inf:
+        raise DomainError(
+            f"growth_factor must be finite and positive, got {growth_factor}")
     if problem != traj.problem:
         raise DomainError("classify needs the problem the trajectory "
                           "solves; got another one")

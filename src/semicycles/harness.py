@@ -57,6 +57,9 @@ _MAX_JOBS = 64
 # most instances one suite run may take: 100× the largest count in use
 # (200, the margins and comparison defaults)
 _MAX_INSTANCES = 20_000
+# most history segments of one mode mixture: about 100× the largest count
+# in use (18, the decay suite's delays up to 5.2 at width 0.3)
+_MAX_HISTORY_SEGMENTS = 2_000
 
 
 @dataclass(frozen=True)
@@ -87,10 +90,12 @@ def mode_mixture_problem(c: float, sign: int, terms) -> DelayProblem:
     ``terms`` is a sequence of (root, amplitude, phase) triples whose roots
     must all belong to the characteristic function for this (c, sign). The
     history on [−c, 0] is a piecewise degree-20 Taylor expansion, segment
-    width min(0.3, 2.5/max|λ|) so the tails sit below 1e−10.
+    width min(0.3, 2.5/max|λ|) so the tails sit below 1e−10. The delay
+    must be finite and positive, and the history at most
+    ``_MAX_HISTORY_SEGMENTS`` segments (DomainError otherwise).
     """
-    if not c > 0.0:
-        raise DomainError(f"delay must be positive, got {c}")
+    if not 0.0 < c < math.inf:
+        raise DomainError(f"delay must be finite and positive, got {c}")
     terms = tuple(terms)
     if not terms:
         raise DomainError("need at least one mode")
@@ -98,6 +103,11 @@ def mode_mixture_problem(c: float, sign: int, terms) -> DelayProblem:
         raise DomainError("mixed characteristic signs in one mixture")
     lam_max = max(abs(r.value) for r, _, _ in terms)
     width = min(0.3, 2.5 / max(lam_max, 1e-9))
+    if c / width > _MAX_HISTORY_SEGMENTS:
+        raise DomainError(
+            f"a history over [−{c}, 0] in segments of width {width:.3g} "
+            f"needs {c / width:.3g} segments, more than the limit of "
+            f"{_MAX_HISTORY_SEGMENTS}")
     n_seg = max(1, math.ceil(c / width))
     bps = np.linspace(-c, 0.0, n_seg + 1)
     segments = []

@@ -41,11 +41,9 @@ column equals a run of its own bit for bit. ``integrate`` is the one-column
 case; ``fundamental_system`` integrates its pair in one two-column pass.
 
 A zero or extremum scan bisects each sign change of x or x′ on its own
-step. Below ``_PLAIN_BRACKETS`` (40) brackets it bisects them one by one in
-Python floats, with the dense-output kernel's operations in their order;
-above, all at once with numpy, which pays only when many brackets share
-each of its rounds. Both give the same floats. A scan refuses a tol that
-is not finite and positive (DomainError) before any work.
+step, one bracket after the other, in Python floats with the operations of
+``Trajectory.sample`` (or ``sample_slope``) in their order. A scan refuses
+a tol that is not finite and positive (DomainError) before any work.
 
 The step grid is bounded: an integration that would take more than
 ``_MAX_STEPS`` steps raises DomainError before any array is allocated.
@@ -204,18 +202,13 @@ class Trajectory:
         self._check_domain(q)
         j = np.clip(np.searchsorted(self.ts, q, side="right") - 1,
                     0, self.ts.size - 2)
-        out = self._on_steps(j, q, derivative)
-        return out if np.ndim(t) else float(out[0])
-
-    def _on_steps(self, j: np.ndarray, q: np.ndarray, derivative: bool):
-        """Dense output at the times q, each on its step [ts[j], ts[j+1]]."""
         h = self.ts[j + 1] - self.ts[j]
         s = np.clip((q - self.ts[j]) / h, 0.0, 1.0)
         x0, x1 = self.xs[j], self.xs[j + 1]
         v0, v1 = self.vs[j], self.vs[j + 1]
-        if derivative:
-            return _hermite_slope(x0, v0, x1, v1, h, s)
-        return _hermite(x0, v0, x1, v1, h, _hermite_weights(s))
+        out = (_hermite_slope(x0, v0, x1, v1, h, s) if derivative
+               else _hermite(x0, v0, x1, v1, h, _hermite_weights(s)))
+        return out if np.ndim(t) else float(out[0])
 
 
 def _hermite_weights(s):
@@ -674,33 +667,36 @@ def _integrate_columns(problems: tuple, horizon: float, step: float
 # event scanning (shared with the analysis layer)
 # ----------------------------------------------------------------------
 
-# sign-change brackets below which the zero and extremum scans bisect each
-# bracket in Python floats: a bracket costs about 35 µs that way, while the
-# numpy bisection costs about 1.5 ms a scan for anything up to 120 brackets
-# (about 27 rounds of some 35 small array calls), so it wins above about 40
-_PLAIN_BRACKETS = 40
 # default resolution of every zero and extremum scan, the CLI's --tol too
 _SCAN_TOL = 1e-10
 
 
-def _refine_plain(traj: Trajectory, derivative: bool, left: np.ndarray,
-                  tol: float) -> list[float]:
-    """Bisect each bracket one at a time, in Python floats with the
-    operations of ``Trajectory._on_steps`` in its order."""
+def _refine(traj: Trajectory, derivative: bool, left: np.ndarray,
+            tol: float) -> list[float]:
+    """Bisect each bracket [ts[j], ts[j + 1]] on its own step, in Python
+    floats with the operations of ``Trajectory._eval`` in its order. A
+    midpoint never leaves its step, and rounding is monotone, so its
+    fraction s of the step is in [0, 1] without the clamp ``_eval``
+    applies."""
     ts, xs, vs = traj.ts, traj.xs, traj.vs
     out = []
     for j in left.tolist():
         lo, hi = ts.item(j), ts.item(j + 1)
-        step = (lo, hi - lo, xs.item(j), vs.item(j), xs.item(j + 1),
-                vs.item(j + 1), derivative)
-        f_lo = _dense_on_step(lo, *step)
+        t0, h = lo, hi - lo
+        x0, x1 = xs.item(j), xs.item(j + 1)
+        v0, v1 = vs.item(j), vs.item(j + 1)
+        # s = 0 at the left node
+        f_lo = (_hermite_slope(x0, v0, x1, v1, h, 0.0) if derivative
+                else _hermite(x0, v0, x1, v1, h, _hermite_weights(0.0)))
         if f_lo == 0.0:
             out.append(lo)
             continue
         lo_pos = f_lo > 0.0
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
-            fm = _dense_on_step(mid, *step)
+            s = (mid - t0) / h
+            fm = (_hermite_slope(x0, v0, x1, v1, h, s) if derivative
+                  else _hermite(x0, v0, x1, v1, h, _hermite_weights(s)))
             if fm == 0.0 or not lo < mid < hi:  # or lo, hi adjacent floats
                 break
             if (fm > 0.0) == lo_pos:
@@ -711,43 +707,6 @@ def _refine_plain(traj: Trajectory, derivative: bool, left: np.ndarray,
             mid = 0.5 * (lo + hi)
         out.append(mid)
     return out
-
-
-def _dense_on_step(q: float, t0: float, h: float, x0: float, v0: float,
-                   x1: float, v1: float, derivative: bool) -> float:
-    """``Trajectory._on_steps`` at one time q of one step, in floats. A
-    bisection midpoint never leaves its step, and rounding is monotone, so
-    s is in [0, 1] without the clamp ``_on_steps`` applies."""
-    s = (q - t0) / h
-    if derivative:
-        return _hermite_slope(x0, v0, x1, v1, h, s)
-    return _hermite(x0, v0, x1, v1, h, _hermite_weights(s))
-
-
-def _refine_arrays(traj: Trajectory, derivative: bool, left: np.ndarray,
-                   tol: float) -> list[float]:
-    """``_refine_plain`` for all brackets at once: one numpy evaluation
-    per round for the brackets still open."""
-    lo, hi = traj.ts[left], traj.ts[left + 1]
-    f_lo = traj._on_steps(left, lo, derivative)
-    out = lo.copy()
-    live = f_lo != 0.0
-    lo_pos = f_lo > 0.0
-    while True:
-        idx = np.flatnonzero(live & (hi - lo > tol))
-        if idx.size == 0:
-            break
-        lo_i, hi_i = lo[idx], hi[idx]
-        mid = 0.5 * (lo_i + hi_i)
-        fm = traj._on_steps(left[idx], mid, derivative)
-        hit = (fm == 0.0) | (mid <= lo_i) | (mid >= hi_i)
-        out[idx[hit]] = mid[hit]
-        live[idx[hit]] = False
-        same = (fm > 0.0) == lo_pos[idx]
-        lo[idx[~hit & same]] = mid[~hit & same]
-        hi[idx[~hit & ~same]] = mid[~hit & ~same]
-    out[live] = 0.5 * (lo[live] + hi[live])
-    return out.tolist()
 
 
 def _check_tol(tol: float) -> None:
@@ -773,8 +732,7 @@ def _scan_sign_changes(traj: Trajectory, derivative: bool, tol: float
     pos = ys > 0.0
     # brackets: adjacent nonzero nodes of opposite sign
     left = np.flatnonzero(nonzero[:-1] & nonzero[1:] & (pos[:-1] != pos[1:]))
-    refine = _refine_plain if left.size < _PLAIN_BRACKETS else _refine_arrays
-    t_star = refine(traj, derivative, left, tol)
+    t_star = _refine(traj, derivative, left, tol)
     zeros = np.flatnonzero(~nonzero)
     if zeros.size == 0:
         return [(t, False) for t in t_star]

@@ -120,8 +120,8 @@ def char_roots(c: float, sign: int, branches) -> list[CharRoot]:
     IterationLimitError naming the branch and c. Output is sorted by |Im λ|
     then branch, deterministically.
     """
-    if not c > 0.0:
-        raise DomainError(f"delay must be positive, got {c}")
+    if not 0.0 < c < math.inf:
+        raise DomainError(f"delay must be finite and positive, got {c}")
     if sign not in (1, -1):
         raise DomainError(f"sign must be +1 or −1, got {sign}")
     found: list[CharRoot] = []

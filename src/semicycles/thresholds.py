@@ -144,6 +144,9 @@ def _check_rho(rho: float) -> None:
 
 
 def _check_grid(grid_size: int) -> None:
+    # NaN and ±∞ are no integers either; 100.7 would be solved at grid 100
+    if not float(grid_size).is_integer():
+        raise DomainError(f"grid_size must be an integer, got {grid_size}")
     if grid_size < 64:
         raise DomainError(f"grid_size must be ≥ 64, got {grid_size}")
     if grid_size > _MAX_GRID:

@@ -8,6 +8,7 @@ construction, and constant-coefficient criterion values computed by hand
 
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -399,6 +400,37 @@ def test_envelope_ratio_needs_three_windows(sine_traj):
         envelope_decay_ratio(sine_traj, 100.0)
 
 
+@pytest.mark.parametrize("stride, t0, message", [
+    (1e-300, None, "more than the limit"),
+    (1.0, -1e300, "more than the limit"),
+    (1e-7, None, "more than the limit"),
+    (1.0, math.nan, "t0 must be finite"),
+    (1.0, math.inf, "t0 must be finite"),
+])
+def test_envelope_window_count_refused_before_the_loop(stride, t0, message):
+    # each of these used to loop without end (NaN: InsufficientWindowError)
+    spec = ExampleSpec("example3", 0.05, 4)
+    traj = integrate(build_example_problem(spec), example_horizon(spec),
+                     step=0.01)
+    began = time.perf_counter()
+    with pytest.raises(DomainError, match=message):
+        envelope_decay_ratio(traj, stride, t0=t0)
+    assert time.perf_counter() - began < 1.0
+
+
+def test_envelope_stride_below_float_spacing_refused():
+    # near 1e6 floats are 1.2e-10 apart: lo + stride rounds back to lo
+    # within two windows of the end, which no window count catches
+    start = 1e6
+    problem = DelayProblem(p=const(1.0), tau=const(0.0), start=start,
+                           history=const(0.0), initial_value=0.0,
+                           initial_slope=1.0)
+    traj = integrate(problem, start + 10.0, step=0.01)
+    spacing = math.ulp(traj.end)
+    with pytest.raises(DomainError, match="below the float spacing"):
+        envelope_decay_ratio(traj, 0.45 * spacing, t0=traj.end - spacing)
+
+
 # ----------------------------------------------------------------------
 # delay/coefficient criteria
 # ----------------------------------------------------------------------
@@ -560,12 +592,25 @@ def test_every_public_scan_refuses_a_bad_tol(monkeypatch, scan, zero, tol):
         raise AssertionError("the scan did work before refusing its tol")
 
     # the refinement and classify's threshold are the work a refusal skips
-    for owner, name in ((integrator, "_refine_plain"),
-                        (integrator, "_refine_arrays"),
+    for owner, name in ((integrator, "_refine"),
                         (analysis, "semicycle_threshold")):
         monkeypatch.setattr(owner, name, no_work)
     with pytest.raises(DomainError, match="tol must be finite and positive"):
         _SCANS[scan](traj, zeros, tol)
+
+
+@pytest.mark.parametrize("factor", [0.0, -1.0, math.nan, math.inf])
+def test_classify_refuses_a_bad_growth_factor(monkeypatch, factor):
+    # 0 and −1 used to read x = sin t as unbounded_observed, NaN gave
+    # inconclusive with NaN evidence
+    traj = integrate(_sine_problem(), 6.5 * math.pi, step=0.01)
+
+    def no_work(*args):
+        raise AssertionError("classify scanned before refusing its factor")
+
+    monkeypatch.setattr(analysis, "_zero_scan", no_work)
+    with pytest.raises(DomainError, match="growth_factor must be finite"):
+        classify(traj.problem, traj, growth_factor=factor)
 
 
 def test_classify_refuses_another_problems_trajectory():

@@ -55,6 +55,24 @@ def test_mixture_rejects_mismatched_sign():
         mode_mixture_problem(4.0, 1, ())
 
 
+@pytest.mark.parametrize("c, message", [
+    (math.inf, "delay must be finite and positive"),
+    (math.nan, "delay must be finite and positive"),
+    (1e9, "more than the limit"),
+])
+def test_mixture_refuses_a_delay_before_building_the_history(monkeypatch, c,
+                                                             message):
+    # ∞ used to raise a bare OverflowError, 1e9 to allocate 24.8 GiB
+    root = _decaying_root(4.0)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the history was built before the refusal")
+
+    monkeypatch.setattr(harness.np, "linspace", no_work)
+    with pytest.raises(DomainError, match=message):
+        mode_mixture_problem(c, 1, ((root, 1.0, 0.0),))
+
+
 def test_suites_are_seed_deterministic():
     for suite, n in (("decay", 3), ("margins", 4), ("comparison", 4),
                      ("wronskian", 3)):

@@ -34,6 +34,7 @@ from semicycles.integrator import (
 from semicycles.repro import (
     ExampleSpec,
     build_example_problem,
+    closed_form,
     example_horizon,
 )
 from semicycles.signals import _trim_for_roots
@@ -84,6 +85,43 @@ def test_fourth_order_convergence():
             for s in (0.04, 0.02, 0.01)]
     assert 11.0 < errs[0] / errs[1] < 21.0
     assert 11.0 < errs[1] / errs[2] < 21.0
+
+
+def _closed_form_case(regime, size, step):
+    """(problem, horizon, exact solution) in one regime: sin t (no delay),
+    an eigenmode with τ ≡ size (delayed) or τ ≡ size·step (overlap, τ/h
+    fixed), or example2 with ε = size (a piecewise coefficient whose
+    breakpoints are forced nodes)."""
+    if regime == "ode":
+        return _const_problem(1.0, 0.0, 0.0, 0.0, 1.0), 20.0, np.sin
+    if regime == "forced_nodes":
+        spec = ExampleSpec("example2", size, 4)
+        return (build_example_problem(spec), example_horizon(spec),
+                np.vectorize(lambda t: closed_form(spec, float(t))))
+    c = size if regime == "delayed" else size * step
+    root = next(r for r in char_roots(c, 1, (0,)) if r.value.imag > 0.0)
+    return (eigenmode_problem(c, root), 20.0,
+            lambda t: np.exp(root.value * t).real)
+
+
+@pytest.mark.parametrize("regime, size, steps", [
+    ("ode", None, (0.08, 0.04, 0.02)),
+    ("delayed", 1.0, (0.04, 0.02, 0.01)),
+    ("delayed", 3.0, (0.04, 0.02, 0.01)),
+    ("overlap", 0.25, (0.1, 0.05, 0.025)),
+    ("forced_nodes", 0.1, (0.08, 0.04, 0.02)),
+])
+def test_observed_order_four_against_closed_forms(regime, size, steps):
+    errors = []
+    for step in steps:
+        problem, horizon, exact = _closed_form_case(regime, size, step)
+        traj = integrate(problem, horizon, step=step)
+        errors.append(float(np.abs(traj.xs - exact(traj.ts)).max()))
+    # 50× the ~1e-10 tails of the eigenmode histories, so the ratios
+    # measure the scheme
+    assert min(errors) > 5e-9
+    for coarse, fine in zip(errors, errors[1:]):
+        assert abs(math.log2(coarse / fine) - 4.0) <= 0.3
 
 
 def test_piecewise_coefficient_alignment():
@@ -1096,8 +1134,48 @@ def test_trajectory_independent_of_step_grouping(monkeypatch, min_block,
 
 
 # ----------------------------------------------------------------------
-# bracket refinement: plain floats against numpy
+# bracket refinement: plain floats against a numpy bisection
 # ----------------------------------------------------------------------
+
+# bracket count above which a numpy round of all open brackets pays for its
+# calls; the corpus has scans on both sides of it
+_MANY_BRACKETS = 40
+
+
+def _refine_arrays(traj, derivative, left, tol):
+    """Reference for ``integrator._refine``: all brackets at once, one numpy
+    evaluation of dense output per round for the brackets still open."""
+    ts, xs, vs = traj.ts, traj.xs, traj.vs
+
+    def dense(j, q):
+        h = ts[j + 1] - ts[j]
+        s = np.clip((q - ts[j]) / h, 0.0, 1.0)
+        x0, x1, v0, v1 = xs[j], xs[j + 1], vs[j], vs[j + 1]
+        if derivative:
+            return integrator._hermite_slope(x0, v0, x1, v1, h, s)
+        return integrator._hermite(x0, v0, x1, v1, h,
+                                   integrator._hermite_weights(s))
+
+    lo, hi = ts[left], ts[left + 1]
+    f_lo = dense(left, lo)
+    out = lo.copy()
+    live = f_lo != 0.0
+    lo_pos = f_lo > 0.0
+    while True:
+        idx = np.flatnonzero(live & (hi - lo > tol))
+        if idx.size == 0:
+            break
+        lo_i, hi_i = lo[idx], hi[idx]
+        mid = 0.5 * (lo_i + hi_i)
+        fm = dense(left[idx], mid)
+        hit = (fm == 0.0) | (mid <= lo_i) | (mid >= hi_i)
+        out[idx[hit]] = mid[hit]
+        live[idx[hit]] = False
+        same = (fm > 0.0) == lo_pos[idx]
+        lo[idx[~hit & same]] = mid[~hit & same]
+        hi[idx[~hit & ~same]] = mid[~hit & ~same]
+    out[live] = 0.5 * (lo[live] + hi[live])
+    return out.tolist()
 
 def _refinement_corpus():
     """(trajectory, left) pairs: every bracket of x and of x′, seeded
@@ -1132,12 +1210,12 @@ def _refinement_corpus():
 def test_plain_refinement_matches_numpy_refinement(tol):
     corpus = _refinement_corpus()
     sizes = [left.size for _, left in corpus]
-    assert min(sizes) < integrator._PLAIN_BRACKETS < max(sizes)
+    assert min(sizes) < _MANY_BRACKETS < max(sizes)
     ends = set()
     for traj, left in corpus:
         for derivative in (False, True):
-            plain = integrator._refine_plain(traj, derivative, left, tol)
-            arrays = integrator._refine_arrays(traj, derivative, left, tol)
+            plain = integrator._refine(traj, derivative, left, tol)
+            arrays = _refine_arrays(traj, derivative, left, tol)
             assert plain == arrays
             for t, j in zip(plain, left.tolist()):
                 if t == traj.ts[j]:
@@ -1154,10 +1232,9 @@ def test_refinement_below_float_spacing_ends_equal_on_both_paths(tol):
     # asked for a width below their spacing stops there, on either path
     for traj, left in _refinement_corpus():
         for derivative in (False, True):
-            plain = integrator._refine_plain(traj, derivative, left, tol)
-            assert plain == integrator._refine_arrays(traj, derivative,
-                                                      left, tol)
-            coarse = integrator._refine_plain(traj, derivative, left, 1e-10)
+            plain = integrator._refine(traj, derivative, left, tol)
+            assert plain == _refine_arrays(traj, derivative, left, tol)
+            coarse = integrator._refine(traj, derivative, left, 1e-10)
             assert np.allclose(plain, coarse, rtol=0.0, atol=1e-10)
 
 

@@ -116,5 +116,8 @@ def test_validation():
         char_roots(0.0, 1, range(0, 2))
     with pytest.raises(DomainError):
         char_roots(4.0, 2, range(0, 2))
+    # an infinite delay used to end in a stalled Halley iteration at NaN
+    with pytest.raises(DomainError, match="finite and positive"):
+        char_roots(math.inf, 1, (0,))
     with pytest.raises(DomainError):
         lambert_w(1, 0)

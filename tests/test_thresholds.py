@@ -458,6 +458,7 @@ def test_argument_validation():
 
 _HISTORY = "history bound must be finite and positive"
 _DELAY = "delay must be finite and nonnegative"
+_GRID = "grid_size must be an integer"
 
 
 @pytest.mark.parametrize("name, args, message", [
@@ -473,10 +474,15 @@ _DELAY = "delay must be finite and nonnegative"
     ("semicycle_threshold", (math.nan,), _DELAY),
     ("semicycle_threshold", (math.inf,), _DELAY),
     ("eval_r", (math.nan, 1.0), _DELAY),
+    ("psi", (1.0, 1.0, math.nan), _GRID),
+    ("beta_iterate", (1.0, 1.0, math.nan), _GRID),
+    ("psi", (1.0, 1.0, math.inf), _GRID),
+    ("psi", (1.0, 1.0, 100.7), _GRID),
 ])
 def test_non_finite_arguments_rejected(name, args, message):
-    """A NaN or infinite ρ or Δ is refused before any work: no warning, no
-    Ψ cache entry (Ψ(∞, Δ) used to come out as π/2)."""
+    """A NaN or infinite ρ or Δ, or a grid size that is not an integer, is
+    refused before any work: no warning, no Ψ cache entry (Ψ(∞, Δ) used to
+    come out as π/2, a grid of 100.7 was solved at 100)."""
     before = thresholds._psi_cached.cache_info()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
