@@ -17,20 +17,22 @@ extremum scans bisect each sign change on the one step that brackets it.
 
 Steps run in blocks (the classical method of steps, Bellen & Zennaro 2003).
 For each chunk of steps, the signals' own array evaluation gives p and τ at
-the three stage times of every step, and the history where a stage reads
-it; numpy then sorts each stage by where its delayed value comes from:
-its own value (no delay), the step's provisional interpolant (overlap),
-accepted output, the history, or an error to raise. That chunk plan is the
-only place the step loop gets p, τ and the delayed argument from. A block
-is a maximal run of steps whose stages all read the history or output
-accepted before the block's first node. Inside a block no v-stage depends
-on the block's own x, so one vectorized Hermite gather gives the v
+the three stage times of every step; numpy then sorts each stage by where
+its delayed value comes from: its own value (no delay), the step's
+provisional interpolant (overlap), accepted output, the history, or an
+error, which the plan raises. A chunk with no delay plans nothing more; any
+other also gets the bracket of each read of accepted output and the
+Hermite weights of every read. That chunk plan is the only place the step
+loop gets p, τ and the delayed argument from. A block is a maximal run of
+steps whose stages all read the history or output accepted before the
+block's first node; two bisections find its end. Inside a block no v-stage
+depends on the block's own x, so one vectorized Hermite gather gives the v
 increments, running sums give v, and then x follows the same way. Every
-other step (a zero delay, an overlap with the step, a stage that must
-raise, or a run of steps too short to pay for numpy) is taken alone by one
-scalar loop that writes RK4 and each stage's read out in Python floats.
-Both paths perform the same floating-point operations in the same order,
-so the trajectory does not depend on how the steps were grouped.
+other step (a zero delay, an overlap with the step, or a run too short to
+pay for numpy) is taken alone in Python floats, by an RK4 body for a chunk
+with no delay or by one that reads each stage as the plan says. Both paths
+perform the same floating-point operations in the same order, so the
+trajectory does not depend on how the steps were grouped.
 
 The integrator carries a column axis: x and x′ are (n, k) arrays, k
 solutions of problems that differ only in x(s⁺) and x′(s⁺). They share
@@ -66,6 +68,8 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -274,7 +278,7 @@ def _segment_crossings(seg: tuple, b: float, length: float, c: float,
     """Solutions t ∈ [b, b + length] (up to 1e-12·scale) of t − τ(t) = c on
     one τ segment with local coefficients seg."""
     # q(u) = u + b − c − τ_seg(u) in local coordinates
-    q = list(-np.asarray(seg, dtype=float))
+    q = [-a for a in seg]
     q[0] += b - c
     if len(q) < 2:
         q.append(1.0)
@@ -360,9 +364,9 @@ def _forced_nodes(problem: DelayProblem, horizon: float) -> np.ndarray:
 # about 0.3 MB whatever the horizon
 _CHUNK = 512
 # shortest run of steps advanced as a numpy block: a block costs 35-65 µs,
-# a scalar step reading accepted output 7 µs per column, so one column
-# breaks even near 6 steps and two (fundamental_system, most short runs)
-# near 3-4; the suites time the same at any value from 3 to 6
+# a scalar step reading accepted output 3-5 µs per column, so one column
+# breaks even near 10-15 steps and two (fundamental_system, most short
+# runs) near 5-8; yet the suites time the same within noise at 3, 6 and 10
 _MIN_BLOCK = 3
 # most steps one integration may take: about 100× the longest run the
 # package's tests and scripts make (94,248 steps, reproduce_examples.py
@@ -375,7 +379,6 @@ _OVERLAP = 1  # u inside the step: the step's provisional interpolant
 _DENSE = 2    # u at or before the step: Hermite read of accepted output
 _VALUE = 3    # a value known before the step: history, x(s⁻) or x(s⁺)
 _RAISE = 4    # a negative delay, or u below the history
-_ALL_ODE = (_ODE, _ODE, _ODE)
 
 
 def _step_grid(nodes: np.ndarray, counts: np.ndarray) -> tuple:
@@ -397,13 +400,16 @@ class _ChunkPlan:
     """Stage data of steps c0 … c1−1, computed with numpy before they run.
 
     Row r of each (3, m) array is one stage time σ of the m steps: t₀, the
-    midpoint (read by both middle RK4 stages) and t₁. ``kind`` says where
-    the stage's delayed value x(u), u = σ − τ(σ), comes from, sorted by the
-    scalar scheme's tests in their order; ``neg_p`` is −p(σ), ``hv`` the
-    value of a _VALUE stage, ``du`` = u − t₀, and ``jj``/``h``/``w`` the
-    Hermite bracket and weights of a _DENSE stage, whose last node read is
-    ``reach``. A step whose stages all read values or accepted output can
-    join a block (``ok``); every other step runs through ``_take_steps``.
+    midpoint (read by both middle RK4 stages) and t₁; ``neg_p`` is −p(σ).
+    A chunk with no delayed stage builds nothing more (``kind`` is None).
+    Otherwise ``kind`` says where each stage's delayed value x(u),
+    u = σ − τ(σ), comes from, sorted by the scalar scheme's tests in their
+    order (a _RAISE stage raises here); ``hv`` is the value of a _VALUE
+    stage, ``jj``/``h`` the Hermite bracket of a _DENSE stage, whose last
+    node read is ``reach``, and ``w`` the weights of each _DENSE and
+    _OVERLAP read. A step whose stages all read values or accepted output
+    can join a block (``ok``); every other step runs through
+    ``_take_steps``, which reads ``table`` and ``scalar``.
 
     One plan serves k solution columns that differ only in x(s⁺) and
     x′(s⁺) (``x_plus`` holds the k values of x(s⁺)). Only ``hv`` depends on
@@ -418,21 +424,27 @@ class _ChunkPlan:
                  x_plus: np.ndarray):
         s = problem.start
         self.c0 = c0
-        self.hist_bound = s - tau_m
         t0, t1 = ts[c0:c1], ts[c0 + 1:c1 + 1]
-        self.hh = hh = t1 - t0
+        # per step, hh, hh/2, hh/6 and −p, then each stage's h and weights:
+        # what the scalar loop reads, row by row of its transpose
+        self.table = table = np.empty((21, c1 - c0))
+        self.hh = hh = np.subtract(t1, t0, out=table[0])
+        self.hh2 = np.multiply(0.5, hh, out=table[1])
+        self.hh6 = np.divide(hh, 6.0, out=table[2])
         tm = t0 + 0.5 * hh
-        self.sigma = sigma = np.array((t0, tm, t1))
-        self.neg_p = -problem.p.eval_in_segment(seg_p, sigma)
-        self.tau = tau = problem.tau.eval_in_segment(seg_tau, sigma)
+        sigma = np.array((t0, tm, t1))
+        self.neg_p = np.negative(problem.p.eval_in_segment(seg_p, sigma),
+                                 out=table[3:6])
+        tau = problem.tau.eval_in_segment(seg_tau, sigma)
         tv = np.where(tau < 0.0, 0.0, tau)
-        scale = np.abs(sigma)
+        neg = tau < -1e-12
+        ode = tv <= 1e-13 * np.maximum(np.abs(sigma), 1.0)
+        self.kind = None
+        if ode.all() and not neg.any():
+            return
         self.u = u = sigma - tv
-        self.du = u - t0
-        self.kind = kind = np.where(
-            tau < -1e-12, _RAISE, np.where(
-                tv <= 1e-13 * np.where(scale > 1.0, scale, 1.0), _ODE,
-                np.where(u > t0, _OVERLAP, _DENSE)))
+        self.kind = kind = np.where(neg, _RAISE, np.where(
+            ode, _ODE, np.where(u > t0, _OVERLAP, _DENSE)))
         self.hv = None
         if not (u > s).all():
             # u = s reads x(s⁻) left of the start jump and x(s⁺) right of
@@ -451,23 +463,46 @@ class _ChunkPlan:
             hist = (kind == _VALUE) & ~at_s
             if hist.any():
                 hv[hist] = problem.history(u[hist])[:, None]
+        raising = kind == _RAISE
+        if raising.any():  # what the first _RAISE stage raises
+            k = int(raising.any(axis=0).argmax())
+            r = kind[:, k].tolist().index(_RAISE)
+            if tau.item(r, k) < -1e-12:
+                raise DomainError(f"delay {tau.item(r, k)} negative at "
+                                  f"t = {sigma.item(r, k)}")
+            raise HistoryDomainError(
+                f"delayed argument {u.item(r, k)} reaches below "
+                f"start − τ_m = {s - tau_m}")
         self.dense = dense = kind == _DENSE
+        over = kind == _OVERLAP
         self.ok = (dense | (kind == _VALUE)).all(axis=0)
-        self.reach = np.zeros(c1 - c0, dtype=np.intp)
-        self.w = None
-        if dense.any():
-            # cubic Hermite weights of the dense reads; u lies in its bracket
-            # [ts[jj], ts[jj + 1]], so the weight needs no clamp
-            jj = np.minimum(np.searchsorted(ts, u, side="right") - 1,
-                            np.arange(c0 - 1, c1 - 1))
-            self.jj = jj = np.where(dense, jj, 0)
-            self.jj1 = jj + 1
-            self.reach = np.where(dense, self.jj1, 0).max(axis=0)
-            self.h = h = ts[self.jj1] - ts[jj]
-            self.w = np.stack(_hermite_weights(
-                np.where(dense, (u - ts[jj]) / h, 0.0)))
-        self.hh2 = 0.5 * hh
-        self.hh6 = hh / 6.0
+        # a _DENSE read's bracket [ts[jj], ts[jj + 1]] holds u, so its weight
+        # needs no clamp; any other stage is given its step's left node
+        left = np.arange(c0, c1)
+        jj = np.minimum(np.searchsorted(ts, u, side="right"), left) - 1
+        self.jj = jj = np.where(dense, jj, left)
+        self.jj1 = jj + 1
+        self.reach = np.where(dense, self.jj1, 0).max(axis=0)
+        # the bracket's width h and the fraction of it read; an overlap read
+        # takes the step as its bracket, and its first pass reads h = u − t₀
+        h = ts[self.jj1] - ts[jj]
+        frac = np.where(dense, (u - ts[jj]) / h, 0.0)
+        if over.any():
+            du = u - t0
+            frac = np.where(over, du / hh, frac)
+            h = np.where(over, du, h)
+        hw = table[6:].reshape(5, 3, c1 - c0)
+        hw[0], hw[1:] = h, _hermite_weights(frac)
+        self.h, self.w = hw[0], hw[1:]
+
+    @cached_property
+    def scalar(self) -> tuple:
+        """Per step: the kinds of its stages and the left node of each
+        _DENSE bracket counted from the step's right node (−1: its left
+        node); and a list of the first node each step reads."""
+        left = np.arange(self.c0, self.c0 + self.hh.size)
+        return (np.concatenate((self.kind, self.jj - left - 1)).T,
+                self.jj.min(axis=0).tolist())
 
     def advance(self, b: int, e: int, xs: np.ndarray, vs: np.ndarray):
         """Take steps b … e−1 of the chunk as one block.
@@ -480,15 +515,12 @@ class _ChunkPlan:
         ``vs``, so each column gets the operations of a run of its own.
         """
         j0, j1 = self.c0 + b, self.c0 + e
-        if self.w is None:
-            delayed = self.hv[:, b:e]
-        else:
-            jj, jj1 = self.jj[:, b:e], self.jj1[:, b:e]
-            delayed = _hermite(xs[jj], vs[jj], xs[jj1], vs[jj1],
-                               self.h[:, b:e, None], self.w[:, :, b:e, None])
-            if self.hv is not None:
-                delayed = np.where(self.dense[:, b:e, None], delayed,
-                                   self.hv[:, b:e])
+        jj, jj1 = self.jj[:, b:e], self.jj1[:, b:e]
+        delayed = _hermite(xs[jj], vs[jj], xs[jj1], vs[jj1],
+                           self.h[:, b:e, None], self.w[:, :, b:e, None])
+        if self.hv is not None:
+            delayed = np.where(self.dense[:, b:e, None], delayed,
+                               self.hv[:, b:e])
         k1v, k2v, k4v = self.neg_p[:, b:e, None] * delayed
         hh, hh2, hh6 = (self.hh[b:e, None], self.hh2[b:e, None],
                         self.hh6[b:e, None])
@@ -502,43 +534,32 @@ class _ChunkPlan:
         xs[j0 + 1:j1 + 1] = hh6 * (v0 + 2 * k2x + 2 * k3x + k4x)
         np.add.accumulate(xs[j0:j1 + 1], out=xs[j0:j1 + 1])
 
-    def error(self, k: int) -> Exception:
-        """What the first _RAISE stage of step k raises."""
-        r = self.kind[:, k].tolist().index(_RAISE)
-        tv = self.tau.item(r, k)
-        if tv < -1e-12:
-            return DomainError(
-                f"delay {tv} negative at t = {self.sigma.item(r, k)}")
-        return HistoryDomainError(
-            f"delayed argument {self.u.item(r, k)} reaches below "
-            f"start − τ_m = {self.hist_bound}")
-
 
 def _take_steps(plan: _ChunkPlan, b: int, e: int, xs: np.ndarray,
                 vs: np.ndarray) -> None:
     """Take steps b … e−1 of the chunk one at a time, one solution column
-    after the other, by classical RK4 with each stage's delayed value read
-    from the plan: the stage's own x (_ODE), a known value, a Hermite read
-    of accepted output, or an overlap read. A step with no delayed stage
-    has its own copy of the RK4 body, the cheapest path. A step with an
-    overlap stage is taken once with that read extrapolated linearly from
-    t₀, then twice more against the provisional interpolant of its previous
-    pass; a step with a _RAISE stage raises."""
-    hv, du, w = plan.hv, plan.du, plan.w
-    if w is not None:
-        jj, jj1, h = plan.jj, plan.jj1, plan.h
-    steps = zip(range(b, e), plan.hh[b:e].tolist(), plan.hh2[b:e].tolist(),
-                plan.hh6[b:e].tolist(), *plan.neg_p[:, b:e].tolist(),
-                zip(*plan.kind[:, b:e].tolist()))
-    if xs.shape[1] > 1:
-        steps = list(steps)
-    for col in range(xs.shape[1]):
-        xc, vc = xs[:, col], vs[:, col]
-        j = plan.c0 + b
-        x0, v0 = xc.item(j), vc.item(j)
-        for k, hh, hh2, hh6, n0, nm, n1, kinds in steps:
-            j += 1
-            if kinds == _ALL_ODE:  # each stage reads its own x
+    after the other, by classical RK4 in Python floats.
+
+    A chunk with no delayed stage runs RK4 alone. Any other step reads each
+    stage's delayed value as the plan says: its own x (_ODE), a known
+    value, a Hermite read of accepted output, or an overlap read. A run
+    keeps its nodes in Python lists that start with the nodes it reads
+    below its first node: the whole span from the lowest, or, when that is
+    more than six nodes a step, only the two of each bracket, so the lists
+    grow with the run and not with the delay. A step with an overlap stage
+    is taken once with that read extrapolated linearly from t₀, then twice
+    more against the interpolant of its previous pass; stage 0 never reads
+    inside its own step, so k1v and k2x are the same in every pass."""
+    j0, j1 = plan.c0 + b, plan.c0 + e
+    if plan.kind is None:  # each stage reads its own x
+        steps = zip(plan.hh[b:e].tolist(), plan.hh2[b:e].tolist(),
+                    plan.hh6[b:e].tolist(), *plan.neg_p[:, b:e].tolist())
+        if xs.shape[1] > 1:
+            steps = list(steps)
+        for xc, vc in zip(xs.T, vs.T):
+            x0, v0 = xc.item(j0), vc.item(j0)
+            out_x, out_v = [], []
+            for hh, hh2, hh6, n0, nm, n1 in steps:
                 k1v = n0 * x0
                 k2x = v0 + hh2 * k1v
                 k2v = nm * (x0 + hh2 * v0)
@@ -546,46 +567,78 @@ def _take_steps(plan: _ChunkPlan, b: int, e: int, xs: np.ndarray,
                 k3v = nm * (x0 + hh2 * k2x)
                 k4x = v0 + hh * k3v
                 k4v = n1 * (x0 + hh * k3x)
-                xc[j] = x0 = x0 + hh6 * (v0 + 2 * k2x + 2 * k3x + k4x)
-                vc[j] = v0 = v0 + hh6 * (k1v + 2 * k2v + 2 * k3v + k4v)
-                continue
-            d = [None, None, None]
-            over = []
-            for r, kind in enumerate(kinds):
-                if kind == _DENSE:
-                    a, c, hr = jj.item(r, k), jj1.item(r, k), h.item(r, k)
-                    d[r] = (xc.item(a) * w.item(0, r, k)
-                            + vc.item(a) * hr * w.item(1, r, k)
-                            + xc.item(c) * w.item(2, r, k)
-                            + vc.item(c) * hr * w.item(3, r, k))
-                elif kind == _OVERLAP:
-                    q = du.item(r, k)
-                    d[r] = x0 + v0 * q
-                    over.append((r, _hermite_weights(q / hh)))
-                elif kind == _VALUE:
-                    d[r] = hv.item(r, k, col)
-                elif kind == _RAISE:
-                    raise plan.error(k)
-            d0, dm, d1 = d
-            passes = 3 if over else 1
-            while True:
-                k1v = n0 * (x0 if d0 is None else d0)
-                k2x = v0 + hh2 * k1v
+                x0 = x0 + hh6 * (v0 + 2 * k2x + 2 * k3x + k4x)
+                v0 = v0 + hh6 * (k1v + 2 * k2v + 2 * k3v + k4v)
+                out_x.append(x0)
+                out_v.append(v0)
+            xc[j0 + 1:j1 + 1] = out_x
+            vc[j0 + 1:j1 + 1] = out_v
+        return
+    reads, first = plan.scalar
+    rows, reads = plan.table.T[b:e], reads[b:e].tolist()
+    # a gathered bracket's read is pointed at its pair in front of the list
+    lo = min(first[b:e])
+    pre = slice(lo, j0 + 1)
+    if j0 - lo > 6 * (e - b):
+        pre = []
+        for i in (i for i, f in enumerate(first[b:e]) if f < j0):
+            row = reads[i]
+            for r in (3, 4, 5):
+                if row[r] < -1 - i:  # bracket [a, a + 1] with a < j0
+                    a = j0 + i + 1 + row[r]
+                    row[r] = len(pre)
+                    pre += (a, a + 1)
+        pre.append(j0)
+    for col, (xc, vc) in enumerate(zip(xs.T, vs.T)):
+        X, V = xc[pre].tolist(), vc[pre].tolist()
+        x0, v0 = X[-1], V[-1]
+        known = (repeat(None) if plan.hv is None
+                 else plan.hv[:, b:e, col].T.tolist())
+        for (hh, hh2, hh6, n0, nm, n1, h0, hm, h1, p0, q0, r0, p1, q1, r1,
+             p2, q2, r2, p3, q3, r3), (k0, km, k1, i0, im, i1), val in zip(
+                 map(np.ndarray.tolist, rows), reads, known):
+            if k0 == _DENSE:
+                d0 = (X[i0] * p0 + V[i0] * h0 * p1 + X[i0 + 1] * p2
+                      + V[i0 + 1] * h0 * p3)
+            elif k0 == _VALUE:
+                d0 = val[0]
+            else:
+                d0 = x0
+            if km == _DENSE:
+                dm = (X[im] * q0 + V[im] * hm * q1 + X[im + 1] * q2
+                      + V[im + 1] * hm * q3)
+            elif km == _OVERLAP:
+                dm = x0 + v0 * hm
+            else:
+                dm = val[1] if km == _VALUE else None
+            if k1 == _DENSE:
+                d1 = (X[i1] * r0 + V[i1] * h1 * r1 + X[i1 + 1] * r2
+                      + V[i1 + 1] * h1 * r3)
+            elif k1 == _OVERLAP:
+                d1 = x0 + v0 * h1
+            else:
+                d1 = val[2] if k1 == _VALUE else None
+            k1v = n0 * d0
+            k2x = v0 + hh2 * k1v
+            over = km == _OVERLAP or k1 == _OVERLAP
+            for later in (False, True, True) if over else (False,):
+                if later:  # read the previous pass's interpolant
+                    if km == _OVERLAP:
+                        dm = x0 * q0 + v0 * hh * q1 + x1 * q2 + v1 * hh * q3
+                    if k1 == _OVERLAP:
+                        d1 = x0 * r0 + v0 * hh * r1 + x1 * r2 + v1 * hh * r3
                 k2v = nm * (x0 + hh2 * v0 if dm is None else dm)
                 k3x = v0 + hh2 * k2v
-                k3v = nm * (x0 + hh2 * k2x if dm is None else dm)
+                k3v = nm * (x0 + hh2 * k2x) if dm is None else k2v
                 k4x = v0 + hh * k3v
                 k4v = n1 * (x0 + hh * k3x if d1 is None else d1)
                 x1 = x0 + hh6 * (v0 + 2 * k2x + 2 * k3x + k4x)
                 v1 = v0 + hh6 * (k1v + 2 * k2v + 2 * k3v + k4v)
-                passes -= 1
-                if not passes:
-                    break
-                for r, (w0, w1, w2, w3) in over:
-                    d[r] = x0 * w0 + v0 * hh * w1 + x1 * w2 + v1 * hh * w3
-                d0, dm, d1 = d
-            xc[j] = x0 = x1
-            vc[j] = v0 = v1
+            X.append(x1)
+            V.append(v1)
+            x0, v0 = x1, v1
+        xc[j0 + 1:j1 + 1] = X[b - e:]
+        vc[j0 + 1:j1 + 1] = V[b - e:]
 
 
 def integrate(problem: DelayProblem, horizon: float, step: float = 0.01
@@ -645,14 +698,21 @@ def _integrate_columns(problems: tuple, horizon: float, step: float
         gap = np.searchsorted(first, np.arange(c0, c1), side="right") - 1
         plan = _ChunkPlan(problem, ts, c0, c1, seg_p[gap], seg_tau[gap],
                           tau_m, hist_floor, hist_at_start, x_plus)
-        ok, reach = plan.ok.tolist(), plan.reach.tolist()
         b, m = 0, c1 - c0
+        if plan.kind is None:
+            _take_steps(plan, b, m, xs, vs)
+            continue
+        ok = plan.ok.tolist()
         ok_at = np.flatnonzero(plan.ok).tolist() + [m]
+        bad_at = np.flatnonzero(~plan.ok).tolist() + [m]
+        # no step reads past its own left node, so the first step past b to
+        # read past node c0 + b is the first whose running-max reach does
+        reach = np.maximum.accumulate(plan.reach).tolist()
         while b < m:
             e = b + 1
             if ok[b]:
-                while e < m and ok[e] and reach[e] <= c0 + b:
-                    e += 1
+                e = min(bad_at[bisect.bisect_left(bad_at, b)],
+                        bisect.bisect_right(reach, c0 + b))
             if ok[b] and e - b >= _MIN_BLOCK:
                 plan.advance(b, e, xs, vs)
             else:

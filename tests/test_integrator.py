@@ -389,13 +389,27 @@ def _scalar_reference(problem, horizon, step):
     return np.asarray(ts), np.asarray(xs), np.asarray(vs)
 
 
+def _same_bytes(got, want):
+    """Equal shapes and bytes: unlike ``==``, −0.0 differs from 0.0."""
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def _assert_bit_identical(problem, horizon, step):
     traj = integrate(problem, horizon, step)
-    ref_ts, ref_xs, ref_vs = _scalar_reference(problem, horizon, step)
-    for got, ref in ((traj.ts, ref_ts), (traj.xs, ref_xs),
-                     (traj.vs, ref_vs)):
-        assert got.shape == ref.shape
-        assert (got == ref).all()
+    ref = _scalar_reference(problem, horizon, step)
+    for got, want in zip((traj.ts, traj.xs, traj.vs), ref):
+        assert _same_bytes(got, want)
+
+
+def _signed_zero_problems():
+    """(problem, horizon, step) whose outputs hold zeros of both signs: −0.0
+    initial data at τ = 0.5 (102 nodes of −0.0), and a coefficient whose
+    first segment is the constant −0.0."""
+    const = PiecewiseSignal.constant
+    p_neg_zero = PiecewiseSignal((0.0, 6.0), ((-0.0,),), 1.0, 1.0)
+    return [(_const_problem(-0.8, 0.5, -0.0, -0.0, -0.0), 3.0, 0.01),
+            (DelayProblem(p_neg_zero, const(0.5), 0.0, const(-0.0), -0.0,
+                          -0.0), 8.0, 0.01)]
 
 
 def _piecewise_problem(tau_segments, start=0.0, x0=0.4, v0=-0.3):
@@ -413,6 +427,8 @@ def _piecewise_problem(tau_segments, start=0.0, x0=0.4, v0=-0.3):
     (0.6, 0.01),     # τ ≥ step: blocks of steps
     (0.01, 0.01),    # τ = step: one-step blocks
     (0.004, 0.01),   # τ < step: overlap sub-iteration
+    (0.003, 0.01),   # stages read (dense, overlap, overlap)
+    (0.007, 0.01),   # stages read (dense, dense, overlap)
 ])
 def test_block_integrator_matches_reference_constant_delay(tau, step):
     _assert_bit_identical(_const_problem(0.8, tau, 1.0, 1.0, 0.0), 5.0, step)
@@ -423,6 +439,9 @@ def test_block_integrator_matches_reference_constant_delay(tau, step):
     ((0.9, -0.3), (0.0,), (0.004, 0.001)),
     # quadratic delay crossing the step size, affine growth
     ((0.005, 0.02, 0.1), (1.2, -0.3), (0.3, 0.2)),
+    # a sawtooth from 0: each piece's first step reads its own x at t₀ and
+    # the step itself at the midpoint and the end
+    ((0.0, 0.004), (0.0, 0.003), (0.0, 0.002)),
 ])
 def test_block_integrator_matches_reference_piecewise(tau_segments):
     _assert_bit_identical(_piecewise_problem(tau_segments), 6.0, 0.01)
@@ -431,14 +450,21 @@ def test_block_integrator_matches_reference_piecewise(tau_segments):
 
 def test_block_integrator_matches_reference_jump_history():
     p = PiecewiseSignal((0.0, 2.0, 5.0), ((-0.5, 0.1), (0.3,)), -0.5, 0.3)
-    tau = PiecewiseSignal((0.0, 3.0), ((0.2, 0.3),), 0.2, 1.1)
-    z, y = fundamental_system(p, tau, 0.0, 6.0, step=0.02)
     zero = PiecewiseSignal.constant(0.0)
-    for traj, (x0, v0) in ((z, (1.0, 0.0)), (y, (0.0, 1.0))):
-        ref = _scalar_reference(DelayProblem(p, tau, 0.0, zero, x0, v0),
-                                6.0, 0.02)
-        for got, want in zip((traj.ts, traj.xs, traj.vs), ref):
-            assert (got == want).all()
+    # the second delay is below the step: two columns of overlap steps
+    for tau in (PiecewiseSignal((0.0, 3.0), ((0.2, 0.3),), 0.2, 1.1),
+                PiecewiseSignal.constant(0.008)):
+        z, y = fundamental_system(p, tau, 0.0, 6.0, step=0.02)
+        for traj, (x0, v0) in ((z, (1.0, 0.0)), (y, (0.0, 1.0))):
+            ref = _scalar_reference(DelayProblem(p, tau, 0.0, zero, x0, v0),
+                                    6.0, 0.02)
+            for got, want in zip((traj.ts, traj.xs, traj.vs), ref):
+                assert _same_bytes(got, want)
+
+
+@pytest.mark.parametrize("case", range(2))
+def test_block_integrator_matches_reference_signed_zeros(case):
+    _assert_bit_identical(*_signed_zero_problems()[case])
 
 
 def test_block_integrator_matches_reference_delayed_argument_on_start():
@@ -510,6 +536,43 @@ def test_block_integrator_matches_reference_overlap_into_delay():
     prob = DelayProblem(PiecewiseSignal.constant(0.9), tau, 0.0, hist,
                         1.0, 0.2)
     _assert_bit_identical(prob, 6.0, 0.01)
+
+
+def _deep_read_tau():
+    """A delay that rises from 0 to 0.5 over one step at t = 1 and t = 2
+    and stays 0.5 between: each rising step reads its own x at t₀ and
+    output 25 and 50 nodes back at its later stages, in a run of its own."""
+    bps = (0.0, 0.01, 1.0, 1.01, 2.0, 2.01)
+    return PiecewiseSignal(bps, ((0.0, 50.0), (0.5,)) * 2 + ((0.0, 50.0),),
+                           0.0, 0.5)
+
+
+def test_block_integrator_matches_reference_deep_reads_of_a_lone_step(
+        monkeypatch):
+    deep = []  # runs reading more than six nodes per step below their start
+    take = integrator._take_steps
+
+    def recording(plan, b, e, xs, vs):
+        if plan.kind is not None:
+            first = min(plan.scalar[1][b:e])
+            deep.append(plan.c0 + b - first > 6 * (e - b))
+        take(plan, b, e, xs, vs)
+
+    monkeypatch.setattr(integrator, "_take_steps", recording)
+    p, tau = PiecewiseSignal.constant(0.9), _deep_read_tau()
+    hist = PiecewiseSignal((-1.0, 0.0), ((0.3, -0.2),), 0.3, -0.1)
+    _assert_bit_identical(DelayProblem(p, tau, 0.0, hist, 1.0, 0.2), 3.0,
+                          0.01)
+    zero = PiecewiseSignal.constant(0.0)
+    z, y = fundamental_system(p, tau, 0.0, 3.0, step=0.01)
+    for traj, (x0, v0) in ((z, (1.0, 0.0)), (y, (0.0, 1.0))):
+        ref = _scalar_reference(DelayProblem(p, tau, 0.0, zero, x0, v0), 3.0,
+                                0.01)
+        for got, want in zip((traj.ts, traj.xs, traj.vs), ref):
+            assert _same_bytes(got, want)
+    # each rising step with the step before it, and the last step, in one
+    # column and in two
+    assert deep.count(True) == 6
 
 
 @pytest.mark.parametrize("tau, error", [
@@ -977,7 +1040,7 @@ def test_fundamental_system_columns_match_single_runs(seed):
                                  (0.0, 1.0)):
         for a, b in ((got.ts, want.ts), (got.xs, want.xs),
                      (got.vs, want.vs)):
-            assert np.array_equal(a, b)
+            assert _same_bytes(a, b)
         assert got.problem == want.problem
         assert (got.problem.initial_value, got.problem.initial_slope) == \
             (x0, v0)
@@ -1038,10 +1101,19 @@ def _grouping_corpus():
     into = PiecewiseSignal((0.0, 5.0), ((0.002, 0.004),), 0.002, 0.022)
     back = PiecewiseSignal((0.0, 1.0), ((0.0, 0.5, 1.0),), 0.0, 1.5)
     pinned = PiecewiseSignal((0.0, 1.5), ((0.0, 1.0),), 0.0, 1.5)
+    sawtooth = PiecewiseSignal((0.0, 1.0, 2.0), ((0.0, 0.004),
+                                                  (0.0, 0.003)), 0.0, 0.003)
     runs = [
         lambda: integrate(_const_problem(0.8, 0.0, 1.0, 1.0, 0.0), 3.0, 0.01),
         lambda: integrate(_const_problem(0.8, 0.004, 0.3, 1.0, 0.0), 3.0,
                           0.01),
+        lambda: integrate(_const_problem(0.8, 0.007, 0.3, 1.0, 0.0), 3.0,
+                          0.01),
+        lambda: integrate(DelayProblem(const(0.9), sawtooth, 0.0, hist,
+                                       1.0, 0.2), 3.0, 0.01),
+        lambda: fundamental_system(const(0.9), const(0.004), 0.0, 3.0, 0.01),
+        lambda: fundamental_system(const(0.9), _deep_read_tau(), 0.0, 3.0,
+                                   0.01),
         lambda: integrate(DelayProblem(const(0.9), const(1.0), 0.0, hist,
                                        1.0, 0.2), 4.0, 0.01),
         lambda: integrate(DelayProblem(const(0.9), pinned, 0.0, hist, 1.0,
@@ -1055,6 +1127,8 @@ def _grouping_corpus():
         lambda: integrate(_piecewise_problem(
             ((0.005, 0.02, 0.1), (1.2, -0.3), (0.3, 0.2))), 6.0, 0.01),
     ]
+    runs.extend(lambda case=case: integrate(*case)
+                for case in _signed_zero_problems())
     for tau in (neg, const(1.2), deep):
         runs.append(lambda tau=tau: integrate(_UncheckedDelay(
             const(1.0), tau, 0.0, const(0.5), 1.0, 0.0), 3.0, 0.01))
@@ -1091,13 +1165,23 @@ def _grouping_outcome(run):
 
 def test_grouping_corpus_reads_every_stage_source(monkeypatch):
     seen = set()
+    shapes = set()  # (stage kinds of a step, solution columns)
 
     class Recording(integrator._ChunkPlan):
         def __init__(self, problem, ts, *args):
-            super().__init__(problem, ts, *args)
+            try:
+                super().__init__(problem, ts, *args)
+            finally:
+                self.record(problem, len(args[-1]))
+
+        def record(self, problem, columns):
+            if self.kind is None:  # a chunk with no delayed stage
+                seen.add((integrator._ODE, False))
+                shapes.add(("no delay", columns))
+                return
             at_s = self.u == problem.start
-            seen.update((k, bool(a)) for k, a in
-                        zip(self.kind.ravel().tolist(), at_s.ravel()))
+            seen.update(zip(self.kind.ravel().tolist(), at_s.ravel().tolist()))
+            shapes.update((tuple(k), columns) for k in self.kind.T.tolist())
 
     monkeypatch.setattr(integrator, "_ChunkPlan", Recording)
     for run in _grouping_corpus():
@@ -1109,6 +1193,15 @@ def test_grouping_corpus_reads_every_stage_source(monkeypatch):
     # through dense output (x(s⁺) right of the jump)
     assert {(integrator._VALUE, True), (integrator._DENSE, True),
             (integrator._VALUE, False)} <= seen
+    # every step shape the scalar loop meets: a chunk with no delay, a step
+    # with no delay among delayed ones, reads from the step itself beside
+    # accepted output or beside a stage-0 read with no delay, in one column
+    # and in two
+    ode, over, dense = integrator._ODE, integrator._OVERLAP, \
+        integrator._DENSE
+    assert {("no delay", 1), ("no delay", 2), ((ode, ode, ode), 1),
+            ((dense, over, over), 1), ((dense, dense, over), 1),
+            ((ode, over, over), 1), ((dense, over, over), 2)} <= shapes
 
 
 @pytest.mark.parametrize("chunk", [7, 64, 512])
@@ -1129,7 +1222,7 @@ def test_trajectory_independent_of_step_grouping(monkeypatch, min_block,
         assert len(got) == len(ref)
         for arrays, ref_arrays in zip(got, ref):
             for a, b in zip(arrays, ref_arrays):
-                assert np.array_equal(a, b)
+                assert _same_bytes(a, b)
     assert raised == 6
 
 
