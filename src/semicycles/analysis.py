@@ -60,6 +60,9 @@ _TWO_OVER_E = 2.0 / math.e
 # most windows one envelope fit may take: about 100× the largest count in
 # use (4.6, the decay suite's); each window masks every node once
 _MAX_WINDOWS = 500
+# the steps of verify_comparison's and wronskian_min's integrations
+_COMPARISON_STEP = 0.01
+_WRONSKIAN_STEP = 0.02
 
 
 @dataclass(frozen=True)
@@ -440,6 +443,15 @@ def verify_comparison(minorant: DelayProblem, majorant: DelayProblem,
     and compared up to y's first zero; worst_violation is 0 when the
     conclusion never fails.
     """
+    _check_comparison(minorant, majorant, horizon)
+    return _comparison_violation(
+        integrate(minorant, horizon, _COMPARISON_STEP),
+        integrate(majorant, horizon, _COMPARISON_STEP), horizon)
+
+
+def _check_comparison(minorant: DelayProblem, majorant: DelayProblem,
+                      horizon: float) -> None:
+    """``verify_comparison``'s hypotheses: NotApplicableError if one fails."""
     s = minorant.start
     if abs(majorant.start - s) > 1e-12:
         raise NotApplicableError("problems must share their start time")
@@ -491,8 +503,14 @@ def verify_comparison(minorant: DelayProblem, majorant: DelayProblem,
             raise NotApplicableError(
                 "zero-delay comparison needs z′(0)/z(0) ≥ y′(0)/y(0)")
 
-    z_traj = integrate(minorant, horizon, 0.01)
-    y_traj = integrate(majorant, horizon, 0.01)
+
+def _comparison_violation(z_traj: Trajectory, y_traj: Trajectory,
+                          horizon: float) -> tuple:
+    """``verify_comparison``'s (ok, worst_violation) from the minorant's and
+    the majorant's trajectories."""
+    s = z_traj.problem.start
+    z0 = z_traj.problem.initial_value
+    y0 = y_traj.problem.initial_value
     y_zeros = find_zeros(y_traj)
     t_end = y_zeros[0][0] if y_zeros else horizon
     if t_end <= s:
@@ -512,6 +530,11 @@ def wronskian_min(problem: DelayProblem, horizon: float) -> float:
     """min W(t) of the fundamental system (integrated at step 0.02) over
     400 evenly spaced points of [start, horizon]."""
     z, y = fundamental_system(problem.p, problem.tau, problem.start,
-                              horizon, 0.02)
-    ts = np.linspace(problem.start, horizon, 400)
+                              horizon, _WRONSKIAN_STEP)
+    return _least_wronskian(z, y, horizon)
+
+
+def _least_wronskian(z: Trajectory, y: Trajectory, horizon: float) -> float:
+    """``wronskian_min`` from the fundamental system (z, y)."""
+    ts = np.linspace(z.problem.start, horizon, 400)
     return float(wronskian(z, y, ts).min())

@@ -385,7 +385,8 @@ def _cmd_harness(args: argparse.Namespace) -> int:
     _emit(args.out, _csv(report.columns, report.rows))
     print(f"suite={report.suite} seed={report.seed} "
           f"instances={report.instances} checked={report.checked} "
-          f"failures={report.failures} worst={report.worst!r}",
+          f"failures={report.failures} worst={report.worst!r} "
+          f"skipped={report.skipped}",
           file=sys.stderr)
     if not report.passed:
         print(f"semicycles harness: {report.suite}: {report.failures} "

@@ -13,7 +13,17 @@ spawned children of one ``numpy.random.SeedSequence``):
   fundamental-system Wronskian must stay positive on [0, 50].
 
 ``run_suite`` runs one suite by name and returns a HarnessReport with
-per-instance rows for CSV export.
+per-instance rows for CSV export; ``skipped`` counts the margins
+instances whose zeros or semicycles could not be read.
+
+An instance is a generator: it draws all its random numbers and checks
+its hypotheses, yields its integrations and is sent their trajectories,
+then measures. ``run_suite`` hands out windows of at most ``_WINDOW``
+consecutive instances (fewer with ``jobs`` > 1, so that every worker gets
+work), and a window integrates its instances in lockstep
+(``integrator._integrate_many``): one block kernel call per round instead
+of one per problem. Rows, reports and raised exceptions are those of one
+instance after the other.
 
 ``_fan_out`` is the package's one process fan-out, for the suites and
 the CLI's threshold table.
@@ -29,14 +39,24 @@ import numpy as np
 
 from .errors import DomainError, NotApplicableError, ResolutionError
 from .analysis import (
+    _COMPARISON_STEP,
+    _WRONSKIAN_STEP,
     _arcs,
+    _check_comparison,
+    _comparison_violation,
+    _least_wronskian,
     envelope_decay_ratio,
     check_ascent,
     check_descent,
-    verify_comparison,
-    wronskian_min,
 )
-from .integrator import _SCAN_TOL, DelayProblem, _zero_scan, integrate
+from .integrator import (
+    _SCAN_TOL,
+    DelayProblem,
+    _fundamental_problems,
+    _integrate_many,
+    _trajectories,
+    _zero_scan,
+)
 from .signals import PiecewiseSignal, signal_range
 from .spectral import CharRoot, char_roots
 from .thresholds import semicycle_threshold
@@ -57,6 +77,10 @@ _MAX_JOBS = 64
 # most instances one suite run may take: 100× the largest count in use
 # (200, the margins and comparison defaults)
 _MAX_INSTANCES = 20_000
+# most consecutive instances integrated in lockstep: a window keeps the
+# chunk plans (about 150 kB each) and trajectories of all its problems
+# alive together, 16 of each in a comparison window
+_WINDOW = 8
 # most history segments of one mode mixture: about 100× the largest count
 # in use (18, the decay suite's delays up to 5.2 at width 0.3)
 _MAX_HISTORY_SEGMENTS = 2_000
@@ -74,6 +98,9 @@ class HarnessReport:
     worst: float
     columns: tuple
     rows: tuple
+    # instances that measured nothing: margins trajectories whose zeros or
+    # semicycles could not be read (DomainError, ResolutionError)
+    skipped: int
 
     @property
     def passed(self) -> bool:
@@ -143,8 +170,11 @@ def eigenmode_problem(c: float, root: CharRoot, phase: float = 0.0
     return mode_mixture_problem(c, root.sign, ((root, 1.0, phase),))
 
 
-def _decay_instance(idx: int, rng) -> tuple:
-    """One instance → (rows, checked, failures, metrics); see run_suite."""
+def _decay_instance(idx: int, rng):
+    """One instance → (rows, checked, failures, metrics, skipped); see
+    run_suite. Like every instance, a generator: it draws its random numbers,
+    yields its integration groups (problems, horizon, step) and is sent one
+    tuple of trajectories per group."""
     for _ in range(40):
         c = float(rng.uniform(2.8, 5.2))
         cap = semicycle_threshold(c) - 0.051
@@ -161,10 +191,10 @@ def _decay_instance(idx: int, rng) -> tuple:
     problem = eigenmode_problem(c, root, phase)
     stride = 2.0 * root.semicycle
     horizon = c + 4.6 * stride
-    traj = integrate(problem, horizon, step=0.01)
+    (traj,), = yield [((problem,), horizon, 0.01)]
     rho, _peaks = envelope_decay_ratio(traj, stride, t0=c)
     row = (idx, c, root.branch, root.value.real, root.value.imag, stride, rho)
-    return [row], 1, 0 if rho < 1.0 else 1, [rho]
+    return [row], 1, 0 if rho < 1.0 else 1, [rho], 0
 
 
 # ----------------------------------------------------------------------
@@ -210,15 +240,15 @@ def _random_margin_problem(rng) -> DelayProblem:
                         initial_value=value, initial_slope=slope)
 
 
-def _margin_instance(idx: int, rng) -> tuple:
+def _margin_instance(idx: int, rng):
     problem = _random_margin_problem(rng)
-    traj = integrate(problem, 16.0, step=0.01)
+    (traj,), = yield [((problem,), 16.0, 0.01)]
     try:
         # the zeros and peaks from one slope scan, as classify reads them
         zeros, stationary = _zero_scan(traj, _SCAN_TOL)
         arcs = _arcs(traj, [t for t, _ in zeros], stationary, _SCAN_TOL)
     except (DomainError, ResolutionError):
-        return [], 0, 0, []
+        return [], 0, 0, [], 1
     tau_m = problem.tau_sup(math.inf)
     rows, checked, failures, margins = [], 0, 0, []
     for sc in arcs:
@@ -234,7 +264,7 @@ def _margin_instance(idx: int, rng) -> tuple:
             failures += 0 if ok else 1
             margins.append(margin)
             rows.append((idx, kind, sc.a, sc.b, margin))
-    return rows, checked, failures, margins
+    return rows, checked, failures, margins, 0
 
 
 # ----------------------------------------------------------------------
@@ -305,28 +335,33 @@ def _comparison_pair(rng) -> tuple:
     return minorant, majorant
 
 
-def _comparison_instance(idx: int, rng) -> tuple:
+def _comparison_instance(idx: int, rng):
+    # verify_comparison, with its integrations yielded
     minorant, majorant = _comparison_pair(rng)
-    ok, violation = verify_comparison(minorant, majorant, 10.0)
-    return [(idx, violation)], 1, 0 if ok else 1, [violation]
+    _check_comparison(minorant, majorant, 10.0)
+    (z,), (y,) = yield [((minorant,), 10.0, _COMPARISON_STEP),
+                        ((majorant,), 10.0, _COMPARISON_STEP)]
+    ok, violation = _comparison_violation(z, y, 10.0)
+    return [(idx, violation)], 1, 0 if ok else 1, [violation], 0
 
 
 # ----------------------------------------------------------------------
 # Wronskian positivity under the 2/e bound
 # ----------------------------------------------------------------------
 
-def _wronskian_instance(idx: int, rng) -> tuple:
+def _wronskian_instance(idx: int, rng):
     p_sup = float(rng.uniform(0.01, 0.08))
     tau_m = float(rng.uniform(0.05, 1.0)) * min(0.40 / math.sqrt(p_sup), 2.5)
     pieces = int(rng.integers(2, 4))
     p = _piecewise_linear(rng, -p_sup, -0.2 * p_sup, 0.0, 50.0, pieces)
     tau = _piecewise_linear(rng, 0.0, tau_m, 0.0, 50.0,
                             int(rng.integers(2, 4)))
-    problem = DelayProblem(p=p, tau=tau, start=0.0,
-                           history=PiecewiseSignal.constant(0.0),
-                           initial_value=0.0, initial_slope=0.0)
-    min_w = wronskian_min(problem, 50.0)
-    return [(idx, p_sup, tau_m, min_w)], 1, 0 if min_w > 0.0 else 1, [min_w]
+    # wronskian_min, with its integration yielded
+    (z, y), = yield [(_fundamental_problems(p, tau, 0.0), 50.0,
+                      _WRONSKIAN_STEP)]
+    min_w = _least_wronskian(z, y, 50.0)
+    return ([(idx, p_sup, tau_m, min_w)], 1, 0 if min_w > 0.0 else 1, [min_w],
+            0)
 
 
 # ----------------------------------------------------------------------
@@ -366,15 +401,57 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
-def _run_one(task: tuple) -> tuple:
-    """Picklable work unit: rebuild the idx-th child stream and run it.
+def _run_window(task: tuple) -> list:
+    """Picklable work unit: instances lo … hi−1 of one suite, in lockstep.
 
+    Each instance runs to its yield; ``_integrate_many`` then takes the
+    groups of all of them together, and each instance is sent its
+    trajectories as soon as they are out, or has the exception of its first
+    raising group thrown into it. The results come back in index order;
+    if any instance raised, the lowest-index one's exception is raised.
     ``SeedSequence(seed, spawn_key=(idx,))`` is the idx-th child that
     ``SeedSequence(seed).spawn(n)`` would return, built in O(1).
     """
-    suite, seed, idx = task
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(idx,)))
-    return _SUITES[suite][0](idx, rng)
+    suite, seed, lo, hi = task
+    instance = _SUITES[suite][0]
+    results: list = [None] * (hi - lo)
+
+    def resume(i, inst, reply):
+        # the instance's next groups, or None once it has finished
+        try:
+            if isinstance(reply, Exception):
+                return inst.throw(reply)
+            return inst.send(reply)
+        except StopIteration as stop:
+            results[i] = stop.value
+        except Exception as exc:  # noqa: BLE001 - the instance's outcome
+            results[i] = exc
+        return None
+
+    asking = []
+    for i in range(hi - lo):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(seed, spawn_key=(lo + i,)))
+        inst = instance(lo + i, rng)
+        groups = resume(i, inst, None)
+        if groups is not None:
+            asking.append((i, inst, groups))
+    while asking:
+        outs = _integrate_many([g for _, _, groups in asking for g in groups])
+        waiting = []
+        for i, inst, groups in asking:
+            got = [next(outs) for _ in groups]
+            failed = [o for o in got if isinstance(o, Exception)]
+            reply = failed[0] if failed else [
+                _trajectories(g[0], o) for g, o in zip(groups, got)]
+            groups = resume(i, inst, reply)
+            if groups is not None:
+                waiting.append((i, inst, groups))
+        asking = waiting
+    for out in results:
+        if isinstance(out, Exception):
+            raise out
+    return results
 
 
 def run_suite(suite: str, seed: int = 0, count: int | None = None,
@@ -392,18 +469,22 @@ def run_suite(suite: str, seed: int = 0, count: int | None = None,
                           f"limit of {_MAX_INSTANCES}, got {n!r}")
     if not (type(seed) is int and seed >= 0):
         raise DomainError(f"suite seed must be an int ≥ 0, got {seed!r}")
-    outs = _fan_out(_run_one, [(suite, seed, i) for i in range(n)], jobs)
+    _check_jobs(jobs)
+    size = min(_WINDOW, -(-n // jobs))
+    windows = _fan_out(_run_window, [(suite, seed, lo, min(lo + size, n))
+                                     for lo in range(0, n, size)], jobs)
     rows: list = []
-    checked = failures = 0
+    checked = failures = skipped = 0
     metrics: list = []
-    for r, ch, fails, ms in outs:
+    for r, ch, fails, ms, skip in (out for w in windows for out in w):
         rows.extend(r)
         checked += ch
         failures += fails
         metrics.extend(ms)
+        skipped += skip
     if metrics:
         worst = min(metrics) if worst_is_min else max(metrics)
     else:
         worst = math.nan
     return HarnessReport(suite, seed, n, checked, failures, worst,
-                         columns, tuple(rows))
+                         columns, tuple(rows), skipped)

@@ -39,8 +39,21 @@ solutions of problems that differ only in x(s⁺) and x′(s⁺). They share
 the step grid and the whole chunk plan except the values a stage reads at
 u = s right of the start jump. A block broadcasts its step data over the
 columns, and the scalar kernel takes its steps once per column, so every
-column equals a run of its own bit for bit. ``integrate`` is the one-column
-case; ``fundamental_system`` integrates its pair in one two-column pass.
+column equals a run of its own bit for bit.
+
+Problems that differ in everything still share the blocks' fixed numpy
+cost when they run in lockstep (the ensemble idea of DifferentialEquations.jl,
+Rackauckas & Nie 2017). ``_integrate_columns`` is a generator: it plans
+its step grid, chunks and scalar runs as above, but yields each block
+instead of taking it. ``_integrate_many`` drives several such groups of
+one column count, whose nodes lie one after the other in one shared x and
+x′ buffer; each round it takes every group's ready block with one
+``_advance_blocks`` call, which gathers by global node index and keeps
+each block's running sums in a row of their own, so every group equals a
+run of its own bit for bit. A group that raises hands its exception to its
+caller and leaves the others as they would be alone. ``integrate`` and
+``fundamental_system`` (its pair in one two-column pass) are the one-group
+case, the harness's suites the many-group one.
 
 A zero or extremum scan bisects each sign change of x or x′ on its own
 step, one bracket after the other, in Python floats with the operations of
@@ -69,7 +82,7 @@ import bisect
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -652,17 +665,18 @@ def integrate(problem: DelayProblem, horizon: float, step: float = 0.01
     DomainError for nonpositive steps, an empty horizon, or more than
     ``_MAX_STEPS`` steps.
     """
-    ts, xs, vs = _integrate_columns((problem,), horizon, step)
-    return Trajectory(ts, xs[:, 0], vs[:, 0], problem=problem)
+    problems = (problem,)
+    return _trajectories(problems, _integrate_one(problems, horizon, step))[0]
 
 
-def _integrate_columns(problems: tuple, horizon: float, step: float
-                       ) -> tuple:
-    """``integrate`` for problems that differ only in x(s⁺) and x′(s⁺), in
-    one pass: the nodes and x, x′ of shape (n, k), column c solving
-    ``problems[c]``. p, τ, the history and so the step grid and the whole
-    chunk plan are those of ``problems[0]``; every column equals a run of
-    its own bit for bit."""
+def _integrate_columns(problems: tuple, horizon: float, step: float):
+    """``integrate`` for problems that differ only in x(s⁺) and x′(s⁺), as
+    a generator that ``_integrate_many`` drives. It yields the node count
+    n and is sent the (n, k) x and x′ arrays to fill, column c solving
+    ``problems[c]``; then it yields each block (plan, b, e) for the driver
+    to advance before it goes on, and returns the nodes. p, τ, the history
+    and so the step grid and the whole chunk plan are those of
+    ``problems[0]``; every column equals a run of its own bit for bit."""
     problem = problems[0]
     if not step > 0.0:
         raise DomainError(f"step must be positive, got {step}")
@@ -682,8 +696,7 @@ def _integrate_columns(problems: tuple, horizon: float, step: float
             f"integration to {horizon} with step {step} needs {total:.0f} "
             f"steps, more than the limit of {_MAX_STEPS}")
     ts, first = _step_grid(nodes, counts.astype(np.intp))
-    xs = np.zeros((ts.size, len(problems)))
-    vs = np.zeros((ts.size, len(problems)))
+    xs, vs = yield ts.size
     x_plus = np.array([prob.initial_value for prob in problems])
     xs[0] = x_plus
     vs[0] = [prob.initial_slope for prob in problems]
@@ -714,13 +727,156 @@ def _integrate_columns(problems: tuple, horizon: float, step: float
                 e = min(bad_at[bisect.bisect_left(bad_at, b)],
                         bisect.bisect_right(reach, c0 + b))
             if ok[b] and e - b >= _MIN_BLOCK:
-                plan.advance(b, e, xs, vs)
+                yield plan, b, e
             else:
                 # with the following steps that cannot start a block
                 e = ok_at[bisect.bisect_left(ok_at, e)]
                 _take_steps(plan, b, e, xs, vs)
             b = e
-    return ts, xs, vs
+    return ts
+
+
+def _advance_blocks(blocks: list, xs: np.ndarray, vs: np.ndarray) -> None:
+    """Take every block (plan, b, e, offset) of a round in one pass, each
+    group's nodes lying at its offset in the shared (N, k) ``xs`` and
+    ``vs``, with the operations ``_ChunkPlan.advance`` gives each alone.
+
+    One block goes through ``advance`` itself. Otherwise the blocks' steps
+    are concatenated: the Hermite gather reads global node indices, and the
+    RK4 arithmetic runs on all steps at once. Each block's running sums then
+    take one row of a zero-padded (P, L + 1, k) array, led by the block's
+    first node, so ``np.add.accumulate`` along the rows adds each block's
+    steps in the same order as ``advance`` does."""
+    if len(blocks) == 1:
+        plan, b, e, off = blocks[0]
+        plan.advance(b, e, xs[off:], vs[off:])
+        return
+    lens = [e - b for _, b, e, _ in blocks]
+    size = sum(lens)
+    width = max(lens) + 1
+    # step i of the concatenation, step i − i0 of block r, ends at padded
+    # row r·width + 1 + i − i0 and at node j0 + 1 + i − i0, and its
+    # bracket indices shift by its group's offset
+    j0, shift = [], []
+    for r, ((plan, b, _, off), i) in enumerate(
+            zip(blocks, accumulate(lens, initial=0))):
+        j0.append(off + plan.c0 + b)
+        shift.append((off, r * width + 1 - i, j0[-1] + 1 - i))
+    shift = np.repeat(np.array(shift), lens, axis=0)
+    flat = np.arange(size) + shift[:, 1]
+    dst = np.arange(size) + shift[:, 2]
+    steps = np.concatenate([plan.table[:, b:e] for plan, b, e, _ in blocks],
+                           axis=1)
+    jj = np.concatenate([plan.jj[:, b:e] for plan, b, e, _ in blocks],
+                        axis=1)
+    jj += shift[:, 0]
+    jj1 = jj + 1
+    delayed = _hermite(xs[jj], vs[jj], xs[jj1], vs[jj1], steps[6:9, :, None],
+                       steps[9:].reshape(4, 3, size, 1))
+    if any(plan.hv is not None for plan, *_ in blocks):
+        k = xs.shape[1]
+        dense = np.concatenate([plan.dense[:, b:e]
+                                for plan, b, e, _ in blocks], axis=1)
+        hv = np.concatenate([np.zeros((3, e - b, k)) if plan.hv is None
+                             else plan.hv[:, b:e]
+                             for plan, b, e, _ in blocks], axis=1)
+        delayed = np.where(dense[:, :, None], delayed, hv)
+    k1v, k2v, k4v = steps[3:6, :, None] * delayed
+    hh, hh2, hh6 = steps[0, :, None], steps[1, :, None], steps[2, :, None]
+    sums = np.zeros((len(blocks) * width, xs.shape[1]))
+    sums[::width] = vs[j0]
+    # both middle stages read the midpoint's delayed value: k3v = k2v
+    sums[flat] = hh6 * (k1v + 2 * k2v + 2 * k2v + k4v)
+    rows = sums.reshape(len(blocks), width, -1)
+    np.add.accumulate(rows, axis=1, out=rows)
+    vs[dst] = sums[flat]
+    v0 = sums[flat - 1]
+    k2x = v0 + hh2 * k1v
+    k3x = v0 + hh2 * k2v
+    k4x = v0 + hh * k2v
+    sums = np.zeros_like(sums)
+    sums[::width] = xs[j0]
+    sums[flat] = hh6 * (v0 + 2 * k2x + 2 * k3x + k4x)
+    rows = sums.reshape(len(blocks), width, -1)
+    np.add.accumulate(rows, axis=1, out=rows)
+    xs[dst] = sums[flat]
+
+
+def _integrate_many(groups):
+    """Integrate groups (problems, horizon, step), each as
+    ``_integrate_columns`` would, in lockstep: every round takes the ready
+    block of every group with one ``_advance_blocks`` call. Yields, in the
+    groups' order, each group's (nodes, x, x′) or the exception it raised;
+    a raising group leaves the others as they would be alone.
+
+    Groups run in batches that share one (N, k) output buffer: a batch
+    holds groups of one column count and at most ``_MAX_STEPS`` steps in
+    all. A batch runs when its first output is asked for, so a caller that
+    lets go of each batch's outputs before it asks for the next one's holds
+    one batch's buffers at a time."""
+    batch, total, k = [], 0, 0
+    for problems, horizon, step in groups:
+        run = _integrate_columns(problems, horizon, step)
+        try:
+            n = next(run)
+        except Exception as exc:  # noqa: BLE001 - the group's outcome
+            batch.append(exc)
+            continue
+        if total and (len(problems) != k or total + n - 1 > _MAX_STEPS):
+            yield from _lockstep(batch, k)
+            batch, total = [], 0
+        batch.append((run, n))
+        total += n - 1
+        k = len(problems)
+    yield from _lockstep(batch, k)
+
+
+def _lockstep(batch: list, k: int):
+    """The outcomes of one batch of ``_integrate_many``: its runs, each
+    past its first yield (or the exception that stopped it there), in one
+    shared buffer of k columns."""
+    size = sum(entry[1] for entry in batch if isinstance(entry, tuple))
+    xs, vs = np.zeros((size, k)), np.zeros((size, k))
+    out = list(batch)
+    live, off = [], 0
+    for i, entry in enumerate(batch):
+        if isinstance(entry, tuple):
+            run, n = entry
+            live.append((i, run, off, (xs[off:off + n], vs[off:off + n])))
+            off += n
+    while live:
+        ready, waiting = [], []
+        for i, run, off, reply in live:
+            try:
+                plan, b, e = run.send(reply)
+            except StopIteration as stop:
+                n = stop.value.size
+                out[i] = stop.value, xs[off:off + n], vs[off:off + n]
+                continue
+            except Exception as exc:  # noqa: BLE001 - the group's outcome
+                out[i] = exc
+                continue
+            ready.append((plan, b, e, off))
+            waiting.append((i, run, off, None))
+        if ready:
+            _advance_blocks(ready, xs, vs)
+        live = waiting
+    yield from out
+
+
+def _integrate_one(problems: tuple, horizon: float, step: float) -> tuple:
+    """(nodes, x, x′) of one group; raises what the group raised."""
+    out, = _integrate_many(((problems, horizon, step),))
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
+def _trajectories(problems: tuple, out: tuple) -> tuple:
+    """One Trajectory per column of a group's (nodes, x, x′)."""
+    ts, xs, vs = out
+    return tuple(Trajectory(ts, xs[:, c], vs[:, c], problem=prob)
+                 for c, prob in enumerate(problems))
 
 
 # ----------------------------------------------------------------------
@@ -882,13 +1038,16 @@ def fundamental_system(p: PiecewiseSignal, tau: PiecewiseSignal, s: float,
     """The pair (z, y): identically-zero history with unit jumps at s —
     z(s) = 1, z′(s) = 0 and y(s) = 0, y′(s) = 1 — integrated in one
     two-column pass, each equal to its own ``integrate`` run."""
+    problems = _fundamental_problems(p, tau, s)
+    return _trajectories(problems, _integrate_one(problems, horizon, step))
+
+
+def _fundamental_problems(p: PiecewiseSignal, tau: PiecewiseSignal,
+                          s: float) -> tuple:
+    """The problems of z and y, one group of ``_integrate_many``."""
     zero_hist = PiecewiseSignal.constant(0.0)
-    problems = (DelayProblem(p, tau, s, zero_hist, 1.0, 0.0),
-                DelayProblem(p, tau, s, zero_hist, 0.0, 1.0))
-    ts, xs, vs = _integrate_columns(problems, horizon, step)
-    z, y = (Trajectory(ts, xs[:, c], vs[:, c], problem=prob)
-            for c, prob in enumerate(problems))
-    return z, y
+    return (DelayProblem(p, tau, s, zero_hist, 1.0, 0.0),
+            DelayProblem(p, tau, s, zero_hist, 0.0, 1.0))
 
 
 def wronskian(z: Trajectory, y: Trajectory, t):

@@ -10,8 +10,9 @@ import math
 import numpy as np
 import pytest
 
-from semicycles import char_roots, harness, integrate
-from semicycles.errors import DomainError
+from semicycles import PiecewiseSignal, char_roots, cli, harness, integrate
+from semicycles.errors import DomainError, HistoryDomainError, ResolutionError
+from semicycles.integrator import DelayProblem
 from semicycles.harness import (
     SUITE_NAMES,
     eigenmode_problem,
@@ -127,6 +128,72 @@ def test_margins_instances_scan_the_slope_once(monkeypatch):
     report = run_suite("margins", seed=0, count=4)
     assert report.checked > 0
     assert scans == [False, True] * 4
+
+
+@pytest.mark.parametrize("suite, count", [
+    ("decay", 3), ("margins", 5), ("comparison", 5), ("wronskian", 4)])
+def test_reports_do_not_depend_on_windows_or_workers(monkeypatch, suite,
+                                                     count):
+    reports = set()
+    for window in (1, 3, harness._WINDOW):
+        monkeypatch.setattr(harness, "_WINDOW", window)
+        for jobs in (1, 2):
+            # repr keeps every float's bits, and NaN equal to itself
+            reports.add(repr(run_suite(suite, seed=7, count=count,
+                                       jobs=jobs)))
+    assert len(reports) == 1
+
+
+class _UncheckedDelay(DelayProblem):
+    """A delay bound that understates τ, so the integrator's own history
+    guard stops the run."""
+
+    def tau_sup(self, horizon):
+        return 0.3
+
+
+@pytest.mark.parametrize("window", [1, 3, 8])
+def test_lowest_failing_instance_raises_its_own_error(monkeypatch, window):
+    const = PiecewiseSignal.constant
+    bad = _UncheckedDelay(const(1.0), const(1.2), 0.0, const(0.5), 1.0, 0.0)
+    with pytest.raises(HistoryDomainError) as alone:
+        integrate(bad, 3.0, 0.01)
+    instance, *rest = harness._SUITES["margins"]
+
+    def failing(idx, rng):
+        if idx == 2:  # raises in its integration
+            yield [((bad,), 3.0, 0.01)]
+        if idx == 4:  # raises before it integrates, yet comes later
+            raise DomainError("instance 4")
+        return (yield from instance(idx, rng))
+
+    monkeypatch.setitem(harness._SUITES, "margins", (failing, *rest))
+    monkeypatch.setattr(harness, "_WINDOW", window)
+    with pytest.raises(HistoryDomainError) as got:
+        run_suite("margins", seed=0, count=5)
+    assert str(got.value) == str(alone.value)
+
+
+def test_margins_instances_that_cannot_be_read_are_skipped(monkeypatch,
+                                                            capsys):
+    arcs = harness._arcs
+    calls = []
+
+    def unreadable(*args):
+        calls.append(None)
+        if len(calls) in (2, 4):
+            raise ResolutionError("unreadable")
+        return arcs(*args)
+
+    want = run_suite("margins", seed=0, count=5)
+    monkeypatch.setattr(harness, "_arcs", unreadable)
+    got = run_suite("margins", seed=0, count=5)
+    assert (want.skipped, got.skipped) == (0, 2)
+    assert got.rows == tuple(r for r in want.rows if r[0] not in (1, 3))
+    calls.clear()
+    assert cli.main(["harness", "margins", "--instances", "5"]) == 0
+    summary = capsys.readouterr().err.splitlines()[-1]
+    assert summary.endswith(" skipped=2")
 
 
 def test_worker_count_above_limit_rejected():

@@ -1089,10 +1089,11 @@ def test_fundamental_system_raises_like_single_runs(monkeypatch, tau):
 # ----------------------------------------------------------------------
 
 def _grouping_corpus():
-    """Runs of ``integrate`` and ``fundamental_system`` whose stages read
-    every source: their own x, the step's interpolant (overlap), accepted
-    output, the history across a start jump, x(s⁻) and x(s⁺) at u = s, and
-    stages that raise; the last entries are seeded."""
+    """Groups (problems, horizon, step), one problem for ``integrate`` or
+    the pair of ``fundamental_system``, whose stages read every source:
+    their own x, the step's interpolant (overlap), accepted output, the
+    history across a start jump, x(s⁻) and x(s⁺) at u = s, and stages that
+    raise; the last entries are seeded."""
     hist = PiecewiseSignal((-2.0, 0.0), ((0.3, -0.2),), 0.3, -0.1)
     const = PiecewiseSignal.constant
     neg = PiecewiseSignal((0.0, 1.0, 2.0), ((0.2,), (0.2, -1.0)), 0.2, 0.0)
@@ -1103,64 +1104,62 @@ def _grouping_corpus():
     pinned = PiecewiseSignal((0.0, 1.5), ((0.0, 1.0),), 0.0, 1.5)
     sawtooth = PiecewiseSignal((0.0, 1.0, 2.0), ((0.0, 0.004),
                                                   (0.0, 0.003)), 0.0, 0.003)
-    runs = [
-        lambda: integrate(_const_problem(0.8, 0.0, 1.0, 1.0, 0.0), 3.0, 0.01),
-        lambda: integrate(_const_problem(0.8, 0.004, 0.3, 1.0, 0.0), 3.0,
-                          0.01),
-        lambda: integrate(_const_problem(0.8, 0.007, 0.3, 1.0, 0.0), 3.0,
-                          0.01),
-        lambda: integrate(DelayProblem(const(0.9), sawtooth, 0.0, hist,
-                                       1.0, 0.2), 3.0, 0.01),
-        lambda: fundamental_system(const(0.9), const(0.004), 0.0, 3.0, 0.01),
-        lambda: fundamental_system(const(0.9), _deep_read_tau(), 0.0, 3.0,
-                                   0.01),
-        lambda: integrate(DelayProblem(const(0.9), const(1.0), 0.0, hist,
-                                       1.0, 0.2), 4.0, 0.01),
-        lambda: integrate(DelayProblem(const(0.9), pinned, 0.0, hist, 1.0,
-                                       0.2), 4.0, 0.01),
-        lambda: integrate(DelayProblem(const(0.9), into, 0.0, hist, 1.0,
-                                       0.2), 6.0, 0.01),
-        lambda: integrate(DelayProblem(const(1.0), back, 0.0, hist, 1.0,
-                                       0.0), 3.0, 0.6),
-        lambda: integrate(_piecewise_problem(
-            ((0.9, -0.3), (0.0,), (0.004, 0.001))), 6.0, 0.037),
-        lambda: integrate(_piecewise_problem(
-            ((0.005, 0.02, 0.1), (1.2, -0.3), (0.3, 0.2))), 6.0, 0.01),
+    pair = integrator._fundamental_problems
+    groups = [
+        ((_const_problem(0.8, 0.0, 1.0, 1.0, 0.0),), 3.0, 0.01),
+        ((_const_problem(0.8, 0.004, 0.3, 1.0, 0.0),), 3.0, 0.01),
+        ((_const_problem(0.8, 0.007, 0.3, 1.0, 0.0),), 3.0, 0.01),
+        ((DelayProblem(const(0.9), sawtooth, 0.0, hist, 1.0, 0.2),), 3.0,
+         0.01),
+        (pair(const(0.9), const(0.004), 0.0), 3.0, 0.01),
+        (pair(const(0.9), _deep_read_tau(), 0.0), 3.0, 0.01),
+        ((DelayProblem(const(0.9), const(1.0), 0.0, hist, 1.0, 0.2),), 4.0,
+         0.01),
+        ((DelayProblem(const(0.9), pinned, 0.0, hist, 1.0, 0.2),), 4.0,
+         0.01),
+        ((DelayProblem(const(0.9), into, 0.0, hist, 1.0, 0.2),), 6.0, 0.01),
+        ((DelayProblem(const(1.0), back, 0.0, hist, 1.0, 0.0),), 3.0, 0.6),
+        ((_piecewise_problem(((0.9, -0.3), (0.0,), (0.004, 0.001))),), 6.0,
+         0.037),
+        ((_piecewise_problem(((0.005, 0.02, 0.1), (1.2, -0.3),
+                              (0.3, 0.2))),), 6.0, 0.01),
     ]
-    runs.extend(lambda case=case: integrate(*case)
-                for case in _signed_zero_problems())
+    groups.extend(((prob,), horizon, step)
+                  for prob, horizon, step in _signed_zero_problems())
     for tau in (neg, const(1.2), deep):
-        runs.append(lambda tau=tau: integrate(_UncheckedDelay(
-            const(1.0), tau, 0.0, const(0.5), 1.0, 0.0), 3.0, 0.01))
-        runs.append(lambda tau=tau: _unchecked_fundamental(
-            const(1.0), tau, 0.0, 3.0, 0.01))
+        groups.append(((_UncheckedDelay(const(1.0), tau, 0.0, const(0.5),
+                                        1.0, 0.0),), 3.0, 0.01))
+        groups.append((tuple(_UncheckedDelay(**vars(prob))
+                             for prob in pair(const(1.0), tau, 0.0)),
+                       3.0, 0.01))
     for seed in range(len(_REGIMES)):
-        p, tau, s, horizon, step = case = _fundamental_case(seed)
+        p, tau, s, horizon, step = _fundamental_case(seed)
         rng = np.random.default_rng([seed, 17])
         history = _random_pieces(rng, -1.0, 1.0, s - 2.0, s)
         x0, v0 = rng.uniform(-1.0, 1.0, 2).tolist()
-        runs.append(lambda case=case: fundamental_system(*case))
-        runs.append(lambda prob=DelayProblem(p, tau, s, history, x0, v0),
-                    horizon=horizon, step=step: integrate(prob, horizon,
-                                                          step))
-    return runs
+        groups.append((pair(p, tau, s), horizon, step))
+        groups.append(((DelayProblem(p, tau, s, history, x0, v0),), horizon,
+                       step))
+    return groups
 
 
-def _unchecked_fundamental(*args):
-    # an understated delay bound lets a _RAISE stage reach the chunk plan
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(DelayProblem, "tau_sup", lambda self, horizon: 0.3)
-        return fundamental_system(*args)
-
-
-def _grouping_outcome(run):
-    """Every trajectory's nodes, x and x′, or the exception raised."""
+def _grouping_outcome(group):
+    """Every trajectory's nodes, x and x′, or the exception raised, from
+    ``integrate`` or ``fundamental_system``."""
+    problems, horizon, step = group
     try:
-        out = run()
+        if len(problems) == 1:
+            out = (integrate(problems[0], horizon, step),)
+        else:
+            z = problems[0]
+            with pytest.MonkeyPatch.context() as mp:
+                if isinstance(z, _UncheckedDelay):
+                    # fundamental_system builds its own problems
+                    mp.setattr(DelayProblem, "tau_sup", z.tau_sup.__func__)
+                out = fundamental_system(z.p, z.tau, z.start, horizon, step)
     except SemicycleError as exc:
         return type(exc), str(exc)
-    return [(t.ts, t.xs, t.vs) for t in
-            (out if isinstance(out, tuple) else (out,))]
+    return [(t.ts, t.xs, t.vs) for t in out]
 
 
 def test_grouping_corpus_reads_every_stage_source(monkeypatch):
@@ -1184,8 +1183,8 @@ def test_grouping_corpus_reads_every_stage_source(monkeypatch):
             shapes.update((tuple(k), columns) for k in self.kind.T.tolist())
 
     monkeypatch.setattr(integrator, "_ChunkPlan", Recording)
-    for run in _grouping_corpus():
-        _grouping_outcome(run)
+    for group in _grouping_corpus():
+        _grouping_outcome(group)
     kinds = {k for k, _ in seen}
     assert kinds == {integrator._ODE, integrator._OVERLAP, integrator._DENSE,
                      integrator._VALUE, integrator._RAISE}
@@ -1209,12 +1208,12 @@ def test_grouping_corpus_reads_every_stage_source(monkeypatch):
 def test_trajectory_independent_of_step_grouping(monkeypatch, min_block,
                                                   chunk):
     corpus = _grouping_corpus()
-    want = [_grouping_outcome(run) for run in corpus]
+    want = [_grouping_outcome(group) for group in corpus]
     monkeypatch.setattr(integrator, "_MIN_BLOCK", min_block)
     monkeypatch.setattr(integrator, "_CHUNK", chunk)
     raised = 0
-    for run, ref in zip(corpus, want):
-        got = _grouping_outcome(run)
+    for group, ref in zip(corpus, want):
+        got = _grouping_outcome(group)
         if isinstance(ref, tuple):
             raised += 1
             assert got == ref
@@ -1224,6 +1223,82 @@ def test_trajectory_independent_of_step_grouping(monkeypatch, min_block,
             for a, b in zip(arrays, ref_arrays):
                 assert _same_bytes(a, b)
     assert raised == 6
+
+
+def _columns_alone(group):
+    """One ``_integrate_columns`` run on arrays of its own, each block taken
+    by ``_ChunkPlan.advance``: (nodes, x, x′), or the exception raised."""
+    problems, horizon, step = group
+    run = integrator._integrate_columns(problems, horizon, step)
+    try:
+        n = next(run)
+        xs, vs = np.zeros((n, len(problems))), np.zeros((n, len(problems)))
+        plan, b, e = run.send((xs, vs))
+        while True:
+            plan.advance(b, e, xs, vs)
+            plan, b, e = next(run)
+    except StopIteration as stop:
+        return stop.value, xs, vs
+    except SemicycleError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_outcomes(got, want):
+    assert len(got) == len(want)
+    for out, ref in zip(got, want):
+        if isinstance(ref[0], type):
+            assert (type(out), str(out)) == ref
+            continue
+        for a, b in zip(out, ref):
+            assert _same_bytes(a, b)
+
+
+@pytest.mark.parametrize("chunk", [7, 512])
+@pytest.mark.parametrize("min_block", [1, 3])
+@pytest.mark.parametrize("window", [1, 3, None])
+def test_lockstep_equals_one_run_per_group(monkeypatch, window, min_block,
+                                           chunk):
+    monkeypatch.setattr(integrator, "_MIN_BLOCK", min_block)
+    monkeypatch.setattr(integrator, "_CHUNK", chunk)
+    # one column count after the other, so that most windows share one
+    corpus = sorted(_grouping_corpus(), key=lambda g: len(g[0]))
+    want = [_columns_alone(group) for group in corpus]
+    assert sum(isinstance(ref[0], type) for ref in want) == 6
+    rounds = []
+    advance = integrator._advance_blocks
+
+    def recording(blocks, xs, vs):
+        rounds.append(len(blocks))
+        advance(blocks, xs, vs)
+
+    monkeypatch.setattr(integrator, "_advance_blocks", recording)
+    size = window or len(corpus)
+    got = []
+    for lo in range(0, len(corpus), size):
+        # a raising group leaves the others of its window as they are alone
+        got.extend(integrator._integrate_many(corpus[lo:lo + size]))
+    _assert_same_outcomes(got, want)
+    assert (max(rounds) > 1) == (window != 1)
+
+
+def test_lockstep_batches_hold_at_most_the_step_limit(monkeypatch):
+    const = PiecewiseSignal.constant
+    good = [((DelayProblem(const(0.9), const(tau), 0.0, const(0.3), 1.0,
+                           0.0),), 3.0, 0.01) for tau in (0.05, 0.5, 1.0)]
+    # 300 steps each; one raises in its plans, one before its first step
+    groups = [good[0],
+              ((_UncheckedDelay(const(1.0), const(1.2), 0.0, const(0.5), 1.0,
+                                0.0),), 3.0, 0.01),
+              good[1], (good[2][0], 3.0, -0.01), good[2]]
+    want = [_columns_alone(group) for group in groups]
+    monkeypatch.setattr(integrator, "_MAX_STEPS", 650)
+    got = list(integrator._integrate_many(groups))
+    _assert_same_outcomes(got, want)
+    assert [type(out) for out in got[1::2]] == [HistoryDomainError,
+                                                DomainError]
+    # the third group would pass the limit: it starts the second buffer
+    x0, x2, x4 = (got[i][1] for i in (0, 2, 4))
+    assert x0.base is not x2.base and x2.base is x4.base
 
 
 # ----------------------------------------------------------------------

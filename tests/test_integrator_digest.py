@@ -1,12 +1,16 @@
 """scripts/integrator_digest.py hashes every byte of the integrator's
-outputs, so one ulp anywhere changes a digest."""
+outputs, so one ulp anywhere changes a digest, and records each
+integration once, on trees with and without the lockstep entry."""
 
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
-from semicycles.errors import HistoryDomainError
+from semicycles import DelayProblem, PiecewiseSignal
+from semicycles.errors import DomainError, HistoryDomainError
 
 _SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / \
     "integrator_digest.py"
@@ -44,3 +48,40 @@ def test_signs_of_zero_exceptions_and_order_count():
     outputs[1] = HistoryDomainError("delayed argument -2.5")
     assert digest(outputs) != digest(_outputs())
     assert digest(_outputs()[::-1]) != digest(_outputs())
+
+
+def test_lockstep_entry_records_each_group_in_submission_order():
+    from semicycles import integrator
+
+    const = PiecewiseSignal.constant
+    groups = [((DelayProblem(const(0.9), const(tau), 0.0, const(0.3), 1.0,
+                             0.0),), 2.0, 0.01) for tau in (0.05, 1.0)]
+    groups.insert(1, (groups[0][0], 2.0, -0.01))  # raises before it starts
+    outputs = []
+    name, wrapper = integrator_digest._recording(integrator, outputs)
+    assert name == "_integrate_many"
+    got = list(wrapper(groups))
+    assert len(got) == len(outputs) == 3
+    assert isinstance(got[1], DomainError) and outputs[1] is got[1]
+    for out, alone in zip(outputs[::2], (groups[0], groups[2])):
+        want = integrator._integrate_one(*alone)
+        assert digest([out]) == digest([want])
+
+
+def test_tree_without_the_lockstep_entry_records_each_call():
+    outputs = []
+    ts = np.linspace(0.0, 1.0, 3)
+
+    def columns(problems, horizon, step):
+        if step < 0.0:
+            raise DomainError("step must be positive")
+        return ts, ts[:, None], -ts[:, None]
+
+    older = SimpleNamespace(_integrate_columns=columns)
+    name, wrapper = integrator_digest._recording(older, outputs)
+    assert name == "_integrate_columns"
+    wrapper((), 1.0, 0.5)
+    with pytest.raises(DomainError):
+        wrapper((), 1.0, -0.5)
+    assert digest(outputs) == digest([(ts, ts[:, None], -ts[:, None]),
+                                      DomainError("step must be positive")])
