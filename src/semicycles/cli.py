@@ -214,7 +214,7 @@ def _originating_op(exc: BaseException) -> str | None:
 
 # names the algorithms behind a stored ϑ and Ψ: change it whenever they can
 # return other values for the same request, so that older entries are misses
-_TABLE_ALGORITHM = "theta-series+psi-beta-iterate/2"
+_TABLE_ALGORITHM = "theta-series+psi-beta-iterate/3"
 
 
 def _cache_dir() -> Path:

@@ -23,12 +23,13 @@ sweeps probe most and their cells stay as they were. The oracle keeps its
 own loops, Illinois on its launch slope, so that it shares no code with
 the path it checks.
 
-Cost. A Ψ solve takes about ten sweeps of about 100 µs each at the default
+Cost. A Ψ solve takes about ten sweeps of about 80 µs each at the default
 grid of 4096 nodes. The grid and its constants are built once per grid
 size (a cache of 8 read-only entries) and the descent shape
 r_Δ(ϑ_Δ − w − Δ) once per run of solves at one (Δ, grid size) (a cache of
 one); each solve allocates its sweep buffers once; the limit profile is
-built only when ``limit_profile`` is read.
+built only when ``limit_profile`` is read. ϑ's series is summed in Python
+floats, 1–6 µs per evaluation, whatever SIMD kernels numpy dispatches.
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ _HALF_PI = math.pi / 2.0
 # series terms with peak magnitude below this are dropped; far below every
 # tolerance used downstream, far above float64 noise accumulation
 _SERIES_FLOOR = 1e-22
-_SERIES_MAX_TERMS = 84  # (2k)! overflows float64 past k ≈ 85 anyway
+# (2k)! for the series' 84 terms; it overflows float64 past k ≈ 85 anyway
+_FACTORIALS = tuple(float(math.factorial(2 * k)) for k in range(84))
 
 # the fixed schemes behind Ψ, its oracle and γ
 _SWEEP_TOL = 1e-10    # sweeps stop once consecutive ϖ differ by less
@@ -81,30 +83,51 @@ def _r_array(delta: float, ts: np.ndarray) -> np.ndarray:
     ts = np.asarray(ts, dtype=float)
     if delta == 0.0:
         return np.where(ts <= 0.0, 1.0, np.cos(ts))
-    out = np.zeros_like(ts)
+    out = np.ones_like(ts)
     pos = ts > 0.0
     if not np.any(pos):
-        return np.ones_like(ts)
+        return out
     t_pos = ts[pos]
     t_max = float(t_pos.max())
     acc = np.zeros_like(t_pos)
     sign = 1.0
-    for k in range(_SERIES_MAX_TERMS):
+    for k, fact in enumerate(_FACTORIALS):
         base = t_pos - (k - 1) * delta
         live = base > 0.0
         if not live.any():
             break
         max_base = t_max + delta if k == 0 else t_max - (k - 1) * delta
-        if k > 2 and max_base ** (2 * k) / math.factorial(2 * k) < _SERIES_FLOOR:
+        if k > 2 and max_base ** (2 * k) / fact < _SERIES_FLOOR:
             break
         term = np.zeros_like(t_pos)
         b = base[live]
-        term[live] = b ** (2 * k) / math.factorial(2 * k)
+        term[live] = b ** (2 * k) / fact
         acc += sign * term
         sign = -sign
     out[pos] = acc
-    out[~pos] = 1.0
     return out
+
+
+def _r_scalar(delta: float, t: float) -> float:
+    """``_r_array`` at one time in Python floats: the same terms in the same
+    order, each power by the C library's ``pow``, which does not change
+    with the SIMD kernel numpy dispatches on a host (on AVX-512 its vector
+    power rounds some powers differently)."""
+    if not t > 0.0:
+        return 1.0
+    if delta == 0.0:
+        return math.cos(t)
+    acc, sign = 0.0, 1.0
+    for k, fact in enumerate(_FACTORIALS):
+        base = t - (k - 1) * delta
+        if not base > 0.0:
+            break
+        term = base ** (2 * k) / fact
+        if k > 2 and term < _SERIES_FLOOR:
+            break
+        acc += sign * term
+        sign = -sign
+    return acc
 
 
 def _root(f, lo: float, hi: float, f_lo: float, f_hi: float,
@@ -164,7 +187,7 @@ def eval_r(delta: float, t: float) -> float:
     """Descent profile r_Δ at a single time (1 for t ≤ 0; cos(t) when Δ=0)."""
     delta = float(delta)
     _check_delay(delta)
-    return float(_r_array(delta, np.asarray([t]))[0])
+    return _r_scalar(delta, float(t))
 
 
 @functools.lru_cache(maxsize=8192)
@@ -181,15 +204,15 @@ def theta(delta: float) -> float:
         # indistinguishable from rounding noise, so take the limit directly
         return _HALF_PI
     lo, hi = 1.0, _HALF_PI
-    f_lo = eval_r(delta, lo)
-    f_hi = eval_r(delta, hi)
+    f_lo = _r_scalar(delta, lo)
+    f_hi = _r_scalar(delta, hi)
     if not (f_lo > 0.0 > f_hi - 1e-14):
         raise DomainError(
             f"descent profile bracket failed for delta={delta}: "
             f"r({lo})={f_lo}, r({hi})={f_hi}")
     # a value at π/2 within 1e−14 above 0 is rounding noise: that end is a
     # "not above" end, as the check accepts it
-    return _root(lambda t: eval_r(delta, t), lo, hi, f_lo, min(f_hi, 0.0),
+    return _root(lambda t: _r_scalar(delta, t), lo, hi, f_lo, min(f_hi, 0.0),
                  1e-13)
 
 
@@ -287,66 +310,67 @@ def _moment_at(v: float, w: np.ndarray, g: np.ndarray,
 def _grid_constants(grid_size: int) -> tuple:
     """The sweep grid w = linspace(−π/2, 0, grid_size), read-only, and what
     every sweep reads of it: w0, the cell width h, the last cell index,
-    4·(cell midpoints), h/2 and h/6."""
+    the sums of adjacent nodes (2·(cell midpoints), bit for bit), h/2 and
+    h/6."""
     w = np.linspace(-_HALF_PI, 0.0, grid_size)
-    wm4 = 4.0 * (0.5 * (w[:-1] + w[1:]))
-    w.flags.writeable = wm4.flags.writeable = False
+    w_pair = w[:-1] + w[1:]
+    w.flags.writeable = w_pair.flags.writeable = False
     w0 = w.item(0)
     h = w.item(1) - w0
-    return w, w0, h, grid_size - 2, wm4, 0.5 * h, h / 6.0
+    return w, w0, h, grid_size - 2, w_pair, 0.5 * h, h / 6.0
 
 
 class _SweepGrid:
     """One solve's sweep grid: its constants (``_grid_constants``) and the
-    buffers for g, I0, I1 and two scratch rows, which every sweep
-    overwrites."""
+    buffers every sweep overwrites: g, w·g, two scratch rows, the moments'
+    cell increments and their running sums I0 + i·I1 (``i0`` and ``i1``
+    are views of its parts)."""
 
-    __slots__ = ("w", "w0", "h", "last", "wm4", "half_h", "h_6",
-                 "g", "i0", "i1", "s", "t")
+    __slots__ = ("w", "w0", "h", "last", "w_pair", "half_h", "h_6",
+                 "g", "wg", "s", "t", "d", "m", "i0", "i1")
 
     def __init__(self, grid_size: int):
-        (self.w, self.w0, self.h, self.last, self.wm4,
+        (self.w, self.w0, self.h, self.last, self.w_pair,
          self.half_h, self.h_6) = _grid_constants(grid_size)
         self.g = np.empty(grid_size)
-        self.i0 = np.zeros(grid_size)
-        self.i1 = np.zeros(grid_size)
+        self.wg = np.empty(grid_size)
         self.s = np.empty(grid_size - 1)
         self.t = np.empty(grid_size - 1)
+        self.d = np.empty(grid_size - 1, dtype=complex)
+        self.m = np.zeros(grid_size, dtype=complex)
+        self.i0, self.i1 = self.m.real, self.m.imag
 
     def moments(self) -> None:
         """``_cumulative_moments`` of the carrier in ``g``, into I0 and I1
-        (whose first entries stay 0). Products are taken with the scalar
-        on the right, which IEEE multiplication does not distinguish."""
-        w, g, s, t = self.w, self.g, self.s, self.t
-        g0, g1 = g[:-1], g[1:]
-        np.add(g0, g1, out=s)
-        np.multiply(s, self.half_h, out=t)
-        t.cumsum(out=self.i0[1:])
-        np.multiply(s, 0.5, out=s)            # gm
-        np.multiply(self.wm4, s, out=s)       # 4·wm·gm
-        np.multiply(w[:-1], g0, out=t)
-        np.add(t, s, out=t)
-        np.multiply(w[1:], g1, out=s)
-        np.add(t, s, out=t)
-        np.multiply(t, self.h_6, out=t)
-        t.cumsum(out=self.i1[1:])
+        (whose first entries stay 0), bit for bit: scalings by powers of two
+        are exact, so ``w_pair``·(g0 + g1) is its 4·wm·gm, and the running
+        sum of a complex row adds its real and its imaginary parts as two
+        independent float sums, one per moment."""
+        g, wg, s, t, d = self.g, self.wg, self.s, self.t, self.d
+        np.multiply(self.w, g, out=wg)
+        np.add(g[:-1], g[1:], out=s)
+        np.multiply(s, self.half_h, out=d.real)
+        np.multiply(self.w_pair, s, out=t)
+        np.add(wg[:-1], t, out=t)
+        np.add(t, wg[1:], out=t)
+        np.multiply(t, self.h_6, out=d.imag)
+        np.add.accumulate(d, out=self.m[1:])
 
 
 def _beta_step(grid: _SweepGrid, beta: np.ndarray, forcing: np.ndarray):
-    """One sweep: integrand g = max{β, forcing}; find ϖ with
-    ∫_{−ϖ}^0 (−u)·g(u) du = 1; rebuild β(t) = 1 − ∫_{−ϖ}^t (t−u)·g(u) du.
+    """One sweep's root: integrand g = max{β, forcing}; find ϖ with
+    ∫_{−ϖ}^0 (−u)·g(u) du = 1.
 
-    Returns (ϖ, next β, the sweep internals (g, moments, root)); g and the
-    moments are the grid's buffers, valid until its next sweep, from which
-    the converged iteration samples its limit profile off-grid.
+    Returns (g, I0, I1, v = −ϖ, I0(v), I1(v)): g and the moments are the
+    grid's buffers, valid until its next sweep, from which ``_next_beta``
+    rebuilds the profile and the converged iteration samples its limit
+    profile off-grid.
 
-    A sweep makes three O(grid) passes into those buffers — g, the two
-    cumulative moments of g, the rebuild of the suffix w > root — and a
-    bisection of 41 plain-float probes, each an O(1) read of one cell's
-    moments (``_moment_at`` inlined, bit-identical to it). At grid 4096 on
-    a 2-vCPU x86-64 VM it takes about 100 µs, half of it in the moments,
-    against 280 µs when every array operation allocated its result and
-    each probe made three calls.
+    The sweep fills those buffers — g, then the moments (seven array
+    operations and one running sum) — and bisects with 41 plain-float
+    probes, each an O(1) read of one cell's moments (``_moment_at``
+    inlined, bit-identical to it). At grid 4096 on a 2-vCPU x86-64 VM the
+    sweep and its rebuild take about 80 µs, 37 µs of it in the moments.
     """
     w = grid.w
     g = np.maximum(beta, forcing, out=grid.g)
@@ -356,7 +380,8 @@ def _beta_step(grid: _SweepGrid, beta: np.ndarray, forcing: np.ndarray):
     i1_total = i1_at(-1)
     w0, h, last = grid.w0, grid.h, grid.last
 
-    if _moment_at(w0, w, g, i0, i1)[1] - i1_total < 1.0:
+    # ∫_{w0}^0 (−u)·g(u) du; ``_moment_at(w0)`` adds only ±0 to I1(w0) = 0
+    if -i1_total < 1.0:
         v_root = w0  # saturated: the whole domain cannot absorb a unit
     else:
         # bisection on ∫_v^0 (−u)·g(u) du ≥ 1, read from the first moment
@@ -387,19 +412,24 @@ def _beta_step(grid: _SweepGrid, beta: np.ndarray, forcing: np.ndarray):
                 hi = v
         v_root = 0.5 * (lo + hi)
 
-    i0_v, i1_v = _moment_at(v_root, w, g, i0, i1)
+    return (g, i0, i1, v_root) + _moment_at(v_root, w, g, i0, i1)
+
+
+def _next_beta(grid: _SweepGrid, sweep: tuple, out: np.ndarray) -> None:
+    """The next profile β(t) = 1 − ∫_{−ϖ}^t (t−u)·g(u) du of a sweep
+    (``_beta_step``), into ``out``, which may be the β the sweep read."""
+    _, i0, i1, v_root, i0_v, i1_v = sweep
+    w = grid.w
     # w ascends, so w > v_root is a suffix (empty for a NaN root)
     k = int(np.searchsorted(w, v_root, side="right"))
     m = w.size - k
-    beta_next = np.empty_like(beta)
-    beta_next[:k] = 1.0
+    out[:k] = 1.0
     a, b = grid.s[:m], grid.t[:m]
     np.subtract(i0[k:], i0_v, out=a)
     np.multiply(w[k:], a, out=a)
     np.subtract(i1[k:], i1_v, out=b)
     np.subtract(a, b, out=a)
-    np.subtract(1.0, a, out=beta_next[k:])
-    return -v_root, beta_next, (g, i0, i1, v_root, i0_v, i1_v)
+    np.subtract(1.0, a, out=out[k:])
 
 
 def _forcing_grid(rho: float, delta: float, w: np.ndarray) -> np.ndarray:
@@ -452,12 +482,13 @@ def beta_iterate(rho: float, delta: float, grid_size: int = 4096
     beta = np.ones(n)
     omegas: list[float] = []
     for _ in range(_MAX_SWEEPS):
-        omega, beta, sweep = _beta_step(grid, beta, forcing)
-        omegas.append(omega)
+        sweep = _beta_step(grid, beta, forcing)
+        omegas.append(-sweep[3])
         if len(omegas) >= 2 and abs(omegas[-1] - omegas[-2]) < _SWEEP_TOL:
-            return ThresholdResult(psi=omega, iterations=len(omegas),
+            return ThresholdResult(psi=omegas[-1], iterations=len(omegas),
                                    omega_sequence=tuple(omegas),
                                    _last_sweep=(grid.w, *sweep))
+        _next_beta(grid, sweep, beta)  # β is read only by the next sweep
     raise IterationLimitError(
         f"ascent iteration did not converge within {_MAX_SWEEPS} sweeps "
         f"(last ϖ: {omegas[-2]:.12f} → {omegas[-1]:.12f})",

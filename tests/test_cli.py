@@ -154,32 +154,39 @@ def test_cache_key_names_version_and_algorithm(tmp_path, monkeypatch, name,
     assert stored == [old, old + "-next"]
 
 
-# the tag of tables whose ϑ came from plain bisection, before ``_root``
-_BISECTION_TABLE_ALGORITHM = "theta-series+psi-beta-iterate/1"
+# the tags of tables whose ϑ came from plain bisection, before ``_root``
+# (/1), and from the series in numpy's vector power, before the plain-float
+# one (/2)
+_STALE_TABLE_ALGORITHMS = ("theta-series+psi-beta-iterate/1",
+                           "theta-series+psi-beta-iterate/2")
 
 
 def test_table_stored_under_bisection_tag_is_recomputed(tmp_path,
                                                         monkeypatch, capsys):
-    assert cli._TABLE_ALGORITHM != _BISECTION_TABLE_ALGORITHM
+    """A table stored under an older tag is a miss, not replayed."""
     args = ["thresholds", "--delta", "0.5:1:0.5", "--grid", "512"]
     current = cli._TABLE_ALGORITHM
-    monkeypatch.setattr(cli, "_TABLE_ALGORITHM", _BISECTION_TABLE_ALGORITHM)
-    assert main(args) == 0
-    capsys.readouterr()
     cache_dir = tmp_path / "cache"
-    (entry,) = cache_dir.glob("table-*.json")
-    stale = json.loads(entry.read_text())
-    stale["theta"] = [1.0] * len(stale["theta"])  # marks a replay
-    entry.write_text(json.dumps(stale))
-    monkeypatch.setattr(cli, "_TABLE_ALGORITHM", current)
-    assert main(args) == 0
-    replayed = capsys.readouterr().out
-    assert json.loads(entry.read_text()) == stale
-    assert len(list(cache_dir.glob("table-*.json"))) == 2
-    for f in cache_dir.glob("table-*.json"):
-        f.unlink()
-    assert main(args) == 0
-    assert replayed == capsys.readouterr().out
+    for stale_tag in _STALE_TABLE_ALGORITHMS:
+        assert current != stale_tag
+        monkeypatch.setattr(cli, "_TABLE_ALGORITHM", stale_tag)
+        assert main(args) == 0
+        capsys.readouterr()
+        (entry,) = cache_dir.glob("table-*.json")
+        stale = json.loads(entry.read_text())
+        stale["theta"] = [1.0] * len(stale["theta"])  # marks a replay
+        entry.write_text(json.dumps(stale))
+        monkeypatch.setattr(cli, "_TABLE_ALGORITHM", current)
+        assert main(args) == 0
+        replayed = capsys.readouterr().out
+        assert json.loads(entry.read_text()) == stale
+        assert len(list(cache_dir.glob("table-*.json"))) == 2
+        for f in cache_dir.glob("table-*.json"):
+            f.unlink()
+        assert main(args) == 0
+        assert replayed == capsys.readouterr().out
+        for f in cache_dir.glob("table-*.json"):
+            f.unlink()
 
 
 @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below_file"])

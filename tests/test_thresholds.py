@@ -33,6 +33,9 @@ from semicycles.thresholds import (
     _forcing_grid,
     _moment_at,
     _moment_partials,
+    _next_beta,
+    _r_array,
+    _r_scalar,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -97,6 +100,26 @@ def test_r_second_segment_series():
     assert eval_r(d, t) == pytest.approx(expected, rel=1e-14)
 
 
+def test_scalar_series_within_two_ulps_of_vector_series():
+    """The plain-float series behind ``eval_r`` agrees with ``_r_array``
+    within 2 ulps of cosh(t), which bounds the sum of its terms'
+    magnitudes: they differ only in how a power is rounded, by numpy's
+    vector ``power`` or by the C library's ``pow``. The corpus holds Δ = 0,
+    Δ about ϑ's 1e−12 cut-off, the plateau Δ ≥ 2√2 and t ≤ 0."""
+    rng = np.random.default_rng(19)
+    deltas = [0.0, 5e-13, 9.9e-13, 1e-12, 1.1e-12, 2 * SQRT2, 3.0, 4.5]
+    deltas += rng.uniform(0.0, 3.5, 200).tolist()
+    for d in deltas:
+        ts = np.concatenate((rng.uniform(-1.0, 3.2, 40),
+                             [-2.7, -0.0, 0.0, 1e-300, 1.0, HALF_PI]))
+        for t, want in zip(ts.tolist(), _r_array(d, ts).tolist()):
+            got = _r_scalar(d, t)
+            assert got == eval_r(d, t)
+            assert abs(got - want) <= 2 * math.ulp(math.cosh(t)), (d, t)
+            if t <= 0.0:
+                assert got == want == 1.0
+
+
 def test_r_strictly_decreasing_to_first_zero():
     for d in (0.2, 1.0, 2.0):
         ts = np.linspace(0.0, theta(d), 400)
@@ -157,9 +180,9 @@ def test_theta_within_bracket_width_of_inline_bisection(monkeypatch):
     at most 40 series evaluations at any Δ (both ends included) and 15 on
     average, against 45 for the bisection."""
     calls = []
-    r_array = thresholds._r_array
-    monkeypatch.setattr(thresholds, "_r_array",
-                        lambda d, ts: calls.append(d) or r_array(d, ts))
+    r_scalar = thresholds._r_scalar
+    monkeypatch.setattr(thresholds, "_r_scalar",
+                        lambda d, t: calls.append(d) or r_scalar(d, t))
     counts = []
     for d in _THETA_DELTAS:
         calls.clear()
@@ -173,12 +196,10 @@ def test_theta_within_bracket_width_of_inline_bisection(monkeypatch):
 def test_theta_noise_positive_end_counts_as_not_above(monkeypatch):
     """The bracket check accepts r(π/2) less than 1e−14 above 0; that end is
     then a "not above" end, and the root stays in [1, π/2]."""
-    r_array = thresholds._r_array
+    r_scalar = thresholds._r_scalar
 
-    def noisy(d, ts):
-        vals = r_array(d, ts)
-        vals[ts == HALF_PI] = 5e-15
-        return vals
+    def noisy(d, t):
+        return 5e-15 if t == HALF_PI else r_scalar(d, t)
 
     ends = []
     root = thresholds._root
@@ -187,7 +208,7 @@ def test_theta_noise_positive_end_counts_as_not_above(monkeypatch):
         ends.append(f_hi)
         return root(f, lo, hi, f_lo, f_hi, width)
 
-    monkeypatch.setattr(thresholds, "_r_array", noisy)
+    monkeypatch.setattr(thresholds, "_r_scalar", noisy)
     monkeypatch.setattr(thresholds, "_root", spy)
     d = 1.1e-12
     assert thresholds.eval_r(d, HALF_PI) == 5e-15
@@ -270,10 +291,38 @@ def test_beta_profiles_pointwise_nonincreasing_in_n():
     beta = np.ones_like(w)
     prev = beta
     for _ in range(8):
-        _, beta, _ = _beta_step(grid, prev, forcing)
+        _, beta, _ = _step(grid, prev, forcing)
         # slack = the ϖ-bisection width (β(0) carries exactly that noise)
         assert np.all(beta <= prev + 1e-11)
         prev = beta
+
+
+def _step(grid, beta, forcing):
+    """One sweep of ``beta_iterate`` and the profile it rebuilds, into a new
+    array: (ϖ, next β, the sweep's internals)."""
+    sweep = _beta_step(grid, beta, forcing)
+    beta_next = np.empty_like(beta)
+    _next_beta(grid, sweep, beta_next)
+    return -sweep[3], beta_next, sweep
+
+
+def _bits(*values):
+    """The bytes of floats, so that comparisons tell −0.0 from 0.0."""
+    return np.array(values, dtype=float).tobytes()
+
+
+def test_iteration_rebuilds_beta_only_for_another_sweep(monkeypatch):
+    """The converged sweep's profile is never built: a solve of n sweeps
+    rebuilds β n − 1 times."""
+    calls = []
+    rebuild = thresholds._next_beta
+    monkeypatch.setattr(thresholds, "_next_beta",
+                        lambda *args: calls.append(1) or rebuild(*args))
+    for rho, d, n in ((1.0, 0.0, 4096), (0.7, 0.9, 1000),
+                      (1.0, 2 * SQRT2, 64), (2.5, 3.0, 1000)):
+        calls.clear()
+        res = beta_iterate(rho, d, n)
+        assert len(calls) == res.iterations - 1 >= 1, (rho, d, n)
 
 
 def _oracle_step(w, beta, forcing):
@@ -333,14 +382,15 @@ def test_scalar_moments_bit_identical_to_vector_path():
         forcing = _forcing_grid(rho, d, w)
         beta = np.ones_like(w)
         for _ in range(3):
-            _, beta, _ = _beta_step(grid, beta, forcing)
+            _, beta, _ = _step(grid, beta, forcing)
         g = np.maximum(beta, forcing)
         i0, i1 = _cumulative_moments(w, g)
         vs = np.concatenate((rng.uniform(-HALF_PI, 0.0, 2000), w[::97],
                              [w[0], w[-1], w[0] - 1e-3, 1e-3]))
         m0, m1 = _moment_partials(vs, w, g, i0, i1)
         for v, a0, a1 in zip(vs.tolist(), m0.tolist(), m1.tolist()):
-            assert _moment_at(v, w, g, i0, i1) == (a0, a1), (rho, d, v)
+            assert _bits(*_moment_at(v, w, g, i0, i1)) == _bits(a0, a1), \
+                (rho, d, v)
 
 
 def _sweep_corpus():
@@ -369,10 +419,10 @@ def test_root_search_bit_identical_to_vector_probes():
         res = beta_iterate(rho, d, n)
         assert "limit_profile" not in vars(res)
         omega, omegas, profile = _oracle_iterate(rho, d, n)
-        assert res.omega_sequence == tuple(omegas), (rho, d, n)
+        assert _bits(*res.omega_sequence) == _bits(*omegas), (rho, d, n)
         assert res.iterations == len(omegas), (rho, d, n)
-        assert res.psi == omega, (rho, d, n)
-        assert np.array_equal(res.limit_profile, profile), (rho, d, n)
+        assert _bits(res.psi) == _bits(omega), (rho, d, n)
+        assert res.limit_profile.tobytes() == profile.tobytes(), (rho, d, n)
         assert res.limit_profile is res.limit_profile
 
 
@@ -382,10 +432,10 @@ def test_single_sweeps_bit_identical_to_vector_probes():
     w = np.linspace(-HALF_PI, 0.0, 4096)
     beta = np.full_like(w, 0.5)  # ∫(−u)·½ du over [−π/2, 0] = π²/16 < 1
     forcing = np.zeros_like(w)
-    omega, beta_next, _ = _beta_step(_SweepGrid(w.size), beta, forcing)
+    omega, beta_next, _ = _step(_SweepGrid(w.size), beta, forcing)
     ref_omega, ref_next, _ = _oracle_step(w, beta, forcing)
     assert omega == ref_omega == HALF_PI
-    assert np.array_equal(beta_next, ref_next)
+    assert beta_next.tobytes() == ref_next.tobytes()
     for rho, d, n in SWEEP_CORPUS:
         w = np.linspace(-HALF_PI, 0.0, n)
         grid = _SweepGrid(n)  # one grid, its buffers reused by every sweep
@@ -393,13 +443,13 @@ def test_single_sweeps_bit_identical_to_vector_probes():
         forcing = _forcing_grid(rho, d, w)
         prev = np.ones_like(w)
         for _ in range(4):
-            omega, nxt, (g, i0, i1, *_) = _beta_step(grid, prev, forcing)
-            ref_omega, ref_next, (rg, ri0, ri1, *_) = _oracle_step(
-                w, prev, forcing)
-            assert omega == ref_omega, (rho, d, n)
-            assert np.array_equal(nxt, ref_next), (rho, d, n)
-            assert np.array_equal(g, rg) and np.array_equal(i0, ri0) \
-                and np.array_equal(i1, ri1), (rho, d, n)
+            omega, nxt, sweep = _step(grid, prev, forcing)
+            ref_omega, ref_next, ref_sweep = _oracle_step(w, prev, forcing)
+            assert _bits(omega) == _bits(ref_omega), (rho, d, n)
+            assert nxt.tobytes() == ref_next.tobytes(), (rho, d, n)
+            for got, want in zip(sweep[:3], ref_sweep[:3]):  # g, I0, I1
+                assert got.tobytes() == want.tobytes(), (rho, d, n)
+            assert _bits(*sweep[3:]) == _bits(*ref_sweep[3:]), (rho, d, n)
             prev = nxt
 
 
