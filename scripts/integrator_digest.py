@@ -1,16 +1,19 @@
-"""Hash every trajectory the benchmark's integrations produce.
+"""Hash every trajectory and every Ψ solve the benchmark's workloads produce.
 
-For each workload (``trajectories`` and ``suites``, the serial form of
-``suites_pool``) and seed, this builds the perfbench inputs, runs the
-workload with the integrator's entry wrapped, and hashes the bytes of
-every integration's output in order: the nodes, x and x′ arrays, or the
-type name and message of the exception the integration raised.  It prints
-one line per workload and seed: ``NAME@SEED <sha256> <integrations>``.
+For each workload (``thresholds``, ``trajectories`` and ``suites``, the
+serial form of ``suites_pool``) and seed, this builds the perfbench inputs,
+runs the workload with the integrator's entry and ``thresholds.beta_iterate``
+wrapped, and hashes the bytes of every output in order: each integration's
+nodes, x and x′ arrays, each Ψ solve's ω sequence, Ψ and limit profile, or
+the type name and message of the exception a call raised.  It prints two
+lines per workload and seed, ``NAME@SEED integrate <sha256> <integrations>``
+and ``NAME@SEED beta_iterate <sha256> <solves>``.  Ψ's in-process cache is
+cleared before each run, so that each run records every solve it needs.
 
-The entry is ``integrator._integrate_many``, whose groups' outputs are
-recorded in submission order; a tree without it records each call of
-``integrator._integrate_columns``, one integration each, so that an older
-revision is compared like with like.
+The integrator's entry is ``integrator._integrate_many``, whose groups'
+outputs are recorded in submission order; a tree without it records each
+call of ``integrator._integrate_columns``, one integration each, so that
+an older revision is compared like with like.
 
 Run from the repository root:
 
@@ -37,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-WORKLOADS = ("trajectories", "suites")
+WORKLOADS = ("thresholds", "trajectories", "suites")
 
 
 def digest(outputs: list) -> str:
@@ -86,28 +89,52 @@ def _recording(integrator, outputs: list) -> tuple:
     return "_integrate_columns", per_call
 
 
-def _record(workload: str, seed: int, tmp: Path) -> list:
-    """Every integration's output of one workload run, in order."""
+def _solving(thresholds, solves: list):
+    """A wrapper of ``thresholds.beta_iterate`` that appends each solve's
+    ω sequence, Ψ and limit profile, or the exception it raised, to
+    ``solves``."""
+    inner = thresholds.beta_iterate
+
+    def solve(*args, **kwargs):
+        try:
+            res = inner(*args, **kwargs)
+        except Exception as exc:
+            solves.append(exc)
+            raise
+        solves.append((np.array(res.omega_sequence), np.array([res.psi]),
+                       res.limit_profile))
+        return res
+    return solve
+
+
+def _record(workload: str, seed: int, tmp: Path) -> tuple:
+    """Every integration's and every Ψ solve's output of one workload run,
+    each in order."""
     import semicycles.integrator as integrator
+    import semicycles.thresholds as thresholds
     import workloads
 
-    outputs = []
+    outputs, solves = [], []
     name, wrapper = _recording(integrator, outputs)
-    inner = getattr(integrator, name)
+    wrappers = {name: (getattr(integrator, name), wrapper),
+                "beta_iterate": (thresholds.beta_iterate,
+                                 _solving(thresholds, solves))}
     spec = workloads.WORKLOADS[workload]
     state = spec.setup(seed, tmp, 1)
-    # every package module that imported the entry calls it by its own name
-    homes = [m for key, m in sys.modules.items()
+    thresholds._psi_cached.cache_clear()
+    # every package module that imported an entry calls it by its own name
+    homes = [(m, attr) for key, m in sys.modules.items()
              if key.startswith("semicycles")
-             and getattr(m, name, None) is inner]
-    for mod in homes:
-        setattr(mod, name, wrapper)
+             for attr, (inner, _) in wrappers.items()
+             if getattr(m, attr, None) is inner]
+    for mod, attr in homes:
+        setattr(mod, attr, wrappers[attr][1])
     try:
         spec.run(state)
     finally:
-        for mod in homes:
-            setattr(mod, name, inner)
-    return outputs
+        for mod, attr in homes:
+            setattr(mod, attr, wrappers[attr][0])
+    return outputs, solves
 
 
 def _digest_tree(tree: Path, seeds: list[int]) -> list[str]:
@@ -117,9 +144,11 @@ def _digest_tree(tree: Path, seeds: list[int]) -> list[str]:
         os.environ["SEMICYCLE_CACHE_DIR"] = tmp
         for workload in WORKLOADS:
             for seed in seeds:
-                outputs = _record(workload, seed, Path(tmp))
-                lines.append(f"{workload}@{seed} {digest(outputs)} "
-                             f"{len(outputs)}")
+                outputs, solves = _record(workload, seed, Path(tmp))
+                for entry, recorded in (("integrate", outputs),
+                                        ("beta_iterate", solves)):
+                    lines.append(f"{workload}@{seed} {entry} "
+                                 f"{digest(recorded)} {len(recorded)}")
     return lines
 
 

@@ -18,14 +18,18 @@ x″(t) + p(t)·x(t−τ(t)) = 0 with esssup|p| ≤ 1 can traverse a semicycle:
 ϑ, the ϖ of each ascent sweep and γ are roots of monotone functions on a
 known bracket. ϑ and γ are found by the one Illinois regula falsi ``_root``
 (about 11 series evaluations per ϑ, 5 Ψ solves for γ, against 45 and 20
-by bisection); each sweep bisects ϖ in plain floats, inlined because the
-sweeps probe most and their cells stay as they were. The oracle keeps its
-own loops, Illinois on its launch slope, so that it shares no code with
-the path it checks.
+by bisection); each sweep bisects ϖ to a 1e−12 bracket, but reads the
+moments only at the probes within a stated rounding bound of the root,
+which a Newton solve on the root's cell finds first (``_root_window``), so
+that ϖ is the plain bisection's bit for bit. The oracle keeps its own
+loops, Illinois on its launch slope, so that it shares no code with the
+path it checks.
 
-Cost. A Ψ solve takes about ten sweeps of about 80 µs each at the default
-grid of 4096 nodes. The grid and its constants are built once per grid
-size (a cache of 8 read-only entries) and the descent shape
+Cost. A Ψ solve takes about ten sweeps of about 60 µs each at the default
+grid of 4096 nodes, 37 µs of each in the moments; finding ϖ takes about
+8 µs of it, against 30 µs when every probe read the moments, as about one
+sweep in 30 evaluates a probe. The grid and its constants are built once
+per grid size (a cache of 8 read-only entries) and the descent shape
 r_Δ(ϑ_Δ − w − Δ) once per run of solves at one (Δ, grid size) (a cache of
 one); each solve allocates its sweep buffers once; the limit profile is
 built only when ``limit_profile`` is read. ϑ's series is summed in Python
@@ -112,7 +116,10 @@ def _r_scalar(delta: float, t: float) -> float:
     """``_r_array`` at one time in Python floats: the same terms in the same
     order, each power by the C library's ``pow``, which does not change
     with the SIMD kernel numpy dispatches on a host (on AVX-512 its vector
-    power rounds some powers differently)."""
+    power rounds some powers differently).
+
+    Raises DomainError where the series cannot be summed: a power that
+    overflows, or terms still above ``_SERIES_FLOOR`` at the last one."""
     if not t > 0.0:
         return 1.0
     if delta == 0.0:
@@ -122,11 +129,20 @@ def _r_scalar(delta: float, t: float) -> float:
         base = t - (k - 1) * delta
         if not base > 0.0:
             break
-        term = base ** (2 * k) / fact
+        try:
+            term = base ** (2 * k) / fact
+        except OverflowError:
+            raise DomainError(
+                f"descent profile series at t={t}, delta={delta}: term "
+                f"{k} overflows") from None
         if k > 2 and term < _SERIES_FLOOR:
             break
         acc += sign * term
         sign = -sign
+    else:
+        raise DomainError(
+            f"descent profile series at t={t}, delta={delta} needs more "
+            f"than {len(_FACTORIALS)} terms")
     return acc
 
 
@@ -184,10 +200,16 @@ def _check_delay(delta: float) -> None:
 
 
 def eval_r(delta: float, t: float) -> float:
-    """Descent profile r_Δ at a single time (1 for t ≤ 0; cos(t) when Δ=0)."""
-    delta = float(delta)
+    """Descent profile r_Δ at a single time (1 for t ≤ 0; cos(t) when Δ=0).
+
+    Raises DomainError for a non-finite t, and where the series cannot be
+    summed at t (far beyond ϑ_Δ + 2, the latest time the package reads).
+    """
+    delta, t = float(delta), float(t)
     _check_delay(delta)
-    return _r_scalar(delta, float(t))
+    if not math.isfinite(t):
+        raise DomainError(f"time must be finite, got {t}")
+    return _r_scalar(delta, t)
 
 
 @functools.lru_cache(maxsize=8192)
@@ -324,10 +346,10 @@ class _SweepGrid:
     """One solve's sweep grid: its constants (``_grid_constants``) and the
     buffers every sweep overwrites: g, w·g, two scratch rows, the moments'
     cell increments and their running sums I0 + i·I1 (``i0`` and ``i1``
-    are views of its parts)."""
+    are views of its parts), and the cell its last root was sought in."""
 
     __slots__ = ("w", "w0", "h", "last", "w_pair", "half_h", "h_6",
-                 "g", "wg", "s", "t", "d", "m", "i0", "i1")
+                 "g", "wg", "s", "t", "d", "m", "i0", "i1", "cell")
 
     def __init__(self, grid_size: int):
         (self.w, self.w0, self.h, self.last, self.w_pair,
@@ -339,6 +361,7 @@ class _SweepGrid:
         self.d = np.empty(grid_size - 1, dtype=complex)
         self.m = np.zeros(grid_size, dtype=complex)
         self.i0, self.i1 = self.m.real, self.m.imag
+        self.cell = 0
 
     def moments(self) -> None:
         """``_cumulative_moments`` of the carrier in ``g``, into I0 and I1
@@ -357,6 +380,80 @@ class _SweepGrid:
         np.add.accumulate(d, out=self.m[1:])
 
 
+# a root window that decides nothing: every bisection probe is evaluated
+_NO_WINDOW = (-math.inf, math.inf)
+_EPS = 2.0 ** -53      # float64 unit roundoff
+_NEWTON_STEPS = 6      # from the chord point; 2–4 reach rounding level
+_NEWTON_TOL = 1e-15    # a step this short is rounding noise
+
+
+def _root_window(grid: _SweepGrid, i1_total: float) -> tuple:
+    """(a, b): every probe v < a of a sweep's root bisection reads
+    ∫_v^0 (−u)·g(u) du ≥ 1 and every v > b reads less, so only probes in
+    [a, b] need evaluating; ``_NO_WINDOW`` where no bound can be made.
+
+    The root's cell [t0, t1], whose node values F_i = I1(t_i) − I1(0)
+    bracket the unit level, is found by bisection on the node index: I1
+    never increases, as each increment sums products w·g with w ≤ 0 ≤ g.
+    There a probe computes, up to rounding, the cubic Φ(v) = F_0 +
+    ∫_{t0}^{v} u·ĝ(u) du (ĝ linear through g0 and g1; Simpson is exact),
+    whose derivative is v·ĝ(v). Newton steps from the chord point end at
+    a point r with computed residual f = Φ(r) − 1.
+
+    The bound, in units u = 2⁻⁵³, with A = −I1(0), G the largest g on the
+    cell and its neighbours, |w| ≤ π/2 and h ≤ π/126: a probe's two
+    additions err by u·(A + 2) and its cell formula by 32u·h·|w|·G. A
+    probe read from a neighbouring cell's cubic (near a node, or placed
+    there by the float cell index, up to n·u off) meets the root cell's
+    cubic within u·A (the running sum), 32u·h·|w|·G (the increment),
+    3·|Δt − h|·|w|·G (cell widths spread by ≤ 4u about h) and 2n³u²·G (the
+    cubics' curvature, ≤ 16u·G up to ``_MAX_GRID``); forming r ± M rounds
+    by u·|w|·G more. B = u·(8·(A + 1) + 128·G) is over twice their sum.
+    With s = |t1|·min(g0, g1), the least slope on the cell, every probe
+    further than M = (|f| + B)/s from r decides as Φ does: inside the cell
+    by the slope, beyond it as I1 is monotone (two or more cells away, by
+    a whole cell's moment).
+
+    No window when the node values do not bracket the level, when s is
+    not positive and finite (a zero g at a node, NaN data), when Newton's
+    slope v·ĝ(v) is not negative, or when r ± M leaves the cell.
+    """
+    w_at, g_at, i1_at = grid.w.item, grid.g.item, grid.i1.item
+    a, b = 0, grid.last + 1  # F(0) = −I1(0) ≥ 1 > F(n − 1) = 0
+    while b - a > 1:
+        mid = (a + b) >> 1
+        if i1_at(mid) - i1_total >= 1.0:
+            a = mid
+        else:
+            b = mid
+    grid.cell = a
+    t0, t1, g0, g1, i1_0 = w_at(a), w_at(b), g_at(a), g_at(b), i1_at(a)
+    f0, f1 = i1_0 - i1_total, i1_at(b) - i1_total
+    s = -t1 * min(g0, g1)
+    if not (f0 >= 1.0 > f1 and 0.0 < s < math.inf):
+        return _NO_WINDOW
+    h, dg, t0_g0 = grid.h, g1 - g0, t0 * g0
+    v = t0 + (t1 - t0) * ((f0 - 1.0) / (f0 - f1))
+    for _ in range(_NEWTON_STEPS):
+        # ``_moment_at``'s formula on the cell, and its derivative v·ĝ(v)
+        dv = v - t0
+        gv = g0 + dg * (dv / h)
+        p1 = (dv / 6.0) * (t0_g0 + 4.0 * (t0 + 0.5 * dv) * (0.5 * (g0 + gv))
+                           + v * gv)
+        r, f, slope = v, ((i1_0 + p1) - i1_total) - 1.0, v * gv
+        if not slope < 0.0:
+            return _NO_WINDOW
+        step = f / slope
+        v = min(max(v - step, t0), t1)
+        if abs(step) <= _NEWTON_TOL:
+            break
+    g_max = max(g_at(max(a - 1, 0)), g0, g1, g_at(min(b + 1, grid.last + 1)))
+    m = (abs(f) + _EPS * (8.0 * (1.0 - i1_total) + 128.0 * g_max)) / s
+    if t0 <= r - m and r + m <= t1:
+        return r - m, r + m
+    return _NO_WINDOW
+
+
 def _beta_step(grid: _SweepGrid, beta: np.ndarray, forcing: np.ndarray):
     """One sweep's root: integrand g = max{β, forcing}; find ϖ with
     ∫_{−ϖ}^0 (−u)·g(u) du = 1.
@@ -367,46 +464,36 @@ def _beta_step(grid: _SweepGrid, beta: np.ndarray, forcing: np.ndarray):
     profile off-grid.
 
     The sweep fills those buffers — g, then the moments (seven array
-    operations and one running sum) — and bisects with 41 plain-float
-    probes, each an O(1) read of one cell's moments (``_moment_at``
-    inlined, bit-identical to it). At grid 4096 on a 2-vCPU x86-64 VM the
-    sweep and its rebuild take about 80 µs, 37 µs of it in the moments.
+    operations and one running sum) — and bisects v to a 1e−12 bracket
+    (41 probes). A probe reads one cell's moments (``_moment_at``) only
+    inside the window ``_root_window`` leaves in doubt, a few 1e−14 wide
+    around the root; every other probe is decided by where it lies, as its
+    moments would decide it, so ϖ is the bisection's bit for bit. At grid
+    4096 on a 2-vCPU x86-64 VM the sweep and its rebuild take about 60 µs,
+    37 µs of it in the moments and 6 µs in the root window.
     """
     w = grid.w
     g = np.maximum(beta, forcing, out=grid.g)
     grid.moments()
     i0, i1 = grid.i0, grid.i1
-    w_at, g_at, i1_at = w.item, g.item, i1.item
-    i1_total = i1_at(-1)
-    w0, h, last = grid.w0, grid.h, grid.last
+    i1_total = i1.item(-1)
 
     # ∫_{w0}^0 (−u)·g(u) du; ``_moment_at(w0)`` adds only ±0 to I1(w0) = 0
     if -i1_total < 1.0:
-        v_root = w0  # saturated: the whole domain cannot absorb a unit
+        v_root = grid.w0  # saturated: the whole domain cannot absorb a unit
+        grid.cell = 0
     else:
         # bisection on ∫_v^0 (−u)·g(u) du ≥ 1, read from the first moment
-        # as in ``_moment_at``; v > w0, so truncation is its floor, and the
-        # last ~30 probes share one cell, whose node reads are kept
-        lo, hi = w0, 0.0
-        cell = -1
+        # only where the root window leaves the side of v in doubt
+        sure_lo, sure_hi = _root_window(grid, i1_total)
+        lo, hi = grid.w0, 0.0
         while hi - lo > 1e-12:
             v = 0.5 * (lo + hi)
-            j = int((v - w0) / h)
-            if j > last:
-                j = last
-            if j != cell:
-                cell = j
-                t0 = w_at(j)
-                gj = g_at(j)
-                dg = g_at(j + 1) - gj
-                t0_gj = t0 * gj
-                i1_j = i1_at(j)
-            dv = v - t0
-            gv = gj + dg * (dv / h)
-            vm = t0 + 0.5 * dv
-            gm = 0.5 * (gj + gv)
-            p1 = (dv / 6.0) * (t0_gj + 4.0 * vm * gm + v * gv)
-            if (i1_j + p1) - i1_total >= 1.0:
+            if v < sure_lo:
+                lo = v
+            elif v > sure_hi:
+                hi = v
+            elif _moment_at(v, w, g, i0, i1)[1] - i1_total >= 1.0:
                 lo = v
             else:
                 hi = v
@@ -415,13 +502,28 @@ def _beta_step(grid: _SweepGrid, beta: np.ndarray, forcing: np.ndarray):
     return (g, i0, i1, v_root) + _moment_at(v_root, w, g, i0, i1)
 
 
+def _split(grid: _SweepGrid, v: float) -> int:
+    """The number of grid nodes at or below v, ``np.searchsorted(w, v,
+    side="right")``: w ascends, so the nodes above v are a suffix (empty
+    for a NaN v). A sweep's root lies in or within 1e−12 of its cell
+    (``grid.cell``), so the walk from there takes a step or none."""
+    w_at, n = grid.w.item, grid.w.size
+    if v != v:
+        return n
+    k = grid.cell + 1
+    while k < n and w_at(k) <= v:
+        k += 1
+    while k > 0 and w_at(k - 1) > v:
+        k -= 1
+    return k
+
+
 def _next_beta(grid: _SweepGrid, sweep: tuple, out: np.ndarray) -> None:
     """The next profile β(t) = 1 − ∫_{−ϖ}^t (t−u)·g(u) du of a sweep
     (``_beta_step``), into ``out``, which may be the β the sweep read."""
     _, i0, i1, v_root, i0_v, i1_v = sweep
     w = grid.w
-    # w ascends, so w > v_root is a suffix (empty for a NaN root)
-    k = int(np.searchsorted(w, v_root, side="right"))
+    k = _split(grid, v_root)
     m = w.size - k
     out[:k] = 1.0
     a, b = grid.s[:m], grid.t[:m]

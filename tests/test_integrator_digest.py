@@ -1,6 +1,7 @@
 """scripts/integrator_digest.py hashes every byte of the integrator's
-outputs, so one ulp anywhere changes a digest, and records each
-integration once, on trees with and without the lockstep entry."""
+outputs and of the Ψ solves, so one ulp anywhere changes a digest, and
+records each integration once, on trees with and without the lockstep
+entry, and each Ψ solve a workload runs."""
 
 import importlib.util
 from pathlib import Path
@@ -85,3 +86,44 @@ def test_tree_without_the_lockstep_entry_records_each_call():
         wrapper((), 1.0, -0.5)
     assert digest(outputs) == digest([(ts, ts[:, None], -ts[:, None]),
                                       DomainError("step must be positive")])
+
+
+def test_psi_solves_recorded_with_their_limit_profiles():
+    """Each solve's ω sequence, Ψ and limit profile bytes are recorded, or
+    the exception it raised; one ulp of the profile changes the digest."""
+    from semicycles import thresholds
+
+    solves = []
+    solve = integrator_digest._solving(thresholds, solves)
+    res = solve(0.7, 0.9, 64)
+    with pytest.raises(DomainError):
+        solve(-1.0, 0.9, 64)
+    assert len(solves) == 2 and isinstance(solves[1], DomainError)
+    omegas, psi, profile = solves[0]
+    assert omegas.tobytes() == np.array(res.omega_sequence).tobytes()
+    assert psi.tobytes() == np.array([res.psi]).tobytes()
+    assert profile.tobytes() == res.limit_profile.tobytes()
+    base = digest(solves)
+    bumped = profile.copy()
+    bumped[5] = np.nextafter(bumped[5], np.inf)
+    assert digest([(omegas, psi, bumped), solves[1]]) != base
+
+
+def test_thresholds_run_records_every_table_solve(tmp_path, monkeypatch):
+    """A ``thresholds`` run records the Ψ solve of each of the table's 217
+    cells and of ``gamma_constant``, and integrates nothing; a second run
+    records the same solves, though the first left them in Ψ's cache."""
+    monkeypatch.syspath_prepend(str(_SCRIPT.parents[1] / "perfbench"))
+    from semicycles import thresholds
+
+    runs = []
+    for k in range(2):
+        # a fresh table cache, so that the CLI solves the table again
+        monkeypatch.setenv("SEMICYCLE_CACHE_DIR", str(tmp_path / f"c{k}"))
+        runs.append(integrator_digest._record("thresholds", 0, tmp_path))
+        assert thresholds.beta_iterate.__name__ == "beta_iterate"
+    (outputs, solves), (_, again) = runs
+    assert outputs == []
+    assert len(solves) > 217
+    assert not any(isinstance(s, BaseException) for s in solves)
+    assert digest(again) == digest(solves)

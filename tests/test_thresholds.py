@@ -24,8 +24,9 @@ from semicycles import (
     semicycle_threshold,
     theta,
 )
-from semicycles import thresholds
+from semicycles import cli, thresholds
 from semicycles.thresholds import (
+    _NO_WINDOW,
     _SweepGrid,
     _beta_step,
     _cumulative_moments,
@@ -36,6 +37,8 @@ from semicycles.thresholds import (
     _next_beta,
     _r_array,
     _r_scalar,
+    _root_window,
+    _split,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -91,6 +94,21 @@ def test_r_negative_delay_rejected():
         eval_r(-0.1, 1.0)
     with pytest.raises(DomainError):
         theta(-1.0)
+
+
+@pytest.mark.parametrize("delta, t, message", [
+    (0.5, math.nan, "time must be finite"),
+    (0.5, math.inf, "time must be finite"),
+    # the 84th term is about 1e−4: the sum would be −3.3e18
+    (0.5, 100.0, "needs more than 84 terms"),
+    (1e-3, 80.0, "term 82 overflows"),
+])
+def test_r_refuses_what_its_series_cannot_sum(delta, t, message):
+    """A non-finite t, terms still above the floor at the series' last
+    one, and a power past float range raise DomainError, not 1.0, NaN, a
+    truncated sum or a bare OverflowError."""
+    with pytest.raises(DomainError, match=message):
+        eval_r(delta, t)
 
 
 def test_r_second_segment_series():
@@ -451,6 +469,151 @@ def test_single_sweeps_bit_identical_to_vector_probes():
                 assert got.tobytes() == want.tobytes(), (rho, d, n)
             assert _bits(*sweep[3:]) == _bits(*ref_sweep[3:]), (rho, d, n)
             prev = nxt
+
+
+def _plain_root(grid, i1_total):
+    """v = −ϖ of the sweep just run on ``grid`` by the bisection without a
+    root window: 41 probes, each read from its cell's moments in plain
+    floats. The oracle of the filtered bisection, which must match it bit
+    for bit."""
+    w0, h, last = grid.w0, grid.h, grid.last
+    w_at, g_at, i1_at = grid.w.item, grid.g.item, grid.i1.item
+    if -i1_total < 1.0:
+        return w0
+    lo, hi = w0, 0.0
+    cell = -1
+    while hi - lo > 1e-12:
+        v = 0.5 * (lo + hi)
+        j = int((v - w0) / h)
+        if j > last:
+            j = last
+        if j != cell:
+            cell = j
+            t0 = w_at(j)
+            gj = g_at(j)
+            dg = g_at(j + 1) - gj
+            t0_gj = t0 * gj
+            i1_j = i1_at(j)
+        dv = v - t0
+        gv = gj + dg * (dv / h)
+        vm = t0 + 0.5 * dv
+        gm = 0.5 * (gj + gv)
+        p1 = (dv / 6.0) * (t0_gj + 4.0 * vm * gm + v * gv)
+        if (i1_j + p1) - i1_total >= 1.0:
+            lo = v
+        else:
+            hi = v
+    return 0.5 * (lo + hi)
+
+
+def _table_cells(seed):
+    """The (ρ, Δ, grid) cells of the CLI table that perfbench's
+    ``thresholds`` workload solves at ``seed`` (its setup_thresholds)."""
+    rng = np.random.default_rng([seed, 1])
+    d0 = round(float(rng.uniform(0.0, 0.1)), 4)
+    r0 = round(float(rng.uniform(0.5, 0.75)), 4)
+    deltas = cli._range_values(cli._parse_range(f"{d0}:{d0 + 3.05:.4f}:0.1"))
+    rhos = cli._range_values(cli._parse_range(f"{r0}:{r0 + 1.625:.4f}:0.25"))
+    return [(r, d, 4096) for d in deltas for r in rhos]
+
+
+def test_filtered_root_is_the_plain_bisections(monkeypatch):
+    """Every sweep of the corpus and of the benchmark's table cells at
+    seeds 0–5 finds the plain bisection's root bit for bit. Its I1 never
+    increases, which the root window's bound assumes, and the rebuild's
+    split index is ``np.searchsorted``'s."""
+    cells = SWEEP_CORPUS + [c for seed in range(6) for c in _table_cells(seed)]
+    assert len(cells) == len(SWEEP_CORPUS) + 6 * 217
+    step = thresholds._beta_step
+    checked = []
+
+    def spy(grid, beta, forcing):
+        sweep = step(grid, beta, forcing)
+        i1, v_root = grid.i1, sweep[3]
+        assert np.all(np.diff(i1) <= 0.0)
+        assert _bits(v_root) == _bits(_plain_root(grid, i1.item(-1)))
+        assert _split(grid, v_root) == np.searchsorted(grid.w, v_root,
+                                                       side="right")
+        checked.append(1)
+        return sweep
+
+    monkeypatch.setattr(thresholds, "_beta_step", spy)
+    sweeps = 0
+    for rho, d, n in cells:
+        sweeps += beta_iterate(rho, d, n).iterations
+        assert len(checked) == sweeps, (rho, d, n)
+
+
+def test_sweeps_evaluate_few_probes(monkeypatch):
+    """Over the corpus a sweep evaluates under one bisection probe on
+    average (about 0.03): the root window decides the rest. Each sweep
+    also reads its root's moments once."""
+    calls = []
+    moment_at = thresholds._moment_at
+    monkeypatch.setattr(thresholds, "_moment_at",
+                        lambda *args: calls.append(1) or moment_at(*args))
+    sweeps = sum(beta_iterate(rho, d, n).iterations
+                 for rho, d, n in SWEEP_CORPUS)
+    assert len(calls) - sweeps <= sweeps
+
+
+def _zero_node_sweep():
+    """A sweep at grid 1000 whose root cell has g = 0 at a node: the
+    first sweep's root cell, with β zeroed at its left node."""
+    grid, forcing = _SweepGrid(1000), np.zeros(1000)
+    _beta_step(grid, np.ones(1000), forcing)
+    beta = np.ones(1000)
+    beta[grid.cell] = 0.0
+    return grid, beta, forcing
+
+
+def _last_cell_sweep():
+    """A sweep at grid 64 whose root lies in the last cell, [−h, 0], where
+    the least slope |0|·g is zero: g ≡ 10⁴ puts it at −√2·10⁻²."""
+    return _SweepGrid(64), np.full(64, 1e4), np.zeros(64)
+
+
+def _nan_sweep():
+    grid, beta, forcing = _SweepGrid(1000), np.ones(1000), np.zeros(1000)
+    forcing[500] = math.nan
+    return grid, beta, forcing
+
+
+@pytest.mark.parametrize("make", [_zero_node_sweep, _last_cell_sweep,
+                                  _nan_sweep])
+def test_sweep_without_root_window_is_the_plain_bisection(monkeypatch,
+                                                          make):
+    """Where no bound can be made — a zero slope bound on the root's cell,
+    at a node where g = 0 or at w = 0, or NaN data — the window decides
+    nothing, no division raises, all 41 probes are evaluated and the root
+    is the plain bisection's."""
+    grid, beta, forcing = make()
+    calls = []
+    moment_at = thresholds._moment_at
+    monkeypatch.setattr(thresholds, "_moment_at",
+                        lambda *args: calls.append(1) or moment_at(*args))
+    sweep = _beta_step(grid, beta, forcing)
+    c, g = grid.cell, grid.g
+    i1_total = grid.i1.item(-1)
+    assert math.isnan(i1_total) or min(g[c], g[c + 1]) * grid.w[c + 1] == 0.0
+    assert _root_window(grid, i1_total) == _NO_WINDOW
+    assert len(calls) == 41 + 1
+    assert _bits(sweep[3]) == _bits(_plain_root(grid, i1_total))
+
+
+def test_split_index_is_searchsorted_from_any_cell():
+    """``_split`` counts the nodes at or below v from whichever cell it
+    starts: at nodes, a rounding step either side of them, midpoints, both
+    ends and past them; a NaN v leaves an empty suffix."""
+    grid = _SweepGrid(64)
+    w = grid.w
+    vs = np.concatenate((w, np.nextafter(w, -np.inf), np.nextafter(w, np.inf),
+                         0.5 * (w[:-1] + w[1:]), [w[0] - 1.0, 1.0]))
+    for cell in (0, 31, grid.last):
+        grid.cell = cell
+        for v in vs.tolist():
+            assert _split(grid, v) == np.searchsorted(w, v, side="right")
+        assert _split(grid, math.nan) == w.size
 
 
 def test_descent_shape_scaled_by_rho_is_the_forcing():
