@@ -3,17 +3,18 @@
 For each workload (``thresholds``, ``trajectories`` and ``suites``, the
 serial form of ``suites_pool``) and seed, this builds the perfbench inputs,
 runs the workload with the integrator's entry and ``thresholds.beta_iterate``
-wrapped, and hashes the bytes of every output in order: each integration's
+wrapped, and hashes the bytes of every output in order: each trajectory's
 nodes, x and x′ arrays, each Ψ solve's ω sequence, Ψ and limit profile, or
 the type name and message of the exception a call raised.  It prints two
-lines per workload and seed, ``NAME@SEED integrate <sha256> <integrations>``
+lines per workload and seed, ``NAME@SEED integrate <sha256> <trajectories>``
 and ``NAME@SEED beta_iterate <sha256> <solves>``.  Ψ's in-process cache is
 cleared before each run, so that each run records every solve it needs.
 
-The integrator's entry is ``integrator._integrate_many``, whose groups'
-outputs are recorded in submission order; a tree without it records each
-call of ``integrator._integrate_columns``, one integration each, so that
-an older revision is compared like with like.
+The integrator's entry is ``integrator._integrate_many``, whose outputs are
+recorded in submission order, one entry per trajectory: an older tree's
+group of k problems that share one (n, k) output is recorded as k
+contiguous one-dimensional outputs, and its exception once per problem,
+so that such a revision is compared like with like.
 
 Run from the repository root:
 
@@ -58,35 +59,29 @@ def digest(outputs: list) -> str:
     return h.hexdigest()
 
 
-def _copy(out):
-    return out if isinstance(out, BaseException) else \
-        tuple(np.array(a) for a in out)
+def _per_trajectory(group: tuple, out) -> list:
+    """The entries of one group's output: a copy of each trajectory's
+    nodes, x and x′, or its exception once per problem of the group (one
+    problem, or a tuple of them on an older tree)."""
+    if isinstance(out, BaseException):
+        return [out] * (len(group[0]) if isinstance(group[0], tuple) else 1)
+    ts, xs, vs = out
+    xs, vs = xs.reshape(ts.size, -1), vs.reshape(ts.size, -1)
+    return [(np.array(ts), np.array(xs[:, c]), np.array(vs[:, c]))
+            for c in range(xs.shape[1])]
 
 
-def _recording(integrator, outputs: list) -> tuple:
-    """(name, wrapper) of the integrator's entry; the wrapper appends each
-    integration's output to ``outputs``: each group's of
-    ``_integrate_many`` in submission order, or, on a tree without it, each
-    call's of ``_integrate_columns``."""
-    if hasattr(integrator, "_integrate_many"):
-        inner = integrator._integrate_many
+def _recording(integrator, outputs: list):
+    """A wrapper of ``integrator._integrate_many`` that appends each
+    group's entries to ``outputs`` in submission order."""
+    inner = integrator._integrate_many
 
-        def lockstep(groups):
-            for out in inner(groups):
-                outputs.append(_copy(out))
-                yield out
-        return "_integrate_many", lockstep
-    inner = integrator._integrate_columns
-
-    def per_call(*args, **kwargs):
-        try:
-            out = inner(*args, **kwargs)
-        except Exception as exc:
-            outputs.append(exc)
-            raise
-        outputs.append(_copy(out))
-        return out
-    return "_integrate_columns", per_call
+    def lockstep(groups):
+        groups = list(groups)
+        for group, out in zip(groups, inner(groups)):
+            outputs.extend(_per_trajectory(group, out))
+            yield out
+    return lockstep
 
 
 def _solving(thresholds, solves: list):
@@ -115,8 +110,8 @@ def _record(workload: str, seed: int, tmp: Path) -> tuple:
     import workloads
 
     outputs, solves = [], []
-    name, wrapper = _recording(integrator, outputs)
-    wrappers = {name: (getattr(integrator, name), wrapper),
+    wrappers = {"_integrate_many": (integrator._integrate_many,
+                                    _recording(integrator, outputs)),
                 "beta_iterate": (thresholds.beta_iterate,
                                  _solving(thresholds, solves))}
     spec = workloads.WORKLOADS[workload]

@@ -52,9 +52,9 @@ from .analysis import (
 from .integrator import (
     _SCAN_TOL,
     DelayProblem,
+    Trajectory,
     _fundamental_problems,
     _integrate_many,
-    _trajectories,
     _zero_scan,
 )
 from .signals import PiecewiseSignal, signal_range
@@ -79,7 +79,7 @@ _MAX_JOBS = 64
 _MAX_INSTANCES = 20_000
 # most consecutive instances integrated in lockstep: a window keeps the
 # chunk plans (about 150 kB each) and trajectories of all its problems
-# alive together, 16 of each in a comparison window
+# alive together, 16 of each in a comparison or wronskian window
 _WINDOW = 8
 # most history segments of one mode mixture: about 100× the largest count
 # in use (18, the decay suite's delays up to 5.2 at width 0.3)
@@ -173,8 +173,8 @@ def eigenmode_problem(c: float, root: CharRoot, phase: float = 0.0
 def _decay_instance(idx: int, rng):
     """One instance → (rows, checked, failures, metrics, skipped); see
     run_suite. Like every instance, a generator: it draws its random numbers,
-    yields its integration groups (problems, horizon, step) and is sent one
-    tuple of trajectories per group."""
+    yields its integration groups (problem, horizon, step) and is sent one
+    trajectory per group."""
     for _ in range(40):
         c = float(rng.uniform(2.8, 5.2))
         cap = semicycle_threshold(c) - 0.051
@@ -191,7 +191,7 @@ def _decay_instance(idx: int, rng):
     problem = eigenmode_problem(c, root, phase)
     stride = 2.0 * root.semicycle
     horizon = c + 4.6 * stride
-    (traj,), = yield [((problem,), horizon, 0.01)]
+    traj, = yield [(problem, horizon, 0.01)]
     rho, _peaks = envelope_decay_ratio(traj, stride, t0=c)
     row = (idx, c, root.branch, root.value.real, root.value.imag, stride, rho)
     return [row], 1, 0 if rho < 1.0 else 1, [rho], 0
@@ -242,7 +242,7 @@ def _random_margin_problem(rng) -> DelayProblem:
 
 def _margin_instance(idx: int, rng):
     problem = _random_margin_problem(rng)
-    (traj,), = yield [((problem,), 16.0, 0.01)]
+    traj, = yield [(problem, 16.0, 0.01)]
     try:
         # the zeros and peaks from one slope scan, as classify reads them
         zeros, stationary = _zero_scan(traj, _SCAN_TOL)
@@ -339,8 +339,8 @@ def _comparison_instance(idx: int, rng):
     # verify_comparison, with its integrations yielded
     minorant, majorant = _comparison_pair(rng)
     _check_comparison(minorant, majorant, 10.0)
-    (z,), (y,) = yield [((minorant,), 10.0, _COMPARISON_STEP),
-                        ((majorant,), 10.0, _COMPARISON_STEP)]
+    z, y = yield [(minorant, 10.0, _COMPARISON_STEP),
+                  (majorant, 10.0, _COMPARISON_STEP)]
     ok, violation = _comparison_violation(z, y, 10.0)
     return [(idx, violation)], 1, 0 if ok else 1, [violation], 0
 
@@ -357,8 +357,8 @@ def _wronskian_instance(idx: int, rng):
     tau = _piecewise_linear(rng, 0.0, tau_m, 0.0, 50.0,
                             int(rng.integers(2, 4)))
     # wronskian_min, with its integration yielded
-    (z, y), = yield [(_fundamental_problems(p, tau, 0.0), 50.0,
-                      _WRONSKIAN_STEP)]
+    z, y = yield [(prob, 50.0, _WRONSKIAN_STEP)
+                  for prob in _fundamental_problems(p, tau, 0.0)]
     min_w = _least_wronskian(z, y, 50.0)
     return ([(idx, p_sup, tau_m, min_w)], 1, 0 if min_w > 0.0 else 1, [min_w],
             0)
@@ -443,7 +443,7 @@ def _run_window(task: tuple) -> list:
             got = [next(outs) for _ in groups]
             failed = [o for o in got if isinstance(o, Exception)]
             reply = failed[0] if failed else [
-                _trajectories(g[0], o) for g, o in zip(groups, got)]
+                Trajectory(*o, problem=g[0]) for g, o in zip(groups, got)]
             groups = resume(i, inst, reply)
             if groups is not None:
                 waiting.append((i, inst, groups))

@@ -34,26 +34,18 @@ with no delay or by one that reads each stage as the plan says. Both paths
 perform the same floating-point operations in the same order, so the
 trajectory does not depend on how the steps were grouped.
 
-The integrator carries a column axis: x and x′ are (n, k) arrays, k
-solutions of problems that differ only in x(s⁺) and x′(s⁺). They share
-the step grid and the whole chunk plan except the values a stage reads at
-u = s right of the start jump. A block broadcasts its step data over the
-columns, and the scalar kernel takes its steps once per column, so every
-column equals a run of its own bit for bit.
-
-Problems that differ in everything still share the blocks' fixed numpy
-cost when they run in lockstep (the ensemble idea of DifferentialEquations.jl,
-Rackauckas & Nie 2017). ``_integrate_columns`` is a generator: it plans
-its step grid, chunks and scalar runs as above, but yields each block
-instead of taking it. ``_integrate_many`` drives several such groups of
-one column count, whose nodes lie one after the other in one shared x and
-x′ buffer; each round it takes every group's ready block with one
-``_advance_blocks`` call, which gathers by global node index and keeps
-each block's running sums in a row of their own, so every group equals a
-run of its own bit for bit. A group that raises hands its exception to its
-caller and leaves the others as they would be alone. ``integrate`` and
-``fundamental_system`` (its pair in one two-column pass) are the one-group
-case, the harness's suites the many-group one.
+Problems share the blocks' fixed numpy cost when they run in lockstep (the
+ensemble idea of DifferentialEquations.jl, Rackauckas & Nie 2017).
+``_integration`` is a generator: it plans one problem's step grid, chunks
+and scalar runs as above, but yields each block instead of taking it.
+``_integrate_many`` drives several such runs, whose nodes lie one after
+the other in one shared x and x′ buffer; each round it takes every run's
+ready block with one ``_advance_blocks`` call, which gathers by global
+node index and keeps each block's running sums in a row of their own, so
+every run equals a run of its own bit for bit. A run that raises hands its
+exception to its caller and leaves the others as they would be alone.
+``integrate`` runs one problem this way, ``fundamental_system`` its pair
+and the harness's suites a window of instances.
 
 A zero or extremum scan bisects each sign change of x or x′ on its own
 step, one bracket after the other, in Python floats with the operations of
@@ -376,10 +368,10 @@ def _forced_nodes(problem: DelayProblem, horizon: float) -> np.ndarray:
 # steps whose stages are planned together: bounds the planning arrays to
 # about 0.3 MB whatever the horizon
 _CHUNK = 512
-# shortest run of steps advanced as a numpy block: a block costs 35-65 µs,
-# a scalar step reading accepted output 3-5 µs per column, so one column
-# breaks even near 10-15 steps and two (fundamental_system, most short
-# runs) near 5-8; yet the suites time the same within noise at 3, 6 and 10
+# shortest run of steps advanced as a numpy block: a block alone costs
+# 35-65 µs, a scalar step reading accepted output 3-5 µs, so one block
+# breaks even near 10-15 steps, less in a shared round; the suites time
+# the same within noise at 3, 6 and 10
 _MIN_BLOCK = 3
 # most steps one integration may take: about 100× the longest run the
 # package's tests and scripts make (94,248 steps, reproduce_examples.py
@@ -413,7 +405,8 @@ class _ChunkPlan:
     """Stage data of steps c0 … c1−1, computed with numpy before they run.
 
     Row r of each (3, m) array is one stage time σ of the m steps: t₀, the
-    midpoint (read by both middle RK4 stages) and t₁; ``neg_p`` is −p(σ).
+    midpoint (read by both middle RK4 stages) and t₁. ``table`` holds each
+    step's width hh, hh/2, hh/6 and −p(σ), then each read's h and weights.
     A chunk with no delayed stage builds nothing more (``kind`` is None).
     Otherwise ``kind`` says where each stage's delayed value x(u),
     u = σ − τ(σ), comes from, sorted by the scalar scheme's tests in their
@@ -422,32 +415,25 @@ class _ChunkPlan:
     node read is ``reach``, and ``w`` the weights of each _DENSE and
     _OVERLAP read. A step whose stages all read values or accepted output
     can join a block (``ok``); every other step runs through
-    ``_take_steps``, which reads ``table`` and ``scalar``.
-
-    One plan serves k solution columns that differ only in x(s⁺) and
-    x′(s⁺) (``x_plus`` holds the k values of x(s⁺)). Only ``hv`` depends on
-    the column, so it alone is (3, m, k): a stage reading u = s right of
-    the start jump reads its own column's x(s⁺). When every stage of the
-    chunk reads past s, no stage reads a known value and ``hv`` is None.
+    ``_take_steps``, which reads ``table`` and ``scalar``. When every stage
+    of the chunk reads past s, no stage reads a known value and ``hv`` is
+    None; a stage reading u = s right of the start jump reads x(s⁺).
     """
 
     def __init__(self, problem: DelayProblem, ts: np.ndarray, c0: int,
                  c1: int, seg_p: np.ndarray, seg_tau: np.ndarray,
-                 tau_m: float, hist_floor: float, hist_at_start: float,
-                 x_plus: np.ndarray):
+                 tau_m: float, hist_floor: float, hist_at_start: float):
         s = problem.start
         self.c0 = c0
         t0, t1 = ts[c0:c1], ts[c0 + 1:c1 + 1]
-        # per step, hh, hh/2, hh/6 and −p, then each stage's h and weights:
         # what the scalar loop reads, row by row of its transpose
         self.table = table = np.empty((21, c1 - c0))
-        self.hh = hh = np.subtract(t1, t0, out=table[0])
-        self.hh2 = np.multiply(0.5, hh, out=table[1])
-        self.hh6 = np.divide(hh, 6.0, out=table[2])
+        hh = np.subtract(t1, t0, out=table[0])
+        np.multiply(0.5, hh, out=table[1])
+        np.divide(hh, 6.0, out=table[2])
         tm = t0 + 0.5 * hh
         sigma = np.array((t0, tm, t1))
-        self.neg_p = np.negative(problem.p.eval_in_segment(seg_p, sigma),
-                                 out=table[3:6])
+        np.negative(problem.p.eval_in_segment(seg_p, sigma), out=table[3:6])
         tau = problem.tau.eval_in_segment(seg_tau, sigma)
         tv = np.where(tau < 0.0, 0.0, tau)
         neg = tau < -1e-12
@@ -457,7 +443,7 @@ class _ChunkPlan:
             return
         self.u = u = sigma - tv
         self.kind = kind = np.where(neg, _RAISE, np.where(
-            ode, _ODE, np.where(u > t0, _OVERLAP, _DENSE)))
+            ode, _ODE, np.where(u > t0, _OVERLAP, _DENSE))).astype(np.int8)
         self.hv = None
         if not (u > s).all():
             # u = s reads x(s⁻) left of the start jump and x(s⁺) right of
@@ -471,11 +457,11 @@ class _ChunkPlan:
                 & ~(at_s & right_of_start & ~first)
             kind[known] = np.where(u[known] < hist_floor, _RAISE, _VALUE)
             self.hv = hv = np.where(
-                at_s[:, :, None], np.where(right_of_start[:, None], x_plus,
-                                           hist_at_start), 0.0)
+                at_s, np.where(right_of_start, problem.initial_value,
+                               hist_at_start), 0.0)
             hist = (kind == _VALUE) & ~at_s
             if hist.any():
-                hv[hist] = problem.history(u[hist])[:, None]
+                hv[hist] = problem.history(u[hist])
         raising = kind == _RAISE
         if raising.any():  # what the first _RAISE stage raises
             k = int(raising.any(axis=0).argmax())
@@ -494,11 +480,11 @@ class _ChunkPlan:
         left = np.arange(c0, c1)
         jj = np.minimum(np.searchsorted(ts, u, side="right"), left) - 1
         self.jj = jj = np.where(dense, jj, left)
-        self.jj1 = jj + 1
-        self.reach = np.where(dense, self.jj1, 0).max(axis=0)
+        jj1 = jj + 1
+        self.reach = np.where(dense, jj1, 0).max(axis=0)
         # the bracket's width h and the fraction of it read; an overlap read
         # takes the step as its bracket, and its first pass reads h = u − t₀
-        h = ts[self.jj1] - ts[jj]
+        h = ts[jj1] - ts[jj]
         frac = np.where(dense, (u - ts[jj]) / h, 0.0)
         if over.any():
             du = u - t0
@@ -513,7 +499,7 @@ class _ChunkPlan:
         """Per step: the kinds of its stages and the left node of each
         _DENSE bracket counted from the step's right node (−1: its left
         node); and a list of the first node each step reads."""
-        left = np.arange(self.c0, self.c0 + self.hh.size)
+        left = np.arange(self.c0, self.c0 + self.table.shape[1])
         return (np.concatenate((self.kind, self.jj - left - 1)).T,
                 self.jj.min(axis=0).tolist())
 
@@ -523,20 +509,17 @@ class _ChunkPlan:
         Every stage reads the history or nodes up to the block's first node,
         so no v-stage depends on the block's own x: the v increments come
         first, then the x increments from the v at each step's start, each
-        solution column summed in step order by ``np.add.accumulate``. The
-        step data broadcast over the column axis of the (n, k) ``xs`` and
-        ``vs``, so each column gets the operations of a run of its own.
+        summed in step order by ``np.add.accumulate``.
         """
         j0, j1 = self.c0 + b, self.c0 + e
-        jj, jj1 = self.jj[:, b:e], self.jj1[:, b:e]
-        delayed = _hermite(xs[jj], vs[jj], xs[jj1], vs[jj1],
-                           self.h[:, b:e, None], self.w[:, :, b:e, None])
+        jj = self.jj[:, b:e]
+        jj1 = jj + 1
+        delayed = _hermite(xs[jj], vs[jj], xs[jj1], vs[jj1], self.h[:, b:e],
+                           self.w[:, :, b:e])
         if self.hv is not None:
-            delayed = np.where(self.dense[:, b:e, None], delayed,
-                               self.hv[:, b:e])
-        k1v, k2v, k4v = self.neg_p[:, b:e, None] * delayed
-        hh, hh2, hh6 = (self.hh[b:e, None], self.hh2[b:e, None],
-                        self.hh6[b:e, None])
+            delayed = np.where(self.dense[:, b:e], delayed, self.hv[:, b:e])
+        k1v, k2v, k4v = self.table[3:6, b:e] * delayed
+        hh, hh2, hh6 = self.table[:3, b:e]
         # both middle stages read the midpoint's delayed value: k3v = k2v
         vs[j0 + 1:j1 + 1] = hh6 * (k1v + 2 * k2v + 2 * k2v + k4v)
         np.add.accumulate(vs[j0:j1 + 1], out=vs[j0:j1 + 1])
@@ -550,8 +533,8 @@ class _ChunkPlan:
 
 def _take_steps(plan: _ChunkPlan, b: int, e: int, xs: np.ndarray,
                 vs: np.ndarray) -> None:
-    """Take steps b … e−1 of the chunk one at a time, one solution column
-    after the other, by classical RK4 in Python floats.
+    """Take steps b … e−1 of the chunk one at a time by classical RK4 in
+    Python floats.
 
     A chunk with no delayed stage runs RK4 alone. Any other step reads each
     stage's delayed value as the plan says: its own x (_ODE), a known
@@ -565,27 +548,22 @@ def _take_steps(plan: _ChunkPlan, b: int, e: int, xs: np.ndarray,
     inside its own step, so k1v and k2x are the same in every pass."""
     j0, j1 = plan.c0 + b, plan.c0 + e
     if plan.kind is None:  # each stage reads its own x
-        steps = zip(plan.hh[b:e].tolist(), plan.hh2[b:e].tolist(),
-                    plan.hh6[b:e].tolist(), *plan.neg_p[:, b:e].tolist())
-        if xs.shape[1] > 1:
-            steps = list(steps)
-        for xc, vc in zip(xs.T, vs.T):
-            x0, v0 = xc.item(j0), vc.item(j0)
-            out_x, out_v = [], []
-            for hh, hh2, hh6, n0, nm, n1 in steps:
-                k1v = n0 * x0
-                k2x = v0 + hh2 * k1v
-                k2v = nm * (x0 + hh2 * v0)
-                k3x = v0 + hh2 * k2v
-                k3v = nm * (x0 + hh2 * k2x)
-                k4x = v0 + hh * k3v
-                k4v = n1 * (x0 + hh * k3x)
-                x0 = x0 + hh6 * (v0 + 2 * k2x + 2 * k3x + k4x)
-                v0 = v0 + hh6 * (k1v + 2 * k2v + 2 * k3v + k4v)
-                out_x.append(x0)
-                out_v.append(v0)
-            xc[j0 + 1:j1 + 1] = out_x
-            vc[j0 + 1:j1 + 1] = out_v
+        x0, v0 = xs.item(j0), vs.item(j0)
+        out_x, out_v = [], []
+        for hh, hh2, hh6, n0, nm, n1 in zip(*plan.table[:6, b:e].tolist()):
+            k1v = n0 * x0
+            k2x = v0 + hh2 * k1v
+            k2v = nm * (x0 + hh2 * v0)
+            k3x = v0 + hh2 * k2v
+            k3v = nm * (x0 + hh2 * k2x)
+            k4x = v0 + hh * k3v
+            k4v = n1 * (x0 + hh * k3x)
+            x0 = x0 + hh6 * (v0 + 2 * k2x + 2 * k3x + k4x)
+            v0 = v0 + hh6 * (k1v + 2 * k2v + 2 * k3v + k4v)
+            out_x.append(x0)
+            out_v.append(v0)
+        xs[j0 + 1:j1 + 1] = out_x
+        vs[j0 + 1:j1 + 1] = out_v
         return
     reads, first = plan.scalar
     rows, reads = plan.table.T[b:e], reads[b:e].tolist()
@@ -602,56 +580,54 @@ def _take_steps(plan: _ChunkPlan, b: int, e: int, xs: np.ndarray,
                     row[r] = len(pre)
                     pre += (a, a + 1)
         pre.append(j0)
-    for col, (xc, vc) in enumerate(zip(xs.T, vs.T)):
-        X, V = xc[pre].tolist(), vc[pre].tolist()
-        x0, v0 = X[-1], V[-1]
-        known = (repeat(None) if plan.hv is None
-                 else plan.hv[:, b:e, col].T.tolist())
-        for (hh, hh2, hh6, n0, nm, n1, h0, hm, h1, p0, q0, r0, p1, q1, r1,
-             p2, q2, r2, p3, q3, r3), (k0, km, k1, i0, im, i1), val in zip(
-                 map(np.ndarray.tolist, rows), reads, known):
-            if k0 == _DENSE:
-                d0 = (X[i0] * p0 + V[i0] * h0 * p1 + X[i0 + 1] * p2
-                      + V[i0 + 1] * h0 * p3)
-            elif k0 == _VALUE:
-                d0 = val[0]
-            else:
-                d0 = x0
-            if km == _DENSE:
-                dm = (X[im] * q0 + V[im] * hm * q1 + X[im + 1] * q2
-                      + V[im + 1] * hm * q3)
-            elif km == _OVERLAP:
-                dm = x0 + v0 * hm
-            else:
-                dm = val[1] if km == _VALUE else None
-            if k1 == _DENSE:
-                d1 = (X[i1] * r0 + V[i1] * h1 * r1 + X[i1 + 1] * r2
-                      + V[i1 + 1] * h1 * r3)
-            elif k1 == _OVERLAP:
-                d1 = x0 + v0 * h1
-            else:
-                d1 = val[2] if k1 == _VALUE else None
-            k1v = n0 * d0
-            k2x = v0 + hh2 * k1v
-            over = km == _OVERLAP or k1 == _OVERLAP
-            for later in (False, True, True) if over else (False,):
-                if later:  # read the previous pass's interpolant
-                    if km == _OVERLAP:
-                        dm = x0 * q0 + v0 * hh * q1 + x1 * q2 + v1 * hh * q3
-                    if k1 == _OVERLAP:
-                        d1 = x0 * r0 + v0 * hh * r1 + x1 * r2 + v1 * hh * r3
-                k2v = nm * (x0 + hh2 * v0 if dm is None else dm)
-                k3x = v0 + hh2 * k2v
-                k3v = nm * (x0 + hh2 * k2x) if dm is None else k2v
-                k4x = v0 + hh * k3v
-                k4v = n1 * (x0 + hh * k3x if d1 is None else d1)
-                x1 = x0 + hh6 * (v0 + 2 * k2x + 2 * k3x + k4x)
-                v1 = v0 + hh6 * (k1v + 2 * k2v + 2 * k3v + k4v)
-            X.append(x1)
-            V.append(v1)
-            x0, v0 = x1, v1
-        xc[j0 + 1:j1 + 1] = X[b - e:]
-        vc[j0 + 1:j1 + 1] = V[b - e:]
+    X, V = xs[pre].tolist(), vs[pre].tolist()
+    x0, v0 = X[-1], V[-1]
+    known = repeat(None) if plan.hv is None else plan.hv[:, b:e].T.tolist()
+    for (hh, hh2, hh6, n0, nm, n1, h0, hm, h1, p0, q0, r0, p1, q1, r1,
+         p2, q2, r2, p3, q3, r3), (k0, km, k1, i0, im, i1), val in zip(
+             map(np.ndarray.tolist, rows), reads, known):
+        if k0 == _DENSE:
+            d0 = (X[i0] * p0 + V[i0] * h0 * p1 + X[i0 + 1] * p2
+                  + V[i0 + 1] * h0 * p3)
+        elif k0 == _VALUE:
+            d0 = val[0]
+        else:
+            d0 = x0
+        if km == _DENSE:
+            dm = (X[im] * q0 + V[im] * hm * q1 + X[im + 1] * q2
+                  + V[im + 1] * hm * q3)
+        elif km == _OVERLAP:
+            dm = x0 + v0 * hm
+        else:
+            dm = val[1] if km == _VALUE else None
+        if k1 == _DENSE:
+            d1 = (X[i1] * r0 + V[i1] * h1 * r1 + X[i1 + 1] * r2
+                  + V[i1 + 1] * h1 * r3)
+        elif k1 == _OVERLAP:
+            d1 = x0 + v0 * h1
+        else:
+            d1 = val[2] if k1 == _VALUE else None
+        k1v = n0 * d0
+        k2x = v0 + hh2 * k1v
+        over = km == _OVERLAP or k1 == _OVERLAP
+        for later in (False, True, True) if over else (False,):
+            if later:  # read the previous pass's interpolant
+                if km == _OVERLAP:
+                    dm = x0 * q0 + v0 * hh * q1 + x1 * q2 + v1 * hh * q3
+                if k1 == _OVERLAP:
+                    d1 = x0 * r0 + v0 * hh * r1 + x1 * r2 + v1 * hh * r3
+            k2v = nm * (x0 + hh2 * v0 if dm is None else dm)
+            k3x = v0 + hh2 * k2v
+            k3v = nm * (x0 + hh2 * k2x) if dm is None else k2v
+            k4x = v0 + hh * k3v
+            k4v = n1 * (x0 + hh * k3x if d1 is None else d1)
+            x1 = x0 + hh6 * (v0 + 2 * k2x + 2 * k3x + k4x)
+            v1 = v0 + hh6 * (k1v + 2 * k2v + 2 * k3v + k4v)
+        X.append(x1)
+        V.append(v1)
+        x0, v0 = x1, v1
+    xs[j0 + 1:j1 + 1] = X[b - e:]
+    vs[j0 + 1:j1 + 1] = V[b - e:]
 
 
 def integrate(problem: DelayProblem, horizon: float, step: float = 0.01
@@ -665,19 +641,14 @@ def integrate(problem: DelayProblem, horizon: float, step: float = 0.01
     DomainError for nonpositive steps, an empty horizon, or more than
     ``_MAX_STEPS`` steps.
     """
-    problems = (problem,)
-    return _trajectories(problems, _integrate_one(problems, horizon, step))[0]
+    return _solve((problem,), horizon, step)[0]
 
 
-def _integrate_columns(problems: tuple, horizon: float, step: float):
-    """``integrate`` for problems that differ only in x(s⁺) and x′(s⁺), as
-    a generator that ``_integrate_many`` drives. It yields the node count
-    n and is sent the (n, k) x and x′ arrays to fill, column c solving
-    ``problems[c]``; then it yields each block (plan, b, e) for the driver
-    to advance before it goes on, and returns the nodes. p, τ, the history
-    and so the step grid and the whole chunk plan are those of
-    ``problems[0]``; every column equals a run of its own bit for bit."""
-    problem = problems[0]
+def _integration(problem: DelayProblem, horizon: float, step: float):
+    """``integrate`` as a generator that ``_integrate_many`` drives. It
+    yields the node count n and is sent the x and x′ arrays of n nodes to
+    fill; then it yields each block (plan, b, e) for the driver to advance
+    before it goes on, and returns the nodes."""
     if not step > 0.0:
         raise DomainError(f"step must be positive, got {step}")
     s = problem.start
@@ -697,9 +668,8 @@ def _integrate_columns(problems: tuple, horizon: float, step: float):
             f"steps, more than the limit of {_MAX_STEPS}")
     ts, first = _step_grid(nodes, counts.astype(np.intp))
     xs, vs = yield ts.size
-    x_plus = np.array([prob.initial_value for prob in problems])
-    xs[0] = x_plus
-    vs[0] = [prob.initial_slope for prob in problems]
+    xs[0] = problem.initial_value
+    vs[0] = problem.initial_slope
     # p and τ are pinned to the segment owning each gap's interior
     mids = nodes[:-1] + 0.5 * (nodes[1:] - nodes[:-1])
     seg_p = problem.p.segment_index(mids)
@@ -710,7 +680,7 @@ def _integrate_columns(problems: tuple, horizon: float, step: float):
         c1 = min(c0 + _CHUNK, n_steps)
         gap = np.searchsorted(first, np.arange(c0, c1), side="right") - 1
         plan = _ChunkPlan(problem, ts, c0, c1, seg_p[gap], seg_tau[gap],
-                          tau_m, hist_floor, hist_at_start, x_plus)
+                          tau_m, hist_floor, hist_at_start)
         b, m = 0, c1 - c0
         if plan.kind is None:
             _take_steps(plan, b, m, xs, vs)
@@ -738,13 +708,13 @@ def _integrate_columns(problems: tuple, horizon: float, step: float):
 
 def _advance_blocks(blocks: list, xs: np.ndarray, vs: np.ndarray) -> None:
     """Take every block (plan, b, e, offset) of a round in one pass, each
-    group's nodes lying at its offset in the shared (N, k) ``xs`` and
-    ``vs``, with the operations ``_ChunkPlan.advance`` gives each alone.
+    run's nodes lying at its offset in the shared ``xs`` and ``vs``, with
+    the operations ``_ChunkPlan.advance`` gives each alone.
 
     One block goes through ``advance`` itself. Otherwise the blocks' steps
     are concatenated: the Hermite gather reads global node indices, and the
     RK4 arithmetic runs on all steps at once. Each block's running sums then
-    take one row of a zero-padded (P, L + 1, k) array, led by the block's
+    take one row of a zero-padded (P, L + 1) array, led by the block's
     first node, so ``np.add.accumulate`` along the rows adds each block's
     steps in the same order as ``advance`` does."""
     if len(blocks) == 1:
@@ -756,7 +726,7 @@ def _advance_blocks(blocks: list, xs: np.ndarray, vs: np.ndarray) -> None:
     width = max(lens) + 1
     # step i of the concatenation, step i − i0 of block r, ends at padded
     # row r·width + 1 + i − i0 and at node j0 + 1 + i − i0, and its
-    # bracket indices shift by its group's offset
+    # bracket indices shift by its run's offset
     j0, shift = [], []
     for r, ((plan, b, _, off), i) in enumerate(
             zip(blocks, accumulate(lens, initial=0))):
@@ -771,23 +741,22 @@ def _advance_blocks(blocks: list, xs: np.ndarray, vs: np.ndarray) -> None:
                         axis=1)
     jj += shift[:, 0]
     jj1 = jj + 1
-    delayed = _hermite(xs[jj], vs[jj], xs[jj1], vs[jj1], steps[6:9, :, None],
-                       steps[9:].reshape(4, 3, size, 1))
+    delayed = _hermite(xs[jj], vs[jj], xs[jj1], vs[jj1], steps[6:9],
+                       steps[9:].reshape(4, 3, size))
     if any(plan.hv is not None for plan, *_ in blocks):
-        k = xs.shape[1]
         dense = np.concatenate([plan.dense[:, b:e]
                                 for plan, b, e, _ in blocks], axis=1)
-        hv = np.concatenate([np.zeros((3, e - b, k)) if plan.hv is None
+        hv = np.concatenate([np.zeros((3, e - b)) if plan.hv is None
                              else plan.hv[:, b:e]
                              for plan, b, e, _ in blocks], axis=1)
-        delayed = np.where(dense[:, :, None], delayed, hv)
-    k1v, k2v, k4v = steps[3:6, :, None] * delayed
-    hh, hh2, hh6 = steps[0, :, None], steps[1, :, None], steps[2, :, None]
-    sums = np.zeros((len(blocks) * width, xs.shape[1]))
+        delayed = np.where(dense, delayed, hv)
+    k1v, k2v, k4v = steps[3:6] * delayed
+    hh, hh2, hh6 = steps[0], steps[1], steps[2]
+    sums = np.zeros(len(blocks) * width)
     sums[::width] = vs[j0]
     # both middle stages read the midpoint's delayed value: k3v = k2v
     sums[flat] = hh6 * (k1v + 2 * k2v + 2 * k2v + k4v)
-    rows = sums.reshape(len(blocks), width, -1)
+    rows = sums.reshape(len(blocks), width)
     np.add.accumulate(rows, axis=1, out=rows)
     vs[dst] = sums[flat]
     v0 = sums[flat - 1]
@@ -797,86 +766,78 @@ def _advance_blocks(blocks: list, xs: np.ndarray, vs: np.ndarray) -> None:
     sums = np.zeros_like(sums)
     sums[::width] = xs[j0]
     sums[flat] = hh6 * (v0 + 2 * k2x + 2 * k3x + k4x)
-    rows = sums.reshape(len(blocks), width, -1)
+    rows = sums.reshape(len(blocks), width)
     np.add.accumulate(rows, axis=1, out=rows)
     xs[dst] = sums[flat]
 
 
 def _integrate_many(groups):
-    """Integrate groups (problems, horizon, step), each as
-    ``_integrate_columns`` would, in lockstep: every round takes the ready
-    block of every group with one ``_advance_blocks`` call. Yields, in the
-    groups' order, each group's (nodes, x, x′) or the exception it raised;
-    a raising group leaves the others as they would be alone.
+    """Integrate groups (problem, horizon, step), each as ``integrate``
+    would, in lockstep: every round takes the ready block of every group
+    with one ``_advance_blocks`` call. Yields, in the groups' order, each
+    group's (nodes, x, x′) or the exception it raised; a raising group
+    leaves the others as they would be alone.
 
-    Groups run in batches that share one (N, k) output buffer: a batch
-    holds groups of one column count and at most ``_MAX_STEPS`` steps in
-    all. A batch runs when its first output is asked for, so a caller that
-    lets go of each batch's outputs before it asks for the next one's holds
-    one batch's buffers at a time."""
-    batch, total, k = [], 0, 0
-    for problems, horizon, step in groups:
-        run = _integrate_columns(problems, horizon, step)
+    Groups run in batches that share one output buffer of at most
+    ``_MAX_STEPS`` steps in all. A batch runs when its first output is
+    asked for, so a caller that lets go of each batch's outputs before it
+    asks for the next one's holds one batch's buffers at a time."""
+    batch, total = [], 0
+    for problem, horizon, step in groups:
+        run = _integration(problem, horizon, step)
         try:
             n = next(run)
         except Exception as exc:  # noqa: BLE001 - the group's outcome
             batch.append(exc)
             continue
-        if total and (len(problems) != k or total + n - 1 > _MAX_STEPS):
-            yield from _lockstep(batch, k)
+        if total and total + n - 1 > _MAX_STEPS:
+            yield from _lockstep(batch)
             batch, total = [], 0
         batch.append((run, n))
         total += n - 1
-        k = len(problems)
-    yield from _lockstep(batch, k)
+    yield from _lockstep(batch)
 
 
-def _lockstep(batch: list, k: int):
+def _lockstep(batch: list):
     """The outcomes of one batch of ``_integrate_many``: its runs, each
     past its first yield (or the exception that stopped it there), in one
-    shared buffer of k columns."""
+    shared buffer; each run's outcome takes its place in ``batch``."""
     size = sum(entry[1] for entry in batch if isinstance(entry, tuple))
-    xs, vs = np.zeros((size, k)), np.zeros((size, k))
-    out = list(batch)
+    xs, vs = np.zeros(size), np.zeros(size)
     live, off = [], 0
     for i, entry in enumerate(batch):
         if isinstance(entry, tuple):
-            run, n = entry
-            live.append((i, run, off, (xs[off:off + n], vs[off:off + n])))
-            off += n
+            at = slice(off, off + entry[1])
+            live.append((i, entry[0], at, (xs[at], vs[at])))
+            off = at.stop
     while live:
         ready, waiting = [], []
-        for i, run, off, reply in live:
+        for i, run, at, reply in live:
             try:
                 plan, b, e = run.send(reply)
             except StopIteration as stop:
-                n = stop.value.size
-                out[i] = stop.value, xs[off:off + n], vs[off:off + n]
+                batch[i] = stop.value, xs[at], vs[at]
                 continue
             except Exception as exc:  # noqa: BLE001 - the group's outcome
-                out[i] = exc
+                batch[i] = exc
                 continue
-            ready.append((plan, b, e, off))
-            waiting.append((i, run, off, None))
+            ready.append((plan, b, e, at.start))
+            waiting.append((i, run, at, None))
         if ready:
             _advance_blocks(ready, xs, vs)
         live = waiting
-    yield from out
+    yield from batch
 
 
-def _integrate_one(problems: tuple, horizon: float, step: float) -> tuple:
-    """(nodes, x, x′) of one group; raises what the group raised."""
-    out, = _integrate_many(((problems, horizon, step),))
-    if isinstance(out, Exception):
-        raise out
-    return out
-
-
-def _trajectories(problems: tuple, out: tuple) -> tuple:
-    """One Trajectory per column of a group's (nodes, x, x′)."""
-    ts, xs, vs = out
-    return tuple(Trajectory(ts, xs[:, c], vs[:, c], problem=prob)
-                 for c, prob in enumerate(problems))
+def _solve(problems: tuple, horizon: float, step: float) -> tuple:
+    """One Trajectory per problem, all integrated in lockstep to one
+    horizon at one step; raises the first exception a problem raised."""
+    outs = list(_integrate_many((prob, horizon, step) for prob in problems))
+    for out in outs:
+        if isinstance(out, Exception):
+            raise out
+    return tuple(Trajectory(*out, problem=prob)
+                 for prob, out in zip(problems, outs))
 
 
 # ----------------------------------------------------------------------
@@ -1036,15 +997,14 @@ def fundamental_system(p: PiecewiseSignal, tau: PiecewiseSignal, s: float,
                        horizon: float, step: float = 0.01
                        ) -> tuple[Trajectory, Trajectory]:
     """The pair (z, y): identically-zero history with unit jumps at s —
-    z(s) = 1, z′(s) = 0 and y(s) = 0, y′(s) = 1 — integrated in one
-    two-column pass, each equal to its own ``integrate`` run."""
-    problems = _fundamental_problems(p, tau, s)
-    return _trajectories(problems, _integrate_one(problems, horizon, step))
+    z(s) = 1, z′(s) = 0 and y(s) = 0, y′(s) = 1 — integrated in lockstep,
+    each equal to its own ``integrate`` run."""
+    return _solve(_fundamental_problems(p, tau, s), horizon, step)
 
 
 def _fundamental_problems(p: PiecewiseSignal, tau: PiecewiseSignal,
                           s: float) -> tuple:
-    """The problems of z and y, one group of ``_integrate_many``."""
+    """The problems of z and y."""
     zero_hist = PiecewiseSignal.constant(0.0)
     return (DelayProblem(p, tau, s, zero_hist, 1.0, 0.0),
             DelayProblem(p, tau, s, zero_hist, 0.0, 1.0))

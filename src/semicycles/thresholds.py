@@ -202,14 +202,26 @@ def _check_delay(delta: float) -> None:
 def eval_r(delta: float, t: float) -> float:
     """Descent profile r_Δ at a single time (1 for t ≤ 0; cos(t) when Δ=0).
 
-    Raises DomainError for a non-finite t, and where the series cannot be
-    summed at t (far beyond ϑ_Δ + 2, the latest time the package reads).
+    Raises DomainError for a non-finite t, where the series cannot be
+    summed at t, and where 2⁻⁵³·n·cosh t, which bounds the rounding of its
+    n terms (their magnitudes add up to at most cosh t), exceeds 1e−6 of
+    max(1, |r|): from about t = 20 at small Δ, far beyond ϑ_Δ + 2, the
+    latest time the package reads.
     """
     delta, t = float(delta), float(t)
     _check_delay(delta)
     if not math.isfinite(t):
         raise DomainError(f"time must be finite, got {t}")
-    return _r_scalar(delta, t)
+    r = _r_scalar(delta, t)
+    if t > 0.0 and delta > 0.0:
+        # n ≤ t/Δ + 2 terms are active (base t − (k − 1)·Δ > 0)
+        n = min(len(_FACTORIALS), t / delta + 2.0)
+        bound = 2.0 ** -53 * n * (math.cosh(t) if t < 710.0 else math.inf)
+        if not bound <= 1e-6 * max(1.0, abs(r)):
+            raise DomainError(
+                f"descent profile series at t={t}, delta={delta}: rounding "
+                f"bound {bound:.3g} exceeds 1e-6·max(1, |r|), r = {r:.6g}")
+    return r
 
 
 @functools.lru_cache(maxsize=8192)

@@ -162,7 +162,7 @@ def test_lowest_failing_instance_raises_its_own_error(monkeypatch, window):
 
     def failing(idx, rng):
         if idx == 2:  # raises in its integration
-            yield [((bad,), 3.0, 0.01)]
+            yield [(bad, 3.0, 0.01)]
         if idx == 4:  # raises before it integrates, yet comes later
             raise DomainError("instance 4")
         return (yield from instance(idx, rng))

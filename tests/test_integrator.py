@@ -451,7 +451,7 @@ def test_block_integrator_matches_reference_piecewise(tau_segments):
 def test_block_integrator_matches_reference_jump_history():
     p = PiecewiseSignal((0.0, 2.0, 5.0), ((-0.5, 0.1), (0.3,)), -0.5, 0.3)
     zero = PiecewiseSignal.constant(0.0)
-    # the second delay is below the step: two columns of overlap steps
+    # the second delay is below the step: z and y both take overlap steps
     for tau in (PiecewiseSignal((0.0, 3.0), ((0.2, 0.3),), 0.2, 1.1),
                 PiecewiseSignal.constant(0.008)):
         z, y = fundamental_system(p, tau, 0.0, 6.0, step=0.02)
@@ -570,9 +570,9 @@ def test_block_integrator_matches_reference_deep_reads_of_a_lone_step(
                                 0.01)
         for got, want in zip((traj.ts, traj.xs, traj.vs), ref):
             assert _same_bytes(got, want)
-    # each rising step with the step before it, and the last step, in one
-    # column and in two
-    assert deep.count(True) == 6
+    # each rising step with the step before it, and the last step, in each
+    # of the three runs: z and y plan their own chunks
+    assert deep.count(True) == 9
 
 
 @pytest.mark.parametrize("tau, error", [
@@ -974,7 +974,7 @@ def test_dense_output_is_product_form_hermite(tau):
 
 
 # ----------------------------------------------------------------------
-# the two-column fundamental system against two single-column runs
+# the fundamental system in lockstep against two single runs
 # ----------------------------------------------------------------------
 
 def _random_pieces(rng, lo, hi, t0, t1):
@@ -1018,7 +1018,7 @@ def _fundamental_case(seed):
                               ((0.3,), (0.3, k)), 0.3, 0.3 + 2.0 * k)
     else:
         # u = 0.5t − t² is back at s = 0 at the end of the first step, which
-        # reads each column's own x(s⁺) (test_first_step_reads_right_limit_
+        # reads each problem's own x(s⁺) (test_first_step_reads_right_limit_
         # at_start)
         s, horizon, step = 0.0, horizon - s, 0.6
         p = _random_pieces(rng, -1.2, 1.2, s, horizon)
@@ -1089,11 +1089,11 @@ def test_fundamental_system_raises_like_single_runs(monkeypatch, tau):
 # ----------------------------------------------------------------------
 
 def _grouping_corpus():
-    """Groups (problems, horizon, step), one problem for ``integrate`` or
-    the pair of ``fundamental_system``, whose stages read every source:
-    their own x, the step's interpolant (overlap), accepted output, the
-    history across a start jump, x(s⁻) and x(s⁺) at u = s, and stages that
-    raise; the last entries are seeded."""
+    """Groups (problem, horizon, step), single problems and the pairs of
+    ``fundamental_system`` one after the other, whose stages read every
+    source: their own x, the step's interpolant (overlap), accepted output,
+    the history across a start jump, x(s⁻) and x(s⁺) at u = s, and stages
+    that raise; the last entries are seeded."""
     hist = PiecewiseSignal((-2.0, 0.0), ((0.3, -0.2),), 0.3, -0.1)
     const = PiecewiseSignal.constant
     neg = PiecewiseSignal((0.0, 1.0, 2.0), ((0.2,), (0.2, -1.0)), 0.2, 0.0)
@@ -1106,81 +1106,67 @@ def _grouping_corpus():
                                                   (0.0, 0.003)), 0.0, 0.003)
     pair = integrator._fundamental_problems
     groups = [
-        ((_const_problem(0.8, 0.0, 1.0, 1.0, 0.0),), 3.0, 0.01),
-        ((_const_problem(0.8, 0.004, 0.3, 1.0, 0.0),), 3.0, 0.01),
-        ((_const_problem(0.8, 0.007, 0.3, 1.0, 0.0),), 3.0, 0.01),
-        ((DelayProblem(const(0.9), sawtooth, 0.0, hist, 1.0, 0.2),), 3.0,
+        (_const_problem(0.8, 0.0, 1.0, 1.0, 0.0), 3.0, 0.01),
+        (_const_problem(0.8, 0.004, 0.3, 1.0, 0.0), 3.0, 0.01),
+        (_const_problem(0.8, 0.007, 0.3, 1.0, 0.0), 3.0, 0.01),
+        (DelayProblem(const(0.9), sawtooth, 0.0, hist, 1.0, 0.2), 3.0, 0.01),
+        *((prob, 3.0, 0.01) for tau in (const(0.004), _deep_read_tau())
+          for prob in pair(const(0.9), tau, 0.0)),
+        (DelayProblem(const(0.9), const(1.0), 0.0, hist, 1.0, 0.2), 4.0,
          0.01),
-        (pair(const(0.9), const(0.004), 0.0), 3.0, 0.01),
-        (pair(const(0.9), _deep_read_tau(), 0.0), 3.0, 0.01),
-        ((DelayProblem(const(0.9), const(1.0), 0.0, hist, 1.0, 0.2),), 4.0,
-         0.01),
-        ((DelayProblem(const(0.9), pinned, 0.0, hist, 1.0, 0.2),), 4.0,
-         0.01),
-        ((DelayProblem(const(0.9), into, 0.0, hist, 1.0, 0.2),), 6.0, 0.01),
-        ((DelayProblem(const(1.0), back, 0.0, hist, 1.0, 0.0),), 3.0, 0.6),
-        ((_piecewise_problem(((0.9, -0.3), (0.0,), (0.004, 0.001))),), 6.0,
+        (DelayProblem(const(0.9), pinned, 0.0, hist, 1.0, 0.2), 4.0, 0.01),
+        (DelayProblem(const(0.9), into, 0.0, hist, 1.0, 0.2), 6.0, 0.01),
+        (DelayProblem(const(1.0), back, 0.0, hist, 1.0, 0.0), 3.0, 0.6),
+        (_piecewise_problem(((0.9, -0.3), (0.0,), (0.004, 0.001))), 6.0,
          0.037),
-        ((_piecewise_problem(((0.005, 0.02, 0.1), (1.2, -0.3),
-                              (0.3, 0.2))),), 6.0, 0.01),
+        (_piecewise_problem(((0.005, 0.02, 0.1), (1.2, -0.3), (0.3, 0.2))),
+         6.0, 0.01),
     ]
-    groups.extend(((prob,), horizon, step)
-                  for prob, horizon, step in _signed_zero_problems())
+    groups.extend(_signed_zero_problems())
     for tau in (neg, const(1.2), deep):
-        groups.append(((_UncheckedDelay(const(1.0), tau, 0.0, const(0.5),
-                                        1.0, 0.0),), 3.0, 0.01))
-        groups.append((tuple(_UncheckedDelay(**vars(prob))
-                             for prob in pair(const(1.0), tau, 0.0)),
-                       3.0, 0.01))
+        groups.append((_UncheckedDelay(const(1.0), tau, 0.0, const(0.5), 1.0,
+                                       0.0), 3.0, 0.01))
+        groups.extend((_UncheckedDelay(**vars(prob)), 3.0, 0.01)
+                      for prob in pair(const(1.0), tau, 0.0))
     for seed in range(len(_REGIMES)):
         p, tau, s, horizon, step = _fundamental_case(seed)
         rng = np.random.default_rng([seed, 17])
         history = _random_pieces(rng, -1.0, 1.0, s - 2.0, s)
         x0, v0 = rng.uniform(-1.0, 1.0, 2).tolist()
-        groups.append((pair(p, tau, s), horizon, step))
-        groups.append(((DelayProblem(p, tau, s, history, x0, v0),), horizon,
+        groups.extend((prob, horizon, step) for prob in pair(p, tau, s))
+        groups.append((DelayProblem(p, tau, s, history, x0, v0), horizon,
                        step))
     return groups
 
 
 def _grouping_outcome(group):
-    """Every trajectory's nodes, x and x′, or the exception raised, from
-    ``integrate`` or ``fundamental_system``."""
-    problems, horizon, step = group
+    """The nodes, x and x′ of ``integrate``, or the exception raised."""
     try:
-        if len(problems) == 1:
-            out = (integrate(problems[0], horizon, step),)
-        else:
-            z = problems[0]
-            with pytest.MonkeyPatch.context() as mp:
-                if isinstance(z, _UncheckedDelay):
-                    # fundamental_system builds its own problems
-                    mp.setattr(DelayProblem, "tau_sup", z.tau_sup.__func__)
-                out = fundamental_system(z.p, z.tau, z.start, horizon, step)
+        traj = integrate(*group)
     except SemicycleError as exc:
         return type(exc), str(exc)
-    return [(t.ts, t.xs, t.vs) for t in out]
+    return traj.ts, traj.xs, traj.vs
 
 
 def test_grouping_corpus_reads_every_stage_source(monkeypatch):
     seen = set()
-    shapes = set()  # (stage kinds of a step, solution columns)
+    shapes = set()  # the stage kinds of a step
 
     class Recording(integrator._ChunkPlan):
         def __init__(self, problem, ts, *args):
             try:
                 super().__init__(problem, ts, *args)
             finally:
-                self.record(problem, len(args[-1]))
+                self.record(problem)
 
-        def record(self, problem, columns):
+        def record(self, problem):
             if self.kind is None:  # a chunk with no delayed stage
                 seen.add((integrator._ODE, False))
-                shapes.add(("no delay", columns))
+                shapes.add("no delay")
                 return
             at_s = self.u == problem.start
             seen.update(zip(self.kind.ravel().tolist(), at_s.ravel().tolist()))
-            shapes.update((tuple(k), columns) for k in self.kind.T.tolist())
+            shapes.update(tuple(k) for k in self.kind.T.tolist())
 
     monkeypatch.setattr(integrator, "_ChunkPlan", Recording)
     for group in _grouping_corpus():
@@ -1194,13 +1180,11 @@ def test_grouping_corpus_reads_every_stage_source(monkeypatch):
             (integrator._VALUE, False)} <= seen
     # every step shape the scalar loop meets: a chunk with no delay, a step
     # with no delay among delayed ones, reads from the step itself beside
-    # accepted output or beside a stage-0 read with no delay, in one column
-    # and in two
+    # accepted output or beside a stage-0 read with no delay
     ode, over, dense = integrator._ODE, integrator._OVERLAP, \
         integrator._DENSE
-    assert {("no delay", 1), ("no delay", 2), ((ode, ode, ode), 1),
-            ((dense, over, over), 1), ((dense, dense, over), 1),
-            ((ode, over, over), 1), ((dense, over, over), 2)} <= shapes
+    assert {"no delay", (ode, ode, ode), (dense, over, over),
+            (dense, dense, over), (ode, over, over)} <= shapes
 
 
 @pytest.mark.parametrize("chunk", [7, 64, 512])
@@ -1214,25 +1198,22 @@ def test_trajectory_independent_of_step_grouping(monkeypatch, min_block,
     raised = 0
     for group, ref in zip(corpus, want):
         got = _grouping_outcome(group)
-        if isinstance(ref, tuple):
+        if isinstance(ref[0], type):
             raised += 1
             assert got == ref
             continue
-        assert len(got) == len(ref)
-        for arrays, ref_arrays in zip(got, ref):
-            for a, b in zip(arrays, ref_arrays):
-                assert _same_bytes(a, b)
-    assert raised == 6
+        for a, b in zip(got, ref):
+            assert _same_bytes(a, b)
+    assert raised == 9
 
 
-def _columns_alone(group):
-    """One ``_integrate_columns`` run on arrays of its own, each block taken
-    by ``_ChunkPlan.advance``: (nodes, x, x′), or the exception raised."""
-    problems, horizon, step = group
-    run = integrator._integrate_columns(problems, horizon, step)
+def _alone(group):
+    """One ``_integration`` run on arrays of its own, each block taken by
+    ``_ChunkPlan.advance``: (nodes, x, x′), or the exception raised."""
+    run = integrator._integration(*group)
     try:
         n = next(run)
-        xs, vs = np.zeros((n, len(problems))), np.zeros((n, len(problems)))
+        xs, vs = np.zeros(n), np.zeros(n)
         plan, b, e = run.send((xs, vs))
         while True:
             plan.advance(b, e, xs, vs)
@@ -1253,17 +1234,8 @@ def _assert_same_outcomes(got, want):
             assert _same_bytes(a, b)
 
 
-@pytest.mark.parametrize("chunk", [7, 512])
-@pytest.mark.parametrize("min_block", [1, 3])
-@pytest.mark.parametrize("window", [1, 3, None])
-def test_lockstep_equals_one_run_per_group(monkeypatch, window, min_block,
-                                           chunk):
-    monkeypatch.setattr(integrator, "_MIN_BLOCK", min_block)
-    monkeypatch.setattr(integrator, "_CHUNK", chunk)
-    # one column count after the other, so that most windows share one
-    corpus = sorted(_grouping_corpus(), key=lambda g: len(g[0]))
-    want = [_columns_alone(group) for group in corpus]
-    assert sum(isinstance(ref[0], type) for ref in want) == 6
+def _counting_rounds(monkeypatch) -> list:
+    """The number of blocks of each ``_advance_blocks`` round, from now."""
     rounds = []
     advance = integrator._advance_blocks
 
@@ -1272,6 +1244,20 @@ def test_lockstep_equals_one_run_per_group(monkeypatch, window, min_block,
         advance(blocks, xs, vs)
 
     monkeypatch.setattr(integrator, "_advance_blocks", recording)
+    return rounds
+
+
+@pytest.mark.parametrize("chunk", [7, 512])
+@pytest.mark.parametrize("min_block", [1, 3])
+@pytest.mark.parametrize("window", [1, 3, None])
+def test_lockstep_equals_one_run_per_group(monkeypatch, window, min_block,
+                                           chunk):
+    monkeypatch.setattr(integrator, "_MIN_BLOCK", min_block)
+    monkeypatch.setattr(integrator, "_CHUNK", chunk)
+    corpus = _grouping_corpus()
+    want = [_alone(group) for group in corpus]
+    assert sum(isinstance(ref[0], type) for ref in want) == 9
+    rounds = _counting_rounds(monkeypatch)
     size = window or len(corpus)
     got = []
     for lo in range(0, len(corpus), size):
@@ -1281,16 +1267,37 @@ def test_lockstep_equals_one_run_per_group(monkeypatch, window, min_block,
     assert (max(rounds) > 1) == (window != 1)
 
 
+def test_fundamental_pair_shares_a_batch_with_single_problems(monkeypatch):
+    const = PiecewiseSignal.constant
+    single = (DelayProblem(const(0.9), const(0.5), 0.0, const(0.3), 1.0,
+                           0.2), 3.0, 0.01)
+    p, tau = const(-0.4), const(0.7)
+    groups = [single, *((prob, 4.0, 0.02)
+                        for prob in integrator._fundamental_problems(
+                            p, tau, 0.0)), single]
+    want = [_alone(group) for group in groups]
+    rounds = _counting_rounds(monkeypatch)
+    got = list(integrator._integrate_many(groups))
+    _assert_same_outcomes(got, want)
+    # one buffer, and the pair's blocks in the singles' rounds
+    assert all(out[k].base is got[0][k].base for out in got for k in (1, 2))
+    assert max(rounds) == 4
+    for traj, out in zip(fundamental_system(p, tau, 0.0, 4.0, 0.02),
+                         got[1:3]):
+        for a, b in zip((traj.ts, traj.xs, traj.vs), out):
+            assert _same_bytes(a, b)
+
+
 def test_lockstep_batches_hold_at_most_the_step_limit(monkeypatch):
     const = PiecewiseSignal.constant
-    good = [((DelayProblem(const(0.9), const(tau), 0.0, const(0.3), 1.0,
-                           0.0),), 3.0, 0.01) for tau in (0.05, 0.5, 1.0)]
+    good = [(DelayProblem(const(0.9), const(tau), 0.0, const(0.3), 1.0, 0.0),
+             3.0, 0.01) for tau in (0.05, 0.5, 1.0)]
     # 300 steps each; one raises in its plans, one before its first step
     groups = [good[0],
-              ((_UncheckedDelay(const(1.0), const(1.2), 0.0, const(0.5), 1.0,
-                                0.0),), 3.0, 0.01),
+              (_UncheckedDelay(const(1.0), const(1.2), 0.0, const(0.5), 1.0,
+                               0.0), 3.0, 0.01),
               good[1], (good[2][0], 3.0, -0.01), good[2]]
-    want = [_columns_alone(group) for group in groups]
+    want = [_alone(group) for group in groups]
     monkeypatch.setattr(integrator, "_MAX_STEPS", 650)
     got = list(integrator._integrate_many(groups))
     _assert_same_outcomes(got, want)

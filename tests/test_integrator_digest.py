@@ -1,7 +1,8 @@
 """scripts/integrator_digest.py hashes every byte of the integrator's
 outputs and of the Ψ solves, so one ulp anywhere changes a digest, and
-records each integration once, on trees with and without the lockstep
-entry, and each Ψ solve a workload runs."""
+records each trajectory once, whether its tree integrates a fundamental
+pair as one two-column group or as two problems, and each Ψ solve a
+workload runs."""
 
 import importlib.util
 from pathlib import Path
@@ -23,9 +24,9 @@ digest = integrator_digest.digest
 
 def _outputs():
     ts = np.linspace(0.0, 1.0, 7)
-    pair = np.stack((np.cos(ts), np.sin(ts)), axis=1)
-    return [(ts, pair, -pair), HistoryDomainError("delayed argument -2.0"),
-            (ts, pair[:, :1], pair[:, 1:])]
+    return [(ts, np.cos(ts), -np.sin(ts)),
+            HistoryDomainError("delayed argument -2.0"),
+            (ts, np.sin(ts), np.cos(ts))]
 
 
 def test_one_ulp_in_any_output_changes_the_digest():
@@ -41,9 +42,9 @@ def test_one_ulp_in_any_output_changes_the_digest():
 
 def test_signs_of_zero_exceptions_and_order_count():
     outputs = _outputs()
-    outputs[0][1][0, 1] = -0.0
+    outputs[0][2][0] = -0.0
     negative = digest(outputs)
-    outputs[0][1][0, 1] = 0.0
+    outputs[0][2][0] = 0.0
     assert digest(outputs) != negative
     outputs = _outputs()
     outputs[1] = HistoryDomainError("delayed argument -2.5")
@@ -55,37 +56,38 @@ def test_lockstep_entry_records_each_group_in_submission_order():
     from semicycles import integrator
 
     const = PiecewiseSignal.constant
-    groups = [((DelayProblem(const(0.9), const(tau), 0.0, const(0.3), 1.0,
-                             0.0),), 2.0, 0.01) for tau in (0.05, 1.0)]
+    groups = [(DelayProblem(const(0.9), const(tau), 0.0, const(0.3), 1.0,
+                            0.0), 2.0, 0.01) for tau in (0.05, 1.0)]
     groups.insert(1, (groups[0][0], 2.0, -0.01))  # raises before it starts
     outputs = []
-    name, wrapper = integrator_digest._recording(integrator, outputs)
-    assert name == "_integrate_many"
-    got = list(wrapper(groups))
+    got = list(integrator_digest._recording(integrator, outputs)(groups))
     assert len(got) == len(outputs) == 3
     assert isinstance(got[1], DomainError) and outputs[1] is got[1]
     for out, alone in zip(outputs[::2], (groups[0], groups[2])):
-        want = integrator._integrate_one(*alone)
+        want = next(integrator._integrate_many([alone]))
         assert digest([out]) == digest([want])
 
 
-def test_tree_without_the_lockstep_entry_records_each_call():
-    outputs = []
-    ts = np.linspace(0.0, 1.0, 3)
-
-    def columns(problems, horizon, step):
-        if step < 0.0:
-            raise DomainError("step must be positive")
-        return ts, ts[:, None], -ts[:, None]
-
-    older = SimpleNamespace(_integrate_columns=columns)
-    name, wrapper = integrator_digest._recording(older, outputs)
-    assert name == "_integrate_columns"
-    wrapper((), 1.0, 0.5)
-    with pytest.raises(DomainError):
-        wrapper((), 1.0, -0.5)
-    assert digest(outputs) == digest([(ts, ts[:, None], -ts[:, None]),
-                                      DomainError("step must be positive")])
+def test_two_column_group_records_one_entry_per_trajectory():
+    """An older tree's (n, 2) pair output digests equal to the pair's two
+    one-column outputs, and its exception counts once per problem."""
+    ts = np.linspace(0.0, 1.0, 5)
+    xs = np.stack((np.cos(ts), np.sin(ts)), axis=1)
+    vs = np.stack((-np.sin(ts), np.cos(ts)), axis=1)
+    error = HistoryDomainError("delayed argument -2.0")
+    older = SimpleNamespace(_integrate_many=lambda groups: iter(
+        [(ts, xs, vs), error]))
+    newer = SimpleNamespace(_integrate_many=lambda groups: iter(
+        [(ts, xs[:, 0], vs[:, 0]), (ts, xs[:, 1], vs[:, 1]), error, error]))
+    old_out, new_out = [], []
+    pair = ("z", "y")
+    list(integrator_digest._recording(older, old_out)(
+        [(pair, 1.0, 0.5), (pair, 1.0, 0.5)]))
+    list(integrator_digest._recording(newer, new_out)(
+        [(name, 1.0, 0.5) for name in pair * 2]))
+    assert len(old_out) == len(new_out) == 4
+    assert digest(old_out) == digest(new_out)
+    assert all(a.flags.c_contiguous for out in old_out[:2] for a in out)
 
 
 def test_psi_solves_recorded_with_their_limit_profiles():

@@ -111,6 +111,26 @@ def test_r_refuses_what_its_series_cannot_sum(delta, t, message):
         eval_r(delta, t)
 
 
+@pytest.mark.parametrize("delta, t", [(1e-3, 40.0), (1e-3, 30.0),
+                                      (0.1, 35.0)])
+def test_r_refuses_sums_that_cancellation_swamps(delta, t):
+    """Terms up to about cosh t against a sum near 1: the plain-float sum
+    is off by 370 %, 1.0 % and 0.2 % of an 80-digit one."""
+    with pytest.raises(DomainError, match="rounding bound"):
+        eval_r(delta, t)
+
+
+def test_r_rounding_check_keeps_every_value_up_to_six():
+    """Up to t = 6, the reach of every other test, no Δ is refused and
+    each value is the series' own."""
+    rng = np.random.default_rng(29)
+    deltas = [0.0, 1e-300, 1e-12, 1e-3, 1.0, 2 * SQRT2]
+    deltas += rng.uniform(0.0, 3.5, 50).tolist()
+    for d in deltas:
+        for t in np.linspace(-1.0, 6.0, 141).tolist():
+            assert eval_r(d, t) == _r_scalar(d, t)
+
+
 def test_r_second_segment_series():
     # on [Δ, 2Δ] the profile is 1 − t²/2 + (t−Δ)⁴/24
     d, t = 1.0, 1.3
