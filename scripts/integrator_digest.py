@@ -26,13 +26,24 @@ Run from the repository root:
 a temporary directory, digests both trees, each in its own interpreter,
 prints both columns, and exits 1 if any line differs.  Seeds are 0-5
 unless ``--seed`` (repeatable) names others.
+
+``--parent REV --values`` measures instead how far the values moved, for a
+change that moves them at rounding level: per workload and seed it prints
+the largest max |Δx|/max|x| and max |Δx′|/max|x′| over the paired
+trajectories and the largest |ΔΨ| over the paired solves, and exits 1 only
+if the two trees' outputs do not pair up (another count, node grid or
+exception).
+
+    python3 scripts/integrator_digest.py --parent HEAD~1 --values
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
+import pickle
 import subprocess
 import sys
 import tempfile
@@ -132,7 +143,52 @@ def _record(workload: str, seed: int, tmp: Path) -> tuple:
     return outputs, solves
 
 
-def _digest_tree(tree: Path, seeds: list[int]) -> list[str]:
+def _values(outputs: list, solves: list) -> tuple:
+    """What ``--values`` compares: each trajectory's three arrays, each
+    solve's Ψ, and an exception as its type name and message."""
+    def plain(out):
+        return (f"{type(out).__name__}: {out}"
+                if isinstance(out, BaseException) else out)
+    return ([plain(out) for out in outputs],
+            [plain(s) if isinstance(s, BaseException) else float(s[1][0])
+             for s in solves])
+
+
+def _relative(got: np.ndarray, want: np.ndarray) -> float:
+    """max |got − want| / max |want| (0 where both are all zero)."""
+    scale = float(np.abs(want).max(initial=0.0))
+    diff = float(np.abs(got - want).max(initial=0.0))
+    return diff / scale if scale else (0.0 if diff == 0.0 else math.inf)
+
+
+def value_changes(parent: tuple, change: tuple) -> tuple:
+    """The largest relative change of x and of x′ over paired trajectories,
+    the largest |ΔΨ| over paired solves (each pair from ``_values``), and a
+    list of what does not pair up."""
+    dx = dv = dpsi = 0.0
+    unpaired = []
+    for kind, old, new in (("trajectories", parent[0], change[0]),
+                           ("solves", parent[1], change[1])):
+        if len(old) != len(new):
+            unpaired.append(f"{len(new)} {kind}, parent {len(old)}")
+            continue
+        for i, (a, b) in enumerate(zip(old, new)):
+            if isinstance(a, str) or isinstance(b, str):
+                if not (isinstance(a, str) and a == b):
+                    unpaired.append(f"{kind} {i}: {str(b):.80} vs "
+                                    f"{str(a):.80}")
+            elif kind == "solves":
+                dpsi = max(dpsi, abs(b - a))
+            elif a[0].shape != b[0].shape or (a[0] != b[0]).any():
+                unpaired.append(f"{kind} {i}: another node grid")
+            else:
+                dx = max(dx, _relative(b[1], a[1]))
+                dv = max(dv, _relative(b[2], a[2]))
+    return dx, dv, dpsi, unpaired
+
+
+def _digest_tree(tree: Path, seeds: list[int], dump: Path | None = None
+                 ) -> list[str]:
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     lines = []
     with tempfile.TemporaryDirectory(prefix="digest-") as tmp:
@@ -144,11 +200,17 @@ def _digest_tree(tree: Path, seeds: list[int]) -> list[str]:
                                         ("beta_iterate", solves)):
                     lines.append(f"{workload}@{seed} {entry} "
                                  f"{digest(recorded)} {len(recorded)}")
+                if dump is not None:
+                    with open(dump / f"{workload}@{seed}.pkl", "wb") as f:
+                        pickle.dump(_values(outputs, solves), f)
     return lines
 
 
-def _in_subprocess(tree: Path, seeds: list[int]) -> list[str]:
+def _in_subprocess(tree: Path, seeds: list[int], dump: Path | None = None
+                   ) -> list[str]:
     argv = [sys.executable, __file__, "--tree", str(tree)]
+    if dump is not None:
+        argv += ["--dump", str(dump)]
     for seed in seeds:
         argv += ["--seed", str(seed)]
     proc = subprocess.run(argv, capture_output=True, text=True)
@@ -167,15 +229,20 @@ def main(argv=None) -> int:
                        help="revision to compare this checkout against")
     ap.add_argument("--seed", type=int, action="append",
                     help="repeatable (default: 0 to 5)")
+    ap.add_argument("--values", action="store_true",
+                    help="with --parent: how far values moved, not hashes")
+    ap.add_argument("--dump", type=Path, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     seeds = args.seed or list(range(6))
     if args.parent is None:
-        print("\n".join(_digest_tree(args.tree.resolve(), seeds)))
+        print("\n".join(_digest_tree(args.tree.resolve(), seeds, args.dump)))
         return 0
     # the export bench_pair.py makes, from the script beside this one
     from bench_pair import _export, _git
 
     rev = _git("rev-parse", args.parent)
+    if args.values:
+        return _compare_values(rev, seeds)
     with tempfile.TemporaryDirectory(prefix="digest-parent-") as tmp:
         _export(rev, Path(tmp))
         parent = _in_subprocess(Path(tmp), seeds)
@@ -188,6 +255,34 @@ def main(argv=None) -> int:
         print(f"{'':4} change {c_line}")
     print(f"{differ} of {len(change)} digests differ from {rev[:12]}")
     return 1 if differ or len(parent) != len(change) else 0
+
+
+def _compare_values(rev: str, seeds: list[int]) -> int:
+    """``--values``: both trees' outputs, dumped by their own interpreters,
+    compared one workload and seed at a time."""
+    from bench_pair import _export
+
+    with tempfile.TemporaryDirectory(prefix="digest-values-") as tmp:
+        tree, dumps = Path(tmp) / "parent", Path(tmp) / "dumps"
+        tree.mkdir()
+        _export(rev, tree)
+        for side, where in (("parent", tree), ("change", ROOT)):
+            (dumps / side).mkdir(parents=True)
+            _in_subprocess(where, seeds, dumps / side)
+        bad = 0
+        for path in sorted((dumps / "change").iterdir()):
+            with open(dumps / "parent" / path.name, "rb") as f:
+                parent = pickle.load(f)
+            with open(path, "rb") as f:
+                change = pickle.load(f)
+            dx, dv, dpsi, unpaired = value_changes(parent, change)
+            bad += bool(unpaired)
+            print(f"{path.stem} x {dx:.2e} x' {dv:.2e} psi {dpsi:.2e} "
+                  f"({len(change[0])} trajectories, {len(change[1])} "
+                  f"solves)" + "".join(f"\n    UNPAIRED {u}"
+                                       for u in unpaired[:5]))
+    print(f"values against {rev[:12]}; {bad} runs do not pair up")
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":

@@ -1,79 +1,51 @@
 """Method-of-steps integration of x″(t) + p(t)·x(t−τ(t)) = 0.
 
-Fixed-step classical RK4 on the first-order system (x, x′), with step
-endpoints aligned to every breakpoint of the coefficient and delay signals
-and to the first-generation discontinuity points {t : t−τ(t) = breakpoint
-or = start}. The whole step grid is known before the first step: the forced
-nodes, each gap subdivided uniformly.
+Fixed-step classical RK4 on (x, x′), with a step endpoint on each forced node
+(the signals' breakpoints and the first-generation discontinuity points
+{t : t−τ(t) = breakpoint or = start}), each gap subdivided uniformly. A
+stage at σ reads x(u), u = σ − τ(σ), from the history (u ≤ s), from dense
+output of accepted steps, or, when the delay is shorter than the step,
+from a provisional interpolant of the step itself, sub-iterated twice.
+Every cubic Hermite read, and ``Trajectory.sample``, uses one product-only
+form (``_hermite_weights``), so its bits do not depend on the host's numpy.
 
-The delayed value of a stage at σ is read at u = σ − τ(σ): from the initial
-history (u ≤ s), from dense output of accepted steps, or, when the delay is
-shorter than the step, from a provisional interpolant of the step itself
-that is sub-iterated twice. Both cubic Hermite reads, and
-``Trajectory.sample``, use one form built from products only
-(``_hermite_weights`` and ``_hermite``, whose sum the scalar step loop
-writes inline), so its bits do not depend on the host's numpy; zero and
-extremum scans bisect each sign change on the one step that brackets it.
+A plan of each chunk of steps sorts every stage by where it reads. A step
+whose stages all read values or accepted output can join a block (the
+method of steps, Bellen & Zennaro 2003), which numpy takes at once. A step
+whose stages all read their own x (no delay) runs by its linear map: the
+equation is linear, so the step maps x₀, x′₀ linearly to x₁, x′₁ (the
+matrix form of an RK step, Hairer & Wanner, Solving ODEs II, ch. IV).
+Every other step runs RK4 in Python floats. A step's arithmetic depends
+only on the step, never on how steps are grouped: a block step keeps a
+block's operations when it runs alone, and a map does not depend on the
+other steps planned with it, so neither the chunk length nor which runs
+make blocks moves a bit.
 
-Steps run in blocks (the classical method of steps, Bellen & Zennaro 2003).
-For each chunk of steps, the signals' own array evaluation gives p and τ at
-the three stage times of every step; numpy then sorts each stage by where
-its delayed value comes from: its own value (no delay), the step's
-provisional interpolant (overlap), accepted output, the history, or an
-error, which the plan raises. A chunk with no delay plans nothing more; any
-other also gets the bracket of each read of accepted output and the
-Hermite weights of every read. That chunk plan is the only place the step
-loop gets p, τ and the delayed argument from. A block is a maximal run of
-steps whose stages all read the history or output accepted before the
-block's first node; two bisections find its end. Inside a block no v-stage
-depends on the block's own x, so one vectorized Hermite gather gives the v
-increments, running sums give v, and then x follows the same way. Every
-other step (a zero delay, an overlap with the step, or a run too short to
-pay for numpy) is taken alone in Python floats, by an RK4 body for a chunk
-with no delay or by one that reads each stage as the plan says. Both paths
-perform the same floating-point operations in the same order, so the
-trajectory does not depend on how the steps were grouped.
-
-Problems share the blocks' fixed numpy cost when they run in lockstep (the
-ensemble idea of DifferentialEquations.jl, Rackauckas & Nie 2017).
-``_integration`` is a generator: it plans one problem's step grid, chunks
-and scalar runs as above, but yields each block instead of taking it.
-``_integrate_many`` drives several such runs, whose nodes lie one after
-the other in one shared x and x′ buffer; each round it takes every run's
-ready block with one ``_advance_blocks`` call, which gathers by global
-node index and keeps each block's running sums in a row of their own, so
-every run equals a run of its own bit for bit. A run that raises hands its
-exception to its caller and leaves the others as they would be alone.
-``integrate`` runs one problem this way, ``fundamental_system`` its pair
-and the harness's suites a window of instances.
-
-A zero or extremum scan bisects each sign change of x or x′ on its own
-step, one bracket after the other, in Python floats with the operations of
-``Trajectory.sample`` (or ``sample_slope``) in their order. A scan refuses
-a tol that is not finite and positive (DomainError) before any work.
-
-The step grid is bounded: an integration that would take more than
-``_MAX_STEPS`` steps raises DomainError before any array is allocated.
+Runs share the blocks' numpy cost in lockstep (the ensemble idea of
+DifferentialEquations.jl, Rackauckas & Nie 2017): ``_integrate_many`` takes
+every run's ready block in one ``_advance_blocks`` call a round, and two
+runs in a row that differ only in x(s⁺) and x′(s⁺), a fundamental pair,
+share their plans. A zero or extremum scan bisects each sign change on its
+own step, in Python floats with ``Trajectory.sample``'s operations.
 
 Two conventions matter and are deliberate:
 
 * Within a step, p and τ are evaluated from the segment owning the step's
-  interior. A step that ends exactly on a breakpoint therefore reads its
-  right-endpoint stage from the left segment (one-sided limit); plain
-  right-continuous evaluation would poison the last stage of every boundary
-  step with the next segment's value and destroy the scheme's order.
+  interior: a step that ends on a breakpoint reads its last stage from the
+  left segment (one-sided limit), which keeps the scheme's order.
 * The history is read with the left-limit convention at s, honoring initial
-  data with a jump (the fundamental-system construction). When the delayed
-  argument of a step sitting just right of a crossing lands exactly on s,
-  the step's interior side (u > s) wins instead.
+  data with a jump (the fundamental system). When the delayed argument of
+  a step just right of a crossing lands exactly on s, the step's interior
+  side (u > s) wins instead.
 """
 
 from __future__ import annotations
 
 import bisect
+import copy
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate, repeat
 
 import numpy as np
@@ -104,11 +76,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DelayProblem:
-    """One initial-value problem for x″ + p·x(t−τ) = 0.
-
-    history supplies x on [s−τ_m, s); initial_value/initial_slope give the
-    right limits x(s⁺), x′(s⁺) — a jump against the history is allowed.
-    """
+    """One initial-value problem for x″ + p·x(t−τ) = 0: history gives x on
+    [s−τ_m, s), initial_value/initial_slope the right limits x(s⁺), x′(s⁺)
+    (a jump against the history is allowed)."""
 
     p: PiecewiseSignal
     tau: PiecewiseSignal
@@ -240,9 +210,7 @@ def _hermite_slope(x0, v0, x1, v1, h, s):
             + x1 * (6 * s - 6 * s * s) / h + v1 * (3 * s * s - 2 * s))
 
 
-# ----------------------------------------------------------------------
-# scaling normalization
-# ----------------------------------------------------------------------
+# ---- scaling normalization ----
 
 def _scale_signal(sig: PiecewiseSignal, k: float, value_scale: float
                   ) -> PiecewiseSignal:
@@ -257,11 +225,9 @@ def _scale_signal(sig: PiecewiseSignal, k: float, value_scale: float
 
 
 def rescale(problem: DelayProblem, k: float) -> DelayProblem:
-    """Time-compressed problem whose solutions satisfy x̃(t) = x(kt).
-
-    The coefficient becomes k²·p(kt) and the delay τ(kt)/k; with
-    k = 1/√(esssup|p|) the coefficient normalizes to essential bound 1.
-    """
+    """Time-compressed problem whose solutions satisfy x̃(t) = x(kt): p
+    becomes k²·p(kt) and τ becomes τ(kt)/k, so k = 1/√(esssup|p|) normalizes
+    the coefficient to essential bound 1."""
     if not k > 0.0:
         raise DomainError(f"scale factor must be positive, got {k}")
     return DelayProblem(
@@ -274,9 +240,7 @@ def rescale(problem: DelayProblem, k: float) -> DelayProblem:
     )
 
 
-# ----------------------------------------------------------------------
-# forced nodes (breakpoints + first-generation delayed crossings)
-# ----------------------------------------------------------------------
+# ---- forced nodes (breakpoints + first-generation delayed crossings) ----
 
 def _segment_crossings(seg: tuple, b: float, length: float, c: float,
                        scale: float) -> list:
@@ -305,17 +269,12 @@ def _segment_crossings(seg: tuple, b: float, length: float, c: float,
 
 def _lag_crossings(tau: PiecewiseSignal, targets, lo: float, hi: float
                    ) -> list[float]:
-    """Solutions of t − τ(t) = c in (lo, hi) for every target c, one
-    τ segment at a time.
-
-    A segment on which t − τ(t) is constant (a constant delayed argument,
-    e.g. an affine delay of unit slope) has no interior crossing for any
-    target and is skipped. On any other segment only the targets that
-    t − τ(t) can reach there are solved: a root u of c = b − τ₀ + Σ q_j·u^j
-    with |u| ≤ R forces |b − τ₀ − c| ≤ Σ |q_j|·R^j; the test doubles that
-    bound and widens R and the bound by far more than the root finder's
-    acceptance window and error, so it never drops a crossing.
-    """
+    """Solutions of t − τ(t) = c in (lo, hi) for every target c, one τ
+    segment at a time. A segment where t − τ(t) is constant is skipped; on
+    any other only the targets t − τ(t) can reach are solved: a root u of
+    c = b − τ₀ + Σ q_j·u^j with |u| ≤ R forces |b − τ₀ − c| ≤ Σ |q_j|·R^j,
+    and the test doubles that bound and widens R and the bound far past the
+    root finder's window and error, so it never drops a crossing."""
     c = np.asarray(targets, dtype=float)
     bps = tau.breakpoints
     scale = np.maximum(max(1.0, abs(lo), abs(hi)), np.abs(c))
@@ -361,21 +320,19 @@ def _forced_nodes(problem: DelayProblem, horizon: float) -> np.ndarray:
     return np.asarray(keep)
 
 
-# ----------------------------------------------------------------------
-# the integrator
-# ----------------------------------------------------------------------
+# ---- the integrator ----
 
-# steps whose stages are planned together: bounds the planning arrays to
-# about 0.3 MB whatever the horizon
+# steps planned together: about 0.3 MB of planning arrays at most
 _CHUNK = 512
-# shortest run of steps advanced as a numpy block: a block alone costs
-# 35-65 µs, a scalar step reading accepted output 3-5 µs, so one block
-# breaks even near 10-15 steps, less in a shared round; the suites time
-# the same within noise at 3, 6 and 10
+# shortest numpy block: one costs 35-65 µs, a scalar step 3-5 µs; the
+# suites time the same within noise at 3, 6 and 10
 _MIN_BLOCK = 3
-# most steps one integration may take: about 100× the longest run the
-# package's tests and scripts make (94,248 steps, reproduce_examples.py
-# --periods 30 --step 0.002), and 240 MB of nodes, x and v
+# most distinct steps mapped in Python floats (3-20 µs each), not numpy
+_FEW_MAPS = 8
+# odd multipliers of the key rows' bits, whose sum hashes a step
+_HASH = np.arange(1, 9, 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+# most steps of one integration: 100× the package's longest run (94,248
+# steps, reproduce_examples.py --periods 30 --step 0.002), 240 MB
 _MAX_STEPS = 10_000_000
 
 # where a stage's delayed value x(u), u = σ − τ(σ), comes from
@@ -387,12 +344,9 @@ _RAISE = 4    # a negative delay, or u below the history
 
 
 def _step_grid(nodes: np.ndarray, counts: np.ndarray) -> tuple:
-    """Every step node, and the index of the first step of each gap between
-    forced nodes (plus a last entry: the step count).
-
-    A gap [a, b] is cut into n equal steps of h = (b − a)/n; its interior
-    nodes are a + k·h and its last node is b itself.
-    """
+    """Every step node, and the first step of each gap between forced nodes
+    (and then the step count): a gap [a, b] is cut into n steps, with
+    interior nodes a + k·(b − a)/n and last node b itself."""
     parts = [nodes[:1]]
     for g, n_sub in enumerate(counts.tolist()):
         a, b = nodes[g], nodes[g + 1]
@@ -404,21 +358,18 @@ def _step_grid(nodes: np.ndarray, counts: np.ndarray) -> tuple:
 class _ChunkPlan:
     """Stage data of steps c0 … c1−1, computed with numpy before they run.
 
-    Row r of each (3, m) array is one stage time σ of the m steps: t₀, the
-    midpoint (read by both middle RK4 stages) and t₁. ``table`` holds each
-    step's width hh, hh/2, hh/6 and −p(σ), then each read's h and weights.
-    A chunk with no delayed stage builds nothing more (``kind`` is None).
-    Otherwise ``kind`` says where each stage's delayed value x(u),
-    u = σ − τ(σ), comes from, sorted by the scalar scheme's tests in their
-    order (a _RAISE stage raises here); ``hv`` is the value of a _VALUE
-    stage, ``jj``/``h`` the Hermite bracket of a _DENSE stage, whose last
-    node read is ``reach``, and ``w`` the weights of each _DENSE and
-    _OVERLAP read. A step whose stages all read values or accepted output
-    can join a block (``ok``); every other step runs through
-    ``_take_steps``, which reads ``table`` and ``scalar``. When every stage
-    of the chunk reads past s, no stage reads a known value and ``hv`` is
-    None; a stage reading u = s right of the start jump reads x(s⁺).
-    """
+    Row r of each (3, m) array is one stage time σ: t₀, the midpoint (read
+    by both middle RK4 stages) and t₁. ``table`` holds each step's hh, hh/2,
+    hh/6 and −p(σ), then each read's h and weights; with no delayed stage
+    that is all (``kind`` None). Else ``kind`` says where each stage reads
+    x(u), u = σ − τ(σ) (a _RAISE stage raises here), ``hv`` each _VALUE
+    stage's value (None if none; a stage at u = s right of the start jump,
+    ``plus``, reads x(s⁺)), ``jj``/``h``/``w`` each read's bracket and
+    weights, ``reach`` the last node a step reads. An ``ok`` step, whose
+    stages all read values or accepted output, can join a block; one whose
+    stages all read their own x runs by its map (``coefs``)."""
+
+    coefs = None  # per step its map (``_step_maps``), or None
 
     def __init__(self, problem: DelayProblem, ts: np.ndarray, c0: int,
                  c1: int, seg_p: np.ndarray, seg_tau: np.ndarray,
@@ -426,7 +377,6 @@ class _ChunkPlan:
         s = problem.start
         self.c0 = c0
         t0, t1 = ts[c0:c1], ts[c0 + 1:c1 + 1]
-        # what the scalar loop reads, row by row of its transpose
         self.table = table = np.empty((21, c1 - c0))
         hh = np.subtract(t1, t0, out=table[0])
         np.multiply(0.5, hh, out=table[1])
@@ -440,6 +390,7 @@ class _ChunkPlan:
         ode = tv <= 1e-13 * np.maximum(np.abs(sigma), 1.0)
         self.kind = None
         if ode.all() and not neg.any():
+            self.coefs = _step_maps(table)
             return
         self.u = u = sigma - tv
         self.kind = kind = np.where(neg, _RAISE, np.where(
@@ -447,18 +398,16 @@ class _ChunkPlan:
         self.hv = None
         if not (u > s).all():
             # u = s reads x(s⁻) left of the start jump and x(s⁺) right of
-            # it; the first step has no accepted step to bracket s, so it
-            # reads the initial value x(s⁺) directly instead of through
-            # dense output
+            # it, the first step directly, any later one from dense output
             right_of_start = tm - tau[1] > s
             at_s = u == s
             first = np.arange(c0, c1) == 0
             known = (kind == _DENSE) & ~(u > s) \
                 & ~(at_s & right_of_start & ~first)
             kind[known] = np.where(u[known] < hist_floor, _RAISE, _VALUE)
-            self.hv = hv = np.where(
-                at_s, np.where(right_of_start, problem.initial_value,
-                               hist_at_start), 0.0)
+            self.plus = at_s & right_of_start
+            self.hv = hv = np.where(self.plus, problem.initial_value,
+                                    np.where(at_s, hist_at_start, 0.0))
             hist = (kind == _VALUE) & ~at_s
             if hist.any():
                 hv[hist] = problem.history(u[hist])
@@ -493,24 +442,33 @@ class _ChunkPlan:
         hw = table[6:].reshape(5, 3, c1 - c0)
         hw[0], hw[1:] = h, _hermite_weights(frac)
         self.h, self.w = hw[0], hw[1:]
+        # a step whose stages all read their own x runs by its map
+        own = np.flatnonzero(ode.all(axis=0)) if ode.any() else ()
+        if len(own):
+            self.coefs = [None] * (c1 - c0)
+            for j, coef in zip(own.tolist(), _step_maps(table[:, own])):
+                self.coefs[j] = coef
+
+    def for_start(self, x_plus: float) -> _ChunkPlan:
+        """This plan for the problem whose x(s⁺) is x_plus."""
+        if self.kind is None or self.hv is None:
+            return self
+        twin = copy.copy(self)
+        twin.hv = np.where(self.plus, x_plus, self.hv)
+        return twin
 
     @cached_property
     def scalar(self) -> tuple:
-        """Per step: the kinds of its stages and the left node of each
-        _DENSE bracket counted from the step's right node (−1: its left
-        node); and a list of the first node each step reads."""
+        """Per step its stage kinds and brackets' left nodes (−1: the step's
+        own left node), counted from its right node; its first node read."""
         left = np.arange(self.c0, self.c0 + self.table.shape[1])
         return (np.concatenate((self.kind, self.jj - left - 1)).T,
                 self.jj.min(axis=0).tolist())
 
     def advance(self, b: int, e: int, xs: np.ndarray, vs: np.ndarray):
-        """Take steps b … e−1 of the chunk as one block.
-
-        Every stage reads the history or nodes up to the block's first node,
-        so no v-stage depends on the block's own x: the v increments come
-        first, then the x increments from the v at each step's start, each
-        summed in step order by ``np.add.accumulate``.
-        """
+        """Take steps b … e−1 of the chunk as one block: no stage reads the
+        block's own nodes, so the v increments come first, then the x ones
+        from each step's v₀, each summed in step order by accumulate."""
         j0, j1 = self.c0 + b, self.c0 + e
         jj = self.jj[:, b:e]
         jj1 = jj + 1
@@ -531,35 +489,73 @@ class _ChunkPlan:
         np.add.accumulate(xs[j0:j1 + 1], out=xs[j0:j1 + 1])
 
 
+def _step_maps(steps: np.ndarray) -> list:
+    """The linear map (a, c, f, g) of each step, x₁ = a·x₀ + c·x′₀ and
+    x′₁ = f·x₀ + g·x′₀, whose ``table`` column is in ``steps`` and whose
+    stages all read their own x: the RK4 body run on unit inputs. Every
+    operation is elementwise, so a step's map depends only on its hh and
+    −p: steps alike bit for bit (a hash finds them, a comparison confirms
+    it) are computed once, by ``_unit_map`` if few, else in one numpy
+    pass, which gives the same bits."""
+    bits = steps[[0, 3, 4, 5]].view(np.uint64)
+    first, again = slice(None), range(bits.shape[1])
+    if bits.shape[1] > _FEW_MAPS:
+        _, alike, inverse = np.unique(_HASH @ bits, return_index=True,
+                                      return_inverse=True)
+        if (bits[:, alike[inverse]] == bits).all():
+            first, again = alike, inverse.tolist()
+    if len(bits[0, first]) > _FEW_MAPS:
+        maps = np.concatenate(_rk4(*np.eye(2)[:, :, None],
+                                   *steps[:6, first])).T.tolist()
+    else:
+        maps = [_unit_map(key) for key in map(
+            bytes, np.ascontiguousarray(bits[:, first].T))]
+    return [maps[i] for i in again]
+
+
+@lru_cache(maxsize=1024)
+def _unit_map(key: bytes) -> tuple:
+    """``_step_maps`` of one step whose hh and −p are ``key``, in Python
+    floats: the same operations, so the same bits."""
+    hh, n0, nm, n1 = np.frombuffer(key).tolist()
+    s = (hh, 0.5 * hh, hh / 6.0, n0, nm, n1)
+    (a, f), (c, g) = _rk4(1.0, 0.0, *s), _rk4(0.0, 1.0, *s)
+    return a, c, f, g
+
+
+def _rk4(x, v, hh, hh2, hh6, n0, nm, n1) -> tuple:
+    """x₁ and x′₁ of an RK4 step whose stages read their own x, from x₀ = x
+    and x′₀ = v, on floats or elementwise on arrays."""
+    k1v = n0 * x
+    k2x = v + hh2 * k1v
+    k2v = nm * (x + hh2 * v)
+    k3x = v + hh2 * k2v
+    k3v = nm * (x + hh2 * k2x)
+    k4x = v + hh * k3v
+    k4v = n1 * (x + hh * k3x)
+    return (x + hh6 * (v + 2 * k2x + 2 * k3x + k4x),
+            v + hh6 * (k1v + 2 * k2v + 2 * k3v + k4v))
+
+
 def _take_steps(plan: _ChunkPlan, b: int, e: int, xs: np.ndarray,
                 vs: np.ndarray) -> None:
-    """Take steps b … e−1 of the chunk one at a time by classical RK4 in
-    Python floats.
-
-    A chunk with no delayed stage runs RK4 alone. Any other step reads each
-    stage's delayed value as the plan says: its own x (_ODE), a known
-    value, a Hermite read of accepted output, or an overlap read. A run
-    keeps its nodes in Python lists that start with the nodes it reads
-    below its first node: the whole span from the lowest, or, when that is
-    more than six nodes a step, only the two of each bracket, so the lists
-    grow with the run and not with the delay. A step with an overlap stage
-    is taken once with that read extrapolated linearly from t₀, then twice
-    more against the interpolant of its previous pass; stage 0 never reads
-    inside its own step, so k1v and k2x are the same in every pass."""
+    """Take steps b … e−1 of the chunk one at a time in Python floats: a step
+    whose stages all read their own x by its map, any other by classical
+    RK4, reading each stage's delayed value as the plan says: a known value,
+    a Hermite read of accepted output, or an overlap read, taken once
+    extrapolated linearly from t₀, then twice more against the interpolant
+    of its previous pass (stage 0 never reads inside its step, so k1v and
+    k2x are the same in every pass). The nodes a run reads before its first
+    node lead its lists: the whole span from the lowest, or, past six nodes
+    a step, only each bracket's two, so the lists grow with the run, not
+    the delay."""
     j0, j1 = plan.c0 + b, plan.c0 + e
-    if plan.kind is None:  # each stage reads its own x
+    coefs = repeat(None) if plan.coefs is None else plan.coefs[b:e]
+    if plan.kind is None:
         x0, v0 = xs.item(j0), vs.item(j0)
         out_x, out_v = [], []
-        for hh, hh2, hh6, n0, nm, n1 in zip(*plan.table[:6, b:e].tolist()):
-            k1v = n0 * x0
-            k2x = v0 + hh2 * k1v
-            k2v = nm * (x0 + hh2 * v0)
-            k3x = v0 + hh2 * k2v
-            k3v = nm * (x0 + hh2 * k2x)
-            k4x = v0 + hh * k3v
-            k4v = n1 * (x0 + hh * k3x)
-            x0 = x0 + hh6 * (v0 + 2 * k2x + 2 * k3x + k4x)
-            v0 = v0 + hh6 * (k1v + 2 * k2v + 2 * k3v + k4v)
+        for a, c, f, g in coefs:
+            x0, v0 = a * x0 + c * v0, f * x0 + g * v0
             out_x.append(x0)
             out_v.append(v0)
         xs[j0 + 1:j1 + 1] = out_x
@@ -584,8 +580,14 @@ def _take_steps(plan: _ChunkPlan, b: int, e: int, xs: np.ndarray,
     x0, v0 = X[-1], V[-1]
     known = repeat(None) if plan.hv is None else plan.hv[:, b:e].T.tolist()
     for (hh, hh2, hh6, n0, nm, n1, h0, hm, h1, p0, q0, r0, p1, q1, r1,
-         p2, q2, r2, p3, q3, r3), (k0, km, k1, i0, im, i1), val in zip(
-             map(np.ndarray.tolist, rows), reads, known):
+         p2, q2, r2, p3, q3, r3), (k0, km, k1, i0, im, i1), val, coef in zip(
+             map(np.ndarray.tolist, rows), reads, known, coefs):
+        if coef is not None:
+            a, c, f, g = coef
+            x0, v0 = a * x0 + c * v0, f * x0 + g * v0
+            X.append(x0)
+            V.append(v0)
+            continue
         if k0 == _DENSE:
             d0 = (X[i0] * p0 + V[i0] * h0 * p1 + X[i0 + 1] * p2
                   + V[i0 + 1] * h0 * p3)
@@ -632,23 +634,20 @@ def _take_steps(plan: _ChunkPlan, b: int, e: int, xs: np.ndarray,
 
 def integrate(problem: DelayProblem, horizon: float, step: float = 0.01
               ) -> Trajectory:
-    """Advance the problem to ``horizon`` with fixed step ≤ ``step``.
-
-    Every forced node (signal breakpoints, first-generation delayed
-    crossings) is hit exactly; each gap is subdivided uniformly. Dense
-    output is cubic Hermite per step. Raises HistoryDomainError if a delayed
-    argument falls below start − τ_m (an ill-posed delay signal), and
-    DomainError for nonpositive steps, an empty horizon, or more than
-    ``_MAX_STEPS`` steps.
-    """
+    """Advance the problem to ``horizon`` with fixed step ≤ ``step``, hitting
+    every forced node; dense output is cubic Hermite per step. Raises
+    HistoryDomainError if a delayed argument falls below start − τ_m, and
+    DomainError for a nonpositive step, an empty horizon, or more than
+    ``_MAX_STEPS`` steps."""
     return _solve((problem,), horizon, step)[0]
 
 
-def _integration(problem: DelayProblem, horizon: float, step: float):
-    """``integrate`` as a generator that ``_integrate_many`` drives. It
-    yields the node count n and is sent the x and x′ arrays of n nodes to
-    fill; then it yields each block (plan, b, e) for the driver to advance
-    before it goes on, and returns the nodes."""
+def _integration(problem: DelayProblem, horizon: float, step: float,
+                 twin: dict | None = None):
+    """``integrate`` as a generator for ``_integrate_many``: it yields the
+    node count n, is sent x and x′ arrays of n nodes, yields each block
+    (plan, b, e) to be taken, and returns the nodes. Runs given one
+    ``twin`` dict share their plans (``_shared``)."""
     if not step > 0.0:
         raise DomainError(f"step must be positive, got {step}")
     s = problem.start
@@ -656,9 +655,8 @@ def _integration(problem: DelayProblem, horizon: float, step: float):
         raise DomainError(f"horizon {horizon} must exceed start {s}")
     tau_m = problem.tau_sup(horizon)
     time_scale = max(1.0, abs(s), abs(horizon))
-    hist_floor = s - tau_m - 1e-9 * max(1.0, tau_m, time_scale)
-    hist_at_start = problem.history.eval_left(s)
-
+    bounds = (tau_m, s - tau_m - 1e-9 * max(1.0, tau_m, time_scale),
+              problem.history.eval_left(s))
     nodes = _forced_nodes(problem, horizon)
     counts = np.maximum(np.ceil(np.diff(nodes) / step - 1e-9), 1.0)
     total = counts.sum()
@@ -674,13 +672,13 @@ def _integration(problem: DelayProblem, horizon: float, step: float):
     mids = nodes[:-1] + 0.5 * (nodes[1:] - nodes[:-1])
     seg_p = problem.p.segment_index(mids)
     seg_tau = problem.tau.segment_index(mids)
-
     n_steps = ts.size - 1
     for c0 in range(0, n_steps, _CHUNK):
         c1 = min(c0 + _CHUNK, n_steps)
         gap = np.searchsorted(first, np.arange(c0, c1), side="right") - 1
-        plan = _ChunkPlan(problem, ts, c0, c1, seg_p[gap], seg_tau[gap],
-                          tau_m, hist_floor, hist_at_start)
+        plan = _shared(twin, c0, lambda: _ChunkPlan(
+            problem, ts, c0, c1, seg_p[gap], seg_tau[gap], *bounds)
+        ).for_start(problem.initial_value)
         b, m = 0, c1 - c0
         if plan.kind is None:
             _take_steps(plan, b, m, xs, vs)
@@ -706,17 +704,25 @@ def _integration(problem: DelayProblem, horizon: float, step: float):
     return ts
 
 
-def _advance_blocks(blocks: list, xs: np.ndarray, vs: np.ndarray) -> None:
-    """Take every block (plan, b, e, offset) of a round in one pass, each
-    run's nodes lying at its offset in the shared ``xs`` and ``vs``, with
-    the operations ``_ChunkPlan.advance`` gives each alone.
+def _shared(twin: dict | None, key, build):
+    """build(), or what the twin run built under ``key`` (in lockstep, in the
+    same round); at most two wait, and a twin that lags rebuilds them."""
+    if twin is None:
+        return build()
+    if key in twin:
+        return twin.pop(key)
+    twin[key] = value = build()
+    if len(twin) > 2:
+        del twin[next(iter(twin))]
+    return value
 
-    One block goes through ``advance`` itself. Otherwise the blocks' steps
-    are concatenated: the Hermite gather reads global node indices, and the
-    RK4 arithmetic runs on all steps at once. Each block's running sums then
-    take one row of a zero-padded (P, L + 1) array, led by the block's
-    first node, so ``np.add.accumulate`` along the rows adds each block's
-    steps in the same order as ``advance`` does."""
+
+def _advance_blocks(blocks: list, xs: np.ndarray, vs: np.ndarray) -> None:
+    """Take every block (plan, b, e, offset) of a round, each run's nodes at
+    its offset in ``xs`` and ``vs``, with ``advance``'s operations: the
+    blocks' steps run concatenated, gathering by global node index, and each
+    block's running sums take one row of a zero-padded (P, L + 1) array led
+    by its first node, so accumulate adds them in ``advance``'s order."""
     if len(blocks) == 1:
         plan, b, e, off = blocks[0]
         plan.advance(b, e, xs[off:], vs[off:])
@@ -772,19 +778,23 @@ def _advance_blocks(blocks: list, xs: np.ndarray, vs: np.ndarray) -> None:
 
 
 def _integrate_many(groups):
-    """Integrate groups (problem, horizon, step), each as ``integrate``
-    would, in lockstep: every round takes the ready block of every group
-    with one ``_advance_blocks`` call. Yields, in the groups' order, each
-    group's (nodes, x, x′) or the exception it raised; a raising group
-    leaves the others as they would be alone.
-
-    Groups run in batches that share one output buffer of at most
-    ``_MAX_STEPS`` steps in all. A batch runs when its first output is
-    asked for, so a caller that lets go of each batch's outputs before it
-    asks for the next one's holds one batch's buffers at a time."""
-    batch, total = [], 0
-    for problem, horizon, step in groups:
-        run = _integration(problem, horizon, step)
+    """Integrate groups (problem, horizon, step) as ``integrate`` would, in
+    lockstep, yielding each group's (nodes, x, x′) or its exception in
+    order; a raising group leaves the others as they would be alone. Groups
+    run in batches sharing one buffer of at most ``_MAX_STEPS`` steps, each
+    run when its first output is asked for."""
+    groups = list(groups)
+    # z and y of a fundamental pair differ only in x(s⁺) and x′(s⁺): two
+    # such runs in a row share their plans
+    keys = [(type(prob), id(prob.p), id(prob.tau), id(prob.history),
+             repr((prob.start, horizon, step)))
+            for prob, horizon, step in groups] + [None]
+    batch, total, pending = [], 0, None
+    for k, (problem, horizon, step) in enumerate(groups):
+        twin = pending if pending is not None \
+            else {} if keys[k] == keys[k + 1] else None
+        pending = twin if pending is None else None
+        run = _integration(problem, horizon, step, twin)
         try:
             n = next(run)
         except Exception as exc:  # noqa: BLE001 - the group's outcome
@@ -799,9 +809,8 @@ def _integrate_many(groups):
 
 
 def _lockstep(batch: list):
-    """The outcomes of one batch of ``_integrate_many``: its runs, each
-    past its first yield (or the exception that stopped it there), in one
-    shared buffer; each run's outcome takes its place in ``batch``."""
+    """The outcomes of one batch of ``_integrate_many`` (runs past their
+    first yield, or their exceptions), in one buffer, in ``batch``."""
     size = sum(entry[1] for entry in batch if isinstance(entry, tuple))
     xs, vs = np.zeros(size), np.zeros(size)
     live, off = [], 0
@@ -830,8 +839,8 @@ def _lockstep(batch: list):
 
 
 def _solve(problems: tuple, horizon: float, step: float) -> tuple:
-    """One Trajectory per problem, all integrated in lockstep to one
-    horizon at one step; raises the first exception a problem raised."""
+    """One Trajectory per problem, in lockstep to one horizon at one step;
+    raises the first exception a problem raised."""
     outs = list(_integrate_many((prob, horizon, step) for prob in problems))
     for out in outs:
         if isinstance(out, Exception):
@@ -840,9 +849,7 @@ def _solve(problems: tuple, horizon: float, step: float) -> tuple:
                  for prob, out in zip(problems, outs))
 
 
-# ----------------------------------------------------------------------
-# event scanning (shared with the analysis layer)
-# ----------------------------------------------------------------------
+# ---- event scanning (shared with the analysis layer) ----
 
 # default resolution of every zero and extremum scan, the CLI's --tol too
 _SCAN_TOL = 1e-10
@@ -851,10 +858,8 @@ _SCAN_TOL = 1e-10
 def _refine(traj: Trajectory, derivative: bool, left: np.ndarray,
             tol: float) -> list[float]:
     """Bisect each bracket [ts[j], ts[j + 1]] on its own step, in Python
-    floats with the operations of ``Trajectory._eval`` in its order. A
-    midpoint never leaves its step, and rounding is monotone, so its
-    fraction s of the step is in [0, 1] without the clamp ``_eval``
-    applies."""
+    floats with ``Trajectory._eval``'s operations; a midpoint never leaves
+    its step, so its fraction s needs no clamp."""
     ts, xs, vs = traj.ts, traj.xs, traj.vs
     out = []
     for j in left.tolist():
@@ -895,14 +900,11 @@ def _check_tol(tol: float) -> None:
 
 def _scan_sign_changes(traj: Trajectory, derivative: bool, tol: float
                        ) -> list[tuple]:
-    """(t, exact_node) for each sign change of x at the nodes (of x′ if
-    ``derivative``), refined by bisection on dense output. Node values that
-    are exactly zero are taken as-is; a run of exact zeros yields one
-    event. Each bracket is bisected on its own step: it ends at its left
-    node if the function vanishes there, at the first midpoint where it
-    vanishes or that cannot move (the ends are adjacent floats, wider
-    than tol), or else at the centre of its first interval no wider than
-    tol."""
+    """(t, exact_node) for each sign change of x (x′ if ``derivative``) at
+    the nodes; an exact zero node is taken as is, a run of them once. A
+    bracket ends at its left node if the function vanishes there, at the
+    first midpoint that vanishes or cannot move (adjacent floats), or at
+    the centre of its first interval no wider than tol."""
     _check_tol(tol)
     ys = traj.vs if derivative else traj.xs
     nonzero = ys != 0.0
@@ -935,21 +937,17 @@ def _abs_max_so_far(traj: Trajectory, ys: np.ndarray, t: list) -> list:
 
 
 def zero_crossings(traj: Trajectory, tol: float = _SCAN_TOL) -> list[tuple]:
-    """Zeros of x as (time, degenerate) pairs, in increasing time.
-
-    Sign-change zeros are refined to ``tol``; tangential touches (a local
-    extremum whose value is zero at resolution scale) are flagged degenerate.
-    Both floors scale with |x| (|x′| for a zero node's slope) from the start
-    to two steps past the event, the values its rounding error grew from, so
-    the early peaks of a growing solution stay peaks.
-    """
+    """Zeros of x as (time, degenerate) pairs, in increasing time: sign
+    changes refined to ``tol``, and touches (an extremum that is zero at
+    resolution scale) flagged degenerate. Both floors scale with |x| (|x′|
+    for a zero node's slope) from the start to two steps past the event,
+    so the early peaks of a growing solution stay peaks."""
     return _zero_scan(traj, tol)[0]
 
 
 def _zero_scan(traj: Trajectory, tol: float) -> tuple[list, list]:
     """``zero_crossings`` and the ``extremum_events`` its touch search read
-    (none for an identically zero trajectory, which has one zero), so that
-    a caller that needs both scans the slope once."""
+    (none when x ≡ 0), so a caller that needs both scans the slope once."""
     _check_tol(tol)
     if not traj.xs.any():
         return [(traj.start, True)], []  # identically zero trajectory
@@ -989,16 +987,13 @@ def _scan_events(traj: Trajectory, tol: float = _SCAN_TOL) -> list[Event]:
     return evs
 
 
-# ----------------------------------------------------------------------
-# fundamental system and Wronskian
-# ----------------------------------------------------------------------
+# ---- fundamental system and Wronskian ----
 
 def fundamental_system(p: PiecewiseSignal, tau: PiecewiseSignal, s: float,
                        horizon: float, step: float = 0.01
                        ) -> tuple[Trajectory, Trajectory]:
-    """The pair (z, y): identically-zero history with unit jumps at s —
-    z(s) = 1, z′(s) = 0 and y(s) = 0, y′(s) = 1 — integrated in lockstep,
-    each equal to its own ``integrate`` run."""
+    """The pair (z, y): zero history with unit jumps at s (z(s) = y′(s) = 1,
+    z′(s) = y(s) = 0), sharing their plans, each its own ``integrate``."""
     return _solve(_fundamental_problems(p, tau, s), horizon, step)
 
 

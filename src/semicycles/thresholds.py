@@ -203,10 +203,10 @@ def eval_r(delta: float, t: float) -> float:
     """Descent profile r_Δ at a single time (1 for t ≤ 0; cos(t) when Δ=0).
 
     Raises DomainError for a non-finite t, where the series cannot be
-    summed at t, and where 2⁻⁵³·n·cosh t, which bounds the rounding of its
-    n terms (their magnitudes add up to at most cosh t), exceeds 1e−6 of
-    max(1, |r|): from about t = 20 at small Δ, far beyond ϑ_Δ + 2, the
-    latest time the package reads.
+    summed at t, and where 2⁻⁵³·n·Σ|term|, which bounds the rounding of the
+    n terms it summed, exceeds 1e−6 of max(1, |r|): from about t = 20 at
+    small Δ (Σ|term| ≈ cosh t), far beyond ϑ_Δ + 2, the latest time the
+    package reads.
     """
     delta, t = float(delta), float(t)
     _check_delay(delta)
@@ -214,9 +214,18 @@ def eval_r(delta: float, t: float) -> float:
         raise DomainError(f"time must be finite, got {t}")
     r = _r_scalar(delta, t)
     if t > 0.0 and delta > 0.0:
-        # n ≤ t/Δ + 2 terms are active (base t − (k − 1)·Δ > 0)
-        n = min(len(_FACTORIALS), t / delta + 2.0)
-        bound = 2.0 ** -53 * n * (math.cosh(t) if t < 710.0 else math.inf)
+        # the terms of ``_r_scalar``'s sum, which cannot overflow once it
+        # has returned: their magnitudes bound its rounding
+        n = size = 0
+        for k, fact in enumerate(_FACTORIALS):
+            base = t - (k - 1) * delta
+            if not base > 0.0:
+                break
+            term = base ** (2 * k) / fact
+            if k > 2 and term < _SERIES_FLOOR:
+                break
+            n, size = n + 1, size + term
+        bound = 2.0 ** -53 * n * size
         if not bound <= 1e-6 * max(1.0, abs(r)):
             raise DomainError(
                 f"descent profile series at t={t}, delta={delta}: rounding "
@@ -283,23 +292,6 @@ class ThresholdResult:
         profile[ts <= v_root] = 1.0
         profile.flags.writeable = False
         return profile
-
-
-def _cumulative_moments(w: np.ndarray, g: np.ndarray):
-    """Node values of I0(v)=∫_{w0}^{v} g and I1(v)=∫_{w0}^{v} w·g(w) dw for
-    the piecewise-linear carrier g — exact per cell (trapezoid is exact for
-    the 0th moment of a linear function, Simpson for the 1st).
-
-    The reference form: a sweep computes the same floats in the same order
-    into its grid's buffers (``_SweepGrid.moments``)."""
-    h = w[1] - w[0]
-    g0, g1 = g[:-1], g[1:]
-    i0 = np.concatenate(([0.0], np.cumsum(0.5 * h * (g0 + g1))))
-    wm = 0.5 * (w[:-1] + w[1:])
-    gm = 0.5 * (g0 + g1)
-    i1 = np.concatenate(([0.0], np.cumsum(
-        (h / 6.0) * (w[:-1] * g0 + 4.0 * wm * gm + w[1:] * g1))))
-    return i0, i1
 
 
 def _moment_partials(v: np.ndarray, w: np.ndarray, g: np.ndarray,
@@ -376,11 +368,12 @@ class _SweepGrid:
         self.cell = 0
 
     def moments(self) -> None:
-        """``_cumulative_moments`` of the carrier in ``g``, into I0 and I1
-        (whose first entries stay 0), bit for bit: scalings by powers of two
-        are exact, so ``w_pair``·(g0 + g1) is its 4·wm·gm, and the running
-        sum of a complex row adds its real and its imaginary parts as two
-        independent float sums, one per moment."""
+        """The node values I0(v) = ∫_{w0}^{v} g and I1(v) = ∫_{w0}^{v} w·g(w)
+        dw of the piecewise-linear carrier in ``g``, into I0 and I1 (whose
+        first entries stay 0), exact per cell: the trapezoid rule for I0,
+        Simpson's for I1, whose 4·wm·gm is ``w_pair``·(g0 + g1), scalings by
+        powers of two being exact. The running sum of a complex row adds its
+        real and imaginary parts as two independent float sums."""
         g, wg, s, t, d = self.g, self.wg, self.s, self.t, self.d
         np.multiply(self.w, g, out=wg)
         np.add(g[:-1], g[1:], out=s)

@@ -129,3 +129,35 @@ def test_thresholds_run_records_every_table_solve(tmp_path, monkeypatch):
     assert len(solves) > 217
     assert not any(isinstance(s, BaseException) for s in solves)
     assert digest(again) == digest(solves)
+
+
+def test_values_mode_measures_relative_changes_and_pairing():
+    """``--values`` reports how far x, x′ and Ψ moved between paired
+    outputs, relative to the parent's largest |x| and |x′|, and what does
+    not pair up: another count, node grid or exception."""
+    ts = np.linspace(0.0, 1.0, 5)
+    xs, vs = 4.0 * np.cos(ts), -2.0 * np.sin(ts)
+    error = HistoryDomainError("delayed argument -2.0")
+    solves = [(np.array([1.0]), np.array([1.5]), np.zeros(3)),
+              DomainError("delay must be finite")]
+    parent = integrator_digest._values([(ts, xs, vs), error], solves)
+    assert parent[0][1] == "HistoryDomainError: delayed argument -2.0"
+    assert parent[1] == [1.5, "DomainError: delay must be finite"]
+    moved_x, moved_v = xs.copy(), vs.copy()
+    moved_x[2] += 4e-12   # relative to max |x| = 4
+    moved_v[3] -= 1e-13   # relative to max |x′| = 2 sin 0.75 = 1.36
+    change = integrator_digest._values(
+        [(ts, moved_x, moved_v), error],
+        [(np.array([1.0]), np.array([1.5 + 2e-13]), np.zeros(3)),
+         solves[1]])
+    dx, dv, dpsi, unpaired = integrator_digest.value_changes(parent, change)
+    assert dx == pytest.approx(1e-12, rel=1e-3)
+    assert dv == pytest.approx(1e-13 / (2.0 * np.sin(0.75)), rel=1e-3)
+    assert dpsi == pytest.approx(2e-13, rel=1e-2)
+    assert unpaired == []
+    assert integrator_digest.value_changes(parent, parent) == (0.0, 0.0,
+                                                               0.0, [])
+    other = integrator_digest._values(
+        [(ts[:-1], xs[:-1], vs[:-1]), (ts, xs, vs)], solves[:1])
+    *_, unpaired = integrator_digest.value_changes(parent, other)
+    assert len(unpaired) == 3   # a node grid, an exception, a count

@@ -29,7 +29,6 @@ from semicycles.thresholds import (
     _NO_WINDOW,
     _SweepGrid,
     _beta_step,
-    _cumulative_moments,
     _descent_shape,
     _forcing_grid,
     _moment_at,
@@ -118,6 +117,34 @@ def test_r_refuses_sums_that_cancellation_swamps(delta, t):
     is off by 370 %, 1.0 % and 0.2 % of an 80-digit one."""
     with pytest.raises(DomainError, match="rounding bound"):
         eval_r(delta, t)
+
+
+@pytest.mark.parametrize("delta, t, want", [
+    # three terms, 1 − 1800 + 33750, with no rounding at all
+    (30.0, 60.0, 31951.0),
+    # three terms again; cosh t overflows past t ≈ 710
+    (500.0, 800.0, 337180001.0),
+    (400.0, 710.5, 1.0 - 710.5 ** 2 / 2 + 310.5 ** 4 / 24),
+])
+def test_r_bounds_rounding_by_the_terms_it_summed(delta, t, want):
+    """The rounding bound sums the magnitudes of the terms ``_r_scalar``
+    added, not cosh t: a few large terms that cancel little are kept."""
+    assert eval_r(delta, t) == want == _r_scalar(delta, t)
+
+
+def test_r_rounding_bound_leaves_theta_alone(monkeypatch):
+    """ϑ reads ``_r_scalar`` only: the bound's extra sum costs it nothing
+    and cannot move its bits."""
+    calls = []
+    monkeypatch.setattr(thresholds, "eval_r",
+                        lambda *args: calls.append(args))
+    thresholds.theta.cache_clear()
+    try:
+        for d in (0.0, 0.3, 1.0, 2.5):
+            assert 1.4 < theta(d) < 1.6 + 1e-9
+    finally:
+        thresholds.theta.cache_clear()
+    assert calls == []
 
 
 def test_r_rounding_check_keeps_every_value_up_to_six():
@@ -361,6 +388,24 @@ def test_iteration_rebuilds_beta_only_for_another_sweep(monkeypatch):
         calls.clear()
         res = beta_iterate(rho, d, n)
         assert len(calls) == res.iterations - 1 >= 1, (rho, d, n)
+
+
+def _cumulative_moments(w: np.ndarray, g: np.ndarray):
+    """Node values of I0(v)=∫_{w0}^{v} g and I1(v)=∫_{w0}^{v} w·g(w) dw for
+    the piecewise-linear carrier g — exact per cell (trapezoid is exact for
+    the 0th moment of a linear function, Simpson for the 1st).
+
+    The reference form: a sweep computes the same floats in the same order
+    into its grid's buffers (``thresholds._SweepGrid.moments``)."""
+    h = w[1] - w[0]
+    g0, g1 = g[:-1], g[1:]
+    i0 = np.concatenate(([0.0], np.cumsum(0.5 * h * (g0 + g1))))
+    wm = 0.5 * (w[:-1] + w[1:])
+    gm = 0.5 * (g0 + g1)
+    i1 = np.concatenate(([0.0], np.cumsum(
+        (h / 6.0) * (w[:-1] * g0 + 4.0 * wm * gm + w[1:] * g1))))
+    return i0, i1
+
 
 
 def _oracle_step(w, beta, forcing):
