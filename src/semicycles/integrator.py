@@ -327,7 +327,7 @@ _CHUNK = 512
 # shortest numpy block: one costs 35-65 µs, a scalar step 3-5 µs; the
 # suites time the same within noise at 3, 6 and 10
 _MIN_BLOCK = 3
-# most distinct steps mapped in Python floats (3-20 µs each), not numpy
+# most distinct steps mapped in Python floats (3 µs each), not by numpy
 _FEW_MAPS = 8
 # odd multipliers of the key rows' bits, whose sum hashes a step
 _HASH = np.arange(1, 9, 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
@@ -611,19 +611,22 @@ def _take_steps(plan: _ChunkPlan, b: int, e: int, xs: np.ndarray,
             d1 = val[2] if k1 == _VALUE else None
         k1v = n0 * d0
         k2x = v0 + hh2 * k1v
+        s2x = v0 + 2 * k2x  # the sums' leading terms, the same every pass
         over = km == _OVERLAP or k1 == _OVERLAP
+        if over:
+            bm, b1 = x0 * q0 + v0 * hh * q1, x0 * r0 + v0 * hh * r1
         for later in (False, True, True) if over else (False,):
             if later:  # read the previous pass's interpolant
                 if km == _OVERLAP:
-                    dm = x0 * q0 + v0 * hh * q1 + x1 * q2 + v1 * hh * q3
+                    dm = bm + x1 * q2 + v1 * hh * q3
                 if k1 == _OVERLAP:
-                    d1 = x0 * r0 + v0 * hh * r1 + x1 * r2 + v1 * hh * r3
+                    d1 = b1 + x1 * r2 + v1 * hh * r3
             k2v = nm * (x0 + hh2 * v0 if dm is None else dm)
             k3x = v0 + hh2 * k2v
             k3v = nm * (x0 + hh2 * k2x) if dm is None else k2v
             k4x = v0 + hh * k3v
             k4v = n1 * (x0 + hh * k3x if d1 is None else d1)
-            x1 = x0 + hh6 * (v0 + 2 * k2x + 2 * k3x + k4x)
+            x1 = x0 + hh6 * (s2x + 2 * k3x + k4x)
             v1 = v0 + hh6 * (k1v + 2 * k2v + 2 * k3v + k4v)
         X.append(x1)
         V.append(v1)
