@@ -45,7 +45,7 @@ import bisect
 import copy
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import accumulate, repeat
 
 import numpy as np
@@ -327,10 +327,6 @@ _CHUNK = 512
 # shortest numpy block: one costs 35-65 µs, a scalar step 3-5 µs; the
 # suites time the same within noise at 3, 6 and 10
 _MIN_BLOCK = 3
-# most distinct steps mapped in Python floats (3 µs each), not by numpy
-_FEW_MAPS = 8
-# odd multipliers of the key rows' bits, whose sum hashes a step
-_HASH = np.arange(1, 9, 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
 # most steps of one integration: 100× the package's longest run (94,248
 # steps, reproduce_examples.py --periods 30 --step 0.002), 240 MB
 _MAX_STEPS = 10_000_000
@@ -492,35 +488,10 @@ class _ChunkPlan:
 def _step_maps(steps: np.ndarray) -> list:
     """The linear map (a, c, f, g) of each step, x₁ = a·x₀ + c·x′₀ and
     x′₁ = f·x₀ + g·x′₀, whose ``table`` column is in ``steps`` and whose
-    stages all read their own x: the RK4 body run on unit inputs. Every
-    operation is elementwise, so a step's map depends only on its hh and
-    −p: steps alike bit for bit (a hash finds them, a comparison confirms
-    it) are computed once, by ``_unit_map`` if few, else in one numpy
-    pass, which gives the same bits."""
-    bits = steps[[0, 3, 4, 5]].view(np.uint64)
-    first, again = slice(None), range(bits.shape[1])
-    if bits.shape[1] > _FEW_MAPS:
-        _, alike, inverse = np.unique(_HASH @ bits, return_index=True,
-                                      return_inverse=True)
-        if (bits[:, alike[inverse]] == bits).all():
-            first, again = alike, inverse.tolist()
-    if len(bits[0, first]) > _FEW_MAPS:
-        maps = np.concatenate(_rk4(*np.eye(2)[:, :, None],
-                                   *steps[:6, first])).T.tolist()
-    else:
-        maps = [_unit_map(key) for key in map(
-            bytes, np.ascontiguousarray(bits[:, first].T))]
-    return [maps[i] for i in again]
-
-
-@lru_cache(maxsize=1024)
-def _unit_map(key: bytes) -> tuple:
-    """``_step_maps`` of one step whose hh and −p are ``key``, in Python
-    floats: the same operations, so the same bits."""
-    hh, n0, nm, n1 = np.frombuffer(key).tolist()
-    s = (hh, 0.5 * hh, hh / 6.0, n0, nm, n1)
-    (a, f), (c, g) = _rk4(1.0, 0.0, *s), _rk4(0.0, 1.0, *s)
-    return a, c, f, g
+    stages all read their own x: the RK4 body on the unit inputs, every
+    operation elementwise, so a step's map does not depend on the other
+    steps."""
+    return np.concatenate(_rk4(*np.eye(2)[:, :, None], *steps[:6])).T.tolist()
 
 
 def _rk4(x, v, hh, hh2, hh6, n0, nm, n1) -> tuple:

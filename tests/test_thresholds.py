@@ -132,21 +132,6 @@ def test_r_bounds_rounding_by_the_terms_it_summed(delta, t, want):
     assert eval_r(delta, t) == want == _r_scalar(delta, t)
 
 
-def test_r_rounding_bound_leaves_theta_alone(monkeypatch):
-    """ϑ reads ``_r_scalar`` only: the bound's extra sum costs it nothing
-    and cannot move its bits."""
-    calls = []
-    monkeypatch.setattr(thresholds, "eval_r",
-                        lambda *args: calls.append(args))
-    thresholds.theta.cache_clear()
-    try:
-        for d in (0.0, 0.3, 1.0, 2.5):
-            assert 1.4 < theta(d) < 1.6 + 1e-9
-    finally:
-        thresholds.theta.cache_clear()
-    assert calls == []
-
-
 def test_r_rounding_check_keeps_every_value_up_to_six():
     """Up to t = 6, the reach of every other test, no Δ is refused and
     each value is the series' own."""
