@@ -32,7 +32,9 @@ change that moves them at rounding level: per workload and seed it prints
 the largest max |Δx|/max|x| and max |Δx′|/max|x′| over the paired
 trajectories and the largest |ΔΨ| over the paired solves, and exits 1 only
 if the two trees' outputs do not pair up (another count, node grid or
-exception).
+exception).  It reads each tree's outputs from that tree's own
+interpreter, which ``--values`` without ``--parent`` runs: it writes the
+tree's outputs, pickled, on stdout.
 
     python3 scripts/integrator_digest.py --parent HEAD~1 --values
 """
@@ -187,10 +189,11 @@ def value_changes(parent: tuple, change: tuple) -> tuple:
     return dx, dv, dpsi, unpaired
 
 
-def _digest_tree(tree: Path, seeds: list[int], dump: Path | None = None
-                 ) -> list[str]:
+def _digest_tree(tree: Path, seeds: list[int], values: bool = False):
+    """Each workload and seed's two digest lines or, with ``values``, its
+    ``_values`` under "workload@seed"."""
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
-    lines = []
+    lines, found = [], {}
     with tempfile.TemporaryDirectory(prefix="digest-") as tmp:
         os.environ["SEMICYCLE_CACHE_DIR"] = tmp
         for workload in WORKLOADS:
@@ -200,24 +203,22 @@ def _digest_tree(tree: Path, seeds: list[int], dump: Path | None = None
                                         ("beta_iterate", solves)):
                     lines.append(f"{workload}@{seed} {entry} "
                                  f"{digest(recorded)} {len(recorded)}")
-                if dump is not None:
-                    with open(dump / f"{workload}@{seed}.pkl", "wb") as f:
-                        pickle.dump(_values(outputs, solves), f)
-    return lines
+                found[f"{workload}@{seed}"] = _values(outputs, solves)
+    return found if values else lines
 
 
-def _in_subprocess(tree: Path, seeds: list[int], dump: Path | None = None
-                   ) -> list[str]:
+def _in_subprocess(tree: Path, seeds: list[int], values: bool = False):
+    """``_digest_tree`` of ``tree`` in an interpreter of its own."""
     argv = [sys.executable, __file__, "--tree", str(tree)]
-    if dump is not None:
-        argv += ["--dump", str(dump)]
+    argv += ["--values"] if values else []
     for seed in seeds:
         argv += ["--seed", str(seed)]
-    proc = subprocess.run(argv, capture_output=True, text=True)
+    proc = subprocess.run(argv, capture_output=True)
     if proc.returncode:
         raise SystemExit(f"integrator_digest: {tree} failed:\n"
-                         f"{proc.stderr[-2000:]}")
-    return proc.stdout.splitlines()
+                         f"{proc.stderr[-2000:].decode(errors='replace')}")
+    return (pickle.loads(proc.stdout) if values
+            else proc.stdout.decode().splitlines())
 
 
 def main(argv=None) -> int:
@@ -230,12 +231,16 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, action="append",
                     help="repeatable (default: 0 to 5)")
     ap.add_argument("--values", action="store_true",
-                    help="with --parent: how far values moved, not hashes")
-    ap.add_argument("--dump", type=Path, help=argparse.SUPPRESS)
+                    help="with --parent: how far values moved, not hashes; "
+                         "alone: this tree's values, pickled on stdout")
     args = ap.parse_args(argv)
     seeds = args.seed or list(range(6))
     if args.parent is None:
-        print("\n".join(_digest_tree(args.tree.resolve(), seeds, args.dump)))
+        found = _digest_tree(args.tree.resolve(), seeds, args.values)
+        if args.values:
+            pickle.dump(found, sys.stdout.buffer)
+        else:
+            print("\n".join(found))
         return 0
     # the export bench_pair.py makes, from the script beside this one
     from bench_pair import _export, _git
@@ -258,29 +263,21 @@ def main(argv=None) -> int:
 
 
 def _compare_values(rev: str, seeds: list[int]) -> int:
-    """``--values``: both trees' outputs, dumped by their own interpreters,
+    """``--values``: both trees' outputs, each from its own interpreter,
     compared one workload and seed at a time."""
     from bench_pair import _export
 
     with tempfile.TemporaryDirectory(prefix="digest-values-") as tmp:
-        tree, dumps = Path(tmp) / "parent", Path(tmp) / "dumps"
-        tree.mkdir()
-        _export(rev, tree)
-        for side, where in (("parent", tree), ("change", ROOT)):
-            (dumps / side).mkdir(parents=True)
-            _in_subprocess(where, seeds, dumps / side)
-        bad = 0
-        for path in sorted((dumps / "change").iterdir()):
-            with open(dumps / "parent" / path.name, "rb") as f:
-                parent = pickle.load(f)
-            with open(path, "rb") as f:
-                change = pickle.load(f)
-            dx, dv, dpsi, unpaired = value_changes(parent, change)
-            bad += bool(unpaired)
-            print(f"{path.stem} x {dx:.2e} x' {dv:.2e} psi {dpsi:.2e} "
-                  f"({len(change[0])} trajectories, {len(change[1])} "
-                  f"solves)" + "".join(f"\n    UNPAIRED {u}"
-                                       for u in unpaired[:5]))
+        _export(rev, Path(tmp))
+        parent = _in_subprocess(Path(tmp), seeds, values=True)
+    change = _in_subprocess(ROOT, seeds, values=True)
+    bad = 0
+    for key, new in change.items():
+        dx, dv, dpsi, unpaired = value_changes(parent[key], new)
+        bad += bool(unpaired)
+        print(f"{key} x {dx:.2e} x' {dv:.2e} psi {dpsi:.2e} "
+              f"({len(new[0])} trajectories, {len(new[1])} solves)"
+              + "".join(f"\n    UNPAIRED {u}" for u in unpaired[:5]))
     print(f"values against {rev[:12]}; {bad} runs do not pair up")
     return 1 if bad else 0
 

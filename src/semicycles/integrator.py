@@ -363,9 +363,11 @@ class _ChunkPlan:
     ``plus``, reads x(s⁺)), ``jj``/``h``/``w`` each read's bracket and
     weights, ``reach`` the last node a step reads. An ``ok`` step, whose
     stages all read values or accepted output, can join a block; one whose
-    stages all read their own x runs by its map (``coefs``)."""
+    stages all read their own x runs by its map (``coefs``), the same
+    whether its chunk has a delay or not."""
 
-    coefs = None  # per step its map (``_step_maps``), or None
+    # (4, m): the map of each step reading its own x (``_step_maps``)
+    coefs = None
 
     def __init__(self, problem: DelayProblem, ts: np.ndarray, c0: int,
                  c1: int, seg_p: np.ndarray, seg_tau: np.ndarray,
@@ -441,9 +443,8 @@ class _ChunkPlan:
         # a step whose stages all read their own x runs by its map
         own = np.flatnonzero(ode.all(axis=0)) if ode.any() else ()
         if len(own):
-            self.coefs = [None] * (c1 - c0)
-            for j, coef in zip(own.tolist(), _step_maps(table[:, own])):
-                self.coefs[j] = coef
+            self.coefs = np.zeros((4, c1 - c0))
+            self.coefs[:, own] = _step_maps(table[:, own])
 
     def for_start(self, x_plus: float) -> _ChunkPlan:
         """This plan for the problem whose x(s⁺) is x_plus."""
@@ -485,27 +486,24 @@ class _ChunkPlan:
         np.add.accumulate(xs[j0:j1 + 1], out=xs[j0:j1 + 1])
 
 
-def _step_maps(steps: np.ndarray) -> list:
-    """The linear map (a, c, f, g) of each step, x₁ = a·x₀ + c·x′₀ and
-    x′₁ = f·x₀ + g·x′₀, whose ``table`` column is in ``steps`` and whose
-    stages all read their own x: the RK4 body on the unit inputs, every
-    operation elementwise, so a step's map does not depend on the other
-    steps."""
-    return np.concatenate(_rk4(*np.eye(2)[:, :, None], *steps[:6])).T.tolist()
-
-
-def _rk4(x, v, hh, hh2, hh6, n0, nm, n1) -> tuple:
-    """x₁ and x′₁ of an RK4 step whose stages read their own x, from x₀ = x
-    and x′₀ = v, on floats or elementwise on arrays."""
-    k1v = n0 * x
-    k2x = v + hh2 * k1v
-    k2v = nm * (x + hh2 * v)
-    k3x = v + hh2 * k2v
-    k3v = nm * (x + hh2 * k2x)
-    k4x = v + hh * k3v
-    k4v = n1 * (x + hh * k3x)
-    return (x + hh6 * (v + 2 * k2x + 2 * k3x + k4x),
-            v + hh6 * (k1v + 2 * k2v + 2 * k3v + k4v))
+def _step_maps(steps: np.ndarray) -> np.ndarray:
+    """The linear map (a, c, f, g), a column, of each step whose ``table``
+    column is in ``steps`` and whose stages all read their own x,
+    x₁ = a·x₀ + c·x′₀ and x′₁ = f·x₀ + g·x′₀: the bits of the RK4 body on
+    x₀ = 1, x′₀ = 0 and on x₀ = 0, x′₀ = 1, with its products by 1 and 0
+    and its sums with 0 left out (the leading 0.0 of f keeps its zero
+    positive). Every operation is elementwise, so a step's map depends only
+    on the step."""
+    hh, hh2, hh6, n0, nm, n1 = steps[:6]
+    k2x = hh2 * n0
+    k3x = hh2 * nm  # also k2v = k3v of the second input
+    k3v = nm * (1 + hh2 * k2x)
+    a = 1 + hh6 * (2 * k2x + 2 * k3x + hh * k3v)
+    f = 0.0 + hh6 * (n0 + 2 * nm + 2 * k3v + n1 * (1 + hh * k3x))
+    k2v, k3x = k3x, 1 + hh2 * k3x
+    c = hh6 * (3 + 2 * k3x + (1 + hh * k2v))
+    g = 1 + hh6 * (4 * k2v + n1 * (hh * k3x))
+    return np.array((a, c, f, g))
 
 
 def _take_steps(plan: _ChunkPlan, b: int, e: int, xs: np.ndarray,
@@ -519,9 +517,11 @@ def _take_steps(plan: _ChunkPlan, b: int, e: int, xs: np.ndarray,
     k2x are the same in every pass). The nodes a run reads before its first
     node lead its lists: the whole span from the lowest, or, past six nodes
     a step, only each bracket's two, so the lists grow with the run, not
-    the delay."""
+    the delay. An ``ok`` step takes a block's operations here, so no step's
+    bits depend on the run it falls in."""
     j0, j1 = plan.c0 + b, plan.c0 + e
-    coefs = repeat(None) if plan.coefs is None else plan.coefs[b:e]
+    coefs = repeat(None) if plan.coefs is None \
+        else zip(*plan.coefs[:, b:e].tolist())
     if plan.kind is None:
         x0, v0 = xs.item(j0), vs.item(j0)
         out_x, out_v = [], []
@@ -553,7 +553,7 @@ def _take_steps(plan: _ChunkPlan, b: int, e: int, xs: np.ndarray,
     for (hh, hh2, hh6, n0, nm, n1, h0, hm, h1, p0, q0, r0, p1, q1, r1,
          p2, q2, r2, p3, q3, r3), (k0, km, k1, i0, im, i1), val, coef in zip(
              map(np.ndarray.tolist, rows), reads, known, coefs):
-        if coef is not None:
+        if coef is not None and k0 == km == k1 == _ODE:
             a, c, f, g = coef
             x0, v0 = a * x0 + c * v0, f * x0 + g * v0
             X.append(x0)

@@ -317,9 +317,9 @@ def test_problem_dict_round_trip():
 
 def _step_map(hh, neg_p):
     """The linear map (a, c, f, g) of a step whose stages read their own x,
-    x₁ = a·x₀ + c·x′₀ and x′₁ = f·x₀ + g·x′₀, in Python floats with the
-    plan's operations in their order: its RK4 body on x₀ = 1, x′₀ = 0 and
-    on x₀ = 0, x′₀ = 1."""
+    x₁ = a·x₀ + c·x′₀ and x′₁ = f·x₀ + g·x′₀, in Python floats: its whole
+    RK4 body on x₀ = 1, x′₀ = 0 and on x₀ = 0, x′₀ = 1, whose bits the
+    plan's shorter form keeps."""
     hh2, hh6 = 0.5 * hh, hh / 6.0
     n0, nm, n1 = neg_p
     out = []
@@ -335,6 +335,21 @@ def _step_map(hh, neg_p):
                     v + hh6 * (k1v + 2 * k2v + 2 * k3v + k4v)))
     (a, f), (c, g) = out
     return a, c, f, g
+
+
+def test_step_maps_are_the_rk4_body_on_unit_inputs():
+    # the plan's maps leave out the body's products by 1 and 0 and its sums
+    # with 0, yet keep its bits, signed zeros included (−p = −0.0 where
+    # p = 0), over step widths and coefficients of many scales
+    rng = np.random.default_rng(3)
+    hh = np.exp(rng.uniform(-9.0, 1.0, 512))
+    neg_p = rng.choice([-0.0, 0.0, 1.0, -1.0], (3, 512)) \
+        * np.exp(rng.uniform(-30.0, 30.0, (3, 512)))
+    neg_p[:, 0] = -0.0
+    table = np.vstack((hh, 0.5 * hh, hh / 6.0, neg_p))
+    got = integrator._step_maps(table)
+    want = [_step_map(step[0], step[3:]) for step in table.T.tolist()]
+    assert got.T.copy().tobytes() == np.array(want).tobytes()
 
 
 def _reference(problem, horizon, step, maps):
