@@ -1,16 +1,19 @@
 """Benchmark this checkout against a parent revision in alternating pairs.
 
 The parent revision's committed files are exported (``git archive``) into
-a temporary directory; then ``perfbench/run.py`` runs on both trees, one
-after the other, pair by pair, the order flipping every pair so that a
-drift in machine speed falls on both sides alike.  Each run is a fresh
+a temporary directory, and this checkout's files that git tracks or would
+track (committed, edited or new, but no ignored file such as a
+``__pycache__``) are copied beside them, so that neither side runs from
+bytecode caches the other lacks; then ``perfbench/run.py`` runs on both
+trees, one after the other, pair by pair, the order flipping every pair so
+that a drift in machine speed falls on both sides alike.  Each run is a fresh
 ``perfbench/run.py --trace 0`` of BENCHMARK.json's ``run_seconds`` and
 reports the medians of its own repetitions; the pairs' values give per
 side the median and quartiles of every end-to-end metric, and ``wins``
 counts the pairs where this checkout was better.  Then one
 ``perfbench/run.py --trace 1`` run per side of each benchmarked workload,
 at its seed, reports every per-layer metric of BENCHMARK.json, so that the
-output names the layers that moved.  The export is removed afterwards.
+output names the layers that moved.  The exports are removed afterwards.
 
 Run from the repository root:
 
@@ -61,6 +64,20 @@ def _export(rev: str, dest: Path) -> None:
                          check=True, capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         archive.extractall(dest, filter="data")
+
+
+def _export_checkout(root: Path, dest: Path) -> None:
+    """The files of the checkout at ``root`` that git tracks or would track,
+    as they are on disk, under ``dest``."""
+    names = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others",
+         "--exclude-standard"], cwd=root, check=True,
+        capture_output=True).stdout.decode().split("\0")
+    for name in filter(None, names):
+        src = root / name
+        if src.is_file():  # a tracked file deleted on disk is listed too
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dest / name)
 
 
 def _perfbench(tree: Path, workload: str, seed: int, seconds: float,
@@ -132,7 +149,7 @@ def main(argv=None) -> int:
 
     parent_sha = _git("rev-parse", args.parent)
     head_sha = _git("rev-parse", "HEAD")
-    dirty = bool(_git("status", "--porcelain", "--untracked-files=no"))
+    dirty = bool(_git("status", "--porcelain"))
     report = {
         "parent": parent_sha,
         "change": head_sha + ("+working-tree" if dirty else ""),
@@ -151,11 +168,11 @@ def main(argv=None) -> int:
         "workloads": {},
         "layers": {},
     }
-    tmp = Path(tempfile.mkdtemp(prefix="bench-parent-"))
+    tmp = Path(tempfile.mkdtemp(prefix="bench-pair-"))
     try:
-        parent = tmp / "tree"
-        _export(parent_sha, parent)
-        trees = {"parent": parent, "change": ROOT}
+        trees = {"parent": tmp / "parent", "change": tmp / "change"}
+        _export(parent_sha, trees["parent"])
+        _export_checkout(ROOT, trees["change"])
         for name, seed in specs:
             runs = {"parent": [], "change": []}
             for k in range(PAIRS):

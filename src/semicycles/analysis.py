@@ -30,10 +30,10 @@ from .integrator import (
     _SCAN_TOL,
     DelayProblem,
     Trajectory,
+    _drive,
+    _fundamental_problems,
     _zero_scan,
     extremum_events,
-    fundamental_system,
-    integrate,
     wronskian,
 )
 from .signals import PiecewiseSignal, signal_range
@@ -439,14 +439,31 @@ def verify_comparison(minorant: DelayProblem, majorant: DelayProblem,
     The majorant y must have P ≥ |p| and T ≥ τ, positive nonincreasing
     initial data, and the minorant data must satisfy |z(t)/z(0)| ≤ y(t)/y(0)
     on [s−τ_m, s] (slope condition instead when τ_m = 0). Violated
-    hypotheses raise NotApplicableError. Both are integrated at step 0.01
-    and compared up to y's first zero; worst_violation is 0 when the
-    conclusion never fails.
+    hypotheses raise NotApplicableError. Both are integrated at step 0.01,
+    in lockstep, and compared up to y's first zero; worst_violation is 0
+    when the conclusion never fails.
     """
+    return _drive([_comparison(minorant, majorant, horizon)])[0]
+
+
+def _comparison(minorant: DelayProblem, majorant: DelayProblem,
+                horizon: float):
+    """``verify_comparison`` as an instance (see ``integrator._drive``).
+    The hypotheses are checked by a call of their own, so that their
+    arrays are gone while the instance waits for its trajectories."""
     _check_comparison(minorant, majorant, horizon)
-    return _comparison_violation(
-        integrate(minorant, horizon, _COMPARISON_STEP),
-        integrate(majorant, horizon, _COMPARISON_STEP), horizon)
+    z_traj, y_traj = yield [(minorant, horizon, _COMPARISON_STEP),
+                            (majorant, horizon, _COMPARISON_STEP)]
+    s = minorant.start
+    y_zeros = find_zeros(y_traj)
+    t_end = y_zeros[0][0] if y_zeros else horizon
+    if t_end <= s:
+        return True, 0.0
+    qs = np.linspace(s, t_end - 1e-9 * (t_end - s), 2000)
+    ratio_z = z_traj.sample(qs) / minorant.initial_value
+    ratio_y = y_traj.sample(qs) / majorant.initial_value
+    worst = float(np.maximum(ratio_y - ratio_z, 0.0).max())
+    return worst <= 1e-6, worst
 
 
 def _check_comparison(minorant: DelayProblem, majorant: DelayProblem,
@@ -504,24 +521,6 @@ def _check_comparison(minorant: DelayProblem, majorant: DelayProblem,
                 "zero-delay comparison needs z′(0)/z(0) ≥ y′(0)/y(0)")
 
 
-def _comparison_violation(z_traj: Trajectory, y_traj: Trajectory,
-                          horizon: float) -> tuple:
-    """``verify_comparison``'s (ok, worst_violation) from the minorant's and
-    the majorant's trajectories."""
-    s = z_traj.problem.start
-    z0 = z_traj.problem.initial_value
-    y0 = y_traj.problem.initial_value
-    y_zeros = find_zeros(y_traj)
-    t_end = y_zeros[0][0] if y_zeros else horizon
-    if t_end <= s:
-        return True, 0.0
-    qs = np.linspace(s, t_end - 1e-9 * (t_end - s), 2000)
-    ratio_z = z_traj.sample(qs) / z0
-    ratio_y = y_traj.sample(qs) / y0
-    worst = float(np.maximum(ratio_y - ratio_z, 0.0).max())
-    return worst <= 1e-6, worst
-
-
 # ----------------------------------------------------------------------
 # Wronskian positivity helper (2/e regime)
 # ----------------------------------------------------------------------
@@ -529,12 +528,14 @@ def _comparison_violation(z_traj: Trajectory, y_traj: Trajectory,
 def wronskian_min(problem: DelayProblem, horizon: float) -> float:
     """min W(t) of the fundamental system (integrated at step 0.02) over
     400 evenly spaced points of [start, horizon]."""
-    z, y = fundamental_system(problem.p, problem.tau, problem.start,
-                              horizon, _WRONSKIAN_STEP)
-    return _least_wronskian(z, y, horizon)
+    return _drive([_least_wronskian(problem.p, problem.tau, problem.start,
+                                    horizon)])[0]
 
 
-def _least_wronskian(z: Trajectory, y: Trajectory, horizon: float) -> float:
-    """``wronskian_min`` from the fundamental system (z, y)."""
-    ts = np.linspace(z.problem.start, horizon, 400)
-    return float(wronskian(z, y, ts).min())
+def _least_wronskian(p: PiecewiseSignal, tau: PiecewiseSignal, s: float,
+                     horizon: float):
+    """``wronskian_min`` as an instance (see ``integrator._drive``) of the
+    fundamental system of p and τ at s."""
+    z, y = yield [(prob, horizon, _WRONSKIAN_STEP)
+                  for prob in _fundamental_problems(p, tau, s)]
+    return float(wronskian(z, y, np.linspace(s, horizon, 400)).min())

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -195,14 +196,18 @@ def _load_problem(path: str):
 
 
 def _originating_op(exc: BaseException) -> str | None:
-    """Deepest public package function on the traceback, for diagnostics."""
+    """Deepest public package function on the traceback, for diagnostics:
+    a lambda, a comprehension or a function nested in another names no
+    operation (``co_qualname``, which would show the nesting, is 3.11+)."""
     name = None
     tb = exc.__traceback__
     while tb is not None:
         mod = tb.tb_frame.f_globals.get("__name__", "")
-        fn = tb.tb_frame.f_code.co_name
+        code = tb.tb_frame.f_code
+        fn = code.co_name
         if (mod.startswith("semicycles.") and mod != __name__
-                and not fn.startswith("_")):
+                and fn.isidentifier() and not fn.startswith("_")
+                and not code.co_flags & inspect.CO_NESTED):
             name = f"{mod.rsplit('.', 1)[1]}.{fn}"
         tb = tb.tb_next
     return name

@@ -18,12 +18,13 @@ instances whose zeros or semicycles could not be read.
 
 An instance is a generator: it draws all its random numbers and checks
 its hypotheses, yields its integrations and is sent their trajectories,
-then measures. ``run_suite`` hands out windows of at most ``_WINDOW``
-consecutive instances (fewer with ``jobs`` > 1, so that every worker gets
-work), and a window integrates its instances in lockstep
-(``integrator._integrate_many``): one block kernel call per round instead
-of one per problem. Rows, reports and raised exceptions are those of one
-instance after the other.
+then measures; the comparison and wronskian instances measure with the
+analysis layer's own instances (``yield from``). ``run_suite`` hands out
+windows of at most ``_WINDOW`` consecutive instances (fewer with ``jobs``
+> 1, so that every worker gets work), and a window runs its instances
+through ``integrator._drive``, in lockstep: one block kernel call per
+round instead of one per problem. Rows, reports and raised exceptions are
+those of one instance after the other.
 
 ``_fan_out`` is the package's one process fan-out, for the suites and
 the CLI's threshold table.
@@ -39,24 +40,14 @@ import numpy as np
 
 from .errors import DomainError, NotApplicableError, ResolutionError
 from .analysis import (
-    _COMPARISON_STEP,
-    _WRONSKIAN_STEP,
     _arcs,
-    _check_comparison,
-    _comparison_violation,
+    _comparison,
     _least_wronskian,
     envelope_decay_ratio,
     check_ascent,
     check_descent,
 )
-from .integrator import (
-    _SCAN_TOL,
-    DelayProblem,
-    Trajectory,
-    _fundamental_problems,
-    _integrate_many,
-    _zero_scan,
-)
+from .integrator import _SCAN_TOL, DelayProblem, _drive, _zero_scan
 from .signals import PiecewiseSignal, signal_range
 from .spectral import CharRoot, char_roots
 from .thresholds import semicycle_threshold
@@ -336,12 +327,7 @@ def _comparison_pair(rng) -> tuple:
 
 
 def _comparison_instance(idx: int, rng):
-    # verify_comparison, with its integrations yielded
-    minorant, majorant = _comparison_pair(rng)
-    _check_comparison(minorant, majorant, 10.0)
-    z, y = yield [(minorant, 10.0, _COMPARISON_STEP),
-                  (majorant, 10.0, _COMPARISON_STEP)]
-    ok, violation = _comparison_violation(z, y, 10.0)
+    ok, violation = yield from _comparison(*_comparison_pair(rng), 10.0)
     return [(idx, violation)], 1, 0 if ok else 1, [violation], 0
 
 
@@ -356,10 +342,7 @@ def _wronskian_instance(idx: int, rng):
     p = _piecewise_linear(rng, -p_sup, -0.2 * p_sup, 0.0, 50.0, pieces)
     tau = _piecewise_linear(rng, 0.0, tau_m, 0.0, 50.0,
                             int(rng.integers(2, 4)))
-    # wronskian_min, with its integration yielded
-    z, y = yield [(prob, 50.0, _WRONSKIAN_STEP)
-                  for prob in _fundamental_problems(p, tau, 0.0)]
-    min_w = _least_wronskian(z, y, 50.0)
+    min_w = yield from _least_wronskian(p, tau, 0.0, 50.0)
     return ([(idx, p_sup, tau_m, min_w)], 1, 0 if min_w > 0.0 else 1, [min_w],
             0)
 
@@ -402,56 +385,17 @@ SUITE_NAMES = tuple(_SUITES)
 
 
 def _run_window(task: tuple) -> list:
-    """Picklable work unit: instances lo … hi−1 of one suite, in lockstep.
-
-    Each instance runs to its yield; ``_integrate_many`` then takes the
-    groups of all of them together, and each instance is sent its
-    trajectories as soon as they are out, or has the exception of its first
-    raising group thrown into it. The results come back in index order;
-    if any instance raised, the lowest-index one's exception is raised.
+    """Picklable work unit: the results of instances lo … hi−1 of one suite,
+    run in lockstep by ``integrator._drive``, which raises the exception of
+    the lowest-index instance that raised.
     ``SeedSequence(seed, spawn_key=(idx,))`` is the idx-th child that
     ``SeedSequence(seed).spawn(n)`` would return, built in O(1).
     """
     suite, seed, lo, hi = task
     instance = _SUITES[suite][0]
-    results: list = [None] * (hi - lo)
-
-    def resume(i, inst, reply):
-        # the instance's next groups, or None once it has finished
-        try:
-            if isinstance(reply, Exception):
-                return inst.throw(reply)
-            return inst.send(reply)
-        except StopIteration as stop:
-            results[i] = stop.value
-        except Exception as exc:  # noqa: BLE001 - the instance's outcome
-            results[i] = exc
-        return None
-
-    asking = []
-    for i in range(hi - lo):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(seed, spawn_key=(lo + i,)))
-        inst = instance(lo + i, rng)
-        groups = resume(i, inst, None)
-        if groups is not None:
-            asking.append((i, inst, groups))
-    while asking:
-        outs = _integrate_many([g for _, _, groups in asking for g in groups])
-        waiting = []
-        for i, inst, groups in asking:
-            got = [next(outs) for _ in groups]
-            failed = [o for o in got if isinstance(o, Exception)]
-            reply = failed[0] if failed else [
-                Trajectory(*o, problem=g[0]) for g, o in zip(groups, got)]
-            groups = resume(i, inst, reply)
-            if groups is not None:
-                waiting.append((i, inst, groups))
-        asking = waiting
-    for out in results:
-        if isinstance(out, Exception):
-            raise out
-    return results
+    return _drive([instance(idx, np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=(idx,))))
+        for idx in range(lo, hi)])
 
 
 def run_suite(suite: str, seed: int = 0, count: int | None = None,

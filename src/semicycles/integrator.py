@@ -25,8 +25,12 @@ Runs share the blocks' numpy cost in lockstep (the ensemble idea of
 DifferentialEquations.jl, Rackauckas & Nie 2017): ``_integrate_many`` takes
 every run's ready block in one ``_advance_blocks`` call a round, and two
 runs in a row that differ only in x(s⁺) and x′(s⁺), a fundamental pair,
-share their plans. A zero or extremum scan bisects each sign change on its
-own step, in Python floats with ``Trajectory.sample``'s operations.
+share their plans. ``_drive`` is the one driver of integrations: it runs
+instances, generators that yield the problems they need integrated, in
+lockstep; ``integrate``, ``fundamental_system``, the analysis layer's
+measurements and the harness's instances all run through it. A zero or
+extremum scan bisects each sign change on its own step, in Python floats
+with ``Trajectory.sample``'s operations.
 
 Two conventions matter and are deliberate:
 
@@ -613,7 +617,13 @@ def integrate(problem: DelayProblem, horizon: float, step: float = 0.01
     HistoryDomainError if a delayed argument falls below start − τ_m, and
     DomainError for a nonpositive step, an empty horizon, or more than
     ``_MAX_STEPS`` steps."""
-    return _solve((problem,), horizon, step)[0]
+    return _drive([_trajectories([(problem, horizon, step)])])[0][0]
+
+
+def _trajectories(groups: list):
+    """The instance (see ``_drive``) that returns the trajectories of
+    ``groups``, a tuple."""
+    return tuple((yield groups))
 
 
 def _integration(problem: DelayProblem, horizon: float, step: float,
@@ -621,7 +631,8 @@ def _integration(problem: DelayProblem, horizon: float, step: float,
     """``integrate`` as a generator for ``_integrate_many``: it yields the
     node count n, is sent x and x′ arrays of n nodes, yields each block
     (plan, b, e) to be taken, and returns the nodes. Runs given one
-    ``twin`` dict share their plans (``_shared``)."""
+    ``twin`` dict share their plans (``_shared``) and yield None before
+    each chunk, so that a chunk with no block keeps them in step too."""
     if not step > 0.0:
         raise DomainError(f"step must be positive, got {step}")
     s = problem.start
@@ -648,6 +659,8 @@ def _integration(problem: DelayProblem, horizon: float, step: float,
     seg_tau = problem.tau.segment_index(mids)
     n_steps = ts.size - 1
     for c0 in range(0, n_steps, _CHUNK):
+        if twin is not None:
+            yield None
         c1 = min(c0 + _CHUNK, n_steps)
         gap = np.searchsorted(first, np.arange(c0, c1), side="right") - 1
         plan = _shared(twin, c0, lambda: _ChunkPlan(
@@ -797,14 +810,15 @@ def _lockstep(batch: list):
         ready, waiting = [], []
         for i, run, at, reply in live:
             try:
-                plan, b, e = run.send(reply)
+                block = run.send(reply)
             except StopIteration as stop:
                 batch[i] = stop.value, xs[at], vs[at]
                 continue
             except Exception as exc:  # noqa: BLE001 - the group's outcome
                 batch[i] = exc
                 continue
-            ready.append((plan, b, e, at.start))
+            if block is not None:
+                ready.append((*block, at.start))
             waiting.append((i, run, at, None))
         if ready:
             _advance_blocks(ready, xs, vs)
@@ -812,15 +826,42 @@ def _lockstep(batch: list):
     yield from batch
 
 
-def _solve(problems: tuple, horizon: float, step: float) -> tuple:
-    """One Trajectory per problem, in lockstep to one horizon at one step;
-    raises the first exception a problem raised."""
-    outs = list(_integrate_many((prob, horizon, step) for prob in problems))
-    for out in outs:
+def _drive(instances: list) -> list:
+    """What each instance returned, in order; once all have finished, the
+    exception of the first one that raised is raised instead.
+
+    An instance is a generator that yields lists of groups (problem,
+    horizon, step) and is sent one Trajectory per group, or has the
+    exception of its first raising group thrown in. The groups that all
+    instances ask for in one round are integrated together, in lockstep
+    (``_integrate_many``), and each instance is then resumed in turn."""
+    results = [None] * len(instances)
+    replies = [(i, inst, None) for i, inst in enumerate(instances)]
+    while True:
+        asking = []
+        for i, inst, reply in replies:
+            try:
+                groups = (inst.throw(reply) if isinstance(reply, Exception)
+                          else inst.send(reply))
+            except StopIteration as stop:
+                results[i] = stop.value
+            except Exception as exc:  # noqa: BLE001 - the instance's outcome
+                results[i] = exc
+            else:
+                asking.append((i, inst, groups))
+        if not asking:
+            break
+        outs = _integrate_many([g for *_, groups in asking for g in groups])
+        replies = []
+        for i, inst, groups in asking:
+            got = [next(outs) for _ in groups]
+            failed = [o for o in got if isinstance(o, Exception)]
+            replies.append((i, inst, failed[0] if failed else [
+                Trajectory(*o, problem=g[0]) for g, o in zip(groups, got)]))
+    for out in results:
         if isinstance(out, Exception):
             raise out
-    return tuple(Trajectory(*out, problem=prob)
-                 for prob, out in zip(problems, outs))
+    return results
 
 
 # ---- event scanning (shared with the analysis layer) ----
@@ -968,7 +1009,8 @@ def fundamental_system(p: PiecewiseSignal, tau: PiecewiseSignal, s: float,
                        ) -> tuple[Trajectory, Trajectory]:
     """The pair (z, y): zero history with unit jumps at s (z(s) = y′(s) = 1,
     z′(s) = y(s) = 0), sharing their plans, each its own ``integrate``."""
-    return _solve(_fundamental_problems(p, tau, s), horizon, step)
+    return _drive([_trajectories([(prob, horizon, step) for prob
+                                  in _fundamental_problems(p, tau, s)])])[0]
 
 
 def _fundamental_problems(p: PiecewiseSignal, tau: PiecewiseSignal,

@@ -336,6 +336,46 @@ def test_domain_error_names_originating_operation(problem_file, capsys):
     assert "classify" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case, op", [
+    ("no_eigenmode", "harness.run_suite: no admissible eigenmode"),
+    ("step_limit", "integrator.integrate: integration to 1000000000.0"),
+    ("negative_delay", "integrator.tau_sup: delay signal reaches -1.0"),
+])
+def test_error_names_an_operation_not_a_closure_or_comprehension(
+        tmp_path, capsys, monkeypatch, case, op):
+    # a failing decay instance raises under the harness's comprehension,
+    # lambdas and the lockstep driver; the operation is the suite run
+    data = problem_to_dict(build_example_problem(
+        ExampleSpec("example3", 0.05, 10)))
+    args = ["simulate", "--problem", str(tmp_path / "p.json")]
+    if case == "no_eigenmode":
+        monkeypatch.setattr(harness, "char_roots", lambda *a: [])
+        args = ["harness", "decay", "--instances", "1"]
+    elif case == "step_limit":
+        args += ["--horizon", "1e9", "--step", "1e-3"]
+    else:
+        data["tau"] = {"breakpoints": [0.0, 1.0], "segments": [[-1.0]],
+                       "left": -1.0, "right": -1.0}
+    (tmp_path / "p.json").write_text(json.dumps(data))
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"semicycles {args[0]}: {op}"), err
+
+
+def test_originating_op_skips_nested_functions_lambdas_comprehensions():
+    # the frames a package module makes inside its public function name
+    # no operation on any Python version (3.12 inlines list comprehensions)
+    source = ("def outer():\n"
+              "    def resume():\n"
+              "        return [(lambda: 1 / 0)() for _ in (0,)]\n"
+              "    return resume()\n")
+    module = {"__name__": "semicycles.fake"}
+    exec(compile(source, "fake.py", "exec"), module)
+    with pytest.raises(ZeroDivisionError) as exc:
+        module["outer"]()
+    assert cli._originating_op(exc.value) == "fake.outer"
+
+
 def test_non_finite_breakpoint_names_operation(tmp_path, capsys):
     data = problem_to_dict(build_example_problem(
         ExampleSpec("example3", 0.05, 10)))

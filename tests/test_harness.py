@@ -10,7 +10,16 @@ import math
 import numpy as np
 import pytest
 
-from semicycles import PiecewiseSignal, char_roots, cli, harness, integrate
+from semicycles import (
+    PiecewiseSignal,
+    char_roots,
+    cli,
+    harness,
+    integrate,
+    integrator,
+    verify_comparison,
+    wronskian_min,
+)
 from semicycles.errors import DomainError, HistoryDomainError, ResolutionError
 from semicycles.integrator import DelayProblem
 from semicycles.harness import (
@@ -142,6 +151,42 @@ def test_reports_do_not_depend_on_windows_or_workers(monkeypatch, suite,
             reports.add(repr(run_suite(suite, seed=7, count=count,
                                        jobs=jobs)))
     assert len(reports) == 1
+
+
+def _instance_rng(seed: int, idx: int):
+    """The generator instance idx of a suite run from ``seed`` draws from."""
+    return np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=(idx,)))
+
+
+def test_suite_rows_are_the_analysis_measurements():
+    # one definition per measurement: the public functions read the same
+    # bits as the suites' rows (the comparison pairs are built to hold, so
+    # their violations read 0; the Wronskian minima do not)
+    for idx, violation in run_suite("comparison", seed=3, count=6).rows:
+        pair = harness._comparison_pair(_instance_rng(3, idx))
+        assert verify_comparison(*pair, 10.0)[1].hex() == violation.hex()
+    for idx, *_, min_w in run_suite("wronskian", seed=3, count=4).rows:
+        groups = next(harness._wronskian_instance(idx, _instance_rng(3, idx)))
+        z_problem = groups[0][0]  # the p, τ and start of the instance's pair
+        assert wronskian_min(z_problem, 50.0).hex() == min_w.hex()
+
+
+def test_verify_comparison_integrates_both_problems_in_lockstep(
+        monkeypatch):
+    calls = []
+    inner = integrator._integrate_many
+
+    def recording(groups):
+        calls.append([problem for problem, *_ in groups])
+        return inner(groups)
+
+    monkeypatch.setattr(integrator, "_integrate_many", recording)
+    minorant, majorant = harness._comparison_pair(_instance_rng(0, 0))
+    verify_comparison(minorant, majorant, 10.0)
+    assert len(calls) == 1
+    assert [id(problem) for problem in calls[0]] == [id(minorant),
+                                                     id(majorant)]
 
 
 class _UncheckedDelay(DelayProblem):

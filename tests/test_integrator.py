@@ -1447,6 +1447,25 @@ def test_fundamental_pair_shares_a_batch_with_single_problems(monkeypatch):
             assert _same_bytes(a, b)
 
 
+@pytest.mark.parametrize("tau", [0.0, 0.007, 0.7],
+                         ids=["no_delay", "overlap", "delayed"])
+def test_fundamental_pair_shares_plans_with_or_without_blocks(monkeypatch,
+                                                              tau):
+    # 5000 steps in 10 chunks: a pair builds each chunk's plan once, also
+    # when every step runs scalar and no chunk makes a block
+    built = []
+
+    class Counting(integrator._ChunkPlan):
+        def __init__(self, *args):
+            built.append(args[2])
+            super().__init__(*args)
+
+    monkeypatch.setattr(integrator, "_ChunkPlan", Counting)
+    fundamental_system(PiecewiseSignal.constant(1.0),
+                       PiecewiseSignal.constant(tau), 0.0, 50.0, 0.01)
+    assert built == list(range(0, 5000, integrator._CHUNK))
+
+
 def test_lockstep_batches_hold_at_most_the_step_limit(monkeypatch):
     const = PiecewiseSignal.constant
     good = [(DelayProblem(const(0.9), const(tau), 0.0, const(0.3), 1.0, 0.0),
