@@ -69,8 +69,9 @@ _MAX_JOBS = 64
 # (200, the margins and comparison defaults)
 _MAX_INSTANCES = 20_000
 # most consecutive instances integrated in lockstep: a window keeps the
-# chunk plans (about 150 kB each) and trajectories of all its problems
-# alive together, 16 of each in a comparison or wronskian window
+# trajectories of all its problems alive together, 16 in a comparison or
+# wronskian window, and one 512-step chunk plan per run it integrates
+# (about 125 kB with a delay, 18 kB without)
 _WINDOW = 8
 # most history segments of one mode mixture: about 100× the largest count
 # in use (18, the decay suite's delays up to 5.2 at width 0.3)

@@ -28,7 +28,9 @@ runs in a row that differ only in x(s⁺) and x′(s⁺), a fundamental pair,
 share their plans. ``_drive`` is the one driver of integrations: it runs
 instances, generators that yield the problems they need integrated, in
 lockstep; ``integrate``, ``fundamental_system``, the analysis layer's
-measurements and the harness's instances all run through it. A zero or
+measurements and the harness's instances all run through it. A batch's
+runs split ``_PLAN_BUDGET`` planned steps, a pair counting once, at least
+``_CHUNK_FLOOR`` each: a lone run plans 2048 at a time. A zero or
 extremum scan bisects each sign change on its own step, in Python floats
 with ``Trajectory.sample``'s operations.
 
@@ -326,8 +328,11 @@ def _forced_nodes(problem: DelayProblem, horizon: float) -> np.ndarray:
 
 # ---- the integrator ----
 
-# steps planned together: about 0.3 MB of planning arrays at most
-_CHUNK = 512
+# planned steps a batch's runs share (a plan costs 65-95 µs at any length
+# and peaks near 1 MB at 2048 steps), and the least a run plans, also the
+# most the scalar loop lists at once: the suites took 20 % longer at 256
+_PLAN_BUDGET = 2048
+_CHUNK_FLOOR = 512
 # shortest numpy block: one costs 35-65 µs, a scalar step 3-5 µs; the
 # suites time the same within noise at 3, 6 and 10
 _MIN_BLOCK = 3
@@ -361,14 +366,14 @@ class _ChunkPlan:
     Row r of each (3, m) array is one stage time σ: t₀, the midpoint (read
     by both middle RK4 stages) and t₁. ``table`` holds each step's hh, hh/2,
     hh/6 and −p(σ), then each read's h and weights; with no delayed stage
-    that is all (``kind`` None). Else ``kind`` says where each stage reads
-    x(u), u = σ − τ(σ) (a _RAISE stage raises here), ``hv`` each _VALUE
-    stage's value (None if none; a stage at u = s right of the start jump,
-    ``plus``, reads x(s⁺)), ``jj``/``h``/``w`` each read's bracket and
-    weights, ``reach`` the last node a step reads. An ``ok`` step, whose
-    stages all read values or accepted output, can join a block; one whose
-    stages all read their own x runs by its map (``coefs``), the same
-    whether its chunk has a delay or not."""
+    (``kind`` None) the plan keeps only its steps' maps. Else ``kind`` says
+    where each stage reads x(u), u = σ − τ(σ) (a _RAISE stage raises here),
+    ``hv`` each _VALUE stage's value (None if none; a stage at u = s right
+    of the start jump, ``plus``, reads x(s⁺)), ``jj``/``h``/``w`` each
+    read's bracket and weights, ``reach`` the last node a step reads. An
+    ``ok`` step, whose stages all read values or accepted output, can join
+    a block; one whose stages all read their own x runs by its map
+    (``coefs``), the same whether its chunk has a delay or not."""
 
     # (4, m): the map of each step reading its own x (``_step_maps``)
     coefs = None
@@ -379,22 +384,26 @@ class _ChunkPlan:
         s = problem.start
         self.c0 = c0
         t0, t1 = ts[c0:c1], ts[c0 + 1:c1 + 1]
-        self.table = table = np.empty((21, c1 - c0))
-        hh = np.subtract(t1, t0, out=table[0])
-        np.multiply(0.5, hh, out=table[1])
-        np.divide(hh, 6.0, out=table[2])
+        hh = t1 - t0
         tm = t0 + 0.5 * hh
         sigma = np.array((t0, tm, t1))
-        np.negative(problem.p.eval_in_segment(seg_p, sigma), out=table[3:6])
         tau = problem.tau.eval_in_segment(seg_tau, sigma)
         tv = np.where(tau < 0.0, 0.0, tau)
         neg = tau < -1e-12
         ode = tv <= 1e-13 * np.maximum(np.abs(sigma), 1.0)
         self.kind = None
-        if ode.all() and not neg.any():
+        # with no delayed stage no step reads past the map's six rows
+        no_delay = ode.all() and not neg.any()
+        table = np.empty((6 if no_delay else 21, c1 - c0))
+        table[0] = hh
+        np.multiply(0.5, hh, out=table[1])
+        np.divide(hh, 6.0, out=table[2])
+        np.negative(problem.p.eval_in_segment(seg_p, sigma), out=table[3:6])
+        if no_delay:
             self.coefs = _step_maps(table)
             return
-        self.u = u = sigma - tv
+        self.table = table
+        u = sigma - tv
         self.kind = kind = np.where(neg, _RAISE, np.where(
             ode, _ODE, np.where(u > t0, _OVERLAP, _DENSE))).astype(np.int8)
         self.hv = None
@@ -426,21 +435,22 @@ class _ChunkPlan:
         self.dense = dense = kind == _DENSE
         over = kind == _OVERLAP
         self.ok = (dense | (kind == _VALUE)).all(axis=0)
+        del sigma, tau, tv  # freed before the weights' temporaries peak
         # a _DENSE read's bracket [ts[jj], ts[jj + 1]] holds u, so its weight
         # needs no clamp; any other stage is given its step's left node
         left = np.arange(c0, c1)
         jj = np.minimum(np.searchsorted(ts, u, side="right"), left) - 1
         self.jj = jj = np.where(dense, jj, left)
-        jj1 = jj + 1
-        self.reach = np.where(dense, jj1, 0).max(axis=0)
+        self.reach = np.where(dense, jj + 1, 0).max(axis=0)
         # the bracket's width h and the fraction of it read; an overlap read
         # takes the step as its bracket, and its first pass reads h = u − t₀
-        h = ts[jj1] - ts[jj]
+        h = ts[jj + 1] - ts[jj]
         frac = np.where(dense, (u - ts[jj]) / h, 0.0)
         if over.any():
             du = u - t0
             frac = np.where(over, du / hh, frac)
             h = np.where(over, du, h)
+        del u
         hw = table[6:].reshape(5, 3, c1 - c0)
         hw[0], hw[1:] = h, _hermite_weights(frac)
         self.h, self.w = hw[0], hw[1:]
@@ -523,6 +533,10 @@ def _take_steps(plan: _ChunkPlan, b: int, e: int, xs: np.ndarray,
     a step, only each bracket's two, so the lists grow with the run, not
     the delay. An ``ok`` step takes a block's operations here, so no step's
     bits depend on the run it falls in."""
+    if e - b > _CHUNK_FLOOR:
+        for k in range(b, e, _CHUNK_FLOOR):
+            _take_steps(plan, k, min(k + _CHUNK_FLOOR, e), xs, vs)
+        return
     j0, j1 = plan.c0 + b, plan.c0 + e
     coefs = repeat(None) if plan.coefs is None \
         else zip(*plan.coefs[:, b:e].tolist())
@@ -629,10 +643,11 @@ def _trajectories(groups: list):
 def _integration(problem: DelayProblem, horizon: float, step: float,
                  twin: dict | None = None):
     """``integrate`` as a generator for ``_integrate_many``: it yields the
-    node count n, is sent x and x′ arrays of n nodes, yields each block
-    (plan, b, e) to be taken, and returns the nodes. Runs given one
-    ``twin`` dict share their plans (``_shared``) and yield None before
-    each chunk, so that a chunk with no block keeps them in step too."""
+    node count n, is sent x and x′ arrays of n nodes and the steps to plan
+    at once, yields each block (plan, b, e) to be taken, and returns the
+    nodes. Runs given one ``twin`` dict share their plans (``_shared``) and
+    yield None before each chunk, so that a chunk with no block keeps them
+    in step too."""
     if not step > 0.0:
         raise DomainError(f"step must be positive, got {step}")
     s = problem.start
@@ -650,7 +665,7 @@ def _integration(problem: DelayProblem, horizon: float, step: float,
             f"integration to {horizon} with step {step} needs {total:.0f} "
             f"steps, more than the limit of {_MAX_STEPS}")
     ts, first = _step_grid(nodes, counts.astype(np.intp))
-    xs, vs = yield ts.size
+    xs, vs, chunk = yield ts.size
     xs[0] = problem.initial_value
     vs[0] = problem.initial_slope
     # p and τ are pinned to the segment owning each gap's interior
@@ -658,37 +673,44 @@ def _integration(problem: DelayProblem, horizon: float, step: float,
     seg_p = problem.p.segment_index(mids)
     seg_tau = problem.tau.segment_index(mids)
     n_steps = ts.size - 1
-    for c0 in range(0, n_steps, _CHUNK):
+    for c0 in range(0, n_steps, chunk):
         if twin is not None:
             yield None
-        c1 = min(c0 + _CHUNK, n_steps)
+        c1 = min(c0 + chunk, n_steps)
         gap = np.searchsorted(first, np.arange(c0, c1), side="right") - 1
-        plan = _shared(twin, c0, lambda: _ChunkPlan(
+        # a twin in another batch may plan other chunks; no name here holds
+        # a plan, so each goes before the next is built
+        yield from _chunk_steps(_shared(twin, (c0, c1), lambda: _ChunkPlan(
             problem, ts, c0, c1, seg_p[gap], seg_tau[gap], *bounds)
-        ).for_start(problem.initial_value)
-        b, m = 0, c1 - c0
-        if plan.kind is None:
-            _take_steps(plan, b, m, xs, vs)
-            continue
-        ok = plan.ok.tolist()
-        ok_at = np.flatnonzero(plan.ok).tolist() + [m]
-        bad_at = np.flatnonzero(~plan.ok).tolist() + [m]
-        # no step reads past its own left node, so the first step past b to
-        # read past node c0 + b is the first whose running-max reach does
-        reach = np.maximum.accumulate(plan.reach).tolist()
-        while b < m:
-            e = b + 1
-            if ok[b]:
-                e = min(bad_at[bisect.bisect_left(bad_at, b)],
-                        bisect.bisect_right(reach, c0 + b))
-            if ok[b] and e - b >= _MIN_BLOCK:
-                yield plan, b, e
-            else:
-                # with the following steps that cannot start a block
-                e = ok_at[bisect.bisect_left(ok_at, e)]
-                _take_steps(plan, b, e, xs, vs)
-            b = e
+        ).for_start(problem.initial_value), c1 - c0, xs, vs)
     return ts
+
+
+def _chunk_steps(plan: _ChunkPlan, m: int, xs: np.ndarray, vs: np.ndarray):
+    """Yield each block (plan, b, e) of a plan of m steps; take the rest."""
+    b = 0
+    if plan.kind is None:
+        _take_steps(plan, b, m, xs, vs)
+        return
+    c0 = plan.c0
+    ok = plan.ok.tolist()
+    ok_at = np.flatnonzero(plan.ok).tolist() + [m]
+    bad_at = np.flatnonzero(~plan.ok).tolist() + [m]
+    # no step reads past its own left node, so the first step past b to read
+    # past node c0 + b is the first whose running-max reach does
+    reach = np.maximum.accumulate(plan.reach).tolist()
+    while b < m:
+        e = b + 1
+        if ok[b]:
+            e = min(bad_at[bisect.bisect_left(bad_at, b)],
+                    bisect.bisect_right(reach, c0 + b))
+        if ok[b] and e - b >= _MIN_BLOCK:
+            yield plan, b, e
+        else:
+            # with the following steps that cannot start a block
+            e = ok_at[bisect.bisect_left(ok_at, e)]
+            _take_steps(plan, b, e, xs, vs)
+        b = e
 
 
 def _shared(twin: dict | None, key, build):
@@ -790,22 +812,27 @@ def _integrate_many(groups):
         if total and total + n - 1 > _MAX_STEPS:
             yield from _lockstep(batch)
             batch, total = [], 0
-        batch.append((run, n))
+        # a pair owns its plans as one run
+        batch.append((run, n, run if twin is None else twin))
         total += n - 1
     yield from _lockstep(batch)
 
 
 def _lockstep(batch: list):
     """The outcomes of one batch of ``_integrate_many`` (runs past their
-    first yield, or their exceptions), in one buffer, in ``batch``."""
-    size = sum(entry[1] for entry in batch if isinstance(entry, tuple))
+    first yield, node counts and plan owners, or their exceptions), in one
+    buffer, in ``batch``."""
+    runs = [(i, entry) for i, entry in enumerate(batch)
+            if isinstance(entry, tuple)]
+    size = sum(n for _, (_, n, _) in runs)
+    owners = len({id(owner) for _, (*_, owner) in runs})
+    chunk = max(_CHUNK_FLOOR, _PLAN_BUDGET // max(owners, 1))
     xs, vs = np.zeros(size), np.zeros(size)
     live, off = [], 0
-    for i, entry in enumerate(batch):
-        if isinstance(entry, tuple):
-            at = slice(off, off + entry[1])
-            live.append((i, entry[0], at, (xs[at], vs[at])))
-            off = at.stop
+    for i, (run, n, _) in runs:
+        at = slice(off, off + n)
+        live.append((i, run, at, (xs[at], vs[at], chunk)))
+        off = at.stop
     while live:
         ready, waiting = [], []
         for i, run, at, reply in live:
@@ -819,6 +846,7 @@ def _lockstep(batch: list):
                 continue
             if block is not None:
                 ready.append((*block, at.start))
+            del block  # its plan goes with its round
             waiting.append((i, run, at, None))
         if ready:
             _advance_blocks(ready, xs, vs)

@@ -1312,18 +1312,22 @@ def test_grouping_corpus_reads_every_stage_source(monkeypatch):
     shapes = set()  # the stage kinds of a step
 
     class Recording(integrator._ChunkPlan):
-        def __init__(self, problem, ts, *args):
+        def __init__(self, problem, ts, c0, c1, seg_p, seg_tau, *args):
             try:
-                super().__init__(problem, ts, *args)
+                super().__init__(problem, ts, c0, c1, seg_p, seg_tau, *args)
             finally:
-                self.record(problem)
+                self.record(problem, ts[c0:c1 + 1], seg_tau)
 
-        def record(self, problem):
+        def record(self, problem, nodes, seg_tau):
             if self.kind is None:  # a chunk with no delayed stage
                 seen.add((integrator._ODE, False))
                 shapes.add("no delay")
                 return
-            at_s = self.u == problem.start
+            # the plan's stage times and delayed arguments u = σ − τ(σ)
+            t0, t1 = nodes[:-1], nodes[1:]
+            sigma = np.array((t0, t0 + 0.5 * (t1 - t0), t1))
+            tau = problem.tau.eval_in_segment(seg_tau, sigma)
+            at_s = sigma - np.where(tau < 0.0, 0.0, tau) == problem.start
             seen.update(zip(self.kind.ravel().tolist(), at_s.ravel().tolist()))
             shapes.update(tuple(k) for k in self.kind.T.tolist())
 
@@ -1346,6 +1350,13 @@ def test_grouping_corpus_reads_every_stage_source(monkeypatch):
             (dense, dense, over), (ode, over, over)} <= shapes
 
 
+def _plan_chunks(monkeypatch, chunk):
+    """Chunks of ``chunk`` steps for a batch of four or more plan owners and
+    up to four times that for fewer, as at the package's 512 and 2048."""
+    monkeypatch.setattr(integrator, "_CHUNK_FLOOR", chunk)
+    monkeypatch.setattr(integrator, "_PLAN_BUDGET", 4 * chunk)
+
+
 @pytest.mark.parametrize("chunk", [7, 64, 512])
 @pytest.mark.parametrize("min_block", [1, 3, 10 ** 9])
 def test_trajectory_independent_of_step_grouping(monkeypatch, min_block,
@@ -1353,7 +1364,7 @@ def test_trajectory_independent_of_step_grouping(monkeypatch, min_block,
     corpus = _grouping_corpus()
     want = [_grouping_outcome(group) for group in corpus]
     monkeypatch.setattr(integrator, "_MIN_BLOCK", min_block)
-    monkeypatch.setattr(integrator, "_CHUNK", chunk)
+    _plan_chunks(monkeypatch, chunk)
     raised = 0
     for group, ref in zip(corpus, want):
         got = _grouping_outcome(group)
@@ -1367,13 +1378,14 @@ def test_trajectory_independent_of_step_grouping(monkeypatch, min_block,
 
 
 def _alone(group):
-    """One ``_integration`` run on arrays of its own, each block taken by
-    ``_ChunkPlan.advance``: (nodes, x, x′), or the exception raised."""
+    """One ``_integration`` run on arrays of its own, planning chunks of a
+    lone run's length, each block taken by ``_ChunkPlan.advance``: (nodes,
+    x, x′), or the exception raised."""
     run = integrator._integration(*group)
     try:
         n = next(run)
         xs, vs = np.zeros(n), np.zeros(n)
-        plan, b, e = run.send((xs, vs))
+        plan, b, e = run.send((xs, vs, integrator._PLAN_BUDGET))
         while True:
             plan.advance(b, e, xs, vs)
             plan, b, e = next(run)
@@ -1406,17 +1418,37 @@ def _counting_rounds(monkeypatch) -> list:
     return rounds
 
 
+def _counting_batches(monkeypatch) -> list:
+    """The number of entries of each ``_lockstep`` batch, from now."""
+    batches = []
+    lockstep = integrator._lockstep
+
+    def recording(batch):
+        batches.append(len(batch))
+        return lockstep(batch)
+
+    monkeypatch.setattr(integrator, "_lockstep", recording)
+    return batches
+
+
 @pytest.mark.parametrize("chunk", [7, 512])
 @pytest.mark.parametrize("min_block", [1, 3])
-@pytest.mark.parametrize("window", [1, 3, None])
+@pytest.mark.parametrize("window", [1, 3, None, "split"])
 def test_lockstep_equals_one_run_per_group(monkeypatch, window, min_block,
                                            chunk):
     monkeypatch.setattr(integrator, "_MIN_BLOCK", min_block)
-    monkeypatch.setattr(integrator, "_CHUNK", chunk)
+    _plan_chunks(monkeypatch, chunk)
     corpus = _grouping_corpus()
     want = [_alone(group) for group in corpus]
     assert sum(isinstance(ref[0], type) for ref in want) == 9
     rounds = _counting_rounds(monkeypatch)
+    batches = _counting_batches(monkeypatch)
+    split = window == "split"
+    if split:
+        # the whole corpus in batches of different run counts, so of
+        # different chunk lengths, some splitting a fundamental pair
+        monkeypatch.setattr(integrator, "_MAX_STEPS", 1000)
+        window = None
     size = window or len(corpus)
     got = []
     for lo in range(0, len(corpus), size):
@@ -1424,6 +1456,8 @@ def test_lockstep_equals_one_run_per_group(monkeypatch, window, min_block,
         got.extend(integrator._integrate_many(corpus[lo:lo + size]))
     _assert_same_outcomes(got, want)
     assert (max(rounds) > 1) == (window != 1)
+    if split:
+        assert len(set(batches)) > 1
 
 
 def test_fundamental_pair_shares_a_batch_with_single_problems(monkeypatch):
@@ -1451,19 +1485,89 @@ def test_fundamental_pair_shares_a_batch_with_single_problems(monkeypatch):
                          ids=["no_delay", "overlap", "delayed"])
 def test_fundamental_pair_shares_plans_with_or_without_blocks(monkeypatch,
                                                               tau):
-    # 5000 steps in 10 chunks: a pair builds each chunk's plan once, also
-    # when every step runs scalar and no chunk makes a block
+    # 5000 steps in 3 chunks, as one run's: a pair builds each chunk's plan
+    # once, also when every step runs scalar and no chunk makes a block
+    built = _built_chunks(monkeypatch)
+    fundamental_system(PiecewiseSignal.constant(1.0),
+                       PiecewiseSignal.constant(tau), 0.0, 50.0, 0.01)
+    assert [c0 for c0, _ in built] == [0, 2048, 4096]
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.007, 0.7],
+                         ids=["no_delay", "overlap", "delayed"])
+def test_fundamental_pair_split_across_batches_keeps_its_bits(monkeypatch,
+                                                              tau):
+    const = PiecewiseSignal.constant
+    single = (DelayProblem(const(0.9), const(0.5), 0.0, const(0.3), 1.0,
+                           0.2), 3.0, 0.01)
+    p, delay = const(1.0), const(tau)
+    want = fundamental_system(p, delay, 0.0, 10.0, 0.01)
+    z, y = integrator._fundamental_problems(p, delay, 0.0)
+    batches = _counting_batches(monkeypatch)
+    # z plans 512-step chunks among four runs, y 1024-step ones beside one
+    # single, and must not take z's plans for its own
+    monkeypatch.setattr(integrator, "_MAX_STEPS", 1910)
+    got = list(integrator._integrate_many(
+        [single] * 3 + [(z, 10.0, 0.01), (y, 10.0, 0.01), single]))
+    assert batches == [4, 2]
+    for traj, out in zip(want, got[3:5]):
+        for a, b in zip((traj.ts, traj.xs, traj.vs), out):
+            assert _same_bytes(a, b)
+
+
+def _built_chunks(monkeypatch) -> list:
+    """The steps (c0, c1) of each chunk plan built, from now."""
     built = []
 
     class Counting(integrator._ChunkPlan):
-        def __init__(self, *args):
-            built.append(args[2])
-            super().__init__(*args)
+        def __init__(self, problem, ts, c0, c1, *args):
+            built.append((c0, c1))
+            super().__init__(problem, ts, c0, c1, *args)
 
     monkeypatch.setattr(integrator, "_ChunkPlan", Counting)
-    fundamental_system(PiecewiseSignal.constant(1.0),
-                       PiecewiseSignal.constant(tau), 0.0, 50.0, 0.01)
-    assert built == list(range(0, 5000, integrator._CHUNK))
+    return built
+
+
+def test_lone_run_plans_the_whole_budget_at_once(monkeypatch):
+    built = _built_chunks(monkeypatch)
+    integrate(_const_problem(1.0, 0.7, 0.0, 1.0, 0.0), 50.0, 0.01)
+    assert built == [(0, 2048), (2048, 4096), (4096, 5000)]
+
+
+@pytest.mark.parametrize("singles, pair, chunk", [
+    (0, True, 2048), (1, True, 1024), (2, False, 1024), (2, True, 682),
+    (3, True, 512), (4, False, 512), (6, True, 512)])
+def test_batch_owners_share_the_plan_budget(monkeypatch, singles, pair,
+                                            chunk):
+    # about 1500 steps a run; a fundamental pair plans as one run
+    groups = [(_const_problem(1.0, tau, 0.0, 1.0, 0.0), 15.0, 0.01)
+              for tau in [0.0, 0.007, 0.7] * 2][:singles]
+    if pair:
+        groups += [(prob, 15.0, 0.01) for prob in
+                   integrator._fundamental_problems(
+                       PiecewiseSignal.constant(1.0),
+                       PiecewiseSignal.constant(0.7), 0.0)]
+    assert max(512, 2048 // (singles + pair)) == chunk
+    built = _built_chunks(monkeypatch)
+    list(integrator._integrate_many(groups))
+    assert sorted(c0 for c0, _ in built) \
+        == sorted(list(range(0, 1500, chunk)) * (singles + pair))
+
+
+def test_planning_memory_follows_the_budget_not_the_run():
+    problem = _const_problem(1.0, 0.7, 0.3, 1.0, 0.0)
+    integrate(problem, 3.0, 0.01)
+    peaks, nodes = [], []
+    for horizon in (60.0, 120.0):
+        tracemalloc.start()
+        try:
+            nodes.append(integrate(problem, horizon, 0.01).ts.size)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # twice the run adds its node arrays ts, xs and x′s, and within a slack
+    # of 64 kB nothing else: a plan of the whole run would add about 3 MB
+    assert peaks[1] - peaks[0] <= 3 * 8 * (nodes[1] - nodes[0]) + (64 << 10)
 
 
 def test_lockstep_batches_hold_at_most_the_step_limit(monkeypatch):
