@@ -28,11 +28,11 @@ runs in a row that differ only in x(s⁺) and x′(s⁺), a fundamental pair,
 share their plans. ``_drive`` is the one driver of integrations: it runs
 instances, generators that yield the problems they need integrated, in
 lockstep; ``integrate``, ``fundamental_system``, the analysis layer's
-measurements and the harness's instances all run through it. A batch's
-runs split ``_PLAN_BUDGET`` planned steps, a pair counting once, at least
-``_CHUNK_FLOOR`` each: a lone run plans 2048 at a time. A zero or
-extremum scan bisects each sign change on its own step, in Python floats
-with ``Trajectory.sample``'s operations.
+measurements and the harness's instances all run through it. A batch of
+one or two groups, a lone ``integrate`` or a lone pair, plans ``_CHUNK``
+steps at a time; a larger one, whose plans are all alive together,
+``_CHUNK_MANY``. A zero or extremum scan bisects each sign change on its
+own step, in Python floats with ``Trajectory.sample``'s operations.
 
 Two conventions matter and are deliberate:
 
@@ -328,11 +328,13 @@ def _forced_nodes(problem: DelayProblem, horizon: float) -> np.ndarray:
 
 # ---- the integrator ----
 
-# planned steps a batch's runs share (a plan costs 65-95 µs at any length
-# and peaks near 1 MB at 2048 steps), and the least a run plans, also the
-# most the scalar loop lists at once: the suites took 20 % longer at 256
-_PLAN_BUDGET = 2048
-_CHUNK_FLOOR = 512
+# steps planned together: a plan costs 65-95 µs at any length and keeps
+# about 0.5 MB at 2048 steps with a delay. A batch of more than two groups,
+# whose plans all live at once, plans _CHUNK_MANY, also the most steps the
+# scalar loop lists at once: 2048 there raised the suites' peak RSS 11 %,
+# and 256 made them 20 % slower
+_CHUNK = 2048
+_CHUNK_MANY = 512
 # shortest numpy block: one costs 35-65 µs, a scalar step 3-5 µs; the
 # suites time the same within noise at 3, 6 and 10
 _MIN_BLOCK = 3
@@ -533,9 +535,9 @@ def _take_steps(plan: _ChunkPlan, b: int, e: int, xs: np.ndarray,
     a step, only each bracket's two, so the lists grow with the run, not
     the delay. An ``ok`` step takes a block's operations here, so no step's
     bits depend on the run it falls in."""
-    if e - b > _CHUNK_FLOOR:
-        for k in range(b, e, _CHUNK_FLOOR):
-            _take_steps(plan, k, min(k + _CHUNK_FLOOR, e), xs, vs)
+    if e - b > _CHUNK_MANY:
+        for k in range(b, e, _CHUNK_MANY):
+            _take_steps(plan, k, min(k + _CHUNK_MANY, e), xs, vs)
         return
     j0, j1 = plan.c0 + b, plan.c0 + e
     coefs = repeat(None) if plan.coefs is None \
@@ -678,39 +680,35 @@ def _integration(problem: DelayProblem, horizon: float, step: float,
             yield None
         c1 = min(c0 + chunk, n_steps)
         gap = np.searchsorted(first, np.arange(c0, c1), side="right") - 1
-        # a twin in another batch may plan other chunks; no name here holds
-        # a plan, so each goes before the next is built
-        yield from _chunk_steps(_shared(twin, (c0, c1), lambda: _ChunkPlan(
+        # the last plan and its lists go before the next plan is built
+        plan = ok = ok_at = bad_at = reach = None
+        # by extent: a twin in another batch may plan other chunks
+        plan = _shared(twin, (c0, c1), lambda: _ChunkPlan(
             problem, ts, c0, c1, seg_p[gap], seg_tau[gap], *bounds)
-        ).for_start(problem.initial_value), c1 - c0, xs, vs)
+        ).for_start(problem.initial_value)
+        b, m = 0, c1 - c0
+        if plan.kind is None:
+            _take_steps(plan, b, m, xs, vs)
+            continue
+        ok = plan.ok.tolist()
+        ok_at = np.flatnonzero(plan.ok).tolist() + [m]
+        bad_at = np.flatnonzero(~plan.ok).tolist() + [m]
+        # no step reads past its own left node, so the first step past b to
+        # read past node c0 + b is the first whose running-max reach does
+        reach = np.maximum.accumulate(plan.reach).tolist()
+        while b < m:
+            e = b + 1
+            if ok[b]:
+                e = min(bad_at[bisect.bisect_left(bad_at, b)],
+                        bisect.bisect_right(reach, c0 + b))
+            if ok[b] and e - b >= _MIN_BLOCK:
+                yield plan, b, e
+            else:
+                # with the following steps that cannot start a block
+                e = ok_at[bisect.bisect_left(ok_at, e)]
+                _take_steps(plan, b, e, xs, vs)
+            b = e
     return ts
-
-
-def _chunk_steps(plan: _ChunkPlan, m: int, xs: np.ndarray, vs: np.ndarray):
-    """Yield each block (plan, b, e) of a plan of m steps; take the rest."""
-    b = 0
-    if plan.kind is None:
-        _take_steps(plan, b, m, xs, vs)
-        return
-    c0 = plan.c0
-    ok = plan.ok.tolist()
-    ok_at = np.flatnonzero(plan.ok).tolist() + [m]
-    bad_at = np.flatnonzero(~plan.ok).tolist() + [m]
-    # no step reads past its own left node, so the first step past b to read
-    # past node c0 + b is the first whose running-max reach does
-    reach = np.maximum.accumulate(plan.reach).tolist()
-    while b < m:
-        e = b + 1
-        if ok[b]:
-            e = min(bad_at[bisect.bisect_left(bad_at, b)],
-                    bisect.bisect_right(reach, c0 + b))
-        if ok[b] and e - b >= _MIN_BLOCK:
-            yield plan, b, e
-        else:
-            # with the following steps that cannot start a block
-            e = ok_at[bisect.bisect_left(ok_at, e)]
-            _take_steps(plan, b, e, xs, vs)
-        b = e
 
 
 def _shared(twin: dict | None, key, build):
@@ -812,27 +810,23 @@ def _integrate_many(groups):
         if total and total + n - 1 > _MAX_STEPS:
             yield from _lockstep(batch)
             batch, total = [], 0
-        # a pair owns its plans as one run
-        batch.append((run, n, run if twin is None else twin))
+        batch.append((run, n))
         total += n - 1
     yield from _lockstep(batch)
 
 
 def _lockstep(batch: list):
     """The outcomes of one batch of ``_integrate_many`` (runs past their
-    first yield, node counts and plan owners, or their exceptions), in one
-    buffer, in ``batch``."""
-    runs = [(i, entry) for i, entry in enumerate(batch)
-            if isinstance(entry, tuple)]
-    size = sum(n for _, (_, n, _) in runs)
-    owners = len({id(owner) for _, (*_, owner) in runs})
-    chunk = max(_CHUNK_FLOOR, _PLAN_BUDGET // max(owners, 1))
+    first yield, or their exceptions), in one buffer, in ``batch``."""
+    size = sum(entry[1] for entry in batch if isinstance(entry, tuple))
     xs, vs = np.zeros(size), np.zeros(size)
+    chunk = _CHUNK if len(batch) <= 2 else _CHUNK_MANY
     live, off = [], 0
-    for i, (run, n, _) in runs:
-        at = slice(off, off + n)
-        live.append((i, run, at, (xs[at], vs[at], chunk)))
-        off = at.stop
+    for i, entry in enumerate(batch):
+        if isinstance(entry, tuple):
+            at = slice(off, off + entry[1])
+            live.append((i, entry[0], at, (xs[at], vs[at], chunk)))
+            off = at.stop
     while live:
         ready, waiting = [], []
         for i, run, at, reply in live:

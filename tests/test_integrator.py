@@ -1351,10 +1351,10 @@ def test_grouping_corpus_reads_every_stage_source(monkeypatch):
 
 
 def _plan_chunks(monkeypatch, chunk):
-    """Chunks of ``chunk`` steps for a batch of four or more plan owners and
-    up to four times that for fewer, as at the package's 512 and 2048."""
-    monkeypatch.setattr(integrator, "_CHUNK_FLOOR", chunk)
-    monkeypatch.setattr(integrator, "_PLAN_BUDGET", 4 * chunk)
+    """Chunks of ``chunk`` steps for a batch of more than two groups and four
+    times that for fewer, as at the package's 512 and 2048."""
+    monkeypatch.setattr(integrator, "_CHUNK_MANY", chunk)
+    monkeypatch.setattr(integrator, "_CHUNK", 4 * chunk)
 
 
 @pytest.mark.parametrize("chunk", [7, 64, 512])
@@ -1385,7 +1385,7 @@ def _alone(group):
     try:
         n = next(run)
         xs, vs = np.zeros(n), np.zeros(n)
-        plan, b, e = run.send((xs, vs, integrator._PLAN_BUDGET))
+        plan, b, e = run.send((xs, vs, integrator._CHUNK))
         while True:
             plan.advance(b, e, xs, vs)
             plan, b, e = next(run)
@@ -1457,7 +1457,7 @@ def test_lockstep_equals_one_run_per_group(monkeypatch, window, min_block,
     _assert_same_outcomes(got, want)
     assert (max(rounds) > 1) == (window != 1)
     if split:
-        assert len(set(batches)) > 1
+        assert min(batches) <= 2 < max(batches)
 
 
 def test_fundamental_pair_shares_a_batch_with_single_problems(monkeypatch):
@@ -1504,7 +1504,7 @@ def test_fundamental_pair_split_across_batches_keeps_its_bits(monkeypatch,
     want = fundamental_system(p, delay, 0.0, 10.0, 0.01)
     z, y = integrator._fundamental_problems(p, delay, 0.0)
     batches = _counting_batches(monkeypatch)
-    # z plans 512-step chunks among four runs, y 1024-step ones beside one
+    # z plans 512-step chunks among four runs, y 2048-step ones beside one
     # single, and must not take z's plans for its own
     monkeypatch.setattr(integrator, "_MAX_STEPS", 1910)
     got = list(integrator._integrate_many(
@@ -1528,18 +1528,19 @@ def _built_chunks(monkeypatch) -> list:
     return built
 
 
-def test_lone_run_plans_the_whole_budget_at_once(monkeypatch):
+def test_lone_run_plans_2048_steps_at_once(monkeypatch):
     built = _built_chunks(monkeypatch)
     integrate(_const_problem(1.0, 0.7, 0.0, 1.0, 0.0), 50.0, 0.01)
     assert built == [(0, 2048), (2048, 4096), (4096, 5000)]
 
 
 @pytest.mark.parametrize("singles, pair, chunk", [
-    (0, True, 2048), (1, True, 1024), (2, False, 1024), (2, True, 682),
-    (3, True, 512), (4, False, 512), (6, True, 512)])
-def test_batch_owners_share_the_plan_budget(monkeypatch, singles, pair,
-                                            chunk):
-    # about 1500 steps a run; a fundamental pair plans as one run
+    (0, True, 2048), (1, False, 2048), (2, False, 2048), (1, True, 512),
+    (3, False, 512), (4, True, 512)])
+def test_batches_of_more_than_two_groups_plan_short_chunks(monkeypatch,
+                                                           singles, pair,
+                                                           chunk):
+    # about 1500 steps a run; a fundamental pair builds one plan a chunk
     groups = [(_const_problem(1.0, tau, 0.0, 1.0, 0.0), 15.0, 0.01)
               for tau in [0.0, 0.007, 0.7] * 2][:singles]
     if pair:
@@ -1547,14 +1548,13 @@ def test_batch_owners_share_the_plan_budget(monkeypatch, singles, pair,
                    integrator._fundamental_problems(
                        PiecewiseSignal.constant(1.0),
                        PiecewiseSignal.constant(0.7), 0.0)]
-    assert max(512, 2048 // (singles + pair)) == chunk
     built = _built_chunks(monkeypatch)
     list(integrator._integrate_many(groups))
     assert sorted(c0 for c0, _ in built) \
         == sorted(list(range(0, 1500, chunk)) * (singles + pair))
 
 
-def test_planning_memory_follows_the_budget_not_the_run():
+def test_planning_memory_follows_the_chunk_not_the_run():
     problem = _const_problem(1.0, 0.7, 0.3, 1.0, 0.0)
     integrate(problem, 3.0, 0.01)
     peaks, nodes = [], []
