@@ -5,9 +5,12 @@ serial form of ``suites_pool``) and seed, this builds the perfbench inputs,
 runs the workload with the integrator's entry and ``thresholds.beta_iterate``
 wrapped, and hashes the bytes of every output in order: each trajectory's
 nodes, x and x′ arrays, each Ψ solve's ω sequence, Ψ and limit profile, or
-the type name and message of the exception a call raised.  It prints two
-lines per workload and seed, ``NAME@SEED integrate <sha256> <trajectories>``
-and ``NAME@SEED beta_iterate <sha256> <solves>``.  Ψ's in-process cache is
+the type name and message of the exception a call raised.  After the run it
+scans each recorded trajectory (``integrator._zero_scan`` at the default
+tol) and hashes its zero times, their degenerate flags and its extremum
+times.  It prints three lines per workload and seed, ``NAME@SEED integrate
+<sha256> <trajectories>``, ``NAME@SEED beta_iterate <sha256> <solves>`` and
+``NAME@SEED scans <sha256> <trajectories>``.  Ψ's in-process cache is
 cleared before each run, so that each run records every solve it needs.
 
 The integrator's entry is ``integrator._integrate_many``, whose outputs are
@@ -24,14 +27,16 @@ Run from the repository root:
 
 ``--parent REV`` exports the committed files of REV (``git archive``) into
 a temporary directory, digests both trees, each in its own interpreter,
-prints both columns, and exits 1 if any line differs.  Seeds are 0-5
-unless ``--seed`` (repeatable) names others.
+prints both columns and how many digests of each kind differ, and exits 1
+if any line differs.  Seeds are 0-5 unless ``--seed`` (repeatable) names
+others.
 
 ``--parent REV --values`` measures instead how far the values moved, for a
 change that moves them at rounding level: per workload and seed it prints
 the largest max |Δx|/max|x| and max |Δx′|/max|x′| over the paired
-trajectories and the largest |ΔΨ| over the paired solves, and exits 1 only
-if the two trees' outputs do not pair up (another count, node grid or
+trajectories, the largest |ΔΨ| over the paired solves and the largest |Δt|
+of the paired zeros and of the paired extrema, and exits 1 only if the two
+trees' outputs do not pair up (another count, node grid, degenerate flag or
 exception).  It reads each tree's outputs from that tree's own
 interpreter, which ``--values`` without ``--parent`` runs: it writes the
 tree's outputs, pickled, on stdout.
@@ -115,6 +120,31 @@ def _solving(thresholds, solves: list):
     return solve
 
 
+def _scans(outputs: list) -> list:
+    """Each recorded trajectory's zero times, their degenerate flags and
+    its extremum times (``integrator._zero_scan`` at the default tol), or
+    the exception the scan raised; an integration's exception stands for
+    its scan."""
+    import semicycles.integrator as integrator
+
+    scans = []
+    for out in outputs:
+        if isinstance(out, BaseException):
+            scans.append(out)
+            continue
+        try:
+            zeros, extrema = integrator._zero_scan(
+                integrator.Trajectory(*out, problem=None),
+                integrator._SCAN_TOL)
+        except Exception as exc:
+            scans.append(exc)
+            continue
+        scans.append((np.array([t for t, _ in zeros], dtype=float),
+                      np.array([d for _, d in zeros], dtype=bool),
+                      np.array(extrema, dtype=float)))
+    return scans
+
+
 def _record(workload: str, seed: int, tmp: Path) -> tuple:
     """Every integration's and every Ψ solve's output of one workload run,
     each in order."""
@@ -189,9 +219,40 @@ def value_changes(parent: tuple, change: tuple) -> tuple:
     return dx, dv, dpsi, unpaired
 
 
+def _scan_values(scans: list) -> list:
+    """What ``--values`` compares of the scans: each trajectory's three
+    arrays, an exception as its type name and message."""
+    return [f"{type(s).__name__}: {s}" if isinstance(s, BaseException)
+            else s for s in scans]
+
+
+def scan_changes(parent: list, change: list) -> tuple:
+    """The largest |Δt| of the zeros and of the extrema over paired scans
+    (each from ``_scan_values``), and a list of what does not pair up:
+    another count of scans, of zeros or of extrema, another degenerate
+    flag, or an exception on either side."""
+    dz = de = 0.0
+    if len(parent) != len(change):
+        return dz, de, [f"{len(change)} scans, parent {len(parent)}"]
+    unpaired = []
+    for i, (a, b) in enumerate(zip(parent, change)):
+        if isinstance(a, str) or isinstance(b, str):
+            if not (isinstance(a, str) and a == b):
+                unpaired.append(f"scans {i}: {str(b):.80} vs {str(a):.80}")
+        elif a[0].shape != b[0].shape or a[2].shape != b[2].shape:
+            unpaired.append(f"scans {i}: {b[0].size} zeros and {b[2].size} "
+                            f"extrema, parent {a[0].size} and {a[2].size}")
+        elif (a[1] != b[1]).any():
+            unpaired.append(f"scans {i}: another degenerate flag")
+        else:
+            dz = max(dz, float(np.abs(b[0] - a[0]).max(initial=0.0)))
+            de = max(de, float(np.abs(b[2] - a[2]).max(initial=0.0)))
+    return dz, de, unpaired
+
+
 def _digest_tree(tree: Path, seeds: list[int], values: bool = False):
-    """Each workload and seed's two digest lines or, with ``values``, its
-    ``_values`` under "workload@seed"."""
+    """Each workload and seed's three digest lines or, with ``values``, its
+    ``_values`` and ``_scan_values`` under "workload@seed"."""
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     lines, found = [], {}
     with tempfile.TemporaryDirectory(prefix="digest-") as tmp:
@@ -199,11 +260,14 @@ def _digest_tree(tree: Path, seeds: list[int], values: bool = False):
         for workload in WORKLOADS:
             for seed in seeds:
                 outputs, solves = _record(workload, seed, Path(tmp))
+                scans = _scans(outputs)
                 for entry, recorded in (("integrate", outputs),
-                                        ("beta_iterate", solves)):
+                                        ("beta_iterate", solves),
+                                        ("scans", scans)):
                     lines.append(f"{workload}@{seed} {entry} "
                                  f"{digest(recorded)} {len(recorded)}")
-                found[f"{workload}@{seed}"] = _values(outputs, solves)
+                found[f"{workload}@{seed}"] = (*_values(outputs, solves),
+                                               _scan_values(scans))
     return found if values else lines
 
 
@@ -252,14 +316,27 @@ def main(argv=None) -> int:
         _export(rev, Path(tmp))
         parent = _in_subprocess(Path(tmp), seeds)
     change = _in_subprocess(ROOT, seeds)
-    differ = 0
     for p_line, c_line in zip(parent, change):
-        same = p_line == c_line
-        differ += not same
-        print(f"{'same' if same else 'DIFF'} parent {p_line}")
+        print(f"{'same' if p_line == c_line else 'DIFF'} parent {p_line}")
         print(f"{'':4} change {c_line}")
-    print(f"{differ} of {len(change)} digests differ from {rev[:12]}")
+    kinds = differing(parent, change)
+    differ = sum(d for d, _ in kinds.values())
+    print(f"{differ} of {len(change)} digests differ from {rev[:12]} ("
+          + ", ".join(f"{kind} {d} of {n}" for kind, (d, n) in kinds.items())
+          + ")")
     return 1 if differ or len(parent) != len(change) else 0
+
+
+def differing(parent: list, change: list) -> dict:
+    """Per kind of digest line (``integrate``, ``beta_iterate``,
+    ``scans``), how many of the paired lines differ and how many there
+    are."""
+    kinds = {}
+    for p_line, c_line in zip(parent, change):
+        count = kinds.setdefault(c_line.split()[1], [0, 0])
+        count[0] += p_line != c_line
+        count[1] += 1
+    return kinds
 
 
 def _compare_values(rev: str, seeds: list[int]) -> int:
@@ -274,8 +351,11 @@ def _compare_values(rev: str, seeds: list[int]) -> int:
     bad = 0
     for key, new in change.items():
         dx, dv, dpsi, unpaired = value_changes(parent[key], new)
+        dz, de, scans_unpaired = scan_changes(parent[key][2], new[2])
+        unpaired += scans_unpaired
         bad += bool(unpaired)
         print(f"{key} x {dx:.2e} x' {dv:.2e} psi {dpsi:.2e} "
+              f"zeros {dz:.2e} extrema {de:.2e} "
               f"({len(new[0])} trajectories, {len(new[1])} solves)"
               + "".join(f"\n    UNPAIRED {u}" for u in unpaired[:5]))
     print(f"values against {rev[:12]}; {bad} runs do not pair up")

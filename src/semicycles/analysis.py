@@ -15,6 +15,7 @@ NotApplicableError rather than producing a failing margin.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -101,7 +102,7 @@ class Classification:
 def find_zeros(traj: Trajectory, tol: float = _SCAN_TOL) -> list[tuple]:
     """All zeros of x as (time, degenerate) pairs refined to tol.
 
-    Sign-change zeros are bisected on dense output; tangential touches
+    Sign-change zeros are refined on dense output; tangential touches
     (x = 0 with x′ = 0, no sign change) carry degenerate=True and still
     split semicycles.
     """
@@ -121,28 +122,32 @@ def semicycles(traj: Trajectory, zeros, tol: float = _SCAN_TOL
 
 def _arcs(traj: Trajectory, times: list, stationary: list, tol: float
           ) -> list[Semicycle]:
-    """``semicycles`` between sorted zero times, given the stationary
-    points to take the peaks from."""
-    out: list[Semicycle] = []
+    """``semicycles`` between sorted zero times, given the sorted stationary
+    points to take the peaks from: an arc's first one strictly inside
+    (a + tol, b − tol), else its node of largest |x|. Every peak is read in
+    one ``sample`` call."""
+    ts = traj.ts
+    peaks = []
     for a, b in zip(times[:-1], times[1:]):
         if b - a < 10.0 * tol:
             raise ResolutionError(
                 f"adjacent zeros at {a} and {b} are separated by less than "
                 f"10·tol = {10 * tol}")
-        interior = [w for w in stationary if a + tol < w < b - tol]
-        if interior:
-            w = interior[0]
-        else:
-            # no slope sign change resolved: fall back to the sampled peak
-            mask = (traj.ts > a) & (traj.ts < b)
-            if not mask.any():
-                raise ResolutionError(
-                    f"no trajectory nodes inside semicycle ({a}, {b})")
-            w = float(traj.ts[mask][np.abs(traj.xs[mask]).argmax()])
-        value = traj.sample(w)
-        out.append(Semicycle(a=a, b=b, w=w, peak=abs(value),
-                             sign=1 if value >= 0.0 else -1))
-    return out
+        k = bisect.bisect_right(stationary, a + tol)
+        if k < len(stationary) and stationary[k] < b - tol:
+            peaks.append(stationary[k])
+            continue
+        # no slope sign change resolved: fall back to the sampled peak
+        lo = int(np.searchsorted(ts, a, side="right"))
+        hi = int(np.searchsorted(ts, b, side="left"))
+        if lo >= hi:
+            raise ResolutionError(
+                f"no trajectory nodes inside semicycle ({a}, {b})")
+        peaks.append(ts.item(lo + int(np.abs(traj.xs[lo:hi]).argmax())))
+    values = traj.sample(np.asarray(peaks, dtype=float)).tolist()
+    return [Semicycle(a=a, b=b, w=w, peak=abs(value),
+                      sign=1 if value >= 0.0 else -1)
+            for a, b, w, value in zip(times[:-1], times[1:], peaks, values)]
 
 
 # ----------------------------------------------------------------------

@@ -31,8 +31,9 @@ lockstep; ``integrate``, ``fundamental_system``, the analysis layer's
 measurements and the harness's instances all run through it. A batch of
 one or two groups, a lone ``integrate`` or a lone pair, plans ``_CHUNK``
 steps at a time; a larger one, whose plans are all alive together,
-``_CHUNK_MANY``. A zero or extremum scan bisects each sign change on its
-own step, in Python floats with ``Trajectory.sample``'s operations.
+``_CHUNK_MANY``. A zero or extremum scan solves each sign change with
+``thresholds._root`` (Illinois regula falsi) on its own step's cubic, in
+Python floats with ``Trajectory.sample``'s operations.
 
 Two conventions matter and are deliberate:
 
@@ -64,6 +65,7 @@ from .signals import (
     signal_range,
     signal_to_dict,
 )
+from .thresholds import _root
 
 __all__ = [
     "DelayProblem",
@@ -894,43 +896,39 @@ _SCAN_TOL = 1e-10
 
 def _refine(traj: Trajectory, derivative: bool, left: np.ndarray,
             tol: float) -> list[float]:
-    """Bisect each bracket [ts[j], ts[j + 1]] on its own step, in Python
-    floats with ``Trajectory._eval``'s operations; a midpoint never leaves
-    its step, so its fraction s needs no clamp."""
+    """Each bracket [ts[j], ts[j + 1]] solved by ``_root`` on its step's
+    cubic, negated where it is negative at the left node, in Python floats
+    with ``Trajectory._eval``'s operations; a probe never leaves its step,
+    so its fraction s needs no clamp. A bracket whose cubic vanishes at
+    its left node ends there."""
     ts, xs, vs = traj.ts, traj.xs, traj.vs
     out = []
     for j in left.tolist():
-        lo, hi = ts.item(j), ts.item(j + 1)
-        t0, h = lo, hi - lo
+        t0, t1 = ts.item(j), ts.item(j + 1)
+        h = t1 - t0
         x0, x1 = xs.item(j), xs.item(j + 1)
         v0, v1 = vs.item(j), vs.item(j + 1)
-        # s = 0 at the left node
-        f_lo = (_hermite_slope(x0, v0, x1, v1, h, 0.0) if derivative
-                else _hermite(x0, v0, x1, v1, h, _hermite_weights(0.0)))
-        if f_lo == 0.0:
-            out.append(lo)
-            continue
-        lo_pos = f_lo > 0.0
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            s = (mid - t0) / h
-            fm = (_hermite_slope(x0, v0, x1, v1, h, s) if derivative
-                  else _hermite(x0, v0, x1, v1, h, _hermite_weights(s)))
-            if fm == 0.0 or not lo < mid < hi:  # or lo, hi adjacent floats
-                break
-            if (fm > 0.0) == lo_pos:
-                lo = mid
-            else:
-                hi = mid
+        sign = 1.0
+        if derivative:
+            def cubic(t):
+                return sign * _hermite_slope(x0, v0, x1, v1, h, (t - t0) / h)
         else:
-            mid = 0.5 * (lo + hi)
-        out.append(mid)
+            def cubic(t):
+                return sign * _hermite(x0, v0, x1, v1, h,
+                                       _hermite_weights((t - t0) / h))
+        f_lo = cubic(t0)
+        if f_lo == 0.0:
+            out.append(t0)
+            continue
+        if not f_lo > 0.0:
+            sign, f_lo = -1.0, -f_lo
+        out.append(_root(cubic, t0, t1, f_lo, cubic(t1), tol))
     return out
 
 
 def _check_tol(tol: float) -> None:
     # NaN or inf would leave every bracket unrefined, zero or less asks for
-    # a width no bisection reaches
+    # a width no root search reaches
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol must be finite and positive, got {tol}")
 
@@ -940,8 +938,8 @@ def _scan_sign_changes(traj: Trajectory, derivative: bool, tol: float
     """(t, exact_node) for each sign change of x (x′ if ``derivative``) at
     the nodes; an exact zero node is taken as is, a run of them once. A
     bracket ends at its left node if the function vanishes there, at the
-    first midpoint that vanishes or cannot move (adjacent floats), or at
-    the centre of its first interval no wider than tol."""
+    first probe that vanishes, at the midpoint of adjacent floats, or at
+    the centre of its first interval no wider than tol (``_refine``)."""
     _check_tol(tol)
     ys = traj.vs if derivative else traj.xs
     nonzero = ys != 0.0

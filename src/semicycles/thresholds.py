@@ -18,12 +18,13 @@ x″(t) + p(t)·x(t−τ(t)) = 0 with esssup|p| ≤ 1 can traverse a semicycle:
 ϑ, the ϖ of each ascent sweep and γ are roots of monotone functions on a
 known bracket. ϑ and γ are found by the one Illinois regula falsi ``_root``
 (about 11 series evaluations per ϑ, 5 Ψ solves for γ, against 45 and 20
-by bisection); each sweep bisects ϖ to a 1e−12 bracket, but reads the
-moments only at the probes within a stated rounding bound of the root,
-which a Newton solve on the root's cell finds first (``_root_window``), so
-that ϖ is the plain bisection's bit for bit. The oracle keeps its own
-loops, Illinois on its launch slope, so that it shares no code with the
-path it checks.
+by bisection), and so is every zero and extremum of the integrator's
+scans, on its step's cubic; each sweep bisects ϖ to a 1e−12 bracket, but
+reads the moments only at the probes within a stated rounding bound of the
+root, which a Newton solve on the root's cell finds first
+(``_root_window``), so that ϖ is the plain bisection's bit for bit. The
+oracle keeps its own loops, Illinois on its launch slope, so that it
+shares no code with the path it checks.
 
 Cost. A Ψ solve takes about ten sweeps of about 60 µs each at the default
 grid of 4096 nodes, 37 µs of each in the moments; finding ϖ takes about
@@ -149,20 +150,30 @@ def _r_scalar(delta: float, t: float) -> float:
 def _root(f, lo: float, hi: float, f_lo: float, f_hi: float,
           width: float) -> float:
     """Midpoint of the first bracket [lo, hi] no wider than ``width``, by
-    Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971).
+    Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971): ϑ, γ and every
+    zero and extremum scan (``integrator._refine``) are solved by it.
 
     ``f`` is positive at lo and not at hi (``f_lo`` > 0 ≥ ``f_hi``, the
     values already known); a probe where ``f`` is positive replaces lo,
     any other replaces hi. Each probe is the secant point of the bracket,
-    or its midpoint when that point is not strictly inside; when two
-    probes in a row replace the same end, the other end's value is halved.
+    or its midpoint when that point is not strictly inside or the two end
+    values are equal (no secant point); when two probes in a row
+    replace the same end, the other end's value is halved. A probe where
+    ``f`` is exactly 0 is returned, and so is the midpoint of adjacent
+    floats, which no probe can split.
     """
     side = 0
     while hi - lo > width:
-        x = hi + (hi - lo) * f_hi / (f_lo - f_hi)
+        x = 0.5 * (lo + hi)
         if not lo < x < hi:
-            x = 0.5 * (lo + hi)
+            return x  # lo and hi are adjacent floats
+        if f_lo != f_hi:
+            secant = hi + (hi - lo) * f_hi / (f_lo - f_hi)
+            if lo < secant < hi:
+                x = secant
         fx = f(x)
+        if fx == 0.0:
+            return x
         if fx > 0.0:
             lo, f_lo = x, fx
             if side > 0:

@@ -626,3 +626,102 @@ def test_classify_refuses_another_problems_trajectory():
     assert classify(sine, traj).verdict == "inconclusive"
     # an equal problem built separately is the same problem
     assert classify(_sine_problem(), traj).verdict == "inconclusive"
+
+
+# ----------------------------------------------------------------------
+# semicycle peaks: one sample call against the per-arc loop
+# ----------------------------------------------------------------------
+
+def _arcs_per_arc(traj, times, stationary, tol):
+    """``analysis._arcs`` as it was: every stationary point tested and a
+    full-length node mask built for each arc, one ``sample`` call per
+    peak."""
+    out = []
+    for a, b in zip(times[:-1], times[1:]):
+        if b - a < 10.0 * tol:
+            raise ResolutionError(
+                f"adjacent zeros at {a} and {b} are separated by less than "
+                f"10·tol = {10 * tol}")
+        interior = [w for w in stationary if a + tol < w < b - tol]
+        if interior:
+            w = interior[0]
+        else:
+            mask = (traj.ts > a) & (traj.ts < b)
+            if not mask.any():
+                raise ResolutionError(
+                    f"no trajectory nodes inside semicycle ({a}, {b})")
+            w = float(traj.ts[mask][np.abs(traj.xs[mask]).argmax()])
+        value = traj.sample(w)
+        out.append(Semicycle(a=a, b=b, w=w, peak=abs(value),
+                             sign=1 if value >= 0.0 else -1))
+    return out
+
+
+def _same_arcs(traj, times, stationary, tol):
+    """``_arcs`` and the per-arc loop give equal semicycles, down to the
+    types of their fields, or raise the same error for the same arc."""
+    try:
+        want = _arcs_per_arc(traj, times, stationary, tol)
+    except ResolutionError as exc:
+        with pytest.raises(ResolutionError) as got:
+            analysis._arcs(traj, times, stationary, tol)
+        assert str(got.value) == str(exc)
+        return None
+    got = analysis._arcs(traj, times, stationary, tol)
+    assert repr(got) == repr(want)
+    return got
+
+
+@pytest.mark.parametrize("which", ["example2", "example3"])
+@pytest.mark.parametrize("tol", [1e-10, 1e-6])
+def test_arcs_equal_the_per_arc_loop_on_examples(which, tol):
+    spec = ExampleSpec(which=which, epsilon=0.15, periods=20)
+    traj = integrate(build_example_problem(spec), example_horizon(spec),
+                     step=0.01)
+    zeros, stationary = integrator._zero_scan(traj, tol)
+    times = [t for t, _ in zeros]
+    arcs = _same_arcs(traj, times, stationary, tol)
+    assert len(arcs) == 19 and all(sc.w in stationary for sc in arcs)
+    # without the stationary points every arc takes its node of largest |x|
+    fallback = _same_arcs(traj, times, [], tol)
+    assert all(sc.w in traj.ts for sc in fallback)
+    # a third of the stationary points: arcs take either branch
+    mixed = _same_arcs(traj, times, stationary[::3], tol)
+    assert {sc.w in traj.ts for sc in mixed} == {False, True}
+
+
+def test_arcs_exclude_stationary_points_at_a_plus_and_b_minus_tol(
+        sine_traj):
+    tol = 1e-3
+    a, b = 0.25, 3.0
+    at_a, at_b = a + tol, b - tol
+    ts = sine_traj.ts
+    # the fallback: the node of largest |x| inside (a, b)
+    inside = (ts > a) & (ts < b)
+    node = float(ts[inside][np.abs(sine_traj.xs[inside]).argmax()])
+    for stationary, w in (([at_a, at_b], node),
+                          ([0.1, at_a, at_b, 3.1], node),
+                          ([at_a, 1.5, at_b], 1.5),
+                          ([np.nextafter(at_a, 4.0), 1.5], np.nextafter(
+                              at_a, 4.0)),
+                          ([np.nextafter(at_b, 0.0)], np.nextafter(at_b,
+                                                                   0.0))):
+        stationary = [float(s) for s in stationary]
+        (arc,) = _same_arcs(sine_traj, [a, b], stationary, tol)
+        assert arc.w == w
+
+
+def test_arcs_raise_the_same_error_for_the_same_arc(sine_traj):
+    h = float(sine_traj.ts[1] - sine_traj.ts[0])
+    t5, t6 = float(sine_traj.ts[5]), float(sine_traj.ts[6])
+    # zeros closer than 10·tol, and arcs with no node strictly inside (one
+    # between two adjacent nodes): each refused at its own arc, the first
+    # of them wherever both occur
+    for times in ([0.5, 1.0, 1.0 + 5e-11, 2.0], [0.005, t5, t6, 2.0],
+                  [0.5, t5 + 0.1 * h, t5 + 0.6 * h, 2.0],
+                  [0.5, t5 + 0.1 * h, t5 + 0.6 * h, t5 + 0.6 * h + 1e-11],
+                  [0.5, 0.9, 0.9 + 1e-11, 1.2, 1.2 + 0.1 * h,
+                   1.2 + 0.5 * h]):
+        with pytest.raises(ResolutionError):
+            analysis._arcs(sine_traj, times, [], 1e-10)
+        assert _same_arcs(sine_traj, times, [], 1e-10) is None

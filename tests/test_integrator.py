@@ -1017,8 +1017,65 @@ def test_first_step_reads_right_limit_at_start():
     assert traj.xs[1] == x1 and traj.vs[1] == v1
 
 
-def _scalar_scan(ts, ys, f, tol):
-    """Node-by-node sign-change scan with one scalar bisection per bracket."""
+def _bisect(f, lo, hi, tol):
+    """The bisection the scans used before Illinois: the oracle that every
+    refined time stays within tol of."""
+    f_lo = f(lo)
+    if f_lo == 0.0:
+        return lo
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if (fm > 0.0) == (f_lo > 0.0):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _illinois(f, lo, hi, tol):
+    """Illinois regula falsi on [lo, hi], written out here: f negated where
+    it is negative at lo; each probe the secant point, or the midpoint when
+    that is not strictly inside or the end values are equal; the value at
+    the end not replaced twice in a row halved. It ends at lo where f
+    vanishes, at a probe where f vanishes, at the midpoint of adjacent
+    floats, or at the centre of the first bracket no wider than tol."""
+    f_lo = f(lo)
+    if f_lo == 0.0:
+        return lo
+    sign = 1.0 if f_lo > 0.0 else -1.0
+    f_lo, f_hi = sign * f_lo, sign * f(hi)
+    side = 0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        x = mid
+        if f_lo != f_hi:
+            secant = hi + (hi - lo) * f_hi / (f_lo - f_hi)
+            if lo < secant < hi:
+                x = secant
+        fx = sign * f(x)
+        if fx == 0.0:
+            return x
+        if fx > 0.0:
+            lo, f_lo = x, fx
+            if side > 0:
+                f_hi *= 0.5
+            side = 1
+        else:
+            hi, f_hi = x, fx
+            if side < 0:
+                f_lo *= 0.5
+            side = -1
+    return 0.5 * (lo + hi)
+
+
+def _scalar_scan(ts, ys, f, tol, solve):
+    """Node-by-node sign-change scan with one scalar ``solve`` per
+    bracket."""
     out, prev_idx, prev_sign, zero_since_prev = [], None, 0, False
     for j in range(ts.size):
         if ys[j] == 0.0:
@@ -1028,24 +1085,8 @@ def _scalar_scan(ts, ys, f, tol):
             continue
         sign = 1 if ys[j] > 0.0 else -1
         if prev_idx is not None and sign != prev_sign and not zero_since_prev:
-            lo, hi = float(ts[prev_idx]), float(ts[j])
-            f_lo = f(lo)
-            if f_lo == 0.0:
-                t_star = lo
-            else:
-                while hi - lo > tol:
-                    mid = 0.5 * (lo + hi)
-                    fm = f(mid)
-                    if fm == 0.0:
-                        break
-                    if (fm > 0.0) == (f_lo > 0.0):
-                        lo = mid
-                    else:
-                        hi = mid
-                else:
-                    mid = 0.5 * (lo + hi)
-                t_star = mid
-            out.append((t_star, False))
+            out.append((solve(f, float(ts[prev_idx]), float(ts[j]), tol),
+                         False))
         prev_idx, prev_sign = j, sign
         zero_since_prev = False
     return out
@@ -1100,12 +1141,20 @@ def _eigenmode_overlap_problem():
                                   _eigenmode_overlap_problem])
 @pytest.mark.parametrize("tol", [1e-10, 1e-3])
 def test_vectorized_sign_scan_matches_scalar_bisection(make, tol):
+    """The scan equals a node-by-node scan with the Illinois loop above,
+    bit for bit, and lies within tol of one with the bisection it
+    replaced, event for event."""
     traj, brackets = make()
-    got = _scan_sign_changes(traj, False, tol)
-    assert got == _scalar_scan(traj.ts, traj.xs, traj.sample, tol)
-    assert sum(1 for _, exact in got if not exact) >= brackets
-    got = _scan_sign_changes(traj, True, tol)
-    assert got == _scalar_scan(traj.ts, traj.vs, traj.sample_slope, tol)
+    for derivative, ys, f in ((False, traj.xs, traj.sample),
+                              (True, traj.vs, traj.sample_slope)):
+        got = _scan_sign_changes(traj, derivative, tol)
+        assert got == _scalar_scan(traj.ts, ys, f, tol, _illinois)
+        bisected = _scalar_scan(traj.ts, ys, f, tol, _bisect)
+        assert [exact for _, exact in got] == [e for _, e in bisected]
+        assert np.allclose([t for t, _ in got], [t for t, _ in bisected],
+                           rtol=0.0, atol=tol)
+        if not derivative:
+            assert sum(1 for _, exact in got if not exact) >= brackets
 
 
 def _product_hermite(traj, q):
@@ -1591,7 +1640,7 @@ def test_lockstep_batches_hold_at_most_the_step_limit(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# bracket refinement: plain floats against a numpy bisection
+# bracket refinement: Illinois in plain floats against a numpy bisection
 # ----------------------------------------------------------------------
 
 # bracket count above which a numpy round of all open brackets pays for its
@@ -1600,8 +1649,9 @@ _MANY_BRACKETS = 40
 
 
 def _refine_arrays(traj, derivative, left, tol):
-    """Reference for ``integrator._refine``: all brackets at once, one numpy
-    evaluation of dense output per round for the brackets still open."""
+    """The bisection ``integrator._refine`` ran before Illinois, all
+    brackets at once, one numpy evaluation of dense output per round for
+    the brackets still open: the oracle it stays within tol of."""
     ts, xs, vs = traj.ts, traj.xs, traj.vs
 
     def dense(j, q):
@@ -1663,8 +1713,17 @@ def _refinement_corpus():
     return out
 
 
+def _illinois_each(traj, derivative, left, tol):
+    """``_illinois`` on each bracket [ts[j], ts[j + 1]] of dense output."""
+    f = traj.sample_slope if derivative else traj.sample
+    ts = traj.ts.tolist()
+    return [_illinois(f, ts[j], ts[j + 1], tol) for j in left.tolist()]
+
+
 @pytest.mark.parametrize("tol", [1e-10, 1e-3])
 def test_plain_refinement_matches_numpy_refinement(tol):
+    """``_refine`` is the Illinois loop above bit for bit, and within tol
+    of the numpy bisection; both of its early exits are reached."""
     corpus = _refinement_corpus()
     sizes = [left.size for _, left in corpus]
     assert min(sizes) < _MANY_BRACKETS < max(sizes)
@@ -1672,27 +1731,42 @@ def test_plain_refinement_matches_numpy_refinement(tol):
     for traj, left in corpus:
         for derivative in (False, True):
             plain = integrator._refine(traj, derivative, left, tol)
+            assert plain == _illinois_each(traj, derivative, left, tol)
             arrays = _refine_arrays(traj, derivative, left, tol)
-            assert plain == arrays
+            assert np.allclose(plain, arrays, rtol=0.0, atol=tol)
             for t, j in zip(plain, left.tolist()):
                 if t == traj.ts[j]:
                     ends.add("left_node_zero")
                 elif (traj.sample_slope(t) if derivative
                       else traj.sample(t)) == 0.0:
-                    ends.add("midpoint_zero")
-    assert ends == {"left_node_zero", "midpoint_zero"}
+                    ends.add("probe_zero")
+    assert ends == {"left_node_zero", "probe_zero"}
 
 
 @pytest.mark.parametrize("tol", [1e-300, 5e-324])
 def test_refinement_below_float_spacing_ends_equal_on_both_paths(tol):
-    # no float lies strictly between two adjacent ones, so a bisection
-    # asked for a width below their spacing stops there, on either path
+    """Asked for a width below float spacing, each bracket ends where f
+    vanishes or on two adjacent floats that hold its sign change, no more
+    than 1e-10 from where it ends at the default tol, on the Illinois
+    loop above as in ``_refine``."""
     for traj, left in _refinement_corpus():
-        for derivative in (False, True):
+        ts, xs, vs = traj.ts, traj.xs, traj.vs
+        for derivative, ys, f in ((False, xs, traj.sample),
+                                  (True, vs, traj.sample_slope)):
             plain = integrator._refine(traj, derivative, left, tol)
-            assert plain == _refine_arrays(traj, derivative, left, tol)
+            assert plain == _illinois_each(traj, derivative, left, tol)
             coarse = integrator._refine(traj, derivative, left, 1e-10)
-            assert np.allclose(plain, coarse, rtol=0.0, atol=1e-10)
+            for t, c, j in zip(plain, coarse, left.tolist()):
+                assert abs(t - c) <= 1e-10
+                if f(t) == 0.0 or (ys[j] > 0.0) == (ys[j + 1] > 0.0):
+                    continue  # a zero, or no sign change to hold
+                # the pair's other float: right of t while t keeps the
+                # left node's sign, else left of it
+                right = (f(t) > 0.0) == (ys[j] > 0.0)
+                other = float(np.nextafter(t, math.inf if right
+                                           else -math.inf))
+                assert ts[j] <= other <= ts[j + 1]
+                assert (f(other) > 0.0) != (f(t) > 0.0)
 
 
 def test_scans_end_where_the_default_tol_is_below_float_spacing():

@@ -1,8 +1,8 @@
 """scripts/integrator_digest.py hashes every byte of the integrator's
 outputs and of the Ψ solves, so one ulp anywhere changes a digest, and
 records each trajectory once, whether its tree integrates a fundamental
-pair as one two-column group or as two problems, and each Ψ solve a
-workload runs."""
+pair as one two-column group or as two problems, each Ψ solve a workload
+runs, and each trajectory's zero and extremum times."""
 
 import importlib.util
 from pathlib import Path
@@ -161,3 +161,83 @@ def test_values_mode_measures_relative_changes_and_pairing():
         [(ts[:-1], xs[:-1], vs[:-1]), (ts, xs, vs)], solves[:1])
     *_, unpaired = integrator_digest.value_changes(parent, other)
     assert len(unpaired) == 3   # a node grid, an exception, a count
+
+
+def test_scans_hash_each_trajectorys_zero_and_extremum_times():
+    """Each recorded trajectory is scanned as ``_zero_scan`` scans it at
+    the default tol; its zero times, their degenerate flags and its
+    extremum times are hashed, one ulp or one flag of them changes the
+    digest, and an integration's exception stands for its scan."""
+    from semicycles import integrator
+
+    const = PiecewiseSignal.constant
+    problem = DelayProblem(const(1.0), const(0.5), 0.0, const(1.0), 1.0, 0.0)
+    traj = integrator.integrate(problem, 20.0, step=0.01)
+    # x = 1 − cos t touches zero at 0, 2π and 4π: degenerate zeros
+    ts = np.linspace(0.0, 4.0 * np.pi, 801)
+    touch = (ts, 1.0 - np.cos(ts), np.sin(ts))
+    error = HistoryDomainError("delayed argument -2.0")
+    scans = integrator_digest._scans([(traj.ts, traj.xs, traj.vs), error,
+                                      touch])
+    assert scans[1] is error
+    for scan, out in zip(scans[::2], ((traj.ts, traj.xs, traj.vs), touch)):
+        zeros, extrema = integrator._zero_scan(
+            integrator.Trajectory(*out, problem=None), integrator._SCAN_TOL)
+        times, flags, peaks = scan
+        assert times.tolist() == [t for t, _ in zeros] and len(zeros) >= 3
+        assert flags.tolist() == [d for _, d in zeros]
+        assert peaks.tolist() == extrema and len(extrema) >= 3
+    assert not scans[0][1].any() and scans[2][1].all()
+    base = digest(scans)
+    for k in range(3):
+        for i in (0, 2):
+            changed = list(scans)
+            changed[i] = tuple(a.copy() for a in scans[i])
+            arr = changed[i][k]
+            arr[1] = (not arr[1]) if k == 1 else np.nextafter(arr[1], np.inf)
+            assert digest(changed) != base, (i, k)
+
+
+def test_trajectories_run_scans_every_trajectory(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(_SCRIPT.parents[1] / "perfbench"))
+    monkeypatch.setenv("SEMICYCLE_CACHE_DIR", str(tmp_path))
+    outputs, _ = integrator_digest._record("trajectories", 0, tmp_path)
+    scans = integrator_digest._scans(outputs)
+    assert len(scans) == len(outputs) == 4
+    assert all(isinstance(s, tuple) and s[0].size > 3 for s in scans)
+
+
+def test_values_mode_measures_zero_and_extremum_moves():
+    """``--values`` reports the largest |Δt| of the paired zeros and of the
+    paired extrema, and what does not pair up: another count of scans,
+    zeros or extrema, another degenerate flag, or an exception."""
+    zeros = np.array([1.0, 2.0, 3.0])
+    flags = np.array([False, True, False])
+    peaks = np.array([1.5, 2.5])
+    error = HistoryDomainError("delayed argument -2.0")
+    parent = integrator_digest._scan_values([(zeros, flags, peaks), error])
+    assert parent[1] == "HistoryDomainError: delayed argument -2.0"
+    change = integrator_digest._scan_values(
+        [(zeros + [0.0, 3e-11, -5e-11], flags, peaks + [2e-11, 0.0]), error])
+    dz, de, unpaired = integrator_digest.scan_changes(parent, change)
+    assert dz == pytest.approx(5e-11, rel=1e-3)
+    assert de == pytest.approx(2e-11, rel=1e-3)
+    assert unpaired == []
+    assert integrator_digest.scan_changes(parent, parent) == (0.0, 0.0, [])
+    other = integrator_digest._scan_values(
+        [(zeros[:2], flags[:2], peaks), (zeros, flags, peaks)])
+    *_, unpaired = integrator_digest.scan_changes(parent, other)
+    assert len(unpaired) == 2   # a zero count, a scan against an exception
+    flipped = [(zeros, ~flags, peaks), parent[1]]
+    *_, unpaired = integrator_digest.scan_changes(parent, flipped)
+    assert unpaired == ["scans 0: another degenerate flag"]
+    *_, unpaired = integrator_digest.scan_changes(parent, parent[:1])
+    assert unpaired == ["1 scans, parent 2"]
+
+
+def test_parent_mode_counts_differing_digests_by_kind():
+    parent = ["t@0 integrate aa 4", "t@0 beta_iterate bb 9",
+              "t@0 scans cc 4", "s@0 scans dd 4"]
+    change = parent[:2] + ["t@0 scans ee 4", parent[3]]
+    assert integrator_digest.differing(parent, change) == {
+        "integrate": [0, 1], "beta_iterate": [0, 1], "scans": [1, 2]}

@@ -8,6 +8,7 @@ before this module's implementation existed.
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -833,6 +834,119 @@ def test_gamma_within_tolerance_of_inline_bisection():
         else:
             hi = mid
     assert abs(g - 0.5 * (lo + hi)) <= 1e-6
+
+
+def _root_before_exits(f, lo, hi, f_lo, f_hi, width):
+    """``thresholds._root`` before its exits for a vanishing probe, adjacent
+    floats and equal end values, written out."""
+    side = 0
+    while hi - lo > width:
+        x = hi + (hi - lo) * f_hi / (f_lo - f_hi)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        fx = f(x)
+        if fx > 0.0:
+            lo, f_lo = x, fx
+            if side > 0:
+                f_hi *= 0.5
+            side = 1
+        else:
+            hi, f_hi = x, fx
+            if side < 0:
+                f_lo *= 0.5
+            side = -1
+    return 0.5 * (lo + hi)
+
+
+def test_root_exits_leave_theta_and_gamma_bits(monkeypatch):
+    """No ϑ probe and no γ probe meets a new exit of ``_root``: both are
+    the same bits as before the exits were added."""
+    got = [theta.__wrapped__(d) for d in _THETA_DELTAS]
+    gamma = gamma_constant()
+    monkeypatch.setattr(thresholds, "_root", _root_before_exits)
+    assert got == [theta.__wrapped__(d) for d in _THETA_DELTAS]
+    assert gamma_constant() == gamma
+
+
+def test_root_exits_keep_the_benchmark_tables_and_their_tag(tmp_path,
+                                                           monkeypatch):
+    """The threshold tables the benchmark's ``thresholds`` workload prints
+    at seeds 0–5 are the same bytes as with ``_root``'s loop before its
+    exits, so the tag of stored tables stays."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
+                                    / "perfbench"))
+    import workloads
+
+    assert cli._TABLE_ALGORITHM == "theta-series+psi-beta-iterate/3"
+    tables = {}
+    try:
+        for side in ("now", "before"):
+            theta.cache_clear()
+            if side == "before":
+                monkeypatch.setattr(thresholds, "_root", _root_before_exits)
+            monkeypatch.setenv("SEMICYCLE_CACHE_DIR", str(tmp_path / side))
+            for seed in range(6):
+                state = workloads.setup_thresholds(seed, tmp_path, 1)
+                out = tmp_path / f"{side}-{seed}.csv"
+                assert cli.main(state.argv(out)) == 0
+                tables[side, seed] = out.read_bytes()
+    finally:
+        theta.cache_clear()
+    for seed in range(6):
+        assert tables["now", seed] == tables["before", seed], seed
+
+
+def _counted(f, limit=200):
+    """f, refusing to be called more than ``limit`` times."""
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        assert len(calls) <= limit, "the root loop does not stop"
+        return f(x)
+    return g, calls
+
+
+def test_root_returns_a_probe_where_f_vanishes():
+    # the first secant point of 0.375 − x on [0.25, 0.5] is its root; the
+    # loop used to replace hi with it and go on to a bracket centre
+    f, calls = _counted(lambda x: 0.375 - x)
+    assert thresholds._root(f, 0.25, 0.5, 0.125, -0.125, 1e-3) == 0.375
+    assert calls == [0.375]
+    assert _root_before_exits(lambda x: 0.375 - x, 0.25, 0.5, 0.125,
+                              -0.125, 1e-3) != 0.375
+
+
+def test_root_stops_on_adjacent_floats():
+    one_up = float(np.nextafter(1.0, 2.0))
+    f, calls = _counted(lambda x: 1.0 - x)
+    assert thresholds._root(f, 1.0, one_up, 1.0, -1.0, 0.0) in (1.0, one_up)
+    assert calls == []
+    # a step at c, asked for a width below float spacing: the loop ends on
+    # the two floats around the step (it used to run on forever)
+    c = 1.3
+    f, calls = _counted(lambda x: 1.0 if x < c else -1.0)
+    got = thresholds._root(f, 1.0, 2.0, 1.0, -1.0, 5e-324)
+    assert got in (float(np.nextafter(c, 0.0)), c)
+
+
+def test_root_takes_the_midpoint_when_end_values_are_equal():
+    """Equal end values, as where a bracket without a sign change (an x
+    bracket read on x′) is refined, or where both ends' subnormal values
+    are halved, have no secant point: the probe is the midpoint, where the
+    secant formula divided by zero."""
+    tiny = 5e-324
+    for f_lo, f_hi in ((tiny, tiny), (1.0, 1.0), (0.0, -0.0)):
+        f, calls = _counted(lambda x: tiny)
+        with pytest.raises(ZeroDivisionError):
+            _root_before_exits(f, 0.0, 1.0, f_lo, f_hi, 1e-3)
+        got = thresholds._root(f, 0.0, 1.0, f_lo, f_hi, 1e-3)
+        assert calls[0] == 0.5 and 1.0 - 1e-3 <= got <= 1.0
+    # subnormal values on both sides of a root: halving f_hi to −0.0 does
+    # not stop the loop short of the root
+    f, calls = _counted(lambda x: tiny if x < 0.9 else -tiny)
+    assert abs(thresholds._root(f, 0.0, 1.0, tiny, -tiny, 1e-12) - 0.9
+               ) <= 1e-12
 
 
 def test_semicycle_threshold_values():
