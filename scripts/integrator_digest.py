@@ -8,9 +8,11 @@ nodes, x and x′ arrays, each Ψ solve's ω sequence, Ψ and limit profile, or
 the type name and message of the exception a call raised.  After the run it
 scans each recorded trajectory (``integrator._zero_scan`` at the default
 tol) and hashes its zero times, their degenerate flags and its extremum
-times.  It prints three lines per workload and seed, ``NAME@SEED integrate
-<sha256> <trajectories>``, ``NAME@SEED beta_iterate <sha256> <solves>`` and
-``NAME@SEED scans <sha256> <trajectories>``.  Ψ's in-process cache is
+times, and it hashes ϑ (``thresholds.theta``) at each distinct Δ of the
+recorded Ψ solves.  It prints four lines per workload and seed,
+``NAME@SEED integrate <sha256> <trajectories>``, ``NAME@SEED beta_iterate
+<sha256> <solves>``, ``NAME@SEED scans <sha256> <trajectories>`` and
+``NAME@SEED theta <sha256> <distinct Δ>``.  Ψ's in-process cache is
 cleared before each run, so that each run records every solve it needs.
 
 The integrator's entry is ``integrator._integrate_many``, whose outputs are
@@ -34,12 +36,13 @@ others.
 ``--parent REV --values`` measures instead how far the values moved, for a
 change that moves them at rounding level: per workload and seed it prints
 the largest max |Δx|/max|x| and max |Δx′|/max|x′| over the paired
-trajectories, the largest |ΔΨ| over the paired solves and the largest |Δt|
-of the paired zeros and of the paired extrema, and exits 1 only if the two
-trees' outputs do not pair up (another count, node grid, degenerate flag or
-exception).  It reads each tree's outputs from that tree's own
-interpreter, which ``--values`` without ``--parent`` runs: it writes the
-tree's outputs, pickled, on stdout.
+trajectories, the largest |ΔΨ| over the paired solves, the largest |Δt|
+of the paired zeros and of the paired extrema and the largest |Δϑ| over
+the paired Δ, and exits 1 only if the two trees' outputs do not pair up
+(another count, node grid, degenerate flag, Δ or exception).  It reads
+each tree's outputs from that tree's own interpreter, which ``--values``
+without ``--parent`` runs: it writes the tree's outputs, pickled, on
+stdout.
 
     python3 scripts/integrator_digest.py --parent HEAD~1 --values
 """
@@ -102,13 +105,14 @@ def _recording(integrator, outputs: list):
     return lockstep
 
 
-def _solving(thresholds, solves: list):
+def _solving(thresholds, solves: list, deltas: list):
     """A wrapper of ``thresholds.beta_iterate`` that appends each solve's
     ω sequence, Ψ and limit profile, or the exception it raised, to
-    ``solves``."""
+    ``solves``, and its Δ to ``deltas``."""
     inner = thresholds.beta_iterate
 
     def solve(*args, **kwargs):
+        deltas.append(args[1] if len(args) > 1 else kwargs["delta"])
         try:
             res = inner(*args, **kwargs)
         except Exception as exc:
@@ -145,18 +149,33 @@ def _scans(outputs: list) -> list:
     return scans
 
 
+def _thetas(deltas: list) -> list:
+    """ϑ at each distinct Δ of ``deltas``, in order of first appearance:
+    (Δ, ϑ) as two one-element arrays, or the exception ``theta`` raised."""
+    import semicycles.thresholds as thresholds
+
+    thetas = []
+    for delta in dict.fromkeys(deltas):
+        try:
+            thetas.append((np.array([delta], dtype=float),
+                           np.array([thresholds.theta(delta)])))
+        except Exception as exc:
+            thetas.append(exc)
+    return thetas
+
+
 def _record(workload: str, seed: int, tmp: Path) -> tuple:
     """Every integration's and every Ψ solve's output of one workload run,
-    each in order."""
+    each in order, and each solve's Δ."""
     import semicycles.integrator as integrator
     import semicycles.thresholds as thresholds
     import workloads
 
-    outputs, solves = [], []
+    outputs, solves, deltas = [], [], []
     wrappers = {"_integrate_many": (integrator._integrate_many,
                                     _recording(integrator, outputs)),
                 "beta_iterate": (thresholds.beta_iterate,
-                                 _solving(thresholds, solves))}
+                                 _solving(thresholds, solves, deltas))}
     spec = workloads.WORKLOADS[workload]
     state = spec.setup(seed, tmp, 1)
     thresholds._psi_cached.cache_clear()
@@ -172,7 +191,7 @@ def _record(workload: str, seed: int, tmp: Path) -> tuple:
     finally:
         for mod, attr in homes:
             setattr(mod, attr, wrappers[attr][0])
-    return outputs, solves
+    return outputs, solves, deltas
 
 
 def _values(outputs: list, solves: list) -> tuple:
@@ -250,24 +269,50 @@ def scan_changes(parent: list, change: list) -> tuple:
     return dz, de, unpaired
 
 
+def _theta_values(thetas: list) -> list:
+    """What ``--values`` compares of ϑ: each (Δ, ϑ) as floats, an
+    exception as its type name and message."""
+    return [f"{type(t).__name__}: {t}" if isinstance(t, BaseException)
+            else (float(t[0][0]), float(t[1][0])) for t in thetas]
+
+
+def theta_changes(parent: list, change: list) -> tuple:
+    """The largest |Δϑ| over the ϑ paired by Δ (each from
+    ``_theta_values``), and a list of what does not pair up: another count
+    of Δ, another Δ, or an exception on either side."""
+    if len(parent) != len(change):
+        return 0.0, [f"{len(change)} thetas, parent {len(parent)}"]
+    dtheta, unpaired = 0.0, []
+    for i, (a, b) in enumerate(zip(parent, change)):
+        if isinstance(a, str) or isinstance(b, str) or a[0] != b[0]:
+            if a != b:
+                unpaired.append(f"theta {i}: {str(b):.80} vs {str(a):.80}")
+        else:
+            dtheta = max(dtheta, abs(b[1] - a[1]))
+    return dtheta, unpaired
+
+
 def _digest_tree(tree: Path, seeds: list[int], values: bool = False):
-    """Each workload and seed's three digest lines or, with ``values``, its
-    ``_values`` and ``_scan_values`` under "workload@seed"."""
+    """Each workload and seed's four digest lines or, with ``values``, its
+    ``_values``, ``_scan_values`` and ``_theta_values`` under
+    "workload@seed"."""
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     lines, found = [], {}
     with tempfile.TemporaryDirectory(prefix="digest-") as tmp:
         os.environ["SEMICYCLE_CACHE_DIR"] = tmp
         for workload in WORKLOADS:
             for seed in seeds:
-                outputs, solves = _record(workload, seed, Path(tmp))
-                scans = _scans(outputs)
+                outputs, solves, deltas = _record(workload, seed, Path(tmp))
+                scans, thetas = _scans(outputs), _thetas(deltas)
                 for entry, recorded in (("integrate", outputs),
                                         ("beta_iterate", solves),
-                                        ("scans", scans)):
+                                        ("scans", scans),
+                                        ("theta", thetas)):
                     lines.append(f"{workload}@{seed} {entry} "
                                  f"{digest(recorded)} {len(recorded)}")
                 found[f"{workload}@{seed}"] = (*_values(outputs, solves),
-                                               _scan_values(scans))
+                                               _scan_values(scans),
+                                               _theta_values(thetas))
     return found if values else lines
 
 
@@ -329,8 +374,8 @@ def main(argv=None) -> int:
 
 def differing(parent: list, change: list) -> dict:
     """Per kind of digest line (``integrate``, ``beta_iterate``,
-    ``scans``), how many of the paired lines differ and how many there
-    are."""
+    ``scans``, ``theta``), how many of the paired lines differ and how many
+    there are."""
     kinds = {}
     for p_line, c_line in zip(parent, change):
         count = kinds.setdefault(c_line.split()[1], [0, 0])
@@ -352,10 +397,11 @@ def _compare_values(rev: str, seeds: list[int]) -> int:
     for key, new in change.items():
         dx, dv, dpsi, unpaired = value_changes(parent[key], new)
         dz, de, scans_unpaired = scan_changes(parent[key][2], new[2])
-        unpaired += scans_unpaired
+        dtheta, thetas_unpaired = theta_changes(parent[key][3], new[3])
+        unpaired += scans_unpaired + thetas_unpaired
         bad += bool(unpaired)
         print(f"{key} x {dx:.2e} x' {dv:.2e} psi {dpsi:.2e} "
-              f"zeros {dz:.2e} extrema {de:.2e} "
+              f"zeros {dz:.2e} extrema {de:.2e} theta {dtheta:.2e} "
               f"({len(new[0])} trajectories, {len(new[1])} solves)"
               + "".join(f"\n    UNPAIRED {u}" for u in unpaired[:5]))
     print(f"values against {rev[:12]}; {bad} runs do not pair up")

@@ -16,24 +16,24 @@ whose stages all read their own x (no delay) runs by its linear map: the
 equation is linear, so the step maps x₀, x′₀ linearly to x₁, x′₁ (the
 matrix form of an RK step, Hairer & Wanner, Solving ODEs II, ch. IV).
 Every other step runs RK4 in Python floats. A step's arithmetic depends
-only on the step, never on how steps are grouped: a block step keeps a
-block's operations when it runs alone, and a map does not depend on the
-other steps planned with it, so neither the chunk length nor which runs
-make blocks moves a bit.
+only on the step, never on how steps are grouped: ``_advance_blocks`` sums
+each block in a row of its own, a block step that runs alone takes the
+same operations, and a map does not depend on the other steps planned with
+it, so neither the chunk length nor which runs make blocks moves a bit.
 
 Runs share the blocks' numpy cost in lockstep (the ensemble idea of
 DifferentialEquations.jl, Rackauckas & Nie 2017): ``_integrate_many`` takes
-every run's ready block in one ``_advance_blocks`` call a round, and two
-runs in a row that differ only in x(s⁺) and x′(s⁺), a fundamental pair,
-share their plans. ``_drive`` is the one driver of integrations: it runs
-instances, generators that yield the problems they need integrated, in
-lockstep; ``integrate``, ``fundamental_system``, the analysis layer's
-measurements and the harness's instances all run through it. A batch of
-one or two groups, a lone ``integrate`` or a lone pair, plans ``_CHUNK``
-steps at a time; a larger one, whose plans are all alive together,
-``_CHUNK_MANY``. A zero or extremum scan solves each sign change with
-``thresholds._root`` (Illinois regula falsi) on its own step's cubic, in
-Python floats with ``Trajectory.sample``'s operations.
+every run's ready block, a lone run's too, in one ``_advance_blocks`` call
+a round, and two runs in a row that differ only in x(s⁺) and x′(s⁺), a
+fundamental pair, share their plans. ``_drive`` is the one driver of
+integrations: it runs instances, generators that yield the problems they
+need integrated, in lockstep; ``integrate``, ``fundamental_system``, the
+analysis layer's measurements and the harness's instances all run through
+it. A batch of one or two groups, a lone ``integrate`` or a lone pair,
+plans ``_CHUNK`` steps at a time; a larger one, whose plans are all alive
+together, ``_CHUNK_MANY``. A zero or extremum scan solves each sign change
+with ``thresholds._root`` (Illinois regula falsi) on its own step's cubic,
+in Python floats with ``Trajectory.sample``'s operations.
 
 Two conventions matter and are deliberate:
 
@@ -60,6 +60,7 @@ import numpy as np
 from .errors import DomainError, HistoryDomainError, SemicycleError
 from .signals import (
     PiecewiseSignal,
+    _number,
     _trim_for_roots,
     signal_from_dict,
     signal_range,
@@ -126,10 +127,10 @@ def problem_from_dict(data: dict) -> DelayProblem:
         return DelayProblem(
             p=signal_from_dict(data["p"]),
             tau=signal_from_dict(data["tau"]),
-            start=float(data["start"]),
+            start=_number(data["start"]),
             history=signal_from_dict(data["history"]),
-            initial_value=float(data["initial_value"]),
-            initial_slope=float(data["initial_slope"]),
+            initial_value=_number(data["initial_value"]),
+            initial_slope=_number(data["initial_slope"]),
         )
     except SemicycleError:
         raise
@@ -373,8 +374,8 @@ class _ChunkPlan:
     (``kind`` None) the plan keeps only its steps' maps. Else ``kind`` says
     where each stage reads x(u), u = σ − τ(σ) (a _RAISE stage raises here),
     ``hv`` each _VALUE stage's value (None if none; a stage at u = s right
-    of the start jump, ``plus``, reads x(s⁺)), ``jj``/``h``/``w`` each
-    read's bracket and weights, ``reach`` the last node a step reads. An
+    of the start jump, ``plus``, reads x(s⁺)), ``jj`` each read's
+    bracket's left node, ``reach`` the last node a step reads. An
     ``ok`` step, whose stages all read values or accepted output, can join
     a block; one whose stages all read their own x runs by its map
     (``coefs``), the same whether its chunk has a delay or not."""
@@ -457,7 +458,6 @@ class _ChunkPlan:
         del u
         hw = table[6:].reshape(5, 3, c1 - c0)
         hw[0], hw[1:] = h, _hermite_weights(frac)
-        self.h, self.w = hw[0], hw[1:]
         # a step whose stages all read their own x runs by its map
         own = np.flatnonzero(ode.all(axis=0)) if ode.any() else ()
         if len(own):
@@ -479,29 +479,6 @@ class _ChunkPlan:
         left = np.arange(self.c0, self.c0 + self.table.shape[1])
         return (np.concatenate((self.kind, self.jj - left - 1)).T,
                 self.jj.min(axis=0).tolist())
-
-    def advance(self, b: int, e: int, xs: np.ndarray, vs: np.ndarray):
-        """Take steps b … e−1 of the chunk as one block: no stage reads the
-        block's own nodes, so the v increments come first, then the x ones
-        from each step's v₀, each summed in step order by accumulate."""
-        j0, j1 = self.c0 + b, self.c0 + e
-        jj = self.jj[:, b:e]
-        jj1 = jj + 1
-        delayed = _hermite(xs[jj], vs[jj], xs[jj1], vs[jj1], self.h[:, b:e],
-                           self.w[:, :, b:e])
-        if self.hv is not None:
-            delayed = np.where(self.dense[:, b:e], delayed, self.hv[:, b:e])
-        k1v, k2v, k4v = self.table[3:6, b:e] * delayed
-        hh, hh2, hh6 = self.table[:3, b:e]
-        # both middle stages read the midpoint's delayed value: k3v = k2v
-        vs[j0 + 1:j1 + 1] = hh6 * (k1v + 2 * k2v + 2 * k2v + k4v)
-        np.add.accumulate(vs[j0:j1 + 1], out=vs[j0:j1 + 1])
-        v0 = vs[j0:j1]
-        k2x = v0 + hh2 * k1v
-        k3x = v0 + hh2 * k2v
-        k4x = v0 + hh * k2v
-        xs[j0 + 1:j1 + 1] = hh6 * (v0 + 2 * k2x + 2 * k3x + k4x)
-        np.add.accumulate(xs[j0:j1 + 1], out=xs[j0:j1 + 1])
 
 
 def _step_maps(steps: np.ndarray) -> np.ndarray:
@@ -535,8 +512,8 @@ def _take_steps(plan: _ChunkPlan, b: int, e: int, xs: np.ndarray,
     k2x are the same in every pass). The nodes a run reads before its first
     node lead its lists: the whole span from the lowest, or, past six nodes
     a step, only each bracket's two, so the lists grow with the run, not
-    the delay. An ``ok`` step takes a block's operations here, so no step's
-    bits depend on the run it falls in."""
+    the delay. An ``ok`` step takes ``_advance_blocks``' operations here, so
+    no step's bits depend on the run it falls in."""
     if e - b > _CHUNK_MANY:
         for k in range(b, e, _CHUNK_MANY):
             _take_steps(plan, k, min(k + _CHUNK_MANY, e), xs, vs)
@@ -728,14 +705,12 @@ def _shared(twin: dict | None, key, build):
 
 def _advance_blocks(blocks: list, xs: np.ndarray, vs: np.ndarray) -> None:
     """Take every block (plan, b, e, offset) of a round, each run's nodes at
-    its offset in ``xs`` and ``vs``, with ``advance``'s operations: the
-    blocks' steps run concatenated, gathering by global node index, and each
-    block's running sums take one row of a zero-padded (P, L + 1) array led
-    by its first node, so accumulate adds them in ``advance``'s order."""
-    if len(blocks) == 1:
-        plan, b, e, off = blocks[0]
-        plan.advance(b, e, xs[off:], vs[off:])
-        return
+    its offset in ``xs`` and ``vs``. No stage reads its block's own nodes,
+    so the v increments come first, then the x ones from each step's v₀:
+    the blocks' steps run concatenated, gathering by global node index, and
+    each block's running sums take one row of a zero-padded (P, L + 1) array
+    led by its first node, which accumulate adds in step order whatever
+    blocks share the round."""
     lens = [e - b for _, b, e, _ in blocks]
     size = sum(lens)
     width = max(lens) + 1

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -289,13 +290,27 @@ def signal_to_dict(sig: PiecewiseSignal) -> dict:
     }
 
 
+def _number(value) -> float:
+    """A document's number: a real that is not a bool, as a float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"expected a number, got {type(value).__name__}")
+    return float(value)
+
+
+def _list(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return value
+
+
 def signal_from_dict(data: dict) -> PiecewiseSignal:
     try:
         return PiecewiseSignal(
-            tuple(data["breakpoints"]),
-            tuple(tuple(seg) for seg in data["segments"]),
-            float(data["left"]),
-            float(data["right"]),
+            tuple(map(_number, _list(data["breakpoints"]))),
+            tuple(tuple(map(_number, _list(seg)))
+                  for seg in _list(data["segments"])),
+            _number(data["left"]),
+            _number(data["right"]),
         )
     except SemicycleError:
         raise

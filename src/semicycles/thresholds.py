@@ -113,19 +113,21 @@ def _r_array(delta: float, ts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _r_scalar(delta: float, t: float) -> float:
-    """``_r_array`` at one time in Python floats: the same terms in the same
-    order, each power by the C library's ``pow``, which does not change
-    with the SIMD kernel numpy dispatches on a host (on AVX-512 its vector
-    power rounds some powers differently).
+def _r_scalar(delta: float, t: float) -> tuple:
+    """``_r_array`` at one time in Python floats, and 2⁻⁵³·n·Σ|term|, which
+    bounds the rounding of the n terms it summed (0 where it sums no
+    series: t ≤ 0 or Δ = 0): the same terms in the same order, each power
+    by the C library's ``pow``, which does not change with the SIMD kernel
+    numpy dispatches on a host (on AVX-512 its vector power rounds some
+    powers differently).
 
     Raises DomainError where the series cannot be summed: a power that
     overflows, or terms still above ``_SERIES_FLOOR`` at the last one."""
     if not t > 0.0:
-        return 1.0
+        return 1.0, 0.0
     if delta == 0.0:
-        return math.cos(t)
-    acc, sign = 0.0, 1.0
+        return math.cos(t), 0.0
+    acc, sign, n, size = 0.0, 1.0, 0, 0.0
     for k, fact in enumerate(_FACTORIALS):
         base = t - (k - 1) * delta
         if not base > 0.0:
@@ -140,11 +142,12 @@ def _r_scalar(delta: float, t: float) -> float:
             break
         acc += sign * term
         sign = -sign
+        n, size = n + 1, size + term
     else:
         raise DomainError(
             f"descent profile series at t={t}, delta={delta} needs more "
             f"than {len(_FACTORIALS)} terms")
-    return acc
+    return acc, 2.0 ** -53 * n * size
 
 
 def _root(f, lo: float, hi: float, f_lo: float, f_hi: float,
@@ -214,33 +217,20 @@ def eval_r(delta: float, t: float) -> float:
     """Descent profile r_Δ at a single time (1 for t ≤ 0; cos(t) when Δ=0).
 
     Raises DomainError for a non-finite t, where the series cannot be
-    summed at t, and where 2⁻⁵³·n·Σ|term|, which bounds the rounding of the
-    n terms it summed, exceeds 1e−6 of max(1, |r|): from about t = 20 at
-    small Δ (Σ|term| ≈ cosh t), far beyond ϑ_Δ + 2, the latest time the
-    package reads.
+    summed at t, and where ``_r_scalar``'s bound on the rounding of the
+    terms it summed exceeds 1e−6 of max(1, |r|): from about t = 20 at small
+    Δ (Σ|term| ≈ cosh t), far beyond ϑ_Δ + 2, the latest time the package
+    reads.
     """
     delta, t = float(delta), float(t)
     _check_delay(delta)
     if not math.isfinite(t):
         raise DomainError(f"time must be finite, got {t}")
-    r = _r_scalar(delta, t)
-    if t > 0.0 and delta > 0.0:
-        # the terms of ``_r_scalar``'s sum, which cannot overflow once it
-        # has returned: their magnitudes bound its rounding
-        n = size = 0
-        for k, fact in enumerate(_FACTORIALS):
-            base = t - (k - 1) * delta
-            if not base > 0.0:
-                break
-            term = base ** (2 * k) / fact
-            if k > 2 and term < _SERIES_FLOOR:
-                break
-            n, size = n + 1, size + term
-        bound = 2.0 ** -53 * n * size
-        if not bound <= 1e-6 * max(1.0, abs(r)):
-            raise DomainError(
-                f"descent profile series at t={t}, delta={delta}: rounding "
-                f"bound {bound:.3g} exceeds 1e-6·max(1, |r|), r = {r:.6g}")
+    r, bound = _r_scalar(delta, t)
+    if not bound <= 1e-6 * max(1.0, abs(r)):
+        raise DomainError(
+            f"descent profile series at t={t}, delta={delta}: rounding "
+            f"bound {bound:.3g} exceeds 1e-6·max(1, |r|), r = {r:.6g}")
     return r
 
 
@@ -258,16 +248,16 @@ def theta(delta: float) -> float:
         # indistinguishable from rounding noise, so take the limit directly
         return _HALF_PI
     lo, hi = 1.0, _HALF_PI
-    f_lo = _r_scalar(delta, lo)
-    f_hi = _r_scalar(delta, hi)
+    f_lo = _r_scalar(delta, lo)[0]
+    f_hi = _r_scalar(delta, hi)[0]
     if not (f_lo > 0.0 > f_hi - 1e-14):
         raise DomainError(
             f"descent profile bracket failed for delta={delta}: "
             f"r({lo})={f_lo}, r({hi})={f_hi}")
     # a value at π/2 within 1e−14 above 0 is rounding noise: that end is a
     # "not above" end, as the check accepts it
-    return _root(lambda t: _r_scalar(delta, t), lo, hi, f_lo, min(f_hi, 0.0),
-                 1e-13)
+    return _root(lambda t: _r_scalar(delta, t)[0], lo, hi, f_lo,
+                 min(f_hi, 0.0), 1e-13)
 
 
 # ----------------------------------------------------------------------

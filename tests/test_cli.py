@@ -395,7 +395,15 @@ def test_non_finite_breakpoint_names_operation(tmp_path, capsys):
     (lambda d: d.update(start=[1]), "problem_from_dict"),
     (lambda d: d["p"].update(segments=5), "signal_from_dict"),
     (lambda d: [d], "problem_from_dict"),
-], ids=["start_text", "start_list", "segments_number", "top_level_list"])
+    (lambda d: d.update(start="0"), "integrator.problem_from_dict"),
+    (lambda d: d.update(initial_value=True), "integrator.problem_from_dict"),
+    (lambda d: d["history"].update(segments=["12"]),
+     "signals.signal_from_dict"),
+    (lambda d: d["history"].update(breakpoints="01"),
+     "signals.signal_from_dict"),
+], ids=["start_text", "start_list", "segments_number", "top_level_list",
+        "start_numeric_text", "initial_value_true", "segment_text",
+        "breakpoints_text"])
 def test_malformed_problem_exits_1_naming_operation(tmp_path, capsys, edit,
                                                    op):
     data = problem_to_dict(build_example_problem(

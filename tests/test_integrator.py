@@ -943,14 +943,38 @@ _JSON = st.recursive(
 _SIGNAL_KEYS = ("breakpoints", "segments", "left", "right")
 
 
+def _valid_document() -> dict:
+    tau = PiecewiseSignal((0.0, 1.0), ((0.5, 0.25),), 0.5, 0.75)
+    return problem_to_dict(DelayProblem(
+        PiecewiseSignal.constant(-1.0), tau, 0.0,
+        PiecewiseSignal.constant(0.3), 0.3, 1.0))
+
+
+def _edited(signal, key, value) -> dict:
+    """The valid document with ``key`` of ``signal`` (or of the problem,
+    for None) set to ``value``."""
+    data = _valid_document()
+    (data if signal is None else data[signal])[key] = value
+    return data
+
+
+def _schema_values(data: dict):
+    """Every value the problem schema reads as a number."""
+    for name in ("p", "tau", "history"):
+        signal = data[name]
+        yield from signal["breakpoints"]
+        for seg in signal["segments"]:
+            yield from seg
+        yield signal["left"]
+        yield signal["right"]
+    yield from (data["start"], data["initial_value"], data["initial_slope"])
+
+
 @st.composite
 def _problem_documents(draw):
     """A valid problem document with one entry replaced by arbitrary JSON
     or dropped, or arbitrary JSON in its place."""
-    tau = PiecewiseSignal((0.0, 1.0), ((0.5, 0.25),), 0.5, 0.75)
-    data = problem_to_dict(DelayProblem(
-        PiecewiseSignal.constant(-1.0), tau, 0.0,
-        PiecewiseSignal.constant(0.3), 0.3, 1.0))
+    data = _valid_document()
     how = draw(st.sampled_from(("whole", "replace", "drop", "keep")))
     if how == "whole":
         return draw(_JSON)
@@ -973,12 +997,19 @@ def _problem_documents(draw):
                      "right": 1.0}})
 @example(data={"p": 1, "tau": 1, "start": 2 ** 1100, "history": 1,
                "initial_value": 1, "initial_slope": 0})
+@example(data=_edited(None, "start", "0"))
+@example(data=_edited(None, "initial_value", True))
+@example(data=_edited("tau", "segments", ["12"]))
+@example(data=_edited("tau", "breakpoints", "01"))
 def test_arbitrary_json_gives_problem_or_semicycle_error(data):
+    """A document loads only if every number in it is a JSON number."""
     try:
         prob = problem_from_dict(data)
     except SemicycleError:
         return
     assert isinstance(prob, DelayProblem)
+    assert all(isinstance(v, (int, float)) and not isinstance(v, bool)
+               for v in _schema_values(data))
 
 
 def test_first_step_reads_right_limit_at_start():
@@ -1428,15 +1459,15 @@ def test_trajectory_independent_of_step_grouping(monkeypatch, min_block,
 
 def _alone(group):
     """One ``_integration`` run on arrays of its own, planning chunks of a
-    lone run's length, each block taken by ``_ChunkPlan.advance``: (nodes,
-    x, x′), or the exception raised."""
+    lone run's length, each block taken as a round of its own by
+    ``_advance_blocks``: (nodes, x, x′), or the exception raised."""
     run = integrator._integration(*group)
     try:
         n = next(run)
         xs, vs = np.zeros(n), np.zeros(n)
         plan, b, e = run.send((xs, vs, integrator._CHUNK))
         while True:
-            plan.advance(b, e, xs, vs)
+            integrator._advance_blocks([(plan, b, e, 0)], xs, vs)
             plan, b, e = next(run)
     except StopIteration as stop:
         return stop.value, xs, vs

@@ -2,7 +2,7 @@
 outputs and of the Ψ solves, so one ulp anywhere changes a digest, and
 records each trajectory once, whether its tree integrates a fundamental
 pair as one two-column group or as two problems, each Ψ solve a workload
-runs, and each trajectory's zero and extremum times."""
+runs, each trajectory's zero and extremum times, and ϑ at each Δ solved."""
 
 import importlib.util
 from pathlib import Path
@@ -95,12 +95,14 @@ def test_psi_solves_recorded_with_their_limit_profiles():
     the exception it raised; one ulp of the profile changes the digest."""
     from semicycles import thresholds
 
-    solves = []
-    solve = integrator_digest._solving(thresholds, solves)
+    solves, deltas = [], []
+    solve = integrator_digest._solving(thresholds, solves, deltas)
     res = solve(0.7, 0.9, 64)
     with pytest.raises(DomainError):
         solve(-1.0, 0.9, 64)
-    assert len(solves) == 2 and isinstance(solves[1], DomainError)
+    solve(0.7, delta=0.4, grid_size=64)
+    assert len(solves) == 3 and isinstance(solves[1], DomainError)
+    assert deltas == [0.9, 0.9, 0.4]
     omegas, psi, profile = solves[0]
     assert omegas.tobytes() == np.array(res.omega_sequence).tobytes()
     assert psi.tobytes() == np.array([res.psi]).tobytes()
@@ -124,11 +126,14 @@ def test_thresholds_run_records_every_table_solve(tmp_path, monkeypatch):
         monkeypatch.setenv("SEMICYCLE_CACHE_DIR", str(tmp_path / f"c{k}"))
         runs.append(integrator_digest._record("thresholds", 0, tmp_path))
         assert thresholds.beta_iterate.__name__ == "beta_iterate"
-    (outputs, solves), (_, again) = runs
+    (outputs, solves, deltas), (_, again, _) = runs
     assert outputs == []
-    assert len(solves) > 217
+    assert len(solves) > 217 and len(deltas) == len(solves)
     assert not any(isinstance(s, BaseException) for s in solves)
     assert digest(again) == digest(solves)
+    thetas = integrator_digest._thetas(deltas)
+    assert 1 < len(thetas) == len(set(deltas))
+    assert not any(isinstance(t, BaseException) for t in thetas)
 
 
 def test_values_mode_measures_relative_changes_and_pairing():
@@ -201,7 +206,7 @@ def test_scans_hash_each_trajectorys_zero_and_extremum_times():
 def test_trajectories_run_scans_every_trajectory(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(_SCRIPT.parents[1] / "perfbench"))
     monkeypatch.setenv("SEMICYCLE_CACHE_DIR", str(tmp_path))
-    outputs, _ = integrator_digest._record("trajectories", 0, tmp_path)
+    outputs, *_ = integrator_digest._record("trajectories", 0, tmp_path)
     scans = integrator_digest._scans(outputs)
     assert len(scans) == len(outputs) == 4
     assert all(isinstance(s, tuple) and s[0].size > 3 for s in scans)
@@ -235,9 +240,50 @@ def test_values_mode_measures_zero_and_extremum_moves():
     assert unpaired == ["1 scans, parent 2"]
 
 
+def test_theta_hashed_once_per_distinct_delta_in_order():
+    """ϑ is hashed with its Δ at each distinct Δ of the solves, in order of
+    first appearance, or the exception ``theta`` raised; one ulp of ϑ or of
+    Δ changes the digest."""
+    from semicycles import thresholds
+
+    thetas = integrator_digest._thetas([0.9, 0.0, 0.9, -1.0, 2.0, 0.0])
+    assert [t[0].item() for t in thetas[:2]] == [0.9, 0.0]
+    assert [t[1].item() for t in thetas[:2]] == [thresholds.theta(0.9),
+                                                  thresholds.theta(0.0)]
+    assert isinstance(thetas[2], DomainError)
+    assert thetas[3][0].item() == 2.0 and len(thetas) == 4
+    base = digest(thetas)
+    for k in range(2):
+        changed = list(thetas)
+        changed[0] = tuple(a.copy() for a in thetas[0])
+        changed[0][k][0] = np.nextafter(changed[0][k][0], np.inf)
+        assert digest(changed) != base, k
+
+
+def test_values_mode_measures_theta_moves():
+    """``--values`` reports the largest |Δϑ| over ϑ paired by Δ, and what
+    does not pair up: another count, another Δ or an exception."""
+    error = DomainError("delay must be finite and nonnegative, got -1.0")
+    parent = integrator_digest._theta_values(
+        [(np.array([0.9]), np.array([1.45])), error,
+         (np.array([2.0]), np.array([1.41]))])
+    assert parent == [(0.9, 1.45), "DomainError: delay must be finite and "
+                      "nonnegative, got -1.0", (2.0, 1.41)]
+    change = [(0.9, 1.45 + 3e-14), parent[1], (2.0, 1.41 - 1e-14)]
+    dtheta, unpaired = integrator_digest.theta_changes(parent, change)
+    assert dtheta == pytest.approx(3e-14, rel=1e-2) and unpaired == []
+    assert integrator_digest.theta_changes(parent, parent) == (0.0, [])
+    other = [(0.8, 1.45), (1.0, 1.5), parent[2]]
+    dtheta, unpaired = integrator_digest.theta_changes(parent, other)
+    assert dtheta == 0.0 and len(unpaired) == 2  # a Δ, an exception
+    assert integrator_digest.theta_changes(parent, parent[:2])[1] == [
+        "2 thetas, parent 3"]
+
+
 def test_parent_mode_counts_differing_digests_by_kind():
     parent = ["t@0 integrate aa 4", "t@0 beta_iterate bb 9",
-              "t@0 scans cc 4", "s@0 scans dd 4"]
-    change = parent[:2] + ["t@0 scans ee 4", parent[3]]
+              "t@0 scans cc 4", "t@0 theta ff 3", "s@0 scans dd 4"]
+    change = parent[:2] + ["t@0 scans ee 4", "t@0 theta gg 3", parent[4]]
     assert integrator_digest.differing(parent, change) == {
-        "integrate": [0, 1], "beta_iterate": [0, 1], "scans": [1, 2]}
+        "integrate": [0, 1], "beta_iterate": [0, 1], "scans": [1, 2],
+        "theta": [1, 1]}
