@@ -128,6 +128,19 @@ def _compare(runs: dict, declared: list[dict]) -> dict:
     return out
 
 
+def _progress(workload: str, k: int, runs: dict, declared: list[dict]
+              ) -> str:
+    """The line reporting pair k (from 0): each side's last run, every
+    declared end-to-end metric."""
+    def last(side: str) -> str:
+        metrics = runs[side][-1]["metrics"]
+        return side + "".join(f" {m['name']} {metrics[m['name']]:.4f}"
+                              for m in declared)
+
+    return f"{workload} pair {k + 1}/{PAIRS}: " + "; ".join(
+        map(last, ("parent", "change")))
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True,
@@ -182,9 +195,8 @@ def main(argv=None) -> int:
                     runs[side].append(_perfbench(
                         trees[side], name, seed, seconds, 0,
                         f"{side} side, pair {k + 1}"))
-                print(f"{name}@{seed} pair {k + 1}/{PAIRS}: " + ", ".join(
-                    f"{side} wall_s {runs[side][-1]['metrics']['wall_s']:.4f}"
-                    for side in ("parent", "change")), file=sys.stderr)
+                print(_progress(f"{name}@{seed}", k, runs,
+                                bench["end_to_end"]), file=sys.stderr)
             report["workloads"][f"{name}@{seed}"] = {
                 "metrics": _compare(runs, bench["end_to_end"]),
                 "correct": {side: [r["correct"] for r in runs[side]]

@@ -27,13 +27,14 @@ round instead of one per problem. Rows, reports and raised exceptions are
 those of one instance after the other.
 
 ``_fan_out`` is the package's one process fan-out, for the suites and
-the CLI's threshold table.
+the CLI's threshold table; it imports the process pool only when it builds
+one, so importing the package and a run on one worker never load
+``multiprocessing``.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -365,6 +366,7 @@ def _fan_out(fn, tasks: list, jobs: int) -> list:
     _check_jobs(jobs)
     if jobs == 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(min(jobs, len(tasks))) as pool:
         return list(pool.map(fn, tasks))
 
@@ -416,6 +418,9 @@ def run_suite(suite: str, seed: int = 0, count: int | None = None,
         raise DomainError(f"suite seed must be an int ≥ 0, got {seed!r}")
     _check_jobs(jobs)
     size = min(_WINDOW, -(-n // jobs))
+    # every instance draws from numpy.random, which numpy loads on first
+    # use: loaded here, forked workers inherit it instead of each loading it
+    import numpy.random  # noqa: F401
     windows = _fan_out(_run_window, [(suite, seed, lo, min(lo + size, n))
                                      for lo in range(0, n, size)], jobs)
     rows: list = []

@@ -425,8 +425,8 @@ class _ChunkPlan:
             self.hv = hv = np.where(self.plus, problem.initial_value,
                                     np.where(at_s, hist_at_start, 0.0))
             hist = (kind == _VALUE) & ~at_s
-            if hist.any():
-                hv[hist] = problem.history(u[hist])
+            if hist.any():  # in step order: one walk of the segments
+                hv.T[hist.T] = problem.history(u.T[hist.T])
         raising = kind == _RAISE
         if raising.any():  # what the first _RAISE stage raises
             k = int(raising.any(axis=0).argmax())
@@ -475,9 +475,11 @@ class _ChunkPlan:
     @cached_property
     def scalar(self) -> tuple:
         """Per step its stage kinds and brackets' left nodes (−1: the step's
-        own left node), counted from its right node; its first node read."""
+        own left node), counted from its right node, as int32 (every
+        offset is within ``_MAX_STEPS``); its first node read."""
         left = np.arange(self.c0, self.c0 + self.table.shape[1])
-        return (np.concatenate((self.kind, self.jj - left - 1)).T,
+        return (np.concatenate((self.kind, self.jj - left - 1),
+                               dtype=np.int32).T,
                 self.jj.min(axis=0).tolist())
 
 

@@ -1,8 +1,8 @@
 """Fixtures shared by the test modules."""
 
-import pytest
+import concurrent.futures
 
-from semicycles import harness
+import pytest
 
 
 @pytest.fixture()
@@ -12,4 +12,4 @@ def no_pool(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a process pool was built")
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)

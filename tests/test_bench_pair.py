@@ -62,3 +62,13 @@ def test_change_side_is_exported_without_bytecode_caches(tmp_path):
                  if p.is_file())
     assert got == [".gitignore", "pkg/mod.py", "pkg/new.py"]
     assert (dest / "pkg" / "mod.py").read_text() == "A = 2\n"
+
+
+def test_progress_line_names_every_end_to_end_metric():
+    declared = [{"name": "wall_s"}, {"name": "peak_rss_mb"}]
+    runs = {"parent": [{"metrics": {"wall_s": 9.0, "peak_rss_mb": 9.0}},
+                       {"metrics": {"wall_s": 0.25, "peak_rss_mb": 43.7}}],
+            "change": [{"metrics": {"wall_s": 0.2, "peak_rss_mb": 42.05}}]}
+    assert bench_pair._progress("suites@3", 1, runs, declared) == (
+        "suites@3 pair 2/10: parent wall_s 0.2500 peak_rss_mb 43.7000; "
+        "change wall_s 0.2000 peak_rss_mb 42.0500")

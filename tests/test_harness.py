@@ -5,7 +5,13 @@ kept small so the properties (reproducibility, mode accuracy, report
 shape) stay cheap to check.
 """
 
+import concurrent.futures
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -290,7 +296,68 @@ def test_fan_out_pool_has_at_most_one_worker_per_task(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        Recording)
     assert harness._fan_out(abs, [-1, -2, -3], 8) == [1, 2, 3]
     assert harness._fan_out(abs, [-1, -2, -3], 2) == [1, 2, 3]
     assert built == [3, 2]
+
+
+def _fresh(code: str) -> str:
+    """The stdout of ``code`` run in a fresh interpreter on this source."""
+    src = Path(harness.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_import_loads_no_pool_and_no_numpy_random():
+    out = _fresh("""
+        import sys
+        import semicycles, semicycles.cli
+        print(sorted(m for m in ("multiprocessing", "numpy.random",
+                                 "concurrent.futures.process")
+                     if m in sys.modules))
+    """)
+    assert out == "[]\n"
+
+
+def test_serial_suite_loads_numpy_random_but_no_pool():
+    out = _fresh("""
+        import sys
+        from semicycles import run_suite
+        run_suite("decay", seed=0, count=1)
+        print("numpy.random" in sys.modules, "multiprocessing" in sys.modules)
+    """)
+    assert out == "True False\n"
+
+
+def test_pool_is_built_after_numpy_random_is_loaded():
+    out = _fresh("""
+        import concurrent.futures, sys
+        from semicycles import run_suite
+
+        class Recording:
+            built = []
+
+            def __init__(self, workers):
+                self.built.append("numpy.random" in sys.modules)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        concurrent.futures.ProcessPoolExecutor = Recording
+        pooled = run_suite("comparison", seed=0, count=2, jobs=2)
+        serial = run_suite("comparison", seed=0, count=2)
+        print(Recording.built, pooled == serial)
+    """)
+    assert out == "[True] True\n"
