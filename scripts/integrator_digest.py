@@ -16,10 +16,7 @@ recorded Ψ solves.  It prints four lines per workload and seed,
 cleared before each run, so that each run records every solve it needs.
 
 The integrator's entry is ``integrator._integrate_many``, whose outputs are
-recorded in submission order, one entry per trajectory: an older tree's
-group of k problems that share one (n, k) output is recorded as k
-contiguous one-dimensional outputs, and its exception once per problem,
-so that such a revision is compared like with like.
+recorded in submission order, one entry per trajectory.
 
 Run from the repository root:
 
@@ -80,27 +77,17 @@ def digest(outputs: list) -> str:
     return h.hexdigest()
 
 
-def _per_trajectory(group: tuple, out) -> list:
-    """The entries of one group's output: a copy of each trajectory's
-    nodes, x and x′, or its exception once per problem of the group (one
-    problem, or a tuple of them on an older tree)."""
-    if isinstance(out, BaseException):
-        return [out] * (len(group[0]) if isinstance(group[0], tuple) else 1)
-    ts, xs, vs = out
-    xs, vs = xs.reshape(ts.size, -1), vs.reshape(ts.size, -1)
-    return [(np.array(ts), np.array(xs[:, c]), np.array(vs[:, c]))
-            for c in range(xs.shape[1])]
-
-
 def _recording(integrator, outputs: list):
-    """A wrapper of ``integrator._integrate_many`` that appends each
-    group's entries to ``outputs`` in submission order."""
+    """A wrapper of ``integrator._integrate_many`` that appends a copy of
+    each group's nodes, x and x′, or its exception, to ``outputs`` in
+    submission order; it yields the outputs, as a tree whose entry is a
+    generator needs."""
     inner = integrator._integrate_many
 
     def lockstep(groups):
-        groups = list(groups)
-        for group, out in zip(groups, inner(groups)):
-            outputs.extend(_per_trajectory(group, out))
+        for out in inner(groups):
+            outputs.append(out if isinstance(out, BaseException)
+                           else tuple(np.array(a) for a in out))
             yield out
     return lockstep
 

@@ -22,15 +22,16 @@ same operations, and a map does not depend on the other steps planned with
 it, so neither the chunk length nor which runs make blocks moves a bit.
 
 Runs share the blocks' numpy cost in lockstep (the ensemble idea of
-DifferentialEquations.jl, Rackauckas & Nie 2017): ``_integrate_many`` takes
-every run's ready block, a lone run's too, in one ``_advance_blocks`` call
-a round, and two runs in a row that differ only in x(s⁺) and x′(s⁺), a
-fundamental pair, share their plans. ``_drive`` is the one driver of
-integrations: it runs instances, generators that yield the problems they
-need integrated, in lockstep; ``integrate``, ``fundamental_system``, the
-analysis layer's measurements and the harness's instances all run through
-it. A batch of one or two groups, a lone ``integrate`` or a lone pair,
-plans ``_CHUNK`` steps at a time; a larger one, whose plans are all alive
+DifferentialEquations.jl, Rackauckas & Nie 2017). ``_drive`` is the one
+driver of integrations: it runs instances, generators that yield the
+problems they need integrated, in lockstep; ``integrate``,
+``fundamental_system``, the analysis layer's measurements and the
+harness's instances all run through it. The problems of one round run in
+one buffer (``_integrate_many``), every run's ready block, a lone run's
+too, in one ``_advance_blocks`` call at a time, and two runs in a row that
+differ only in x(s⁺) and x′(s⁺), a fundamental pair, share their plans. A
+round of one or two groups, a lone ``integrate`` or a lone pair, plans
+``_CHUNK`` steps at a time; a larger one, whose plans are all alive
 together, ``_CHUNK_MANY``. A zero or extremum scan solves each sign change
 with ``thresholds._root`` (Illinois regula falsi) on its own step's cubic,
 in Python floats with ``Trajectory.sample``'s operations.
@@ -332,7 +333,7 @@ def _forced_nodes(problem: DelayProblem, horizon: float) -> np.ndarray:
 # ---- the integrator ----
 
 # steps planned together: a plan costs 65-95 µs at any length and keeps
-# about 0.5 MB at 2048 steps with a delay. A batch of more than two groups,
+# about 0.5 MB at 2048 steps with a delay. A round of more than two groups,
 # whose plans all live at once, plans _CHUNK_MANY, also the most steps the
 # scalar loop lists at once: 2048 there raised the suites' peak RSS 11 %,
 # and 256 made them 20 % slower
@@ -612,7 +613,8 @@ def integrate(problem: DelayProblem, horizon: float, step: float = 0.01
     """Advance the problem to ``horizon`` with fixed step ≤ ``step``, hitting
     every forced node; dense output is cubic Hermite per step. Raises
     HistoryDomainError if a delayed argument falls below start − τ_m, and
-    DomainError for a nonpositive step, an empty horizon, or more than
+    DomainError for a nonpositive step, a horizon within 1e-12·max(1,
+    |start|, |horizon|) of the start or before it, or more than
     ``_MAX_STEPS`` steps."""
     return _drive([_trajectories([(problem, horizon, step)])])[0][0]
 
@@ -624,20 +626,25 @@ def _trajectories(groups: list):
 
 
 def _integration(problem: DelayProblem, horizon: float, step: float,
-                 twin: dict | None = None):
+                 twin: list | None = None):
     """``integrate`` as a generator for ``_integrate_many``: it yields the
     node count n, is sent x and x′ arrays of n nodes and the steps to plan
     at once, yields each block (plan, b, e) to be taken, and returns the
-    nodes. Runs given one ``twin`` dict share their plans (``_shared``) and
-    yield None before each chunk, so that a chunk with no block keeps them
-    in step too."""
+    nodes. Two runs given one ``twin`` list, z then y of a fundamental
+    pair in one round, share their plans: z builds each and appends it, y
+    pops it. Both yield None before each chunk, so that a chunk with no
+    block keeps them in step too."""
     if not step > 0.0:
         raise DomainError(f"step must be positive, got {step}")
     s = problem.start
     if not horizon > s:
         raise DomainError(f"horizon {horizon} must exceed start {s}")
-    tau_m = problem.tau_sup(horizon)
     time_scale = max(1.0, abs(s), abs(horizon))
+    # any closer, and _forced_nodes merges the start into the horizon
+    if not horizon - s > 1e-12 * time_scale:
+        raise DomainError(f"horizon {horizon} must exceed start {s} by more "
+                          f"than {1e-12 * time_scale}")
+    tau_m = problem.tau_sup(horizon)
     bounds = (tau_m, s - tau_m - 1e-9 * max(1.0, tau_m, time_scale),
               problem.history.eval_left(s))
     nodes = _forced_nodes(problem, horizon)
@@ -660,13 +667,16 @@ def _integration(problem: DelayProblem, horizon: float, step: float,
         if twin is not None:
             yield None
         c1 = min(c0 + chunk, n_steps)
-        gap = np.searchsorted(first, np.arange(c0, c1), side="right") - 1
         # the last plan and its lists go before the next plan is built
         plan = ok = ok_at = bad_at = reach = None
-        # by extent: a twin in another batch may plan other chunks
-        plan = _shared(twin, (c0, c1), lambda: _ChunkPlan(
-            problem, ts, c0, c1, seg_p[gap], seg_tau[gap], *bounds)
-        ).for_start(problem.initial_value)
+        if twin:
+            plan = twin.pop().for_start(problem.initial_value)
+        else:
+            gap = np.searchsorted(first, np.arange(c0, c1), side="right") - 1
+            plan = _ChunkPlan(problem, ts, c0, c1, seg_p[gap], seg_tau[gap],
+                              *bounds)
+            if twin is not None:
+                twin.append(plan)
         b, m = 0, c1 - c0
         if plan.kind is None:
             _take_steps(plan, b, m, xs, vs)
@@ -690,19 +700,6 @@ def _integration(problem: DelayProblem, horizon: float, step: float,
                 _take_steps(plan, b, e, xs, vs)
             b = e
     return ts
-
-
-def _shared(twin: dict | None, key, build):
-    """build(), or what the twin run built under ``key`` (in lockstep, in the
-    same round); at most two wait, and a twin that lags rebuilds them."""
-    if twin is None:
-        return build()
-    if key in twin:
-        return twin.pop(key)
-    twin[key] = value = build()
-    if len(twin) > 2:
-        del twin[next(iter(twin))]
-    return value
 
 
 def _advance_blocks(blocks: list, xs: np.ndarray, vs: np.ndarray) -> None:
@@ -763,68 +760,52 @@ def _advance_blocks(blocks: list, xs: np.ndarray, vs: np.ndarray) -> None:
     xs[dst] = sums[flat]
 
 
-def _integrate_many(groups):
-    """Integrate groups (problem, horizon, step) as ``integrate`` would, in
-    lockstep, yielding each group's (nodes, x, x′) or its exception in
-    order; a raising group leaves the others as they would be alone. Groups
-    run in batches sharing one buffer of at most ``_MAX_STEPS`` steps, each
-    run when its first output is asked for."""
-    groups = list(groups)
+def _integrate_many(groups: list) -> list:
+    """Each group's (nodes, x, x′), integrated as ``integrate`` would, or
+    its exception, in order: the groups run in lockstep in one buffer, the
+    runs' ready blocks in one ``_advance_blocks`` call at a time, and a
+    raising group leaves the others as they would be alone."""
     # z and y of a fundamental pair differ only in x(s⁺) and x′(s⁺): two
     # such runs in a row share their plans
     keys = [(type(prob), id(prob.p), id(prob.tau), id(prob.history),
              repr((prob.start, horizon, step)))
             for prob, horizon, step in groups] + [None]
-    batch, total, pending = [], 0, None
+    outcomes, live, size, pending = [], [], 0, None
     for k, (problem, horizon, step) in enumerate(groups):
         twin = pending if pending is not None \
-            else {} if keys[k] == keys[k + 1] else None
+            else [] if keys[k] == keys[k + 1] else None
         pending = twin if pending is None else None
         run = _integration(problem, horizon, step, twin)
         try:
             n = next(run)
         except Exception as exc:  # noqa: BLE001 - the group's outcome
-            batch.append(exc)
+            outcomes.append(exc)
             continue
-        if total and total + n - 1 > _MAX_STEPS:
-            yield from _lockstep(batch)
-            batch, total = [], 0
-        batch.append((run, n))
-        total += n - 1
-    yield from _lockstep(batch)
-
-
-def _lockstep(batch: list):
-    """The outcomes of one batch of ``_integrate_many`` (runs past their
-    first yield, or their exceptions), in one buffer, in ``batch``."""
-    size = sum(entry[1] for entry in batch if isinstance(entry, tuple))
+        outcomes.append(None)
+        live.append((k, run, slice(size, size + n)))
+        size += n
     xs, vs = np.zeros(size), np.zeros(size)
-    chunk = _CHUNK if len(batch) <= 2 else _CHUNK_MANY
-    live, off = [], 0
-    for i, entry in enumerate(batch):
-        if isinstance(entry, tuple):
-            at = slice(off, off + entry[1])
-            live.append((i, entry[0], at, (xs[at], vs[at], chunk)))
-            off = at.stop
+    chunk = _CHUNK if len(groups) <= 2 else _CHUNK_MANY
+    live = [(k, run, at, (xs[at], vs[at], chunk)) for k, run, at in live]
     while live:
         ready, waiting = [], []
-        for i, run, at, reply in live:
+        for k, run, at, reply in live:
             try:
                 block = run.send(reply)
             except StopIteration as stop:
-                batch[i] = stop.value, xs[at], vs[at]
+                outcomes[k] = stop.value, xs[at], vs[at]
                 continue
             except Exception as exc:  # noqa: BLE001 - the group's outcome
-                batch[i] = exc
+                outcomes[k] = exc
                 continue
             if block is not None:
                 ready.append((*block, at.start))
             del block  # its plan goes with its round
-            waiting.append((i, run, at, None))
+            waiting.append((k, run, at, None))
         if ready:
             _advance_blocks(ready, xs, vs)
         live = waiting
-    yield from batch
+    return outcomes
 
 
 def _drive(instances: list) -> list:
@@ -834,8 +815,9 @@ def _drive(instances: list) -> list:
     An instance is a generator that yields lists of groups (problem,
     horizon, step) and is sent one Trajectory per group, or has the
     exception of its first raising group thrown in. The groups that all
-    instances ask for in one round are integrated together, in lockstep
-    (``_integrate_many``), and each instance is then resumed in turn."""
+    instances ask for in one round are integrated together, in lockstep,
+    one buffer per round (``_integrate_many``), and each instance is then
+    resumed in turn."""
     results = [None] * len(instances)
     replies = [(i, inst, None) for i, inst in enumerate(instances)]
     while True:
@@ -852,7 +834,7 @@ def _drive(instances: list) -> list:
                 asking.append((i, inst, groups))
         if not asking:
             break
-        outs = _integrate_many([g for *_, groups in asking for g in groups])
+        outs = iter(_integrate_many([g for *_, gs in asking for g in gs]))
         replies = []
         for i, inst, groups in asking:
             got = [next(outs) for _ in groups]

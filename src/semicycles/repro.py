@@ -81,10 +81,25 @@ def _growth2(epsilon: float) -> float:
     return math.sqrt(math.sinh(epsilon) ** 2 + math.cosh(epsilon) ** 2)
 
 
-def example2_closed_form(epsilon: float, t: float) -> float:
-    """sinh-burst / sine-arc solution of the no-delay benchmark (t ≥ 0)."""
+def _finite(form, epsilon: float, t: float) -> float:
+    """form(ε, t) for t ≥ 0; DomainError where it overflows."""
     if t < 0.0:
         raise DomainError(f"closed form defined for t ≥ 0, got {t}")
+    try:
+        x = form(epsilon, t)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise DomainError(f"closed form overflows at ε = {epsilon}, t = {t}")
+    return x
+
+
+def example2_closed_form(epsilon: float, t: float) -> float:
+    """sinh-burst / sine-arc solution of the no-delay benchmark (t ≥ 0)."""
+    return _finite(_example2, epsilon, t)
+
+
+def _example2(epsilon: float, t: float) -> float:
     a = _period2(epsilon)
     g = _growth2(epsilon)
     n = int(math.floor(t / a))
@@ -101,8 +116,10 @@ def _period3(epsilon: float) -> float:
 
 def example3_closed_form(epsilon: float, t: float) -> float:
     """Four-piece quadratic solution of the delayed benchmark (t ≥ 0)."""
-    if t < 0.0:
-        raise DomainError(f"closed form defined for t ≥ 0, got {t}")
+    return _finite(_example3, epsilon, t)
+
+
+def _example3(epsilon: float, t: float) -> float:
     b = _period3(epsilon)
     n = int(math.floor(t / b))
     u = t - n * b

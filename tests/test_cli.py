@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -360,6 +361,31 @@ def test_error_names_an_operation_not_a_closure_or_comprehension(
     assert main(args) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"semicycles {args[0]}: {op}"), err
+
+
+@pytest.mark.parametrize("epsilon, periods", [("700", "1"), ("10", "100")])
+def test_overflowing_closed_form_exits_1_naming_it(capsys, epsilon,
+                                                   periods):
+    assert main(["repro", "example2", "--epsilon", epsilon, "--periods",
+                 periods, "--step", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "semicycles repro: repro.example2_closed_form: closed form overflows "
+        f"at ε = {float(epsilon)}, t = ")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_horizon_inside_node_merge_tolerance_exits_1_without_warning(
+        problem_file, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["classify", "--problem", problem_file,
+                     "--horizon", "1e-300"]) == 1
+    assert caught == []
+    assert capsys.readouterr().err.splitlines() == [
+        "semicycles classify: integrator.integrate: horizon 1e-300 must "
+        "exceed start 0.0 by more than 1e-12"]
 
 
 def test_originating_op_skips_nested_functions_lambdas_comprehensions():

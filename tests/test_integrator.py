@@ -924,6 +924,25 @@ def test_step_count_limit_is_inclusive(monkeypatch):
         integrate(prob, 1.0, step=0.0099)
 
 
+@pytest.mark.parametrize("start, horizon", [
+    (0.0, 1e-300), (0.0, 1e-13), (0.0, 5e-13), (1e6, 1e6 + 5e-7)])
+def test_horizon_inside_node_merge_tolerance_refused(start, horizon):
+    # the start and the horizon would merge into one node and no step
+    const = PiecewiseSignal.constant
+    prob = DelayProblem(const(1.0), const(0.5), start, const(0.0), 1.0, 0.0)
+    refusal = f"must exceed start {start} by more than"
+    with pytest.raises(DomainError, match=refusal):
+        integrate(prob, horizon)
+    with pytest.raises(DomainError, match=refusal):
+        fundamental_system(const(1.0), const(0.5), start, horizon)
+
+
+def test_horizon_just_past_node_merge_tolerance_takes_one_step():
+    const = PiecewiseSignal.constant
+    prob = DelayProblem(const(1.0), const(0.5), 0.0, const(0.0), 1.0, 0.0)
+    assert integrate(prob, 2e-12).ts.tolist() == [0.0, 2e-12]
+
+
 @pytest.mark.parametrize("field", ["start", "initial_value", "initial_slope"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_problem_rejected(field, bad):
@@ -1498,22 +1517,9 @@ def _counting_rounds(monkeypatch) -> list:
     return rounds
 
 
-def _counting_batches(monkeypatch) -> list:
-    """The number of entries of each ``_lockstep`` batch, from now."""
-    batches = []
-    lockstep = integrator._lockstep
-
-    def recording(batch):
-        batches.append(len(batch))
-        return lockstep(batch)
-
-    monkeypatch.setattr(integrator, "_lockstep", recording)
-    return batches
-
-
 @pytest.mark.parametrize("chunk", [7, 512])
 @pytest.mark.parametrize("min_block", [1, 3])
-@pytest.mark.parametrize("window", [1, 3, None, "split"])
+@pytest.mark.parametrize("window", [1, 3, None])
 def test_lockstep_equals_one_run_per_group(monkeypatch, window, min_block,
                                            chunk):
     monkeypatch.setattr(integrator, "_MIN_BLOCK", min_block)
@@ -1522,13 +1528,6 @@ def test_lockstep_equals_one_run_per_group(monkeypatch, window, min_block,
     want = [_alone(group) for group in corpus]
     assert sum(isinstance(ref[0], type) for ref in want) == 9
     rounds = _counting_rounds(monkeypatch)
-    batches = _counting_batches(monkeypatch)
-    split = window == "split"
-    if split:
-        # the whole corpus in batches of different run counts, so of
-        # different chunk lengths, some splitting a fundamental pair
-        monkeypatch.setattr(integrator, "_MAX_STEPS", 1000)
-        window = None
     size = window or len(corpus)
     got = []
     for lo in range(0, len(corpus), size):
@@ -1536,8 +1535,6 @@ def test_lockstep_equals_one_run_per_group(monkeypatch, window, min_block,
         got.extend(integrator._integrate_many(corpus[lo:lo + size]))
     _assert_same_outcomes(got, want)
     assert (max(rounds) > 1) == (window != 1)
-    if split:
-        assert min(batches) <= 2 < max(batches)
 
 
 def test_fundamental_pair_shares_a_batch_with_single_problems(monkeypatch):
@@ -1561,37 +1558,28 @@ def test_fundamental_pair_shares_a_batch_with_single_problems(monkeypatch):
             assert _same_bytes(a, b)
 
 
-@pytest.mark.parametrize("tau", [0.0, 0.007, 0.7],
-                         ids=["no_delay", "overlap", "delayed"])
+@pytest.mark.parametrize("tau, max_steps", [
+    pytest.param(tau, cap, id=name if cap is None else f"{name}-cap{cap}")
+    for cap in (None, 8000)
+    for tau, name in ((0.0, "no_delay"), (0.007, "overlap"),
+                      (0.7, "delayed"))])
 def test_fundamental_pair_shares_plans_with_or_without_blocks(monkeypatch,
-                                                              tau):
+                                                              tau,
+                                                              max_steps):
     # 5000 steps in 3 chunks, as one run's: a pair builds each chunk's plan
-    # once, also when every step runs scalar and no chunk makes a block
+    # once, also when every step runs scalar and no chunk makes a block,
+    # and also under a step limit below the pair's 10,000 steps together
+    p, delay = PiecewiseSignal.constant(1.0), PiecewiseSignal.constant(tau)
+    want = [integrate(prob, 50.0, 0.01)
+            for prob in integrator._fundamental_problems(p, delay, 0.0)]
+    if max_steps is not None:
+        monkeypatch.setattr(integrator, "_MAX_STEPS", max_steps)
     built = _built_chunks(monkeypatch)
-    fundamental_system(PiecewiseSignal.constant(1.0),
-                       PiecewiseSignal.constant(tau), 0.0, 50.0, 0.01)
+    got = fundamental_system(p, delay, 0.0, 50.0, 0.01)
     assert [c0 for c0, _ in built] == [0, 2048, 4096]
-
-
-@pytest.mark.parametrize("tau", [0.0, 0.007, 0.7],
-                         ids=["no_delay", "overlap", "delayed"])
-def test_fundamental_pair_split_across_batches_keeps_its_bits(monkeypatch,
-                                                              tau):
-    const = PiecewiseSignal.constant
-    single = (DelayProblem(const(0.9), const(0.5), 0.0, const(0.3), 1.0,
-                           0.2), 3.0, 0.01)
-    p, delay = const(1.0), const(tau)
-    want = fundamental_system(p, delay, 0.0, 10.0, 0.01)
-    z, y = integrator._fundamental_problems(p, delay, 0.0)
-    batches = _counting_batches(monkeypatch)
-    # z plans 512-step chunks among four runs, y 2048-step ones beside one
-    # single, and must not take z's plans for its own
-    monkeypatch.setattr(integrator, "_MAX_STEPS", 1910)
-    got = list(integrator._integrate_many(
-        [single] * 3 + [(z, 10.0, 0.01), (y, 10.0, 0.01), single]))
-    assert batches == [4, 2]
-    for traj, out in zip(want, got[3:5]):
-        for a, b in zip((traj.ts, traj.xs, traj.vs), out):
+    for traj, ref in zip(got, want):
+        for a, b in zip((traj.ts, traj.xs, traj.vs),
+                        (ref.ts, ref.xs, ref.vs)):
             assert _same_bytes(a, b)
 
 
@@ -1650,7 +1638,7 @@ def test_planning_memory_follows_the_chunk_not_the_run():
     assert peaks[1] - peaks[0] <= 3 * 8 * (nodes[1] - nodes[0]) + (64 << 10)
 
 
-def test_lockstep_batches_hold_at_most_the_step_limit(monkeypatch):
+def test_lockstep_round_holds_all_groups_in_one_buffer():
     const = PiecewiseSignal.constant
     good = [(DelayProblem(const(0.9), const(tau), 0.0, const(0.3), 1.0, 0.0),
              3.0, 0.01) for tau in (0.05, 0.5, 1.0)]
@@ -1660,14 +1648,12 @@ def test_lockstep_batches_hold_at_most_the_step_limit(monkeypatch):
                                0.0), 3.0, 0.01),
               good[1], (good[2][0], 3.0, -0.01), good[2]]
     want = [_alone(group) for group in groups]
-    monkeypatch.setattr(integrator, "_MAX_STEPS", 650)
-    got = list(integrator._integrate_many(groups))
+    got = integrator._integrate_many(groups)
     _assert_same_outcomes(got, want)
     assert [type(out) for out in got[1::2]] == [HistoryDomainError,
                                                 DomainError]
-    # the third group would pass the limit: it starts the second buffer
     x0, x2, x4 = (got[i][1] for i in (0, 2, 4))
-    assert x0.base is not x2.base and x2.base is x4.base
+    assert x0.base is x2.base is x4.base
 
 
 # ----------------------------------------------------------------------

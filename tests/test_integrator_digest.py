@@ -1,12 +1,10 @@
 """scripts/integrator_digest.py hashes every byte of the integrator's
 outputs and of the Ψ solves, so one ulp anywhere changes a digest, and
-records each trajectory once, whether its tree integrates a fundamental
-pair as one two-column group or as two problems, each Ψ solve a workload
-runs, each trajectory's zero and extremum times, and ϑ at each Δ solved."""
+records each trajectory once, each Ψ solve a workload runs, each
+trajectory's zero and extremum times, and ϑ at each Δ solved."""
 
 import importlib.util
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -64,30 +62,8 @@ def test_lockstep_entry_records_each_group_in_submission_order():
     assert len(got) == len(outputs) == 3
     assert isinstance(got[1], DomainError) and outputs[1] is got[1]
     for out, alone in zip(outputs[::2], (groups[0], groups[2])):
-        want = next(integrator._integrate_many([alone]))
+        want = integrator._integrate_many([alone])[0]
         assert digest([out]) == digest([want])
-
-
-def test_two_column_group_records_one_entry_per_trajectory():
-    """An older tree's (n, 2) pair output digests equal to the pair's two
-    one-column outputs, and its exception counts once per problem."""
-    ts = np.linspace(0.0, 1.0, 5)
-    xs = np.stack((np.cos(ts), np.sin(ts)), axis=1)
-    vs = np.stack((-np.sin(ts), np.cos(ts)), axis=1)
-    error = HistoryDomainError("delayed argument -2.0")
-    older = SimpleNamespace(_integrate_many=lambda groups: iter(
-        [(ts, xs, vs), error]))
-    newer = SimpleNamespace(_integrate_many=lambda groups: iter(
-        [(ts, xs[:, 0], vs[:, 0]), (ts, xs[:, 1], vs[:, 1]), error, error]))
-    old_out, new_out = [], []
-    pair = ("z", "y")
-    list(integrator_digest._recording(older, old_out)(
-        [(pair, 1.0, 0.5), (pair, 1.0, 0.5)]))
-    list(integrator_digest._recording(newer, new_out)(
-        [(name, 1.0, 0.5) for name in pair * 2]))
-    assert len(old_out) == len(new_out) == 4
-    assert digest(old_out) == digest(new_out)
-    assert all(a.flags.c_contiguous for out in old_out[:2] for a in out)
 
 
 def test_psi_solves_recorded_with_their_limit_profiles():

@@ -160,3 +160,19 @@ def test_periods_above_limit_refused_before_building():
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < 10_000
+
+
+@pytest.mark.parametrize("form, epsilon, periods", [
+    (example2_closed_form, 700.0, 0.0),    # sinh and cosh of ε
+    (example2_closed_form, 10.0, 99.5),    # g ** (n + 1)
+    (example2_closed_form, 10.0, 73.0),    # g ** n finite, times sinh u
+    (example3_closed_form, 30.0, 299.5),   # (1 + ε²) ** n
+])
+def test_overflowing_closed_form_refused_naming_epsilon_and_t(form, epsilon,
+                                                              periods):
+    period = (repro._period2 if form is example2_closed_form
+              else repro._period3)(epsilon)
+    t = periods * period + (9.0 if periods == 73.0 else 0.0)
+    with pytest.raises(DomainError,
+                       match=f"overflows at ε = {epsilon}, t = {t}$"):
+        form(epsilon, t)
