@@ -16,7 +16,9 @@ recorded Ψ solves.  It prints four lines per workload and seed,
 cleared before each run, so that each run records every solve it needs.
 
 The integrator's entry is ``integrator._integrate_many``, whose outputs are
-recorded in submission order, one entry per trajectory.
+recorded in submission order, one entry per trajectory.  It must return a
+list, as it does from commit 106893f on, so ``--parent`` and ``--tree``
+need a tree at or after that commit.
 
 Run from the repository root:
 
@@ -80,15 +82,14 @@ def digest(outputs: list) -> str:
 def _recording(integrator, outputs: list):
     """A wrapper of ``integrator._integrate_many`` that appends a copy of
     each group's nodes, x and x′, or its exception, to ``outputs`` in
-    submission order; it yields the outputs, as a tree whose entry is a
-    generator needs."""
+    submission order, and returns the outputs' list."""
     inner = integrator._integrate_many
 
     def lockstep(groups):
-        for out in inner(groups):
-            outputs.append(out if isinstance(out, BaseException)
-                           else tuple(np.array(a) for a in out))
-            yield out
+        got = inner(groups)
+        outputs.extend(out if isinstance(out, BaseException)
+                       else tuple(np.array(a) for a in out) for out in got)
+        return got
     return lockstep
 
 

@@ -42,15 +42,13 @@ Two conventions matter and are deliberate:
   interior: a step that ends on a breakpoint reads its last stage from the
   left segment (one-sided limit), which keeps the scheme's order.
 * The history is read with the left-limit convention at s, honoring initial
-  data with a jump (the fundamental system). When the delayed argument of
-  a step just right of a crossing lands exactly on s, the step's interior
-  side (u > s) wins instead.
+  data with a jump (the fundamental system). A delayed argument of a step
+  just right of a crossing that lands exactly on s reads x(s⁺), node 0.
 """
 
 from __future__ import annotations
 
 import bisect
-import copy
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -374,12 +372,13 @@ class _ChunkPlan:
     hh/6 and −p(σ), then each read's h and weights; with no delayed stage
     (``kind`` None) the plan keeps only its steps' maps. Else ``kind`` says
     where each stage reads x(u), u = σ − τ(σ) (a _RAISE stage raises here),
-    ``hv`` each _VALUE stage's value (None if none; a stage at u = s right
-    of the start jump, ``plus``, reads x(s⁺)), ``jj`` each read's
-    bracket's left node, ``reach`` the last node a step reads. An
-    ``ok`` step, whose stages all read values or accepted output, can join
-    a block; one whose stages all read their own x runs by its map
-    (``coefs``), the same whether its chunk has a delay or not."""
+    ``hv`` each _VALUE stage's history value or x(s⁻) (None if none),
+    ``jj`` each read's bracket's left node, ``reach`` the last node a step
+    reads. A plan reads no initial data: x(s⁺) is node 0, so the two runs
+    of a fundamental pair share one. An ``ok`` step, whose stages all read
+    values or accepted output, can join a block; one whose stages all read
+    their own x runs by its map (``coefs``), the same whether its chunk has
+    a delay or not."""
 
     # (4, m): the map of each step reading its own x (``_step_maps``)
     coefs = None
@@ -414,17 +413,15 @@ class _ChunkPlan:
             ode, _ODE, np.where(u > t0, _OVERLAP, _DENSE))).astype(np.int8)
         self.hv = None
         if not (u > s).all():
-            # u = s reads x(s⁻) left of the start jump and x(s⁺) right of
-            # it, the first step directly, any later one from dense output
-            right_of_start = tm - tau[1] > s
+            # u = s reads x(s⁻) left of the start jump and x(s⁺), node 0,
+            # right of it: the first step by an overlap read of width 0,
+            # any later one from dense output
             at_s = u == s
-            first = np.arange(c0, c1) == 0
-            known = (kind == _DENSE) & ~(u > s) \
-                & ~(at_s & right_of_start & ~first)
+            plus = (kind == _DENSE) & at_s & (tm - tau[1] > s)
+            kind[plus & (u == t0)] = _OVERLAP
+            known = (kind == _DENSE) & ~(u > s) & ~plus
             kind[known] = np.where(u[known] < hist_floor, _RAISE, _VALUE)
-            self.plus = at_s & right_of_start
-            self.hv = hv = np.where(self.plus, problem.initial_value,
-                                    np.where(at_s, hist_at_start, 0.0))
+            self.hv = hv = np.where(at_s, hist_at_start, 0.0)
             hist = (kind == _VALUE) & ~at_s
             if hist.any():  # in step order: one walk of the segments
                 hv.T[hist.T] = problem.history(u.T[hist.T])
@@ -464,14 +461,6 @@ class _ChunkPlan:
         if len(own):
             self.coefs = np.zeros((4, c1 - c0))
             self.coefs[:, own] = _step_maps(table[:, own])
-
-    def for_start(self, x_plus: float) -> _ChunkPlan:
-        """This plan for the problem whose x(s⁺) is x_plus."""
-        if self.kind is None or self.hv is None:
-            return self
-        twin = copy.copy(self)
-        twin.hv = np.where(self.plus, x_plus, self.hv)
-        return twin
 
     @cached_property
     def scalar(self) -> tuple:
@@ -614,8 +603,8 @@ def integrate(problem: DelayProblem, horizon: float, step: float = 0.01
     every forced node; dense output is cubic Hermite per step. Raises
     HistoryDomainError if a delayed argument falls below start − τ_m, and
     DomainError for a nonpositive step, a horizon within 1e-12·max(1,
-    |start|, |horizon|) of the start or before it, or more than
-    ``_MAX_STEPS`` steps."""
+    |start|, |horizon|) of the start or before it, more than ``_MAX_STEPS``
+    steps, or a solution that leaves the float range."""
     return _drive([_trajectories([(problem, horizon, step)])])[0][0]
 
 
@@ -670,7 +659,7 @@ def _integration(problem: DelayProblem, horizon: float, step: float,
         # the last plan and its lists go before the next plan is built
         plan = ok = ok_at = bad_at = reach = None
         if twin:
-            plan = twin.pop().for_start(problem.initial_value)
+            plan = twin.pop()
         else:
             gap = np.searchsorted(first, np.arange(c0, c1), side="right") - 1
             plan = _ChunkPlan(problem, ts, c0, c1, seg_p[gap], seg_tau[gap],
@@ -699,6 +688,11 @@ def _integration(problem: DelayProblem, horizon: float, step: float,
                 e = ok_at[bisect.bisect_left(ok_at, e)]
                 _take_steps(plan, b, e, xs, vs)
             b = e
+    finite = np.isfinite(xs) & np.isfinite(vs)
+    if not finite.all():
+        raise DomainError(
+            f"x or x′ is not finite at t = {ts.item(finite.argmin())}: the "
+            "solution left the float range; a shorter horizon avoids it")
     return ts
 
 
@@ -787,24 +781,26 @@ def _integrate_many(groups: list) -> list:
     xs, vs = np.zeros(size), np.zeros(size)
     chunk = _CHUNK if len(groups) <= 2 else _CHUNK_MANY
     live = [(k, run, at, (xs[at], vs[at], chunk)) for k, run, at in live]
-    while live:
-        ready, waiting = [], []
-        for k, run, at, reply in live:
-            try:
-                block = run.send(reply)
-            except StopIteration as stop:
-                outcomes[k] = stop.value, xs[at], vs[at]
-                continue
-            except Exception as exc:  # noqa: BLE001 - the group's outcome
-                outcomes[k] = exc
-                continue
-            if block is not None:
-                ready.append((*block, at.start))
-            del block  # its plan goes with its round
-            waiting.append((k, run, at, None))
-        if ready:
-            _advance_blocks(ready, xs, vs)
-        live = waiting
+    # a run that leaves the float range is refused when it ends
+    with np.errstate(over="ignore", invalid="ignore"):
+        while live:
+            ready, waiting = [], []
+            for k, run, at, reply in live:
+                try:
+                    block = run.send(reply)
+                except StopIteration as stop:
+                    outcomes[k] = stop.value, xs[at], vs[at]
+                    continue
+                except Exception as exc:  # noqa: BLE001 - the group's outcome
+                    outcomes[k] = exc
+                    continue
+                if block is not None:
+                    ready.append((*block, at.start))
+                del block  # its plan goes with its round
+                waiting.append((k, run, at, None))
+            if ready:
+                _advance_blocks(ready, xs, vs)
+            live = waiting
     return outcomes
 
 

@@ -127,7 +127,7 @@ def _r_scalar(delta: float, t: float) -> tuple:
         return 1.0, 0.0
     if delta == 0.0:
         return math.cos(t), 0.0
-    acc, sign, n, size = 0.0, 1.0, 0, 0.0
+    acc, sign, size = 0.0, 1.0, 0.0
     for k, fact in enumerate(_FACTORIALS):
         base = t - (k - 1) * delta
         if not base > 0.0:
@@ -142,12 +142,13 @@ def _r_scalar(delta: float, t: float) -> tuple:
             break
         acc += sign * term
         sign = -sign
-        n, size = n + 1, size + term
+        size += term
     else:
         raise DomainError(
             f"descent profile series at t={t}, delta={delta} needs more "
             f"than {len(_FACTORIALS)} terms")
-    return acc, 2.0 ** -53 * n * size
+    # k terms summed: the break is at term k
+    return acc, 2.0 ** -53 * k * size
 
 
 def _root(f, lo: float, hi: float, f_lo: float, f_hi: float,

@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from semicycles import cli, harness, thresholds
+from semicycles import (DelayProblem, PiecewiseSignal, cli, harness,
+                        thresholds)
 from semicycles.analysis import Classification
 from semicycles.cli import DEFAULT_SEED, main
 from semicycles.errors import DomainError
@@ -370,10 +371,38 @@ def test_overflowing_closed_form_exits_1_naming_it(capsys, epsilon,
                  periods, "--step", "1"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
+    # at ε = 10 the integration leaves the float range (t ≈ 912) first
     assert captured.err.startswith(
+        "semicycles repro: integrator.integrate: " if epsilon == "10" else
         "semicycles repro: repro.example2_closed_form: closed form overflows "
         f"at ε = {float(epsilon)}, t = ")
     assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["classify", "--horizon", "3000"], ["simulate", "--horizon", "3000"],
+    ["repro", "example3", "--epsilon", "30", "--periods", "300"],
+    ["repro", "sin", "--periods", "5000", "--step", "1"]],
+    ids=["classify", "simulate", "example3", "sin"])
+def test_solution_leaving_float_range_exits_1_without_warning(
+        tmp_path, capsys, args):
+    # x″ + x(t − 1.9) = 0 grows past the float range near t = 1893
+    const = PiecewiseSignal.constant
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(problem_to_dict(DelayProblem(
+        const(1.0), const(1.9), 0.0, const(1.0), 1.0, 0.0))))
+    if args[0] != "repro":
+        args = [args[0], "--problem", str(path), *args[1:]]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(args) == 1
+    assert caught == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"semicycles {args[0]}: integrator.integrate: "
+                             "x or x′ is not finite at t = "), err
+    assert err[0].endswith("the solution left the float range; a shorter "
+                           "horizon avoids it")
 
 
 def test_horizon_inside_node_merge_tolerance_exits_1_without_warning(

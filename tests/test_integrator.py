@@ -3,6 +3,7 @@
 import bisect
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from semicycles import (
     wronskian,
     zero_crossings,
 )
-from semicycles.analysis import find_zeros, semicycles
+from semicycles.analysis import classify, find_zeros, semicycles
 from semicycles.errors import HistoryDomainError, SemicycleError
 from semicycles import integrator
 from semicycles.harness import eigenmode_problem, mode_mixture_problem
@@ -937,6 +938,29 @@ def test_horizon_inside_node_merge_tolerance_refused(start, horizon):
         fundamental_system(const(1.0), const(0.5), start, horizon)
 
 
+@pytest.mark.parametrize("p, tau, horizon", [(1.0, 1.9, 3000.0),
+                                               (-4.0, 0.1, 400.0)])
+def test_solution_leaving_float_range_refused(p, tau, horizon):
+    # x grows past 1.8e308: no node may hold inf or NaN, and numpy's
+    # overflow warnings stay quiet
+    const = PiecewiseSignal.constant
+    refusal = (r"x or x′ is not finite at t = [0-9.]+: the solution left "
+               r"the float range; a shorter horizon avoids it")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=refusal):
+            integrate(_const_problem(p, tau, 1.0, 1.0, 0.0), horizon)
+        with pytest.raises(DomainError, match=refusal):
+            fundamental_system(const(p), const(tau), 0.0, horizon)
+
+
+def test_fast_growth_inside_float_range_stays_unbounded_observed():
+    prob = _const_problem(100.0, 0.5, 1.0, 1.0, 0.0)
+    traj = integrate(prob, 200.0)
+    assert np.isfinite(traj.xs).all() and np.isfinite(traj.vs).all()
+    assert classify(prob, traj).verdict == "unbounded_observed"
+
+
 def test_horizon_just_past_node_merge_tolerance_takes_one_step():
     const = PiecewiseSignal.constant
     prob = DelayProblem(const(1.0), const(0.5), 0.0, const(0.0), 1.0, 0.0)
@@ -1065,6 +1089,36 @@ def test_first_step_reads_right_limit_at_start():
         x1, v1 = rk4(x0 * (2 * s3 - 3 * s2 + 1) + v0 * h * (s3 - 2 * s2 + sg)
                      + x1 * (-2 * s3 + 3 * s2) + v1 * h * (s3 - s2))
     assert traj.xs[1] == x1 and traj.vs[1] == v1
+
+
+def test_fundamental_pair_integrated_apart_plans_the_same_bytes(
+        monkeypatch):
+    # the first step of z and of y reads x(s⁺) at its t₁ (the problem of
+    # test_first_step_reads_right_limit_at_start): an overlap read of width
+    # 0 on node 0, so a plan holds nothing of x(s⁺) and x′(s⁺)
+    tau = PiecewiseSignal((0.0, 1.0), ((0.0, 0.5, 1.0),), 0.0, 1.5)
+    pair = integrator._fundamental_problems(PiecewiseSignal.constant(1.0),
+                                            tau, 0.0)
+    built = []
+
+    class Recording(integrator._ChunkPlan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(integrator, "_ChunkPlan", Recording)
+    plans = []
+    for prob in pair:
+        integrate(prob, 3.0, step=0.6)
+        plans.append(built[:])
+        built.clear()
+    z_plans, y_plans = plans
+    assert len(z_plans) == len(y_plans) == 1
+    for z, y in zip(z_plans, y_plans):
+        for name in ("table", "kind", "jj", "hv", "coefs"):
+            a, b = getattr(z, name), getattr(y, name)
+            assert a is b is None or _same_bytes(a, b), name
+    assert z_plans[0].kind[2, 0] == integrator._OVERLAP
 
 
 def _bisect(f, lo, hi, tol):
@@ -1436,10 +1490,11 @@ def test_grouping_corpus_reads_every_stage_source(monkeypatch):
     kinds = {k for k, _ in seen}
     assert kinds == {integrator._ODE, integrator._OVERLAP, integrator._DENSE,
                      integrator._VALUE, integrator._RAISE}
-    # u = s read as a known value (x(s⁻) or, on the first step, x(s⁺)) and
-    # through dense output (x(s⁺) right of the jump)
+    # u = s read as a known value (x(s⁻), left of the jump) and, right of
+    # it, x(s⁺) at node 0: through dense output, or on the first step by an
+    # overlap read of width 0
     assert {(integrator._VALUE, True), (integrator._DENSE, True),
-            (integrator._VALUE, False)} <= seen
+            (integrator._OVERLAP, True), (integrator._VALUE, False)} <= seen
     # every step shape the scalar loop meets: a chunk with no delay, a step
     # with no delay among delayed ones, reads from the step itself beside
     # accepted output or beside a stage-0 read with no delay
