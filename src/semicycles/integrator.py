@@ -332,9 +332,9 @@ def _forced_nodes(problem: DelayProblem, horizon: float) -> np.ndarray:
 
 # steps planned together: a plan costs 65-95 µs at any length and keeps
 # about 0.5 MB at 2048 steps with a delay. A round of more than two groups,
-# whose plans all live at once, plans _CHUNK_MANY, also the most steps the
-# scalar loop lists at once: 2048 there raised the suites' peak RSS 11 %,
-# and 256 made them 20 % slower
+# whose plans all live at once, plans _CHUNK_MANY, also the most steps whose
+# plan rows the scalar loop turns into lists at once: 2048 there raised the
+# suites' peak RSS 11 %, and 256 made them 20 % slower
 _CHUNK = 2048
 _CHUNK_MANY = 512
 # shortest numpy block: one costs 35-65 µs, a scalar step 3-5 µs; the
@@ -463,14 +463,10 @@ class _ChunkPlan:
             self.coefs[:, own] = _step_maps(table[:, own])
 
     @cached_property
-    def scalar(self) -> tuple:
-        """Per step its stage kinds and brackets' left nodes (−1: the step's
-        own left node), counted from its right node, as int32 (every
-        offset is within ``_MAX_STEPS``); its first node read."""
-        left = np.arange(self.c0, self.c0 + self.table.shape[1])
-        return (np.concatenate((self.kind, self.jj - left - 1),
-                               dtype=np.int32).T,
-                self.jj.min(axis=0).tolist())
+    def scalar(self) -> np.ndarray:
+        """Per step its stage kinds and brackets' left nodes, an int32 (m, 6)
+        table: every node is below ``_MAX_STEPS`` + 1 < 2³¹."""
+        return np.concatenate((self.kind, self.jj), dtype=np.int32).T
 
 
 def _step_maps(steps: np.ndarray) -> np.ndarray:
@@ -501,54 +497,40 @@ def _take_steps(plan: _ChunkPlan, b: int, e: int, xs: np.ndarray,
     a Hermite read of accepted output, or an overlap read, taken once
     extrapolated linearly from t₀, then twice more against the interpolant
     of its previous pass (stage 0 never reads inside its step, so k1v and
-    k2x are the same in every pass). The nodes a run reads before its first
-    node lead its lists: the whole span from the lowest, or, past six nodes
-    a step, only each bracket's two, so the lists grow with the run, not
-    the delay. An ``ok`` step takes ``_advance_blocks``' operations here, so
-    no step's bits depend on the run it falls in."""
+    k2x are the same in every pass). Every node is read and written in
+    place, through memoryviews of ``xs`` and ``vs``: they hold the exact
+    doubles and are bounds-checked to the run's nodes, so a read reaches
+    back as far as the delay does. An ``ok`` step takes ``_advance_blocks``'
+    operations here, so no step's bits depend on the run it falls in."""
     if e - b > _CHUNK_MANY:
         for k in range(b, e, _CHUNK_MANY):
             _take_steps(plan, k, min(k + _CHUNK_MANY, e), xs, vs)
         return
-    j0, j1 = plan.c0 + b, plan.c0 + e
+    # kept local: a memoryview can still write once Trajectory has set its
+    # arrays read-only
+    X, V = xs.data, vs.data
+    j = plan.c0 + b
+    x0, v0 = X[j], V[j]
     coefs = repeat(None) if plan.coefs is None \
         else zip(*plan.coefs[:, b:e].tolist())
     if plan.kind is None:
-        x0, v0 = xs.item(j0), vs.item(j0)
-        out_x, out_v = [], []
         for a, c, f, g in coefs:
             x0, v0 = a * x0 + c * v0, f * x0 + g * v0
-            out_x.append(x0)
-            out_v.append(v0)
-        xs[j0 + 1:j1 + 1] = out_x
-        vs[j0 + 1:j1 + 1] = out_v
+            j += 1
+            X[j] = x0
+            V[j] = v0
         return
-    reads, first = plan.scalar
-    rows, reads = plan.table.T[b:e], reads[b:e].tolist()
-    # a gathered bracket's read is pointed at its pair in front of the list
-    lo = min(first[b:e])
-    pre = slice(lo, j0 + 1)
-    if j0 - lo > 6 * (e - b):
-        pre = []
-        for i in (i for i, f in enumerate(first[b:e]) if f < j0):
-            row = reads[i]
-            for r in (3, 4, 5):
-                if row[r] < -1 - i:  # bracket [a, a + 1] with a < j0
-                    a = j0 + i + 1 + row[r]
-                    row[r] = len(pre)
-                    pre += (a, a + 1)
-        pre.append(j0)
-    X, V = xs[pre].tolist(), vs[pre].tolist()
-    x0, v0 = X[-1], V[-1]
     known = repeat(None) if plan.hv is None else plan.hv[:, b:e].T.tolist()
     for (hh, hh2, hh6, n0, nm, n1, h0, hm, h1, p0, q0, r0, p1, q1, r1,
          p2, q2, r2, p3, q3, r3), (k0, km, k1, i0, im, i1), val, coef in zip(
-             map(np.ndarray.tolist, rows), reads, known, coefs):
+             map(np.ndarray.tolist, plan.table.T[b:e]),
+             plan.scalar[b:e].tolist(), known, coefs):
+        j += 1
         if coef is not None and k0 == km == k1 == _ODE:
             a, c, f, g = coef
             x0, v0 = a * x0 + c * v0, f * x0 + g * v0
-            X.append(x0)
-            V.append(v0)
+            X[j] = x0
+            V[j] = v0
             continue
         if k0 == _DENSE:
             d0 = (X[i0] * p0 + V[i0] * h0 * p1 + X[i0 + 1] * p2
@@ -590,11 +572,8 @@ def _take_steps(plan: _ChunkPlan, b: int, e: int, xs: np.ndarray,
             k4v = n1 * (x0 + hh * k3x if d1 is None else d1)
             x1 = x0 + hh6 * (s2x + 2 * k3x + k4x)
             v1 = v0 + hh6 * (k1v + 2 * k2v + 2 * k3v + k4v)
-        X.append(x1)
-        V.append(v1)
-        x0, v0 = x1, v1
-    xs[j0 + 1:j1 + 1] = X[b - e:]
-    vs[j0 + 1:j1 + 1] = V[b - e:]
+        X[j] = x0 = x1
+        V[j] = v0 = v1
 
 
 def integrate(problem: DelayProblem, horizon: float, step: float = 0.01
@@ -655,6 +634,11 @@ def _integration(problem: DelayProblem, horizon: float, step: float,
     for c0 in range(0, n_steps, chunk):
         if twin is not None:
             yield None
+        # past a non-finite node every later one is non-finite too, so a
+        # lone run stops at the next chunk; the runs of a pair go on to the
+        # end, as y pops one of z's plans a chunk
+        elif not (math.isfinite(xs.item(c0)) and math.isfinite(vs.item(c0))):
+            break
         c1 = min(c0 + chunk, n_steps)
         # the last plan and its lists go before the next plan is built
         plan = ok = ok_at = bad_at = reach = None

@@ -648,13 +648,15 @@ def _deep_read_tau():
 
 def test_block_integrator_matches_reference_deep_reads_of_a_lone_step(
         monkeypatch):
-    deep = []  # runs reading more than six nodes per step below their start
+    # how far below its run's first node each rising step, from node 100
+    # or node 200, reads when it is taken one step at a time
+    depths = []
     take = integrator._take_steps
 
     def recording(plan, b, e, xs, vs):
-        if plan.kind is not None:
-            first = min(plan.scalar[1][b:e])
-            deep.append(plan.c0 + b - first > 6 * (e - b))
+        for k in range(plan.c0 + b, plan.c0 + e):
+            if plan.kind is not None and k in (100, 200):
+                depths.append(plan.c0 + b - plan.jj[:, k - plan.c0].min())
         take(plan, b, e, xs, vs)
 
     monkeypatch.setattr(integrator, "_take_steps", recording)
@@ -669,9 +671,9 @@ def test_block_integrator_matches_reference_deep_reads_of_a_lone_step(
                                 0.01)
         for got, want in zip((traj.ts, traj.xs, traj.vs), ref):
             assert _same_bytes(got, want)
-    # each rising step with the step before it, and the last step, in each
-    # of the three runs: z and y plan their own chunks
-    assert deep.count(True) == 9
+    # both rising steps of each of the three runs, reading 25 and 50 nodes
+    # back at their later stages
+    assert len(depths) == 6 and min(depths) >= 25
 
 
 def _reference_corpus():
@@ -952,6 +954,16 @@ def test_solution_leaving_float_range_refused(p, tau, horizon):
             integrate(_const_problem(p, tau, 1.0, 1.0, 0.0), horizon)
         with pytest.raises(DomainError, match=refusal):
             fundamental_system(const(p), const(tau), 0.0, horizon)
+
+
+def test_lone_run_leaving_float_range_stops_at_next_chunk(monkeypatch):
+    # x is first non-finite at node 189,339 (t = 1893.39), in the 93rd of
+    # the 147 chunks of 2048 steps: the run plans no chunk past the 94th
+    # and names the same node as a run to the horizon would
+    built = _built_chunks(monkeypatch)
+    with pytest.raises(DomainError, match=r"not finite at t = 1893\.39: "):
+        integrate(_const_problem(1.0, 1.9, 1.0, 1.0, 0.0), 3000.0, 0.01)
+    assert len(built) <= 94
 
 
 def test_fast_growth_inside_float_range_stays_unbounded_observed():
