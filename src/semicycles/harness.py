@@ -71,8 +71,9 @@ _MAX_JOBS = 64
 _MAX_INSTANCES = 20_000
 # most consecutive instances integrated in lockstep: a window keeps the
 # trajectories of all its problems alive together, 16 in a comparison or
-# wronskian window, and a chunk plan per run: 512 steps (about 125 kB with
-# a delay, 18 kB without) in a round of more than two runs, else 2048
+# wronskian window, and a chunk plan per run (a fundamental pair is one):
+# 512 steps (about 125 kB with a delay, 18 kB without) in a round of more
+# than two problems, else 2048
 _WINDOW = 8
 # most history segments of one mode mixture: about 100× the largest count
 # in use (18, the decay suite's delays up to 5.2 at width 0.3)

@@ -28,13 +28,14 @@ problems they need integrated, in lockstep; ``integrate``,
 ``fundamental_system``, the analysis layer's measurements and the
 harness's instances all run through it. The problems of one round run in
 one buffer (``_integrate_many``), every run's ready block, a lone run's
-too, in one ``_advance_blocks`` call at a time, and two runs in a row that
-differ only in x(s⁺) and x′(s⁺), a fundamental pair, share their plans. A
-round of one or two groups, a lone ``integrate`` or a lone pair, plans
-``_CHUNK`` steps at a time; a larger one, whose plans are all alive
-together, ``_CHUNK_MANY``. A zero or extremum scan solves each sign change
-with ``thresholds._root`` (Illinois regula falsi) on its own step's cubic,
-in Python floats with ``Trajectory.sample``'s operations.
+too, in one ``_advance_blocks`` call at a time, and problems in a row that
+differ only in x(s⁺) and x′(s⁺), a fundamental pair, are one run over
+their buffers, with one plan a chunk. A round of one or two problems, a
+lone ``integrate`` or a lone pair, plans ``_CHUNK`` steps at a time; a
+larger one, whose plans are all alive together, ``_CHUNK_MANY``. A zero
+or extremum scan solves each sign change with ``thresholds._root``
+(Illinois regula falsi) on its own step's cubic, in Python floats with
+``Trajectory.sample``'s operations.
 
 Two conventions matter and are deliberate:
 
@@ -52,7 +53,7 @@ import bisect
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, repeat
+from itertools import accumulate, groupby, repeat
 
 import numpy as np
 
@@ -593,15 +594,14 @@ def _trajectories(groups: list):
     return tuple((yield groups))
 
 
-def _integration(problem: DelayProblem, horizon: float, step: float,
-                 twin: list | None = None):
-    """``integrate`` as a generator for ``_integrate_many``: it yields the
-    node count n, is sent x and x′ arrays of n nodes and the steps to plan
-    at once, yields each block (plan, b, e) to be taken, and returns the
-    nodes. Two runs given one ``twin`` list, z then y of a fundamental
-    pair in one round, share their plans: z builds each and appends it, y
-    pops it. Both yield None before each chunk, so that a chunk with no
-    block keeps them in step too."""
+def _integration(problem: DelayProblem, horizon: float, step: float):
+    """``integrate`` as a generator for ``_integrate_many``, of members that
+    differ only in x(s⁺) and x′(s⁺), such as z and y of a fundamental pair:
+    it yields the node count n, is sent each member's x and x′ arrays of n
+    nodes, node 0 written, and the steps to plan at once, yields each block
+    (plan, b, e) to be taken in every member, and returns each member's
+    (nodes, x, x′), or its DomainError if it left the float range. Its
+    members read each chunk's one plan."""
     if not step > 0.0:
         raise DomainError(f"step must be positive, got {step}")
     s = problem.start
@@ -623,36 +623,28 @@ def _integration(problem: DelayProblem, horizon: float, step: float,
             f"integration to {horizon} with step {step} needs {total:.0f} "
             f"steps, more than the limit of {_MAX_STEPS}")
     ts, first = _step_grid(nodes, counts.astype(np.intp))
-    xs, vs, chunk = yield ts.size
-    xs[0] = problem.initial_value
-    vs[0] = problem.initial_slope
+    members, chunk = yield ts.size
     # p and τ are pinned to the segment owning each gap's interior
     mids = nodes[:-1] + 0.5 * (nodes[1:] - nodes[:-1])
     seg_p = problem.p.segment_index(mids)
     seg_tau = problem.tau.segment_index(mids)
     n_steps = ts.size - 1
     for c0 in range(0, n_steps, chunk):
-        if twin is not None:
-            yield None
-        # past a non-finite node every later one is non-finite too, so a
-        # lone run stops at the next chunk; the runs of a pair go on to the
-        # end, as y pops one of z's plans a chunk
-        elif not (math.isfinite(xs.item(c0)) and math.isfinite(vs.item(c0))):
+        # past a non-finite node every later one is non-finite too, so the
+        # run stops at the next chunk once no member is finite
+        if not any(math.isfinite(xs.item(c0)) and math.isfinite(vs.item(c0))
+                   for xs, vs in members):
             break
         c1 = min(c0 + chunk, n_steps)
         # the last plan and its lists go before the next plan is built
         plan = ok = ok_at = bad_at = reach = None
-        if twin:
-            plan = twin.pop()
-        else:
-            gap = np.searchsorted(first, np.arange(c0, c1), side="right") - 1
-            plan = _ChunkPlan(problem, ts, c0, c1, seg_p[gap], seg_tau[gap],
-                              *bounds)
-            if twin is not None:
-                twin.append(plan)
+        gap = np.searchsorted(first, np.arange(c0, c1), side="right") - 1
+        plan = _ChunkPlan(problem, ts, c0, c1, seg_p[gap], seg_tau[gap],
+                          *bounds)
         b, m = 0, c1 - c0
         if plan.kind is None:
-            _take_steps(plan, b, m, xs, vs)
+            for xs, vs in members:
+                _take_steps(plan, b, m, xs, vs)
             continue
         ok = plan.ok.tolist()
         ok_at = np.flatnonzero(plan.ok).tolist() + [m]
@@ -670,14 +662,16 @@ def _integration(problem: DelayProblem, horizon: float, step: float,
             else:
                 # with the following steps that cannot start a block
                 e = ok_at[bisect.bisect_left(ok_at, e)]
-                _take_steps(plan, b, e, xs, vs)
+                for xs, vs in members:
+                    _take_steps(plan, b, e, xs, vs)
             b = e
-    finite = np.isfinite(xs) & np.isfinite(vs)
-    if not finite.all():
-        raise DomainError(
+    outcomes = []
+    for xs, vs in members:
+        finite = np.isfinite(xs) & np.isfinite(vs)
+        outcomes.append((ts, xs, vs) if finite.all() else DomainError(
             f"x or x′ is not finite at t = {ts.item(finite.argmin())}: the "
-            "solution left the float range; a shorter horizon avoids it")
-    return ts
+            "solution left the float range; a shorter horizon avoids it"))
+    return outcomes
 
 
 def _advance_blocks(blocks: list, xs: np.ndarray, vs: np.ndarray) -> None:
@@ -742,46 +736,50 @@ def _integrate_many(groups: list) -> list:
     """Each group's (nodes, x, x′), integrated as ``integrate`` would, or
     its exception, in order: the groups run in lockstep in one buffer, the
     runs' ready blocks in one ``_advance_blocks`` call at a time, and a
-    raising group leaves the others as they would be alone."""
-    # z and y of a fundamental pair differ only in x(s⁺) and x′(s⁺): two
-    # such runs in a row share their plans
-    keys = [(type(prob), id(prob.p), id(prob.tau), id(prob.history),
-             repr((prob.start, horizon, step)))
-            for prob, horizon, step in groups] + [None]
-    outcomes, live, size, pending = [], [], 0, None
-    for k, (problem, horizon, step) in enumerate(groups):
-        twin = pending if pending is not None \
-            else [] if keys[k] == keys[k + 1] else None
-        pending = twin if pending is None else None
-        run = _integration(problem, horizon, step, twin)
+    raising group leaves the others as they would be alone. Groups in a row
+    that differ only in x(s⁺) and x′(s⁺) are the members of one run, each
+    of its blocks taken at every member's offset."""
+    def key(group):
+        prob, horizon, step = group
+        return (type(prob), id(prob.p), id(prob.tau), id(prob.history),
+                repr((prob.start, horizon, step)))
+
+    outcomes, live, size = [], [], 0
+    for _, same in groupby(groups, key):
+        same = list(same)
+        k, run = len(outcomes), _integration(*same[0])
         try:
             n = next(run)
-        except Exception as exc:  # noqa: BLE001 - the group's outcome
-            outcomes.append(exc)
+        except Exception as exc:  # noqa: BLE001 - the members' outcome
+            outcomes += [exc] * len(same)
             continue
-        outcomes.append(None)
-        live.append((k, run, slice(size, size + n)))
-        size += n
+        outcomes += [None] * len(same)
+        offsets = range(size, size + len(same) * n, n)
+        live.append((k, run, n, offsets, same))
+        size += len(same) * n
     xs, vs = np.zeros(size), np.zeros(size)
     chunk = _CHUNK if len(groups) <= 2 else _CHUNK_MANY
-    live = [(k, run, at, (xs[at], vs[at], chunk)) for k, run, at in live]
-    # a run that leaves the float range is refused when it ends
+    for i, (k, run, n, offsets, same) in enumerate(live):
+        for off, (prob, *_) in zip(offsets, same):
+            xs[off], vs[off] = prob.initial_value, prob.initial_slope
+        live[i] = k, run, offsets, ([(xs[off:off + n], vs[off:off + n])
+                                     for off in offsets], chunk)
+    # a member that leaves the float range is refused when its run ends
     with np.errstate(over="ignore", invalid="ignore"):
         while live:
             ready, waiting = [], []
-            for k, run, at, reply in live:
+            for k, run, offsets, reply in live:
                 try:
-                    block = run.send(reply)
+                    plan, b, e = run.send(reply)
                 except StopIteration as stop:
-                    outcomes[k] = stop.value, xs[at], vs[at]
+                    outcomes[k:k + len(offsets)] = stop.value
                     continue
-                except Exception as exc:  # noqa: BLE001 - the group's outcome
-                    outcomes[k] = exc
+                except Exception as exc:  # noqa: BLE001 - the members' outcome
+                    outcomes[k:k + len(offsets)] = [exc] * len(offsets)
                     continue
-                if block is not None:
-                    ready.append((*block, at.start))
-                del block  # its plan goes with its round
-                waiting.append((k, run, at, None))
+                ready += [(plan, b, e, off) for off in offsets]
+                del plan  # it goes with its round
+                waiting.append((k, run, offsets, None))
             if ready:
                 _advance_blocks(ready, xs, vs)
             live = waiting
@@ -967,7 +965,8 @@ def fundamental_system(p: PiecewiseSignal, tau: PiecewiseSignal, s: float,
                        horizon: float, step: float = 0.01
                        ) -> tuple[Trajectory, Trajectory]:
     """The pair (z, y): zero history with unit jumps at s (z(s) = y′(s) = 1,
-    z′(s) = y(s) = 0), sharing their plans, each its own ``integrate``."""
+    z′(s) = y(s) = 0), one run over two buffers that builds each plan once,
+    each byte-equal to its own ``integrate``."""
     return _drive([_trajectories([(prob, horizon, step) for prob
                                   in _fundamental_problems(p, tau, s)])])[0]
 

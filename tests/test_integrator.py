@@ -91,10 +91,23 @@ def test_fourth_order_convergence():
 def _closed_form_case(regime, size, step):
     """(problem, horizon, exact solution) in one regime: sin t (no delay),
     an eigenmode with τ ≡ size (delayed) or τ ≡ size·step (overlap, τ/h
-    fixed), or example2 with ε = size (a piecewise coefficient whose
-    breakpoints are forced nodes)."""
+    fixed), example2 with ε = size (a piecewise coefficient whose
+    breakpoints are forced nodes), or e^{−t} under a piecewise constant
+    delay (its jumps and their delayed crossings are forced nodes)."""
     if regime == "ode":
         return _const_problem(1.0, 0.0, 0.0, 0.0, 1.0), 20.0, np.sin
+    if regime == "piecewise_delay":
+        # τ = 0.6, 1.4, 0.9 split at 3 and 7, and p = −e^{−τ} on each piece,
+        # so that p·x(t − τ) = −e^{−t}; the history is the degree-19 Taylor
+        # polynomial of e^{−t} about −1.4, exact to rounding on [−1.4, 0]
+        taylor = tuple(math.exp(1.4) * (-1.0) ** j / math.factorial(j)
+                       for j in range(20))
+        return (DelayProblem(
+            PiecewiseSignal((3.0, 7.0), ((-math.exp(-1.4),),),
+                            -math.exp(-0.6), -math.exp(-0.9)),
+            PiecewiseSignal((3.0, 7.0), ((1.4,),), 0.6, 0.9), 0.0,
+            PiecewiseSignal((-1.4, 0.0), (taylor,), taylor[0], 1.0), 1.0,
+            -1.0), 12.0, lambda t: np.exp(-t))
     if regime == "forced_nodes":
         spec = ExampleSpec("example2", size, 4)
         return (build_example_problem(spec), example_horizon(spec),
@@ -111,6 +124,7 @@ def _closed_form_case(regime, size, step):
     ("delayed", 3.0, (0.04, 0.02, 0.01)),
     ("overlap", 0.25, (0.1, 0.05, 0.025)),
     ("forced_nodes", 0.1, (0.08, 0.04, 0.02)),
+    ("piecewise_delay", None, (0.08, 0.04, 0.02)),
 ])
 def test_observed_order_four_against_closed_forms(regime, size, steps):
     errors = []
@@ -966,6 +980,18 @@ def test_lone_run_leaving_float_range_stops_at_next_chunk(monkeypatch):
     assert len(built) <= 94
 
 
+def test_fundamental_pair_leaving_float_range_stops_at_next_chunk(
+        monkeypatch):
+    # z and y are first non-finite at t = 1895.29, in the 93rd of the 147
+    # chunks of 2048 steps: the pair, one run, plans no chunk past the 94th,
+    # and z's refusal names the same node as a run to the horizon would
+    const = PiecewiseSignal.constant
+    built = _built_chunks(monkeypatch)
+    with pytest.raises(DomainError, match=r"not finite at t = 1895\.29"):
+        fundamental_system(const(1.0), const(1.9), 0.0, 3000.0)
+    assert len(built) <= 94
+
+
 def test_fast_growth_inside_float_range_stays_unbounded_observed():
     prob = _const_problem(100.0, 0.5, 1.0, 1.0, 0.0)
     traj = integrate(prob, 200.0)
@@ -1544,21 +1570,24 @@ def test_trajectory_independent_of_step_grouping(monkeypatch, min_block,
 
 
 def _alone(group):
-    """One ``_integration`` run on arrays of its own, planning chunks of a
-    lone run's length, each block taken as a round of its own by
-    ``_advance_blocks``: (nodes, x, x′), or the exception raised."""
+    """One ``_integration`` run of one member on arrays of its own, planning
+    chunks of a lone run's length, each block taken as a round of its own by
+    ``_advance_blocks``: (nodes, x, x′), or the exception raised or
+    returned."""
     run = integrator._integration(*group)
     try:
         n = next(run)
         xs, vs = np.zeros(n), np.zeros(n)
-        plan, b, e = run.send((xs, vs, integrator._CHUNK))
+        xs[0], vs[0] = group[0].initial_value, group[0].initial_slope
+        plan, b, e = run.send(([(xs, vs)], integrator._CHUNK))
         while True:
             integrator._advance_blocks([(plan, b, e, 0)], xs, vs)
             plan, b, e = next(run)
     except StopIteration as stop:
-        return stop.value, xs, vs
+        (out,) = stop.value
     except SemicycleError as exc:
-        return type(exc), str(exc)
+        out = exc
+    return (type(out), str(out)) if isinstance(out, SemicycleError) else out
 
 
 def _assert_same_outcomes(got, want):
@@ -1648,6 +1677,32 @@ def test_fundamental_pair_shares_plans_with_or_without_blocks(monkeypatch,
         for a, b in zip((traj.ts, traj.xs, traj.vs),
                         (ref.ts, ref.xs, ref.vs)):
             assert _same_bytes(a, b)
+
+
+@pytest.mark.parametrize("tau, horizon, initial, plans", [
+    (0.7, 50.0, [(1.0, 0.0), (0.0, 1.0), (0.5, -0.25)], 10),
+    (1.9, 3000.0, [(1.0, 0.0), (0.0, 0.0)], None)])
+def test_groups_sharing_one_key_share_one_plan_stream(monkeypatch, tau,
+                                                      horizon, initial,
+                                                      plans):
+    # groups in a row with the same p, τ and history objects, start,
+    # horizon and step are one run whatever their count: three of them
+    # build one plan a chunk of 512 steps; a member that leaves the float
+    # range is refused, and a zero member beside it runs to the horizon,
+    # each as it would alone
+    const = PiecewiseSignal.constant
+    p, delay, hist = const(1.0), const(tau), const(0.0)
+    groups = [(DelayProblem(p, delay, 0.0, hist, x0, v0), horizon, 0.01)
+              for x0, v0 in initial]
+    want = [_grouping_outcome(group) for group in groups]
+    built = _built_chunks(monkeypatch)
+    got = integrator._integrate_many(groups)
+    _assert_same_outcomes(got, want)
+    if plans is not None:
+        assert len(built) == plans
+    else:
+        assert [type(out) for out in got] == [DomainError, tuple]
+        assert not got[1][1].any()
 
 
 def _built_chunks(monkeypatch) -> list:
