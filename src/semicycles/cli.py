@@ -107,7 +107,7 @@ def _parse_range(text: str) -> tuple:
 def _range_values(rng: tuple, others: int = 1) -> tuple:
     """The points of a ``LO:HI:STEP`` range; refused before any is built if
     they make more than ``_MAX_CELLS`` cells with ``others`` points on the
-    table's other axis."""
+    table's other axis, and refused if two of them coincide once rounded."""
     lo, hi, step = rng
     span = (hi - lo) / step + 1e-9
     # a float test first: HI − LO may overflow to inf, which floor refuses
@@ -117,7 +117,11 @@ def _range_values(rng: tuple, others: int = 1) -> tuple:
     n = math.floor(span) + 1
     # rounding keeps grid coordinates clean (0.1-steps print as 2.9,
     # not 2.9000000000000004) without disturbing determinism
-    return tuple(round(lo + k * step, 12) for k in range(n))
+    points = tuple(round(lo + k * step, 12) for k in range(n))
+    if len(set(points)) < n:  # rows that repeat one cell
+        raise DomainError(f"range {lo!r}:{hi!r}:{step!r} has points that "
+                          f"coincide when rounded to 12 decimals")
+    return points
 
 
 def _parse_branches(text: str) -> tuple:

@@ -87,7 +87,7 @@ class HarnessReport:
     suite: str
     seed: int
     instances: int
-    checked: int
+    checked: int  # the metrics measured, one per check
     failures: int
     worst: float
     columns: tuple
@@ -165,10 +165,10 @@ def eigenmode_problem(c: float, root: CharRoot, phase: float = 0.0
 
 
 def _decay_instance(idx: int, rng):
-    """One instance → (rows, checked, failures, metrics, skipped); see
-    run_suite. Like every instance, a generator: it draws its random numbers,
-    yields its integration groups (problem, horizon, step) and is sent one
-    trajectory per group."""
+    """One instance → (rows, failures, metrics, skipped), one metric a check;
+    see run_suite. Like every instance, a generator: it draws its random
+    numbers, yields its integration groups (problem, horizon, step) and is
+    sent one trajectory per group."""
     for _ in range(40):
         c = float(rng.uniform(2.8, 5.2))
         cap = semicycle_threshold(c) - 0.051
@@ -188,7 +188,7 @@ def _decay_instance(idx: int, rng):
     traj, = yield [(problem, horizon, 0.01)]
     rho, _peaks = envelope_decay_ratio(traj, stride, t0=c)
     row = (idx, c, root.branch, root.value.real, root.value.imag, stride, rho)
-    return [row], 1, 0 if rho < 1.0 else 1, [rho], 0
+    return [row], 0 if rho < 1.0 else 1, [rho], 0
 
 
 # ----------------------------------------------------------------------
@@ -242,9 +242,9 @@ def _margin_instance(idx: int, rng):
         zeros, stationary = _zero_scan(traj, _SCAN_TOL)
         arcs = _arcs(traj, [t for t, _ in zeros], stationary, _SCAN_TOL)
     except (DomainError, ResolutionError):
-        return [], 0, 0, [], 1
+        return [], 0, [], 1
     tau_m = problem.tau_sup(math.inf)
-    rows, checked, failures, margins = [], 0, 0, []
+    rows, failures, margins = [], 0, []
     for sc in arcs:
         for kind, check in (("descent",
                              lambda: check_descent(traj, sc, tau_m)),
@@ -254,11 +254,10 @@ def _margin_instance(idx: int, rng):
                 ok, margin = check()
             except NotApplicableError:
                 continue
-            checked += 1
             failures += 0 if ok else 1
             margins.append(margin)
             rows.append((idx, kind, sc.a, sc.b, margin))
-    return rows, checked, failures, margins, 0
+    return rows, failures, margins, 0
 
 
 # ----------------------------------------------------------------------
@@ -331,7 +330,7 @@ def _comparison_pair(rng) -> tuple:
 
 def _comparison_instance(idx: int, rng):
     ok, violation = yield from _comparison(*_comparison_pair(rng), 10.0)
-    return [(idx, violation)], 1, 0 if ok else 1, [violation], 0
+    return [(idx, violation)], 0 if ok else 1, [violation], 0
 
 
 # ----------------------------------------------------------------------
@@ -346,7 +345,7 @@ def _wronskian_instance(idx: int, rng):
     tau = _piecewise_linear(rng, 0.0, tau_m, 0.0, 50.0,
                             int(rng.integers(2, 4)))
     min_w = yield from _least_wronskian(p, tau, 0.0, 50.0)
-    return ([(idx, p_sup, tau_m, min_w)], 1, 0 if min_w > 0.0 else 1, [min_w],
+    return ([(idx, p_sup, tau_m, min_w)], 0 if min_w > 0.0 else 1, [min_w],
             0)
 
 
@@ -425,11 +424,10 @@ def run_suite(suite: str, seed: int = 0, count: int | None = None,
     windows = _fan_out(_run_window, [(suite, seed, lo, min(lo + size, n))
                                      for lo in range(0, n, size)], jobs)
     rows: list = []
-    checked = failures = skipped = 0
+    failures = skipped = 0
     metrics: list = []
-    for r, ch, fails, ms, skip in (out for w in windows for out in w):
+    for r, fails, ms, skip in (out for w in windows for out in w):
         rows.extend(r)
-        checked += ch
         failures += fails
         metrics.extend(ms)
         skipped += skip
@@ -437,5 +435,5 @@ def run_suite(suite: str, seed: int = 0, count: int | None = None,
         worst = min(metrics) if worst_is_min else max(metrics)
     else:
         worst = math.nan
-    return HarnessReport(suite, seed, n, checked, failures, worst,
+    return HarnessReport(suite, seed, n, len(metrics), failures, worst,
                          columns, tuple(rows), skipped)

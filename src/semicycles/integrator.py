@@ -9,17 +9,18 @@ from a provisional interpolant of the step itself, sub-iterated twice.
 Every cubic Hermite read, and ``Trajectory.sample``, uses one product-only
 form (``_hermite_weights``), so its bits do not depend on the host's numpy.
 
-A plan of each chunk of steps sorts every stage by where it reads. A step
-whose stages all read values or accepted output can join a block (the
-method of steps, Bellen & Zennaro 2003), which numpy takes at once. A step
-whose stages all read their own x (no delay) runs by its linear map: the
-equation is linear, so the step maps x₀, x′₀ linearly to x₁, x′₁ (the
-matrix form of an RK step, Hairer & Wanner, Solving ODEs II, ch. IV).
-Every other step runs RK4 in Python floats. A step's arithmetic depends
-only on the step, never on how steps are grouped: ``_advance_blocks`` sums
-each block in a row of its own, a block step that runs alone takes the
-same operations, and a map does not depend on the other steps planned with
-it, so neither the chunk length nor which runs make blocks moves a bit.
+A plan of each chunk of steps sorts every stage by where it reads and
+cuts the steps into runs: steps whose stages all read values or accepted
+output can make a block (the method of steps, Bellen & Zennaro 2003),
+which numpy takes at once. A step whose stages all read their own x (no
+delay) runs by its linear map: the equation is linear, so the step maps
+x₀, x′₀ linearly to x₁, x′₁ (the matrix form of an RK step, Hairer &
+Wanner, Solving ODEs II, ch. IV). Every other step runs RK4 in Python
+floats. A step's arithmetic depends only on the step, never on how steps
+are grouped: ``_advance_blocks`` sums each block in a row of its own, a
+block step that runs alone takes the same operations, and a map does not
+depend on the other steps planned with it, so neither the chunk length
+nor which runs make blocks moves a bit.
 
 Runs share the blocks' numpy cost in lockstep (the ensemble idea of
 DifferentialEquations.jl, Rackauckas & Nie 2017). ``_drive`` is the one
@@ -52,7 +53,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import accumulate, groupby, repeat
 
 import numpy as np
@@ -374,12 +374,14 @@ class _ChunkPlan:
     (``kind`` None) the plan keeps only its steps' maps. Else ``kind`` says
     where each stage reads x(u), u = σ − τ(σ) (a _RAISE stage raises here),
     ``hv`` each _VALUE stage's history value or x(s⁻) (None if none),
-    ``jj`` each read's bracket's left node, ``reach`` the last node a step
-    reads. A plan reads no initial data: x(s⁺) is node 0, so the two runs
-    of a fundamental pair share one. An ``ok`` step, whose stages all read
-    values or accepted output, can join a block; one whose stages all read
-    their own x runs by its map (``coefs``), the same whether its chunk has
-    a delay or not."""
+    ``jj`` each read's bracket's left node. A plan reads no initial data:
+    x(s⁺) is node 0, so the two runs of a fundamental pair share one. A
+    step whose stages all read their own x runs by its map (``coefs``).
+    ``runs`` covers the steps in order with (b, e, block) entries: from an
+    ok step b, whose stages all read values or accepted output, the ok
+    steps before the first that reads past node c0 + b are a block if
+    ``_MIN_BLOCK`` or more, else the search goes on at the next ok step
+    past them; the steps between blocks run scalar."""
 
     # (4, m): the map of each step reading its own x (``_step_maps``)
     coefs = None
@@ -407,6 +409,7 @@ class _ChunkPlan:
         np.negative(problem.p.eval_in_segment(seg_p, sigma), out=table[3:6])
         if no_delay:
             self.coefs = _step_maps(table)
+            self.runs = [(0, c1 - c0, False)]
             return
         self.table = table
         u = sigma - tv
@@ -436,16 +439,16 @@ class _ChunkPlan:
             raise HistoryDomainError(
                 f"delayed argument {u.item(r, k)} reaches below "
                 f"start − τ_m = {s - tau_m}")
-        self.dense = dense = kind == _DENSE
+        dense = kind == _DENSE
         over = kind == _OVERLAP
-        self.ok = (dense | (kind == _VALUE)).all(axis=0)
         del sigma, tau, tv  # freed before the weights' temporaries peak
         # a _DENSE read's bracket [ts[jj], ts[jj + 1]] holds u, so its weight
         # needs no clamp; any other stage is given its step's left node
         left = np.arange(c0, c1)
         jj = np.minimum(np.searchsorted(ts, u, side="right"), left) - 1
         self.jj = jj = np.where(dense, jj, left)
-        self.reach = np.where(dense, jj + 1, 0).max(axis=0)
+        self.runs = _runs((dense | (kind == _VALUE)).all(axis=0),
+                          np.where(dense, jj + 1 - c0, 0).max(axis=0))
         # the bracket's width h and the fraction of it read; an overlap read
         # takes the step as its bracket, and its first pass reads h = u − t₀
         h = ts[jj + 1] - ts[jj]
@@ -463,11 +466,23 @@ class _ChunkPlan:
             self.coefs = np.zeros((4, c1 - c0))
             self.coefs[:, own] = _step_maps(table[:, own])
 
-    @cached_property
-    def scalar(self) -> np.ndarray:
-        """Per step its stage kinds and brackets' left nodes, an int32 (m, 6)
-        table: every node is below ``_MAX_STEPS`` + 1 < 2³¹."""
-        return np.concatenate((self.kind, self.jj), dtype=np.int32).T
+
+def _runs(ok: np.ndarray, reach: np.ndarray) -> list:
+    """``_ChunkPlan.runs`` of steps reading at most node ``reach`` past the
+    chunk's first. No step reads past its own left node, so the first step
+    past b to read past node b is the first whose running-max reach does."""
+    m = ok.size
+    ok_at = np.flatnonzero(ok).tolist() + [m]
+    bad_at = np.flatnonzero(~ok).tolist() + [m]
+    reach = np.maximum.accumulate(reach).tolist()
+    runs, a, b = [], 0, ok_at[0]
+    while b < m:
+        e = min(bad_at[bisect.bisect(bad_at, b)], bisect.bisect(reach, b))
+        if e - b >= _MIN_BLOCK:
+            runs += [(a, b, False), (b, e, True)] if a < b else [(b, e, True)]
+            a = e
+        b = ok_at[bisect.bisect_left(ok_at, e)]
+    return runs + [(a, m, False)] if a < m else runs
 
 
 def _step_maps(steps: np.ndarray) -> np.ndarray:
@@ -501,8 +516,9 @@ def _take_steps(plan: _ChunkPlan, b: int, e: int, xs: np.ndarray,
     k2x are the same in every pass). Every node is read and written in
     place, through memoryviews of ``xs`` and ``vs``: they hold the exact
     doubles and are bounds-checked to the run's nodes, so a read reaches
-    back as far as the delay does. An ``ok`` step takes ``_advance_blocks``'
-    operations here, so no step's bits depend on the run it falls in."""
+    back as far as the delay does. A step that can join a block takes
+    ``_advance_blocks``' operations here, so no step's bits depend on the
+    run it falls in."""
     if e - b > _CHUNK_MANY:
         for k in range(b, e, _CHUNK_MANY):
             _take_steps(plan, k, min(k + _CHUNK_MANY, e), xs, vs)
@@ -525,7 +541,8 @@ def _take_steps(plan: _ChunkPlan, b: int, e: int, xs: np.ndarray,
     for (hh, hh2, hh6, n0, nm, n1, h0, hm, h1, p0, q0, r0, p1, q1, r1,
          p2, q2, r2, p3, q3, r3), (k0, km, k1, i0, im, i1), val, coef in zip(
              map(np.ndarray.tolist, plan.table.T[b:e]),
-             plan.scalar[b:e].tolist(), known, coefs):
+             zip(*plan.kind[:, b:e].tolist(), *plan.jj[:, b:e].tolist()),
+             known, coefs):
         j += 1
         if coef is not None and k0 == km == k1 == _ODE:
             a, c, f, g = coef
@@ -599,9 +616,9 @@ def _integration(problem: DelayProblem, horizon: float, step: float):
     differ only in x(s⁺) and x′(s⁺), such as z and y of a fundamental pair:
     it yields the node count n, is sent each member's x and x′ arrays of n
     nodes, node 0 written, and the steps to plan at once, yields each block
-    (plan, b, e) to be taken in every member, and returns each member's
-    (nodes, x, x′), or its DomainError if it left the float range. Its
-    members read each chunk's one plan."""
+    (plan, b, e) of a chunk plan's ``runs`` to be taken in every member,
+    takes its scalar runs in every member itself, and returns each member's
+    (nodes, x, x′), or its DomainError if it left the float range."""
     if not step > 0.0:
         raise DomainError(f"step must be positive, got {step}")
     s = problem.start
@@ -636,35 +653,16 @@ def _integration(problem: DelayProblem, horizon: float, step: float):
                    for xs, vs in members):
             break
         c1 = min(c0 + chunk, n_steps)
-        # the last plan and its lists go before the next plan is built
-        plan = ok = ok_at = bad_at = reach = None
+        plan = None  # the last plan goes before the next one is built
         gap = np.searchsorted(first, np.arange(c0, c1), side="right") - 1
         plan = _ChunkPlan(problem, ts, c0, c1, seg_p[gap], seg_tau[gap],
                           *bounds)
-        b, m = 0, c1 - c0
-        if plan.kind is None:
-            for xs, vs in members:
-                _take_steps(plan, b, m, xs, vs)
-            continue
-        ok = plan.ok.tolist()
-        ok_at = np.flatnonzero(plan.ok).tolist() + [m]
-        bad_at = np.flatnonzero(~plan.ok).tolist() + [m]
-        # no step reads past its own left node, so the first step past b to
-        # read past node c0 + b is the first whose running-max reach does
-        reach = np.maximum.accumulate(plan.reach).tolist()
-        while b < m:
-            e = b + 1
-            if ok[b]:
-                e = min(bad_at[bisect.bisect_left(bad_at, b)],
-                        bisect.bisect_right(reach, c0 + b))
-            if ok[b] and e - b >= _MIN_BLOCK:
+        for b, e, block in plan.runs:
+            if block:
                 yield plan, b, e
             else:
-                # with the following steps that cannot start a block
-                e = ok_at[bisect.bisect_left(ok_at, e)]
                 for xs, vs in members:
                     _take_steps(plan, b, e, xs, vs)
-            b = e
     outcomes = []
     for xs, vs in members:
         finite = np.isfinite(xs) & np.isfinite(vs)
@@ -705,7 +703,7 @@ def _advance_blocks(blocks: list, xs: np.ndarray, vs: np.ndarray) -> None:
     delayed = _hermite(xs[jj], vs[jj], xs[jj1], vs[jj1], steps[6:9],
                        steps[9:].reshape(4, 3, size))
     if any(plan.hv is not None for plan, *_ in blocks):
-        dense = np.concatenate([plan.dense[:, b:e]
+        dense = np.concatenate([plan.kind[:, b:e] == _DENSE
                                 for plan, b, e, _ in blocks], axis=1)
         hv = np.concatenate([np.zeros((3, e - b)) if plan.hv is None
                              else plan.hv[:, b:e]

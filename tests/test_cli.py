@@ -619,6 +619,29 @@ def test_range_values_refuses_cells_above_limit_before_building():
         assert peak < 10_000
 
 
+@pytest.mark.parametrize("argv, rng", [
+    (["thresholds", "--delta", "0:1e-300:1e-301"], "0.0:1e-300:1e-301"),
+    (["thresholds", "--delta", "1", "--rho", "0.5:0.5000000000001:1e-14"],
+     "0.5:0.5000000000001:1e-14"),
+], ids=["delta", "rho"])
+def test_range_whose_points_coincide_after_rounding_exits_1(
+        no_pool, tmp_path, capsys, argv, rng):
+    # rounding to 12 decimals would print one row, or solve one cell, 11
+    # times: refused, with no table and no cache entry
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"semicycles thresholds: thresholds: range {rng} "
+                            "has points that coincide when rounded to 12 "
+                            "decimals\n")
+    assert not list(tmp_path.glob("cache/table-*.json"))
+    # points 1e-12 apart stay four rows
+    assert main(["thresholds", "--delta", "0:3e-12:1e-12"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [r.split(",")[0] for r in rows] == ["0.0", "1e-12", "2e-12",
+                                               "3e-12"]
+
+
 @pytest.mark.parametrize("argv", [
     ["thresholds", "--delta", "0:1000000:0.0001"],
     ["thresholds", "--delta", "0:199:1", "--rho", "0:100:1"],

@@ -145,6 +145,13 @@ def test_margins_instances_scan_the_slope_once(monkeypatch):
     assert scans == [False, True] * 4
 
 
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_checked_is_the_number_of_metrics(suite):
+    # every check measures one metric and writes one row
+    report = run_suite(suite, seed=3, count=4)
+    assert report.checked == len(report.rows) > 0
+
+
 @pytest.mark.parametrize("suite, count", [
     ("decay", 3), ("margins", 5), ("comparison", 5), ("wronskian", 4)])
 def test_reports_do_not_depend_on_windows_or_workers(monkeypatch, suite,

@@ -1542,6 +1542,50 @@ def test_grouping_corpus_reads_every_stage_source(monkeypatch):
             (dense, dense, over), (ode, over, over)} <= shapes
 
 
+@pytest.mark.parametrize("min_block", [1, 3, 10 ** 9])
+def test_plan_runs_cover_the_steps_in_blocks_that_read_no_node_they_write(
+        monkeypatch, min_block):
+    # every plan both corpora build: its runs cover its steps in order, a
+    # block is at least _MIN_BLOCK ok steps reading no node it writes and
+    # ends where the next step is not ok or reads past its first node, the
+    # steps between blocks are one scalar run, which ends at an ok step or
+    # the plan's end, and a plan with no delay is one scalar run
+    monkeypatch.setattr(integrator, "_MIN_BLOCK", min_block)
+    plans = []
+
+    class Recording(integrator._ChunkPlan):
+        def __init__(self, problem, ts, c0, c1, *args):
+            super().__init__(problem, ts, c0, c1, *args)
+            plans.append((self, c1 - c0))
+
+    monkeypatch.setattr(integrator, "_ChunkPlan", Recording)
+    for group in _grouping_corpus() + _reference_corpus():
+        _grouping_outcome(group)
+    blocks = 0
+    for plan, m in plans:
+        runs = plan.runs
+        assert [b for b, _, _ in runs] == [0] + [e for _, e, _ in runs[:-1]]
+        assert runs[-1][1] == m and all(b < e for b, e, _ in runs)
+        if plan.kind is None:
+            assert runs == [(0, m, False)]
+            continue
+        ok = np.isin(plan.kind, (integrator._DENSE, integrator._VALUE)
+                     ).all(axis=0)
+        reads = np.where(plan.kind == integrator._DENSE, plan.jj + 1,
+                         0).max(axis=0)
+        for (b, e, block), after in zip(runs, runs[1:] + [None]):
+            if not block:
+                assert e == m or ok[e]
+                assert after is None or after[2]
+                continue
+            blocks += 1
+            assert e - b >= min_block and ok[b:e].all()
+            assert reads[b:e].max() <= plan.c0 + b
+            assert e == m or not ok[e] or reads[e] > plan.c0 + b
+    assert len(plans) > 40
+    assert (blocks > 0) == (min_block < 10 ** 9)
+
+
 def _plan_chunks(monkeypatch, chunk):
     """Chunks of ``chunk`` steps for a batch of more than two groups and four
     times that for fewer, as at the package's 512 and 2048."""
