@@ -1,19 +1,26 @@
-"""Hash every trajectory and every Ψ solve the benchmark's workloads produce.
+"""Record every trajectory, Ψ solve, scan and ϑ the benchmark's workloads
+produce, and hash the record or measure how far it moved.
 
 For each workload (``thresholds``, ``trajectories`` and ``suites``, the
 serial form of ``suites_pool``) and seed, this builds the perfbench inputs,
 runs the workload with the integrator's entry and ``thresholds.beta_iterate``
-wrapped, and hashes the bytes of every output in order: each trajectory's
-nodes, x and x′ arrays, each Ψ solve's ω sequence, Ψ and limit profile, or
-the type name and message of the exception a call raised.  After the run it
-scans each recorded trajectory (``integrator._zero_scan`` at the default
-tol) and hashes its zero times, their degenerate flags and its extremum
-times, and it hashes ϑ (``thresholds.theta``) at each distinct Δ of the
-recorded Ψ solves.  It prints four lines per workload and seed,
-``NAME@SEED integrate <sha256> <trajectories>``, ``NAME@SEED beta_iterate
-<sha256> <solves>``, ``NAME@SEED scans <sha256> <trajectories>`` and
-``NAME@SEED theta <sha256> <distinct Δ>``.  Ψ's in-process cache is
-cleared before each run, so that each run records every solve it needs.
+wrapped, and records the outputs once, as ``{kind: [entry]}``.  An entry is
+a tuple of arrays, or an exception written as ``"Type: message"``.  The
+four kinds, each in order:
+
+- ``integrate``: each trajectory's nodes, x and x′;
+- ``beta_iterate``: each Ψ solve's ω sequence, Ψ and limit profile, with
+  Ψ's in-process cache cleared before each run, so that each run records
+  every solve it needs;
+- ``scans``: each recorded trajectory's zero times, their degenerate flags
+  and its extremum times (``integrator._zero_scan`` at the default tol);
+  an integration's exception stands for its scan;
+- ``theta``: Δ and ϑ (``thresholds.theta``) at each distinct Δ of the
+  recorded Ψ solves, in order of first appearance.
+
+It prints one line per workload, seed and kind, ``NAME@SEED KIND <sha256>
+<entries>``, the sha256 over the bytes of every entry (each array's
+dtype, shape and contents; an exception's type name and message).
 
 The integrator's entry is ``integrator._integrate_many``, whose outputs are
 recorded in submission order, one entry per trajectory.  It must return a
@@ -25,25 +32,24 @@ Run from the repository root:
     python3 scripts/integrator_digest.py              # this checkout
     python3 scripts/integrator_digest.py --tree DIR   # another checkout
     python3 scripts/integrator_digest.py --parent HEAD~1
+    python3 scripts/integrator_digest.py --parent HEAD~1 --values
 
+``--values`` alone writes the tree's record, pickled, on stdout.
 ``--parent REV`` exports the committed files of REV (``git archive``) into
-a temporary directory, digests both trees, each in its own interpreter,
-prints both columns and how many digests of each kind differ, and exits 1
-if any line differs.  Seeds are 0-5 unless ``--seed`` (repeatable) names
-others.
+a temporary directory and reads the record of each tree that way, from an
+interpreter of its own.  It then prints both trees' hash lines and how many
+of each kind differ, and exits 1 if any line differs.  Seeds are 0-5
+unless ``--seed`` (repeatable) names others.
 
 ``--parent REV --values`` measures instead how far the values moved, for a
-change that moves them at rounding level: per workload and seed it prints
-the largest max |Δx|/max|x| and max |Δx′|/max|x′| over the paired
-trajectories, the largest |ΔΨ| over the paired solves, the largest |Δt|
-of the paired zeros and of the paired extrema and the largest |Δϑ| over
-the paired Δ, and exits 1 only if the two trees' outputs do not pair up
-(another count, node grid, degenerate flag, Δ or exception).  It reads
-each tree's outputs from that tree's own interpreter, which ``--values``
-without ``--parent`` runs: it writes the tree's outputs, pickled, on
-stdout.
-
-    python3 scripts/integrator_digest.py --parent HEAD~1 --values
+change that moves them at rounding level.  ``KINDS`` says, per kind, which
+arrays two entries must share to pair up (the node grid, the degenerate
+flags, Δ) and which it measures: x and x′ relative to the parent's largest
+|x| and |x′|; Ψ, the zero times, the extremum times and ϑ absolute.  Per
+workload and seed it prints the largest change of each measured array
+over the paired entries.  It exits 1 only if some entries do not pair up;
+each such one is an UNPAIRED line (another count of entries or of array
+elements, another shared array, or an exception on either side).
 """
 
 from __future__ import annotations
@@ -63,16 +69,33 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("thresholds", "trajectories", "suites")
 
+# per kind: the noun its entries are counted in, the arrays (by index) two
+# entries must share to pair, and the arrays measured, each as (name,
+# index, relative to the parent's largest |value|)
+KINDS = {
+    "integrate": ("trajectories", {0: "node grid"},
+                  (("x", 1, True), ("x'", 2, True))),
+    "beta_iterate": ("solves", {}, (("psi", 1, False),)),
+    "scans": ("scans", {1: "degenerate flag"},
+              (("zeros", 0, False), ("extrema", 2, False))),
+    "theta": ("thetas", {0: "Δ"}, (("theta", 1, False),)),
+}
 
-def digest(outputs: list) -> str:
-    """sha256 over each output's bytes: its three arrays' dtype, shape and
-    contents, or an exception's type name and message."""
+
+def _written(exc: BaseException) -> str:
+    """An exception as an entry records it: its type name and message."""
+    return f"{type(exc).__name__}: {exc}"
+
+
+def digest(entries: list) -> str:
+    """sha256 over each entry's bytes: its arrays' dtype, shape and
+    contents, or the type name and message of a written exception."""
     h = hashlib.sha256()
-    for out in outputs:
-        if isinstance(out, BaseException):
-            h.update(f"raise {type(out).__name__}: {out}\n".encode())
+    for entry in entries:
+        if isinstance(entry, str):
+            h.update(f"raise {entry}\n".encode())
             continue
-        for arr in out:
+        for arr in entry:
             arr = np.asarray(arr)
             h.update(f"{arr.dtype.str} {arr.shape}\n".encode())
             h.update(arr.tobytes())
@@ -81,13 +104,13 @@ def digest(outputs: list) -> str:
 
 def _recording(integrator, outputs: list):
     """A wrapper of ``integrator._integrate_many`` that appends a copy of
-    each group's nodes, x and x′, or its exception, to ``outputs`` in
-    submission order, and returns the outputs' list."""
+    each group's nodes, x and x′, or its written exception, to ``outputs``
+    in submission order, and returns the outputs' list."""
     inner = integrator._integrate_many
 
     def lockstep(groups):
         got = inner(groups)
-        outputs.extend(out if isinstance(out, BaseException)
+        outputs.extend(_written(out) if isinstance(out, BaseException)
                        else tuple(np.array(a) for a in out) for out in got)
         return got
     return lockstep
@@ -95,8 +118,8 @@ def _recording(integrator, outputs: list):
 
 def _solving(thresholds, solves: list, deltas: list):
     """A wrapper of ``thresholds.beta_iterate`` that appends each solve's
-    ω sequence, Ψ and limit profile, or the exception it raised, to
-    ``solves``, and its Δ to ``deltas``."""
+    ω sequence, Ψ and limit profile, or the written exception it raised,
+    to ``solves``, and its Δ to ``deltas``."""
     inner = thresholds.beta_iterate
 
     def solve(*args, **kwargs):
@@ -104,7 +127,7 @@ def _solving(thresholds, solves: list, deltas: list):
         try:
             res = inner(*args, **kwargs)
         except Exception as exc:
-            solves.append(exc)
+            solves.append(_written(exc))
             raise
         solves.append((np.array(res.omega_sequence), np.array([res.psi]),
                        res.limit_profile))
@@ -115,13 +138,13 @@ def _solving(thresholds, solves: list, deltas: list):
 def _scans(outputs: list) -> list:
     """Each recorded trajectory's zero times, their degenerate flags and
     its extremum times (``integrator._zero_scan`` at the default tol), or
-    the exception the scan raised; an integration's exception stands for
-    its scan."""
+    the written exception the scan raised; an integration's exception
+    stands for its scan."""
     import semicycles.integrator as integrator
 
     scans = []
     for out in outputs:
-        if isinstance(out, BaseException):
+        if isinstance(out, str):
             scans.append(out)
             continue
         try:
@@ -129,7 +152,7 @@ def _scans(outputs: list) -> list:
                 integrator.Trajectory(*out, problem=None),
                 integrator._SCAN_TOL)
         except Exception as exc:
-            scans.append(exc)
+            scans.append(_written(exc))
             continue
         scans.append((np.array([t for t, _ in zeros], dtype=float),
                       np.array([d for _, d in zeros], dtype=bool),
@@ -139,7 +162,8 @@ def _scans(outputs: list) -> list:
 
 def _thetas(deltas: list) -> list:
     """ϑ at each distinct Δ of ``deltas``, in order of first appearance:
-    (Δ, ϑ) as two one-element arrays, or the exception ``theta`` raised."""
+    (Δ, ϑ) as two one-element arrays, or the written exception ``theta``
+    raised."""
     import semicycles.thresholds as thresholds
 
     thetas = []
@@ -148,13 +172,12 @@ def _thetas(deltas: list) -> list:
             thetas.append((np.array([delta], dtype=float),
                            np.array([thresholds.theta(delta)])))
         except Exception as exc:
-            thetas.append(exc)
+            thetas.append(_written(exc))
     return thetas
 
 
-def _record(workload: str, seed: int, tmp: Path) -> tuple:
-    """Every integration's and every Ψ solve's output of one workload run,
-    each in order, and each solve's Δ."""
+def _record(workload: str, seed: int, tmp: Path) -> dict:
+    """One workload run's entries of every kind in ``KINDS``."""
     import semicycles.integrator as integrator
     import semicycles.thresholds as thresholds
     import workloads
@@ -179,143 +202,76 @@ def _record(workload: str, seed: int, tmp: Path) -> tuple:
     finally:
         for mod, attr in homes:
             setattr(mod, attr, wrappers[attr][0])
-    return outputs, solves, deltas
+    return {"integrate": outputs, "beta_iterate": solves,
+            "scans": _scans(outputs), "theta": _thetas(deltas)}
 
 
-def _values(outputs: list, solves: list) -> tuple:
-    """What ``--values`` compares: each trajectory's three arrays, each
-    solve's Ψ, and an exception as its type name and message."""
-    def plain(out):
-        return (f"{type(out).__name__}: {out}"
-                if isinstance(out, BaseException) else out)
-    return ([plain(out) for out in outputs],
-            [plain(s) if isinstance(s, BaseException) else float(s[1][0])
-             for s in solves])
-
-
-def _relative(got: np.ndarray, want: np.ndarray) -> float:
-    """max |got − want| / max |want| (0 where both are all zero)."""
-    scale = float(np.abs(want).max(initial=0.0))
+def _change(got: np.ndarray, want: np.ndarray, relative: bool) -> float:
+    """max |got − want|, divided by max |want| if ``relative`` (0 where
+    both are all zero)."""
+    scale = float(np.abs(want).max(initial=0.0)) if relative else 1.0
     diff = float(np.abs(got - want).max(initial=0.0))
     return diff / scale if scale else (0.0 if diff == 0.0 else math.inf)
 
 
-def value_changes(parent: tuple, change: tuple) -> tuple:
-    """The largest relative change of x and of x′ over paired trajectories,
-    the largest |ΔΨ| over paired solves (each pair from ``_values``), and a
-    list of what does not pair up."""
-    dx = dv = dpsi = 0.0
-    unpaired = []
-    for kind, old, new in (("trajectories", parent[0], change[0]),
-                           ("solves", parent[1], change[1])):
+def changes(parent: dict, change: dict) -> tuple[dict, list]:
+    """The largest change of each array ``KINDS`` measures, over the
+    entries of two records that pair up, and a list of what does not."""
+    moved, unpaired = {}, []
+    for kind, (noun, shared, measured) in KINDS.items():
+        moved.update((name, 0.0) for name, *_ in measured)
+        old, new = parent[kind], change[kind]
         if len(old) != len(new):
-            unpaired.append(f"{len(new)} {kind}, parent {len(old)}")
+            unpaired.append(f"{len(new)} {noun}, parent {len(old)}")
             continue
         for i, (a, b) in enumerate(zip(old, new)):
             if isinstance(a, str) or isinstance(b, str):
-                if not (isinstance(a, str) and a == b):
-                    unpaired.append(f"{kind} {i}: {str(b):.80} vs "
-                                    f"{str(a):.80}")
-            elif kind == "solves":
-                dpsi = max(dpsi, abs(b - a))
-            elif a[0].shape != b[0].shape or (a[0] != b[0]).any():
-                unpaired.append(f"{kind} {i}: another node grid")
+                why = None if a == b else f"{str(b):.80} vs {str(a):.80}"
+            elif [x.shape for x in a] != [x.shape for x in b]:
+                why = (f"sizes {[x.size for x in b]}, parent "
+                       f"{[x.size for x in a]}")
             else:
-                dx = max(dx, _relative(b[1], a[1]))
-                dv = max(dv, _relative(b[2], a[2]))
-    return dx, dv, dpsi, unpaired
+                why = next((f"another {what}" for k, what in shared.items()
+                            if (a[k] != b[k]).any()), None)
+            if why:
+                unpaired.append(f"{noun} {i}: {why}")
+            elif not isinstance(a, str):
+                for name, k, relative in measured:
+                    moved[name] = max(moved[name],
+                                      _change(b[k], a[k], relative))
+    return moved, unpaired
 
 
-def _scan_values(scans: list) -> list:
-    """What ``--values`` compares of the scans: each trajectory's three
-    arrays, an exception as its type name and message."""
-    return [f"{type(s).__name__}: {s}" if isinstance(s, BaseException)
-            else s for s in scans]
-
-
-def scan_changes(parent: list, change: list) -> tuple:
-    """The largest |Δt| of the zeros and of the extrema over paired scans
-    (each from ``_scan_values``), and a list of what does not pair up:
-    another count of scans, of zeros or of extrema, another degenerate
-    flag, or an exception on either side."""
-    dz = de = 0.0
-    if len(parent) != len(change):
-        return dz, de, [f"{len(change)} scans, parent {len(parent)}"]
-    unpaired = []
-    for i, (a, b) in enumerate(zip(parent, change)):
-        if isinstance(a, str) or isinstance(b, str):
-            if not (isinstance(a, str) and a == b):
-                unpaired.append(f"scans {i}: {str(b):.80} vs {str(a):.80}")
-        elif a[0].shape != b[0].shape or a[2].shape != b[2].shape:
-            unpaired.append(f"scans {i}: {b[0].size} zeros and {b[2].size} "
-                            f"extrema, parent {a[0].size} and {a[2].size}")
-        elif (a[1] != b[1]).any():
-            unpaired.append(f"scans {i}: another degenerate flag")
-        else:
-            dz = max(dz, float(np.abs(b[0] - a[0]).max(initial=0.0)))
-            de = max(de, float(np.abs(b[2] - a[2]).max(initial=0.0)))
-    return dz, de, unpaired
-
-
-def _theta_values(thetas: list) -> list:
-    """What ``--values`` compares of ϑ: each (Δ, ϑ) as floats, an
-    exception as its type name and message."""
-    return [f"{type(t).__name__}: {t}" if isinstance(t, BaseException)
-            else (float(t[0][0]), float(t[1][0])) for t in thetas]
-
-
-def theta_changes(parent: list, change: list) -> tuple:
-    """The largest |Δϑ| over the ϑ paired by Δ (each from
-    ``_theta_values``), and a list of what does not pair up: another count
-    of Δ, another Δ, or an exception on either side."""
-    if len(parent) != len(change):
-        return 0.0, [f"{len(change)} thetas, parent {len(parent)}"]
-    dtheta, unpaired = 0.0, []
-    for i, (a, b) in enumerate(zip(parent, change)):
-        if isinstance(a, str) or isinstance(b, str) or a[0] != b[0]:
-            if a != b:
-                unpaired.append(f"theta {i}: {str(b):.80} vs {str(a):.80}")
-        else:
-            dtheta = max(dtheta, abs(b[1] - a[1]))
-    return dtheta, unpaired
-
-
-def _digest_tree(tree: Path, seeds: list[int], values: bool = False):
-    """Each workload and seed's four digest lines or, with ``values``, its
-    ``_values``, ``_scan_values`` and ``_theta_values`` under
-    "workload@seed"."""
+def _digest_tree(tree: Path, seeds: list[int]) -> dict:
+    """Each workload and seed's record under "workload@seed"."""
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
-    lines, found = [], {}
+    records = {}
     with tempfile.TemporaryDirectory(prefix="digest-") as tmp:
         os.environ["SEMICYCLE_CACHE_DIR"] = tmp
         for workload in WORKLOADS:
             for seed in seeds:
-                outputs, solves, deltas = _record(workload, seed, Path(tmp))
-                scans, thetas = _scans(outputs), _thetas(deltas)
-                for entry, recorded in (("integrate", outputs),
-                                        ("beta_iterate", solves),
-                                        ("scans", scans),
-                                        ("theta", thetas)):
-                    lines.append(f"{workload}@{seed} {entry} "
-                                 f"{digest(recorded)} {len(recorded)}")
-                found[f"{workload}@{seed}"] = (*_values(outputs, solves),
-                                               _scan_values(scans),
-                                               _theta_values(thetas))
-    return found if values else lines
+                records[f"{workload}@{seed}"] = _record(workload, seed,
+                                                        Path(tmp))
+    return records
 
 
-def _in_subprocess(tree: Path, seeds: list[int], values: bool = False):
+def _lines(records: dict) -> list[str]:
+    """The hash line of each record's every kind."""
+    return [f"{key} {kind} {digest(entries)} {len(entries)}"
+            for key, record in records.items()
+            for kind, entries in record.items()]
+
+
+def _in_subprocess(tree: Path, seeds: list[int]) -> dict:
     """``_digest_tree`` of ``tree`` in an interpreter of its own."""
-    argv = [sys.executable, __file__, "--tree", str(tree)]
-    argv += ["--values"] if values else []
+    argv = [sys.executable, __file__, "--tree", str(tree), "--values"]
     for seed in seeds:
         argv += ["--seed", str(seed)]
     proc = subprocess.run(argv, capture_output=True)
     if proc.returncode:
         raise SystemExit(f"integrator_digest: {tree} failed:\n"
                          f"{proc.stderr[-2000:].decode(errors='replace')}")
-    return (pickle.loads(proc.stdout) if values
-            else proc.stdout.decode().splitlines())
+    return pickle.loads(proc.stdout)
 
 
 def main(argv=None) -> int:
@@ -329,26 +285,38 @@ def main(argv=None) -> int:
                     help="repeatable (default: 0 to 5)")
     ap.add_argument("--values", action="store_true",
                     help="with --parent: how far values moved, not hashes; "
-                         "alone: this tree's values, pickled on stdout")
+                         "alone: this tree's record, pickled on stdout")
     args = ap.parse_args(argv)
     seeds = args.seed or list(range(6))
     if args.parent is None:
-        found = _digest_tree(args.tree.resolve(), seeds, args.values)
+        records = _digest_tree(args.tree.resolve(), seeds)
         if args.values:
-            pickle.dump(found, sys.stdout.buffer)
+            pickle.dump(records, sys.stdout.buffer)
         else:
-            print("\n".join(found))
+            print("\n".join(_lines(records)))
         return 0
     # the export bench_pair.py makes, from the script beside this one
     from bench_pair import _export, _git
 
     rev = _git("rev-parse", args.parent)
-    if args.values:
-        return _compare_values(rev, seeds)
+    # the hash lines need one record at a time, --values both at once
+    keep = (lambda records: records) if args.values else _lines
     with tempfile.TemporaryDirectory(prefix="digest-parent-") as tmp:
         _export(rev, Path(tmp))
-        parent = _in_subprocess(Path(tmp), seeds)
-    change = _in_subprocess(ROOT, seeds)
+        parent = keep(_in_subprocess(Path(tmp), seeds))
+    change = keep(_in_subprocess(ROOT, seeds))
+    if args.values:
+        bad = 0
+        for key, new in change.items():
+            moved, unpaired = changes(parent[key], new)
+            bad += bool(unpaired)
+            print(f"{key} "
+                  + " ".join(f"{name} {d:.2e}" for name, d in moved.items())
+                  + f" ({len(new['integrate'])} trajectories, "
+                  f"{len(new['beta_iterate'])} solves)"
+                  + "".join(f"\n    UNPAIRED {u}" for u in unpaired[:5]))
+        print(f"values against {rev[:12]}; {bad} runs do not pair up")
+        return 1 if bad else 0
     for p_line, c_line in zip(parent, change):
         print(f"{'same' if p_line == c_line else 'DIFF'} parent {p_line}")
         print(f"{'':4} change {c_line}")
@@ -361,39 +329,15 @@ def main(argv=None) -> int:
 
 
 def differing(parent: list, change: list) -> dict:
-    """Per kind of digest line (``integrate``, ``beta_iterate``,
-    ``scans``, ``theta``), how many of the paired lines differ and how many
-    there are."""
+    """Per kind of hash line (``integrate``, ``beta_iterate``, ``scans``,
+    ``theta``), how many of the paired lines differ and how many there
+    are."""
     kinds = {}
     for p_line, c_line in zip(parent, change):
         count = kinds.setdefault(c_line.split()[1], [0, 0])
         count[0] += p_line != c_line
         count[1] += 1
     return kinds
-
-
-def _compare_values(rev: str, seeds: list[int]) -> int:
-    """``--values``: both trees' outputs, each from its own interpreter,
-    compared one workload and seed at a time."""
-    from bench_pair import _export
-
-    with tempfile.TemporaryDirectory(prefix="digest-values-") as tmp:
-        _export(rev, Path(tmp))
-        parent = _in_subprocess(Path(tmp), seeds, values=True)
-    change = _in_subprocess(ROOT, seeds, values=True)
-    bad = 0
-    for key, new in change.items():
-        dx, dv, dpsi, unpaired = value_changes(parent[key], new)
-        dz, de, scans_unpaired = scan_changes(parent[key][2], new[2])
-        dtheta, thetas_unpaired = theta_changes(parent[key][3], new[3])
-        unpaired += scans_unpaired + thetas_unpaired
-        bad += bool(unpaired)
-        print(f"{key} x {dx:.2e} x' {dv:.2e} psi {dpsi:.2e} "
-              f"zeros {dz:.2e} extrema {de:.2e} theta {dtheta:.2e} "
-              f"({len(new[0])} trajectories, {len(new[1])} solves)"
-              + "".join(f"\n    UNPAIRED {u}" for u in unpaired[:5]))
-    print(f"values against {rev[:12]}; {bad} runs do not pair up")
-    return 1 if bad else 0
 
 
 if __name__ == "__main__":

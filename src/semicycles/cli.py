@@ -193,10 +193,29 @@ def _emit(path: str | None, text: str) -> None:
         raise
 
 
+class _ParseError(ValueError):
+    """A file that holds no JSON document; the CLI exits 2 on it."""
+
+
+def _read_json(path) -> object:
+    """The JSON document in the file at ``path``, read as UTF-8.  Bytes
+    that are not UTF-8, malformed JSON and nesting too deep for the parser
+    raise ``_ParseError``."""
+    raw = Path(path).read_bytes()
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise _ParseError(f"JSON parse error: not UTF-8 ({exc.reason} at "
+                          f"byte {exc.start})") from None
+    except json.JSONDecodeError as exc:
+        raise _ParseError(f"JSON parse error at line {exc.lineno}, column "
+                          f"{exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise _ParseError("JSON parse error: nested too deeply") from None
+
+
 def _load_problem(path: str):
-    with open(path) as fh:
-        data = json.load(fh)
-    return problem_from_dict(data)
+    return problem_from_dict(_read_json(path))
 
 
 def _originating_op(exc: BaseException) -> str | None:
@@ -242,17 +261,22 @@ def _cached_table(path: Path, deltas: tuple, rhos: tuple,
                   grid_size: int) -> dict | None:
     """The table stored at ``path`` if it can be read, was made by this
     version and algorithm, and holds this request's grid with one ϑ per Δ
-    and one Ψ per (Δ, ρ); None otherwise."""
+    and one Ψ per (Δ, ρ), each a finite float; None otherwise."""
     try:
-        table = json.loads(path.read_text())
+        table = _read_json(path)
         if (table["version"] == __version__
                 and table["algorithm"] == _TABLE_ALGORITHM
-                and table["deltas"] == list(deltas)
-                and table["rhos"] == list(rhos)
+                # compared as written: JSON's true, 1 and -0.0 equal the
+                # floats 1.0 and 0.0, but print otherwise
+                and json.dumps([table["deltas"], table["rhos"]])
+                == json.dumps([deltas, rhos])
                 and table["grid"] == grid_size
                 and len(table["theta"]) == len(deltas)
                 and len(table["psi"]) == len(deltas)
-                and all(len(row) == len(rhos) for row in table["psi"])):
+                and all(len(row) == len(rhos) for row in table["psi"])
+                and all(type(v) is float and math.isfinite(v)
+                        for row in (table["theta"], *table["psi"])
+                        for v in row)):
             return table
     except (OSError, ValueError, KeyError, TypeError):
         pass
@@ -441,10 +465,8 @@ def run(args: argparse.Namespace) -> int:
     """Run one parsed invocation; returns the process exit status."""
     try:
         return args.handler(args)
-    except json.JSONDecodeError as exc:
-        print(f"semicycles {args.subcommand}: JSON parse error at line "
-              f"{exc.lineno}, column {exc.colno}: {exc.msg}",
-              file=sys.stderr)
+    except _ParseError as exc:
+        print(f"semicycles {args.subcommand}: {exc}", file=sys.stderr)
         return 2
     except SemicycleError as exc:
         op = _originating_op(exc) or args.subcommand

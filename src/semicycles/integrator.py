@@ -637,7 +637,7 @@ def _integration(problem: DelayProblem, horizon: float, step: float):
     total = counts.sum()
     if not total <= _MAX_STEPS:
         raise DomainError(
-            f"integration to {horizon} with step {step} needs {total:.0f} "
+            f"integration to {horizon} with step {step} needs {total:.15g} "
             f"steps, more than the limit of {_MAX_STEPS}")
     ts, first = _step_grid(nodes, counts.astype(np.intp))
     members, chunk = yield ts.size

@@ -126,8 +126,22 @@ def _edit_entry(key, fn):
     _edit_entry("psi", lambda psi: [row[:-1] for row in psi]),
     _edit_entry("algorithm", lambda tag: tag + "-stale"),
     _edit_entry("version", lambda version: "0.0.0"),
+    # values that compare equal to the request's floats, or no finite float
+    _edit_entry("deltas", lambda deltas: [bool(d) if d in (0.0, 1.0) else d
+                                          for d in deltas]),
+    _edit_entry("rhos", lambda rhos: [True if r == 1.0 else r for r in rhos]),
+    _edit_entry("deltas", lambda deltas: [int(d) for d in deltas]),
+    _edit_entry("deltas", lambda deltas: [-d if d == 0.0 else d
+                                          for d in deltas]),
+    _edit_entry("theta", lambda theta: ["oops"] + theta[1:]),
+    _edit_entry("psi", lambda psi: [[None] + psi[0][1:]] + psi[1:]),
+    _edit_entry("psi", lambda psi: [[math.nan] + psi[0][1:]] + psi[1:]),
+    lambda text: "[" * 5000,
 ], ids=["truncated", "list", "other_rhos", "other_grid", "short_theta",
-        "short_psi", "short_psi_rows", "stale_algorithm", "stale_version"])
+        "short_psi", "short_psi_rows", "stale_algorithm", "stale_version",
+        "bool_deltas", "bool_rhos", "int_deltas", "negative_zero",
+        "string_theta",
+        "null_psi", "nan_psi", "too_deep"])
 def test_damaged_cache_entry_is_recomputed(tmp_path, damage):
     args = ["thresholds", "--delta", "0:2:1", "--rho", "0.5:1.5:0.5",
             "--grid", "512"]
@@ -322,6 +336,21 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     assert main(["simulate", "--problem", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "line" in err and "column" in err
+
+
+@pytest.mark.parametrize("sub", ["simulate", "classify"])
+@pytest.mark.parametrize("data, wrong", [
+    (b"\xff\xfe{}", "not UTF-8 (invalid start byte at byte 0)"),
+    (b"{\"p\": \"\xc3\xa9\xc3\"}", "not UTF-8 (invalid continuation byte at "
+                                 "byte 9)"),
+    (b"[" * 5000, "nested too deeply"),
+], ids=["not_utf8", "bad_utf8_later", "too_deep"])
+def test_unreadable_problem_file_exits_2(tmp_path, capsys, sub, data, wrong):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    assert main([sub, "--problem", str(bad)]) == 2
+    assert capsys.readouterr().err == (f"semicycles {sub}: JSON parse "
+                                       f"error: {wrong}\n")
 
 
 def test_schema_violation_exits_1_naming_operation(tmp_path, capsys):
@@ -717,7 +746,8 @@ _FLAGS = {
 }
 _POSITIONAL = {"repro": ("example2", "example3", "sin", "bogus"),
                "harness": SUITE_NAMES + ("bogus",)}
-_PROBLEMS = ("good", "malformed", "schema", "missing")
+_PROBLEMS = ("good", "malformed", "not_utf8", "too_deep", "schema",
+             "missing")
 
 
 def _problem_path(tmp: Path, kind: str) -> str:
@@ -727,6 +757,10 @@ def _problem_path(tmp: Path, kind: str) -> str:
         path.write_text(json.dumps(problem_to_dict(prob)))
     elif kind == "malformed":
         path.write_text("{not json")
+    elif kind == "not_utf8":
+        path.write_bytes(b"\xff\xfe{}")
+    elif kind == "too_deep":
+        path.write_text("[" * 5000)
     elif kind == "schema":
         path.write_text(json.dumps({"p": 1}))
     return str(path)

@@ -941,6 +941,13 @@ def test_step_count_limit_is_inclusive(monkeypatch):
         integrate(prob, 1.0, step=0.0099)
 
 
+def test_step_count_refusal_prints_a_short_count():
+    # a count past 1e15 prints in exponent form, not as 301 digits
+    prob = _const_problem(1.0, 0.0, 0.0, 1.0, 0.0)
+    with pytest.raises(DomainError, match=r"needs 1e\+300 steps, more"):
+        integrate(prob, 1e300, step=1.0)
+
+
 @pytest.mark.parametrize("start, horizon", [
     (0.0, 1e-300), (0.0, 1e-13), (0.0, 5e-13), (1e6, 1e6 + 5e-7)])
 def test_horizon_inside_node_merge_tolerance_refused(start, horizon):

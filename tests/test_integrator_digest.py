@@ -1,8 +1,9 @@
-"""scripts/integrator_digest.py hashes every byte of the integrator's
-outputs and of the Ψ solves, so one ulp anywhere changes a digest, and
-records each trajectory once, each Ψ solve a workload runs, each
-trajectory's zero and extremum times, and ϑ at each Δ solved."""
+"""scripts/integrator_digest.py records each trajectory once, each Ψ solve
+a workload runs, each trajectory's zero and extremum times, and ϑ at each
+Δ solved, hashes every byte of the record, so one ulp anywhere changes a
+digest, and compares two records kind by kind through one table."""
 
+import hashlib
 import importlib.util
 from pathlib import Path
 
@@ -18,12 +19,13 @@ _SPEC = importlib.util.spec_from_file_location("integrator_digest", _SCRIPT)
 integrator_digest = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(integrator_digest)
 digest = integrator_digest.digest
+written = integrator_digest._written
 
 
 def _outputs():
     ts = np.linspace(0.0, 1.0, 7)
     return [(ts, np.cos(ts), -np.sin(ts)),
-            HistoryDomainError("delayed argument -2.0"),
+            "HistoryDomainError: delayed argument -2.0",
             (ts, np.sin(ts), np.cos(ts))]
 
 
@@ -45,9 +47,19 @@ def test_signs_of_zero_exceptions_and_order_count():
     outputs[0][2][0] = 0.0
     assert digest(outputs) != negative
     outputs = _outputs()
-    outputs[1] = HistoryDomainError("delayed argument -2.5")
+    outputs[1] = "HistoryDomainError: delayed argument -2.5"
     assert digest(outputs) != digest(_outputs())
     assert digest(_outputs()[::-1]) != digest(_outputs())
+
+
+def test_written_exception_hashes_as_the_exception_line():
+    """An exception is recorded as "Type: message" and hashed as the line
+    "raise Type: message", so the digests of records that held the
+    exception objects stay the same."""
+    error = HistoryDomainError("delayed argument -2.0")
+    assert written(error) == "HistoryDomainError: delayed argument -2.0"
+    line = b"raise HistoryDomainError: delayed argument -2.0\n"
+    assert digest([written(error)]) == hashlib.sha256(line).hexdigest()
 
 
 def test_lockstep_entry_records_each_group_in_submission_order():
@@ -60,7 +72,8 @@ def test_lockstep_entry_records_each_group_in_submission_order():
     outputs = []
     got = list(integrator_digest._recording(integrator, outputs)(groups))
     assert len(got) == len(outputs) == 3
-    assert isinstance(got[1], DomainError) and outputs[1] is got[1]
+    assert isinstance(got[1], DomainError)
+    assert outputs[1] == written(got[1])
     for out, alone in zip(outputs[::2], (groups[0], groups[2])):
         want = integrator._integrate_many([alone])[0]
         assert digest([out]) == digest([want])
@@ -74,10 +87,10 @@ def test_psi_solves_recorded_with_their_limit_profiles():
     solves, deltas = [], []
     solve = integrator_digest._solving(thresholds, solves, deltas)
     res = solve(0.7, 0.9, 64)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError) as refused:
         solve(-1.0, 0.9, 64)
     solve(0.7, delta=0.4, grid_size=64)
-    assert len(solves) == 3 and isinstance(solves[1], DomainError)
+    assert len(solves) == 3 and solves[1] == written(refused.value)
     assert deltas == [0.9, 0.9, 0.4]
     omegas, psi, profile = solves[0]
     assert omegas.tobytes() == np.array(res.omega_sequence).tobytes()
@@ -92,56 +105,34 @@ def test_psi_solves_recorded_with_their_limit_profiles():
 def test_thresholds_run_records_every_table_solve(tmp_path, monkeypatch):
     """A ``thresholds`` run records the Ψ solve of each of the table's 217
     cells and of ``gamma_constant``, and integrates nothing; a second run
-    records the same solves, though the first left them in Ψ's cache."""
+    records the same solves, though the first left them in Ψ's cache.  Its
+    record holds ϑ at each distinct Δ solved, and every kind of ``KINDS``."""
     monkeypatch.syspath_prepend(str(_SCRIPT.parents[1] / "perfbench"))
     from semicycles import thresholds
 
+    solving, thetas = integrator_digest._solving, integrator_digest._thetas
+    run_deltas = []
+
+    def kept(thresholds, solves, deltas):
+        run_deltas.append(deltas)
+        return solving(thresholds, solves, deltas)
+    monkeypatch.setattr(integrator_digest, "_solving", kept)
     runs = []
     for k in range(2):
         # a fresh table cache, so that the CLI solves the table again
         monkeypatch.setenv("SEMICYCLE_CACHE_DIR", str(tmp_path / f"c{k}"))
         runs.append(integrator_digest._record("thresholds", 0, tmp_path))
         assert thresholds.beta_iterate.__name__ == "beta_iterate"
-    (outputs, solves, deltas), (_, again, _) = runs
-    assert outputs == []
+    record, again = runs
+    assert list(record) == list(integrator_digest.KINDS)
+    solves, deltas = record["beta_iterate"], run_deltas[0]
+    assert record["integrate"] == record["scans"] == []
     assert len(solves) > 217 and len(deltas) == len(solves)
-    assert not any(isinstance(s, BaseException) for s in solves)
-    assert digest(again) == digest(solves)
-    thetas = integrator_digest._thetas(deltas)
-    assert 1 < len(thetas) == len(set(deltas))
-    assert not any(isinstance(t, BaseException) for t in thetas)
-
-
-def test_values_mode_measures_relative_changes_and_pairing():
-    """``--values`` reports how far x, x′ and Ψ moved between paired
-    outputs, relative to the parent's largest |x| and |x′|, and what does
-    not pair up: another count, node grid or exception."""
-    ts = np.linspace(0.0, 1.0, 5)
-    xs, vs = 4.0 * np.cos(ts), -2.0 * np.sin(ts)
-    error = HistoryDomainError("delayed argument -2.0")
-    solves = [(np.array([1.0]), np.array([1.5]), np.zeros(3)),
-              DomainError("delay must be finite")]
-    parent = integrator_digest._values([(ts, xs, vs), error], solves)
-    assert parent[0][1] == "HistoryDomainError: delayed argument -2.0"
-    assert parent[1] == [1.5, "DomainError: delay must be finite"]
-    moved_x, moved_v = xs.copy(), vs.copy()
-    moved_x[2] += 4e-12   # relative to max |x| = 4
-    moved_v[3] -= 1e-13   # relative to max |x′| = 2 sin 0.75 = 1.36
-    change = integrator_digest._values(
-        [(ts, moved_x, moved_v), error],
-        [(np.array([1.0]), np.array([1.5 + 2e-13]), np.zeros(3)),
-         solves[1]])
-    dx, dv, dpsi, unpaired = integrator_digest.value_changes(parent, change)
-    assert dx == pytest.approx(1e-12, rel=1e-3)
-    assert dv == pytest.approx(1e-13 / (2.0 * np.sin(0.75)), rel=1e-3)
-    assert dpsi == pytest.approx(2e-13, rel=1e-2)
-    assert unpaired == []
-    assert integrator_digest.value_changes(parent, parent) == (0.0, 0.0,
-                                                               0.0, [])
-    other = integrator_digest._values(
-        [(ts[:-1], xs[:-1], vs[:-1]), (ts, xs, vs)], solves[:1])
-    *_, unpaired = integrator_digest.value_changes(parent, other)
-    assert len(unpaired) == 3   # a node grid, an exception, a count
+    assert not any(isinstance(s, str) for s in solves)
+    assert digest(again["beta_iterate"]) == digest(solves)
+    assert digest(record["theta"]) == digest(thetas(deltas))
+    assert 1 < len(record["theta"]) == len(set(deltas))
+    assert not any(isinstance(t, str) for t in record["theta"])
 
 
 def test_scans_hash_each_trajectorys_zero_and_extremum_times():
@@ -157,10 +148,10 @@ def test_scans_hash_each_trajectorys_zero_and_extremum_times():
     # x = 1 − cos t touches zero at 0, 2π and 4π: degenerate zeros
     ts = np.linspace(0.0, 4.0 * np.pi, 801)
     touch = (ts, 1.0 - np.cos(ts), np.sin(ts))
-    error = HistoryDomainError("delayed argument -2.0")
+    error = "HistoryDomainError: delayed argument -2.0"
     scans = integrator_digest._scans([(traj.ts, traj.xs, traj.vs), error,
                                       touch])
-    assert scans[1] is error
+    assert scans[1] == error
     for scan, out in zip(scans[::2], ((traj.ts, traj.xs, traj.vs), touch)):
         zeros, extrema = integrator._zero_scan(
             integrator.Trajectory(*out, problem=None), integrator._SCAN_TOL)
@@ -182,38 +173,11 @@ def test_scans_hash_each_trajectorys_zero_and_extremum_times():
 def test_trajectories_run_scans_every_trajectory(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(_SCRIPT.parents[1] / "perfbench"))
     monkeypatch.setenv("SEMICYCLE_CACHE_DIR", str(tmp_path))
-    outputs, *_ = integrator_digest._record("trajectories", 0, tmp_path)
-    scans = integrator_digest._scans(outputs)
+    record = integrator_digest._record("trajectories", 0, tmp_path)
+    outputs, scans = record["integrate"], record["scans"]
+    assert digest(scans) == digest(integrator_digest._scans(outputs))
     assert len(scans) == len(outputs) == 4
     assert all(isinstance(s, tuple) and s[0].size > 3 for s in scans)
-
-
-def test_values_mode_measures_zero_and_extremum_moves():
-    """``--values`` reports the largest |Δt| of the paired zeros and of the
-    paired extrema, and what does not pair up: another count of scans,
-    zeros or extrema, another degenerate flag, or an exception."""
-    zeros = np.array([1.0, 2.0, 3.0])
-    flags = np.array([False, True, False])
-    peaks = np.array([1.5, 2.5])
-    error = HistoryDomainError("delayed argument -2.0")
-    parent = integrator_digest._scan_values([(zeros, flags, peaks), error])
-    assert parent[1] == "HistoryDomainError: delayed argument -2.0"
-    change = integrator_digest._scan_values(
-        [(zeros + [0.0, 3e-11, -5e-11], flags, peaks + [2e-11, 0.0]), error])
-    dz, de, unpaired = integrator_digest.scan_changes(parent, change)
-    assert dz == pytest.approx(5e-11, rel=1e-3)
-    assert de == pytest.approx(2e-11, rel=1e-3)
-    assert unpaired == []
-    assert integrator_digest.scan_changes(parent, parent) == (0.0, 0.0, [])
-    other = integrator_digest._scan_values(
-        [(zeros[:2], flags[:2], peaks), (zeros, flags, peaks)])
-    *_, unpaired = integrator_digest.scan_changes(parent, other)
-    assert len(unpaired) == 2   # a zero count, a scan against an exception
-    flipped = [(zeros, ~flags, peaks), parent[1]]
-    *_, unpaired = integrator_digest.scan_changes(parent, flipped)
-    assert unpaired == ["scans 0: another degenerate flag"]
-    *_, unpaired = integrator_digest.scan_changes(parent, parent[:1])
-    assert unpaired == ["1 scans, parent 2"]
 
 
 def test_theta_hashed_once_per_distinct_delta_in_order():
@@ -226,7 +190,9 @@ def test_theta_hashed_once_per_distinct_delta_in_order():
     assert [t[0].item() for t in thetas[:2]] == [0.9, 0.0]
     assert [t[1].item() for t in thetas[:2]] == [thresholds.theta(0.9),
                                                   thresholds.theta(0.0)]
-    assert isinstance(thetas[2], DomainError)
+    with pytest.raises(DomainError) as refused:
+        thresholds.theta(-1.0)
+    assert thetas[2] == written(refused.value)
     assert thetas[3][0].item() == 2.0 and len(thetas) == 4
     base = digest(thetas)
     for k in range(2):
@@ -236,24 +202,90 @@ def test_theta_hashed_once_per_distinct_delta_in_order():
         assert digest(changed) != base, k
 
 
-def test_values_mode_measures_theta_moves():
-    """``--values`` reports the largest |Δϑ| over ϑ paired by Δ, and what
-    does not pair up: another count, another Δ or an exception."""
-    error = DomainError("delay must be finite and nonnegative, got -1.0")
-    parent = integrator_digest._theta_values(
-        [(np.array([0.9]), np.array([1.45])), error,
-         (np.array([2.0]), np.array([1.41]))])
-    assert parent == [(0.9, 1.45), "DomainError: delay must be finite and "
-                      "nonnegative, got -1.0", (2.0, 1.41)]
-    change = [(0.9, 1.45 + 3e-14), parent[1], (2.0, 1.41 - 1e-14)]
-    dtheta, unpaired = integrator_digest.theta_changes(parent, change)
-    assert dtheta == pytest.approx(3e-14, rel=1e-2) and unpaired == []
-    assert integrator_digest.theta_changes(parent, parent) == (0.0, [])
-    other = [(0.8, 1.45), (1.0, 1.5), parent[2]]
-    dtheta, unpaired = integrator_digest.theta_changes(parent, other)
-    assert dtheta == 0.0 and len(unpaired) == 2  # a Δ, an exception
-    assert integrator_digest.theta_changes(parent, parent[:2])[1] == [
-        "2 thetas, parent 3"]
+def test_values_mode_compares_every_kind_through_kinds():
+    """``--values`` pairs each kind's entries as ``KINDS`` says and reports
+    the largest change of each measured array: x and x′ relative to the
+    parent's largest |x| and |x′|, Ψ, zero and extremum times and ϑ
+    absolute; and what does not pair up: another count of entries or of
+    zeros, node grid, degenerate flag, Δ, or an exception."""
+    names = [name for *_, measured in integrator_digest.KINDS.values()
+             for name, *_ in measured]
+    assert names == ["x", "x'", "psi", "zeros", "extrema", "theta"]
+    history = written(HistoryDomainError("delayed argument -2.0"))
+    assert history == "HistoryDomainError: delayed argument -2.0"
+    finite = written(DomainError("delay must be finite"))
+    assert finite == "DomainError: delay must be finite"
+    refused = "DomainError: delay must be finite and nonnegative, got -1.0"
+    ts = np.linspace(0.0, 1.0, 5)
+    xs, vs = 4.0 * np.cos(ts), -2.0 * np.sin(ts)
+    zeros = np.array([1.0, 2.0, 3.0])
+    flags = np.array([False, True, False])
+    peaks = np.array([1.5, 2.5])
+
+    def solve(psi):
+        return np.array([1.0]), np.array([psi]), np.zeros(3)
+
+    def theta(delta, value):
+        return np.array([delta]), np.array([value])
+    parent = {"integrate": [(ts, xs, vs), history],
+              "beta_iterate": [solve(1.5), finite],
+              "scans": [(zeros, flags, peaks), history],
+              "theta": [theta(0.9, 1.45), refused, theta(2.0, 1.41)]}
+    moved_x, moved_v = xs.copy(), vs.copy()
+    moved_x[2] += 4e-12   # relative to max |x| = 4
+    moved_v[3] -= 1e-13   # relative to max |x′| = 2 sin 0.75 = 1.36
+    change = {"integrate": [(ts, moved_x, moved_v), history],
+              "beta_iterate": [solve(1.5 + 2e-13), finite],
+              "scans": [(zeros + [0.0, 3e-11, -5e-11], flags,
+                         peaks + [2e-11, 0.0]), history],
+              "theta": [theta(0.9, 1.45 + 3e-14), refused,
+                        theta(2.0, 1.41 - 1e-14)]}
+    moved, unpaired = integrator_digest.changes(parent, change)
+    assert unpaired == [] and list(moved) == names
+    assert moved["x"] == pytest.approx(1e-12, rel=1e-3)
+    assert moved["x'"] == pytest.approx(1e-13 / (2.0 * np.sin(0.75)),
+                                        rel=1e-3)
+    assert moved["psi"] == pytest.approx(2e-13, rel=1e-2)
+    assert moved["zeros"] == pytest.approx(5e-11, rel=1e-3)
+    assert moved["extrema"] == pytest.approx(2e-11, rel=1e-3)
+    assert moved["theta"] == pytest.approx(3e-14, rel=1e-2)
+    assert integrator_digest.changes(parent, parent) == (
+        dict.fromkeys(names, 0.0), [])
+
+    def against(**kinds):
+        # the parent with some kinds' entries replaced
+        return integrator_digest.changes(parent, {**parent, **kinds})
+    # a node grid, an exception, a count
+    _, unpaired = against(
+        integrate=[(ts[:-1], xs[:-1], vs[:-1]), (ts, xs, vs)],
+        beta_iterate=parent["beta_iterate"][:1])
+    assert len(unpaired) == 3
+    _, unpaired = against(integrate=[(ts + 0.1, xs, vs), history])
+    assert unpaired == ["trajectories 0: another node grid"]
+    # a zero count, a scan against an exception
+    _, unpaired = against(scans=[(zeros[:2], flags[:2], peaks),
+                                 (zeros, flags, peaks)])
+    assert len(unpaired) == 2
+    _, unpaired = against(scans=[(zeros, ~flags, peaks), history])
+    assert unpaired == ["scans 0: another degenerate flag"]
+    _, unpaired = against(scans=parent["scans"][:1])
+    assert unpaired == ["1 scans, parent 2"]
+    # a Δ, an exception
+    moved, unpaired = against(theta=[theta(0.8, 1.45), theta(1.0, 1.5),
+                                     parent["theta"][2]])
+    assert moved["theta"] == 0.0 and len(unpaired) == 2
+    _, unpaired = against(theta=parent["theta"][:2])
+    assert unpaired == ["2 thetas, parent 3"]
+
+
+def test_hash_lines_name_each_kind_of_each_record():
+    record = {"integrate": _outputs(), "beta_iterate": [],
+              "scans": _outputs()[:1], "theta": ["DomainError: no"]}
+    lines = integrator_digest._lines({"t@0": record, "s@1": record})
+    assert lines[:4] == [f"t@0 {kind} {digest(entries)} {len(entries)}"
+                         for kind, entries in record.items()]
+    assert [line.split()[:2] for line in lines[4:]] == [
+        ["s@1", kind] for kind in record]
 
 
 def test_parent_mode_counts_differing_digests_by_kind():
