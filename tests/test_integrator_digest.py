@@ -202,79 +202,101 @@ def test_theta_hashed_once_per_distinct_delta_in_order():
         assert digest(changed) != base, k
 
 
-def test_values_mode_compares_every_kind_through_kinds():
-    """``--values`` pairs each kind's entries as ``KINDS`` says and reports
-    the largest change of each measured array: x and x′ relative to the
-    parent's largest |x| and |x′|, Ψ, zero and extremum times and ϑ
-    absolute; and what does not pair up: another count of entries or of
-    zeros, node grid, degenerate flag, Δ, or an exception."""
+def _kinds(**entries):
+    """A record holding ``entries`` and no entries of the other kinds."""
+    return {kind: entries.get(kind, []) for kind in integrator_digest.KINDS}
+
+
+def _changes(parent, change):
+    return integrator_digest.changes(_kinds(**parent), _kinds(**change))
+
+
+def test_values_mode_measures_relative_changes_and_pairing():
+    """``--values`` pairs entries as ``KINDS`` says and reports how far x,
+    x′ and Ψ moved between paired outputs, relative to the parent's
+    largest |x| and |x′|, and what does not pair up: another count, node
+    grid or exception."""
     names = [name for *_, measured in integrator_digest.KINDS.values()
              for name, *_ in measured]
     assert names == ["x", "x'", "psi", "zeros", "extrema", "theta"]
+    ts = np.linspace(0.0, 1.0, 5)
+    xs, vs = 4.0 * np.cos(ts), -2.0 * np.sin(ts)
     history = written(HistoryDomainError("delayed argument -2.0"))
     assert history == "HistoryDomainError: delayed argument -2.0"
     finite = written(DomainError("delay must be finite"))
     assert finite == "DomainError: delay must be finite"
-    refused = "DomainError: delay must be finite and nonnegative, got -1.0"
-    ts = np.linspace(0.0, 1.0, 5)
-    xs, vs = 4.0 * np.cos(ts), -2.0 * np.sin(ts)
-    zeros = np.array([1.0, 2.0, 3.0])
-    flags = np.array([False, True, False])
-    peaks = np.array([1.5, 2.5])
 
     def solve(psi):
         return np.array([1.0]), np.array([psi]), np.zeros(3)
-
-    def theta(delta, value):
-        return np.array([delta]), np.array([value])
     parent = {"integrate": [(ts, xs, vs), history],
-              "beta_iterate": [solve(1.5), finite],
-              "scans": [(zeros, flags, peaks), history],
-              "theta": [theta(0.9, 1.45), refused, theta(2.0, 1.41)]}
+              "beta_iterate": [solve(1.5), finite]}
     moved_x, moved_v = xs.copy(), vs.copy()
     moved_x[2] += 4e-12   # relative to max |x| = 4
     moved_v[3] -= 1e-13   # relative to max |x′| = 2 sin 0.75 = 1.36
-    change = {"integrate": [(ts, moved_x, moved_v), history],
-              "beta_iterate": [solve(1.5 + 2e-13), finite],
-              "scans": [(zeros + [0.0, 3e-11, -5e-11], flags,
-                         peaks + [2e-11, 0.0]), history],
-              "theta": [theta(0.9, 1.45 + 3e-14), refused,
-                        theta(2.0, 1.41 - 1e-14)]}
-    moved, unpaired = integrator_digest.changes(parent, change)
+    moved, unpaired = _changes(parent, {
+        "integrate": [(ts, moved_x, moved_v), history],
+        "beta_iterate": [solve(1.5 + 2e-13), finite]})
     assert unpaired == [] and list(moved) == names
     assert moved["x"] == pytest.approx(1e-12, rel=1e-3)
     assert moved["x'"] == pytest.approx(1e-13 / (2.0 * np.sin(0.75)),
                                         rel=1e-3)
     assert moved["psi"] == pytest.approx(2e-13, rel=1e-2)
+    assert _changes(parent, parent) == (dict.fromkeys(names, 0.0), [])
+    _, unpaired = _changes(parent, {
+        "integrate": [(ts[:-1], xs[:-1], vs[:-1]), (ts, xs, vs)],
+        "beta_iterate": parent["beta_iterate"][:1]})
+    assert len(unpaired) == 3   # a node grid, an exception, a count
+    _, unpaired = _changes(parent, {**parent,
+                                    "integrate": [(ts + 0.1, xs, vs),
+                                                  history]})
+    assert unpaired == ["trajectories 0: another node grid"]
+
+
+def test_values_mode_measures_zero_and_extremum_moves():
+    """``--values`` reports the largest |Δt| of the paired zeros and of the
+    paired extrema, and what does not pair up: another count of scans,
+    zeros or extrema, another degenerate flag, or an exception."""
+    zeros = np.array([1.0, 2.0, 3.0])
+    flags = np.array([False, True, False])
+    peaks = np.array([1.5, 2.5])
+    error = "HistoryDomainError: delayed argument -2.0"
+    parent = {"scans": [(zeros, flags, peaks), error]}
+    moved, unpaired = _changes(parent, {"scans": [
+        (zeros + [0.0, 3e-11, -5e-11], flags, peaks + [2e-11, 0.0]),
+        error]})
     assert moved["zeros"] == pytest.approx(5e-11, rel=1e-3)
     assert moved["extrema"] == pytest.approx(2e-11, rel=1e-3)
-    assert moved["theta"] == pytest.approx(3e-14, rel=1e-2)
-    assert integrator_digest.changes(parent, parent) == (
-        dict.fromkeys(names, 0.0), [])
-
-    def against(**kinds):
-        # the parent with some kinds' entries replaced
-        return integrator_digest.changes(parent, {**parent, **kinds})
-    # a node grid, an exception, a count
-    _, unpaired = against(
-        integrate=[(ts[:-1], xs[:-1], vs[:-1]), (ts, xs, vs)],
-        beta_iterate=parent["beta_iterate"][:1])
-    assert len(unpaired) == 3
-    _, unpaired = against(integrate=[(ts + 0.1, xs, vs), history])
-    assert unpaired == ["trajectories 0: another node grid"]
-    # a zero count, a scan against an exception
-    _, unpaired = against(scans=[(zeros[:2], flags[:2], peaks),
-                                 (zeros, flags, peaks)])
-    assert len(unpaired) == 2
-    _, unpaired = against(scans=[(zeros, ~flags, peaks), history])
+    assert unpaired == []
+    moved, unpaired = _changes(parent, parent)
+    assert set(moved.values()) == {0.0} and unpaired == []
+    _, unpaired = _changes(parent, {"scans": [(zeros[:2], flags[:2], peaks),
+                                              (zeros, flags, peaks)]})
+    assert len(unpaired) == 2   # a zero count, a scan against an exception
+    _, unpaired = _changes(parent, {"scans": [(zeros, ~flags, peaks),
+                                              error]})
     assert unpaired == ["scans 0: another degenerate flag"]
-    _, unpaired = against(scans=parent["scans"][:1])
+    _, unpaired = _changes(parent, {"scans": parent["scans"][:1]})
     assert unpaired == ["1 scans, parent 2"]
-    # a Δ, an exception
-    moved, unpaired = against(theta=[theta(0.8, 1.45), theta(1.0, 1.5),
-                                     parent["theta"][2]])
-    assert moved["theta"] == 0.0 and len(unpaired) == 2
-    _, unpaired = against(theta=parent["theta"][:2])
+
+
+def test_values_mode_measures_theta_moves():
+    """``--values`` reports the largest |Δϑ| over ϑ paired by Δ, and what
+    does not pair up: another count, another Δ or an exception."""
+    refused = "DomainError: delay must be finite and nonnegative, got -1.0"
+
+    def theta(delta, value):
+        return np.array([delta]), np.array([value])
+    parent = {"theta": [theta(0.9, 1.45), refused, theta(2.0, 1.41)]}
+    moved, unpaired = _changes(parent, {"theta": [
+        theta(0.9, 1.45 + 3e-14), refused, theta(2.0, 1.41 - 1e-14)]})
+    assert moved["theta"] == pytest.approx(3e-14, rel=1e-2)
+    assert unpaired == []
+    moved, unpaired = _changes(parent, parent)
+    assert moved["theta"] == 0.0 and unpaired == []
+    moved, unpaired = _changes(parent, {"theta": [
+        theta(0.8, 1.45), theta(1.0, 1.5), parent["theta"][2]]})
+    assert moved["theta"] == 0.0 and len(unpaired) == 2  # a Δ, an exception
+    _, unpaired = _changes(parent, {"theta": parent["theta"][:2]})
     assert unpaired == ["2 thetas, parent 3"]
 
 
