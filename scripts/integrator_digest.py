@@ -34,18 +34,23 @@ Run from the repository root:
     python3 scripts/integrator_digest.py --parent HEAD~1
     python3 scripts/integrator_digest.py --parent HEAD~1 --values
 
-``--values`` alone writes the tree's record, pickled, on stdout.
-``--parent REV`` exports the committed files of REV (``git archive``) into
-a temporary directory and reads the record of each tree that way, from an
-interpreter of its own.  It then prints both trees' hash lines and how many
-of each kind differ, and exits 1 if any line differs.  Seeds are 0-5
-unless ``--seed`` (repeatable) names others.
+Records are made one workload and seed at a time, and each is dropped once
+used, so memory holds one record, not all of them.  ``--values`` alone
+writes each (``"workload@seed"``, record) on stdout as a pickle of its
+own.  ``--parent REV`` exports the committed files of REV (``git
+archive``) into a temporary directory and reads each tree's records that
+way, from an interpreter of its own, loading each pickle as it arrives.
+It then prints both trees' hash lines and how many of each kind differ,
+and exits 1 if any line differs.  Seeds are 0-5 unless ``--seed``
+(repeatable) names others.
 
 ``--parent REV --values`` measures instead how far the values moved, for a
-change that moves them at rounding level.  ``KINDS`` says, per kind, which
-arrays two entries must share to pair up (the node grid, the degenerate
-flags, Δ) and which it measures: x and x′ relative to the parent's largest
-|x| and |x′|; Ψ, the zero times, the extremum times and ϑ absolute.  Per
+change that moves them at rounding level.  It keeps the parent tree's
+records and compares each of the change tree's as it arrives.
+``KINDS`` says, per kind, which arrays two entries must share to pair up
+(the node grid, the degenerate flags, Δ) and which it measures: x and x′
+relative to the parent's largest |x| and |x′|; Ψ, the zero times, the
+extremum times and ϑ absolute.  Per
 workload and seed it prints the largest change of each measured array
 over the paired entries.  It exits 1 only if some entries do not pair up;
 each such one is an UNPAIRED line (another count of entries or of array
@@ -242,17 +247,15 @@ def changes(parent: dict, change: dict) -> tuple[dict, list]:
     return moved, unpaired
 
 
-def _digest_tree(tree: Path, seeds: list[int]) -> dict:
-    """Each workload and seed's record under "workload@seed"."""
+def _digest_tree(tree: Path, seeds: list[int]):
+    """Each workload and seed's key "workload@seed" and record, one at a
+    time, so that only one record is alive."""
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
-    records = {}
     with tempfile.TemporaryDirectory(prefix="digest-") as tmp:
         os.environ["SEMICYCLE_CACHE_DIR"] = tmp
         for workload in WORKLOADS:
             for seed in seeds:
-                records[f"{workload}@{seed}"] = _record(workload, seed,
-                                                        Path(tmp))
-    return records
+                yield f"{workload}@{seed}", _record(workload, seed, Path(tmp))
 
 
 def _lines(records: dict) -> list[str]:
@@ -262,16 +265,24 @@ def _lines(records: dict) -> list[str]:
             for kind, entries in record.items()]
 
 
-def _in_subprocess(tree: Path, seeds: list[int]) -> dict:
-    """``_digest_tree`` of ``tree`` in an interpreter of its own."""
+def _in_subprocess(tree: Path, seeds: list[int]):
+    """``_digest_tree`` of ``tree`` in an interpreter of its own, each
+    (key, record) loaded from its pipe as it arrives."""
     argv = [sys.executable, __file__, "--tree", str(tree), "--values"]
     for seed in seeds:
         argv += ["--seed", str(seed)]
-    proc = subprocess.run(argv, capture_output=True)
-    if proc.returncode:
-        raise SystemExit(f"integrator_digest: {tree} failed:\n"
-                         f"{proc.stderr[-2000:].decode(errors='replace')}")
-    return pickle.loads(proc.stdout)
+    # stderr goes to a file: a full stderr pipe would stall the child
+    with tempfile.TemporaryFile() as err, subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=err) as proc:
+        try:
+            while True:
+                yield pickle.load(proc.stdout)
+        except EOFError:
+            pass
+        if proc.wait():
+            err.seek(0)
+            raise SystemExit(f"integrator_digest: {tree} failed:\n"
+                             f"{err.read()[-2000:].decode(errors='replace')}")
 
 
 def main(argv=None) -> int:
@@ -285,30 +296,35 @@ def main(argv=None) -> int:
                     help="repeatable (default: 0 to 5)")
     ap.add_argument("--values", action="store_true",
                     help="with --parent: how far values moved, not hashes; "
-                         "alone: this tree's record, pickled on stdout")
+                         "alone: this tree's records, pickled on stdout")
     args = ap.parse_args(argv)
     seeds = args.seed or list(range(6))
     if args.parent is None:
-        records = _digest_tree(args.tree.resolve(), seeds)
-        if args.values:
-            pickle.dump(records, sys.stdout.buffer)
-        else:
-            print("\n".join(_lines(records)))
+        for key, record in _digest_tree(args.tree.resolve(), seeds):
+            if args.values:
+                pickle.dump((key, record), sys.stdout.buffer)
+            else:
+                print("\n".join(_lines({key: record})))
         return 0
     # the export bench_pair.py makes, from the script beside this one
     from bench_pair import _export, _git
 
     rev = _git("rev-parse", args.parent)
-    # the hash lines need one record at a time, --values both at once
-    keep = (lambda records: records) if args.values else _lines
+    # the hash lines keep no record, --values the parent's until paired
+    if args.values:
+        keep = dict
+    else:
+        def keep(records):
+            return [line for key, record in records
+                    for line in _lines({key: record})]
     with tempfile.TemporaryDirectory(prefix="digest-parent-") as tmp:
         _export(rev, Path(tmp))
         parent = keep(_in_subprocess(Path(tmp), seeds))
-    change = keep(_in_subprocess(ROOT, seeds))
+    change = _in_subprocess(ROOT, seeds)
     if args.values:
         bad = 0
-        for key, new in change.items():
-            moved, unpaired = changes(parent[key], new)
+        for key, new in change:
+            moved, unpaired = changes(parent.pop(key), new)
             bad += bool(unpaired)
             print(f"{key} "
                   + " ".join(f"{name} {d:.2e}" for name, d in moved.items())
@@ -317,6 +333,7 @@ def main(argv=None) -> int:
                   + "".join(f"\n    UNPAIRED {u}" for u in unpaired[:5]))
         print(f"values against {rev[:12]}; {bad} runs do not pair up")
         return 1 if bad else 0
+    change = keep(change)
     for p_line, c_line in zip(parent, change):
         print(f"{'same' if p_line == c_line else 'DIFF'} parent {p_line}")
         print(f"{'':4} change {c_line}")

@@ -31,6 +31,7 @@ from .integrator import (
     _SCAN_TOL,
     DelayProblem,
     Trajectory,
+    _check_horizon,
     _drive,
     _fundamental_problems,
     _zero_scan,
@@ -406,8 +407,10 @@ def criterion_gustafson(problem: DelayProblem, horizon: float) -> tuple:
 
     Needs p ≤ 0 and a nondecreasing delayed argument t − τ(t); the sup is
     taken over 801 evenly spaced points of [start, horizon] — a surrogate
-    for the limsup, reported as such, never a certificate.
+    for the limsup, reported as such, never a certificate. DomainError
+    unless start < horizon < ∞.
     """
+    _check_horizon(problem.start, horizon)
     p_lo, p_hi = _global_p_range(problem)
     if p_hi > 1e-12:
         raise NotApplicableError(
@@ -444,7 +447,8 @@ def verify_comparison(minorant: DelayProblem, majorant: DelayProblem,
     The majorant y must have P ≥ |p| and T ≥ τ, positive nonincreasing
     initial data, and the minorant data must satisfy |z(t)/z(0)| ≤ y(t)/y(0)
     on [s−τ_m, s] (slope condition instead when τ_m = 0). Violated
-    hypotheses raise NotApplicableError. Both are integrated at step 0.01,
+    hypotheses raise NotApplicableError, and a horizon that is not finite
+    or not after the start DomainError. Both are integrated at step 0.01,
     in lockstep, and compared up to y's first zero; worst_violation is 0
     when the conclusion never fails.
     """
@@ -473,8 +477,10 @@ def _comparison(minorant: DelayProblem, majorant: DelayProblem,
 
 def _check_comparison(minorant: DelayProblem, majorant: DelayProblem,
                       horizon: float) -> None:
-    """``verify_comparison``'s hypotheses: NotApplicableError if one fails."""
+    """``verify_comparison``'s hypotheses: NotApplicableError if one fails,
+    DomainError for a horizon that is not finite or not after the start."""
     s = minorant.start
+    _check_horizon(s, horizon)
     if abs(majorant.start - s) > 1e-12:
         raise NotApplicableError("problems must share their start time")
 

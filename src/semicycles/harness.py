@@ -17,14 +17,15 @@ per-instance rows for CSV export; ``skipped`` counts the margins
 instances whose zeros or semicycles could not be read.
 
 An instance is a generator: it draws all its random numbers and checks
-its hypotheses, yields its integrations and is sent their trajectories,
-then measures; the comparison and wronskian instances measure with the
-analysis layer's own instances (``yield from``). ``run_suite`` hands out
-windows of at most ``_WINDOW`` consecutive instances (fewer with ``jobs``
-> 1, so that every worker gets work), and a window runs its instances
-through ``integrator._drive``, in lockstep: one block kernel call per
-round instead of one per problem. Rows, reports and raised exceptions are
-those of one instance after the other.
+its hypotheses, yields its integrations once and is sent their
+trajectories, then measures; the comparison and wronskian instances
+measure with the analysis layer's own instances (``yield from``).
+``run_suite`` hands out windows of at most ``_WINDOW`` consecutive
+instances (fewer with ``jobs`` > 1, so that every worker gets work), and
+``integrator._drive`` integrates all the problems of a window's instances
+in one lockstep pass: one block kernel call per round instead of one per
+problem. Rows, reports and raised exceptions are those of one instance
+after the other.
 
 ``_fan_out`` is the package's one process fan-out, for the suites and
 the CLI's threshold table; it imports the process pool only when it builds

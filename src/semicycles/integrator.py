@@ -23,17 +23,18 @@ depend on the other steps planned with it, so neither the chunk length
 nor which runs make blocks moves a bit.
 
 Runs share the blocks' numpy cost in lockstep (the ensemble idea of
-DifferentialEquations.jl, Rackauckas & Nie 2017). ``_drive`` is the one
-driver of integrations: it runs instances, generators that yield the
-problems they need integrated, in lockstep; ``integrate``,
-``fundamental_system``, the analysis layer's measurements and the
-harness's instances all run through it. The problems of one round run in
-one buffer (``_integrate_many``), every run's ready block, a lone run's
-too, in one ``_advance_blocks`` call at a time, and problems in a row that
-differ only in x(s⁺) and x′(s⁺), a fundamental pair, are one run over
-their buffers, with one plan a chunk. A round of one or two problems, a
-lone ``integrate`` or a lone pair, plans ``_CHUNK`` steps at a time; a
-larger one, whose plans are all alive together, ``_CHUNK_MANY``. A zero
+DifferentialEquations.jl, Rackauckas & Nie 2017). One lockstep pass
+(``_integrate_many``) runs its problems in one buffer, every run's ready
+block, a lone run's too, in one ``_advance_blocks`` call at a time, and
+problems in a row that differ only in x(s⁺) and x′(s⁺), a fundamental
+pair, are one run over their buffers, with one plan a chunk.
+``integrate`` and ``fundamental_system`` make one pass directly.
+``_drive`` serves instances, generators that ask once for the problems
+they need integrated (the analysis layer's measurements and the harness's
+instances): it integrates all their problems in one pass and sends each
+instance its trajectories. A pass of one or two problems, a lone
+``integrate`` or a lone pair, plans ``_CHUNK`` steps at a time; a larger
+one, whose plans are all alive together, ``_CHUNK_MANY``. A zero
 or extremum scan solves each sign change with ``thresholds._root``
 (Illinois regula falsi) on its own step's cubic, in Python floats with
 ``Trajectory.sample``'s operations.
@@ -71,7 +72,6 @@ from .thresholds import _root
 __all__ = [
     "DelayProblem",
     "Trajectory",
-    "Event",
     "rescale",
     "integrate",
     "fundamental_system",
@@ -138,13 +138,6 @@ def problem_from_dict(data: dict) -> DelayProblem:
         raise DomainError(f"problem object missing key {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed problem object: {exc}") from exc
-
-
-@dataclass(frozen=True)
-class Event:
-    kind: str  # "zero" | "extremum"
-    t: float
-    degenerate: bool = False
 
 
 @dataclass(frozen=True)
@@ -353,16 +346,15 @@ _VALUE = 3    # a value known before the step: history, x(s⁻) or x(s⁺)
 _RAISE = 4    # a negative delay, or u below the history
 
 
-def _step_grid(nodes: np.ndarray, counts: np.ndarray) -> tuple:
-    """Every step node, and the first step of each gap between forced nodes
-    (and then the step count): a gap [a, b] is cut into n steps, with
-    interior nodes a + k·(b − a)/n and last node b itself."""
+def _step_grid(nodes: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Every step node: a gap [a, b] between forced nodes is cut into n
+    steps, with interior nodes a + k·(b − a)/n and last node b itself."""
     parts = [nodes[:1]]
     for g, n_sub in enumerate(counts.tolist()):
         a, b = nodes[g], nodes[g + 1]
         parts.append(a + np.arange(1, n_sub) * ((b - a) / n_sub))
         parts.append(nodes[g + 1:g + 2])
-    return np.concatenate(parts), np.concatenate(([0], np.cumsum(counts)))
+    return np.concatenate(parts)
 
 
 class _ChunkPlan:
@@ -387,15 +379,18 @@ class _ChunkPlan:
     coefs = None
 
     def __init__(self, problem: DelayProblem, ts: np.ndarray, c0: int,
-                 c1: int, seg_p: np.ndarray, seg_tau: np.ndarray,
-                 tau_m: float, hist_floor: float, hist_at_start: float):
+                 c1: int, tau_m: float, hist_floor: float,
+                 hist_at_start: float):
         s = problem.start
         self.c0 = c0
         t0, t1 = ts[c0:c1], ts[c0 + 1:c1 + 1]
         hh = t1 - t0
         tm = t0 + 0.5 * hh
         sigma = np.array((t0, tm, t1))
-        tau = problem.tau.eval_in_segment(seg_tau, sigma)
+        # every stage reads p and τ from the segment owning its step's
+        # midpoint: a step's interior holds no breakpoint
+        tau = problem.tau.eval_in_segment(problem.tau.segment_index(tm),
+                                          sigma)
         tv = np.where(tau < 0.0, 0.0, tau)
         neg = tau < -1e-12
         ode = tv <= 1e-13 * np.maximum(np.abs(sigma), 1.0)
@@ -406,7 +401,8 @@ class _ChunkPlan:
         table[0] = hh
         np.multiply(0.5, hh, out=table[1])
         np.divide(hh, 6.0, out=table[2])
-        np.negative(problem.p.eval_in_segment(seg_p, sigma), out=table[3:6])
+        np.negative(problem.p.eval_in_segment(problem.p.segment_index(tm),
+                                              sigma), out=table[3:6])
         if no_delay:
             self.coefs = _step_maps(table)
             self.runs = [(0, c1 - c0, False)]
@@ -599,16 +595,28 @@ def integrate(problem: DelayProblem, horizon: float, step: float = 0.01
     """Advance the problem to ``horizon`` with fixed step ≤ ``step``, hitting
     every forced node; dense output is cubic Hermite per step. Raises
     HistoryDomainError if a delayed argument falls below start − τ_m, and
-    DomainError for a nonpositive step, a horizon within 1e-12·max(1,
-    |start|, |horizon|) of the start or before it, more than ``_MAX_STEPS``
-    steps, or a solution that leaves the float range."""
-    return _drive([_trajectories([(problem, horizon, step)])])[0][0]
+    DomainError for a nonpositive step, a horizon that is not finite or is
+    within 1e-12·max(1, |start|, |horizon|) of the start or before it, more
+    than ``_MAX_STEPS`` steps, or a solution that leaves the float range."""
+    groups = [(problem, horizon, step)]
+    return _trajectories(groups, _integrate_many(groups))[0]
 
 
-def _trajectories(groups: list):
-    """The instance (see ``_drive``) that returns the trajectories of
-    ``groups``, a tuple."""
-    return tuple((yield groups))
+def _trajectories(groups: list, outcomes: list) -> tuple:
+    """The Trajectory of each group from its ``_integrate_many`` outcome;
+    the exception of the first group that raised is raised instead."""
+    for out in outcomes:
+        if isinstance(out, Exception):
+            raise out
+    return tuple(Trajectory(*out, problem=group[0])
+                 for group, out in zip(groups, outcomes))
+
+
+def _check_horizon(start: float, horizon: float) -> None:
+    """DomainError unless start < horizon < ∞."""
+    if not start < horizon < math.inf:
+        raise DomainError(f"horizon {horizon} must be finite and exceed "
+                          f"start {start}")
 
 
 def _integration(problem: DelayProblem, horizon: float, step: float):
@@ -622,8 +630,7 @@ def _integration(problem: DelayProblem, horizon: float, step: float):
     if not step > 0.0:
         raise DomainError(f"step must be positive, got {step}")
     s = problem.start
-    if not horizon > s:
-        raise DomainError(f"horizon {horizon} must exceed start {s}")
+    _check_horizon(s, horizon)
     time_scale = max(1.0, abs(s), abs(horizon))
     # any closer, and _forced_nodes merges the start into the horizon
     if not horizon - s > 1e-12 * time_scale:
@@ -639,12 +646,8 @@ def _integration(problem: DelayProblem, horizon: float, step: float):
         raise DomainError(
             f"integration to {horizon} with step {step} needs {total:.15g} "
             f"steps, more than the limit of {_MAX_STEPS}")
-    ts, first = _step_grid(nodes, counts.astype(np.intp))
+    ts = _step_grid(nodes, counts.astype(np.intp))
     members, chunk = yield ts.size
-    # p and τ are pinned to the segment owning each gap's interior
-    mids = nodes[:-1] + 0.5 * (nodes[1:] - nodes[:-1])
-    seg_p = problem.p.segment_index(mids)
-    seg_tau = problem.tau.segment_index(mids)
     n_steps = ts.size - 1
     for c0 in range(0, n_steps, chunk):
         # past a non-finite node every later one is non-finite too, so the
@@ -654,9 +657,7 @@ def _integration(problem: DelayProblem, horizon: float, step: float):
             break
         c1 = min(c0 + chunk, n_steps)
         plan = None  # the last plan goes before the next one is built
-        gap = np.searchsorted(first, np.arange(c0, c1), side="right") - 1
-        plan = _ChunkPlan(problem, ts, c0, c1, seg_p[gap], seg_tau[gap],
-                          *bounds)
+        plan = _ChunkPlan(problem, ts, c0, c1, *bounds)
         for b, e, block in plan.runs:
             if block:
                 yield plan, b, e
@@ -788,35 +789,29 @@ def _drive(instances: list) -> list:
     """What each instance returned, in order; once all have finished, the
     exception of the first one that raised is raised instead.
 
-    An instance is a generator that yields lists of groups (problem,
-    horizon, step) and is sent one Trajectory per group, or has the
-    exception of its first raising group thrown in. The groups that all
-    instances ask for in one round are integrated together, in lockstep,
-    one buffer per round (``_integrate_many``), and each instance is then
-    resumed in turn."""
-    results = [None] * len(instances)
-    replies = [(i, inst, None) for i, inst in enumerate(instances)]
-    while True:
-        asking = []
-        for i, inst, reply in replies:
-            try:
-                groups = (inst.throw(reply) if isinstance(reply, Exception)
-                          else inst.send(reply))
-            except StopIteration as stop:
-                results[i] = stop.value
-            except Exception as exc:  # noqa: BLE001 - the instance's outcome
-                results[i] = exc
-            else:
-                asking.append((i, inst, groups))
-        if not asking:
-            break
-        outs = iter(_integrate_many([g for *_, gs in asking for g in gs]))
-        replies = []
-        for i, inst, groups in asking:
-            got = [next(outs) for _ in groups]
-            failed = [o for o in got if isinstance(o, Exception)]
-            replies.append((i, inst, failed[0] if failed else [
-                Trajectory(*o, problem=g[0]) for g, o in zip(groups, got)]))
+    An instance is a generator that yields one list of groups (problem,
+    horizon, step), or raises first, and is sent one Trajectory per group.
+    The groups of all instances are integrated together, in lockstep, in
+    one buffer (``_integrate_many``), and each instance is then resumed in
+    turn; one whose group raised ends with that group's exception,
+    unresumed. An instance that asks a second time is a fault of the
+    package and raises at once."""
+    results, asking = [None] * len(instances), []
+    for i, inst in enumerate(instances):
+        try:
+            asking.append((i, inst, next(inst)))
+        except Exception as exc:  # noqa: BLE001 - the instance's outcome
+            results[i] = exc
+    outcomes = iter(_integrate_many([g for *_, gs in asking for g in gs]))
+    for i, inst, groups in asking:
+        try:
+            inst.send(_trajectories(groups, [next(outcomes) for _ in groups]))
+        except StopIteration as stop:
+            results[i] = stop.value
+        except Exception as exc:  # noqa: BLE001 - the instance's outcome
+            results[i] = exc
+        else:
+            raise RuntimeError(f"instance {i} asked for integrations twice")
     for out in results:
         if isinstance(out, Exception):
             raise out
@@ -950,10 +945,13 @@ def extremum_events(traj: Trajectory, tol: float = _SCAN_TOL) -> list[float]:
     return [t for t, _ in _scan_sign_changes(traj, True, tol)]
 
 
-def _scan_events(traj: Trajectory, tol: float = _SCAN_TOL) -> list[Event]:
-    evs = [Event("zero", t, degenerate=d) for t, d in zero_crossings(traj, tol)]
-    evs.extend(Event("extremum", t) for t in extremum_events(traj, tol))
-    evs.sort(key=lambda e: e.t)
+def _scan_events(traj: Trajectory, tol: float = _SCAN_TOL) -> list[tuple]:
+    """Zeros and extrema as (t, kind, degenerate), "zero" or "extremum", in
+    increasing time. Nothing in the package calls it; the benchmark's
+    tracer looks it up by name."""
+    evs = [(t, "zero", d) for t, d in zero_crossings(traj, tol)]
+    evs.extend((t, "extremum", False) for t in extremum_events(traj, tol))
+    evs.sort(key=lambda e: e[0])
     return evs
 
 
@@ -965,8 +963,9 @@ def fundamental_system(p: PiecewiseSignal, tau: PiecewiseSignal, s: float,
     """The pair (z, y): zero history with unit jumps at s (z(s) = y′(s) = 1,
     z′(s) = y(s) = 0), one run over two buffers that builds each plan once,
     each byte-equal to its own ``integrate``."""
-    return _drive([_trajectories([(prob, horizon, step) for prob
-                                  in _fundamental_problems(p, tau, s)])])[0]
+    groups = [(prob, horizon, step)
+              for prob in _fundamental_problems(p, tau, s)]
+    return _trajectories(groups, _integrate_many(groups))
 
 
 def _fundamental_problems(p: PiecewiseSignal, tau: PiecewiseSignal,

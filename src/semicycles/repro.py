@@ -82,9 +82,11 @@ def _growth2(epsilon: float) -> float:
 
 
 def _finite(form, epsilon: float, t: float) -> float:
-    """form(ε, t) for t ≥ 0; DomainError where it overflows."""
-    if t < 0.0:
-        raise DomainError(f"closed form defined for t ≥ 0, got {t}")
+    """form(ε, t) for finite t ≥ 0 and ε ≥ 0; DomainError elsewhere and
+    where it overflows."""
+    if not (0.0 <= t < math.inf and 0.0 <= epsilon < math.inf):
+        raise DomainError(f"closed form defined for finite t ≥ 0 and ε ≥ 0, "
+                          f"got ε = {epsilon}, t = {t}")
     try:
         x = form(epsilon, t)
     except OverflowError:
@@ -211,12 +213,17 @@ def _sin_pi_problem(epsilon: float, periods: int) -> DelayProblem:
     )
 
 
+def _sin_pi_closed_form(epsilon: float, t: float) -> float:
+    """sin t, the solution of the constant-delay boundary case (t ≥ 0)."""
+    return _finite(lambda _, u: math.sin(u), epsilon, t)
+
+
 # name -> (closed form (ε, t), period (ε), problem builder (ε, periods));
 # sin_pi has no ε and one problem for any number of periods
 _EXAMPLES = {
     "example2": (example2_closed_form, _period2, _example2_problem),
     "example3": (example3_closed_form, _period3, _example3_problem),
-    "sin_pi": (lambda epsilon, t: math.sin(t), lambda epsilon: 2.0 * math.pi,
+    "sin_pi": (_sin_pi_closed_form, lambda epsilon: 2.0 * math.pi,
                _sin_pi_problem),
 }
 EXAMPLE_NAMES = tuple(_EXAMPLES)

@@ -163,15 +163,10 @@ class PiecewiseSignal:
         Returns −1 below the first breakpoint and ``len(segments)`` at or
         above the last (the extension zones); an array for an array t.
         """
-        bps = self.breakpoints
         if isinstance(t, np.ndarray):
             return np.searchsorted(self._breakpoints, t, side="right") - 1
-        if t < bps[0]:
-            return -1
-        if t >= bps[-1]:
-            return len(self.segments)
         # rightmost breakpoint ≤ t (a NaN t sorts above every breakpoint)
-        return bisect.bisect_right(bps, t) - 1
+        return bisect.bisect_right(self.breakpoints, t) - 1
 
     def eval_in_segment(self, index, t):
         """Evaluate using a specific segment's polynomial (or an extension),

@@ -578,7 +578,8 @@ def beta_iterate(rho: float, delta: float, grid_size: int = 4096
     condition holds and rebuilds the profile; ϖ_n increases monotonically to
     Ψ ≤ π/2. Stops when consecutive ϖ differ by less than 1e−10.
 
-    Raises IterationLimitError (carrying the last two ϖ) past 500 sweeps.
+    Raises IterationLimitError (carrying the last two ϖ) past 500 sweeps,
+    and DomainError where a sweep's moments leave the float range.
     """
     rho, delta = float(rho), float(delta)
     _check_rho(rho)
@@ -590,14 +591,22 @@ def beta_iterate(rho: float, delta: float, grid_size: int = 4096
     forcing = rho * _descent_shape(delta, n)
     beta = np.ones(n)
     omegas: list[float] = []
-    for _ in range(_MAX_SWEEPS):
-        sweep = _beta_step(grid, beta, forcing)
-        omegas.append(-sweep[3])
-        if len(omegas) >= 2 and abs(omegas[-1] - omegas[-2]) < _SWEEP_TOL:
-            return ThresholdResult(psi=omegas[-1], iterations=len(omegas),
-                                   omega_sequence=tuple(omegas),
-                                   _last_sweep=(grid.w, *sweep))
-        _next_beta(grid, sweep, beta)  # β is read only by the next sweep
+    # an overflow is refused at the sweep that meets it: both running sums
+    # are monotone (g ≥ 0, w ≤ 0), so a non-finite cell leaves its total
+    # non-finite, and a non-finite β reaches the next sweep's g
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_MAX_SWEEPS):
+            sweep = _beta_step(grid, beta, forcing)
+            if not (math.isfinite(grid.i0.item(-1))
+                    and math.isfinite(grid.i1.item(-1))):
+                raise DomainError(f"Ψ sweep at ρ = {rho}, Δ = {delta} "
+                                  "leaves the float range")
+            omegas.append(-sweep[3])
+            if len(omegas) >= 2 and abs(omegas[-1] - omegas[-2]) < _SWEEP_TOL:
+                return ThresholdResult(psi=omegas[-1], iterations=len(omegas),
+                                       omega_sequence=tuple(omegas),
+                                       _last_sweep=(grid.w, *sweep))
+            _next_beta(grid, sweep, beta)  # β is read only by the next sweep
     raise IterationLimitError(
         f"ascent iteration did not converge within {_MAX_SWEEPS} sweeps "
         f"(last ϖ: {omegas[-2]:.12f} → {omegas[-1]:.12f})",

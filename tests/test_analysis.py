@@ -9,6 +9,7 @@ construction, and constant-coefficient criterion values computed by hand
 import math
 import re
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -485,6 +486,32 @@ def test_weighted_integral_needs_monotone_lag():
                         initial_slope=0.0)
     with pytest.raises(NotApplicableError):
         criterion_gustafson(prob, 10.0)
+
+
+@pytest.mark.parametrize("horizon", [math.nan, math.inf, -math.inf, 1.5,
+                                     0.5], ids=["nan", "inf", "-inf",
+                                                "start", "start-1"])
+@pytest.mark.parametrize("measure", ["gustafson", "comparison", "integrate"])
+def test_horizon_not_finite_or_not_after_start_refused(measure, horizon):
+    """A sampled window needs a finite end after its start: NaN gave a
+    verdict from no data, ±∞ leaked numpy warnings, the start sampled one
+    point 801 times, and a horizon before it was misread as a hypothesis
+    failure. The integrator names a horizon that is not finite as such."""
+    prob = DelayProblem(p=const(-1.0) if measure == "gustafson" else
+                        const(1.0), tau=const(2.0), start=1.5,
+                        history=const(1.0), initial_value=1.0,
+                        initial_slope=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as refused:
+            if measure == "gustafson":
+                criterion_gustafson(prob, horizon)
+            elif measure == "comparison":
+                verify_comparison(prob, prob, horizon)
+            else:
+                integrate(prob, horizon)
+    assert str(refused.value) == (f"horizon {horizon} must be finite and "
+                                  "exceed start 1.5")
 
 
 def test_wronskian_positivity_bound_values():

@@ -205,6 +205,18 @@ def test_table_stored_under_bisection_tag_is_recomputed(tmp_path,
             f.unlink()
 
 
+def test_overflowing_psi_sweep_exits_1_caching_nothing(tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["thresholds", "--delta", "1", "--rho", "1e308"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("semicycles thresholds: thresholds.beta_iterate: "
+                            "Ψ sweep at ρ = 1e+308, Δ = 1.0 leaves the float "
+                            "range\n")
+    assert not list(tmp_path.glob("cache/table-*.json"))
+
+
 @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below_file"])
 def test_unusable_cache_still_prints_the_table(tmp_path, monkeypatch, capsys,
                                                below):

@@ -1510,21 +1510,24 @@ def test_grouping_corpus_reads_every_stage_source(monkeypatch):
     shapes = set()  # the stage kinds of a step
 
     class Recording(integrator._ChunkPlan):
-        def __init__(self, problem, ts, c0, c1, seg_p, seg_tau, *args):
+        def __init__(self, problem, ts, c0, c1, *args):
             try:
-                super().__init__(problem, ts, c0, c1, seg_p, seg_tau, *args)
+                super().__init__(problem, ts, c0, c1, *args)
             finally:
-                self.record(problem, ts[c0:c1 + 1], seg_tau)
+                self.record(problem, ts[c0:c1 + 1])
 
-        def record(self, problem, nodes, seg_tau):
+        def record(self, problem, nodes):
             if self.kind is None:  # a chunk with no delayed stage
                 seen.add((integrator._ODE, False))
                 shapes.add("no delay")
                 return
-            # the plan's stage times and delayed arguments u = σ − τ(σ)
+            # the plan's stage times and delayed arguments u = σ − τ(σ),
+            # τ from the segment owning each step's midpoint
             t0, t1 = nodes[:-1], nodes[1:]
-            sigma = np.array((t0, t0 + 0.5 * (t1 - t0), t1))
-            tau = problem.tau.eval_in_segment(seg_tau, sigma)
+            tm = t0 + 0.5 * (t1 - t0)
+            sigma = np.array((t0, tm, t1))
+            tau = problem.tau.eval_in_segment(problem.tau.segment_index(tm),
+                                              sigma)
             at_s = sigma - np.where(tau < 0.0, 0.0, tau) == problem.start
             seen.update(zip(self.kind.ravel().tolist(), at_s.ravel().tolist()))
             shapes.update(tuple(k) for k in self.kind.T.tolist())
@@ -1827,6 +1830,38 @@ def test_lockstep_round_holds_all_groups_in_one_buffer():
                                                 DomainError]
     x0, x2, x4 = (got[i][1] for i in (0, 2, 4))
     assert x0.base is x2.base is x4.base
+
+
+def test_drive_asks_each_instance_once_and_resumes_no_failed_one():
+    const = PiecewiseSignal.constant
+    group = (DelayProblem(const(0.9), const(0.5), 0.0, const(0.3), 1.0, 0.0),
+             1.0, 0.01)
+    resumed = []
+
+    def asks_twice():
+        yield [group]
+        yield [group]
+
+    def refused():
+        yield [group, (group[0], 1.0, -0.01)]
+        resumed.append(True)
+
+    def measures():
+        traj, = yield [group]
+        return traj.xs[-1]
+
+    # an instance that asks again is refused, not dropped
+    with pytest.raises(RuntimeError) as twice:
+        integrator._drive([measures(), asks_twice()])
+    assert str(twice.value) == "instance 1 asked for integrations twice"
+    # one whose group raised ends with that exception, unresumed, once the
+    # others have finished
+    with pytest.raises(DomainError) as refusal:
+        integrator._drive([measures(), refused(), measures()])
+    assert str(refusal.value) == "step must be positive, got -0.01"
+    assert resumed == []
+    assert integrator._drive([measures(), measures()]) == [
+        integrate(*group).xs[-1]] * 2
 
 
 # ----------------------------------------------------------------------

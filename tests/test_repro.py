@@ -141,6 +141,27 @@ def test_spec_validation():
         example2_closed_form(0.1, -0.5)
 
 
+def _sin_pi(epsilon, t):
+    return closed_form(ExampleSpec("sin_pi", epsilon), t)
+
+
+@pytest.mark.parametrize("form, epsilon, t", [
+    *((form, epsilon, t) for form in (example2_closed_form,
+                                      example3_closed_form)
+      for epsilon, t in ((0.1, math.nan), (0.1, math.inf), (0.1, -0.5),
+                         (math.nan, 3.0), (math.inf, 3.0), (-0.5, 3.0))),
+    *((_sin_pi, 0.0, t) for t in (math.nan, math.inf, -0.5))])
+def test_closed_forms_refuse_t_and_epsilon_outside_their_domain(form,
+                                                                epsilon, t):
+    """t and ε must be finite and ≥ 0: NaN raised a bare ValueError, sin_pi
+    returned NaN, and example3 at ε = −0.5 returned a value though
+    ExampleSpec refuses that ε."""
+    with pytest.raises(DomainError) as refused:
+        form(epsilon, t)
+    assert str(refused.value) == ("closed form defined for finite t ≥ 0 and "
+                                  f"ε ≥ 0, got ε = {epsilon}, t = {t}")
+
+
 @pytest.mark.parametrize("epsilon, periods", [
     (0.05, math.nan), (0.05, 2.5), (0.05, 3.0), (0.05, True), (0.05, "3"),
     (math.nan, 3), (math.inf, 3), ("0.1", 3), (None, 3),

@@ -6,6 +6,7 @@ before this module's implementation existed.
 """
 
 import math
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -753,6 +754,23 @@ def test_non_finite_arguments_rejected(name, args, message):
         with pytest.raises(DomainError, match=message):
             getattr(thresholds, name)(*args)
     assert thresholds._psi_cached.cache_info() == before
+
+
+def test_sweep_whose_moments_overflow_is_refused():
+    """ρ near the float limit overflows a sweep's moments; Ψ used to come
+    out as π/2, the largest Ψ there is, with three numpy warnings. It is
+    refused naming ρ and Δ: no warning, no Ψ cache entry. The largest ρ
+    whose sweeps stay finite keeps its Ψ."""
+    before = thresholds._psi_cached.cache_info().currsize
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rho, delta in ((1e308, 1.0), (1.7e308, 1.0), (1e308, 3.0),
+                           (5e307, 3.0)):
+            with pytest.raises(DomainError, match=re.escape(
+                    f"ρ = {rho}, Δ = {delta} leaves the float range")):
+                psi(rho, delta)
+        assert thresholds._psi_cached.cache_info().currsize == before
+        assert psi(9e307, 1.0) == 7.71853579371157e-09
 
 
 # ----------------------------------------------------------------------
