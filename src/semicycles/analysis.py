@@ -177,12 +177,12 @@ def _data_floor(problem: DelayProblem) -> float:
 
 
 def _window_abs_max(traj: Trajectory, problem: DelayProblem,
-                    lo: float, hi: float, n: int = 2048) -> float:
+                    lo: float, hi: float) -> float:
     """max |x| over [lo, hi], reading pre-start times from the history."""
-    ts = np.linspace(lo, hi, n)
+    ts = np.linspace(lo, hi, 2048)
     split = np.searchsorted(ts, traj.start)
     best = float(np.abs(problem.history(ts[:split])).max(initial=0.0))
-    if split < n:
+    if split < ts.size:
         best = max(best, float(np.abs(traj.sample(ts[split:])).max()))
     return best
 

@@ -6,10 +6,10 @@ decimal, one header row; floats printed with shortest round-trip repr):
 * thresholds — ``--delta LO:HI:STEP`` alone gives ``delta,theta,psi,
   threshold`` at ρ = 1 (threshold = theta + psi); adding ``--rho`` gives
   the long-form grid ``delta,rho,theta,psi``.  Grids are cached on disk
-  keyed by the package version, the algorithm tag and their parameters
-  (see SEMICYCLE_CACHE_DIR below); an entry that cannot be read or does
-  not match its request is recomputed, and a cache that cannot be used
-  costs one stderr line, not the table.
+  keyed by their parameters (see SEMICYCLE_CACHE_DIR below); an entry
+  that cannot be read, was made by another package version or algorithm
+  tag, or does not match its request is recomputed and overwritten, and a
+  cache that cannot be used costs one stderr line, not the table.
 * simulate — integrates a JSON problem file; ``t,x,dx`` at the solver
   nodes, optional ``--svg`` polyline plot.
 * classify — integrates and classifies; JSON with verdict, evidence
@@ -285,20 +285,20 @@ def _cached_table(path: Path, deltas: tuple, rhos: tuple,
 
 def _threshold_table(delta_values, rho_values, grid_size: int,
                      jobs: int) -> dict:
-    """ϑ(Δ) and Ψ(ρ, Δ) over a grid, cached on disk keyed by (version,
-    algorithm, deltas, rhos, grid).  A hit replays the stored values
-    exactly: JSON round-trips doubles losslessly, so emission bytes match
-    a fresh run.  An unreadable or mismatched entry is a miss and is
-    rewritten; a cache that cannot be written costs one stderr line."""
+    """ϑ(Δ) and Ψ(ρ, Δ) over a grid, cached on disk keyed by (deltas,
+    rhos, grid).  A hit replays the stored values exactly: JSON round-trips
+    doubles losslessly, so emission bytes match a fresh run.  An unreadable
+    or mismatched entry, one made by another version or algorithm
+    included, is a miss and is rewritten, so a version or algorithm bump
+    leaves one entry per request; a cache that cannot be written costs one
+    stderr line."""
     _check_jobs(jobs)
     deltas = tuple(float(d) for d in delta_values)
     rhos = tuple(float(r) for r in rho_values)
     if not deltas or not rhos:
         raise DomainError("threshold table needs nonempty delta and rho "
                           "ranges")
-    key_src = json.dumps({"version": __version__,
-                          "algorithm": _TABLE_ALGORITHM, "deltas": deltas,
-                          "rhos": rhos, "grid": grid_size})
+    key_src = json.dumps({"deltas": deltas, "rhos": rhos, "grid": grid_size})
     key = hashlib.sha256(key_src.encode()).hexdigest()[:16]
     cache_dir = _cache_dir()
     cache_file = cache_dir / f"table-{key}.json"
@@ -428,27 +428,26 @@ def _cmd_harness(args: argparse.Namespace) -> int:
     return 0
 
 
-def _svg_polyline(traj, width: int = 800, height: int = 320,
-                  margin: float = 40.0) -> str:
-    """Direct path emission — one polyline, no plotting dependency."""
+def _svg_polyline(traj) -> str:
+    """Direct path emission — one polyline, no plotting dependency: an
+    800 × 320 view with a margin of 40 on every side."""
     ts = np.asarray(traj.ts, dtype=float)
     xs = np.asarray(traj.xs, dtype=float)
     lo, hi = float(xs.min()), float(xs.max())
     pad = 0.05 * (hi - lo) if hi > lo else 1.0
     lo, hi = lo - pad, hi + pad
-    span_t = max(ts[-1] - ts[0], 1e-300)
+    span_t = ts[-1] - ts[0]
 
     def sx(t):
-        return margin + (t - ts[0]) / span_t * (width - 2 * margin)
+        return 40.0 + (t - ts[0]) / span_t * 720.0
 
     def sy(x):
-        return height - margin - (x - lo) / (hi - lo) * (height - 2 * margin)
+        return 280.0 - (x - lo) / (hi - lo) * 240.0
 
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" '
-             f'viewBox="0 0 {width} {height}">']
+    parts = ['<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 800 320">']
     if lo < 0.0 < hi:
-        parts.append(f'  <line x1="{margin:.3f}" y1="{sy(0.0):.3f}" '
-                     f'x2="{width - margin:.3f}" y2="{sy(0.0):.3f}" '
+        parts.append(f'  <line x1="40.000" y1="{sy(0.0):.3f}" '
+                     f'x2="760.000" y2="{sy(0.0):.3f}" '
                      f'stroke="#999" stroke-width="1"/>')
     d = "M" + " L".join(f"{sx(t):.3f} {sy(x):.3f}" for t, x in zip(ts, xs))
     parts.append(f'  <path d="{d}" fill="none" stroke="#1a6" '

@@ -130,7 +130,7 @@ def mode_mixture_problem(c: float, sign: int, terms) -> DelayProblem:
             f"a history over [−{c}, 0] in segments of width {width:.3g} "
             f"needs {c / width:.3g} segments, more than the limit of "
             f"{_MAX_HISTORY_SEGMENTS}")
-    n_seg = max(1, math.ceil(c / width))
+    n_seg = math.ceil(c / width)
     bps = np.linspace(-c, 0.0, n_seg + 1)
     segments = []
     for t0 in bps[:-1]:
@@ -207,15 +207,16 @@ def _piecewise_linear(rng, lo: float, hi: float, t0: float, t1: float,
                            float(vals[0]), float(vals[-1]))
 
 
-def _hermite_history(rng, depth: float) -> tuple:
-    """C¹ cubic on [−depth, 0] with O(1) values: endpoint data drawn
-    directly, converted to monomial coefficients in u = t + depth."""
+def _hermite_history(rng) -> tuple:
+    """C¹ cubic on [−5.5, 0] with O(1) values: endpoint data drawn
+    directly, converted to monomial coefficients in u = t + 5.5. The depth
+    covers the [start − τ_m − ϑ, start] windows of early semicycles."""
     v0, v1 = rng.uniform(-1.0, 1.0, 2)
     s0, s1 = rng.uniform(-0.4, 0.4, 2)
-    h = depth
+    h = 5.5
     c2 = (-3.0 * v0 - 2.0 * s0 * h + 3.0 * v1 - s1 * h) / h ** 2
     c3 = (2.0 * v0 + s0 * h - 2.0 * v1 + s1 * h) / h ** 3
-    sig = PiecewiseSignal((-depth, 0.0),
+    sig = PiecewiseSignal((-h, 0.0),
                           ((float(v0), float(s0), float(c2), float(c3)),),
                           float(v0), float(v1))
     return sig, float(v1), float(s1)
@@ -229,8 +230,7 @@ def _random_margin_problem(rng) -> DelayProblem:
                           1.0, 0.0, horizon_hint, pieces)
     tau = _piecewise_linear(rng, 0.0, 2.0, 0.0, horizon_hint,
                             int(rng.integers(2, 5)))
-    # deep enough for [start − τ_m − ϑ, start] windows of early semicycles
-    history, value, slope = _hermite_history(rng, depth=5.5)
+    history, value, slope = _hermite_history(rng)
     return DelayProblem(p=p, tau=tau, start=0.0, history=history,
                         initial_value=value, initial_slope=slope)
 

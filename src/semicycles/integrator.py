@@ -62,7 +62,7 @@ from .errors import DomainError, HistoryDomainError, SemicycleError
 from .signals import (
     PiecewiseSignal,
     _number,
-    _trim_for_roots,
+    _real_roots,
     signal_from_dict,
     signal_range,
     signal_to_dict,
@@ -257,15 +257,7 @@ def _segment_crossings(seg: tuple, b: float, length: float, c: float,
         q[1] += 1.0
     if all(abs(ci) <= 1e-13 * scale for ci in q):
         return []  # the whole segment maps onto c
-    trimmed = _trim_for_roots(q, length)
-    if len(trimmed) == 1:
-        return []
-    if len(trimmed) == 2:
-        roots = [-trimmed[0] / trimmed[1]]
-    else:
-        roots = [r.real for r in np.roots(trimmed[::-1])
-                 if abs(r.imag) < 1e-9 * scale]
-    return [b + u for u in roots
+    return [b + u for u in _real_roots(q, length, scale)
             if -1e-12 * scale <= u <= length + 1e-12 * scale]
 
 
@@ -878,8 +870,6 @@ def _scan_sign_changes(traj: Trajectory, derivative: bool, tol: float
     left = np.flatnonzero(nonzero[:-1] & nonzero[1:] & (pos[:-1] != pos[1:]))
     t_star = _refine(traj, derivative, left, tol)
     zeros = np.flatnonzero(~nonzero)
-    if zeros.size == 0:
-        return [(t, False) for t in t_star]
     # events in node order (a bracket at its right node); a zero node within
     # tol of the event before it adds nothing
     out: list[tuple] = []

@@ -190,14 +190,12 @@ def _example3_problem(epsilon: float, periods: int) -> DelayProblem:
     )
 
 
-def _sin_history(degree: int = 25) -> PiecewiseSignal:
+def _sin_history() -> PiecewiseSignal:
     # Taylor coefficients of sin(t) = −sin(u) in local coordinates u = t + π;
     # the degree-25 tail on [0, π] is below 1e−15.
-    coeffs = [0.0] * (degree + 1)
-    for m in range(degree // 2 + 1):
+    coeffs = [0.0] * 26
+    for m in range(13):
         j = 2 * m + 1
-        if j > degree:
-            break
         coeffs[j] = (-1.0) ** (m + 1) / math.factorial(j)
     return PiecewiseSignal((-math.pi, 0.0), (tuple(coeffs),), 0.0, 0.0)
 

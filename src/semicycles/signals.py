@@ -54,10 +54,6 @@ def _poly_eval(coeffs, u: float) -> float:
     return acc
 
 
-def _poly_derivative(coeffs):
-    return tuple(j * coeffs[j] for j in range(1, len(coeffs)))
-
-
 _LOG_EPS = math.log(np.finfo(float).eps)
 
 
@@ -88,20 +84,30 @@ def _trim_for_roots(coeffs, span: float) -> list:
     return out
 
 
+def _real_roots(coeffs, span: float, scale: float) -> list:
+    """Real roots of c0 + c1·u + ... whose term sizes are judged on |u| ≤
+    span (``_trim_for_roots``): by division for a linear polynomial, by
+    np.roots otherwise, keeping roots whose imaginary part is below
+    1e-9·scale."""
+    trimmed = _trim_for_roots(coeffs, span)
+    if len(trimmed) == 1:
+        return []
+    if len(trimmed) == 2:
+        return [-trimmed[0] / trimmed[1]]
+    # numpy wants highest degree first and nonzero leading coefficient
+    return [r.real for r in np.roots(trimmed[::-1])
+            if abs(r.imag) < 1e-9 * scale]
+
+
 def _poly_extrema_values(coeffs, u_lo: float, u_hi: float) -> list[float]:
     """Values of the polynomial at the endpoints and interior critical points
-    of [u_lo, u_hi] (local coordinates)."""
+    of [u_lo, u_hi], 0 ≤ u_lo < u_hi (local coordinates)."""
     vals = [_poly_eval(coeffs, u_lo), _poly_eval(coeffs, u_hi)]
-    deriv = _poly_derivative(coeffs)
-    if len(deriv) >= 2:  # degree ≥ 2 ⇒ nontrivial critical points
-        # numpy wants highest degree first and nonzero leading coefficient
-        trimmed = _trim_for_roots(deriv, max(abs(u_lo), abs(u_hi)))
-        if len(trimmed) >= 2:
-            roots = np.roots(trimmed[::-1])
-            scale = max(1.0, abs(u_lo), abs(u_hi))
-            for r in roots:
-                if abs(r.imag) < 1e-9 * scale and u_lo < r.real < u_hi:
-                    vals.append(_poly_eval(coeffs, float(r.real)))
+    if len(coeffs) >= 3:  # degree ≥ 2 ⇒ nontrivial critical points
+        deriv = [j * c for j, c in enumerate(coeffs)][1:]
+        for r in _real_roots(deriv, u_hi, max(1.0, u_hi)):
+            if u_lo < r < u_hi:
+                vals.append(_poly_eval(coeffs, float(r)))
     return vals
 
 

@@ -44,9 +44,9 @@ class CharRoot:
         return eigen_semicycle(self)
 
 
-def _halley(w: complex, z: complex, max_iter: int = 60) -> complex:
+def _halley(w: complex, z: complex) -> complex:
     tol = 1e-13 * max(1.0, abs(z))
-    for _ in range(max_iter):
+    for _ in range(60):
         ew = cmath.exp(w)
         f = w * ew - z
         if abs(f) < tol:

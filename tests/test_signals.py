@@ -14,6 +14,7 @@ from semicycles import (
     signal_range,
     signal_to_dict,
 )
+from semicycles.signals import _poly_eval, _trim_for_roots
 
 SQRT2 = math.sqrt(2.0)
 
@@ -63,11 +64,49 @@ def test_esssup_linear_endpoint():
     assert _sup_abs(sig, 0.0, 3.0) == pytest.approx(6.0, abs=1e-12)
 
 
+def _range_by_np_roots(sig, lo, hi):
+    """signal_range with every segment's derivative of degree ≥ 1 rooted by
+    np.roots, a linear one included."""
+    bps = sig.breakpoints
+    cands = [sig.left_extension] if lo < bps[0] else []
+    if hi > bps[-1]:
+        cands.append(sig.right_extension)
+    for i, seg in enumerate(sig.segments):
+        s_lo, s_hi = max(lo, bps[i]), min(hi, bps[i + 1])
+        if not s_lo < s_hi:
+            continue
+        u_lo, u_hi = s_lo - bps[i], s_hi - bps[i]
+        cands += [_poly_eval(seg, u_lo), _poly_eval(seg, u_hi)]
+        deriv = tuple(j * seg[j] for j in range(1, len(seg)))
+        trimmed = _trim_for_roots(deriv, max(abs(u_lo), abs(u_hi)))
+        if len(deriv) >= 2 and len(trimmed) >= 2:
+            scale = max(1.0, abs(u_lo), abs(u_hi))
+            cands += [_poly_eval(seg, float(r.real))
+                      for r in np.roots(trimmed[::-1])
+                      if abs(r.imag) < 1e-9 * scale and u_lo < r.real < u_hi]
+    return (min(cands), max(cands))
+
+
 def test_esssup_interior_critical_point():
     # u² − 2u on [0, 2]: endpoints 0, interior minimum −1 at u = 1
     sig = PiecewiseSignal((0.0, 2.0), ((0.0, -2.0, 1.0),), 0.0, 0.0)
     assert _sup_abs(sig, 0.0, 2.0) == pytest.approx(1.0, abs=1e-12)
     assert signal_range(sig, 0.0, 2.0) == pytest.approx((-1.0, 0.0), abs=1e-12)
+    # quadratics a·u² + b·u + c with the vertex −b/2a inside the segment, at
+    # u = 0 and outside it on either side, for either sign of a: the vertex
+    # found by division gives the floats np.roots gave
+    rng = np.random.default_rng(7)
+    for a in (1.1, -0.37, 3e-5, -2.5e3):
+        for vertex in (0.7 / 2.2, 1.0 / 3.0, 0.0, -0.4, 1.9, 2.6):
+            seg = (0.3, -2.0 * a * vertex, a)
+            sig = PiecewiseSignal((0.0, 1.7, 2.9),
+                                  (seg, tuple(rng.uniform(-2.0, 2.0, 3))),
+                                  -0.1, 0.2)
+            for lo, hi in ((0.0, 1.7), (-0.5, 4.0), (vertex, 1.7),
+                           (0.1, 0.9), (1.0, 2.5)):
+                if lo < hi:
+                    assert signal_range(sig, lo, hi) \
+                        == _range_by_np_roots(sig, lo, hi)
 
 
 def test_esssup_empty_interval_is_domain_error():
